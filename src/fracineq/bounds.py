@@ -63,7 +63,7 @@ from .funcatalog import (
     Function1D,
     certify,
 )
-from .identity import LemmaPieces, check_e1_from_pieces, compute_pieces
+from .identity import LemmaPieces, compute_pieces
 from .specfun import ln_gamma
 
 __all__ = [
@@ -169,14 +169,14 @@ def lhs_frac(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     pieces: Optional[LemmaPieces] = None,
 ) -> Estimate:
-    """|identity LHS| shared by E6-E9, with its quadrature error budget."""
+    """|identity LHS| shared by E6-E9, with its quadrature error budget.
+
+    Passing the point's ``pieces`` reuses both the integrals and the value
+    derived from them, which ``pieces`` computes once.
+    """
     if pieces is None:
         pieces = compute_pieces(f, prm, cfg)
-    res = check_e1_from_pieces(pieces)
-    ga_over_width = (pieces.jm.error + pieces.jp.error) / (prm.b - prm.a)
-    # only the operator pair contributes quadrature error to this side
-    budget = math.exp(ln_gamma(prm.alpha + 1.0)) * ga_over_width
-    return Estimate(abs(res.lhs), budget)
+    return pieces.abs_lhs
 
 
 def lhs_classical(
@@ -196,12 +196,18 @@ def lhs_classical(
 # fractional right-hand sides
 
 
-def rhs_thm1(prm: FracParams) -> float:
-    """Gamma-ratio bound (E6). Requires M."""
+def rhs_thm1(prm: FracParams, ratio: Optional[float] = None) -> float:
+    """Gamma-ratio bound (E6). Requires M.
+
+    ``ratio`` is the Gamma ratio at (alpha, s) when the caller already holds
+    it (see ``CertCache.gamma_ratio``); it is computed here otherwise.
+    """
     _require(prm, "E6", M=prm.M)
     a, b, x, alpha, s = prm.a, prm.b, prm.x, prm.alpha, prm.s
+    if ratio is None:
+        ratio = _gamma_ratio(alpha, s)
     powers = (x - a) ** (alpha + 1.0) + (b - x) ** (alpha + 1.0)
-    return prm.M / (b - a) * (1.0 + _gamma_ratio(alpha, s)) * powers / (alpha + s + 1.0)
+    return prm.M / (b - a) * (1.0 + ratio) * powers / (alpha + s + 1.0)
 
 
 def rhs_thm2(prm: FracParams) -> float:
@@ -218,23 +224,26 @@ def rhs_thm2(prm: FracParams) -> float:
     )
 
 
-def rhs_thm3(prm: FracParams) -> float:
+def rhs_thm3(prm: FracParams, ratio: Optional[float] = None) -> float:
     """Power-mean-route bound (E8proof). Requires M and q >= 1; p unused.
 
     At q = 1 the bound degenerates to rhs_thm1 exactly, so that case is
-    delegated to keep the two formula paths literally identical.
+    delegated to keep the two formula paths literally identical. ``ratio``
+    is as for rhs_thm1.
     """
     _require(prm, "E8proof", M=prm.M, q=prm.q)
     if prm.q == 1.0:
-        return rhs_thm1(prm)
+        return rhs_thm1(prm, ratio)
     a, b, x, alpha, s = prm.a, prm.b, prm.x, prm.alpha, prm.s
+    if ratio is None:
+        ratio = _gamma_ratio(alpha, s)
     powers = (x - a) ** (alpha + 1.0) + (b - x) ** (alpha + 1.0)
     inv_q = 1.0 / prm.q
     return (
         prm.M
         * (1.0 / (1.0 + alpha)) ** (1.0 - inv_q)
         * (1.0 / (alpha + s + 1.0)) ** inv_q
-        * (1.0 + _gamma_ratio(alpha, s)) ** inv_q
+        * (1.0 + ratio) ** inv_q
         * powers
         / (b - a)
     )
@@ -369,12 +378,22 @@ def _resolve_m(entry: CatalogEntry, prm: FracParams) -> FracParams:
 
 
 class CertCache:
-    """Memoizes certificates per (function, target, mode, s, q)."""
+    """Memoizes certificates per (function, target, mode, s, q), and the
+    Gamma ratio of the E6 and E8proof bounds per (alpha, s)."""
 
     def __init__(self, cert_tol: float = 1e-9, grid_size: int = 33):
         self.cert_tol = cert_tol
         self.grid_size = grid_size
         self._store: dict[tuple, ConvexityCertificate] = {}
+        self._ratios: dict[tuple[float, float], float] = {}
+
+    def gamma_ratio(self, alpha: float, s: float) -> float:
+        """Gamma(alpha+1) Gamma(s+1) / Gamma(alpha+s+1), computed once per pair."""
+        key = (alpha, s)
+        ratio = self._ratios.get(key)
+        if ratio is None:
+            ratio = self._ratios[key] = _gamma_ratio(alpha, s)
+        return ratio
 
     def get(
         self, entry: CatalogEntry, target: str, mode: str, s: float, q: float = 1.0
@@ -429,7 +448,7 @@ def evaluate_theorem(
 
         if theorem_id == "E6":
             cert = certs.get(entry, TARGET_FPRIME, MODE_CONVEX, prm.s)
-            rhs = rhs_thm1(prm)
+            rhs = rhs_thm1(prm, certs.gamma_ratio(prm.alpha, prm.s))
         elif theorem_id == "E7":
             _require(prm, "E7", p=prm.p, q=prm.q)
             cert = certs.get(entry, TARGET_FPRIME_POW, MODE_CONVEX, prm.s, prm.q)
@@ -437,7 +456,7 @@ def evaluate_theorem(
         elif theorem_id == "E8proof":
             _require(prm, "E8proof", q=prm.q)
             cert = certs.get(entry, TARGET_FPRIME_POW, MODE_CONVEX, prm.s, prm.q)
-            rhs = rhs_thm3(prm)
+            rhs = rhs_thm3(prm, certs.gamma_ratio(prm.alpha, prm.s))
         else:  # E9
             _require(prm, "E9", p=prm.p, q=prm.q)
             cert = certs.get(entry, TARGET_FPRIME_POW, MODE_CONCAVE, prm.s, prm.q)

@@ -27,6 +27,12 @@ Three interchangeable rules evaluate the transformed integral:
     A brute-force composite midpoint rule with >= 1e6 panels on the
     transformed integrand. Deliberately simple; exists so tests can validate
     the adaptive engine against an independent computation.
+
+QUADPACK calls the integrands with one float at a time; those calls skip
+``np.asarray`` and ``np.clip`` but keep numpy's power (``np.power``), because
+numpy's vectorized pow differs in the last bit from the C library pow behind
+Python's ``**`` on a few percent of inputs, and the sweep's reports must not
+change by a bit.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ __all__ = [
     "Estimate",
     "QuadratureConfig",
     "DEFAULT_QUADRATURE",
+    "MAX_ALPHA",
     "FracParams",
     "weighted_endpoint_integral",
     "plain_integral",
@@ -110,6 +117,9 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 #: Conjugacy slack for Hoelder exponent pairs.
 CONJUGACY_TOL = 1e-12
 
+#: Largest accepted alpha: Gamma(alpha + 1) overflows a double just past 170.6.
+MAX_ALPHA = 170.0
+
 
 @dataclass(frozen=True)
 class FracParams:
@@ -137,6 +147,8 @@ class FracParams:
             problems.append(f"x must lie in [a, b], got x={self.x!r}")
         if not self.alpha > 0.0:
             problems.append(f"alpha must be > 0, got {self.alpha!r}")
+        elif self.alpha > MAX_ALPHA:
+            problems.append(f"alpha must be <= {MAX_ALPHA:g}, got {self.alpha!r}")
         if not (0.0 < self.s <= 1.0):
             problems.append(f"s must lie in (0, 1], got {self.s!r}")
         if self.p is not None and not self.p > 1.0:
@@ -164,15 +176,19 @@ def _transform(g: Callable, lo: float, hi: float, alpha: float, singular: str):
     L = hi - lo
     inv = 1.0 / alpha
     # Rounding in t(u) can overshoot the interval by one ulp, which turns
-    # fractional powers of (t - lo) into NaN; clip to stay inside.
+    # fractional powers of (t - lo) into NaN; clamp to stay inside.
     if singular == "hi":
 
         def tr(u):
+            if isinstance(u, float):
+                return g(min(max(hi - L * np.power(u, inv), lo), hi))
             return g(np.clip(hi - L * np.asarray(u, dtype=float) ** inv, lo, hi))
 
     elif singular == "lo":
 
         def tr(u):
+            if isinstance(u, float):
+                return g(min(max(lo + L * np.power(u, inv), lo), hi))
             return g(np.clip(lo + L * np.asarray(u, dtype=float) ** inv, lo, hi))
 
     else:
@@ -286,6 +302,21 @@ def plain_integral(
     return weighted_endpoint_integral(f, lo, hi, 1.0, "lo", cfg)
 
 
+def _moment_integrand(deriv: Callable, x: float, base: float, alpha: float) -> Callable:
+    """t -> t**alpha * deriv(t*x + (1-t)*base) on [0, 1], points kept on the segment."""
+    wlo = min(x, base)
+    whi = max(x, base)
+
+    def h(t):
+        if isinstance(t, float):  # QUADPACK's scalar calls
+            return np.power(t, alpha) * deriv(min(max(t * x + (1.0 - t) * base, wlo), whi))
+        t = np.asarray(t, dtype=float)
+        pts = np.clip(t * x + (1.0 - t) * base, wlo, whi)
+        return t**alpha * np.asarray(deriv(pts), dtype=float)
+
+    return h
+
+
 def moment_integral(
     deriv: Callable,
     x: float,
@@ -300,13 +331,7 @@ def moment_integral(
     """
     if not alpha > 0.0:
         raise DomainError(f"alpha must be > 0, got {alpha!r}")
-    wlo = min(x, base)
-    whi = max(x, base)
-
-    def h(t):
-        t = np.asarray(t, dtype=float)
-        pts = np.clip(t * x + (1.0 - t) * base, wlo, whi)
-        return t**alpha * np.asarray(deriv(pts), dtype=float)
+    h = _moment_integrand(deriv, x, base, alpha)
 
     if cfg.rule == RULE_ADAPTIVE:
         return _adaptive_unit(h, cfg, f"moment integral (x={x}, base={base})")
@@ -315,6 +340,8 @@ def moment_integral(
         half = _midpoint_unit(h, _ORACLE_PANELS // 2)
         return Estimate(full, abs(full - half) / 3.0)
     order = min(96, cfg.max_subdivisions)
+    wlo = min(x, base)
+    whi = max(x, base)
 
     def weighted_sum(n: int) -> float:
         nodes, weights = roots_jacobi(n, 0.0, alpha)  # weight (1+xi)^alpha on [-1,1]

@@ -43,6 +43,7 @@ from .bounds import (
 )
 from .errors import ConfigError, ConvergenceError
 from .fracint import (
+    MAX_ALPHA,
     Estimate,
     FracParams,
     QuadratureConfig,
@@ -155,6 +156,11 @@ class SweepConfig:
         for al in self.alphas:
             if not al > 0.0:
                 problems.append(f"alphas: must be > 0, got {al!r}")
+            elif al > MAX_ALPHA:
+                problems.append(
+                    f"alphas: must be <= {MAX_ALPHA:g} (Gamma(alpha + 1) overflows "
+                    f"a double beyond it), got {al!r}"
+                )
         if not self.s_values:
             problems.append("s_values: must not be empty")
         for s in self.s_values:

@@ -26,7 +26,9 @@ PASS threshold, together with the propagated quadrature error budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, FracIneqError
 from .fracint import (
@@ -39,7 +41,7 @@ from .fracint import (
     plain_integral,
 )
 from .funcatalog import Function1D
-from .specfun import gamma
+from .specfun import gamma, ln_gamma
 
 __all__ = [
     "DEFAULT_IDENTITY_TOL",
@@ -93,7 +95,10 @@ class LemmaPieces:
     """Shared quadrature results for one (f, a, b, x, alpha) instance.
 
     Computing these once lets the full identity, its two halves, and the
-    inequality left-hand side all reuse the same four integrals.
+    inequality left-hand side all reuse the same four integrals. The full
+    identity's residual and the inequality left-hand side are themselves
+    computed on first use and kept, so every row at one grid point shares
+    them.
     """
 
     a: float
@@ -105,6 +110,31 @@ class LemmaPieces:
     jp: Estimate  # operator term anchored toward b
     ia: Estimate  # moment integral of f' toward a
     ib: Estimate  # moment integral of f' toward b
+
+    @cached_property
+    def e1(self) -> IdentityResidual:
+        """Residual of the full identity at this point."""
+        ga1, wa, wb, ka, kb = _coefficients(self)
+        width = self.b - self.a
+        lhs = (wa + wb) / width * self.fx - ga1 / width * (self.jm.value + self.jp.value)
+        rhs = ka * self.ia.value - kb * self.ib.value
+        budget = (
+            ga1 / width * (self.jm.error + self.jp.error)
+            + ka * self.ia.error
+            + kb * self.ib.error
+        )
+        return IdentityResidual.from_sides(lhs, rhs, budget)
+
+    @cached_property
+    def abs_lhs(self) -> Estimate:
+        """|identity LHS| with the operator pair's share of the error budget.
+
+        This is the left-hand side every fractional inequality shares; only
+        the operator pair contributes quadrature error to it.
+        """
+        ga_over_width = (self.jm.error + self.jp.error) / (self.b - self.a)
+        budget = math.exp(ln_gamma(self.alpha + 1.0)) * ga_over_width
+        return Estimate(abs(self.e1.lhs), budget)
 
 
 def compute_pieces(
@@ -140,16 +170,7 @@ def _coefficients(p: LemmaPieces) -> tuple[float, float, float, float, float]:
 
 
 def check_e1_from_pieces(p: LemmaPieces) -> IdentityResidual:
-    ga1, wa, wb, ka, kb = _coefficients(p)
-    width = p.b - p.a
-    lhs = (wa + wb) / width * p.fx - ga1 / width * (p.jm.value + p.jp.value)
-    rhs = ka * p.ia.value - kb * p.ib.value
-    budget = (
-        ga1 / width * (p.jm.error + p.jp.error)
-        + ka * p.ia.error
-        + kb * p.ib.error
-    )
-    return IdentityResidual.from_sides(lhs, rhs, budget)
+    return p.e1
 
 
 def check_e4_from_pieces(p: LemmaPieces) -> IdentityResidual:

@@ -34,6 +34,7 @@ from fracineq.bounds import (
 )
 from fracineq.errors import CertificateError, ConfigError
 from fracineq.fracint import Estimate, FracParams
+from fracineq.identity import compute_pieces
 from fracineq.funcatalog import (
     MODE_CONCAVE,
     MODE_CONVEX,
@@ -81,6 +82,23 @@ class TestLhsFrac:
         expr = (x ** 0.5 + (1.0 - x) ** 0.5) * x - g(1.5) * (jm + jp)
         est = lhs_frac(get_entry("affine").func, FracParams(0.0, 1.0, x, 0.5))
         assert est.value == pytest.approx(abs(expr), abs=1e-9)
+
+
+    def test_pieces_compute_the_estimate_once(self):
+        f = get_entry("pow150").func
+        prm = FracParams(0.0, 1.0, 0.3, 0.75)
+        pieces = compute_pieces(f, prm)
+        first = lhs_frac(f, prm, pieces=pieces)
+        assert lhs_frac(f, prm, pieces=pieces) is first
+        assert first == lhs_frac(f, prm)
+
+    def test_cached_gamma_ratio_gives_the_same_bounds(self):
+        certs = CertCache()
+        prm = FracParams(0.0, 1.0, 0.3, 0.75, s=0.5, q=2.0, M=2.0)
+        ratio = certs.gamma_ratio(prm.alpha, prm.s)
+        assert certs.gamma_ratio(prm.alpha, prm.s) is ratio
+        assert rhs_thm1(prm, ratio) == rhs_thm1(prm)
+        assert rhs_thm3(prm, ratio) == rhs_thm3(prm)
 
 
 class TestLhsClassical:

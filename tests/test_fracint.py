@@ -22,7 +22,10 @@ from fracineq.errors import (
     EmptyIntervalError,
 )
 from fracineq.fracint import (
+    MAX_ALPHA,
     RULE_GAUSS_JACOBI,
+    _moment_integrand,
+    _transform,
     RULE_ORACLE,
     Estimate,
     FracParams,
@@ -303,3 +306,70 @@ class TestConvergenceFailure:
             weighted_endpoint_integral(nasty, 0.0, 1.0, 0.5, "hi", cfg)
         assert err.value.estimate is not None
         assert err.value.error_bound > 0.0
+
+
+# the expressions the integrands evaluated before they had a scalar path
+def _old_transformed(g, lo, hi, alpha, singular, u):
+    step = (hi - lo) * np.asarray(u, dtype=float) ** (1.0 / alpha)
+    return g(np.clip(hi - step if singular == "hi" else lo + step, lo, hi))
+
+
+def _old_moment(deriv, x, base, alpha, t):
+    t = np.asarray(t, dtype=float)
+    pts = np.clip(t * x + (1.0 - t) * base, min(x, base), max(x, base))
+    return t**alpha * np.asarray(deriv(pts), dtype=float)
+
+
+def _bits(value) -> str:
+    return float(value).hex()
+
+
+SCALAR_ALPHAS = (0.25, 0.5, 1.0, 2.0, 1e-3)
+SCALAR_POINTS = (0.0, 1.0, 0.5, 1.0 - 1e-16) + tuple(
+    float(v) for v in np.random.default_rng(7).random(6)
+)
+
+
+class TestScalarFastPath:
+    @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
+    @pytest.mark.parametrize("singular", ["lo", "hi"])
+    def test_transformed_integrand_matches_old_formula_bit_for_bit(self, entry, singular):
+        g = entry.func.eval
+        for lo, hi in ((0.0, 0.37), (0.37, 1.0), (0.0, 1.0)):
+            for alpha in SCALAR_ALPHAS:
+                tr, _ = _transform(g, lo, hi, alpha, singular)
+                for u in SCALAR_POINTS:
+                    want = _old_transformed(g, lo, hi, alpha, singular, u)
+                    assert _bits(tr(u)) == _bits(want), (lo, hi, alpha, u)
+                    assert _bits(tr(np.float64(u))) == _bits(want)
+                us = np.asarray(SCALAR_POINTS)
+                np.testing.assert_array_equal(
+                    tr(us), _old_transformed(g, lo, hi, alpha, singular, us)
+                )
+
+    @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
+    def test_moment_integrand_matches_old_formula_bit_for_bit(self, entry):
+        d = entry.func.deriv
+        for x, base in ((0.3, 0.0), (0.3, 1.0), (0.8, 0.0), (0.8, 1.0), (0.5, 0.5)):
+            for alpha in SCALAR_ALPHAS:
+                h = _moment_integrand(d, x, base, alpha)
+                for t in SCALAR_POINTS:
+                    want = _old_moment(d, x, base, alpha, t)
+                    assert _bits(h(t)) == _bits(want), (x, base, alpha, t)
+                ts = np.asarray(SCALAR_POINTS)
+                np.testing.assert_array_equal(h(ts), _old_moment(d, x, base, alpha, ts))
+
+    def test_scalar_clamp_keeps_points_inside(self):
+        # the scalar clamp, like np.clip, never hands g a point outside [lo, hi]
+        seen = []
+        tr, _ = _transform(lambda t: seen.append(t) or 0.0, 0.1, 0.7, 0.3, "lo")
+        for u in SCALAR_POINTS:
+            tr(u)
+        assert all(0.1 <= t <= 0.7 for t in seen)
+
+
+class TestAlphaLimit:
+    def test_params_reject_alpha_past_the_gamma_range(self):
+        FracParams(0.0, 1.0, 0.5, MAX_ALPHA)
+        with pytest.raises(ConfigError, match="170"):
+            FracParams(0.0, 1.0, 0.5, MAX_ALPHA + 1.0)

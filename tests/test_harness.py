@@ -8,8 +8,10 @@ import json
 import pytest
 
 from fracineq import cli
+from fracineq.bounds import FRACTIONAL_IDS, evaluate_theorem
 from fracineq.errors import ConfigError, ConvergenceError
-from fracineq.funcatalog import catalog_names
+from fracineq.fracint import QuadratureConfig
+from fracineq.funcatalog import catalog_names, get_entry
 from fracineq.harness import (
     CSV_HEADER,
     THREADS_ENV_VAR,
@@ -67,6 +69,7 @@ class TestSweepConfig:
             ({"identity_tol": 0.0}, "identity_tol: must be > 0"),
             ({"margin_tol": -1.0}, "margin_tol: must be > 0"),
             ({"seed": "0"}, "seed: must be an integer"),
+            ({"alphas": (0.5, 170.5)}, "alphas: must be <= 170"),
         ],
     )
     def test_validate_flags_each_problem(self, change, needle):
@@ -371,6 +374,29 @@ class TestCli:
         assert ret == 1
         assert "convergence errors: 3" in capsys.readouterr().err
 
+    def test_sweep_alpha_past_the_gamma_range_exits_two(self, capsys):
+        ret = cli.main(
+            [
+                "sweep",
+                "--functions", "square",
+                "--alphas", "200",
+                "--x", "0.5",
+                "--theorems", "E6",
+            ]
+        )
+        assert ret == 2
+        err = capsys.readouterr().err
+        assert "error: alphas: must be <= 170" in err
+        assert "Traceback" not in err
+
+    def test_sweep_at_the_largest_alpha_runs(self, capsys):
+        ret = cli.main(
+            ["sweep", "--functions", "square", "--alphas", "170", "--x", "0.5",
+             "--theorems", "E6"]
+        )
+        assert ret == 0
+        assert "convergence errors: 0" in capsys.readouterr().err
+
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["bogus"])
@@ -391,3 +417,18 @@ class TestCli:
             cli.main(["--version"])
         assert excinfo.value.code == 0
         assert "fracineq" in capsys.readouterr().out
+
+
+def test_sweep_rows_equal_standalone_evaluation():
+    # run_sweep shares the identity, its left-hand side and the Gamma ratios
+    # between the rows of a grid point; each row must still equal the row
+    # evaluate_theorem gives with nothing precomputed
+    cfg = dataclasses.replace(SMALL, theorems=FRACTIONAL_IDS)
+    qcfg = QuadratureConfig(rel_tol=cfg.quad_rel_tol, abs_tol=cfg.quad_abs_tol)
+    res = run_sweep(cfg)
+    assert len(res.reports) == 12 * 2 * 4  # points x s values x ids, one (p, q) pair
+    for r in res.reports:
+        alone = evaluate_theorem(
+            r.theorem_id, get_entry(r.function), r.prm, qcfg, margin_tol=cfg.margin_tol
+        )
+        assert alone == [r]

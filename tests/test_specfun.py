@@ -44,6 +44,16 @@ class TestGammaValues:
         for z in np.geomspace(0.1, 50.0, 300):
             assert rel_err(gamma(float(z)), math.gamma(float(z))) <= REL_TOL
 
+    def test_gamma_near_the_top_of_the_double_range(self):
+        # the Lanczos power alone overflows from z ~ 142; Gamma(z) only past 171.6
+        for z in np.geomspace(120.0, 171.6, 200):
+            assert rel_err(gamma(float(z)), math.gamma(float(z))) <= 2.0 * REL_TOL
+
+    @pytest.mark.parametrize("z", [171.7, 200.0])
+    def test_gamma_overflow_raises(self, z):
+        with pytest.raises(OverflowError):
+            gamma(z)
+
     @pytest.mark.parametrize("z", [0.0, -0.5, -3.0])
     def test_gamma_rejects_nonpositive(self, z):
         with pytest.raises(DomainError):
