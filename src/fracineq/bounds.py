@@ -38,6 +38,7 @@ which carry quadrature error budgets that the pass/fail tolerance couples to.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -154,8 +155,10 @@ def _require(prm: FracParams, theorem_id: str, **fields) -> None:
         raise ConfigError(f"{theorem_id} requires {', '.join(missing)} to be set")
 
 
+@functools.lru_cache(maxsize=1024)
 def _gamma_ratio(alpha: float, s: float) -> float:
-    # Gamma(alpha+1) Gamma(s+1) / Gamma(alpha+s+1), evaluated in log space
+    # Gamma(alpha+1) Gamma(s+1) / Gamma(alpha+s+1), evaluated in log space;
+    # a sweep asks for the same few (alpha, s) pairs on every row
     return math.exp(ln_gamma(alpha + 1.0) + ln_gamma(s + 1.0) - ln_gamma(alpha + s + 1.0))
 
 
@@ -196,18 +199,12 @@ def lhs_classical(
 # fractional right-hand sides
 
 
-def rhs_thm1(prm: FracParams, ratio: Optional[float] = None) -> float:
-    """Gamma-ratio bound (E6). Requires M.
-
-    ``ratio`` is the Gamma ratio at (alpha, s) when the caller already holds
-    it (see ``CertCache.gamma_ratio``); it is computed here otherwise.
-    """
+def rhs_thm1(prm: FracParams) -> float:
+    """Gamma-ratio bound (E6). Requires M."""
     _require(prm, "E6", M=prm.M)
     a, b, x, alpha, s = prm.a, prm.b, prm.x, prm.alpha, prm.s
-    if ratio is None:
-        ratio = _gamma_ratio(alpha, s)
     powers = (x - a) ** (alpha + 1.0) + (b - x) ** (alpha + 1.0)
-    return prm.M / (b - a) * (1.0 + ratio) * powers / (alpha + s + 1.0)
+    return prm.M / (b - a) * (1.0 + _gamma_ratio(alpha, s)) * powers / (alpha + s + 1.0)
 
 
 def rhs_thm2(prm: FracParams) -> float:
@@ -224,26 +221,23 @@ def rhs_thm2(prm: FracParams) -> float:
     )
 
 
-def rhs_thm3(prm: FracParams, ratio: Optional[float] = None) -> float:
+def rhs_thm3(prm: FracParams) -> float:
     """Power-mean-route bound (E8proof). Requires M and q >= 1; p unused.
 
     At q = 1 the bound degenerates to rhs_thm1 exactly, so that case is
-    delegated to keep the two formula paths literally identical. ``ratio``
-    is as for rhs_thm1.
+    delegated to keep the two formula paths literally identical.
     """
     _require(prm, "E8proof", M=prm.M, q=prm.q)
     if prm.q == 1.0:
-        return rhs_thm1(prm, ratio)
+        return rhs_thm1(prm)
     a, b, x, alpha, s = prm.a, prm.b, prm.x, prm.alpha, prm.s
-    if ratio is None:
-        ratio = _gamma_ratio(alpha, s)
     powers = (x - a) ** (alpha + 1.0) + (b - x) ** (alpha + 1.0)
     inv_q = 1.0 / prm.q
     return (
         prm.M
         * (1.0 / (1.0 + alpha)) ** (1.0 - inv_q)
         * (1.0 / (alpha + s + 1.0)) ** inv_q
-        * (1.0 + ratio) ** inv_q
+        * (1.0 + _gamma_ratio(alpha, s)) ** inv_q
         * powers
         / (b - a)
     )
@@ -378,22 +372,12 @@ def _resolve_m(entry: CatalogEntry, prm: FracParams) -> FracParams:
 
 
 class CertCache:
-    """Memoizes certificates per (function, target, mode, s, q), and the
-    Gamma ratio of the E6 and E8proof bounds per (alpha, s)."""
+    """Memoizes certificates per (function, target, mode, s, q)."""
 
     def __init__(self, cert_tol: float = 1e-9, grid_size: int = 33):
         self.cert_tol = cert_tol
         self.grid_size = grid_size
         self._store: dict[tuple, ConvexityCertificate] = {}
-        self._ratios: dict[tuple[float, float], float] = {}
-
-    def gamma_ratio(self, alpha: float, s: float) -> float:
-        """Gamma(alpha+1) Gamma(s+1) / Gamma(alpha+s+1), computed once per pair."""
-        key = (alpha, s)
-        ratio = self._ratios.get(key)
-        if ratio is None:
-            ratio = self._ratios[key] = _gamma_ratio(alpha, s)
-        return ratio
 
     def get(
         self, entry: CatalogEntry, target: str, mode: str, s: float, q: float = 1.0
@@ -448,7 +432,7 @@ def evaluate_theorem(
 
         if theorem_id == "E6":
             cert = certs.get(entry, TARGET_FPRIME, MODE_CONVEX, prm.s)
-            rhs = rhs_thm1(prm, certs.gamma_ratio(prm.alpha, prm.s))
+            rhs = rhs_thm1(prm)
         elif theorem_id == "E7":
             _require(prm, "E7", p=prm.p, q=prm.q)
             cert = certs.get(entry, TARGET_FPRIME_POW, MODE_CONVEX, prm.s, prm.q)
@@ -456,7 +440,7 @@ def evaluate_theorem(
         elif theorem_id == "E8proof":
             _require(prm, "E8proof", q=prm.q)
             cert = certs.get(entry, TARGET_FPRIME_POW, MODE_CONVEX, prm.s, prm.q)
-            rhs = rhs_thm3(prm, certs.gamma_ratio(prm.alpha, prm.s))
+            rhs = rhs_thm3(prm)
         else:  # E9
             _require(prm, "E9", p=prm.p, q=prm.q)
             cert = certs.get(entry, TARGET_FPRIME_POW, MODE_CONCAVE, prm.s, prm.q)

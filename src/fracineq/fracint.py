@@ -117,8 +117,9 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 #: Conjugacy slack for Hoelder exponent pairs.
 CONJUGACY_TOL = 1e-12
 
-#: Largest accepted alpha: Gamma(alpha + 1) overflows a double just past 170.6.
-MAX_ALPHA = 170.0
+#: Largest accepted alpha: ``specfun.gamma(alpha + 1)`` overflows a double
+#: from alpha ~ 141 on.
+MAX_ALPHA = 140.0
 
 
 @dataclass(frozen=True)

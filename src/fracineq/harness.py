@@ -159,7 +159,7 @@ class SweepConfig:
             elif al > MAX_ALPHA:
                 problems.append(
                     f"alphas: must be <= {MAX_ALPHA:g} (Gamma(alpha + 1) overflows "
-                    f"a double beyond it), got {al!r}"
+                    f"the Lanczos gamma beyond it), got {al!r}"
                 )
         if not self.s_values:
             problems.append("s_values: must not be empty")

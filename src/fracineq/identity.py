@@ -95,10 +95,12 @@ class LemmaPieces:
     """Shared quadrature results for one (f, a, b, x, alpha) instance.
 
     Computing these once lets the full identity, its two halves, and the
-    inequality left-hand side all reuse the same four integrals. The full
-    identity's residual and the inequality left-hand side are themselves
-    computed on first use and kept, so every row at one grid point shares
-    them.
+    inequality left-hand side all reuse the same four integrals. The
+    left-hand side with its error budget (``abs_lhs``) is computed on first
+    use and kept, so the sweep's rows at one grid point share it without
+    passing it along. It lives here rather than in ``bounds`` because it is
+    this identity's left-hand side: every fractional inequality (E6-E9)
+    bounds it, and ``bounds.lhs_frac`` returns it.
     """
 
     a: float
@@ -112,20 +114,6 @@ class LemmaPieces:
     ib: Estimate  # moment integral of f' toward b
 
     @cached_property
-    def e1(self) -> IdentityResidual:
-        """Residual of the full identity at this point."""
-        ga1, wa, wb, ka, kb = _coefficients(self)
-        width = self.b - self.a
-        lhs = (wa + wb) / width * self.fx - ga1 / width * (self.jm.value + self.jp.value)
-        rhs = ka * self.ia.value - kb * self.ib.value
-        budget = (
-            ga1 / width * (self.jm.error + self.jp.error)
-            + ka * self.ia.error
-            + kb * self.ib.error
-        )
-        return IdentityResidual.from_sides(lhs, rhs, budget)
-
-    @cached_property
     def abs_lhs(self) -> Estimate:
         """|identity LHS| with the operator pair's share of the error budget.
 
@@ -134,7 +122,7 @@ class LemmaPieces:
         """
         ga_over_width = (self.jm.error + self.jp.error) / (self.b - self.a)
         budget = math.exp(ln_gamma(self.alpha + 1.0)) * ga_over_width
-        return Estimate(abs(self.e1.lhs), budget)
+        return Estimate(abs(check_e1_from_pieces(self).lhs), budget)
 
 
 def compute_pieces(
@@ -170,7 +158,16 @@ def _coefficients(p: LemmaPieces) -> tuple[float, float, float, float, float]:
 
 
 def check_e1_from_pieces(p: LemmaPieces) -> IdentityResidual:
-    return p.e1
+    ga1, wa, wb, ka, kb = _coefficients(p)
+    width = p.b - p.a
+    lhs = (wa + wb) / width * p.fx - ga1 / width * (p.jm.value + p.jp.value)
+    rhs = ka * p.ia.value - kb * p.ib.value
+    budget = (
+        ga1 / width * (p.jm.error + p.jp.error)
+        + ka * p.ia.error
+        + kb * p.ib.error
+    )
+    return IdentityResidual.from_sides(lhs, rhs, budget)
 
 
 def check_e4_from_pieces(p: LemmaPieces) -> IdentityResidual:

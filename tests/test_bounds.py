@@ -31,6 +31,7 @@ from fracineq.bounds import (
     rhs_thm2,
     rhs_thm3,
     rhs_thm4,
+    _gamma_ratio,
 )
 from fracineq.errors import CertificateError, ConfigError
 from fracineq.fracint import Estimate, FracParams
@@ -92,13 +93,11 @@ class TestLhsFrac:
         assert lhs_frac(f, prm, pieces=pieces) is first
         assert first == lhs_frac(f, prm)
 
-    def test_cached_gamma_ratio_gives_the_same_bounds(self):
-        certs = CertCache()
-        prm = FracParams(0.0, 1.0, 0.3, 0.75, s=0.5, q=2.0, M=2.0)
-        ratio = certs.gamma_ratio(prm.alpha, prm.s)
-        assert certs.gamma_ratio(prm.alpha, prm.s) is ratio
-        assert rhs_thm1(prm, ratio) == rhs_thm1(prm)
-        assert rhs_thm3(prm, ratio) == rhs_thm3(prm)
+    def test_memoized_gamma_ratio_equals_a_fresh_evaluation(self):
+        # the memo is keyed on both alpha and s; a swapped pair is a new entry
+        for alpha, s in ((0.75, 0.5), (0.5, 0.75), (0.75, 1.0), (2.0, 0.5)):
+            for _ in range(2):
+                assert _gamma_ratio(alpha, s) == _gamma_ratio.__wrapped__(alpha, s)
 
 
 class TestLhsClassical:

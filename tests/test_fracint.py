@@ -371,5 +371,5 @@ class TestScalarFastPath:
 class TestAlphaLimit:
     def test_params_reject_alpha_past_the_gamma_range(self):
         FracParams(0.0, 1.0, 0.5, MAX_ALPHA)
-        with pytest.raises(ConfigError, match="170"):
+        with pytest.raises(ConfigError, match="140"):
             FracParams(0.0, 1.0, 0.5, MAX_ALPHA + 1.0)

@@ -69,7 +69,7 @@ class TestSweepConfig:
             ({"identity_tol": 0.0}, "identity_tol: must be > 0"),
             ({"margin_tol": -1.0}, "margin_tol: must be > 0"),
             ({"seed": "0"}, "seed: must be an integer"),
-            ({"alphas": (0.5, 170.5)}, "alphas: must be <= 170"),
+            ({"alphas": (0.5, 140.5)}, "alphas: must be <= 140"),
         ],
     )
     def test_validate_flags_each_problem(self, change, needle):
@@ -386,12 +386,12 @@ class TestCli:
         )
         assert ret == 2
         err = capsys.readouterr().err
-        assert "error: alphas: must be <= 170" in err
+        assert "error: alphas: must be <= 140" in err
         assert "Traceback" not in err
 
     def test_sweep_at_the_largest_alpha_runs(self, capsys):
         ret = cli.main(
-            ["sweep", "--functions", "square", "--alphas", "170", "--x", "0.5",
+            ["sweep", "--functions", "square", "--alphas", "140", "--x", "0.5",
              "--theorems", "E6"]
         )
         assert ret == 0
