@@ -56,6 +56,7 @@ from .fracint import (
     Estimate,
     FracParams,
     QuadratureConfig,
+    lemma_integrals,
     lemma_pair,
     moment_integral,
     oracle,
@@ -95,6 +96,7 @@ from .identity import (
     check_e1,
     check_e4_e5,
     compute_pieces,
+    pieces_at,
 )
 from .specfun import beta, gamma, ln_gamma
 
@@ -135,12 +137,14 @@ __all__ = [
     "rl_left",
     "rl_right",
     "lemma_pair",
+    "lemma_integrals",
     "oracle",
     # identity
     "DEFAULT_IDENTITY_TOL",
     "IdentityResidual",
     "LemmaPieces",
     "compute_pieces",
+    "pieces_at",
     "check_e1",
     "check_e4_e5",
     "check_classical_lemma",

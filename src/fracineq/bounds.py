@@ -64,7 +64,7 @@ from .funcatalog import (
     Function1D,
     certify,
 )
-from .identity import LemmaPieces, compute_pieces
+from .identity import LemmaPieces, pieces_at
 from .specfun import ln_gamma
 
 __all__ = [
@@ -178,7 +178,7 @@ def lhs_frac(
     derived from them, which ``pieces`` computes once.
     """
     if pieces is None:
-        pieces = compute_pieces(f, prm, cfg)
+        pieces = pieces_at(f, prm, cfg)
     return pieces.abs_lhs
 
 

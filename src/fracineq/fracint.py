@@ -16,8 +16,8 @@ stay honest for every alpha > 0.
 Three interchangeable rules evaluate the transformed integral:
 
 ``transformed-adaptive``
-    Adaptive Gauss-Kronrod (QUADPACK) on the transformed integrand; the
-    default engine everywhere.
+    The lane-batched adaptive Gauss-Kronrod engine below; the default
+    everywhere.
 ``gauss-jacobi``
     A fixed-order Gauss-Jacobi rule applied to the *original* weighted
     integrand. Spectrally accurate for analytic f; degrades to roughly 1e-7
@@ -28,21 +28,51 @@ Three interchangeable rules evaluate the transformed integral:
     transformed integrand. Deliberately simple; exists so tests can validate
     the adaptive engine against an independent computation.
 
-QUADPACK calls the integrands with one float at a time; those calls skip
-``np.asarray`` and ``np.clip`` but keep numpy's power (``np.power``), because
-numpy's vectorized pow differs in the last bit from the C library pow behind
-Python's ``**`` on a few percent of inputs, and the sweep's reports must not
-change by a bit.
+The adaptive engine integrates many integrals ("lanes") over [0, 1] at
+once, all with numpy. Each round applies QUADPACK's 21-point Gauss-Kronrod
+rule (qk21; Piessens et al., *QUADPACK*, 1983) to every new interval of
+every lane in one call of the integrand, with qk21's local error estimate
+``resasc * min(1, (200 |K - G| / resasc)**1.5)`` and its floor
+``50 eps resabs``. A lane is done once its summed error meets
+``max(abs_tol, rel_tol |I|)``; until then it bisects its worst interval and
+each of its intervals whose error exceeds that tolerance times the
+interval's width. There is no extrapolation (QUADPACK's qags uses Wynn's
+epsilon algorithm), so endpoint singularities cost more evaluations, but
+they are vectorized.
+A lane that would need more than ``max_subdivisions`` intervals, whose
+intervals get too narrow to bisect, or whose value or error is not finite
+fails on its own, as a ``ConvergenceError`` for that lane only.
+
+Lanes are independent to the bit: a lane's value and error do not depend
+on which lanes share its batch. Each interval's rule is a row sum
+``(fv * w).sum(axis=1)`` rather than a BLAS product, whose summation order
+can change with the batch's shape; each lane's total is an ``np.bincount``
+over its intervals, kept in left-to-right order; and every decision a lane
+takes reads only its own numbers. So one-x calls (``lemma_pair``,
+``moment_integral``) and the sweep's grid call (``lemma_integrals``) give
+identical results.
+
+The substitution squeezes all of f's variation into a layer of width
+~alpha at u = 1 when alpha is small, which a first sample of [0, 1] can
+miss entirely. Every transformed lane therefore starts with a break point
+at u = 1 - min(1/2, 50 alpha). The engine integrates the transformed
+lanes over v = 1 - u and computes u**(1/alpha) as exp(log1p(-v) / alpha):
+in u, the rounding of a node next to 1 (about 1e-16) moves
+u**(1/alpha) by about 1e-16 / alpha relative, which at alpha = 1e-4 made
+values 80 times less accurate than their error estimates; v resolves the
+layer to full precision.
+
+Integrands are always called with numpy arrays, of shape (intervals, 21)
+for the adaptive rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
 from .errors import (
@@ -69,6 +99,7 @@ __all__ = [
     "rl_left",
     "rl_right",
     "lemma_pair",
+    "lemma_integrals",
     "oracle",
 ]
 
@@ -172,56 +203,238 @@ def _as_callable(f: Union[Function1D, Callable]) -> Callable:
     return f.eval if isinstance(f, Function1D) else f
 
 
-def _transform(g: Callable, lo: float, hi: float, alpha: float, singular: str):
-    """Build the singularity-free integrand on [0, 1] and its prefactor."""
-    L = hi - lo
+# QUADPACK's qk21: the 21-point Kronrod extension of the 10-point Gauss rule
+# on [-1, 1], nodes ascending; the Gauss weights sit on every other node.
+_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077600525478106,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.0,
+    0.066671344308688137593568809893332,
+    0.0,
+    0.149451349150580593145776339657697,
+    0.0,
+    0.219086362515982043995534934228163,
+    0.0,
+    0.269266719309996355091226921569469,
+    0.0,
+    0.295524224714752870173892994651338,
+    0.0,
+)
+_NODES = np.array([-v for v in _XGK[:10]] + list(_XGK[::-1]))
+_KRONROD = np.array(_WGK[:10] + _WGK[::-1])
+_GAUSS = np.array(_WG[:10] + _WG[::-1])
+_EPS = float(np.finfo(float).eps)
+_UFLOW = float(np.finfo(float).tiny)
+
+
+@dataclass(frozen=True)
+class _LaneSet:
+    """Integrals over u in [0, 1] sharing one integrand.
+
+    ``fn(lane, u)`` evaluates lane ``lane[i]``'s integrand at the nodes
+    ``u[i]`` (one row per interval); ``brk`` is the break point every lane
+    starts with, if any.
+    """
+
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    size: int
+    brk: Optional[float] = None
+
+
+def _weighted_lanes(
+    g: Callable,
+    lo: Sequence[float],
+    hi: Sequence[float],
+    alpha: float,
+    singular: Sequence[str],
+) -> tuple[_LaneSet, list[float]]:
+    """The singularity-free integrands over v = 1 - u in [0, 1], one lane per
+    interval, and their prefactors L**alpha / alpha."""
+    for side in singular:
+        if side not in ("lo", "hi"):
+            raise ConfigError(f"singular must be 'lo' or 'hi', got {side!r}")
+    prefactors = [(h - l) ** alpha / alpha for l, h in zip(lo, hi)]
+    lo_ = np.array(lo, dtype=float)
+    hi_ = np.array(hi, dtype=float)
+    at_hi = np.array([side == "hi" for side in singular], dtype=bool)
+    start = np.where(at_hi, hi_, lo_)
+    step = np.where(at_hi, lo_ - hi_, hi_ - lo_)
     inv = 1.0 / alpha
-    # Rounding in t(u) can overshoot the interval by one ulp, which turns
-    # fractional powers of (t - lo) into NaN; clamp to stay inside.
-    if singular == "hi":
 
-        def tr(u):
-            if isinstance(u, float):
-                return g(min(max(hi - L * np.power(u, inv), lo), hi))
-            return g(np.clip(hi - L * np.asarray(u, dtype=float) ** inv, lo, hi))
+    def tr(lane: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # u**(1/alpha) with u = 1 - v, through log1p so that v keeps its full
+        # precision; rounding in t can overshoot the interval by one ulp,
+        # which turns fractional powers of (t - lo) into NaN, so clamp
+        t = start[lane, None] + step[lane, None] * np.exp(inv * np.log1p(-v))
+        return g(np.clip(t, lo_[lane, None], hi_[lane, None]))
 
-    elif singular == "lo":
-
-        def tr(u):
-            if isinstance(u, float):
-                return g(min(max(lo + L * np.power(u, inv), lo), hi))
-            return g(np.clip(lo + L * np.asarray(u, dtype=float) ** inv, lo, hi))
-
-    else:
-        raise ConfigError(f"singular must be 'lo' or 'hi', got {singular!r}")
-    return tr, L**alpha / alpha
+    return _LaneSet(tr, len(prefactors), min(0.5, 50.0 * alpha)), prefactors
 
 
-def _adaptive_unit(tr: Callable, cfg: QuadratureConfig, what: str) -> Estimate:
-    """Adaptive quadrature of tr over [0, 1] with convergence detection."""
-    ret = quad(
-        tr,
-        0.0,
-        1.0,
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions,
-        full_output=1,
-    )
-    value, abserr = float(ret[0]), float(ret[1])
-    if len(ret) > 3:  # QUADPACK appended a warning message
-        raise ConvergenceError(
-            f"{what}: adaptive quadrature did not converge within "
-            f"{cfg.max_subdivisions} subdivisions ({ret[3].strip()})",
-            estimate=value,
-            error_bound=abserr,
+def _moment_lanes(
+    deriv: Callable, x: Sequence[float], base: Sequence[float], alpha: float
+) -> _LaneSet:
+    """t -> t**alpha * deriv(t*x + (1-t)*base) on [0, 1] per lane, points kept
+    on the segment."""
+    x_ = np.array(x, dtype=float)
+    base_ = np.array(base, dtype=float)
+    wlo = np.minimum(x_, base_)
+    whi = np.maximum(x_, base_)
+
+    def h(lane: np.ndarray, t: np.ndarray) -> np.ndarray:
+        pts = t * x_[lane, None] + (1.0 - t) * base_[lane, None]
+        pts = np.clip(pts, wlo[lane, None], whi[lane, None])
+        return t**alpha * np.asarray(deriv(pts), dtype=float)
+
+    return _LaneSet(h, len(x_))
+
+
+def _qk21(fn: Callable, lane: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """qk21's value and local error on each interval [lo[i], hi[i]]."""
+    hl = 0.5 * (hi - lo)
+    fv = fn(lane, (0.5 * (lo + hi))[:, None] + hl[:, None] * _NODES)
+    # non-finite values propagate to the lane's total, which then fails
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        resk = (fv * _KRONROD).sum(axis=1)
+        resg = (fv * _GAUSS).sum(axis=1)
+        resabs = (np.abs(fv) * _KRONROD).sum(axis=1) * hl
+        resasc = (np.abs(fv - 0.5 * resk[:, None]) * _KRONROD).sum(axis=1) * hl
+        err = np.abs((resk - resg) * hl)
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+        err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+        err = np.where(
+            resabs > _UFLOW / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err
         )
-    return Estimate(value, abserr)
+        return resk * hl, err
 
 
-def _midpoint_unit(tr: Callable, panels: int) -> float:
+def _integrate(
+    sets: Sequence[_LaneSet], cfg: QuadratureConfig
+) -> tuple[np.ndarray, np.ndarray, list[Optional[str]]]:
+    """Adaptive qk21 over [0, 1] for every lane of every set, batched.
+
+    Returns each lane's value, error estimate and failure reason (None when
+    the lane converged); lanes are numbered through the sets in order.
+    """
+    offsets = np.cumsum([0] + [s.size for s in sets])
+    n = int(offsets[-1])
+    lanes, los, his = [], [], []
+    for s, off in zip(sets, offsets):
+        ids = np.arange(off, off + s.size)
+        edges = (0.0, 1.0) if s.brk is None else (0.0, s.brk, 1.0)
+        lanes.append(np.repeat(ids, len(edges) - 1))
+        los.append(np.tile(edges[:-1], s.size))
+        his.append(np.tile(edges[1:], s.size))
+    lane = np.concatenate(lanes)
+    lo = np.concatenate(los)
+    hi = np.concatenate(his)
+
+    def fn(lane: np.ndarray, u: np.ndarray) -> np.ndarray:
+        fv = np.empty(u.shape)
+        for s, off in zip(sets, offsets):
+            pick = (lane >= off) & (lane < off + s.size)
+            if pick.any():
+                fv[pick] = s.fn(lane[pick] - off, u[pick])
+        return fv
+
+    value = np.zeros(n)
+    error = np.zeros(n)
+    why: list[Optional[str]] = [None] * n
+    r, e = _qk21(fn, lane, lo, hi)
+    while lane.size:
+        # per-lane sums in each lane's own left-to-right interval order
+        tot = np.bincount(lane, weights=r, minlength=n)
+        err = np.bincount(lane, weights=e, minlength=n)
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(tot))
+        finite = np.isfinite(tot) & np.isfinite(err)
+        unmet = finite & (err > tol)
+        # bisect the intervals whose error exceeds their share of the
+        # tolerance, and always the worst one, so every round makes progress
+        worst = np.zeros(n)
+        with np.errstate(invalid="ignore"):
+            np.maximum.at(worst, lane, e)
+        mid = 0.5 * (lo + hi)
+        split = unmet[lane] & ((e > tol[lane] * (hi - lo)) | (e == worst[lane]))
+        count = np.bincount(lane, minlength=n)
+        over = count + np.bincount(lane[split], minlength=n) > cfg.max_subdivisions
+        narrow = np.bincount(lane[split & ~((lo < mid) & (mid < hi))], minlength=n) > 0
+        go_on = unmet & ~over & ~narrow
+        for k in np.flatnonzero((count > 0) & ~go_on):
+            value[k], error[k] = tot[k], err[k]
+            if not finite[k]:
+                why[k] = "gave a value or error estimate that is not finite"
+            elif unmet[k]:
+                why[k] = (
+                    f"did not converge within {cfg.max_subdivisions} subdivisions"
+                    if over[k]
+                    else "ran into intervals too narrow to bisect"
+                ) + f" (error {err[k]:.3e} > tolerance {tol[k]:.3e})"
+        keep = go_on[lane]
+        lane, lo, hi, mid, r, e, split = (
+            v[keep] for v in (lane, lo, hi, mid, r, e, split)
+        )
+        # each split interval is replaced in place by its two halves
+        reps = 1 + split
+        idx = np.repeat(np.arange(lane.size), reps)
+        first = (np.cumsum(reps) - reps)[split]
+        lane, lo, hi, r, e = (v[idx] for v in (lane, lo, hi, r, e))
+        hi[first] = mid[split]
+        lo[first + 1] = mid[split]
+        fresh = np.concatenate((first, first + 1))
+        r[fresh], e[fresh] = _qk21(fn, lane[fresh], lo[fresh], hi[fresh])
+    return value, error, why
+
+
+def _outcome(
+    value: float, error: float, why: Optional[str], what: str, scale: float = 1.0
+) -> Union[Estimate, ConvergenceError]:
+    """One lane's result in Python floats, scaled, or its ConvergenceError."""
+    value, error = scale * float(value), scale * float(error)
+    if why is not None:
+        return ConvergenceError(
+            f"{what}: adaptive quadrature {why}", estimate=value, error_bound=error
+        )
+    return Estimate(value, error)
+
+
+def _one_lane(
+    lanes: _LaneSet, cfg: QuadratureConfig, what: str, scale: float = 1.0
+) -> Estimate:
+    """Adaptive quadrature of a single lane; raises its ConvergenceError."""
+    value, error, why = _integrate((lanes,), cfg)
+    got = _outcome(value[0], error[0], why[0], what, scale)
+    if isinstance(got, ConvergenceError):
+        raise got
+    return got
+
+
+def _midpoint_unit(lanes: _LaneSet, panels: int) -> float:
     u = (np.arange(panels, dtype=float) + 0.5) / panels
-    return float(np.mean(np.asarray(tr(u), dtype=float)))
+    return float(np.mean(lanes.fn(np.zeros(1, dtype=int), u[None, :])))
 
 
 def _gauss_jacobi_weighted(
@@ -252,7 +465,7 @@ def weighted_endpoint_integral(
     ----------
     f : Function1D or callable
         Integrand factor multiplying the weight. Must accept numpy arrays
-        when the ``oracle-midpoint`` or ``gauss-jacobi`` rule is selected.
+        (every rule calls it with arrays) and act elementwise.
     lo, hi : float
         Integration interval, lo < hi.
     alpha : float
@@ -273,14 +486,13 @@ def weighted_endpoint_integral(
     if not lo < hi:
         raise EmptyIntervalError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     g = _as_callable(f)
-    tr, c = _transform(g, lo, hi, alpha, singular)
+    lanes, (c,) = _weighted_lanes(g, (lo,), (hi,), alpha, (singular,))
 
     if cfg.rule == RULE_ADAPTIVE:
-        est = _adaptive_unit(tr, cfg, f"weighted integral on [{lo}, {hi}]")
-        return Estimate(c * est.value, c * est.error)
+        return _one_lane(lanes, cfg, f"weighted integral on [{lo}, {hi}]", c)
     if cfg.rule == RULE_ORACLE:
-        full = _midpoint_unit(tr, _ORACLE_PANELS)
-        half = _midpoint_unit(tr, _ORACLE_PANELS // 2)
+        full = _midpoint_unit(lanes, _ORACLE_PANELS)
+        half = _midpoint_unit(lanes, _ORACLE_PANELS // 2)
         return Estimate(c * full, c * abs(full - half) / 3.0)
     order = min(96, cfg.max_subdivisions)
     full = _gauss_jacobi_weighted(g, lo, hi, alpha, singular, order)
@@ -303,21 +515,6 @@ def plain_integral(
     return weighted_endpoint_integral(f, lo, hi, 1.0, "lo", cfg)
 
 
-def _moment_integrand(deriv: Callable, x: float, base: float, alpha: float) -> Callable:
-    """t -> t**alpha * deriv(t*x + (1-t)*base) on [0, 1], points kept on the segment."""
-    wlo = min(x, base)
-    whi = max(x, base)
-
-    def h(t):
-        if isinstance(t, float):  # QUADPACK's scalar calls
-            return np.power(t, alpha) * deriv(min(max(t * x + (1.0 - t) * base, wlo), whi))
-        t = np.asarray(t, dtype=float)
-        pts = np.clip(t * x + (1.0 - t) * base, wlo, whi)
-        return t**alpha * np.asarray(deriv(pts), dtype=float)
-
-    return h
-
-
 def moment_integral(
     deriv: Callable,
     x: float,
@@ -332,13 +529,13 @@ def moment_integral(
     """
     if not alpha > 0.0:
         raise DomainError(f"alpha must be > 0, got {alpha!r}")
-    h = _moment_integrand(deriv, x, base, alpha)
+    lanes = _moment_lanes(deriv, (x,), (base,), alpha)
 
     if cfg.rule == RULE_ADAPTIVE:
-        return _adaptive_unit(h, cfg, f"moment integral (x={x}, base={base})")
+        return _one_lane(lanes, cfg, f"moment integral (x={x}, base={base})")
     if cfg.rule == RULE_ORACLE:
-        full = _midpoint_unit(h, _ORACLE_PANELS)
-        half = _midpoint_unit(h, _ORACLE_PANELS // 2)
+        full = _midpoint_unit(lanes, _ORACLE_PANELS)
+        half = _midpoint_unit(lanes, _ORACLE_PANELS // 2)
         return Estimate(full, abs(full - half) / 3.0)
     order = min(96, cfg.max_subdivisions)
     wlo = min(x, base)
@@ -438,6 +635,76 @@ def lemma_pair(
     return jm, jp
 
 
+def lemma_integrals(
+    f: Function1D,
+    a: float,
+    b: float,
+    alpha: float,
+    xs: Sequence[float],
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> list[Union[tuple[Estimate, Estimate, Estimate, Estimate], ConvergenceError]]:
+    """The identity's four integrals at every x of one (f, a, b, alpha).
+
+    Returns one entry per x: ``(jm, jp, ia, ib)``, where (jm, jp) is
+    :func:`lemma_pair` at x and ia, ib are :func:`moment_integral` of f'
+    from x toward a and toward b; or, when one of them did not converge, its
+    ``ConvergenceError``, which leaves the other x untouched. Under the
+    adaptive rule all 4 * len(xs) integrals run as lanes of one batch, and
+    each value equals the one-x call's to the bit.
+    """
+    points = [FracParams(a, b, x, alpha) for x in xs]
+    _check_domain(f, a, b)
+    if cfg.rule != RULE_ADAPTIVE:
+        return [
+            lemma_pair(f, p, cfg)
+            + (
+                moment_integral(f.deriv, p.x, a, alpha, cfg),
+                moment_integral(f.deriv, p.x, b, alpha, cfg),
+            )
+            for p in points
+        ]
+    n = len(points)
+    left = [i for i, p in enumerate(points) if p.x > a]  # jm lanes
+    right = [i for i, p in enumerate(points) if p.x < b]  # jp lanes
+    weighted, prefactors = _weighted_lanes(
+        f.eval,
+        [a] * len(left) + [points[i].x for i in right],
+        [points[i].x for i in left] + [b] * len(right),
+        alpha,
+        ["lo"] * len(left) + ["hi"] * len(right),
+    )
+    moments = _moment_lanes(f.deriv, [p.x for p in points] * 2, [a] * n + [b] * n, alpha)
+    value, error, why = _integrate((weighted, moments), cfg)
+    ginv = 1.0 / gamma(alpha)
+
+    def operator(lane: Optional[int], lo: float, hi: float):
+        if lane is None:  # empty interval: defined as 0
+            return Estimate(0.0, 0.0)
+        w = _outcome(
+            value[lane], error[lane], why[lane], f"weighted integral on [{lo}, {hi}]",
+            prefactors[lane],
+        )
+        return w if isinstance(w, ConvergenceError) else Estimate(ginv * w.value, ginv * w.error)
+
+    jm_lane = {i: k for k, i in enumerate(left)}
+    jp_lane = {i: len(left) + k for k, i in enumerate(right)}
+    out = []
+    for i, p in enumerate(points):
+        k = weighted.size + i
+        got = (
+            operator(jm_lane.get(i), a, p.x),
+            operator(jp_lane.get(i), p.x, b),
+            _outcome(value[k], error[k], why[k], f"moment integral (x={p.x}, base={a})"),
+            _outcome(
+                value[k + n], error[k + n], why[k + n],
+                f"moment integral (x={p.x}, base={b})",
+            ),
+        )
+        failed = [g for g in got if isinstance(g, ConvergenceError)]
+        out.append(failed[0] if failed else got)
+    return out
+
+
 def oracle(
     f: Union[Function1D, Callable],
     lo: float,
@@ -459,5 +726,5 @@ def oracle(
         raise DomainError(f"alpha must be > 0, got {alpha!r}")
     if not lo < hi:
         raise EmptyIntervalError(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    tr, c = _transform(_as_callable(f), lo, hi, alpha, singular)
-    return c * _midpoint_unit(tr, panels)
+    lanes, (c,) = _weighted_lanes(_as_callable(f), (lo,), (hi,), alpha, (singular,))
+    return c * _midpoint_unit(lanes, panels)

@@ -1,8 +1,9 @@
 """Sweep engine: parameter grids, certificate-gated evaluation, reports.
 
 A sweep walks the Cartesian grid (functions x alphas x x-points), computes
-the shared quadrature pieces once per grid point, records an identity
-residual at every point, and evaluates every selected theorem row
+the shared quadrature pieces once per (function, alpha), in one batched
+call for all x points, records an identity residual at every point, and
+evaluates every selected theorem row
 (functions x alphas x s x exponent pairs x x for the fractional family;
 alpha-free grids for the classical family). Certificates and derivative
 bounds are precomputed serially so parallel runs are bit-identical to
@@ -62,6 +63,7 @@ from .funcatalog import (
 from .identity import (
     DEFAULT_IDENTITY_TOL,
     IdentityResidual,
+    LemmaPieces,
     check_e1_from_pieces,
     compute_pieces,
 )
@@ -437,24 +439,36 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
 
     TaskResult = tuple[list[InequalityReport], list[ResidualRecord], list[str]]
 
-    def frac_task(entry: CatalogEntry, alpha: float, x: float) -> TaskResult:
-        point = FracParams(a, b, x, alpha, M=bound_m[entry.name])
+    def frac_task(entry: CatalogEntry, alpha: float) -> TaskResult:
+        # one batched quadrature call covers every x of this (function, alpha);
+        # a call that raises as a whole fails each of its points
         try:
-            pieces = compute_pieces(entry.func, point, qcfg)
+            outcomes = compute_pieces(entry.func, a, b, alpha, xs, qcfg)
         except ConvergenceError as exc:
-            return (
-                [],
-                [],
-                [f"{entry.name} alpha={alpha!r} x={x!r}: {exc}"],
+            outcomes = [exc] * len(xs)
+        rows: list[InequalityReport] = []
+        records: list[ResidualRecord] = []
+        errors: list[str] = []
+        for x, pieces in zip(xs, outcomes):
+            if isinstance(pieces, ConvergenceError):
+                errors.append(f"{entry.name} alpha={alpha!r} x={x!r}: {pieces}")
+                continue
+            res = check_e1_from_pieces(pieces)
+            records.append(
+                ResidualRecord(
+                    function=entry.name,
+                    alpha=alpha,
+                    x=x,
+                    residual=res,
+                    passed=res.passes(cfg.identity_tol),
+                )
             )
-        res = check_e1_from_pieces(pieces)
-        record = ResidualRecord(
-            function=entry.name,
-            alpha=alpha,
-            x=x,
-            residual=res,
-            passed=res.passes(cfg.identity_tol),
-        )
+            rows.extend(frac_rows(entry, alpha, x, pieces))
+        return (rows, records, errors)
+
+    def frac_rows(
+        entry: CatalogEntry, alpha: float, x: float, pieces: LemmaPieces
+    ) -> list[InequalityReport]:
         rows: list[InequalityReport] = []
         for tid in frac_tids:
             if tid == "E6":
@@ -490,7 +504,7 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
                                 margin_tol=cfg.margin_tol, certs=certs, pieces=pieces,
                             )
                         )
-        return (rows, [record], [])
+        return rows
 
     def classical_x_task(entry: CatalogEntry, x: float) -> TaskResult:
         rows: list[InequalityReport] = []
@@ -552,8 +566,7 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
     tasks: list[Callable[[], TaskResult]] = []
     for entry in entries:
         for alpha in cfg.alphas:
-            for x in xs:
-                tasks.append(lambda e=entry, al=alpha, xx=x: frac_task(e, al, xx))
+            tasks.append(lambda e=entry, al=alpha: frac_task(e, al))
     if classical_x_tids:
         for entry in entries:
             for x in xs:

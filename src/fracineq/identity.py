@@ -29,14 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence, Union
 
-from .errors import DomainError, FracIneqError
+from .errors import ConvergenceError, DomainError, FracIneqError
 from .fracint import (
     DEFAULT_QUADRATURE,
     Estimate,
     FracParams,
     QuadratureConfig,
-    lemma_pair,
+    lemma_integrals,
     moment_integral,
     plain_integral,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "IdentityResidual",
     "LemmaPieces",
     "compute_pieces",
+    "pieces_at",
     "check_e1",
     "check_e4_e5",
     "check_classical_lemma",
@@ -127,24 +129,35 @@ class LemmaPieces:
 
 def compute_pieces(
     f: Function1D,
+    a: float,
+    b: float,
+    alpha: float,
+    xs: Sequence[float],
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> list[Union[LemmaPieces, ConvergenceError]]:
+    """Evaluate the four quadratures the identity and bounds share, at every x.
+
+    All x of one (f, alpha) are integrated together. Returns one entry per
+    x: its pieces, or the ``ConvergenceError`` of that x alone; the pieces
+    equal those of a one-x call to the bit.
+    """
+    return [
+        got if isinstance(got, ConvergenceError)
+        else LemmaPieces(a, b, x, alpha, float(f.eval(x)), *got)
+        for x, got in zip(xs, lemma_integrals(f, a, b, alpha, xs, cfg))
+    ]
+
+
+def pieces_at(
+    f: Function1D,
     prm: FracParams,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> LemmaPieces:
-    """Evaluate the four quadratures the identity and bounds share."""
-    jm, jp = lemma_pair(f, prm, cfg)
-    ia = moment_integral(f.deriv, prm.x, prm.a, prm.alpha, cfg)
-    ib = moment_integral(f.deriv, prm.x, prm.b, prm.alpha, cfg)
-    return LemmaPieces(
-        a=prm.a,
-        b=prm.b,
-        x=prm.x,
-        alpha=prm.alpha,
-        fx=float(f.eval(prm.x)),
-        jm=jm,
-        jp=jp,
-        ia=ia,
-        ib=ib,
-    )
+    """:func:`compute_pieces` at the single point prm; raises its ConvergenceError."""
+    (got,) = compute_pieces(f, prm.a, prm.b, prm.alpha, (prm.x,), cfg)
+    if isinstance(got, ConvergenceError):
+        raise got
+    return got
 
 
 def _coefficients(p: LemmaPieces) -> tuple[float, float, float, float, float]:
@@ -194,7 +207,7 @@ def check_e1(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> IdentityResidual:
     """Verify the full identity at one parameter point (endpoints allowed)."""
-    return check_e1_from_pieces(compute_pieces(f, prm, cfg))
+    return check_e1_from_pieces(pieces_at(f, prm, cfg))
 
 
 def check_e4_e5(
@@ -215,7 +228,7 @@ def check_e4_e5(
             f"one-sided checks require a < x < b, got a={prm.a!r}, "
             f"x={prm.x!r}, b={prm.b!r}"
         )
-    pieces = compute_pieces(f, prm, cfg)
+    pieces = pieces_at(f, prm, cfg)
     return check_e4_from_pieces(pieces), check_e5_from_pieces(pieces)
 
 

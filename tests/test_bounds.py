@@ -35,7 +35,7 @@ from fracineq.bounds import (
 )
 from fracineq.errors import CertificateError, ConfigError
 from fracineq.fracint import Estimate, FracParams
-from fracineq.identity import compute_pieces
+from fracineq.identity import pieces_at
 from fracineq.funcatalog import (
     MODE_CONCAVE,
     MODE_CONVEX,
@@ -88,7 +88,7 @@ class TestLhsFrac:
     def test_pieces_compute_the_estimate_once(self):
         f = get_entry("pow150").func
         prm = FracParams(0.0, 1.0, 0.3, 0.75)
-        pieces = compute_pieces(f, prm)
+        pieces = pieces_at(f, prm)
         first = lhs_frac(f, prm, pieces=pieces)
         assert lhs_frac(f, prm, pieces=pieces) is first
         assert first == lhs_frac(f, prm)

@@ -23,13 +23,14 @@ from fracineq.errors import (
 )
 from fracineq.fracint import (
     MAX_ALPHA,
+    _integrate,
+    _LaneSet,
     RULE_GAUSS_JACOBI,
-    _moment_integrand,
-    _transform,
     RULE_ORACLE,
     Estimate,
     FracParams,
     QuadratureConfig,
+    lemma_integrals,
     lemma_pair,
     moment_integral,
     oracle,
@@ -308,64 +309,62 @@ class TestConvergenceFailure:
         assert err.value.error_bound > 0.0
 
 
-# the expressions the integrands evaluated before they had a scalar path
-def _old_transformed(g, lo, hi, alpha, singular, u):
-    step = (hi - lo) * np.asarray(u, dtype=float) ** (1.0 / alpha)
-    return g(np.clip(hi - step if singular == "hi" else lo + step, lo, hi))
+def _nasty(u):
+    return np.sin(1000.0 * u**2) / (0.001 + u)
 
 
-def _old_moment(deriv, x, base, alpha, t):
-    t = np.asarray(t, dtype=float)
-    pts = np.clip(t * x + (1.0 - t) * base, min(x, base), max(x, base))
-    return t**alpha * np.asarray(deriv(pts), dtype=float)
+def _lanes(rows) -> _LaneSet:
+    # lane k integrates rows[k](u) over [0, 1]
+    def fn(lane, u):
+        return np.stack([rows[k](u[i]) for i, k in enumerate(lane)])
+
+    return _LaneSet(fn, len(rows))
 
 
-def _bits(value) -> str:
-    return float(value).hex()
+class TestLaneEngine:
+    def test_a_failing_lane_fails_alone(self):
+        smooth = (np.exp, np.cos, lambda u: u**3)
+        cfg = QuadratureConfig(max_subdivisions=8)
+        value, error, why = _integrate((_lanes(smooth[:1] + (_nasty,) + smooth[1:]),), cfg)
+        assert why[1] is not None and "8 subdivisions" in why[1]
+        assert error[1] > 0.0
+        for k, g in zip((0, 2, 3), smooth):
+            assert why[k] is None
+            v1, e1, w1 = _integrate((_lanes((g,)),), cfg)
+            assert (value[k], error[k], w1[0]) == (v1[0], e1[0], None)
+        assert value[0] == pytest.approx(math.e - 1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_lane_raises_instead_of_passing(self, bad):
+        f = lambda t: np.where(np.asarray(t) > 0.5, bad, np.asarray(t, dtype=float))
+        with pytest.raises(ConvergenceError, match="not finite"):
+            weighted_endpoint_integral(f, 0.0, 1.0, 0.5, "hi")
+        value, _, why = _integrate((_lanes((lambda u: u, lambda u: u * bad)),), QuadratureConfig())
+        assert why == [None, why[1]] and "not finite" in why[1]
+        assert value[0] == 0.5
 
-SCALAR_ALPHAS = (0.25, 0.5, 1.0, 2.0, 1e-3)
-SCALAR_POINTS = (0.0, 1.0, 0.5, 1.0 - 1e-16) + tuple(
-    float(v) for v in np.random.default_rng(7).random(6)
-)
+    def test_batch_equals_one_lane_calls_bit_for_bit(self):
+        for entry in builtin_catalog():
+            f = entry.func
+            for alpha in (0.25, 1.0, 2.0):
+                xs = tuple(float(v) for v in np.linspace(0.0, 1.0, 11))
+                for x, got in zip(xs, lemma_integrals(f, 0.0, 1.0, alpha, xs)):
+                    jm, jp = lemma_pair(f, FracParams(0.0, 1.0, x, alpha))
+                    ia = moment_integral(f.deriv, x, 0.0, alpha)
+                    ib = moment_integral(f.deriv, x, 1.0, alpha)
+                    want = (jm, jp, ia, ib)
+                    assert [v.hex() for e in got for v in e] == [
+                        v.hex() for e in want for v in e
+                    ], (entry.name, alpha, x)
+                    assert all(type(v) is float for e in got for v in e)
 
-
-class TestScalarFastPath:
-    @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
-    @pytest.mark.parametrize("singular", ["lo", "hi"])
-    def test_transformed_integrand_matches_old_formula_bit_for_bit(self, entry, singular):
-        g = entry.func.eval
-        for lo, hi in ((0.0, 0.37), (0.37, 1.0), (0.0, 1.0)):
-            for alpha in SCALAR_ALPHAS:
-                tr, _ = _transform(g, lo, hi, alpha, singular)
-                for u in SCALAR_POINTS:
-                    want = _old_transformed(g, lo, hi, alpha, singular, u)
-                    assert _bits(tr(u)) == _bits(want), (lo, hi, alpha, u)
-                    assert _bits(tr(np.float64(u))) == _bits(want)
-                us = np.asarray(SCALAR_POINTS)
-                np.testing.assert_array_equal(
-                    tr(us), _old_transformed(g, lo, hi, alpha, singular, us)
-                )
-
-    @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
-    def test_moment_integrand_matches_old_formula_bit_for_bit(self, entry):
-        d = entry.func.deriv
-        for x, base in ((0.3, 0.0), (0.3, 1.0), (0.8, 0.0), (0.8, 1.0), (0.5, 0.5)):
-            for alpha in SCALAR_ALPHAS:
-                h = _moment_integrand(d, x, base, alpha)
-                for t in SCALAR_POINTS:
-                    want = _old_moment(d, x, base, alpha, t)
-                    assert _bits(h(t)) == _bits(want), (x, base, alpha, t)
-                ts = np.asarray(SCALAR_POINTS)
-                np.testing.assert_array_equal(h(ts), _old_moment(d, x, base, alpha, ts))
-
-    def test_scalar_clamp_keeps_points_inside(self):
-        # the scalar clamp, like np.clip, never hands g a point outside [lo, hi]
-        seen = []
-        tr, _ = _transform(lambda t: seen.append(t) or 0.0, 0.1, 0.7, 0.3, "lo")
-        for u in SCALAR_POINTS:
-            tr(u)
-        assert all(0.1 <= t <= 0.7 for t in seen)
+    def test_tolerance_is_met_per_lane(self):
+        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300)
+        value, error, why = _integrate((_lanes((np.sqrt, lambda u: np.exp(-u))),), cfg)
+        assert why == [None, None]
+        assert error[0] <= 1e-13 * abs(value[0])
+        assert abs(value[0] - 2.0 / 3.0) <= error[0]
+        assert abs(value[1] - (1.0 - math.exp(-1.0))) <= error[1] + 1e-16
 
 
 class TestAlphaLimit:

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from fracineq import cli
+import fracineq
+from fracineq import cli, fracint, harness
 from fracineq.bounds import FRACTIONAL_IDS, evaluate_theorem
 from fracineq.errors import ConfigError, ConvergenceError
 from fracineq.fracint import QuadratureConfig
@@ -211,6 +217,73 @@ class TestRunSweep:
         assert "budget exhausted" in result.convergence_errors[0]
 
 
+    def test_a_lane_that_fails_fails_only_its_point(self, monkeypatch):
+        # the moment lane of x = 0.5 toward a gets an integrand that cannot
+        # converge in 8 subdivisions; the batch's other points still give rows
+        real = fracint._moment_lanes
+
+        def rigged(deriv, x, base, alpha):
+            lanes = real(deriv, x, base, alpha)
+            bad = (np.asarray(x) == 0.5) & (np.asarray(base) == 0.0)
+
+            def fn(lane, t):
+                nasty = np.sin(1000.0 * t**2) / (0.001 + t)
+                return np.where(bad[lane, None], nasty, lanes.fn(lane, t))
+
+            return dataclasses.replace(lanes, fn=fn)
+
+        monkeypatch.setattr(fracint, "_moment_lanes", rigged)
+        monkeypatch.setattr(
+            harness, "QuadratureConfig",
+            functools.partial(QuadratureConfig, max_subdivisions=8),
+        )
+        cfg = SweepConfig(
+            functions=("affine",),
+            alphas=(1.0,),
+            s_values=(0.5,),
+            pq_pairs=((2.0, 2.0),),
+            x_points=(0.25, 0.5, 0.75),
+            theorems=("E6",),
+        )
+        result = run_sweep(cfg)
+        assert result.summary["convergence_errors"] == 1
+        assert "x=0.5:" in result.convergence_errors[0]
+        assert "8 subdivisions" in result.convergence_errors[0]
+        assert [rec.x for rec in result.residuals] == [0.25, 0.75]
+        assert sorted({r.prm.x for r in result.reports}) == [0.25, 0.75]
+        assert result.summary["identity_failures"] == 0
+
+    def test_two_workers_are_byte_identical_to_serial(self, small_result):
+        threaded = run_sweep(SMALL, workers=2)
+        assert render_csv(threaded) == render_csv(small_result)
+        threaded.provenance["timestamp"] = small_result.provenance["timestamp"]
+        assert render_json(threaded) == render_json(small_result)
+
+    def test_report_numbers_are_python_scalars(self, small_result):
+        # numpy scalars would make render_json fail or change its bytes
+        def walk(node):
+            if isinstance(node, dict):
+                for value in node.values():
+                    walk(value)
+            elif isinstance(node, list):
+                for value in node:
+                    walk(value)
+            else:
+                assert node is None or type(node) in (str, bool, int, float), node
+
+        walk(small_result.to_dict())
+
+
+def test_importing_the_cli_leaves_scipy_integrate_unloaded():
+    src = os.path.dirname(os.path.dirname(fracineq.__file__))
+    code = "import sys, fracineq.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 class TestRendering:
     def test_csv_header(self, small_result):
         assert render_csv(small_result).splitlines()[0] == CSV_HEADER
@@ -396,6 +469,17 @@ class TestCli:
         )
         assert ret == 0
         assert "convergence errors: 0" in capsys.readouterr().err
+
+    def test_sweep_at_a_small_alpha_is_right(self, capsys, tmp_path):
+        out = tmp_path / "r.json"
+        ret = cli.main(
+            ["sweep", "--functions", "square", "--alphas", "1e-4", "--x", "0.5",
+             "--theorems", "E6", "--format", "json", "--out", str(out)]
+        )
+        assert ret == 0
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert data["summary"]["identity_failures"] == 0
+        assert data["residuals"][0]["residual"]["rel_residual"] < 1e-10
 
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

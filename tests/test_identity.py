@@ -22,6 +22,7 @@ from fracineq.identity import (
     check_e1,
     check_e4_e5,
     compute_pieces,
+    pieces_at,
 )
 
 ALPHAS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
@@ -135,7 +136,7 @@ class TestHalves:
         # r1 = r4 - r5 up to regrouping of the shared quadrature values
         f = get_entry(fname).func
         prm = FracParams(0.0, 1.0, 0.375, alpha)
-        pieces = compute_pieces(f, prm)
+        pieces = pieces_at(f, prm)
         from fracineq.identity import (
             check_e1_from_pieces,
             check_e4_from_pieces,
@@ -211,3 +212,19 @@ class TestClassicalLemma:
         monkeypatch.setattr(ident, "check_e1", skewed)
         with pytest.raises(FracIneqError):
             ident.check_classical_lemma(get_entry("exp").func, 0.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
+def test_grid_pieces_equal_one_x_pieces_bit_for_bit(entry):
+    # all x of one (function, alpha) share a batch; no x may feel the others
+    xs = tuple(float(v) for v in np.linspace(0.0, 1.0, 11))
+    for alpha in (0.25, 1.0, 2.0):
+        grid = compute_pieces(entry.func, 0.0, 1.0, alpha, xs)
+        for x, pieces in zip(xs, grid):
+            alone = pieces_at(entry.func, FracParams(0.0, 1.0, x, alpha))
+            bits = [
+                v.hex() for p in (pieces, alone)
+                for e in (p.jm, p.jp, p.ia, p.ib) for v in e
+            ]
+            assert bits[:8] == bits[8:], (alpha, x)
+            assert pieces == alone
