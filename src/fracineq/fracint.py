@@ -673,7 +673,9 @@ def lemma_integrals(
         alpha,
         ["lo"] * len(left) + ["hi"] * len(right),
     )
-    moments = _moment_lanes(f.deriv, [p.x for p in points] * 2, [a] * n + [b] * n, alpha)
+    moments = _moment_lanes(
+        f.deriv, [p.x for p in points] * 2, [a] * n + [b] * n, alpha
+    )
     value, error, why = _integrate((weighted, moments), cfg)
     ginv = 1.0 / gamma(alpha)
 
@@ -684,7 +686,9 @@ def lemma_integrals(
             value[lane], error[lane], why[lane], f"weighted integral on [{lo}, {hi}]",
             prefactors[lane],
         )
-        return w if isinstance(w, ConvergenceError) else Estimate(ginv * w.value, ginv * w.error)
+        if isinstance(w, ConvergenceError):
+            return w
+        return Estimate(ginv * w.value, ginv * w.error)
 
     jm_lane = {i: k for k, i in enumerate(left)}
     jp_lane = {i: len(left) + k for k, i in enumerate(right)}
