@@ -65,7 +65,14 @@ from .harness import (
     render_json,
     run_sweep,
 )
-from .identity import DEFAULT_IDENTITY_TOL, check_classical_lemma, check_e1, check_e4_e5
+from .identity import (
+    DEFAULT_IDENTITY_TOL,
+    check_classical_lemma,
+    check_e1_from_pieces,
+    check_e4_from_pieces,
+    check_e5_from_pieces,
+    compute_pieces,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -231,23 +238,27 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
         )
 
     for alpha in args.alpha:
-        for x in xs:
-            prm = FracParams(a, b, x, alpha)
+        # one batched call per alpha; the full identity and both halves share it
+        try:
+            outcomes = compute_pieces(f, a, b, alpha, xs, cfg)
+        except ConvergenceError as exc:
+            outcomes = [exc] * len(xs)
+        for x, pieces in zip(xs, outcomes):
             tag = f"{f.name} alpha={alpha:g} x={x:g}"
-            try:
-                res = check_e1(f, prm, cfg)
-            except ConvergenceError as exc:
+            if isinstance(pieces, ConvergenceError):
                 checks += 1
                 failures += 1
-                print(f"{tag}: CONVERGENCE ERROR {exc}")
+                print(f"{tag}: CONVERGENCE ERROR {pieces}")
                 continue
+            res = check_e1_from_pieces(pieces)
             report(tag, res.rel_residual, res.quad_error_budget, res.passes(args.tol))
             if args.halves and a < x < b:
-                r4, r5 = check_e4_e5(f, prm, cfg)
-                report(f"  {tag} half-a", r4.rel_residual, r4.quad_error_budget,
-                       r4.passes(args.tol))
-                report(f"  {tag} half-b", r5.rel_residual, r5.quad_error_budget,
-                       r5.passes(args.tol))
+                for half, res in (
+                    ("half-a", check_e4_from_pieces(pieces)),
+                    ("half-b", check_e5_from_pieces(pieces)),
+                ):
+                    report(f"  {tag} {half}", res.rel_residual, res.quad_error_budget,
+                           res.passes(args.tol))
     if args.classical:
         for x in xs:
             res = check_classical_lemma(f, a, b, x, cfg)

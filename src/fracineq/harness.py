@@ -17,17 +17,24 @@ Output contracts kept deliberately rigid for reproducibility:
   with shortest round-trip repr, booleans as true/false, newline is "\\n".
   Two runs with identical config and seed produce byte-identical CSV.
 * JSON mirrors the full SweepResult including residuals and provenance
-  (config echo, package version, seed, timestamp).
+  (config echo, package version, seed, timestamp). The report is byte for
+  byte ``json.dumps(SweepResult.to_dict(), indent=2, sort_keys=True)``
+  plus a final newline: keys sorted, two-space indent, floats as
+  ``float.__repr__`` with NaN/Infinity/-Infinity, strings ASCII-escaped.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -300,32 +307,10 @@ class SweepResult:
     provenance: dict
 
     def to_dict(self) -> dict:
+        """The report's schema of record; ``render_json`` writes exactly its JSON."""
         return {
-            "reports": [
-                {
-                    "theorem_id": r.theorem_id,
-                    "function": r.function,
-                    "prm": dataclasses.asdict(r.prm),
-                    "lhs": r.lhs,
-                    "rhs": r.rhs,
-                    "margin": r.margin,
-                    "holds": r.holds,
-                    "quad_error_budget": r.quad_error_budget,
-                    "asserted": r.asserted,
-                    "note": r.note,
-                }
-                for r in self.reports
-            ],
-            "residuals": [
-                {
-                    "function": rec.function,
-                    "alpha": rec.alpha,
-                    "x": rec.x,
-                    "residual": dataclasses.asdict(rec.residual),
-                    "passed": rec.passed,
-                }
-                for rec in self.residuals
-            ],
+            "reports": [dataclasses.asdict(r) for r in self.reports],
+            "residuals": [dataclasses.asdict(rec) for rec in self.residuals],
             "convergence_errors": list(self.convergence_errors),
             "summary": dict(self.summary),
             "provenance": self.provenance,
@@ -334,28 +319,11 @@ class SweepResult:
     @classmethod
     def from_dict(cls, data: dict) -> "SweepResult":
         reports = [
-            InequalityReport(
-                theorem_id=r["theorem_id"],
-                function=r["function"],
-                prm=FracParams(**r["prm"]),
-                lhs=r["lhs"],
-                rhs=r["rhs"],
-                margin=r["margin"],
-                holds=r["holds"],
-                quad_error_budget=r["quad_error_budget"],
-                asserted=r["asserted"],
-                note=r["note"],
-            )
+            InequalityReport(**{**r, "prm": FracParams(**r["prm"])})
             for r in data["reports"]
         ]
         residuals = [
-            ResidualRecord(
-                function=rec["function"],
-                alpha=rec["alpha"],
-                x=rec["x"],
-                residual=IdentityResidual(**rec["residual"]),
-                passed=rec["passed"],
-            )
+            ResidualRecord(**{**rec, "residual": IdentityResidual(**rec["residual"])})
             for rec in data["residuals"]
         ]
         return cls(
@@ -645,8 +613,113 @@ def render_csv(res: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+_INDENT = "  "
+_NONFINITE_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SCALAR_KINDS = frozenset({bool, int, float, str, type(None)})
+_NUMBER_KINDS = frozenset({bool, int, float})
+
+
+def _dumps_at(value, level: int) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` as written at nesting ``level``.
+
+    Strings are written with their newlines escaped, so every newline in the
+    text is a line break that takes the extra indent.
+    """
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + _INDENT * level)
+
+
+def _value_text(value, level: int) -> str:
+    """One value as json writes it at ``level``; containers go through json.dumps."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    cls = value.__class__
+    if cls is float:
+        text = float.__repr__(value)
+        return _NONFINITE_TEXT.get(text, text)
+    if cls is str:
+        return encode_basestring_ascii(value)
+    return _dumps_at(value, level)
+
+
+def _column_texts(values: list, level: int) -> list[str]:
+    """The JSON text of each value of one record field, in order.
+
+    The columns repeat a few values (parameters, names, verdicts), so each
+    distinct value is encoded once, unless values that share a dict key
+    have different texts: 0.0 and -0.0, or True, 1 and 1.0.
+    """
+    kinds = set(map(type, values))
+    if kinds <= _SCALAR_KINDS and len(kinds & _NUMBER_KINDS) <= 1:
+        distinct = dict.fromkeys(values)
+        if not (float in kinds and 0.0 in distinct):
+            memo = {v: _value_text(v, level) for v in distinct}
+            return list(map(memo.__getitem__, values))
+    return [_value_text(v, level) for v in values]
+
+
+def _record_layout(cls, level: int) -> tuple[str, list[tuple[str, int]]]:
+    """json's indent=2, sort_keys=True layout of one ``cls`` record at ``level``.
+
+    Returns a %-template with one ``%s`` per leaf field, keys in sorted order,
+    and each leaf's dotted attribute path with the level of its value. A field
+    annotated with a dataclass is laid out in place, as ``dataclasses.asdict``
+    nests it.
+    """
+    hints = typing.get_type_hints(cls)
+    pad = "\n" + _INDENT * (level + 1)
+    lines: list[str] = []
+    leaves: list[tuple[str, int]] = []
+    for name in sorted(f.name for f in dataclasses.fields(cls)):
+        if dataclasses.is_dataclass(hints[name]):
+            text, inner = _record_layout(hints[name], level + 1)
+            leaves.extend((f"{name}.{path}", lv) for path, lv in inner)
+        else:
+            text = "%s"
+            leaves.append((name, level + 1))
+        lines.append(f"{encode_basestring_ascii(name)}: {text}")
+    return "{" + pad + ("," + pad).join(lines) + "\n" + _INDENT * level + "}", leaves
+
+
+def _records_chunks(records: list, cls) -> list[str]:
+    """A top-level list of ``cls`` records as text chunks, one per record."""
+    if not records:
+        return ["[]"]
+    template, leaves = _record_layout(cls, 2)
+    columns = [
+        _column_texts(list(map(attrgetter(path), records)), lv) for path, lv in leaves
+    ]
+    item = _INDENT * 2 + template + ",\n"
+    chunks = ["[\n", *map(item.__mod__, zip(*columns)), "\n" + _INDENT + "]"]
+    chunks[-2] = chunks[-2][:-2]  # the last record takes no comma
+    return chunks
+
+
 def render_json(res: SweepResult) -> str:
-    return json.dumps(res.to_dict(), indent=2, sort_keys=True) + "\n"
+    """``json.dumps(res.to_dict(), indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    The stdlib encodes in C only without ``indent``, so the report and
+    residual records, nearly all of the report, are written from one
+    template per record type instead; the other fields go through
+    ``json.dumps``. The text is joined once, so the report is copied once.
+    """
+    hints = typing.get_type_hints(SweepResult)
+    chunks = ["{\n"]
+    for name in sorted(f.name for f in dataclasses.fields(SweepResult)):
+        if len(chunks) > 1:
+            chunks.append(",\n")
+        chunks.append(f"{_INDENT}{encode_basestring_ascii(name)}: ")
+        value = getattr(res, name)
+        args = typing.get_args(hints[name])
+        if typing.get_origin(hints[name]) is list and dataclasses.is_dataclass(args[0]):
+            chunks.extend(_records_chunks(value, args[0]))
+        else:
+            chunks.append(_dumps_at(value, 1))
+    chunks.append("\n}\n")
+    return "".join(chunks)
 
 
 def emit_report(res: SweepResult, format: str = "csv", path: str = "report.csv") -> None:

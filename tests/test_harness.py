@@ -5,7 +5,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import fracineq
-from fracineq import cli, fracint, harness
+from fracineq import cli, fracint, harness, identity
 from fracineq.bounds import FRACTIONAL_IDS, evaluate_theorem
 from fracineq.errors import ConfigError, ConvergenceError
 from fracineq.fracint import QuadratureConfig
@@ -331,6 +333,96 @@ class TestRendering:
             emit_report(small_result, "xml", str(tmp_path / "out.xml"))
 
 
+def _json_oracle(res: SweepResult) -> str:
+    return json.dumps(res.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def _edit_reports(res: SweepResult, edit) -> SweepResult:
+    return dataclasses.replace(res, reports=[edit(i, r) for i, r in enumerate(res.reports)])
+
+
+class TestJsonWriter:
+    """render_json writes exactly what json.dumps writes for SweepResult.to_dict."""
+
+    def test_small_sweep(self, small_result):
+        assert render_json(small_result) == _json_oracle(small_result)
+
+    def test_nan_and_infinities(self, small_result):
+        specials = (math.nan, math.inf, -math.inf)
+
+        def edit(i, r):
+            # rhs repeats three values and has no zero: each is encoded once;
+            # lhs keeps the sweep's zeros: it is encoded value by value
+            r = dataclasses.replace(r, rhs=specials[i % 3])
+            return dataclasses.replace(r, lhs=specials[i]) if i < 3 else r
+
+        res = _edit_reports(small_result, edit)
+        res.residuals[0] = dataclasses.replace(
+            res.residuals[0],
+            residual=dataclasses.replace(res.residuals[0].residual, residual=math.nan),
+        )
+        text = render_json(res)
+        assert '"rhs": NaN' in text and '"rhs": -Infinity' in text
+        assert '"lhs": Infinity' in text
+        assert text == _json_oracle(res)
+
+    def test_signed_zeros_keep_their_sign(self, small_result):
+        res = _edit_reports(
+            small_result, lambda i, r: dataclasses.replace(r, margin=(0.0, -0.0, 2.5)[i % 3])
+        )
+        text = render_json(res)
+        assert '"margin": -0.0' in text and '"margin": 0.0' in text
+        assert text == _json_oracle(res)
+
+    def test_none_values(self, small_result):
+        res = _edit_reports(
+            small_result,
+            lambda i, r: dataclasses.replace(
+                r, prm=dataclasses.replace(r.prm, p=None, q=None, M=None)
+            ) if i % 2 else r,
+        )
+        res.summary = dict(res.summary, worst_margin=None, worst_residual=None)
+        text = render_json(res)
+        assert '"M": null' in text and '"worst_margin": null' in text
+        assert text == _json_oracle(res)
+
+    def test_quotes_newlines_and_non_ascii(self, small_result):
+        note = 'say "hi"\nto caf\u00e9 \\ \u2264'
+        res = _edit_reports(small_result, lambda i, r: dataclasses.replace(r, note=note))
+        res.convergence_errors = ['affine alpha=0.5 x=0.5: "stalled"\n\u00e9']
+        text = render_json(res)
+        assert "\\u00e9" in text and text.isascii()
+        assert text == _json_oracle(res)
+
+    def test_empty_lists(self, small_result):
+        res = dataclasses.replace(small_result, reports=[], residuals=[], convergence_errors=[])
+        text = render_json(res)
+        assert '"reports": [],' in text
+        assert text == _json_oracle(res)
+
+    def test_int_valued_parameters(self):
+        cfg = SweepConfig(
+            functions=("affine",),
+            alphas=(1,),
+            s_values=(1,),
+            pq_pairs=((2, 2),),
+            x_points=2,
+            interval=(0, 1),
+            theorems=("E6", "E7"),
+        )
+        res = run_sweep(cfg)
+        text = render_json(res)
+        assert '"alpha": 1,' in text and '"p": 2,' in text
+        assert text == _json_oracle(res)
+        # 1 and 1.0 in one column are equal dict keys with different texts
+        res = _edit_reports(
+            res, lambda i, r: dataclasses.replace(r, prm=dataclasses.replace(r.prm, alpha=(1, 1.0)[i % 2]))
+        )
+        text = render_json(res)
+        assert '"alpha": 1.0,' in text and '"alpha": 1,' in text
+        assert text == _json_oracle(res)
+
+
 class TestCli:
     def test_catalog_lists_functions(self, capsys):
         assert cli.main(["catalog"]) == 0
@@ -347,6 +439,49 @@ class TestCli:
         )
         assert ret == 0
         assert "0 failures" in capsys.readouterr().out
+
+    def test_check_identity_integrates_once_per_alpha(self, capsys, monkeypatch):
+        calls = []
+        real = identity.lemma_integrals
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(identity, "lemma_integrals", counted)
+        ret = cli.main(
+            ["check-identity", "--function", "square", "--alpha", "0.5", "1.0",
+             "--x-count", "5", "--halves"]
+        )
+        assert ret == 0
+        assert [len(xs) for xs in calls] == [5, 5]
+        out = capsys.readouterr().out
+        assert out.count("half-a") == 10 and "30 identity checks, 0 failures" in out
+
+    def test_check_identity_convergence_error_fails_its_point_alone(
+        self, capsys, monkeypatch
+    ):
+        real = identity.lemma_integrals
+
+        def one_fails(f, a, b, alpha, xs, cfg):
+            got = real(f, a, b, alpha, xs, cfg)
+            return [
+                ConvergenceError("stalled", 0.0, 1.0) if x == 0.5 else g
+                for x, g in zip(xs, got)
+            ]
+
+        monkeypatch.setattr(identity, "lemma_integrals", one_fails)
+        ret = cli.main(
+            ["check-identity", "--function", "square", "--alpha", "0.5",
+             "--x", "0.25", "0.5", "0.75", "--halves"]
+        )
+        assert ret == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "CONVERGENCE ERROR" in line] == [
+            "square alpha=0.5 x=0.5: CONVERGENCE ERROR stalled"
+        ]
+        assert sum("PASS" in line for line in lines) == 6
+        assert lines[-1] == "7 identity checks, 1 failures"
 
     def test_verify_certified_bound_holds(self, capsys):
         assert cli.main(["verify", "--theorem", "E6", "--function", "square"]) == 0
@@ -412,6 +547,19 @@ class TestCli:
         data = json.loads(captured.out)
         assert data["summary"]["failed"] == 0
         assert "passed" in captured.err
+
+    def test_sweep_json_on_stdout_equals_the_out_file(self, capsys, tmp_path):
+        # the two destinations reach render_json from different call sites
+        args = ["sweep", "--functions", "affine", "square", "--alphas", "0.5",
+                "--s-values", "0.5", "1.0", "--x-count", "3", "--format", "json"]
+        out = tmp_path / "r.json"
+        assert cli.main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(args) == 0
+        stamp = re.compile(r'"timestamp": "[^"]*"')
+        from_file = stamp.sub('"timestamp": ""', out.read_text(encoding="utf-8"))
+        from_stdout = stamp.sub('"timestamp": ""', capsys.readouterr().out)
+        assert from_stdout == from_file
 
     def test_sweep_config_file_with_flag_override(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
