@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import typing
 from concurrent.futures import ThreadPoolExecutor

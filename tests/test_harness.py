@@ -352,9 +352,9 @@ class TestJsonWriter:
 
         def edit(i, r):
             # rhs repeats three values and has no zero: each is encoded once;
-            # lhs keeps the sweep's zeros: it is encoded value by value
+            # lhs also holds a zero: it is encoded value by value
             r = dataclasses.replace(r, rhs=specials[i % 3])
-            return dataclasses.replace(r, lhs=specials[i]) if i < 3 else r
+            return dataclasses.replace(r, lhs=(*specials, 0.0)[i]) if i < 4 else r
 
         res = _edit_reports(small_result, edit)
         res.residuals[0] = dataclasses.replace(
@@ -416,7 +416,10 @@ class TestJsonWriter:
         assert text == _json_oracle(res)
         # 1 and 1.0 in one column are equal dict keys with different texts
         res = _edit_reports(
-            res, lambda i, r: dataclasses.replace(r, prm=dataclasses.replace(r.prm, alpha=(1, 1.0)[i % 2]))
+            res,
+            lambda i, r: dataclasses.replace(
+                r, prm=dataclasses.replace(r.prm, alpha=(1, 1.0)[i % 2])
+            ),
         )
         text = render_json(res)
         assert '"alpha": 1.0,' in text and '"alpha": 1,' in text
