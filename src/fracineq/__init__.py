@@ -73,6 +73,7 @@ from .funcatalog import (
     builtin_catalog,
     catalog_names,
     certify,
+    certify_batch,
     derivative_bound,
     get_entry,
 )
@@ -119,6 +120,7 @@ __all__ = [
     "DerivBound",
     "CatalogEntry",
     "certify",
+    "certify_batch",
     "derivative_bound",
     "builtin_catalog",
     "catalog_names",

@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -63,6 +63,7 @@ from .funcatalog import (
     ConvexityCertificate,
     Function1D,
     certify,
+    certify_batch,
 )
 from .identity import LemmaPieces, pieces_at
 from .specfun import ln_gamma
@@ -372,12 +373,37 @@ def _resolve_m(entry: CatalogEntry, prm: FracParams) -> FracParams:
 
 
 class CertCache:
-    """Memoizes certificates per (function, target, mode, s, q)."""
+    """Memoizes certificates per (function, target, mode, s, q).
+
+    ``warm`` fills the cache a batch at a time, sampling each target grid
+    once; ``get`` certifies a missing key on its own.
+    """
 
     def __init__(self, cert_tol: float = 1e-9, grid_size: int = 33):
         self.cert_tol = cert_tol
         self.grid_size = grid_size
         self._store: dict[tuple, ConvexityCertificate] = {}
+
+    def warm(
+        self,
+        entry: CatalogEntry,
+        target: str,
+        modes: Sequence[str],
+        s_values: Sequence[float],
+        q: float = 1.0,
+    ) -> None:
+        """Store the certificate of every (s, mode) from one ``certify_batch``."""
+        batch = certify_batch(
+            entry.func,
+            s_values,
+            q=q,
+            modes=modes,
+            target=target,
+            grid_size=self.grid_size,
+            cert_tol=self.cert_tol,
+        )
+        for cert in batch:
+            self._store[(entry.name, target, cert.mode, cert.s, cert.q)] = cert
 
     def get(
         self, entry: CatalogEntry, target: str, mode: str, s: float, q: float = 1.0

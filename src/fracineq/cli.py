@@ -47,13 +47,12 @@ from .fracint import FracParams, QuadratureConfig
 from .funcatalog import (
     DEFAULT_CERT_TOL,
     MODE_CONCAVE,
-    MODE_CONVEX,
     TARGET_F,
     TARGET_FPRIME,
     TARGET_FPRIME_POW,
     builtin_catalog,
     catalog_names,
-    certify,
+    certify_batch,
     get_entry,
 )
 from .harness import (
@@ -226,6 +225,7 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
     cfg = QuadratureConfig()
     checks = 0
     failures = 0
+    twins = None
 
     def report(tag: str, rel: float, budget: float, ok: bool) -> None:
         nonlocal checks, failures
@@ -243,6 +243,8 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
             outcomes = compute_pieces(f, a, b, alpha, xs, cfg)
         except ConvergenceError as exc:
             outcomes = [exc] * len(xs)
+        if alpha == 1.0:
+            twins = outcomes
         for x, pieces in zip(xs, outcomes):
             tag = f"{f.name} alpha={alpha:g} x={x:g}"
             if isinstance(pieces, ConvergenceError):
@@ -260,8 +262,13 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
                     report(f"  {tag} {half}", res.rel_residual, res.quad_error_budget,
                            res.passes(args.tol))
     if args.classical:
-        for x in xs:
-            res = check_classical_lemma(f, a, b, x, cfg)
+        # the alpha = 1 twins come from one batch, the grid's own when it has one
+        if twins is None:
+            twins = compute_pieces(f, a, b, 1.0, xs, cfg)
+        for x, pieces in zip(xs, twins):
+            if isinstance(pieces, ConvergenceError):
+                raise pieces
+            res = check_classical_lemma(f, a, b, x, cfg, pieces=pieces)
             report(f"{f.name} classical x={x:g}", res.rel_residual,
                    res.quad_error_budget, res.passes(args.tol))
 
@@ -439,14 +446,15 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         print(f"  s-convex registrations (|f'|): {_fmt_s_list(entry.s_convex)}")
         print(f"  s-concave registrations (|f'|^2): {_fmt_s_list(entry.s_concave)}")
         if detailed:
-            for s in entry.s_convex:
-                for target in (TARGET_F, TARGET_FPRIME):
-                    cert = certify(f, s=s, target=target, mode=MODE_CONVEX)
-                    print(f"  {cert.describe()}")
-                cert = certify(f, s=s, q=2.0, target=TARGET_FPRIME_POW, mode=MODE_CONVEX)
-                print(f"  {cert.describe()}")
-            for s in entry.s_concave:
-                cert = certify(f, s=s, q=2.0, target=TARGET_FPRIME_POW, mode=MODE_CONCAVE)
+            # one batch per (target, q, mode); printed s by s, targets within each s
+            convex = [
+                certify_batch(f, entry.s_convex, q=q, target=target)
+                for target, q in ((TARGET_F, 1.0), (TARGET_FPRIME, 1.0), (TARGET_FPRIME_POW, 2.0))
+            ]
+            concave = certify_batch(
+                f, entry.s_concave, q=2.0, modes=(MODE_CONCAVE,), target=TARGET_FPRIME_POW
+            )
+            for cert in [c for per_s in zip(*convex) for c in per_s] + concave:
                 print(f"  {cert.describe()}")
     return 0
 

@@ -6,21 +6,24 @@ would contaminate identity residuals), the s values under which its
 hypothesis certificates are known to pass, and an analytic derivative bound
 where one is available.
 
-Certification is deliberately not symbolic. ``certify`` samples the defining
-inequality of s-convexity (second sense),
+Certification is deliberately not symbolic. ``certify_batch`` samples the
+defining inequality of s-convexity (second sense),
 
     g(lam*u + (1-lam)*v) <= lam**s * g(u) + (1-lam)**s * g(v),
 
 on a dense (u, v, lam) grid and records the worst violation; s-concavity is
-the reversed inequality. A certificate is a statement about a finite grid,
-which is exactly the strength needed to gate empirical inequality checks.
+the reversed inequality. The target g (f, |f'| or |f'|**q) is sampled on the
+grid once per (function, target, q), and that one sample is reduced for every
+requested s and mode; ``certify`` is the one-(s, mode) case. A certificate is
+a statement about a finite grid, which is exactly the strength needed to
+gate empirical inequality checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +40,7 @@ __all__ = [
     "DerivBound",
     "CatalogEntry",
     "certify",
+    "certify_batch",
     "derivative_bound",
     "builtin_catalog",
     "get_entry",
@@ -157,31 +161,37 @@ def _target_callable(f: Function1D, target: str, q: float):
     raise ConfigError(f"unknown certification target {target!r}")
 
 
-def certify(
+def certify_batch(
     f: Function1D,
-    s: float,
+    s_values: Sequence[float],
     q: float = 1.0,
-    mode: str = MODE_CONVEX,
+    modes: Sequence[str] = (MODE_CONVEX,),
     target: str = TARGET_FPRIME,
     grid_size: int = MIN_GRID_SIZE,
     cert_tol: float = DEFAULT_CERT_TOL,
-) -> ConvexityCertificate:
-    """Sample an s-convexity or s-concavity hypothesis on a dense grid.
+) -> list[ConvexityCertificate]:
+    """Certify one target of f for every (s, mode) from a single sampling.
 
     Evaluates the target function g (f itself, |f'|, or |f'|**q) at every
     triple (u, v, lam) of three uniform grids over [domain_lo, domain_hi]**2
-    x [0, 1] and records the worst signed violation of the defining
-    inequality. The certificate PASSes when that maximum is <= cert_tol.
+    x [0, 1] once, then, for each s, records the worst signed violation of
+    the defining inequality in each mode: ``max(g(pts) - bound)`` for
+    s-convexity and ``-min(g(pts) - bound)`` for s-concavity, which equals
+    the maximum of the negated violation exactly. A certificate PASSes when
+    that maximum is <= cert_tol. Returns the certificates s-major, in the
+    order of ``s_values`` and then ``modes``.
 
     The definition of s-convexity lives on [0, inf), so functions whose
     domain dips below zero are rejected.
     """
-    if not (0.0 < s <= 1.0):
-        raise DomainError(f"s must lie in (0, 1], got {s!r}")
+    for s in s_values:
+        if not (0.0 < s <= 1.0):
+            raise DomainError(f"s must lie in (0, 1], got {s!r}")
     if q < 1.0:
         raise DomainError(f"q must be >= 1, got {q!r}")
-    if mode not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
+    for mode in modes:
+        if mode not in _MODES:
+            raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
     if target not in _TARGETS:
         raise ConfigError(f"target must be one of {_TARGETS}, got {target!r}")
     if grid_size < MIN_GRID_SIZE:
@@ -191,31 +201,59 @@ def certify(
             f"{f.name}: certification requires a domain inside [0, inf), "
             f"got domain_lo={f.domain_lo}"
         )
+    if len(s_values) == 0 or len(modes) == 0:
+        return []
 
     g = _target_callable(f, target, q)
     u = np.linspace(f.domain_lo, f.domain_hi, grid_size)
     lam = np.linspace(0.0, 1.0, grid_size)
 
     gu = g(u)  # shared for both axes; u and v ranges coincide
-    lam_s = lam**s
-    lam_s_c = (1.0 - lam) ** s
-
-    # broadcast (lam, u, v): points lam*u + (1-lam)*v and the defining bound
+    # broadcast (lam, u, v): points lam*u + (1-lam)*v; g there does not depend on s
     pts = lam[:, None, None] * u[None, :, None] + (1.0 - lam)[:, None, None] * u[None, None, :]
-    bound = lam_s[:, None, None] * gu[None, :, None] + lam_s_c[:, None, None] * gu[None, None, :]
-    violation = g(pts) - bound
-    if mode == MODE_CONCAVE:
-        violation = -violation
+    gpts = g(pts)
 
-    return ConvexityCertificate(
-        s=float(s),
-        mode=mode,
-        target=target,
-        q=float(q),
-        max_violation=float(np.max(violation)),
-        grid_size=int(grid_size),
-        cert_tol=float(cert_tol),
-    )
+    certs = []
+    for s in s_values:
+        lam_s = lam**s
+        lam_s_c = (1.0 - lam) ** s
+        bound = (
+            lam_s[:, None, None] * gu[None, :, None]
+            + lam_s_c[:, None, None] * gu[None, None, :]
+        )
+        violation = gpts - bound
+        for mode in modes:
+            worst = np.max(violation) if mode == MODE_CONVEX else -np.min(violation)
+            certs.append(
+                ConvexityCertificate(
+                    s=float(s),
+                    mode=mode,
+                    target=target,
+                    q=float(q),
+                    max_violation=float(worst),
+                    grid_size=int(grid_size),
+                    cert_tol=float(cert_tol),
+                )
+            )
+    return certs
+
+
+def certify(
+    f: Function1D,
+    s: float,
+    q: float = 1.0,
+    mode: str = MODE_CONVEX,
+    target: str = TARGET_FPRIME,
+    grid_size: int = MIN_GRID_SIZE,
+    cert_tol: float = DEFAULT_CERT_TOL,
+) -> ConvexityCertificate:
+    """Sample one s-convexity or s-concavity hypothesis on a dense grid.
+
+    The one-(s, mode) case of :func:`certify_batch`, which documents the
+    grid and the PASS rule.
+    """
+    (cert,) = certify_batch(f, (s,), q, (mode,), target, grid_size, cert_tol)
+    return cert
 
 
 def derivative_bound(

@@ -382,6 +382,11 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
     classical_x_tids = [t for t in cfg.theorems if t in ("e1", "e14", "t5_146", "t6_147")]
     want_e13 = "e13" in cfg.theorems
     q_dedup = tuple(dict.fromkeys(q for _, q in cfg.pq_pairs))
+    pow_modes = []  # the modes in which some requested theorem needs |f'|^q
+    if any(t in cfg.theorems for t in ("E7", "E8proof", "t5_146")):
+        pow_modes.append(MODE_CONVEX)
+    if "E9" in cfg.theorems or "t6_147" in cfg.theorems:
+        pow_modes.append(MODE_CONCAVE)
 
     certs = CertCache(cert_tol=cfg.cert_tol)
     bound_m: dict[str, float] = {}
@@ -392,17 +397,15 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
         bound_m[entry.name] = entry.deriv_bound().M
         if classical_x_tids or want_e13:
             means[entry.name] = plain_integral(entry.func, a, b, qcfg)
-        # warm the certificate cache so worker threads only ever read it
-        for s in cfg.s_values:
-            if "E6" in frac_tids or "e14" in classical_x_tids:
-                certs.get(entry, TARGET_FPRIME, MODE_CONVEX, s)
-            if want_e13:
-                certs.get(entry, TARGET_F, MODE_CONVEX, s)
+        # warm the certificate cache so worker threads only ever read it;
+        # each target grid is sampled once per (function, target, q)
+        if "E6" in frac_tids or "e14" in classical_x_tids:
+            certs.warm(entry, TARGET_FPRIME, (MODE_CONVEX,), cfg.s_values)
+        if want_e13:
+            certs.warm(entry, TARGET_F, (MODE_CONVEX,), cfg.s_values)
+        if pow_modes:
             for q in q_dedup:
-                if any(t in cfg.theorems for t in ("E7", "E8proof", "t5_146")):
-                    certs.get(entry, TARGET_FPRIME_POW, MODE_CONVEX, s, q)
-                if "E9" in cfg.theorems or "t6_147" in cfg.theorems:
-                    certs.get(entry, TARGET_FPRIME_POW, MODE_CONCAVE, s, q)
+                certs.warm(entry, TARGET_FPRIME_POW, pow_modes, cfg.s_values, q)
 
     TaskResult = tuple[list[InequalityReport], list[ResidualRecord], list[str]]
 

@@ -29,9 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .errors import ConvergenceError, DomainError, FracIneqError
+from .errors import ConfigError, ConvergenceError, DomainError, FracIneqError
 from .fracint import (
     DEFAULT_QUADRATURE,
     Estimate,
@@ -238,6 +238,7 @@ def check_classical_lemma(
     b: float,
     x: float,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    pieces: Optional[LemmaPieces] = None,
 ) -> IdentityResidual:
     """Verify the classical (alpha = 1) identity through plain integrals.
 
@@ -246,8 +247,17 @@ def check_classical_lemma(
     then cross-asserted against check_e1 at alpha = 1: both sides must
     coincide to ALPHA_ONE_MATCH_TOL (relative to the residual scale), and a
     disagreement raises rather than returning silently inconsistent data.
+    ``pieces``, when given, are the alpha = 1 pieces at (a, b, x) for that
+    twin, for instance one x of a :func:`compute_pieces` batch; otherwise
+    they are computed here.
     """
     prm = FracParams(a=a, b=b, x=x, alpha=1.0)
+    if pieces is not None and (pieces.a, pieces.b, pieces.x, pieces.alpha) != (a, b, x, 1.0):
+        raise ConfigError(
+            f"twin pieces are for (a, b, x, alpha) = "
+            f"{(pieces.a, pieces.b, pieces.x, pieces.alpha)!r}, "
+            f"expected {(a, b, x, 1.0)!r}"
+        )
     width = b - a
     fx = float(f.eval(x))
     il = plain_integral(f, a, x, cfg)
@@ -264,7 +274,7 @@ def check_classical_lemma(
     )
     res = IdentityResidual.from_sides(lhs, rhs, budget)
 
-    twin = check_e1(f, prm, cfg)
+    twin = check_e1(f, prm, cfg) if pieces is None else check_e1_from_pieces(pieces)
     tol = ALPHA_ONE_MATCH_TOL * max(res.scale, twin.scale)
     if abs(res.lhs - twin.lhs) > tol or abs(res.rhs - twin.rhs) > tol:
         raise FracIneqError(
