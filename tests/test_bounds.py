@@ -445,6 +445,28 @@ class TestCertCache:
         b = cache.get(entry, TARGET_FPRIME_POW, MODE_CONVEX, 0.5, q=2.0)
         assert a is not b
 
+    def test_warm_stores_under_the_keys_get_reads(self, monkeypatch):
+        # after one warm batch every (s, mode) is a hit; a miss would certify
+        cache = CertCache(cert_tol=1e-6)
+        entry = get_entry("threehalf")
+        modes = (MODE_CONVEX, MODE_CONCAVE)
+        cache.warm(entry, TARGET_FPRIME_POW, modes, S_GRID, q=2.0)
+        cache.warm(entry, TARGET_FPRIME, (MODE_CONVEX,), S_GRID)
+        wanted = [
+            (TARGET_FPRIME_POW, mode, s, 2.0) for s in S_GRID for mode in modes
+        ] + [(TARGET_FPRIME, MODE_CONVEX, s, 1.0) for s in S_GRID]
+        fresh = [
+            certify(entry.func, s=s, q=q, mode=mode, target=target, cert_tol=1e-6)
+            for target, mode, s, q in wanted
+        ]
+
+        def no_lazy_certify(*args, **kwargs):
+            raise AssertionError("CertCache.get missed after warm")
+
+        monkeypatch.setattr("fracineq.bounds.certify", no_lazy_certify)
+        got = [cache.get(entry, target, mode, s, q) for target, mode, s, q in wanted]
+        assert got == fresh
+
 
 class TestClassicalSuite:
     def test_row_order_and_verdicts(self):

@@ -8,6 +8,7 @@ report the same worst violation.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from fracineq.funcatalog import (
     builtin_catalog,
     catalog_names,
     certify,
+    certify_batch,
     derivative_bound,
     get_entry,
 )
@@ -131,6 +133,9 @@ class TestCertify:
             ("square", TARGET_FPRIME, MODE_CONVEX, 0.5, 1.0),
             ("threehalf", TARGET_FPRIME_POW, MODE_CONCAVE, 1.0, 2.0),
             ("pow150", TARGET_FPRIME, MODE_CONVEX, 0.75, 1.0),
+            # concave certificates that fail, so the violation's sign shows
+            ("square", TARGET_FPRIME_POW, MODE_CONCAVE, 0.5, 2.0),
+            ("exp", TARGET_FPRIME, MODE_CONCAVE, 1.0, 1.0),
         ],
     )
     def test_matches_naive_loop(self, fname, target, mode, s, q):
@@ -196,6 +201,77 @@ class TestCertify:
         )
         with pytest.raises(DomainError):
             certify(shifted, s=0.5)
+
+
+def _cert_bits(cert):
+    # every field, with max_violation by its bits so that -0.0 != 0.0
+    return (cert.s, cert.mode, cert.target, cert.q, cert.max_violation.hex(),
+            cert.grid_size, cert.cert_tol)
+
+
+class TestCertifyBatch:
+    S_VALUES = (0.05, 0.25, 0.5, 0.75, 1.0)
+    MODES = (MODE_CONVEX, MODE_CONCAVE)
+
+    @pytest.mark.parametrize("target", [TARGET_F, TARGET_FPRIME, TARGET_FPRIME_POW])
+    @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
+    def test_equals_one_certify_per_s_and_mode(self, entry, target):
+        # one sampling reduced per (s, mode) must give certify's certificate
+        # to the bit, s-major then mode
+        f = entry.func
+        for q in (1.0, 1.5, 2.0, 5.0):
+            batch = certify_batch(f, self.S_VALUES, q=q, modes=self.MODES, target=target)
+            single = [
+                certify(f, s=s, q=q, mode=mode, target=target)
+                for s in self.S_VALUES
+                for mode in self.MODES
+            ]
+            assert batch == single
+            assert [_cert_bits(c) for c in batch] == [_cert_bits(c) for c in single]
+
+    def test_passes_grid_size_and_tolerance_through(self):
+        f = get_entry("pow150").func
+        kwargs = dict(q=2.0, target=TARGET_FPRIME_POW, grid_size=41, cert_tol=1e-6)
+        (batch,) = certify_batch(f, (0.5,), modes=(MODE_CONCAVE,), **kwargs)
+        assert batch == certify(f, s=0.5, mode=MODE_CONCAVE, **kwargs)
+        assert batch.grid_size == 41 and batch.cert_tol == 1e-6
+
+    def test_nothing_requested_gives_no_certificates(self):
+        f = get_entry("square").func
+        assert certify_batch(f, ()) == []
+        assert certify_batch(f, (0.5,), modes=()) == []
+
+    @pytest.mark.parametrize(
+        "batch_kwargs,single_kwargs",
+        [
+            (dict(s_values=(0.0, 0.5, 1.0)), dict(s=0.0)),
+            (dict(s_values=(0.5, 1.5, 1.0)), dict(s=1.5)),
+            (dict(s_values=(0.5, 1.0, math.nan)), dict(s=math.nan)),
+            (dict(s_values=(0.5,), q=0.5, target=TARGET_FPRIME_POW),
+             dict(s=0.5, q=0.5, target=TARGET_FPRIME_POW)),
+            (dict(s_values=(0.5,), modes=(MODE_CONVEX, "convex-ish")),
+             dict(s=0.5, mode="convex-ish")),
+            (dict(s_values=(0.5,), target="f''"), dict(s=0.5, target="f''")),
+            (dict(s_values=(0.5,), grid_size=MIN_GRID_SIZE - 1),
+             dict(s=0.5, grid_size=MIN_GRID_SIZE - 1)),
+        ],
+        ids=["s-first", "s-middle", "s-last", "q", "mode", "target", "grid"],
+    )
+    def test_rejects_what_certify_rejects(self, batch_kwargs, single_kwargs):
+        f = get_entry("square").func
+        with pytest.raises((ConfigError, DomainError)) as single:
+            certify(f, **single_kwargs)
+        with pytest.raises(single.type, match=f"^{re.escape(str(single.value))}$"):
+            certify_batch(f, **batch_kwargs)
+
+    def test_rejects_negative_domain_like_certify(self):
+        shifted = Function1D(
+            "neg", lambda t: np.asarray(t) ** 2, lambda t: 2.0 * np.asarray(t), -1.0, 1.0
+        )
+        with pytest.raises(DomainError) as single:
+            certify(shifted, s=0.5)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(single.value))}$"):
+            certify_batch(shifted, (0.5, 1.0), modes=(MODE_CONVEX, MODE_CONCAVE))
 
 
 class TestDerivativeBound:

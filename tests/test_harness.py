@@ -15,11 +15,20 @@ import numpy as np
 import pytest
 
 import fracineq
-from fracineq import cli, fracint, harness, identity
+from fracineq import bounds, cli, fracint, harness, identity
 from fracineq.bounds import FRACTIONAL_IDS, evaluate_theorem
 from fracineq.errors import ConfigError, ConvergenceError
 from fracineq.fracint import QuadratureConfig
-from fracineq.funcatalog import catalog_names, get_entry
+from fracineq.funcatalog import (
+    MODE_CONCAVE,
+    MODE_CONVEX,
+    TARGET_F,
+    TARGET_FPRIME,
+    TARGET_FPRIME_POW,
+    catalog_names,
+    certify,
+    get_entry,
+)
 from fracineq.harness import (
     CSV_HEADER,
     THREADS_ENV_VAR,
@@ -261,6 +270,51 @@ class TestRunSweep:
         threaded.provenance["timestamp"] = small_result.provenance["timestamp"]
         assert render_json(threaded) == render_json(small_result)
 
+    def test_each_target_grid_is_sampled_once(self, monkeypatch):
+        # 9 theorems, 2 functions, 3 s, 2 distinct q: per function one batch
+        # for |f'|, one for f and one per q for |f'|^q, covering both modes;
+        # every CertCache.get during the sweep is then a hit
+        batches = []
+        real_batch = bounds.certify_batch
+
+        def counted_batch(f, s_values, **kwargs):
+            batches.append(
+                (f.name, kwargs["target"], kwargs["q"], tuple(kwargs["modes"]), tuple(s_values))
+            )
+            return real_batch(f, s_values, **kwargs)
+
+        def no_lazy_certify(*args, **kwargs):
+            raise AssertionError("CertCache.get missed during run_sweep")
+
+        gets = []
+        real_get = bounds.CertCache.get
+
+        def counted_get(self, *args, **kwargs):
+            gets.append(args)
+            return real_get(self, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "certify_batch", counted_batch)
+        monkeypatch.setattr(bounds, "certify", no_lazy_certify)
+        monkeypatch.setattr(bounds.CertCache, "get", counted_get)
+        s_values = (0.25, 0.5, 1.0)
+        cfg = dataclasses.replace(
+            SMALL, alphas=(0.5,), s_values=s_values, pq_pairs=((2.0, 2.0), (3.0, 1.5)),
+        )
+        result = run_sweep(cfg)
+        both = (MODE_CONVEX, MODE_CONCAVE)
+        assert sorted(batches) == sorted(
+            (name, target, q, modes, s_values)
+            for name in cfg.functions
+            for target, q, modes in (
+                (TARGET_FPRIME, 1.0, (MODE_CONVEX,)),
+                (TARGET_F, 1.0, (MODE_CONVEX,)),
+                (TARGET_FPRIME_POW, 2.0, both),
+                (TARGET_FPRIME_POW, 1.5, both),
+            )
+        )
+        assert len(batches) == 8
+        assert gets and result.summary["failed"] == 0
+
     def test_report_numbers_are_python_scalars(self, small_result):
         # numpy scalars would make render_json fail or change its bytes
         def walk(node):
@@ -436,6 +490,25 @@ class TestCli:
         assert cli.main(["catalog", "--function", "square"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_detail_equals_one_certify_per_line(self, name, capsys):
+        # the batched certificates print as one certify call per (s, target) did
+        assert cli.main(["catalog", "--function", name]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        entry = get_entry(name)
+        want = []
+        for s in entry.s_convex:
+            for target in (TARGET_F, TARGET_FPRIME):
+                want.append(certify(entry.func, s=s, target=target, mode=MODE_CONVEX))
+            want.append(
+                certify(entry.func, s=s, q=2.0, target=TARGET_FPRIME_POW, mode=MODE_CONVEX)
+            )
+        for s in entry.s_concave:
+            want.append(
+                certify(entry.func, s=s, q=2.0, target=TARGET_FPRIME_POW, mode=MODE_CONCAVE)
+            )
+        assert lines[4:] == [f"  {cert.describe()}" for cert in want]
+
     def test_check_identity_point(self, capsys):
         ret = cli.main(
             ["check-identity", "--function", "affine", "--alpha", "0.5", "--x", "0.25"]
@@ -460,6 +533,38 @@ class TestCli:
         assert [len(xs) for xs in calls] == [5, 5]
         out = capsys.readouterr().out
         assert out.count("half-a") == 10 and "30 identity checks, 0 failures" in out
+
+    @pytest.mark.parametrize("alphas", [["0.5", "1.0"], ["0.5"]])
+    def test_check_identity_classical_twins_come_from_one_batch(
+        self, alphas, capsys, monkeypatch
+    ):
+        # the alpha = 1 twins reuse the grid's alpha = 1 batch when there is
+        # one and take one batch of their own otherwise
+        calls = []
+        real = identity.lemma_integrals
+
+        def counted(*args, **kwargs):
+            calls.append((args[3], len(args[4])))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(identity, "lemma_integrals", counted)
+        argv = ["check-identity", "--function", "square", "--alpha", *alphas,
+                "--x-count", "5", "--classical"]
+        assert cli.main(argv) == 0
+        assert calls == [(0.5, 5), (1.0, 5)]
+        lines = capsys.readouterr().out.splitlines()
+        monkeypatch.setattr(identity, "lemma_integrals", real)
+        f = get_entry("square").func
+        xs = [float(v) for v in np.linspace(0.0, 1.0, 7)[1:-1]]
+        want = []
+        for x in xs:
+            # the independent route with its own one-x twin
+            res = identity.check_classical_lemma(f, 0.0, 1.0, x)
+            want.append(
+                f"square classical x={x:g}: rel_residual={res.rel_residual:.3e} "
+                f"budget={res.quad_error_budget:.3e} PASS"
+            )
+        assert lines[-6:-1] == want
 
     def test_check_identity_convergence_error_fails_its_point_alone(
         self, capsys, monkeypatch

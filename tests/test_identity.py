@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from fracineq.errors import DomainError, FracIneqError
+from fracineq.errors import ConfigError, DomainError, FracIneqError
 from fracineq.fracint import RULE_ORACLE, FracParams, QuadratureConfig
 from fracineq.funcatalog import Function1D, builtin_catalog, get_entry
 from fracineq.identity import (
@@ -196,6 +196,22 @@ class TestClassicalLemma:
         )
         res = check_classical_lemma(liar, 0.0, 1.0, 0.5)
         assert not res.passes()
+
+    def test_twin_pieces_from_a_batch(self):
+        # batch pieces give the one-x twin's result; pieces of another
+        # point are refused rather than cross-checked against
+        f = get_entry("exp").func
+        xs = (0.0, 0.3, 1.0)
+        batch = compute_pieces(f, 0.0, 1.0, 1.0, xs)
+        for x, pieces in zip(xs, batch):
+            assert check_classical_lemma(f, 0.0, 1.0, x, pieces=pieces) == (
+                check_classical_lemma(f, 0.0, 1.0, x)
+            )
+        with pytest.raises(ConfigError, match="twin pieces"):
+            check_classical_lemma(f, 0.0, 1.0, 0.3, pieces=batch[0])
+        (half,) = compute_pieces(f, 0.0, 1.0, 0.5, (0.3,))
+        with pytest.raises(ConfigError, match="twin pieces"):
+            check_classical_lemma(f, 0.0, 1.0, 0.3, pieces=half)
 
     def test_route_disagreement_raises(self, monkeypatch):
         # skew the operator-route twin; the cross-assertion must detect it
