@@ -34,6 +34,8 @@ Classical suite (no alpha):
 
 Each evaluator is pure closed-form arithmetic except the left-hand sides,
 which carry quadrature error budgets that the pass/fail tolerance couples to.
+``THEOREMS`` states each bound's hypothesis, parameters, right-hand side and
+alpha = 1 twin once; everything that handles a theorem id reads it there.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -64,14 +66,19 @@ from .funcatalog import (
     Function1D,
     certify,
     certify_batch,
+    get_entry,
 )
 from .identity import LemmaPieces, pieces_at
 from .specfun import ln_gamma
 
 __all__ = [
+    "Theorem",
+    "THEOREMS",
     "THEOREM_IDS",
     "FRACTIONAL_IDS",
     "CLASSICAL_IDS",
+    "DEFAULT_S_GRID",
+    "DEFAULT_PQ_GRID",
     "DEFAULT_MARGIN_TOL",
     "REDUCTION_TOL",
     "InequalityReport",
@@ -92,9 +99,11 @@ __all__ = [
     "reduction_check",
 ]
 
-FRACTIONAL_IDS = ("E6", "E7", "E8proof", "E9")
-CLASSICAL_IDS = ("e1", "e13", "e14", "t5_146", "t6_147")
-THEOREM_IDS = FRACTIONAL_IDS + CLASSICAL_IDS
+#: Default sweep grids of s and of conjugate pairs (p, q); reduction_check
+#: checks over them too.
+DEFAULT_S_GRID = (0.25, 0.5, 0.75, 1.0)
+DEFAULT_PQ_GRID = ((2.0, 2.0), (3.0, 1.5), (1.25, 5.0))
+_DEFAULT_Q_GRID = (1.0, 1.5, 2.0, 3.0, 5.0)
 
 #: Default slack on inequality margins (couples with 10x the quad budget).
 DEFAULT_MARGIN_TOL = 1e-9
@@ -150,8 +159,8 @@ def _make_report(
     )
 
 
-def _require(prm: FracParams, theorem_id: str, **fields) -> None:
-    missing = [name for name, value in fields.items() if value is None]
+def _require(prm: FracParams, theorem_id: str, *names: str) -> None:
+    missing = [name for name in names if getattr(prm, name) is None]
     if missing:
         raise ConfigError(f"{theorem_id} requires {', '.join(missing)} to be set")
 
@@ -197,20 +206,23 @@ def lhs_classical(
 
 
 # ---------------------------------------------------------------------------
-# fractional right-hand sides
+# right-hand sides: each closed form unchecked (the theorem table's rhs and
+# twin), then the public evaluator that checks the fields it needs
 
 
-def rhs_thm1(prm: FracParams) -> float:
-    """Gamma-ratio bound (E6). Requires M."""
-    _require(prm, "E6", M=prm.M)
+def _thm1(prm: FracParams, f: Optional[Function1D] = None) -> float:
     a, b, x, alpha, s = prm.a, prm.b, prm.x, prm.alpha, prm.s
     powers = (x - a) ** (alpha + 1.0) + (b - x) ** (alpha + 1.0)
     return prm.M / (b - a) * (1.0 + _gamma_ratio(alpha, s)) * powers / (alpha + s + 1.0)
 
 
-def rhs_thm2(prm: FracParams) -> float:
-    """Hoelder-route bound (E7). Requires M and conjugate p, q."""
-    _require(prm, "E7", M=prm.M, p=prm.p, q=prm.q)
+def rhs_thm1(prm: FracParams) -> float:
+    """Gamma-ratio bound (E6). Requires M."""
+    _require(prm, "E6", "M")
+    return _thm1(prm)
+
+
+def _thm2(prm: FracParams, f: Optional[Function1D] = None) -> float:
     a, b, x, alpha, s = prm.a, prm.b, prm.x, prm.alpha, prm.s
     powers = (x - a) ** (alpha + 1.0) + (b - x) ** (alpha + 1.0)
     return (
@@ -222,15 +234,15 @@ def rhs_thm2(prm: FracParams) -> float:
     )
 
 
-def rhs_thm3(prm: FracParams) -> float:
-    """Power-mean-route bound (E8proof). Requires M and q >= 1; p unused.
+def rhs_thm2(prm: FracParams) -> float:
+    """Hoelder-route bound (E7). Requires M and conjugate p, q."""
+    _require(prm, "E7", "M", "p", "q")
+    return _thm2(prm)
 
-    At q = 1 the bound degenerates to rhs_thm1 exactly, so that case is
-    delegated to keep the two formula paths literally identical.
-    """
-    _require(prm, "E8proof", M=prm.M, q=prm.q)
+
+def _thm3(prm: FracParams, f: Optional[Function1D] = None) -> float:
     if prm.q == 1.0:
-        return rhs_thm1(prm)
+        return _thm1(prm)
     a, b, x, alpha, s = prm.a, prm.b, prm.x, prm.alpha, prm.s
     powers = (x - a) ** (alpha + 1.0) + (b - x) ** (alpha + 1.0)
     inv_q = 1.0 / prm.q
@@ -244,7 +256,17 @@ def rhs_thm3(prm: FracParams) -> float:
     )
 
 
-def _thm4_formula(f: Function1D, prm: FracParams) -> float:
+def rhs_thm3(prm: FracParams) -> float:
+    """Power-mean-route bound (E8proof). Requires M and q >= 1; p unused.
+
+    At q = 1 the bound degenerates to rhs_thm1 exactly, so that case is
+    delegated to keep the two formula paths literally identical.
+    """
+    _require(prm, "E8proof", "M", "q")
+    return _thm3(prm)
+
+
+def _thm4(prm: FracParams, f: Function1D) -> float:
     a, b, x, alpha, s = prm.a, prm.b, prm.x, prm.alpha, prm.s
     da = abs(float(f.deriv(0.5 * (x + a))))
     db = abs(float(f.deriv(0.5 * (b + x))))
@@ -265,7 +287,7 @@ def rhs_thm4(
     s-concavity certificate for |f'|**q at this (s, q); evaluating the bound
     without an established hypothesis is refused.
     """
-    _require(prm, "E9", p=prm.p, q=prm.q)
+    _require(prm, "E9", "p", "q")
     if cert is None:
         raise CertificateError(
             f"E9 for {f.name}: no s-concavity certificate supplied"
@@ -287,7 +309,7 @@ def rhs_thm4(
             f"E9 for {f.name}: s-concavity certificate failed "
             f"(max violation {cert.max_violation:.3e})"
         )
-    return _thm4_formula(f, prm)
+    return _thm4(prm, f)
 
 
 def rhs_e8_printed(prm: FracParams) -> float:
@@ -298,38 +320,34 @@ def rhs_e8_printed(prm: FracParams) -> float:
     This evaluator reproduces that printed formula (so sweeps can compare it
     against E8proof) but is never used as the official right-hand side.
     """
-    _require(prm, "E8printed", M=prm.M, p=prm.p, q=prm.q)
+    _require(prm, "E8printed", "M", "p", "q")
     return rhs_thm2(prm)
 
 
-# ---------------------------------------------------------------------------
-# classical right-hand sides
-
-
-def rhs_ostrowski(prm: FracParams) -> float:
-    """Classical bound M(b-a)[1/4 + ((x - midpoint)/(b-a))**2] (e1)."""
-    _require(prm, "e1", M=prm.M)
+def _ostrowski(prm: FracParams, f: Optional[Function1D] = None) -> float:
     a, b, x = prm.a, prm.b, prm.x
     shift = (x - 0.5 * (a + b)) / (b - a)
     return prm.M * (b - a) * (0.25 + shift * shift)
 
 
-def rhs_alomari_msconvex(prm: FracParams) -> float:
-    """M[(x-a)**2 + (b-x)**2] / ((b-a)(s+1)) (e14)."""
-    _require(prm, "e14", M=prm.M)
+def rhs_ostrowski(prm: FracParams) -> float:
+    """Classical bound M(b-a)[1/4 + ((x - midpoint)/(b-a))**2] (e1)."""
+    _require(prm, "e1", "M")
+    return _ostrowski(prm)
+
+
+def _msconvex(prm: FracParams, f: Optional[Function1D] = None) -> float:
     a, b, x, s = prm.a, prm.b, prm.x, prm.s
     return prm.M * ((x - a) ** 2 + (b - x) ** 2) / ((b - a) * (s + 1.0))
 
 
-def rhs_alomari_hoelder(prm: FracParams) -> float:
-    """Hoelder-structured classical bound used as the E7 reduction target.
+def rhs_alomari_msconvex(prm: FracParams) -> float:
+    """M[(x-a)**2 + (b-x)**2] / ((b-a)(s+1)) (e14)."""
+    _require(prm, "e14", "M")
+    return _msconvex(prm)
 
-    M/(1+p)**(1/p) * (2/(s+1))**(1/q) * [(x-a)**2+(b-x)**2]/(b-a); this is
-    the form consistent with the Hoelder proof route (the circulated
-    restatement of the corresponding classical theorem prints a different,
-    inconsistent right-hand side, which we do not reproduce).
-    """
-    _require(prm, "hoelder", M=prm.M, p=prm.p, q=prm.q)
+
+def _hoelder(prm: FracParams, f: Optional[Function1D] = None) -> float:
     a, b, x, s = prm.a, prm.b, prm.x, prm.s
     return (
         prm.M
@@ -340,9 +358,19 @@ def rhs_alomari_hoelder(prm: FracParams) -> float:
     )
 
 
-def rhs_alomari_powermean(prm: FracParams) -> float:
-    """M (2/(s+1))**(1/q) [(x-a)**2 + (b-x)**2] / (2(b-a)) (t5_146)."""
-    _require(prm, "t5_146", M=prm.M, q=prm.q)
+def rhs_alomari_hoelder(prm: FracParams) -> float:
+    """Hoelder-structured classical bound used as the E7 reduction target.
+
+    M/(1+p)**(1/p) * (2/(s+1))**(1/q) * [(x-a)**2+(b-x)**2]/(b-a); this is
+    the form consistent with the Hoelder proof route (the circulated
+    restatement of the corresponding classical theorem prints a different,
+    inconsistent right-hand side, which we do not reproduce).
+    """
+    _require(prm, "hoelder", "M", "p", "q")
+    return _hoelder(prm)
+
+
+def _powermean(prm: FracParams, f: Optional[Function1D] = None) -> float:
     a, b, x, s = prm.a, prm.b, prm.x, prm.s
     return (
         prm.M
@@ -352,14 +380,104 @@ def rhs_alomari_powermean(prm: FracParams) -> float:
     )
 
 
-def rhs_alomari_sconcave(f: Function1D, prm: FracParams) -> float:
-    """2**((s-1)/q)/((1+p)**(1/p)(b-a)) x weighted midpoint pair (t6_147)."""
-    _require(prm, "t6_147", p=prm.p, q=prm.q)
+def rhs_alomari_powermean(prm: FracParams) -> float:
+    """M (2/(s+1))**(1/q) [(x-a)**2 + (b-x)**2] / (2(b-a)) (t5_146)."""
+    _require(prm, "t5_146", "M", "q")
+    return _powermean(prm)
+
+
+def _sconcave(prm: FracParams, f: Function1D) -> float:
     a, b, x, s = prm.a, prm.b, prm.x, prm.s
     da = abs(float(f.deriv(0.5 * (x + a))))
     db = abs(float(f.deriv(0.5 * (b + x))))
     bracket = (x - a) ** 2 * da + (b - x) ** 2 * db
     return 2.0 ** ((s - 1.0) / prm.q) / ((1.0 + prm.p) ** (1.0 / prm.p) * (b - a)) * bracket
+
+
+def rhs_alomari_sconcave(f: Function1D, prm: FracParams) -> float:
+    """2**((s-1)/q)/((1+p)**(1/p)(b-a)) x weighted midpoint pair (t6_147)."""
+    _require(prm, "t6_147", "p", "q")
+    return _sconcave(prm, f)
+
+
+# ---------------------------------------------------------------------------
+# the theorem table
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One bound: its hypothesis, the parameters it reads, its RHS and twin.
+
+    ``target`` and ``mode`` name the hypothesis certificate; e1 has none,
+    since its one hypothesis, |f'| <= M, holds by the choice of M. q enters
+    the certificate exactly when the target is |f'|^q. ``fields`` are the
+    ``FracParams`` fields the bound reads besides a, b and M, in CSV column
+    order: they are the row's filled CSV cells, and each of p and q among
+    them must be set. The family follows from them: a fractional bound reads
+    alpha. ``rhs(prm, f)`` is the closed form, with nothing checked (None
+    for e13, whose Hermite-Hadamard pair ``evaluate_theorem`` builds), and
+    ``twin(prm, f)`` the classical closed form it equals at alpha = 1.
+    """
+
+    tid: str
+    target: Optional[str]
+    mode: Optional[str]
+    fields: tuple[str, ...]
+    rhs: Optional[Callable[..., float]]
+    twin: Optional[Callable[..., float]] = None
+
+    # derived once per row of the table, not once per report row
+
+    @functools.cached_property
+    def fractional(self) -> bool:
+        return "alpha" in self.fields
+
+    @functools.cached_property
+    def q_in_hypothesis(self) -> bool:
+        return self.target == TARGET_FPRIME_POW
+
+    @functools.cached_property
+    def exponents(self) -> tuple[str, ...]:
+        """The exponents it reads, p and/or q; a row must set each of them."""
+        return tuple(name for name in ("p", "q") if name in self.fields)
+
+    def grid(self, s_values, pq_pairs, q_values) -> list[tuple]:
+        """The (s, p, q) of its rows at one point, s-major: each s (or s = 1
+        when it reads none) with each (p, q) pair when it reads p, each q
+        (p None) when it reads only q, and no exponent otherwise.
+        """
+        if "p" in self.fields:
+            exponents = pq_pairs
+        elif "q" in self.fields:
+            exponents = [(None, q) for q in q_values]
+        else:
+            exponents = [(None, None)]
+        s_grid = s_values if "s" in self.fields else (1.0,)
+        return [(s, p, q) for s in s_grid for p, q in exponents]
+
+
+#: Every bound the package certifies, fractional first. A new bound is added
+#: here; the sweep, the CLI and the reports read this table.
+THEOREMS: dict[str, Theorem] = {
+    thm.tid: thm
+    for thm in (
+        Theorem("E6", TARGET_FPRIME, MODE_CONVEX, ("alpha", "s", "x"), _thm1, _msconvex),
+        Theorem("E7", TARGET_FPRIME_POW, MODE_CONVEX, ("alpha", "s", "p", "q", "x"),
+                _thm2, _hoelder),
+        Theorem("E8proof", TARGET_FPRIME_POW, MODE_CONVEX, ("alpha", "s", "q", "x"),
+                _thm3, _powermean),
+        Theorem("E9", TARGET_FPRIME_POW, MODE_CONCAVE, ("alpha", "s", "p", "q", "x"),
+                _thm4, _sconcave),
+        Theorem("e1", None, None, ("x",), _ostrowski),
+        Theorem("e13", TARGET_F, MODE_CONVEX, ("s",), None),
+        Theorem("e14", TARGET_FPRIME, MODE_CONVEX, ("s", "x"), _msconvex),
+        Theorem("t5_146", TARGET_FPRIME_POW, MODE_CONVEX, ("s", "q", "x"), _powermean),
+        Theorem("t6_147", TARGET_FPRIME_POW, MODE_CONCAVE, ("s", "p", "q", "x"), _sconcave),
+    )
+}
+FRACTIONAL_IDS = tuple(tid for tid, thm in THEOREMS.items() if thm.fractional)
+CLASSICAL_IDS = tuple(tid for tid, thm in THEOREMS.items() if not thm.fractional)
+THEOREM_IDS = FRACTIONAL_IDS + CLASSICAL_IDS
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +494,15 @@ class CertCache:
     """Memoizes certificates per (function, target, mode, s, q).
 
     ``warm`` fills the cache a batch at a time, sampling each target grid
-    once; ``get`` certifies a missing key on its own.
+    once; ``get`` certifies a missing key on its own. ``skip_note`` builds
+    each failed certificate's row note once.
     """
 
     def __init__(self, cert_tol: float = 1e-9, grid_size: int = 33):
         self.cert_tol = cert_tol
         self.grid_size = grid_size
         self._store: dict[tuple, ConvexityCertificate] = {}
+        self._notes: dict[ConvexityCertificate, str] = {}
 
     def warm(
         self,
@@ -423,6 +543,13 @@ class CertCache:
             self._store[key] = cert
         return cert
 
+    def skip_note(self, cert: ConvexityCertificate) -> str:
+        """The note on a row whose hypothesis ``cert`` failed."""
+        note = self._notes.get(cert)
+        if note is None:
+            note = self._notes[cert] = f"hypothesis not certified: {cert.describe()}"
+        return note
+
 
 def _nonnegative_on_grid(f: Function1D, tol: float) -> bool:
     return float(np.min(np.asarray(f.eval(f.grid()), dtype=float))) >= -tol
@@ -444,61 +571,29 @@ def evaluate_theorem(
     rows are tagged ``hh-lower`` and ``hh-upper`` in that order. Rows whose
     hypothesis certificate fails are still computed but carry
     asserted=False and an explanatory note. M is taken from prm when set,
-    otherwise from the catalog entry's derivative bound.
+    otherwise from the catalog entry's derivative bound; p and q must be set
+    when the theorem reads them.
     """
-    if theorem_id not in THEOREM_IDS:
+    thm = THEOREMS.get(theorem_id)
+    if thm is None:
         raise ConfigError(f"unknown theorem id {theorem_id!r}; known: {THEOREM_IDS}")
     certs = certs if certs is not None else CertCache()
     f = entry.func
     prm = _resolve_m(entry, prm)
-    name = entry.name
+    _require(prm, theorem_id, *thm.exponents)
+    if thm.target is None:
+        cert = None
+    else:
+        q = prm.q if thm.q_in_hypothesis else 1.0
+        cert = certs.get(entry, thm.target, thm.mode, prm.s, q)
+    asserted = cert is None or cert.passed
+    note = "" if asserted else certs.skip_note(cert)
 
-    if theorem_id in FRACTIONAL_IDS:
-        left = lhs_frac(f, prm, cfg, pieces=pieces)
-
-        if theorem_id == "E6":
-            cert = certs.get(entry, TARGET_FPRIME, MODE_CONVEX, prm.s)
-            rhs = rhs_thm1(prm)
-        elif theorem_id == "E7":
-            _require(prm, "E7", p=prm.p, q=prm.q)
-            cert = certs.get(entry, TARGET_FPRIME_POW, MODE_CONVEX, prm.s, prm.q)
-            rhs = rhs_thm2(prm)
-        elif theorem_id == "E8proof":
-            _require(prm, "E8proof", q=prm.q)
-            cert = certs.get(entry, TARGET_FPRIME_POW, MODE_CONVEX, prm.s, prm.q)
-            rhs = rhs_thm3(prm)
-        else:  # E9
-            _require(prm, "E9", p=prm.p, q=prm.q)
-            cert = certs.get(entry, TARGET_FPRIME_POW, MODE_CONCAVE, prm.s, prm.q)
-            rhs = rhs_thm4(f, prm, cert) if cert.passed else _thm4_formula(f, prm)
-
-        note = "" if cert.passed else f"hypothesis not certified: {cert.describe()}"
-        return [
-            _make_report(
-                theorem_id, name, prm, left.value, rhs, left.error,
-                margin_tol, asserted=cert.passed, note=note,
-            )
-        ]
-
-    if theorem_id == "e1":
-        left = lhs_classical(f, prm, cfg, mean=mean)
-        return [
-            _make_report(
-                "e1", name, prm, left.value, rhs_ostrowski(prm), left.error,
-                margin_tol, asserted=True,
-            )
-        ]
-
-    if theorem_id == "e13":
-        cert = certs.get(entry, TARGET_F, MODE_CONVEX, prm.s)
+    if theorem_id == "e13":  # the Hermite-Hadamard pair; f >= 0 is assumed too
         nonneg = _nonnegative_on_grid(f, certs.cert_tol)
-        asserted = cert.passed and nonneg
-        if not cert.passed:
-            note = f"hypothesis not certified: {cert.describe()}"
-        elif not nonneg:
+        if asserted and not nonneg:
             note = "hypothesis not certified: f takes negative values"
-        else:
-            note = ""
+        asserted = asserted and nonneg
         if mean is None:
             mean = plain_integral(f, prm.a, prm.b, cfg)
         width = prm.b - prm.a
@@ -507,47 +602,23 @@ def evaluate_theorem(
         mid_side = 2.0 ** (prm.s - 1.0) * float(f.eval(0.5 * (prm.a + prm.b)))
         end_side = (float(f.eval(prm.a)) + float(f.eval(prm.b))) / (prm.s + 1.0)
         lower = _make_report(
-            "e13", name, prm, mid_side, mean_value, mean_err,
+            "e13", entry.name, prm, mid_side, mean_value, mean_err,
             margin_tol, asserted, note=(note + " " if note else "") + "hh-lower",
         )
         upper = _make_report(
-            "e13", name, prm, mean_value, end_side, mean_err,
+            "e13", entry.name, prm, mean_value, end_side, mean_err,
             margin_tol, asserted, note=(note + " " if note else "") + "hh-upper",
         )
         return [lower, upper]
 
-    if theorem_id == "e14":
-        cert = certs.get(entry, TARGET_FPRIME, MODE_CONVEX, prm.s)
+    if thm.fractional:
+        left = lhs_frac(f, prm, cfg, pieces=pieces)
+    else:
         left = lhs_classical(f, prm, cfg, mean=mean)
-        note = "" if cert.passed else f"hypothesis not certified: {cert.describe()}"
-        return [
-            _make_report(
-                "e14", name, prm, left.value, rhs_alomari_msconvex(prm), left.error,
-                margin_tol, asserted=cert.passed, note=note,
-            )
-        ]
-
-    if theorem_id == "t5_146":
-        _require(prm, "t5_146", q=prm.q)
-        cert = certs.get(entry, TARGET_FPRIME_POW, MODE_CONVEX, prm.s, prm.q)
-        left = lhs_classical(f, prm, cfg, mean=mean)
-        note = "" if cert.passed else f"hypothesis not certified: {cert.describe()}"
-        return [
-            _make_report(
-                "t5_146", name, prm, left.value, rhs_alomari_powermean(prm), left.error,
-                margin_tol, asserted=cert.passed, note=note,
-            )
-        ]
-
-    # t6_147
-    _require(prm, "t6_147", p=prm.p, q=prm.q)
-    cert = certs.get(entry, TARGET_FPRIME_POW, MODE_CONCAVE, prm.s, prm.q)
-    left = lhs_classical(f, prm, cfg, mean=mean)
-    note = "" if cert.passed else f"hypothesis not certified: {cert.describe()}"
     return [
         _make_report(
-            "t6_147", name, prm, left.value, rhs_alomari_sconcave(f, prm), left.error,
-            margin_tol, asserted=cert.passed, note=note,
+            theorem_id, entry.name, prm, left.value, thm.rhs(prm, f), left.error,
+            margin_tol, asserted=asserted, note=note,
         )
     ]
 
@@ -581,70 +652,38 @@ def classical_suite(
 # alpha = 1 reduction checks
 
 
-_DEFAULT_S_GRID = (0.25, 0.5, 0.75, 1.0)
-_DEFAULT_PQ_GRID = ((2.0, 2.0), (3.0, 1.5), (1.25, 5.0))
-_DEFAULT_Q_GRID = (1.0, 1.5, 2.0, 3.0, 5.0)
-
-
 def reduction_check(
     theorem_id: str,
     interval: tuple[float, float] = (0.0, 1.0),
     M: float = 2.0,
-    s_values: tuple[float, ...] = _DEFAULT_S_GRID,
+    s_values: tuple[float, ...] = DEFAULT_S_GRID,
     x_count: int = 11,
-    pq_pairs: tuple[tuple[float, float], ...] = _DEFAULT_PQ_GRID,
+    pq_pairs: tuple[tuple[float, float], ...] = DEFAULT_PQ_GRID,
     q_values: tuple[float, ...] = _DEFAULT_Q_GRID,
     f: Optional[Function1D] = None,
 ) -> float:
     """Maximum |fractional RHS at alpha=1 - classical RHS| over a grid.
 
-    Pure closed-form arithmetic with no quadrature; the two formulas must
-    coincide to REDUCTION_TOL. E6 reduces to e14, E7 to the
-    Hoelder-structured classical form, E8proof to t5_146, and E9 to t6_147
-    (E9 compares the bracket formulas directly, so any f with an exact
-    derivative works; the default is the catalog's (2/3) t**1.5 entry).
+    Pure closed-form arithmetic with no quadrature: the theorem's ``rhs`` and
+    its ``twin`` from ``THEOREMS`` must coincide to REDUCTION_TOL at every
+    s, x and, as the theorem reads them, (p, q) pair or q value. E6 reduces
+    to e14, E7 to the Hoelder-structured classical form, E8proof to t5_146,
+    and E9 to t6_147 (E9 compares the bracket formulas directly, so any f
+    with an exact derivative works; the default is the catalog's (2/3)
+    t**1.5 entry).
     """
+    thm = THEOREMS.get(theorem_id)
+    if thm is None or thm.twin is None:
+        raise ConfigError(
+            f"reduction_check knows {FRACTIONAL_IDS}, got {theorem_id!r}"
+        )
+    if f is None:
+        f = get_entry("threehalf").func
     a, b = interval
     xs = np.linspace(a, b, x_count)
     worst = 0.0
-
-    if theorem_id == "E6":
-        for s in s_values:
-            for x in xs:
-                prm = FracParams(a, b, float(x), 1.0, s=s, M=M)
-                worst = max(worst, abs(rhs_thm1(prm) - rhs_alomari_msconvex(prm)))
-        return worst
-
-    if theorem_id == "E7":
-        for s in s_values:
-            for p, q in pq_pairs:
-                for x in xs:
-                    prm = FracParams(a, b, float(x), 1.0, s=s, p=p, q=q, M=M)
-                    worst = max(worst, abs(rhs_thm2(prm) - rhs_alomari_hoelder(prm)))
-        return worst
-
-    if theorem_id == "E8proof":
-        for s in s_values:
-            for q in q_values:
-                for x in xs:
-                    prm = FracParams(a, b, float(x), 1.0, s=s, q=q, M=M)
-                    worst = max(worst, abs(rhs_thm3(prm) - rhs_alomari_powermean(prm)))
-        return worst
-
-    if theorem_id == "E9":
-        if f is None:
-            from .funcatalog import get_entry
-
-            f = get_entry("threehalf").func
-        for s in s_values:
-            for p, q in pq_pairs:
-                for x in xs:
-                    prm = FracParams(a, b, float(x), 1.0, s=s, p=p, q=q)
-                    worst = max(
-                        worst, abs(_thm4_formula(f, prm) - rhs_alomari_sconcave(f, prm))
-                    )
-        return worst
-
-    raise ConfigError(
-        f"reduction_check knows {FRACTIONAL_IDS}, got {theorem_id!r}"
-    )
+    for s, p, q in thm.grid(s_values, pq_pairs, q_values):
+        for x in xs:
+            prm = FracParams(a, b, float(x), 1.0, s=s, p=p, q=q, M=M)
+            worst = max(worst, abs(thm.rhs(prm, f) - thm.twin(prm, f)))
+    return worst

@@ -37,6 +37,7 @@ from .bounds import (
     FRACTIONAL_IDS,
     REDUCTION_TOL,
     THEOREM_IDS,
+    THEOREMS,
     CertCache,
     InequalityReport,
     evaluate_theorem,
@@ -56,7 +57,6 @@ from .funcatalog import (
     get_entry,
 )
 from .harness import (
-    _CSV_PARAM_FIELDS,
     SweepConfig,
     default_config,
     emit_report,
@@ -284,7 +284,7 @@ def _conjugate(v: float) -> float:
 
 def _format_report(r: InequalityReport) -> tuple[str, bool]:
     """Render one report row; returns (line, counts_as_failure)."""
-    visible = _CSV_PARAM_FIELDS[r.theorem_id]
+    visible = THEOREMS[r.theorem_id].fields
     parts = [r.theorem_id, r.function]
     for fieldname in ("alpha", "s", "p", "q", "x"):
         if fieldname in visible:
@@ -306,10 +306,11 @@ def _format_report(r: InequalityReport) -> tuple[str, bool]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     tid = args.theorem
+    thm = THEOREMS[tid]
     entry = get_entry(args.function)
     a, b = args.a, args.b
 
-    if tid in FRACTIONAL_IDS:
+    if thm.fractional:
         alpha = 0.5 if args.alpha is None else args.alpha
     else:
         alpha = 1.0 if args.alpha is None else args.alpha
@@ -318,19 +319,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 f"{tid} is a classical bound; --alpha must be 1, got {alpha!r}"
             )
 
-    x = 0.5 * (a + b) if args.x is None else args.x
-    if tid == "e13":
-        x = 0.5 * (a + b)  # the midpoint pair consumes no x
+    # a bound that reads no x is evaluated at the midpoint
+    x = args.x if args.x is not None and "x" in thm.fields else 0.5 * (a + b)
 
     p, q = args.p, args.q
-    if tid in ("E7", "E9", "t6_147"):
+    if "p" in thm.fields:
         if p is None and q is None:
             p = q = 2.0
         elif p is None:
             p = _conjugate(q)
         elif q is None:
             q = _conjugate(p)
-    elif tid in ("E8proof", "t5_146") and q is None:
+    elif "q" in thm.fields and q is None:
         q = 2.0 if p is None else _conjugate(p)
 
     prm = FracParams(a, b, x, alpha, s=args.s, p=p, q=q, M=args.M)

@@ -40,12 +40,15 @@ import numpy as np
 
 from ._version import __version__
 from .bounds import (
-    CLASSICAL_IDS,
     DEFAULT_MARGIN_TOL,
+    DEFAULT_PQ_GRID,
+    DEFAULT_S_GRID,
     FRACTIONAL_IDS,
     THEOREM_IDS,
+    THEOREMS,
     CertCache,
     InequalityReport,
+    Theorem,
     evaluate_theorem,
 )
 from .errors import ConfigError, ConvergenceError
@@ -59,9 +62,6 @@ from .fracint import (
 from .funcatalog import (
     MODE_CONCAVE,
     MODE_CONVEX,
-    TARGET_F,
-    TARGET_FPRIME,
-    TARGET_FPRIME_POW,
     CatalogEntry,
     catalog_names,
     get_entry,
@@ -90,25 +90,7 @@ THREADS_ENV_VAR = "FRACINEQ_THREADS"
 
 CSV_HEADER = "theorem_id,function,alpha,s,p,q,x,lhs,rhs,margin,holds,quad_error_budget"
 
-# which parameter columns a theorem's formula actually consumes
-_CSV_PARAM_FIELDS: dict[str, tuple[str, ...]] = {
-    "E6": ("alpha", "s", "x"),
-    "E7": ("alpha", "s", "p", "q", "x"),
-    "E8proof": ("alpha", "s", "q", "x"),
-    "E9": ("alpha", "s", "p", "q", "x"),
-    "e1": ("x",),
-    "e13": ("s",),
-    "e14": ("s", "x"),
-    "t5_146": ("s", "q", "x"),
-    "t6_147": ("s", "p", "q", "x"),
-}
-
 _DEFAULT_ALPHAS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
-_DEFAULT_S = (0.25, 0.5, 0.75, 1.0)
-_DEFAULT_PQ = ((2.0, 2.0), (3.0, 1.5), (1.25, 5.0))
-
-# theorems whose hypotheses invoke s-convexity/s-concavity on [0, inf)
-_S_HYPOTHESIS_IDS = tuple(t for t in THEOREM_IDS if t != "e1")
 
 
 @dataclass(frozen=True)
@@ -117,8 +99,8 @@ class SweepConfig:
 
     functions: tuple[str, ...]
     alphas: tuple[float, ...] = _DEFAULT_ALPHAS
-    s_values: tuple[float, ...] = _DEFAULT_S
-    pq_pairs: tuple[tuple[float, float], ...] = _DEFAULT_PQ
+    s_values: tuple[float, ...] = DEFAULT_S_GRID
+    pq_pairs: tuple[tuple[float, float], ...] = DEFAULT_PQ_GRID
     x_points: Union[int, tuple[float, ...]] = 11
     interval: tuple[float, float] = (0.0, 1.0)
     theorems: tuple[str, ...] = FRACTIONAL_IDS
@@ -143,11 +125,12 @@ class SweepConfig:
         for tid in self.theorems:
             if tid not in THEOREM_IDS:
                 problems.append(f"theorems: unknown id {tid!r} (known: {THEOREM_IDS})")
+        thms = [THEOREMS[tid] for tid in self.theorems if tid in THEOREMS]
         if len(self.interval) != 2 or not self.interval[0] < self.interval[1]:
             problems.append(f"interval: need a < b, got {self.interval!r}")
         else:
             a, b = self.interval
-            if a < 0.0 and any(t in _S_HYPOTHESIS_IDS for t in self.theorems):
+            if a < 0.0 and any(thm.target is not None for thm in thms):
                 problems.append(
                     "interval: must lie in [0, inf) when any s-convexity or "
                     "s-concavity hypothesis is in play"
@@ -174,8 +157,7 @@ class SweepConfig:
         for s in self.s_values:
             if not (0.0 < s <= 1.0):
                 problems.append(f"s_values: must lie in (0, 1], got {s!r}")
-        needs_pq = {"E7", "E8proof", "E9", "t5_146", "t6_147"}
-        if not self.pq_pairs and needs_pq.intersection(self.theorems):
+        if not self.pq_pairs and any(thm.exponents for thm in thms):
             problems.append("pq_pairs: must not be empty for exponent-based theorems")
         for pair in self.pq_pairs:
             if len(pair) != 2:
@@ -335,7 +317,7 @@ class SweepResult:
 
 
 def _report_sort_key(r: InequalityReport):
-    visible = _CSV_PARAM_FIELDS[r.theorem_id]
+    visible = THEOREMS[r.theorem_id].fields
 
     def cell(fieldname: str) -> float:
         if fieldname not in visible:
@@ -378,15 +360,17 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
     entries = [get_entry(name) for name in cfg.functions]
     a, b = cfg.interval
     xs = cfg.resolve_x()
-    frac_tids = [t for t in cfg.theorems if t in FRACTIONAL_IDS]
-    classical_x_tids = [t for t in cfg.theorems if t in ("e1", "e14", "t5_146", "t6_147")]
-    want_e13 = "e13" in cfg.theorems
+    mid = 0.5 * (a + b)
+    thms = [THEOREMS[tid] for tid in cfg.theorems]
+    pointwise = [thm for thm in thms if thm.fractional]
+    classical = [thm for thm in thms if not thm.fractional]
     q_dedup = tuple(dict.fromkeys(q for _, q in cfg.pq_pairs))
-    pow_modes = []  # the modes in which some requested theorem needs |f'|^q
-    if any(t in cfg.theorems for t in ("E7", "E8proof", "t5_146")):
-        pow_modes.append(MODE_CONVEX)
-    if "E9" in cfg.theorems or "t6_147" in cfg.theorems:
-        pow_modes.append(MODE_CONCAVE)
+    # the modes each certificate target is needed in, and its q values
+    hypotheses: dict[tuple, set[str]] = {}
+    for thm in thms:
+        if thm.target is not None:
+            qs = q_dedup if thm.q_in_hypothesis else (1.0,)
+            hypotheses.setdefault((thm.target, qs), set()).add(thm.mode)
 
     certs = CertCache(cert_tol=cfg.cert_tol)
     bound_m: dict[str, float] = {}
@@ -395,19 +379,37 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
         if entry.name in bound_m:
             continue
         bound_m[entry.name] = entry.deriv_bound().M
-        if classical_x_tids or want_e13:
+        if classical:
             means[entry.name] = plain_integral(entry.func, a, b, qcfg)
         # warm the certificate cache so worker threads only ever read it;
         # each target grid is sampled once per (function, target, q)
-        if "E6" in frac_tids or "e14" in classical_x_tids:
-            certs.warm(entry, TARGET_FPRIME, (MODE_CONVEX,), cfg.s_values)
-        if want_e13:
-            certs.warm(entry, TARGET_F, (MODE_CONVEX,), cfg.s_values)
-        if pow_modes:
-            for q in q_dedup:
-                certs.warm(entry, TARGET_FPRIME_POW, pow_modes, cfg.s_values, q)
+        for (target, qs), modes in hypotheses.items():
+            ordered = [m for m in (MODE_CONVEX, MODE_CONCAVE) if m in modes]
+            for q in qs:
+                certs.warm(entry, target, ordered, cfg.s_values, q)
 
     TaskResult = tuple[list[InequalityReport], list[ResidualRecord], list[str]]
+
+    def rows_at(
+        entry: CatalogEntry,
+        chosen: list[Theorem],
+        alpha: float,
+        x: float,
+        pieces: Optional[LemmaPieces] = None,
+    ) -> list[InequalityReport]:
+        # the sort key leaves out q, so rows that differ only in q keep this
+        # q_dedup order
+        rows: list[InequalityReport] = []
+        for thm in chosen:
+            for s, p, q in thm.grid(cfg.s_values, cfg.pq_pairs, q_dedup):
+                prm = FracParams(a, b, x, alpha, s=s, p=p, q=q, M=bound_m[entry.name])
+                rows.extend(
+                    evaluate_theorem(
+                        thm.tid, entry, prm, qcfg, margin_tol=cfg.margin_tol,
+                        certs=certs, pieces=pieces, mean=means.get(entry.name),
+                    )
+                )
+        return rows
 
     def frac_task(entry: CatalogEntry, alpha: float) -> TaskResult:
         # one batched quadrature call covers every x of this (function, alpha);
@@ -433,117 +435,19 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
                     passed=res.passes(cfg.identity_tol),
                 )
             )
-            rows.extend(frac_rows(entry, alpha, x, pieces))
+            rows.extend(rows_at(entry, pointwise, alpha, x, pieces))
         return (rows, records, errors)
-
-    def frac_rows(
-        entry: CatalogEntry, alpha: float, x: float, pieces: LemmaPieces
-    ) -> list[InequalityReport]:
-        rows: list[InequalityReport] = []
-        for tid in frac_tids:
-            if tid == "E6":
-                for s in cfg.s_values:
-                    prm = FracParams(a, b, x, alpha, s=s, M=bound_m[entry.name])
-                    rows.extend(
-                        evaluate_theorem(
-                            tid, entry, prm, qcfg,
-                            margin_tol=cfg.margin_tol, certs=certs, pieces=pieces,
-                        )
-                    )
-            elif tid == "E8proof":
-                for s in cfg.s_values:
-                    for q in q_dedup:
-                        prm = FracParams(
-                            a, b, x, alpha, s=s, q=q, M=bound_m[entry.name]
-                        )
-                        rows.extend(
-                            evaluate_theorem(
-                                tid, entry, prm, qcfg,
-                                margin_tol=cfg.margin_tol, certs=certs, pieces=pieces,
-                            )
-                        )
-            else:  # E7, E9
-                for s in cfg.s_values:
-                    for p, q in cfg.pq_pairs:
-                        prm = FracParams(
-                            a, b, x, alpha, s=s, p=p, q=q, M=bound_m[entry.name]
-                        )
-                        rows.extend(
-                            evaluate_theorem(
-                                tid, entry, prm, qcfg,
-                                margin_tol=cfg.margin_tol, certs=certs, pieces=pieces,
-                            )
-                        )
-        return rows
-
-    def classical_x_task(entry: CatalogEntry, x: float) -> TaskResult:
-        rows: list[InequalityReport] = []
-        mean = means[entry.name]
-        mval = bound_m[entry.name]
-        for tid in classical_x_tids:
-            if tid == "e1":
-                prm = FracParams(a, b, x, 1.0, M=mval)
-                rows.extend(
-                    evaluate_theorem(
-                        tid, entry, prm, qcfg,
-                        margin_tol=cfg.margin_tol, certs=certs, mean=mean,
-                    )
-                )
-            elif tid == "e14":
-                for s in cfg.s_values:
-                    prm = FracParams(a, b, x, 1.0, s=s, M=mval)
-                    rows.extend(
-                        evaluate_theorem(
-                            tid, entry, prm, qcfg,
-                            margin_tol=cfg.margin_tol, certs=certs, mean=mean,
-                        )
-                    )
-            elif tid == "t5_146":
-                for s in cfg.s_values:
-                    for q in q_dedup:
-                        prm = FracParams(a, b, x, 1.0, s=s, q=q, M=mval)
-                        rows.extend(
-                            evaluate_theorem(
-                                tid, entry, prm, qcfg,
-                                margin_tol=cfg.margin_tol, certs=certs, mean=mean,
-                            )
-                        )
-            else:  # t6_147
-                for s in cfg.s_values:
-                    for p, q in cfg.pq_pairs:
-                        prm = FracParams(a, b, x, 1.0, s=s, p=p, q=q, M=mval)
-                        rows.extend(
-                            evaluate_theorem(
-                                tid, entry, prm, qcfg,
-                                margin_tol=cfg.margin_tol, certs=certs, mean=mean,
-                            )
-                        )
-        return (rows, [], [])
-
-    def e13_task(entry: CatalogEntry) -> TaskResult:
-        rows: list[InequalityReport] = []
-        mid = 0.5 * (a + b)
-        for s in cfg.s_values:
-            prm = FracParams(a, b, mid, 1.0, s=s, M=bound_m[entry.name])
-            rows.extend(
-                evaluate_theorem(
-                    "e13", entry, prm, qcfg,
-                    margin_tol=cfg.margin_tol, certs=certs, mean=means[entry.name],
-                )
-            )
-        return (rows, [], [])
 
     tasks: list[Callable[[], TaskResult]] = []
     for entry in entries:
         for alpha in cfg.alphas:
             tasks.append(lambda e=entry, al=alpha: frac_task(e, al))
-    if classical_x_tids:
-        for entry in entries:
-            for x in xs:
-                tasks.append(lambda e=entry, xx=x: classical_x_task(e, xx))
-    if want_e13:
-        for entry in entries:
-            tasks.append(lambda e=entry: e13_task(e))
+    # a classical bound is evaluated at alpha = 1, and at the midpoint
+    # when it reads no x
+    for entry in entries:
+        for thm in classical:
+            for x in xs if "x" in thm.fields else (mid,):
+                tasks.append(lambda e=entry, t=thm, xx=x: (rows_at(e, [t], 1.0, xx), [], []))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -599,7 +503,7 @@ def render_csv(res: SweepResult) -> str:
     """Render reports to the fixed CSV schema (byte-stable)."""
     lines = [CSV_HEADER]
     for r in res.reports:
-        visible = _CSV_PARAM_FIELDS[r.theorem_id]
+        visible = THEOREMS[r.theorem_id].fields
         cells = [r.theorem_id, r.function]
         for fieldname in ("alpha", "s", "p", "q", "x"):
             if fieldname in visible:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from fracineq.bounds import (
     FRACTIONAL_IDS,
     REDUCTION_TOL,
     THEOREM_IDS,
+    THEOREMS,
     CertCache,
     classical_suite,
     evaluate_theorem,
@@ -61,6 +63,50 @@ class TestTheoremIds:
         assert FRACTIONAL_IDS == ("E6", "E7", "E8proof", "E9")
         assert CLASSICAL_IDS == ("e1", "e13", "e14", "t5_146", "t6_147")
         assert THEOREM_IDS == FRACTIONAL_IDS + CLASSICAL_IDS
+
+
+# the hand lists the theorem table replaced: each row's filled CSV cells, and
+# the theorems whose rows need exponents
+PARAM_FIELDS = {
+    "E6": ("alpha", "s", "x"),
+    "E7": ("alpha", "s", "p", "q", "x"),
+    "E8proof": ("alpha", "s", "q", "x"),
+    "E9": ("alpha", "s", "p", "q", "x"),
+    "e1": ("x",),
+    "e13": ("s",),
+    "e14": ("s", "x"),
+    "t5_146": ("s", "q", "x"),
+    "t6_147": ("s", "p", "q", "x"),
+}
+EXPONENT_IDS = {"E7", "E8proof", "E9", "t5_146", "t6_147"}
+
+
+class TestTheoremTable:
+    def test_table_states_the_old_lists(self):
+        assert tuple(THEOREMS) == THEOREM_IDS
+        assert {tid: thm.fields for tid, thm in THEOREMS.items()} == PARAM_FIELDS
+        assert {tid for tid, thm in THEOREMS.items() if thm.exponents} == EXPONENT_IDS
+
+    @pytest.mark.parametrize("function", ["square", "pow150"])
+    @pytest.mark.parametrize("tid", THEOREM_IDS)
+    def test_listed_exponents_required_unlisted_ignored(self, tid, function):
+        # a listed p or q that is unset is refused; an unlisted one that is
+        # unset changes no bit of the row but its own parameter
+        entry = get_entry(function)
+        alpha = 0.5 if THEOREMS[tid].fractional else 1.0
+        full = FracParams(0.0, 1.0, 0.3, alpha, s=0.5, p=3.0, q=1.5)
+
+        def bits(rows):
+            return repr([dataclasses.replace(r, prm=None) for r in rows])
+
+        want = bits(evaluate_theorem(tid, entry, full))
+        for name in ("p", "q"):
+            prm = dataclasses.replace(full, **{name: None})
+            if name in PARAM_FIELDS[tid]:
+                with pytest.raises(ConfigError, match=f"^{tid} requires {name} to be set$"):
+                    evaluate_theorem(tid, entry, prm)
+            else:
+                assert bits(evaluate_theorem(tid, entry, prm)) == want
 
 
 class TestLhsFrac:

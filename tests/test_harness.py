@@ -16,7 +16,7 @@ import pytest
 
 import fracineq
 from fracineq import bounds, cli, fracint, harness, identity
-from fracineq.bounds import FRACTIONAL_IDS, evaluate_theorem
+from fracineq.bounds import evaluate_theorem
 from fracineq.errors import ConfigError, ConvergenceError
 from fracineq.fracint import QuadratureConfig
 from fracineq.funcatalog import (
@@ -314,6 +314,23 @@ class TestRunSweep:
         )
         assert len(batches) == 8
         assert gets and result.summary["failed"] == 0
+
+    def test_each_skip_note_is_built_once(self, monkeypatch):
+        described = []
+        real_describe = fracineq.ConvexityCertificate.describe
+
+        def counted_describe(cert):
+            described.append(cert)
+            return real_describe(cert)
+
+        monkeypatch.setattr(fracineq.ConvexityCertificate, "describe", counted_describe)
+        cfg = dataclasses.replace(SMALL, functions=("pow150", "exp"), s_values=(0.25, 1.0))
+        result = run_sweep(cfg)
+        skipped = [r for r in result.reports if not r.asserted]
+        assert result.summary["skipped"] == len(skipped) > len(described) > 0
+        assert len(set(described)) == len(described)
+        notes = {r.note.removesuffix("hh-lower").removesuffix("hh-upper").strip() for r in skipped}
+        assert notes == {f"hypothesis not certified: {real_describe(c)}" for c in described}
 
     def test_report_numbers_are_python_scalars(self, small_result):
         # numpy scalars would make render_json fail or change its bytes
@@ -760,15 +777,36 @@ class TestCli:
 
 
 def test_sweep_rows_equal_standalone_evaluation():
-    # run_sweep shares the identity, its left-hand side and the Gamma ratios
-    # between the rows of a grid point; each row must still equal the row
-    # evaluate_theorem gives with nothing precomputed
-    cfg = dataclasses.replace(SMALL, theorems=FRACTIONAL_IDS)
+    # run_sweep shares the identity, its left-hand side, the integral mean,
+    # the certificates and the Gamma ratios between rows; the rows of each
+    # (theorem, function, parameters) must still equal what evaluate_theorem
+    # gives with nothing precomputed
+    cfg = SMALL
     qcfg = QuadratureConfig(rel_tol=cfg.quad_rel_tol, abs_tol=cfg.quad_abs_tol)
     res = run_sweep(cfg)
-    assert len(res.reports) == 12 * 2 * 4  # points x s values x ids, one (p, q) pair
+    # one (p, q) pair: 12 points x 2 s x 4 fractional ids, 6 (function, x)
+    # x (e1 once, e14, t5_146 and t6_147 once per s), and 2 functions x 2 s
+    # x the e13 pair
+    assert len(res.reports) == 12 * 2 * 4 + 6 * (1 + 3 * 2) + 2 * 2 * 2
+    groups: dict = {}
     for r in res.reports:
-        alone = evaluate_theorem(
-            r.theorem_id, get_entry(r.function), r.prm, qcfg, margin_tol=cfg.margin_tol
-        )
-        assert alone == [r]
+        groups.setdefault((r.theorem_id, r.function, r.prm), []).append(r)
+    assert {tid for tid, _, _ in groups} == set(cfg.theorems)
+    for (tid, name, prm), rows in groups.items():
+        alone = evaluate_theorem(tid, get_entry(name), prm, qcfg, margin_tol=cfg.margin_tol)
+        assert alone == rows
+    # classical rows sit at alpha = 1; the e13 pair, which reads no x, at the midpoint
+    classical = [r for r in res.reports if r.theorem_id[0] != "E"]
+    assert {r.prm.alpha for r in classical} == {1.0}
+    assert {r.prm.x for r in classical if r.theorem_id == "e13"} == {0.5}
+
+
+def test_rows_that_differ_only_in_q_keep_the_pq_order():
+    # the report sort key leaves out q, so these rows stay in generation order
+    cfg = dataclasses.replace(
+        SMALL, functions=("square",), alphas=(0.5,), x_points=2,
+        pq_pairs=((2.0, 2.0), (3.0, 1.5), (1.5, 3.0)), theorems=("E8proof", "t5_146"),
+    )
+    qs = [r.prm.q for r in run_sweep(cfg).reports]
+    assert len(qs) == 2 * 2 * 2 * 3
+    assert qs == [2.0, 1.5, 3.0] * 8
