@@ -43,7 +43,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from itertools import chain, groupby
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -72,6 +73,7 @@ from .identity import LemmaPieces, pieces_at
 from .specfun import ln_gamma
 
 __all__ = [
+    "GridRow",
     "Theorem",
     "THEOREMS",
     "THEOREM_IDS",
@@ -94,6 +96,7 @@ __all__ = [
     "rhs_alomari_hoelder",
     "rhs_alomari_powermean",
     "rhs_alomari_sconcave",
+    "evaluate_block",
     "evaluate_theorem",
     "classical_suite",
     "reduction_check",
@@ -159,7 +162,8 @@ def _make_report(
     )
 
 
-def _require(prm: FracParams, theorem_id: str, *names: str) -> None:
+def _require(prm, theorem_id: str, *names: str) -> None:
+    # prm is a FracParams or a GridRow
     missing = [name for name in names if getattr(prm, name) is None]
     if missing:
         raise ConfigError(f"{theorem_id} requires {', '.join(missing)} to be set")
@@ -404,6 +408,14 @@ def rhs_alomari_sconcave(f: Function1D, prm: FracParams) -> float:
 # the theorem table
 
 
+class GridRow(NamedTuple):
+    """The (s, p, q) of one row of a theorem's grid; p and q may be unset."""
+
+    s: float
+    p: Optional[float]
+    q: Optional[float]
+
+
 @dataclass(frozen=True)
 class Theorem:
     """One bound: its hypothesis, the parameters it reads, its RHS and twin.
@@ -415,7 +427,7 @@ class Theorem:
     order: they are the row's filled CSV cells, and each of p and q among
     them must be set. The family follows from them: a fractional bound reads
     alpha. ``rhs(prm, f)`` is the closed form, with nothing checked (None
-    for e13, whose Hermite-Hadamard pair ``evaluate_theorem`` builds), and
+    for e13, whose Hermite-Hadamard pair ``evaluate_block`` builds), and
     ``twin(prm, f)`` the classical closed form it equals at alpha = 1.
     """
 
@@ -441,7 +453,7 @@ class Theorem:
         """The exponents it reads, p and/or q; a row must set each of them."""
         return tuple(name for name in ("p", "q") if name in self.fields)
 
-    def grid(self, s_values, pq_pairs, q_values) -> list[tuple]:
+    def grid(self, s_values, pq_pairs, q_values) -> list[GridRow]:
         """The (s, p, q) of its rows at one point, s-major: each s (or s = 1
         when it reads none) with each (p, q) pair when it reads p, each q
         (p None) when it reads only q, and no exponent otherwise.
@@ -453,7 +465,7 @@ class Theorem:
         else:
             exponents = [(None, None)]
         s_grid = s_values if "s" in self.fields else (1.0,)
-        return [(s, p, q) for s in s_grid for p, q in exponents]
+        return [GridRow(s, p, q) for s in s_grid for p, q in exponents]
 
 
 #: Every bound the package certifies, fractional first. A new bound is added
@@ -555,6 +567,101 @@ def _nonnegative_on_grid(f: Function1D, tol: float) -> bool:
     return float(np.min(np.asarray(f.eval(f.grid()), dtype=float))) >= -tol
 
 
+def evaluate_block(
+    theorem_id: str,
+    entry: CatalogEntry,
+    interval: tuple[float, float],
+    alpha: float,
+    M: float,
+    grid: Sequence[GridRow],
+    points: Sequence[tuple[float, Optional[LemmaPieces]]],
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    margin_tol: float = DEFAULT_MARGIN_TOL,
+    certs: Optional[CertCache] = None,
+    mean: Optional[Estimate] = None,
+) -> list[InequalityReport]:
+    """Evaluate one theorem on every (s, p, q) of ``grid`` at every point.
+
+    ``points`` are (x, pieces) pairs sharing function and alpha; pieces may
+    be None, and classical theorems read none. Each grid row is checked and
+    certified once for the whole block. Rows come out per run of grid rows
+    sharing (s, p), then per point, then per grid row of the run, so a grid
+    from ``Theorem.grid`` over ascending s, p and x gives the report order.
+    The Hermite-Hadamard pair (e13), which reads no p, gives its two rows
+    per grid row and point.
+    """
+    thm = THEOREMS.get(theorem_id)
+    if thm is None:
+        raise ConfigError(f"unknown theorem id {theorem_id!r}; known: {THEOREM_IDS}")
+    certs = certs if certs is not None else CertCache()
+    f, name = entry.func, entry.name
+    a, b = interval
+    columns = []  # per grid row: its rows' parameters, verdict and note
+    for row in grid:
+        _require(row, theorem_id, *thm.exponents)
+        s, p, q = row
+        if thm.target is None:
+            cert = None
+        else:
+            cert = certs.get(entry, thm.target, thm.mode, s, q if thm.q_in_hypothesis else 1.0)
+        asserted = cert is None or cert.passed
+        note = "" if asserted else certs.skip_note(cert)
+        prms = [FracParams(a, b, x, alpha, s, p, q, M) for x, _ in points]
+        columns.append((prms, asserted, note))
+    if not thm.fractional and mean is None:
+        mean = plain_integral(f, a, b, cfg)
+
+    if theorem_id == "e13":  # the Hermite-Hadamard pair; f >= 0 is assumed too
+        nonneg = _nonnegative_on_grid(f, certs.cert_tol)
+        width = b - a
+        mean_value = mean.value / width
+        mean_err = mean.error / width
+        at_mid = float(f.eval(0.5 * (a + b)))
+        at_ends = float(f.eval(a)) + float(f.eval(b))
+        rows = []
+        for (s, _, _), (prms, asserted, note) in zip(grid, columns):
+            if asserted and not nonneg:
+                note = "hypothesis not certified: f takes negative values"
+            asserted = asserted and nonneg
+            lead = note + " " if note else ""
+            mid_side = 2.0 ** (s - 1.0) * at_mid
+            end_side = at_ends / (s + 1.0)
+            for prm in prms:
+                rows.append(_make_report(
+                    "e13", name, prm, mid_side, mean_value, mean_err,
+                    margin_tol, asserted, note=lead + "hh-lower",
+                ))
+                rows.append(_make_report(
+                    "e13", name, prm, mean_value, end_side, mean_err,
+                    margin_tol, asserted, note=lead + "hh-upper",
+                ))
+        return rows
+
+    at = columns[0][0] if columns else []
+    if thm.fractional:
+        lefts = [lhs_frac(f, prm, cfg, pieces=pieces) for prm, (_, pieces) in zip(at, points)]
+    else:
+        lefts = [lhs_classical(f, prm, cfg, mean=mean) for prm in at]
+    rhs = thm.rhs
+    # E9 and t6_147 read f' at the same two midpoints on every grid row of
+    # a point, so each distinct value is evaluated once per block
+    f_once = replace(f, deriv=functools.lru_cache(maxsize=None)(f.deriv))
+    cells = [
+        [
+            _make_report(
+                theorem_id, name, prm, left.value, rhs(prm, f_once), left.error,
+                margin_tol, asserted, note,
+            )
+            for prm, left in zip(prms, lefts)
+        ]
+        for prms, asserted, note in columns
+    ]
+    rows = []
+    for _, run in groupby(zip(grid, cells), key=lambda row_cells: row_cells[0][:2]):
+        rows.extend(chain.from_iterable(zip(*(reports for _, reports in run))))
+    return rows
+
+
 def evaluate_theorem(
     theorem_id: str,
     entry: CatalogEntry,
@@ -572,55 +679,15 @@ def evaluate_theorem(
     hypothesis certificate fails are still computed but carry
     asserted=False and an explanatory note. M is taken from prm when set,
     otherwise from the catalog entry's derivative bound; p and q must be set
-    when the theorem reads them.
+    when the theorem reads them. This is ``evaluate_block`` on one grid row
+    at one point.
     """
-    thm = THEOREMS.get(theorem_id)
-    if thm is None:
-        raise ConfigError(f"unknown theorem id {theorem_id!r}; known: {THEOREM_IDS}")
-    certs = certs if certs is not None else CertCache()
-    f = entry.func
     prm = _resolve_m(entry, prm)
-    _require(prm, theorem_id, *thm.exponents)
-    if thm.target is None:
-        cert = None
-    else:
-        q = prm.q if thm.q_in_hypothesis else 1.0
-        cert = certs.get(entry, thm.target, thm.mode, prm.s, q)
-    asserted = cert is None or cert.passed
-    note = "" if asserted else certs.skip_note(cert)
-
-    if theorem_id == "e13":  # the Hermite-Hadamard pair; f >= 0 is assumed too
-        nonneg = _nonnegative_on_grid(f, certs.cert_tol)
-        if asserted and not nonneg:
-            note = "hypothesis not certified: f takes negative values"
-        asserted = asserted and nonneg
-        if mean is None:
-            mean = plain_integral(f, prm.a, prm.b, cfg)
-        width = prm.b - prm.a
-        mean_value = mean.value / width
-        mean_err = mean.error / width
-        mid_side = 2.0 ** (prm.s - 1.0) * float(f.eval(0.5 * (prm.a + prm.b)))
-        end_side = (float(f.eval(prm.a)) + float(f.eval(prm.b))) / (prm.s + 1.0)
-        lower = _make_report(
-            "e13", entry.name, prm, mid_side, mean_value, mean_err,
-            margin_tol, asserted, note=(note + " " if note else "") + "hh-lower",
-        )
-        upper = _make_report(
-            "e13", entry.name, prm, mean_value, end_side, mean_err,
-            margin_tol, asserted, note=(note + " " if note else "") + "hh-upper",
-        )
-        return [lower, upper]
-
-    if thm.fractional:
-        left = lhs_frac(f, prm, cfg, pieces=pieces)
-    else:
-        left = lhs_classical(f, prm, cfg, mean=mean)
-    return [
-        _make_report(
-            theorem_id, entry.name, prm, left.value, thm.rhs(prm, f), left.error,
-            margin_tol, asserted=asserted, note=note,
-        )
-    ]
+    return evaluate_block(
+        theorem_id, entry, (prm.a, prm.b), prm.alpha, prm.M,
+        [GridRow(prm.s, prm.p, prm.q)], [(prm.x, pieces)],
+        cfg, margin_tol=margin_tol, certs=certs, mean=mean,
+    )
 
 
 def classical_suite(

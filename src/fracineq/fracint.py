@@ -73,7 +73,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import (
     ConfigError,
@@ -440,6 +439,10 @@ def _midpoint_unit(lanes: _LaneSet, panels: int) -> float:
 def _gauss_jacobi_weighted(
     g: Callable, lo: float, hi: float, alpha: float, singular: str, order: int
 ) -> float:
+    # scipy is imported here, not at module level: only this cross-check rule
+    # uses it, and importing it would double the package's import time
+    from scipy.special import roots_jacobi
+
     # weight (hi - t)^(alpha-1) maps to (1 - xi)^(alpha-1): Jacobi (a, b) = (alpha-1, 0)
     if singular == "hi":
         nodes, weights = roots_jacobi(order, alpha - 1.0, 0.0)
@@ -537,6 +540,8 @@ def moment_integral(
         full = _midpoint_unit(lanes, _ORACLE_PANELS)
         half = _midpoint_unit(lanes, _ORACLE_PANELS // 2)
         return Estimate(full, abs(full - half) / 3.0)
+    from scipy.special import roots_jacobi  # see _gauss_jacobi_weighted
+
     order = min(96, cfg.max_subdivisions)
     wlo = min(x, base)
     whi = max(x, base)

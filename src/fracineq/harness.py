@@ -5,9 +5,11 @@ the shared quadrature pieces once per (function, alpha), in one batched
 call for all x points, records an identity residual at every point, and
 evaluates every selected theorem row
 (functions x alphas x s x exponent pairs x x for the fractional family;
-alpha-free grids for the classical family). Certificates and derivative
+alpha-free grids for the classical family), one block of rows per
+(theorem, function, alpha) at a time. Certificates and derivative
 bounds are precomputed serially so parallel runs are bit-identical to
-serial ones; result assembly is order-normalized by a stable sort.
+serial ones; rows are emitted in report order (``_report_sort_key``),
+with no sort afterwards.
 
 Output contracts kept deliberately rigid for reproducibility:
 
@@ -32,8 +34,9 @@ import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -48,8 +51,7 @@ from .bounds import (
     THEOREMS,
     CertCache,
     InequalityReport,
-    Theorem,
-    evaluate_theorem,
+    evaluate_block,
 )
 from .errors import ConfigError, ConvergenceError
 from .fracint import (
@@ -93,6 +95,21 @@ CSV_HEADER = "theorem_id,function,alpha,s,p,q,x,lhs,rhs,margin,holds,quad_error_
 _DEFAULT_ALPHAS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
 
 
+def _repeats(axis: str, values) -> list[str]:
+    """One problem per value of a grid axis that equals an earlier value.
+
+    Each repeat would duplicate report rows, and unevenly, since q values
+    are deduplicated where a theorem reads q alone.
+    """
+    seen: set = set()
+    repeated: list = []
+    for value in values:
+        if value in seen and value not in repeated:
+            repeated.append(value)
+        seen.add(value)
+    return [f"{axis}: {value!r} is repeated" for value in repeated]
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid, tolerances, and theorem selection for one sweep."""
@@ -120,11 +137,13 @@ class SweepConfig:
         for name in self.functions:
             if name not in known:
                 problems.append(f"functions: unknown catalog name {name!r}")
+        problems.extend(_repeats("functions", self.functions))
         if not self.theorems:
             problems.append("theorems: must not be empty")
         for tid in self.theorems:
             if tid not in THEOREM_IDS:
                 problems.append(f"theorems: unknown id {tid!r} (known: {THEOREM_IDS})")
+        problems.extend(_repeats("theorems", self.theorems))
         thms = [THEOREMS[tid] for tid in self.theorems if tid in THEOREMS]
         if len(self.interval) != 2 or not self.interval[0] < self.interval[1]:
             problems.append(f"interval: need a < b, got {self.interval!r}")
@@ -152,11 +171,13 @@ class SweepConfig:
                     f"alphas: must be <= {MAX_ALPHA:g} (Gamma(alpha + 1) overflows "
                     f"the Lanczos gamma beyond it), got {al!r}"
                 )
+        problems.extend(_repeats("alphas", self.alphas))
         if not self.s_values:
             problems.append("s_values: must not be empty")
         for s in self.s_values:
             if not (0.0 < s <= 1.0):
                 problems.append(f"s_values: must lie in (0, 1], got {s!r}")
+        problems.extend(_repeats("s_values", self.s_values))
         if not self.pq_pairs and any(thm.exponents for thm in thms):
             problems.append("pq_pairs: must not be empty for exponent-based theorems")
         for pair in self.pq_pairs:
@@ -166,6 +187,7 @@ class SweepConfig:
             p, q = pair
             if not p > 1.0 or abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
                 problems.append(f"pq_pairs: ({p!r}, {q!r}) is not a conjugate pair")
+        problems.extend(_repeats("pq_pairs", [tuple(pair) for pair in self.pq_pairs]))
         if isinstance(self.x_points, int):
             if self.x_points < 1:
                 problems.append(f"x_points: count must be >= 1, got {self.x_points}")
@@ -177,6 +199,7 @@ class SweepConfig:
                 for x in self.x_points:
                     if not (a <= x <= b):
                         problems.append(f"x_points: {x!r} outside interval {self.interval!r}")
+            problems.extend(_repeats("x_points", self.x_points))
         for tname in ("identity_tol", "margin_tol", "cert_tol", "quad_rel_tol", "quad_abs_tol"):
             if not getattr(self, tname) > 0.0:
                 problems.append(f"{tname}: must be > 0, got {getattr(self, tname)!r}")
@@ -317,6 +340,8 @@ class SweepResult:
 
 
 def _report_sort_key(r: InequalityReport):
+    """The report order: ``run_sweep`` emits rows ascending in this key, and
+    rows that differ only in q in the order of their (p, q) pairs."""
     visible = THEOREMS[r.theorem_id].fields
 
     def cell(fieldname: str) -> float:
@@ -342,14 +367,22 @@ def _worker_count(workers: Optional[int]) -> int:
     return workers
 
 
+def _run_all(fn: Callable, calls: list[tuple], workers: int) -> list:
+    """``fn(*args)`` for each args of ``calls``, in order, on ``workers`` threads."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda args: fn(*args), calls))
+    return [fn(*args) for args in calls]
+
+
 def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
     """Run the configured sweep; deterministic for a fixed (config, seed).
 
     Parallelism comes from ``workers`` or, when that is None, from the
     FRACINEQ_THREADS environment variable (default 1). Parallel and serial
     runs produce identical results: all shared state (certificates,
-    derivative bounds, integral means) is precomputed before dispatch and
-    assembly is order-normalized.
+    derivative bounds, integral means) is precomputed before dispatch, and
+    each task's rows keep their place in the report order.
     """
     problems = cfg.validate()
     if problems:
@@ -362,8 +395,6 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
     xs = cfg.resolve_x()
     mid = 0.5 * (a + b)
     thms = [THEOREMS[tid] for tid in cfg.theorems]
-    pointwise = [thm for thm in thms if thm.fractional]
-    classical = [thm for thm in thms if not thm.fractional]
     q_dedup = tuple(dict.fromkeys(q for _, q in cfg.pq_pairs))
     # the modes each certificate target is needed in, and its q values
     hypotheses: dict[tuple, set[str]] = {}
@@ -375,9 +406,8 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
     certs = CertCache(cert_tol=cfg.cert_tol)
     bound_m: dict[str, float] = {}
     means: dict[str, Estimate] = {}
+    classical = any(not thm.fractional for thm in thms)
     for entry in entries:
-        if entry.name in bound_m:
-            continue
         bound_m[entry.name] = entry.deriv_bound().M
         if classical:
             means[entry.name] = plain_integral(entry.func, a, b, qcfg)
@@ -388,37 +418,16 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
             for q in qs:
                 certs.warm(entry, target, ordered, cfg.s_values, q)
 
-    TaskResult = tuple[list[InequalityReport], list[ResidualRecord], list[str]]
+    PiecesResult = tuple[list[tuple[float, LemmaPieces]], list[ResidualRecord], list[str]]
 
-    def rows_at(
-        entry: CatalogEntry,
-        chosen: list[Theorem],
-        alpha: float,
-        x: float,
-        pieces: Optional[LemmaPieces] = None,
-    ) -> list[InequalityReport]:
-        # the sort key leaves out q, so rows that differ only in q keep this
-        # q_dedup order
-        rows: list[InequalityReport] = []
-        for thm in chosen:
-            for s, p, q in thm.grid(cfg.s_values, cfg.pq_pairs, q_dedup):
-                prm = FracParams(a, b, x, alpha, s=s, p=p, q=q, M=bound_m[entry.name])
-                rows.extend(
-                    evaluate_theorem(
-                        thm.tid, entry, prm, qcfg, margin_tol=cfg.margin_tol,
-                        certs=certs, pieces=pieces, mean=means.get(entry.name),
-                    )
-                )
-        return rows
-
-    def frac_task(entry: CatalogEntry, alpha: float) -> TaskResult:
+    def pieces_task(entry: CatalogEntry, alpha: float) -> PiecesResult:
         # one batched quadrature call covers every x of this (function, alpha);
         # a call that raises as a whole fails each of its points
         try:
             outcomes = compute_pieces(entry.func, a, b, alpha, xs, qcfg)
         except ConvergenceError as exc:
             outcomes = [exc] * len(xs)
-        rows: list[InequalityReport] = []
+        points: list[tuple[float, LemmaPieces]] = []
         records: list[ResidualRecord] = []
         errors: list[str] = []
         for x, pieces in zip(xs, outcomes):
@@ -435,35 +444,45 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
                     passed=res.passes(cfg.identity_tol),
                 )
             )
-            rows.extend(rows_at(entry, pointwise, alpha, x, pieces))
-        return (rows, records, errors)
+            points.append((x, pieces))
+        points.sort(key=itemgetter(0))  # a block takes its points ascending
+        return (points, records, errors)
 
-    tasks: list[Callable[[], TaskResult]] = []
-    for entry in entries:
-        for alpha in cfg.alphas:
-            tasks.append(lambda e=entry, al=alpha: frac_task(e, al))
-    # a classical bound is evaluated at alpha = 1, and at the midpoint
-    # when it reads no x
-    for entry in entries:
-        for thm in classical:
-            for x in xs if "x" in thm.fields else (mid,):
-                tasks.append(lambda e=entry, t=thm, xx=x: (rows_at(e, [t], 1.0, xx), [], []))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda t: t(), tasks))
-    else:
-        outcomes = [t() for t in tasks]
-
-    reports: list[InequalityReport] = []
+    pairs = [(entry, alpha) for entry in entries for alpha in cfg.alphas]
+    points_at: dict[tuple[str, float], list[tuple[float, LemmaPieces]]] = {}
     residuals: list[ResidualRecord] = []
     convergence_errors: list[str] = []
-    for rows, recs, errs in outcomes:
-        reports.extend(rows)
+    for (entry, alpha), (points, recs, errs) in zip(pairs, _run_all(pieces_task, pairs, workers)):
+        points_at[entry.name, alpha] = points
         residuals.extend(recs)
         convergence_errors.extend(errs)
 
-    reports.sort(key=_report_sort_key)
+    # one block of rows per (theorem, function, alpha), or per (theorem,
+    # function) for a classical bound, which is evaluated at alpha = 1 and
+    # at the midpoint when it reads no x. Blocks go in _report_sort_key
+    # order, and each one's grid and points ascend, so the rows come out in
+    # that order; rows that differ only in q keep the q_dedup order
+    s_up = sorted(cfg.s_values)
+    pq_up = sorted(cfg.pq_pairs, key=itemgetter(0))
+    classical_points = [(x, None) for x in sorted(xs)]
+    blocks: list[tuple] = []
+    for thm in sorted(thms, key=attrgetter("tid")):
+        grid = thm.grid(s_up, pq_up, q_dedup)
+        for entry in sorted(entries, key=attrgetter("name")):
+            if thm.fractional:
+                for alpha in sorted(cfg.alphas):
+                    blocks.append((thm, entry, alpha, grid, points_at[entry.name, alpha], None))
+            else:
+                points = classical_points if "x" in thm.fields else [(mid, None)]
+                blocks.append((thm, entry, 1.0, grid, points, means[entry.name]))
+
+    def block_rows(thm, entry, alpha, grid, points, mean) -> list[InequalityReport]:
+        return evaluate_block(
+            thm.tid, entry, cfg.interval, alpha, bound_m[entry.name], grid, points,
+            qcfg, cfg.margin_tol, certs, mean,
+        )
+
+    reports = list(chain.from_iterable(_run_all(block_rows, blocks, workers)))
     residuals.sort(key=lambda rec: (rec.function, rec.alpha, rec.x))
 
     asserted = [r for r in reports if r.asserted]
@@ -499,24 +518,42 @@ def _fmt_float(value: Optional[float]) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _csv_texts(values: list) -> list[str]:
+    """The CSV text of each value of one column, in order.
+
+    Each distinct value is written once, unless the column holds a zero:
+    0.0 and -0.0 share a dict key but not a text.
+    """
+    distinct = dict.fromkeys(values)
+    if 0.0 in distinct:
+        return list(map(_fmt_float, values))
+    memo = {v: _fmt_float(v) for v in distinct}
+    return list(map(memo.__getitem__, values))
+
+
 def render_csv(res: SweepResult) -> str:
-    """Render reports to the fixed CSV schema (byte-stable)."""
-    lines = [CSV_HEADER]
-    for r in res.reports:
-        visible = THEOREMS[r.theorem_id].fields
-        cells = [r.theorem_id, r.function]
-        for fieldname in ("alpha", "s", "p", "q", "x"):
-            if fieldname in visible:
-                cells.append(_fmt_float(getattr(r.prm, fieldname)))
-            else:
-                cells.append("")
-        cells.append(_fmt_float(r.lhs))
-        cells.append(_fmt_float(r.rhs))
-        cells.append(_fmt_float(r.margin))
-        cells.append("true" if r.holds else "false")
-        cells.append(_fmt_float(r.quad_error_budget))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """Render reports to the fixed CSV schema (byte-stable).
+
+    The cells are written column by column. A point's rows repeat its
+    alpha, s, p, q, x, lhs and quad_error_budget, so those columns write
+    each distinct value once; rhs and margin seldom repeat.
+    """
+    reports = res.reports
+    visible = [THEOREMS[r.theorem_id].fields for r in reports]
+    prms = [r.prm for r in reports]
+    columns = [[r.theorem_id for r in reports], [r.function for r in reports]]
+    for fieldname in ("alpha", "s", "p", "q", "x"):
+        cells = [
+            getattr(prm, fieldname) if fieldname in fields else None
+            for prm, fields in zip(prms, visible)
+        ]
+        columns.append(_csv_texts(cells))
+    columns.append(_csv_texts([r.lhs for r in reports]))
+    columns.append([_fmt_float(r.rhs) for r in reports])
+    columns.append([_fmt_float(r.margin) for r in reports])
+    columns.append(["true" if r.holds else "false" for r in reports])
+    columns.append(_csv_texts([r.quad_error_budget for r in reports]))
+    return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
 _INDENT = "  "

@@ -87,6 +87,12 @@ class TestSweepConfig:
             ({"margin_tol": -1.0}, "margin_tol: must be > 0"),
             ({"seed": "0"}, "seed: must be an integer"),
             ({"alphas": (0.5, 140.5)}, "alphas: must be <= 140"),
+            ({"functions": ("square", "exp", "square")}, "functions: 'square' is repeated"),
+            ({"alphas": (0.5, 1.0, 0.5)}, "alphas: 0.5 is repeated"),
+            ({"theorems": ("E6", "e1", "E6")}, "theorems: 'E6' is repeated"),
+            ({"s_values": (1.0, 0.5, 1)}, "s_values: 1 is repeated"),
+            ({"pq_pairs": ((2.0, 2.0), (3.0, 1.5), (2.0, 2.0))}, "pq_pairs: (2.0, 2.0) is repeated"),
+            ({"x_points": (0.25, 0.5, 0.25)}, "x_points: 0.25 is repeated"),
         ],
     )
     def test_validate_flags_each_problem(self, change, needle):
@@ -349,12 +355,16 @@ class TestRunSweep:
 
 def test_importing_the_cli_leaves_scipy_integrate_unloaded():
     src = os.path.dirname(os.path.dirname(fracineq.__file__))
-    code = "import sys, fracineq.cli; print('scipy.integrate' in sys.modules)"
+    # no scipy module at all: the Gauss-Jacobi cross-check imports it when run
+    code = (
+        "import sys, fracineq.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 class TestRendering:
@@ -410,6 +420,59 @@ def _json_oracle(res: SweepResult) -> str:
 
 def _edit_reports(res: SweepResult, edit) -> SweepResult:
     return dataclasses.replace(res, reports=[edit(i, r) for i, r in enumerate(res.reports)])
+
+
+def _csv_oracle(res: SweepResult) -> str:
+    # one cell at a time, as the CSV writer wrote before its column memo
+    lines = [CSV_HEADER]
+    for r in res.reports:
+        visible = bounds.THEOREMS[r.theorem_id].fields
+        cells = [r.theorem_id, r.function]
+        for fieldname in ("alpha", "s", "p", "q", "x"):
+            value = getattr(r.prm, fieldname) if fieldname in visible else None
+            cells.append("" if value is None else repr(float(value)))
+        for value in (r.lhs, r.rhs, r.margin):
+            cells.append(repr(float(value)))
+        cells.append("true" if r.holds else "false")
+        cells.append(repr(float(r.quad_error_budget)))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriter:
+    """render_csv writes what a per-cell loop writes."""
+
+    def test_small_sweep(self, small_result):
+        assert render_csv(small_result) == _csv_oracle(small_result)
+
+    def test_special_values(self, small_result):
+        specials = (math.nan, math.inf, -math.inf, 0.0, -0.0, 2.5)
+
+        def edit(i, r):
+            # lhs, x and the budget are written once per distinct value
+            # unless they hold a zero, which takes either sign
+            r = dataclasses.replace(
+                r,
+                lhs=specials[i % 6],
+                rhs=specials[(i + 1) % 6],
+                margin=specials[(i + 2) % 6],
+                quad_error_budget=(0.0, -0.0, 1e-15)[i % 3],
+            )
+            prm = dataclasses.replace(r.prm, x=(0.0, -0.0)[i % 2]) if r.prm.x == 0.0 else r.prm
+            if i % 4 == 0:
+                prm = dataclasses.replace(prm, p=None, q=None)
+            return dataclasses.replace(r, prm=prm)
+
+        res = _edit_reports(small_result, edit)
+        text = render_csv(res)
+        assert text == _csv_oracle(res)
+        cells = [line.split(",") for line in text.splitlines()[1:]]
+        for col in (6, 7, 8, 9, 11):
+            assert {"0.0", "-0.0"} <= {c[col] for c in cells}, col
+        for col in (7, 8, 9):
+            assert {"nan", "inf", "-inf"} <= {c[col] for c in cells}, col
+        e7 = [c for c in cells if c[0] == "E7"]
+        assert {(c[4], c[5]) for c in e7} == {("", ""), ("2.0", "2.0")}
 
 
 class TestJsonWriter:
@@ -735,6 +798,15 @@ class TestCli:
         assert "error: alphas: must be <= 140" in err
         assert "Traceback" not in err
 
+    def test_sweep_with_a_repeated_alpha_exits_two(self, capsys):
+        ret = cli.main(
+            ["sweep", "--functions", "square", "--alphas", "0.5", "0.5", "--x-count", "3"]
+        )
+        assert ret == 2
+        err = capsys.readouterr().err
+        assert "error: alphas: 0.5 is repeated" in err
+        assert "Traceback" not in err
+
     def test_sweep_at_the_largest_alpha_runs(self, capsys):
         ret = cli.main(
             ["sweep", "--functions", "square", "--alphas", "140", "--x", "0.5",
@@ -810,3 +882,53 @@ def test_rows_that_differ_only_in_q_keep_the_pq_order():
     qs = [r.prm.q for r in run_sweep(cfg).reports]
     assert len(qs) == 2 * 2 * 2 * 3
     assert qs == [2.0, 1.5, 3.0] * 8
+
+
+def test_rows_come_out_in_the_order_a_stable_sort_gives():
+    # the oracle builds every row with its own evaluate_theorem call, in
+    # generation order (per function, alpha and x the fractional ids, then
+    # per function the classical ids), and sorts them stably by the report
+    # key; run_sweep emits its rows in that order without sorting
+    cfg = dataclasses.replace(
+        SMALL,
+        functions=tuple(reversed(catalog_names())),
+        alphas=(2.0, 0.5, 0.25),
+        s_values=(1.0, 0.25, 0.5),
+        pq_pairs=((3.0, 1.5), (2.0, 2.0), (1.25, 5.0)),
+        x_points=(1.0, 0.7, 0.3, 0.0),
+        theorems=tuple(reversed(bounds.THEOREM_IDS)),
+    )
+    qcfg = QuadratureConfig(rel_tol=cfg.quad_rel_tol, abs_tol=cfg.quad_abs_tol)
+    certs = bounds.CertCache(cert_tol=cfg.cert_tol)
+    q_dedup = tuple(dict.fromkeys(q for _, q in cfg.pq_pairs))
+    thms = [bounds.THEOREMS[tid] for tid in cfg.theorems]
+    rows = []
+
+    def add(thm, entry, alpha, x, **kwargs):
+        for s, p, q in thm.grid(cfg.s_values, cfg.pq_pairs, q_dedup):
+            prm = fracint.FracParams(0.0, 1.0, x, alpha, s=s, p=p, q=q,
+                                     M=entry.deriv_bound().M)
+            rows.extend(evaluate_theorem(thm.tid, entry, prm, qcfg, cfg.margin_tol,
+                                         certs, **kwargs))
+
+    for name in cfg.functions:
+        entry = get_entry(name)
+        for alpha in cfg.alphas:
+            outcomes = identity.compute_pieces(entry.func, 0.0, 1.0, alpha, cfg.x_points, qcfg)
+            for x, pieces in zip(cfg.x_points, outcomes):
+                for thm in thms:
+                    if thm.fractional:
+                        add(thm, entry, alpha, x, pieces=pieces)
+    for name in cfg.functions:
+        entry = get_entry(name)
+        mean = fracint.plain_integral(entry.func, 0.0, 1.0, qcfg)
+        for thm in thms:
+            if not thm.fractional:
+                for x in cfg.x_points if "x" in thm.fields else (0.5,):
+                    add(thm, entry, 1.0, x, mean=mean)
+    rows.sort(key=_report_sort_key)
+    # 3 s x (E6 once, E7, E8proof and E9 once per pair or q) per point;
+    # per function (e1 once, e14, t5_146, t6_147) per x and the e13 pair per s
+    assert len(rows) == 9 * 3 * 4 * 3 * (1 + 3 + 3 + 3) + 9 * (4 * (1 + 3 * (1 + 3 + 3)) + 3 * 2)
+    assert run_sweep(cfg).reports == rows
+    assert run_sweep(cfg, workers=2).reports == rows
