@@ -79,7 +79,6 @@ from .funcatalog import (
 )
 from .harness import (
     CSV_HEADER,
-    THREADS_ENV_VAR,
     ResidualRecord,
     SweepConfig,
     SweepResult,
@@ -183,5 +182,4 @@ __all__ = [
     "render_csv",
     "render_json",
     "CSV_HEADER",
-    "THREADS_ENV_VAR",
 ]

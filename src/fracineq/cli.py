@@ -183,12 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity-tol", type=float, default=None, dest="identity_tol")
     p.add_argument("--margin-tol", type=float, default=None, dest="margin_tol")
     p.add_argument("--cert-tol", type=float, default=None, dest="cert_tol")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="thread count (default: FRACINEQ_THREADS or 1)",
-    )
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -379,7 +373,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
 
-    res = run_sweep(cfg, workers=args.workers)
+    res = run_sweep(cfg)
 
     if args.out:
         emit_report(res, format=args.format, path=args.out)

@@ -7,9 +7,8 @@ evaluates every selected theorem row
 (functions x alphas x s x exponent pairs x x for the fractional family;
 alpha-free grids for the classical family), one block of rows per
 (theorem, function, alpha) at a time. Certificates and derivative
-bounds are precomputed serially so parallel runs are bit-identical to
-serial ones; rows are emitted in report order (``_report_sort_key``),
-with no sort afterwards.
+bounds are computed once per function before any point; rows are emitted
+in report order (``_report_sort_key``), with no sort afterwards.
 
 Output contracts kept deliberately rigid for reproducibility:
 
@@ -29,15 +28,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -64,7 +60,6 @@ from .fracint import (
 from .funcatalog import (
     MODE_CONCAVE,
     MODE_CONVEX,
-    CatalogEntry,
     catalog_names,
     get_entry,
 )
@@ -85,10 +80,7 @@ __all__ = [
     "emit_report",
     "render_csv",
     "CSV_HEADER",
-    "THREADS_ENV_VAR",
 ]
-
-THREADS_ENV_VAR = "FRACINEQ_THREADS"
 
 CSV_HEADER = "theorem_id,function,alpha,s,p,q,x,lhs,rhs,margin,holds,quad_error_budget"
 
@@ -353,41 +345,16 @@ def _report_sort_key(r: InequalityReport):
     return (r.theorem_id, r.function, cell("alpha"), cell("s"), cell("p"), cell("x"))
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
-            ) from None
-    if workers < 1:
-        raise ConfigError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
-def _run_all(fn: Callable, calls: list[tuple], workers: int) -> list:
-    """``fn(*args)`` for each args of ``calls``, in order, on ``workers`` threads."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda args: fn(*args), calls))
-    return [fn(*args) for args in calls]
-
-
-def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
+def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Run the configured sweep; deterministic for a fixed (config, seed).
 
-    Parallelism comes from ``workers`` or, when that is None, from the
-    FRACINEQ_THREADS environment variable (default 1). Parallel and serial
-    runs produce identical results: all shared state (certificates,
-    derivative bounds, integral means) is precomputed before dispatch, and
-    each task's rows keep their place in the report order.
+    Sweeps run serially; ``workers`` has one legal value, 1.
     """
     problems = cfg.validate()
+    if workers != 1:
+        problems.append(f"workers: sweeps run serially, got {workers!r}")
     if problems:
         raise ConfigError("; ".join(problems))
-    workers = _worker_count(workers)
 
     qcfg = QuadratureConfig(rel_tol=cfg.quad_rel_tol, abs_tol=cfg.quad_abs_tol)
     entries = [get_entry(name) for name in cfg.functions]
@@ -411,51 +378,42 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
         bound_m[entry.name] = entry.deriv_bound().M
         if classical:
             means[entry.name] = plain_integral(entry.func, a, b, qcfg)
-        # warm the certificate cache so worker threads only ever read it;
-        # each target grid is sampled once per (function, target, q)
+        # warm the certificate cache: each target grid is sampled once per
+        # (function, target, q)
         for (target, qs), modes in hypotheses.items():
             ordered = [m for m in (MODE_CONVEX, MODE_CONCAVE) if m in modes]
             for q in qs:
                 certs.warm(entry, target, ordered, cfg.s_values, q)
 
-    PiecesResult = tuple[list[tuple[float, LemmaPieces]], list[ResidualRecord], list[str]]
-
-    def pieces_task(entry: CatalogEntry, alpha: float) -> PiecesResult:
-        # one batched quadrature call covers every x of this (function, alpha);
-        # a call that raises as a whole fails each of its points
-        try:
-            outcomes = compute_pieces(entry.func, a, b, alpha, xs, qcfg)
-        except ConvergenceError as exc:
-            outcomes = [exc] * len(xs)
-        points: list[tuple[float, LemmaPieces]] = []
-        records: list[ResidualRecord] = []
-        errors: list[str] = []
-        for x, pieces in zip(xs, outcomes):
-            if isinstance(pieces, ConvergenceError):
-                errors.append(f"{entry.name} alpha={alpha!r} x={x!r}: {pieces}")
-                continue
-            res = check_e1_from_pieces(pieces)
-            records.append(
-                ResidualRecord(
-                    function=entry.name,
-                    alpha=alpha,
-                    x=x,
-                    residual=res,
-                    passed=res.passes(cfg.identity_tol),
-                )
-            )
-            points.append((x, pieces))
-        points.sort(key=itemgetter(0))  # a block takes its points ascending
-        return (points, records, errors)
-
-    pairs = [(entry, alpha) for entry in entries for alpha in cfg.alphas]
     points_at: dict[tuple[str, float], list[tuple[float, LemmaPieces]]] = {}
     residuals: list[ResidualRecord] = []
     convergence_errors: list[str] = []
-    for (entry, alpha), (points, recs, errs) in zip(pairs, _run_all(pieces_task, pairs, workers)):
-        points_at[entry.name, alpha] = points
-        residuals.extend(recs)
-        convergence_errors.extend(errs)
+    for entry in entries:
+        for alpha in cfg.alphas:
+            # one batched quadrature call covers every x of this (function,
+            # alpha); a call that raises as a whole fails each of its points
+            try:
+                outcomes = compute_pieces(entry.func, a, b, alpha, xs, qcfg)
+            except ConvergenceError as exc:
+                outcomes = [exc] * len(xs)
+            points: list[tuple[float, LemmaPieces]] = []
+            for x, pieces in zip(xs, outcomes):
+                if isinstance(pieces, ConvergenceError):
+                    convergence_errors.append(f"{entry.name} alpha={alpha!r} x={x!r}: {pieces}")
+                    continue
+                res = check_e1_from_pieces(pieces)
+                residuals.append(
+                    ResidualRecord(
+                        function=entry.name,
+                        alpha=alpha,
+                        x=x,
+                        residual=res,
+                        passed=res.passes(cfg.identity_tol),
+                    )
+                )
+                points.append((x, pieces))
+            points.sort(key=itemgetter(0))  # a block takes its points ascending
+            points_at[entry.name, alpha] = points
 
     # one block of rows per (theorem, function, alpha), or per (theorem,
     # function) for a classical bound, which is evaluated at alpha = 1 and
@@ -465,24 +423,23 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
     s_up = sorted(cfg.s_values)
     pq_up = sorted(cfg.pq_pairs, key=itemgetter(0))
     classical_points = [(x, None) for x in sorted(xs)]
-    blocks: list[tuple] = []
+    reports: list[InequalityReport] = []
     for thm in sorted(thms, key=attrgetter("tid")):
         grid = thm.grid(s_up, pq_up, q_dedup)
         for entry in sorted(entries, key=attrgetter("name")):
+            m = bound_m[entry.name]
             if thm.fractional:
                 for alpha in sorted(cfg.alphas):
-                    blocks.append((thm, entry, alpha, grid, points_at[entry.name, alpha], None))
+                    reports.extend(evaluate_block(
+                        thm.tid, entry, cfg.interval, alpha, m, grid,
+                        points_at[entry.name, alpha], qcfg, cfg.margin_tol, certs,
+                    ))
             else:
                 points = classical_points if "x" in thm.fields else [(mid, None)]
-                blocks.append((thm, entry, 1.0, grid, points, means[entry.name]))
-
-    def block_rows(thm, entry, alpha, grid, points, mean) -> list[InequalityReport]:
-        return evaluate_block(
-            thm.tid, entry, cfg.interval, alpha, bound_m[entry.name], grid, points,
-            qcfg, cfg.margin_tol, certs, mean,
-        )
-
-    reports = list(chain.from_iterable(_run_all(block_rows, blocks, workers)))
+                reports.extend(evaluate_block(
+                    thm.tid, entry, cfg.interval, 1.0, m, grid, points, qcfg,
+                    cfg.margin_tol, certs, means[entry.name],
+                ))
     residuals.sort(key=lambda rec: (rec.function, rec.alpha, rec.x))
 
     asserted = [r for r in reports if r.asserted]
