@@ -147,8 +147,9 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 #: Conjugacy slack for Hoelder exponent pairs.
 CONJUGACY_TOL = 1e-12
 
-#: Largest accepted alpha: ``specfun.gamma(alpha + 1)`` overflows a double
-#: from alpha ~ 141 on.
+#: Largest accepted alpha. Gamma(alpha + 1) is finite up to alpha ~ 170.6,
+#: but near this limit the identity and bound sides shrink to ~1e-50, far
+#: below every tolerance, so the checks are vacuous (ROADMAP item 4(a)).
 MAX_ALPHA = 140.0
 
 

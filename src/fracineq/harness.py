@@ -160,8 +160,8 @@ class SweepConfig:
                 problems.append(f"alphas: must be > 0, got {al!r}")
             elif al > MAX_ALPHA:
                 problems.append(
-                    f"alphas: must be <= {MAX_ALPHA:g} (Gamma(alpha + 1) overflows "
-                    f"the Lanczos gamma beyond it), got {al!r}"
+                    f"alphas: must be <= {MAX_ALPHA:g} (checks near it are vacuous: "
+                    f"both sides fall far below every tolerance), got {al!r}"
                 )
         problems.extend(_repeats("alphas", self.alphas))
         if not self.s_values:

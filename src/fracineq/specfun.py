@@ -2,14 +2,12 @@
 
 Every bound evaluator and closed-form oracle in the package funnels through
 these three functions, so they carry an explicit accuracy contract
-(:class:`SpecFunAccuracy`) instead of inheriting whatever the platform libm
-happens to deliver.
+(:class:`SpecFunAccuracy`).
 
-Implementation: Lanczos approximation with g = 7 and 9 coefficients, which
-keeps the relative error of ``gamma`` below 1e-13 on (0, 50] and the absolute
-error of ``ln_gamma`` below 1e-13 * max(1, |ln Gamma|) over the same range.
-Arguments below 0.5 are lifted through the recurrence Gamma(z) = Gamma(z+1)/z;
-no reflection formula is needed because only z > 0 is supported.
+Implementation: the standard library's ``math.gamma`` and ``math.lgamma``,
+whose errors of a few ulp lie well inside the contract; ``gamma`` stays
+finite up to z ~ 171.6. The wrappers add the z > 0 domain check, since
+``math.gamma`` also accepts negative non-integers.
 """
 
 from __future__ import annotations
@@ -40,33 +38,8 @@ class SpecFunAccuracy:
             )
 
 
-#: Accuracy contract met by the implementation below.
+#: Accuracy contract met by the kernels below.
 ACCURACY = SpecFunAccuracy()
-
-# Lanczos parameters (g = 7, n = 9), double-precision fit.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
-def _lanczos_series(z: float) -> float:
-    # z >= 0.5 assumed; series argument is shifted by one internally
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=0):
-        acc += c / (z + i)
-    return acc
 
 
 def gamma(z: float) -> float:
@@ -74,18 +47,11 @@ def gamma(z: float) -> float:
 
     Raises DomainError for z <= 0 (callers never need the analytic
     continuation; a non-positive argument signals a bug upstream).
-    The Lanczos power overflows the double range from about z = 142 on,
-    short of Gamma's own limit near 171.6; fracint.MAX_ALPHA stays below it.
     """
     z = float(z)
     if not z > 0.0:
         raise DomainError(f"gamma requires z > 0, got {z!r}")
-    if z < 0.5:
-        # lift through the recurrence; one step suffices since z + 1 >= 0.5
-        return gamma(z + 1.0) / z
-    zz = z - 1.0
-    t = zz + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (zz + 0.5) * math.exp(-t) * _lanczos_series(zz + 1.0)
+    return math.gamma(z)
 
 
 def ln_gamma(z: float) -> float:
@@ -98,16 +64,7 @@ def ln_gamma(z: float) -> float:
     z = float(z)
     if not z > 0.0:
         raise DomainError(f"ln_gamma requires z > 0, got {z!r}")
-    if z < 0.5:
-        return ln_gamma(z + 1.0) - math.log(z)
-    zz = z - 1.0
-    t = zz + _LANCZOS_G + 0.5
-    return (
-        _HALF_LOG_TWO_PI
-        + (zz + 0.5) * math.log(t)
-        - t
-        + math.log(_lanczos_series(zz + 1.0))
-    )
+    return math.lgamma(z)
 
 
 def beta(x: float, y: float) -> float:

@@ -1,9 +1,9 @@
 """Gamma / log-Gamma / Beta kernel accuracy and domain contracts.
 
-The standard library's math.gamma and math.lgamma serve as the independent
-oracle route: they implement the same mathematical functions with a
-different algorithm, so agreement to the documented tolerance validates the
-in-package kernels without circularity.
+The kernels wrap the standard library's math.gamma and math.lgamma, so the
+comparisons against them check the wrappers' domain handling and argument
+conversion. The independent routes are exact values (factorials, sqrt(pi)),
+the recurrence Gamma(z + 1) = z Gamma(z), and Beta by adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -49,6 +49,14 @@ class TestGammaValues:
         # the identity needs Gamma(alpha + 1) at alpha up to fracint.MAX_ALPHA
         z = MAX_ALPHA + 1.0
         assert rel_err(gamma(z), math.gamma(z)) <= REL_TOL
+
+    def test_gamma_is_finite_past_the_accepted_alphas(self):
+        g = gamma(142.3)
+        assert math.isfinite(g)
+        assert rel_err(gamma(143.3), 142.3 * g) <= RECURRENCE_TOL
+
+    def test_gamma_reaches_factorial_170(self):
+        assert rel_err(gamma(171.0), math.factorial(170)) <= REL_TOL
 
     @pytest.mark.parametrize("z", [0.0, -0.5, -3.0])
     def test_gamma_rejects_nonpositive(self, z):
