@@ -115,7 +115,9 @@ DEFAULT_MARGIN_TOL = 1e-9
 REDUCTION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+# slotted: a sweep builds one per row, and a frozen dataclass sets each field
+# through object.__setattr__, which is cheaper on a slot
+@dataclass(frozen=True, slots=True)
 class InequalityReport:
     """One inequality instance: both sides, signed margin, and verdict.
 
@@ -134,32 +136,6 @@ class InequalityReport:
     quad_error_budget: float
     asserted: bool = True
     note: str = ""
-
-
-def _make_report(
-    theorem_id: str,
-    function: str,
-    prm: FracParams,
-    lhs: float,
-    rhs: float,
-    budget: float,
-    margin_tol: float,
-    asserted: bool,
-    note: str = "",
-) -> InequalityReport:
-    margin = rhs - lhs
-    return InequalityReport(
-        theorem_id=theorem_id,
-        function=function,
-        prm=prm,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        margin=float(margin),
-        holds=bool(margin >= -max(margin_tol, 10.0 * budget)),
-        quad_error_budget=float(budget),
-        asserted=asserted,
-        note=note,
-    )
 
 
 def _require(prm, theorem_id: str, *names: str) -> None:
@@ -614,8 +590,9 @@ def evaluate_block(
     if theorem_id == "e13":  # the Hermite-Hadamard pair; f >= 0 is assumed too
         nonneg = _nonnegative_on_grid(f, certs.cert_tol)
         width = b - a
-        mean_value = mean.value / width
-        mean_err = mean.error / width
+        mean_value = float(mean.value / width)
+        mean_err = float(mean.error / width)
+        floor = -float(max(margin_tol, 10.0 * mean_err))
         at_mid = float(f.eval(0.5 * (a + b)))
         at_ends = float(f.eval(a)) + float(f.eval(b))
         rows = []
@@ -624,17 +601,17 @@ def evaluate_block(
                 note = "hypothesis not certified: f takes negative values"
             asserted = asserted and nonneg
             lead = note + " " if note else ""
-            mid_side = 2.0 ** (s - 1.0) * at_mid
-            end_side = at_ends / (s + 1.0)
+            sides = (
+                (float(2.0 ** (s - 1.0) * at_mid), mean_value, lead + "hh-lower"),
+                (mean_value, float(at_ends / (s + 1.0)), lead + "hh-upper"),
+            )
             for prm in prms:
-                rows.append(_make_report(
-                    "e13", name, prm, mid_side, mean_value, mean_err,
-                    margin_tol, asserted, note=lead + "hh-lower",
-                ))
-                rows.append(_make_report(
-                    "e13", name, prm, mean_value, end_side, mean_err,
-                    margin_tol, asserted, note=lead + "hh-upper",
-                ))
+                for lhs, rhs, tag in sides:
+                    margin = rhs - lhs
+                    rows.append(InequalityReport(
+                        "e13", name, prm, lhs, rhs, margin, margin >= floor,
+                        mean_err, asserted, tag,
+                    ))
         return rows
 
     at = columns[0][0] if columns else []
@@ -642,20 +619,26 @@ def evaluate_block(
         lefts = [lhs_frac(f, prm, cfg, pieces=pieces) for prm, (_, pieces) in zip(at, points)]
     else:
         lefts = [lhs_classical(f, prm, cfg, mean=mean) for prm in at]
-    rhs = thm.rhs
+    # per point: the LHS, its budget and the lowest margin that still holds
+    per_point = []
+    for left in lefts:
+        lhs, budget = float(left.value), float(left.error)
+        per_point.append((lhs, budget, -float(max(margin_tol, 10.0 * budget))))
+    rhs_of = thm.rhs
     # E9 and t6_147 read f' at the same two midpoints on every grid row of
     # a point, so each distinct value is evaluated once per block
     f_once = replace(f, deriv=functools.lru_cache(maxsize=None)(f.deriv))
-    cells = [
-        [
-            _make_report(
-                theorem_id, name, prm, left.value, rhs(prm, f_once), left.error,
-                margin_tol, asserted, note,
-            )
-            for prm, left in zip(prms, lefts)
-        ]
-        for prms, asserted, note in columns
-    ]
+    cells = []
+    for prms, asserted, note in columns:
+        reports = []
+        for prm, (lhs, budget, floor) in zip(prms, per_point):
+            rhs = float(rhs_of(prm, f_once))
+            margin = rhs - lhs
+            reports.append(InequalityReport(
+                theorem_id, name, prm, lhs, rhs, margin, margin >= floor,
+                budget, asserted, note,
+            ))
+        cells.append(reports)
     rows = []
     for _, run in groupby(zip(grid, cells), key=lambda row_cells: row_cells[0][:2]):
         rows.extend(chain.from_iterable(zip(*(reports for _, reports in run))))

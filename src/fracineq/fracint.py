@@ -153,7 +153,8 @@ CONJUGACY_TOL = 1e-12
 MAX_ALPHA = 140.0
 
 
-@dataclass(frozen=True)
+# slotted: a sweep builds one per report row (see bounds.InequalityReport)
+@dataclass(frozen=True, slots=True)
 class FracParams:
     """The full parameter tuple (a, b, x, alpha, s, p, q, M).
 

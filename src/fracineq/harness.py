@@ -28,11 +28,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import compress, count, groupby, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter, eq, itemgetter
 from typing import Optional, Union
 
 import numpy as np
@@ -475,41 +477,61 @@ def _fmt_float(value: Optional[float]) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _csv_texts(values: list) -> list[str]:
-    """The CSV text of each value of one column, in order.
+def _memo_texts(values: list, kinds: set, text_of, nonfinite: dict) -> list[str]:
+    """The text of each value of one column, in order, each distinct value
+    written once.
 
-    Each distinct value is written once, unless the column holds a zero:
-    0.0 and -0.0 share a dict key but not a text.
+    A float-only column takes ``float.__repr__``, with the texts of NaN and
+    the infinities renamed by ``nonfinite``; any other takes ``text_of``.
+    0.0 and -0.0 share a dict key but not a text, so in a column holding
+    both, each zero cell is written again by its own sign.
     """
     distinct = dict.fromkeys(values)
-    if 0.0 in distinct:
-        return list(map(_fmt_float, values))
-    memo = {v: _fmt_float(v) for v in distinct}
-    return list(map(memo.__getitem__, values))
+    if kinds == {float}:
+        memo = dict(zip(distinct, map(float.__repr__, distinct)))
+        if nonfinite and not all(map(math.isfinite, distinct)):
+            memo = {v: nonfinite.get(text, text) for v, text in memo.items()}
+    else:
+        memo = {v: text_of(v) for v in distinct}
+    texts = list(map(memo.__getitem__, values))
+    if float in kinds and 0.0 in memo:
+        zeros = list(compress(count(), map(eq, values, repeat(0.0))))
+        if len(set(map(math.copysign, repeat(1.0), map(values.__getitem__, zeros)))) > 1:
+            for i in zeros:
+                texts[i] = text_of(values[i])
+    return texts
+
+
+def _csv_texts(values: list) -> list[str]:
+    """The CSV text of each value of one column, in order (``_memo_texts``)."""
+    return _memo_texts(values, set(map(type, values)), _fmt_float, {})
 
 
 def render_csv(res: SweepResult) -> str:
     """Render reports to the fixed CSV schema (byte-stable).
 
-    The cells are written column by column. A point's rows repeat its
-    alpha, s, p, q, x, lhs and quad_error_budget, so those columns write
-    each distinct value once; rhs and margin seldom repeat.
+    The cells are written column by column through ``_memo_texts``, each
+    distinct value of a column once: a point's rows repeat its alpha, s, p,
+    q, x, lhs and quad_error_budget. rhs and margin seldom repeat, but as
+    float-only columns they are written by ``float.__repr__`` in one pass.
     """
     reports = res.reports
-    visible = [THEOREMS[r.theorem_id].fields for r in reports]
-    prms = [r.prm for r in reports]
-    columns = [[r.theorem_id for r in reports], [r.function for r in reports]]
+    tids = list(map(attrgetter("theorem_id"), reports))
+    runs = [(tid, len(list(run))) for tid, run in groupby(tids)]
+    prms = list(map(attrgetter("prm"), reports))
+    columns = [tids, list(map(attrgetter("function"), reports))]
     for fieldname in ("alpha", "s", "p", "q", "x"):
-        cells = [
-            getattr(prm, fieldname) if fieldname in fields else None
-            for prm, fields in zip(prms, visible)
-        ]
+        cells = list(map(attrgetter(fieldname), prms))
+        start = 0
+        for tid, size in runs:  # blank the runs whose theorem reads no fieldname
+            if fieldname not in THEOREMS[tid].fields:
+                cells[start:start + size] = repeat(None, size)
+            start += size
         columns.append(_csv_texts(cells))
-    columns.append(_csv_texts([r.lhs for r in reports]))
-    columns.append([_fmt_float(r.rhs) for r in reports])
-    columns.append([_fmt_float(r.margin) for r in reports])
+    for fieldname in ("lhs", "rhs", "margin"):
+        columns.append(_csv_texts(list(map(attrgetter(fieldname), reports))))
     columns.append(["true" if r.holds else "false" for r in reports])
-    columns.append(_csv_texts([r.quad_error_budget for r in reports]))
+    columns.append(_csv_texts(list(map(attrgetter("quad_error_budget"), reports))))
     return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
@@ -550,16 +572,13 @@ def _column_texts(values: list, level: int) -> list[str]:
 
     Most columns repeat a few values: on the rows-heavy benchmark workload
     15 of the 17 report fields, lhs and quad_error_budget among them, repeat
-    in over 97% of rows, against 11% for margin and 26% for rhs. So each
-    distinct value is encoded once, unless values that share a dict key
-    have different texts: 0.0 and -0.0, or True, 1 and 1.0.
+    in over 97% of rows, against 11% for margin and 26% for rhs. So a column
+    of scalars goes through ``_memo_texts``, unless it mixes number kinds,
+    whose values share a dict key but not a text (True, 1 and 1.0).
     """
     kinds = set(map(type, values))
     if kinds <= _SCALAR_KINDS and len(kinds & _NUMBER_KINDS) <= 1:
-        distinct = dict.fromkeys(values)
-        if not (float in kinds and 0.0 in distinct):
-            memo = {v: _value_text(v, level) for v in distinct}
-            return list(map(memo.__getitem__, values))
+        return _memo_texts(values, kinds, lambda v: _value_text(v, level), _NONFINITE_TEXT)
     return [_value_text(v, level) for v in values]
 
 

@@ -146,7 +146,7 @@ def test_hermite_hadamard_pair_for_every_registered_s():
             assert upper.margin >= -HH_MARGIN_TOL, (entry.name, s)
 
 
-def test_sweep_determinism_and_parallel_equivalence():
+def test_sweep_determinism():
     first = run_sweep(default_config())
     second = run_sweep(default_config())
     assert render_csv(first) == render_csv(second)

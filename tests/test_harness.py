@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -316,6 +318,38 @@ class TestRunSweep:
         walk(small_result.to_dict())
 
 
+class TestRecords:
+    """The slotted row records stay frozen, and copy and round-trip whole."""
+
+    def test_assignment_is_refused(self, small_result):
+        report = small_result.reports[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.lhs = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.prm.x = 0.0
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy, dataclasses.replace],
+        ids=["pickle", "deepcopy", "replace"],
+    )
+    def test_copies_are_equal(self, small_result, clone):
+        for report in (small_result.reports[0], small_result.reports[-1]):
+            twin = clone(report)
+            assert twin == report and twin.prm == report.prm
+            assert clone(report.prm) == report.prm
+
+    def test_replace_keeps_the_checks(self, small_result):
+        prm = small_result.reports[0].prm
+        with pytest.raises(ConfigError, match="alpha must be > 0"):
+            dataclasses.replace(prm, alpha=-1.0)
+
+    def test_dict_round_trip(self, small_result):
+        rebuilt = SweepResult.from_dict(small_result.to_dict())
+        assert rebuilt.reports == small_result.reports
+        assert render_json(rebuilt) == render_json(small_result)
+
+
 def test_importing_the_cli_leaves_scipy_integrate_unloaded():
     src = os.path.dirname(os.path.dirname(fracineq.__file__))
     # no scipy module at all: the Gauss-Jacobi cross-check imports it when run;
@@ -414,8 +448,8 @@ class TestCsvWriter:
         specials = (math.nan, math.inf, -math.inf, 0.0, -0.0, 2.5)
 
         def edit(i, r):
-            # lhs, x and the budget are written once per distinct value
-            # unless they hold a zero, which takes either sign
+            # lhs, x and the budget hold zeros of both signs, so each of
+            # their zero cells is written by its own sign
             r = dataclasses.replace(
                 r,
                 lhs=specials[i % 6],
@@ -440,6 +474,51 @@ class TestCsvWriter:
         assert {(c[4], c[5]) for c in e7} == {("", ""), ("2.0", "2.0")}
 
 
+    def test_repeated_values_with_zeros_of_both_signs(self, small_result):
+        # the memo writes 1.5 and 0.25 once; the zero cells take their sign
+        values = (1.5, 0.0, 0.25, -0.0, 1.5, 0.25)
+
+        def edit(i, r):
+            r = dataclasses.replace(r, lhs=values[i % 6], rhs=values[(i + 3) % 6])
+            return dataclasses.replace(r, prm=dataclasses.replace(r.prm, x=(-0.0, 0.0, 1.0)[i % 3]))
+
+        res = _edit_reports(small_result, edit)
+        text = render_csv(res)
+        assert text == _csv_oracle(res)
+        cells = [line.split(",") for line in text.splitlines()[1:]]
+        for col in (7, 8):
+            assert {c[col] for c in cells} == {"1.5", "0.25", "0.0", "-0.0"}, col
+        assert {c[6] for c in cells} >= {"-0.0", "0.0", "1.0"}
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zeros_of_one_sign_keep_it(self, small_result, zero):
+        res = _edit_reports(small_result, lambda i, r: dataclasses.replace(r, margin=(zero, 2.5)[i % 2]))
+        text = render_csv(res)
+        assert text == _csv_oracle(res)
+        assert {line.split(",")[9] for line in text.splitlines()[1:]} == {repr(zero), "2.5"}
+
+    def test_repeated_nan_and_infinities(self, small_result):
+        # a fresh NaN object per row: NaN is not equal to itself, so each is
+        # its own memo key
+        res = _edit_reports(
+            small_result,
+            lambda i, r: dataclasses.replace(r, rhs=(float("nan"), math.inf, -math.inf)[i % 3]),
+        )
+        text = render_csv(res)
+        assert text == _csv_oracle(res)
+        assert {line.split(",")[8] for line in text.splitlines()[1:]} == {"nan", "inf", "-inf"}
+
+    def test_int_alpha_sweep(self):
+        cfg = SweepConfig(
+            functions=("square",), alphas=(1,), s_values=(1.0,), x_points=3, theorems=("E6",)
+        )
+        res = run_sweep(cfg)
+        text = render_csv(res)
+        assert text == _csv_oracle(res)
+        assert {line.split(",")[2] for line in text.splitlines()[1:]} == {"1.0"}
+        assert render_json(res) == _json_oracle(res)
+
+
 class TestJsonWriter:
     """render_json writes exactly what json.dumps writes for SweepResult.to_dict."""
 
@@ -450,8 +529,8 @@ class TestJsonWriter:
         specials = (math.nan, math.inf, -math.inf)
 
         def edit(i, r):
-            # rhs repeats three values and has no zero: each is encoded once;
-            # lhs also holds a zero: it is encoded value by value
+            # rhs repeats three values, each encoded once; lhs also holds a
+            # zero, of one sign only
             r = dataclasses.replace(r, rhs=specials[i % 3])
             return dataclasses.replace(r, lhs=(*specials, 0.0)[i]) if i < 4 else r
 
@@ -471,6 +550,31 @@ class TestJsonWriter:
         )
         text = render_json(res)
         assert '"margin": -0.0' in text and '"margin": 0.0' in text
+        assert text == _json_oracle(res)
+
+    def test_repeated_values_with_zeros_of_both_signs(self, small_result):
+        # prm.M mixes repeated values with zeros of both signs; prm.a holds
+        # zeros of one sign only
+        def edit(i, r):
+            return dataclasses.replace(
+                r, prm=dataclasses.replace(r.prm, M=(2.0, -0.0, 0.0, 2.0, 3.0)[i % 5])
+            )
+
+        res = _edit_reports(small_result, edit)
+        text = render_json(res)
+        assert '"M": -0.0' in text and '"M": 0.0' in text and '"M": 2.0' in text
+        assert text == _json_oracle(res)
+
+    def test_repeated_nan_and_infinities_in_a_float_column(self, small_result):
+        res = _edit_reports(
+            small_result,
+            lambda i, r: dataclasses.replace(
+                r, lhs=(float("nan"), math.inf, -math.inf, 0.5)[i % 4]
+            ),
+        )
+        text = render_json(res)
+        for name in ("NaN", "Infinity", "-Infinity", "0.5"):
+            assert f'"lhs": {name},' in text, name
         assert text == _json_oracle(res)
 
     def test_none_values(self, small_result):

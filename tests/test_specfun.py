@@ -1,9 +1,10 @@
 """Gamma / log-Gamma / Beta kernel accuracy and domain contracts.
 
 The kernels wrap the standard library's math.gamma and math.lgamma, so the
-comparisons against them check the wrappers' domain handling and argument
-conversion. The independent routes are exact values (factorials, sqrt(pi)),
-the recurrence Gamma(z + 1) = z Gamma(z), and Beta by adaptive quadrature.
+comparisons against them check only the wrappers' domain handling and
+argument conversion. The independent routes are scipy.special's gamma and
+gammaln over the same grids, exact values (factorials, sqrt(pi)), the
+recurrence Gamma(z + 1) = z Gamma(z), and Beta by adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gamma as scipy_gamma
+from scipy.special import gammaln as scipy_gammaln
 
 from fracineq.errors import DomainError
 from fracineq.fracint import MAX_ALPHA
@@ -45,10 +48,15 @@ class TestGammaValues:
         for z in np.geomspace(0.1, 50.0, 300):
             assert rel_err(gamma(float(z)), math.gamma(float(z))) <= REL_TOL
 
+    def test_gamma_against_scipy(self):
+        for z in np.geomspace(0.1, 50.0, 300):
+            assert rel_err(gamma(float(z)), float(scipy_gamma(z))) <= REL_TOL
+
     def test_gamma_covers_every_accepted_alpha(self):
         # the identity needs Gamma(alpha + 1) at alpha up to fracint.MAX_ALPHA
         z = MAX_ALPHA + 1.0
         assert rel_err(gamma(z), math.gamma(z)) <= REL_TOL
+        assert rel_err(gamma(z), float(scipy_gamma(z))) <= REL_TOL
 
     def test_gamma_is_finite_past_the_accepted_alphas(self):
         g = gamma(142.3)
@@ -75,6 +83,11 @@ class TestLnGammaValues:
     def test_ln_gamma_against_stdlib(self):
         for z in np.geomspace(0.1, 170.0, 300):
             want = math.lgamma(float(z))
+            assert abs(ln_gamma(float(z)) - want) <= REL_TOL * max(1.0, abs(want))
+
+    def test_ln_gamma_against_scipy(self):
+        for z in [*np.geomspace(0.1, 170.0, 300), MAX_ALPHA + 1.0]:
+            want = float(scipy_gammaln(z))
             assert abs(ln_gamma(float(z)) - want) <= REL_TOL * max(1.0, abs(want))
 
     @pytest.mark.parametrize("z", [0.0, -1.0])
