@@ -480,7 +480,8 @@ class TestCsvWriter:
 
         def edit(i, r):
             r = dataclasses.replace(r, lhs=values[i % 6], rhs=values[(i + 3) % 6])
-            return dataclasses.replace(r, prm=dataclasses.replace(r.prm, x=(-0.0, 0.0, 1.0)[i % 3]))
+            x = (-0.0, 0.0, 1.0)[i % 3]
+            return dataclasses.replace(r, prm=dataclasses.replace(r.prm, x=x))
 
         res = _edit_reports(small_result, edit)
         text = render_csv(res)
@@ -492,7 +493,9 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_zeros_of_one_sign_keep_it(self, small_result, zero):
-        res = _edit_reports(small_result, lambda i, r: dataclasses.replace(r, margin=(zero, 2.5)[i % 2]))
+        res = _edit_reports(
+            small_result, lambda i, r: dataclasses.replace(r, margin=(zero, 2.5)[i % 2])
+        )
         text = render_csv(res)
         assert text == _csv_oracle(res)
         assert {line.split(",")[9] for line in text.splitlines()[1:]} == {repr(zero), "2.5"}
