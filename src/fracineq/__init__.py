@@ -57,6 +57,7 @@ from .fracint import (
     FracParams,
     QuadratureConfig,
     lemma_integrals,
+    lemma_integrals_batch,
     lemma_pair,
     moment_integral,
     oracle,
@@ -96,6 +97,7 @@ from .identity import (
     check_e1,
     check_e4_e5,
     compute_pieces,
+    compute_pieces_batch,
     pieces_at,
 )
 from .specfun import beta, gamma, ln_gamma
@@ -139,12 +141,14 @@ __all__ = [
     "rl_right",
     "lemma_pair",
     "lemma_integrals",
+    "lemma_integrals_batch",
     "oracle",
     # identity
     "DEFAULT_IDENTITY_TOL",
     "IdentityResidual",
     "LemmaPieces",
     "compute_pieces",
+    "compute_pieces_batch",
     "pieces_at",
     "check_e1",
     "check_e4_e5",

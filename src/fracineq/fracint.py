@@ -49,8 +49,10 @@ on which lanes share its batch. Each interval's rule is a row sum
 can change with the batch's shape; each lane's total is an ``np.bincount``
 over its intervals, kept in left-to-right order; and every decision a lane
 takes reads only its own numbers. So one-x calls (``lemma_pair``,
-``moment_integral``) and the sweep's grid call (``lemma_integrals``) give
-identical results.
+``moment_integral``), one (f, alpha)'s grid call (``lemma_integrals``) and
+the sweep's call over every (f, alpha) (``lemma_integrals_batch``) give
+identical results; a batch only takes fewer rounds, as many as its slowest
+lane needs.
 
 The substitution squeezes all of f's variation into a layer of width
 ~alpha at u = 1 when alpha is small, which a first sample of [0, 1] can
@@ -99,6 +101,7 @@ __all__ = [
     "rl_right",
     "lemma_pair",
     "lemma_integrals",
+    "lemma_integrals_batch",
     "oracle",
 ]
 
@@ -340,6 +343,14 @@ def _integrate(
 
     Returns each lane's value, error estimate and failure reason (None when
     the lane converged); lanes are numbered through the sets in order.
+
+    Two invariants make a round cost O(intervals + sets), however many sets
+    share the batch. The intervals stay sorted by lane: done lanes are
+    dropped in order and each split interval is replaced in place by its two
+    halves. The fresh halves are evaluated in ascending index order. So in
+    both calls of the integrand each set's intervals are one contiguous
+    slice, found by ``np.searchsorted``. Each interval's value depends on
+    its own row only, never on its position.
     """
     offsets = np.cumsum([0] + [s.size for s in sets])
     n = int(offsets[-1])
@@ -355,11 +366,12 @@ def _integrate(
     hi = np.concatenate(his)
 
     def fn(lane: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # lane ascends, so each set's rows are one slice
         fv = np.empty(u.shape)
-        for s, off in zip(sets, offsets):
-            pick = (lane >= off) & (lane < off + s.size)
-            if pick.any():
-                fv[pick] = s.fn(lane[pick] - off, u[pick])
+        cuts = np.searchsorted(lane, offsets)
+        for s, off, i, j in zip(sets, offsets, cuts, cuts[1:]):
+            if i < j:
+                fv[i:j] = s.fn(lane[i:j] - off, u[i:j])
         return fv
 
     value = np.zeros(n)
@@ -405,7 +417,7 @@ def _integrate(
         lane, lo, hi, r, e = (v[idx] for v in (lane, lo, hi, r, e))
         hi[first] = mid[split]
         lo[first + 1] = mid[split]
-        fresh = np.concatenate((first, first + 1))
+        fresh = np.sort(np.concatenate((first, first + 1)))
         r[fresh], e[fresh] = _qk21(fn, lane[fresh], lo[fresh], hi[fresh])
     return value, error, why
 
@@ -655,21 +667,59 @@ def lemma_integrals(
     Returns one entry per x: ``(jm, jp, ia, ib)``, where (jm, jp) is
     :func:`lemma_pair` at x and ia, ib are :func:`moment_integral` of f'
     from x toward a and toward b; or, when one of them did not converge, its
-    ``ConvergenceError``, which leaves the other x untouched. Under the
-    adaptive rule all 4 * len(xs) integrals run as lanes of one batch, and
-    each value equals the one-x call's to the bit.
+    ``ConvergenceError``, which leaves the other x untouched. This is the
+    one-job case of :func:`lemma_integrals_batch`.
     """
-    points = [FracParams(a, b, x, alpha) for x in xs]
-    _check_domain(f, a, b)
+    return lemma_integrals_batch(((f, alpha),), a, b, xs, cfg)[0]
+
+
+def lemma_integrals_batch(
+    jobs: Sequence[tuple[Function1D, float]],
+    a: float,
+    b: float,
+    xs: Sequence[float],
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> list[list[Union[tuple[Estimate, Estimate, Estimate, Estimate], ConvergenceError]]]:
+    """:func:`lemma_integrals` at every x of every (f, alpha) job.
+
+    Returns one list per job, as :func:`lemma_integrals` gives it. Under the
+    adaptive rule the 4 * len(xs) integrals of every job run as lanes of one
+    batch, and each value equals the one-x call's to the bit; the other
+    rules integrate one x at a time.
+    """
+    points = [[FracParams(a, b, x, alpha) for x in xs] for _, alpha in jobs]
+    for f, _ in jobs:
+        _check_domain(f, a, b)
     if cfg.rule != RULE_ADAPTIVE:
         return [
-            lemma_pair(f, p, cfg)
-            + (
-                moment_integral(f.deriv, p.x, a, alpha, cfg),
-                moment_integral(f.deriv, p.x, b, alpha, cfg),
-            )
-            for p in points
+            [
+                lemma_pair(f, p, cfg)
+                + (
+                    moment_integral(f.deriv, p.x, a, alpha, cfg),
+                    moment_integral(f.deriv, p.x, b, alpha, cfg),
+                )
+                for p in pts
+            ]
+            for (f, alpha), pts in zip(jobs, points)
         ]
+    built = [
+        _lemma_lanes(f, a, b, alpha, pts) for (f, alpha), pts in zip(jobs, points)
+    ]
+    value, error, why = _integrate([s for sets, _ in built for s in sets], cfg)
+    out = []
+    start = 0
+    for sets, collect in built:
+        stop = start + sum(s.size for s in sets)
+        out.append(collect(value[start:stop], error[start:stop], why[start:stop]))
+        start = stop
+    return out
+
+
+def _lemma_lanes(
+    f: Function1D, a: float, b: float, alpha: float, points: Sequence[FracParams]
+) -> tuple[tuple[_LaneSet, _LaneSet], Callable]:
+    """One job's lane sets, and the function that turns their values, errors
+    and failure reasons into :func:`lemma_integrals` entries."""
     n = len(points)
     left = [i for i, p in enumerate(points) if p.x > a]  # jm lanes
     right = [i for i, p in enumerate(points) if p.x < b]  # jp lanes
@@ -683,37 +733,41 @@ def lemma_integrals(
     moments = _moment_lanes(
         f.deriv, [p.x for p in points] * 2, [a] * n + [b] * n, alpha
     )
-    value, error, why = _integrate((weighted, moments), cfg)
     ginv = 1.0 / gamma(alpha)
-
-    def operator(lane: Optional[int], lo: float, hi: float):
-        if lane is None:  # empty interval: defined as 0
-            return Estimate(0.0, 0.0)
-        w = _outcome(
-            value[lane], error[lane], why[lane], f"weighted integral on [{lo}, {hi}]",
-            prefactors[lane],
-        )
-        if isinstance(w, ConvergenceError):
-            return w
-        return Estimate(ginv * w.value, ginv * w.error)
-
     jm_lane = {i: k for k, i in enumerate(left)}
     jp_lane = {i: len(left) + k for k, i in enumerate(right)}
-    out = []
-    for i, p in enumerate(points):
-        k = weighted.size + i
-        got = (
-            operator(jm_lane.get(i), a, p.x),
-            operator(jp_lane.get(i), p.x, b),
-            _outcome(value[k], error[k], why[k], f"moment integral (x={p.x}, base={a})"),
-            _outcome(
-                value[k + n], error[k + n], why[k + n],
-                f"moment integral (x={p.x}, base={b})",
-            ),
-        )
-        failed = [g for g in got if isinstance(g, ConvergenceError)]
-        out.append(failed[0] if failed else got)
-    return out
+
+    def collect(value, error, why):
+        def operator(lane: Optional[int], lo: float, hi: float):
+            if lane is None:  # empty interval: defined as 0
+                return Estimate(0.0, 0.0)
+            w = _outcome(
+                value[lane], error[lane], why[lane],
+                f"weighted integral on [{lo}, {hi}]", prefactors[lane],
+            )
+            if isinstance(w, ConvergenceError):
+                return w
+            return Estimate(ginv * w.value, ginv * w.error)
+
+        out = []
+        for i, p in enumerate(points):
+            k = weighted.size + i
+            got = (
+                operator(jm_lane.get(i), a, p.x),
+                operator(jp_lane.get(i), p.x, b),
+                _outcome(
+                    value[k], error[k], why[k], f"moment integral (x={p.x}, base={a})"
+                ),
+                _outcome(
+                    value[k + n], error[k + n], why[k + n],
+                    f"moment integral (x={p.x}, base={b})",
+                ),
+            )
+            failed = [g for g in got if isinstance(g, ConvergenceError)]
+            out.append(failed[0] if failed else got)
+        return out
+
+    return (weighted, moments), collect
 
 
 def oracle(

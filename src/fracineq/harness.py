@@ -1,8 +1,8 @@
 """Sweep engine: parameter grids, certificate-gated evaluation, reports.
 
 A sweep walks the Cartesian grid (functions x alphas x x-points), computes
-the shared quadrature pieces once per (function, alpha), in one batched
-call for all x points, records an identity residual at every point, and
+the shared quadrature pieces of every (function, alpha, x) in one batched
+call, records an identity residual at every point, and
 evaluates every selected theorem row
 (functions x alphas x s x exponent pairs x x for the fractional family;
 alpha-free grids for the classical family), one block of rows per
@@ -53,6 +53,7 @@ from .bounds import (
 )
 from .errors import ConfigError, ConvergenceError
 from .fracint import (
+    CONJUGACY_TOL,
     MAX_ALPHA,
     Estimate,
     FracParams,
@@ -70,7 +71,7 @@ from .identity import (
     IdentityResidual,
     LemmaPieces,
     check_e1_from_pieces,
-    compute_pieces,
+    compute_pieces_batch,
 )
 
 __all__ = [
@@ -179,7 +180,9 @@ class SweepConfig:
                 problems.append(f"pq_pairs: need (p, q) pairs, got {pair!r}")
                 continue
             p, q = pair
-            if not p > 1.0 or abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
+            # NaN-safe, and q is checked before 1 / q is taken
+            conjugate = p > 1.0 and q >= 1.0 and abs(1.0 / p + 1.0 / q - 1.0) <= CONJUGACY_TOL
+            if not conjugate:
                 problems.append(f"pq_pairs: ({p!r}, {q!r}) is not a conjugate pair")
         problems.extend(_repeats("pq_pairs", [tuple(pair) for pair in self.pq_pairs]))
         if isinstance(self.x_points, int):
@@ -390,32 +393,32 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     points_at: dict[tuple[str, float], list[tuple[float, LemmaPieces]]] = {}
     residuals: list[ResidualRecord] = []
     convergence_errors: list[str] = []
-    for entry in entries:
-        for alpha in cfg.alphas:
-            # one batched quadrature call covers every x of this (function,
-            # alpha); a call that raises as a whole fails each of its points
-            try:
-                outcomes = compute_pieces(entry.func, a, b, alpha, xs, qcfg)
-            except ConvergenceError as exc:
-                outcomes = [exc] * len(xs)
-            points: list[tuple[float, LemmaPieces]] = []
-            for x, pieces in zip(xs, outcomes):
-                if isinstance(pieces, ConvergenceError):
-                    convergence_errors.append(f"{entry.name} alpha={alpha!r} x={x!r}: {pieces}")
-                    continue
-                res = check_e1_from_pieces(pieces)
-                residuals.append(
-                    ResidualRecord(
-                        function=entry.name,
-                        alpha=alpha,
-                        x=x,
-                        residual=res,
-                        passed=res.passes(cfg.identity_tol),
-                    )
+    # one batched quadrature call covers every x of every (function, alpha);
+    # a call that raises as a whole fails each of its points
+    jobs = [(entry, alpha) for entry in entries for alpha in cfg.alphas]
+    try:
+        batch = compute_pieces_batch([(e.func, al) for e, al in jobs], a, b, xs, qcfg)
+    except ConvergenceError as exc:
+        batch = [[exc] * len(xs)] * len(jobs)
+    for (entry, alpha), outcomes in zip(jobs, batch):
+        points: list[tuple[float, LemmaPieces]] = []
+        for x, pieces in zip(xs, outcomes):
+            if isinstance(pieces, ConvergenceError):
+                convergence_errors.append(f"{entry.name} alpha={alpha!r} x={x!r}: {pieces}")
+                continue
+            res = check_e1_from_pieces(pieces)
+            residuals.append(
+                ResidualRecord(
+                    function=entry.name,
+                    alpha=alpha,
+                    x=x,
+                    residual=res,
+                    passed=res.passes(cfg.identity_tol),
                 )
-                points.append((x, pieces))
-            points.sort(key=itemgetter(0))  # a block takes its points ascending
-            points_at[entry.name, alpha] = points
+            )
+            points.append((x, pieces))
+        points.sort(key=itemgetter(0))  # a block takes its points ascending
+        points_at[entry.name, alpha] = points
 
     # one block of rows per (theorem, function, alpha), or per (theorem,
     # function) for a classical bound, which is evaluated at alpha = 1 and

@@ -38,6 +38,7 @@ from .fracint import (
     FracParams,
     QuadratureConfig,
     lemma_integrals,
+    lemma_integrals_batch,
     moment_integral,
     plain_integral,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "IdentityResidual",
     "LemmaPieces",
     "compute_pieces",
+    "compute_pieces_batch",
     "pieces_at",
     "check_e1",
     "check_e4_e5",
@@ -139,12 +141,37 @@ def compute_pieces(
 
     All x of one (f, alpha) are integrated together. Returns one entry per
     x: its pieces, or the ``ConvergenceError`` of that x alone; the pieces
-    equal those of a one-x call to the bit.
+    equal those of a one-x call to the bit. This is the one-job case of
+    :func:`compute_pieces_batch`.
     """
+    return _pieces(f, a, b, alpha, xs, lemma_integrals(f, a, b, alpha, xs, cfg))
+
+
+def compute_pieces_batch(
+    jobs: Sequence[tuple[Function1D, float]],
+    a: float,
+    b: float,
+    xs: Sequence[float],
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> list[list[Union[LemmaPieces, ConvergenceError]]]:
+    """:func:`compute_pieces` at every x of every (f, alpha) job.
+
+    Every job's x are integrated together in one batch. Returns one list
+    per job, equal to the job's own :func:`compute_pieces` to the bit.
+    """
+    return [
+        _pieces(f, a, b, alpha, xs, got)
+        for (f, alpha), got in zip(jobs, lemma_integrals_batch(jobs, a, b, xs, cfg))
+    ]
+
+
+def _pieces(
+    f: Function1D, a: float, b: float, alpha: float, xs: Sequence[float], integrals
+) -> list[Union[LemmaPieces, ConvergenceError]]:
     return [
         got if isinstance(got, ConvergenceError)
         else LemmaPieces(a, b, x, alpha, float(f.eval(x)), *got)
-        for x, got in zip(xs, lemma_integrals(f, a, b, alpha, xs, cfg))
+        for x, got in zip(xs, integrals)
     ]
 
 

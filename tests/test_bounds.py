@@ -36,7 +36,7 @@ from fracineq.bounds import (
     _gamma_ratio,
 )
 from fracineq.errors import CertificateError, ConfigError
-from fracineq.fracint import Estimate, FracParams
+from fracineq.fracint import MAX_ALPHA, Estimate, FracParams
 from fracineq.identity import pieces_at
 from fracineq.funcatalog import (
     MODE_CONCAVE,
@@ -352,6 +352,39 @@ class TestStructuralProperties:
         doubled = FracParams(0.0, 1.0, 0.3, 0.75, s=0.5, p=2.0, q=2.0, M=2.0 * m)
         for rhs in (rhs_thm1, rhs_thm2, rhs_thm3):
             assert rhs(doubled) == pytest.approx(2.0 * rhs(base), rel=1e-14)
+
+
+@st.composite
+def _points(draw, alpha=st.floats(min_value=1e-6, max_value=MAX_ALPHA)):
+    """A FracParams with a <= x <= b, any accepted alpha and s, conjugate (p, q).
+
+    [a, b] lies in [0, 1], the domain of the catalog's threehalf entry.
+    """
+    a = draw(st.floats(min_value=0.0, max_value=0.9))
+    b = draw(st.floats(min_value=a + 0.05, max_value=1.0))
+    x = min(b, a + draw(st.floats(min_value=0.0, max_value=1.0)) * (b - a))
+    p = draw(st.floats(min_value=1.01, max_value=50.0))
+    return FracParams(
+        a, b, x, draw(alpha),
+        s=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+        p=p, q=p / (p - 1.0), M=draw(st.floats(min_value=0.0, max_value=10.0)),
+    )
+
+
+class TestClosedFormProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(prm=_points())
+    def test_thm3_at_q_one_is_thm1(self, prm):
+        prm = dataclasses.replace(prm, p=None, q=1.0)
+        assert rhs_thm3(prm) == rhs_thm1(prm)
+
+    @settings(max_examples=200, deadline=None)
+    @given(prm=_points(alpha=st.just(1.0)))
+    def test_each_fractional_rhs_is_its_twin_at_alpha_one(self, prm):
+        f = get_entry("threehalf").func
+        for tid in FRACTIONAL_IDS:
+            thm = THEOREMS[tid]
+            assert abs(thm.rhs(prm, f) - thm.twin(prm, f)) <= REDUCTION_TOL, tid
 
 
 class TestClassicalRhs:

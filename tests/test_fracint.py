@@ -8,6 +8,7 @@ special-function kernels.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -357,6 +358,29 @@ class TestLaneEngine:
                         v.hex() for e in want for v in e
                     ], (entry.name, alpha, x)
                     assert all(type(v) is float for e in got for v in e)
+
+    def test_many_sets_equal_one_call_per_set(self):
+        # sets of mixed sizes, an empty one, break points and failing lanes:
+        # each set's lanes come out as they do alone, to the bit
+        pool = (np.exp, _nasty, np.sqrt, lambda u: u**3, np.cos, np.log1p)
+        sizes = (3, 1, 0, 5, 2, 1, 4)
+        sets = []
+        for i, size in enumerate(sizes):
+            lanes = _lanes(tuple(pool[(i + j) % len(pool)] for j in range(size)))
+            sets.append(dataclasses.replace(lanes, brk=0.3) if i % 2 else lanes)
+        cfg = QuadratureConfig(max_subdivisions=40)
+        value, error, why = _integrate(sets, cfg)
+        k = 0
+        for lanes in sets:
+            v1, e1, w1 = _integrate((lanes,), cfg)
+            got = value[k : k + lanes.size], error[k : k + lanes.size]
+            assert [float(v).hex() for a in got for v in a] == [
+                float(v).hex() for a in (v1, e1) for v in a
+            ]
+            assert why[k : k + lanes.size] == w1
+            k += lanes.size
+        assert k == len(value) == sum(sizes)
+        assert 0 < sum(w is not None for w in why) < len(why)
 
     def test_tolerance_is_met_per_lane(self):
         cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300)

@@ -80,6 +80,8 @@ class TestSweepConfig:
             ({"s_values": (1.5,)}, "must lie in (0, 1]"),
             ({"s_values": ()}, "s_values: must not be empty"),
             ({"pq_pairs": ((2.0, 3.0),)}, "not a conjugate pair"),
+            ({"pq_pairs": ((2.0, math.nan),)}, "(2.0, nan) is not a conjugate pair"),
+            ({"pq_pairs": ((2.0, 0.0),)}, "(2.0, 0.0) is not a conjugate pair"),
             ({"pq_pairs": ()}, "pq_pairs: must not be empty"),
             ({"x_points": 0}, "count must be >= 1"),
             ({"x_points": (2.0,)}, "outside interval"),
@@ -189,7 +191,7 @@ class TestRunSweep:
         def stall(*args, **kwargs):
             raise ConvergenceError("subdivision budget exhausted", 0.0, 1.0)
 
-        monkeypatch.setattr("fracineq.harness.compute_pieces", stall)
+        monkeypatch.setattr("fracineq.harness.compute_pieces_batch", stall)
         cfg = SweepConfig(
             functions=("affine",),
             alphas=(0.5,),
@@ -203,6 +205,36 @@ class TestRunSweep:
         assert result.summary["total"] == 0
         assert "affine" in result.convergence_errors[0]
         assert "budget exhausted" in result.convergence_errors[0]
+
+    def test_a_failed_batch_fails_every_point_in_config_order(self, monkeypatch):
+        def stall(*args, **kwargs):
+            raise ConvergenceError("subdivision budget exhausted", 0.0, 1.0)
+
+        monkeypatch.setattr(harness, "compute_pieces_batch", stall)
+        cfg = dataclasses.replace(
+            SMALL, functions=("square", "affine"), alphas=(1.0, 0.5), theorems=("E6",)
+        )
+        result = run_sweep(cfg)
+        assert [line.split(":")[0] for line in result.convergence_errors] == [
+            f"{name} alpha={alpha!r} x={x!r}"
+            for name in ("square", "affine")
+            for alpha in (1.0, 0.5)
+            for x in (0.0, 0.5, 1.0)
+        ]
+        assert result.summary["total"] == 0
+
+    def test_one_sweep_makes_one_quadrature_batch(self, monkeypatch, small_result):
+        calls = []
+        real = harness.compute_pieces_batch
+
+        def counted(jobs, *args):
+            calls.append([(f.name, alpha) for f, alpha in jobs])
+            return real(jobs, *args)
+
+        monkeypatch.setattr(harness, "compute_pieces_batch", counted)
+        result = run_sweep(SMALL)
+        assert calls == [[(name, alpha) for name in SMALL.functions for alpha in SMALL.alphas]]
+        assert render_csv(result) == render_csv(small_result)
 
 
     def test_a_lane_that_fails_fails_only_its_point(self, monkeypatch):
@@ -841,7 +873,7 @@ class TestCli:
         def stall(*args, **kwargs):
             raise ConvergenceError("subdivision budget exhausted", 0.0, 1.0)
 
-        monkeypatch.setattr("fracineq.harness.compute_pieces", stall)
+        monkeypatch.setattr("fracineq.harness.compute_pieces_batch", stall)
         ret = cli.main(
             [
                 "sweep",
@@ -868,6 +900,18 @@ class TestCli:
         assert ret == 2
         err = capsys.readouterr().err
         assert "error: alphas: must be <= 140" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("q", ["nan", "0"])
+    def test_sweep_with_a_nan_or_zero_q_exits_two(self, q, capsys):
+        # validation names the pair before any quadrature runs
+        ret = cli.main(
+            ["sweep", "--functions", "square", "--alphas", "0.5", "--x-count", "3",
+             "--pq", "2", q]
+        )
+        assert ret == 2
+        err = capsys.readouterr().err
+        assert f"error: pq_pairs: (2.0, {float(q)!r}) is not a conjugate pair" in err
         assert "Traceback" not in err
 
     def test_sweep_with_a_repeated_alpha_exits_two(self, capsys):

@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from fracineq.errors import ConfigError, DomainError, FracIneqError
+from fracineq import fracint
+from fracineq.errors import ConfigError, ConvergenceError, DomainError, FracIneqError
 from fracineq.fracint import RULE_ORACLE, FracParams, QuadratureConfig
 from fracineq.funcatalog import Function1D, builtin_catalog, get_entry
 from fracineq.identity import (
@@ -22,6 +23,7 @@ from fracineq.identity import (
     check_e1,
     check_e4_e5,
     compute_pieces,
+    compute_pieces_batch,
     pieces_at,
 )
 
@@ -244,3 +246,70 @@ def test_grid_pieces_equal_one_x_pieces_bit_for_bit(entry):
             ]
             assert bits[:8] == bits[8:], (alpha, x)
             assert pieces == alone
+
+
+def _bits(outcomes):
+    return [
+        str(p) if isinstance(p, ConvergenceError)
+        else [v.hex() for e in (p.jm, p.jp, p.ia, p.ib) for v in e]
+        for p in outcomes
+    ]
+
+
+class TestPiecesBatch:
+    XS = tuple(float(v) for v in np.linspace(0.0, 1.0, 11))  # x = a and x = b included
+
+    def test_batch_equals_per_job_pieces_bit_for_bit(self):
+        jobs = [(e.func, alpha) for e in builtin_catalog() for alpha in (0.25, 1.0, 2.0)]
+        batch = compute_pieces_batch(jobs, 0.0, 1.0, self.XS)
+        assert len(batch) == len(jobs)
+        for (f, alpha), got in zip(jobs, batch):
+            want = compute_pieces(f, 0.0, 1.0, alpha, self.XS)
+            assert _bits(got) == _bits(want), (f.name, alpha)
+            assert got == want
+
+    def test_a_nan_job_fails_its_own_points_only(self):
+        broken = Function1D(
+            "nan-past-half",
+            lambda t: np.where(np.asarray(t) > 0.5, np.nan, t),
+            lambda t: np.ones_like(np.asarray(t, dtype=float)),
+            0.0,
+            1.0,
+        )
+        good = [(get_entry("exp").func, 0.5), (get_entry("square").func, 2.0)]
+        batch = compute_pieces_batch([good[0], (broken, 0.5), good[1]], 0.0, 1.0, self.XS)
+        assert all(
+            isinstance(p, ConvergenceError) and "not finite" in str(p) for p in batch[1]
+        )
+        for (f, alpha), got in zip(good, (batch[0], batch[2])):
+            assert _bits(got) == _bits(compute_pieces(f, 0.0, 1.0, alpha, self.XS))
+            assert not any(isinstance(p, ConvergenceError) for p in got)
+
+    def test_default_grid_in_one_batch_does_the_same_work_in_fewer_rounds(
+        self, monkeypatch
+    ):
+        # the default sweep's 54 jobs: 32,984 qk21 intervals (692,664
+        # integrand evaluations) either way; one batch takes as many rounds
+        # as its slowest job, where one batch per job takes 947 in total
+        counts = []
+        real = fracint._qk21
+
+        def counted(fn, lane, lo, hi):
+            counts[-1][0] += 1
+            counts[-1][1] += lane.size
+            return real(fn, lane, lo, hi)
+
+        def work(call, *args):
+            counts.append([0, 0])  # qk21 rounds, intervals
+            call(*args)
+            return counts[-1]
+
+        monkeypatch.setattr(fracint, "_qk21", counted)
+        xs = tuple(float(v) for v in np.linspace(0.0, 1.0, 11))
+        jobs = [(e.func, alpha) for e in builtin_catalog() for alpha in ALPHAS]
+        per_job = [work(compute_pieces, f, 0.0, 1.0, alpha, xs) for f, alpha in jobs]
+        rounds, intervals = work(compute_pieces_batch, jobs, 0.0, 1.0, xs)
+        assert sum(r for r, _ in per_job) == 947
+        assert sum(n for _, n in per_job) == intervals == 32_984
+        assert 21 * intervals == 692_664
+        assert rounds == max(r for r, _ in per_job) <= 40
