@@ -181,7 +181,9 @@ class SweepConfig:
                 continue
             p, q = pair
             # NaN-safe, and q is checked before 1 / q is taken
-            conjugate = p > 1.0 and q >= 1.0 and abs(1.0 / p + 1.0 / q - 1.0) <= CONJUGACY_TOL
+            conjugate = (
+                p > 1.0 and q >= 1.0 and abs(1.0 / p + 1.0 / q - 1.0) <= CONJUGACY_TOL
+            )
             if not conjugate:
                 problems.append(f"pq_pairs: ({p!r}, {q!r}) is not a conjugate pair")
         problems.extend(_repeats("pq_pairs", [tuple(pair) for pair in self.pq_pairs]))

@@ -141,8 +141,8 @@ def compute_pieces(
 
     All x of one (f, alpha) are integrated together. Returns one entry per
     x: its pieces, or the ``ConvergenceError`` of that x alone; the pieces
-    equal those of a one-x call to the bit. This is the one-job case of
-    :func:`compute_pieces_batch`.
+    equal those of a one-x call to the bit, and those of
+    :func:`compute_pieces_batch` with the one job (f, alpha).
     """
     return _pieces(f, a, b, alpha, xs, lemma_integrals(f, a, b, alpha, xs, cfg))
 

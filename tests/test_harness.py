@@ -236,7 +236,6 @@ class TestRunSweep:
         assert calls == [[(name, alpha) for name in SMALL.functions for alpha in SMALL.alphas]]
         assert render_csv(result) == render_csv(small_result)
 
-
     def test_a_lane_that_fails_fails_only_its_point(self, monkeypatch):
         # the moment lane of x = 0.5 toward a gets an integrand that cannot
         # converge in 8 subdivisions; the batch's other points still give rows

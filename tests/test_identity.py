@@ -305,10 +305,9 @@ class TestPiecesBatch:
             return counts[-1]
 
         monkeypatch.setattr(fracint, "_qk21", counted)
-        xs = tuple(float(v) for v in np.linspace(0.0, 1.0, 11))
         jobs = [(e.func, alpha) for e in builtin_catalog() for alpha in ALPHAS]
-        per_job = [work(compute_pieces, f, 0.0, 1.0, alpha, xs) for f, alpha in jobs]
-        rounds, intervals = work(compute_pieces_batch, jobs, 0.0, 1.0, xs)
+        per_job = [work(compute_pieces, f, 0.0, 1.0, alpha, self.XS) for f, alpha in jobs]
+        rounds, intervals = work(compute_pieces_batch, jobs, 0.0, 1.0, self.XS)
         assert sum(r for r, _ in per_job) == 947
         assert sum(n for _, n in per_job) == intervals == 32_984
         assert 21 * intervals == 692_664
