@@ -344,13 +344,13 @@ def _integrate(
     Returns each lane's value, error estimate and failure reason (None when
     the lane converged); lanes are numbered through the sets in order.
 
-    Two invariants make a round cost O(intervals + sets), however many sets
-    share the batch. The intervals stay sorted by lane: done lanes are
-    dropped in order and each split interval is replaced in place by its two
-    halves. The fresh halves are evaluated in ascending index order. So in
-    both calls of the integrand each set's intervals are one contiguous
-    slice, found by ``np.searchsorted``. Each interval's value depends on
-    its own row only, never on its position.
+    Two invariants keep the integrand's dispatch O(intervals + sets) per
+    round, however many sets share the batch. The intervals stay sorted by
+    lane: done lanes are dropped in order and each split interval is
+    replaced in place by its two halves. The fresh halves are evaluated in
+    ascending index order. So in both calls of the integrand each set's
+    intervals are one contiguous slice, found by ``np.searchsorted``. Each
+    interval's value depends on its own row only, never on its position.
     """
     offsets = np.cumsum([0] + [s.size for s in sets])
     n = int(offsets[-1])
