@@ -80,8 +80,6 @@ class TestSweepConfig:
             ({"s_values": (1.5,)}, "must lie in (0, 1]"),
             ({"s_values": ()}, "s_values: must not be empty"),
             ({"pq_pairs": ((2.0, 3.0),)}, "not a conjugate pair"),
-            ({"pq_pairs": ((2.0, math.nan),)}, "(2.0, nan) is not a conjugate pair"),
-            ({"pq_pairs": ((2.0, 0.0),)}, "(2.0, 0.0) is not a conjugate pair"),
             ({"pq_pairs": ()}, "pq_pairs: must not be empty"),
             ({"x_points": 0}, "count must be >= 1"),
             ({"x_points": (2.0,)}, "outside interval"),
@@ -95,6 +93,8 @@ class TestSweepConfig:
             ({"s_values": (1.0, 0.5, 1)}, "s_values: 1 is repeated"),
             ({"pq_pairs": ((2.0, 2.0), (3.0, 1.5), (2.0, 2.0))}, "pq_pairs: (2.0, 2.0) is repeated"),
             ({"x_points": (0.25, 0.5, 0.25)}, "x_points: 0.25 is repeated"),
+            ({"pq_pairs": ((2.0, math.nan),)}, "(2.0, nan) is not a conjugate pair"),
+            ({"pq_pairs": ((2.0, 0.0),)}, "(2.0, 0.0) is not a conjugate pair"),
         ],
     )
     def test_validate_flags_each_problem(self, change, needle):
