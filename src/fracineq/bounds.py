@@ -36,15 +36,24 @@ Each evaluator is pure closed-form arithmetic except the left-hand sides,
 which carry quadrature error budgets that the pass/fail tolerance couples to.
 ``THEOREMS`` states each bound's hypothesis, parameters, right-hand side and
 alpha = 1 twin once; everything that handles a theorem id reads it there.
+Each right-hand side is a ``ClosedForm`` ``coef(row) * shape(point) /
+div(row)``: ``evaluate_block`` takes its parts once per grid row or point
+and the rest as numpy broadcasts, bit for bit as the scalar form, and
+returns a ``RowBlock`` of columns; ``ReportRows`` reads blocks as a list of
+``InequalityReport``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
+from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import chain, groupby
-from typing import Callable, NamedTuple, Optional, Sequence
+from itertools import accumulate, chain, groupby
+from operator import eq, itemgetter
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -84,6 +93,8 @@ __all__ = [
     "DEFAULT_MARGIN_TOL",
     "REDUCTION_TOL",
     "InequalityReport",
+    "RowBlock",
+    "ReportRows",
     "lhs_frac",
     "lhs_classical",
     "rhs_thm1",
@@ -138,6 +149,102 @@ class InequalityReport:
     note: str = ""
 
 
+class RowBlock(NamedTuple):
+    """One (theorem, function, alpha)'s report rows as columns, in report order.
+
+    ``evaluate_block`` makes it. Per grid row: ``grid`` (its s, p, q),
+    ``asserted`` and ``note``; e13 has one grid row per side of its pair.
+    Per point: ``x``. Per report row: ``row`` and ``point`` (its grid row
+    and point) and the float64 or bool arrays ``lhs``, ``rhs``, ``margin``,
+    ``holds`` and ``quad_error_budget``. ``report(i)`` builds the i-th row's
+    ``InequalityReport``; ``column(name)`` gives one field of every row. (A
+    named tuple: importing the package builds the class, and a dataclass
+    of this size takes a millisecond to build.)
+    """
+
+    theorem_id: str
+    function: str
+    a: float
+    b: float
+    alpha: float
+    M: float
+    grid: tuple[GridRow, ...]
+    asserted: tuple[bool, ...]
+    note: tuple[str, ...]
+    x: tuple[float, ...]
+    row: np.ndarray
+    point: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
+    holds: np.ndarray
+    quad_error_budget: np.ndarray
+
+    def report(self, i: int) -> InequalityReport:
+        r, j = self.row[i], self.point[i]
+        s, p, q = self.grid[r]
+        return InequalityReport(
+            self.theorem_id, self.function,
+            FracParams(self.a, self.b, self.x[j], self.alpha, s, p, q, self.M),
+            float(self.lhs[i]), float(self.rhs[i]), float(self.margin[i]), bool(self.holds[i]),
+            float(self.quad_error_budget[i]), self.asserted[r], self.note[r],
+        )
+
+    def column(self, name: str) -> list:
+        """The ``name`` field of every row as Python values: an
+        ``InequalityReport`` field, or a ``FracParams`` one for ``prm``'s."""
+        if name in GridRow._fields:
+            value = [getattr(row, name) for row in self.grid]
+        else:
+            value = getattr(self, name)
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if name in ("s", "p", "q", "asserted", "note"):
+            return list(map(value.__getitem__, self.row.tolist()))
+        if name == "x":
+            return list(map(value.__getitem__, self.point.tolist()))
+        return [value] * len(self.row)
+
+
+class ReportRows(Sequence):
+    """The report rows of a run of blocks: a read-only list of
+    ``InequalityReport``, each built when it is read.
+
+    It equals any list of the same reports, and ``column`` reads the blocks'
+    columns without building a report.
+    """
+
+    def __init__(self, blocks: Sequence[RowBlock]):
+        self.blocks = tuple(blocks)
+        self._ends = list(accumulate(len(block.row) for block in self.blocks))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        k = i + len(self) if i < 0 else i
+        if not 0 <= k < len(self):
+            raise IndexError("report index out of range")
+        n = bisect_right(self._ends, k)
+        return self.blocks[n].report(k - (self._ends[n - 1] if n else 0))
+
+    def __iter__(self):
+        for block in self.blocks:
+            yield from map(block.report, range(len(block.row)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, ReportRows)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def column(self, path: str) -> list:
+        """One field of every row, in order; ``prm.x`` names a parameter."""
+        name = path.removeprefix("prm.")
+        return list(chain.from_iterable(block.column(name) for block in self.blocks))
+
+
 def _require(prm, theorem_id: str, *names: str) -> None:
     # prm is a FracParams or a GridRow
     missing = [name for name in names if getattr(prm, name) is None]
@@ -190,10 +297,59 @@ def lhs_classical(
 # twin), then the public evaluator that checks the fields it needs
 
 
-def _thm1(prm: FracParams, f: Optional[Function1D] = None) -> float:
-    a, b, x, alpha, s = prm.a, prm.b, prm.x, prm.alpha, prm.s
-    powers = (x - a) ** (alpha + 1.0) + (b - x) ** (alpha + 1.0)
-    return prm.M / (b - a) * (1.0 + _gamma_ratio(alpha, s)) * powers / (alpha + s + 1.0)
+# the FracParams fields a closed form's parts read, unchecked: evaluate_block
+# passes one grid row's to coef and div and one point's to shape, None for
+# the fields they never read
+_At = namedtuple("_At", "a b x alpha s p q M")
+
+
+class ClosedForm(NamedTuple):
+    """A right-hand side ``coef(row) * shape(point, f) / div(row)``, in this
+    operation order; ``coef`` and ``div`` read a grid row (a, b, alpha, s, p,
+    q, M) and ``shape`` a point (a, b, x, alpha); without ``div`` nothing is
+    divided. ``evaluate_block`` takes the parts, and so every power, in
+    Python (``np.power`` differs from ``**`` in the last bit) and only the
+    product and quotient as numpy broadcasts, which round as Python does.
+    """
+
+    coef: Callable[..., float]
+    shape: Callable[..., float]
+    div: Optional[Callable[..., float]] = None
+
+    def __call__(self, prm, f: Optional[Function1D] = None) -> float:
+        value = self.coef(prm) * self.shape(prm, f)
+        return value if self.div is None else value / self.div(prm)
+
+
+def _width(r) -> float:
+    return r.b - r.a
+
+
+def _powers(r, f=None) -> float:
+    return (r.x - r.a) ** (r.alpha + 1.0) + (r.b - r.x) ** (r.alpha + 1.0)
+
+
+def _squares(r, f=None) -> float:
+    return (r.x - r.a) ** 2 + (r.b - r.x) ** 2
+
+
+def _midpoint_pair(r, f: Function1D, k: float) -> float:
+    # |f'| at the midpoints of [a, x] and [x, b], weighted by the k-th powers
+    da = abs(float(f.deriv(0.5 * (r.x + r.a))))
+    db = abs(float(f.deriv(0.5 * (r.b + r.x))))
+    return (r.x - r.a) ** k * da + (r.b - r.x) ** k * db
+
+
+def _shift(r, f=None) -> float:
+    shift = (r.x - 0.5 * (r.a + r.b)) / (r.b - r.a)
+    return 0.25 + shift * shift
+
+
+_thm1 = ClosedForm(
+    lambda r: r.M / (r.b - r.a) * (1.0 + _gamma_ratio(r.alpha, r.s)),
+    _powers,
+    lambda r: r.alpha + r.s + 1.0,
+)
 
 
 def rhs_thm1(prm: FracParams) -> float:
@@ -202,16 +358,11 @@ def rhs_thm1(prm: FracParams) -> float:
     return _thm1(prm)
 
 
-def _thm2(prm: FracParams, f: Optional[Function1D] = None) -> float:
-    a, b, x, alpha, s = prm.a, prm.b, prm.x, prm.alpha, prm.s
-    powers = (x - a) ** (alpha + 1.0) + (b - x) ** (alpha + 1.0)
-    return (
-        prm.M
-        / (1.0 + prm.p * alpha) ** (1.0 / prm.p)
-        * (2.0 / (s + 1.0)) ** (1.0 / prm.q)
-        * powers
-        / (b - a)
-    )
+_thm2 = ClosedForm(
+    lambda r: r.M / (1.0 + r.p * r.alpha) ** (1.0 / r.p) * (2.0 / (r.s + 1.0)) ** (1.0 / r.q),
+    _powers,
+    _width,
+)
 
 
 def rhs_thm2(prm: FracParams) -> float:
@@ -220,20 +371,21 @@ def rhs_thm2(prm: FracParams) -> float:
     return _thm2(prm)
 
 
-def _thm3(prm: FracParams, f: Optional[Function1D] = None) -> float:
-    if prm.q == 1.0:
-        return _thm1(prm)
-    a, b, x, alpha, s = prm.a, prm.b, prm.x, prm.alpha, prm.s
-    powers = (x - a) ** (alpha + 1.0) + (b - x) ** (alpha + 1.0)
-    inv_q = 1.0 / prm.q
+def _thm3_coef(r) -> float:
+    if r.q == 1.0:
+        return _thm1.coef(r)
+    inv_q = 1.0 / r.q
     return (
-        prm.M
-        * (1.0 / (1.0 + alpha)) ** (1.0 - inv_q)
-        * (1.0 / (alpha + s + 1.0)) ** inv_q
-        * (1.0 + _gamma_ratio(alpha, s)) ** inv_q
-        * powers
-        / (b - a)
+        r.M
+        * (1.0 / (1.0 + r.alpha)) ** (1.0 - inv_q)
+        * (1.0 / (r.alpha + r.s + 1.0)) ** inv_q
+        * (1.0 + _gamma_ratio(r.alpha, r.s)) ** inv_q
     )
+
+
+_thm3 = ClosedForm(
+    _thm3_coef, _powers, lambda r: _thm1.div(r) if r.q == 1.0 else r.b - r.a
+)
 
 
 def rhs_thm3(prm: FracParams) -> float:
@@ -246,16 +398,10 @@ def rhs_thm3(prm: FracParams) -> float:
     return _thm3(prm)
 
 
-def _thm4(prm: FracParams, f: Function1D) -> float:
-    a, b, x, alpha, s = prm.a, prm.b, prm.x, prm.alpha, prm.s
-    da = abs(float(f.deriv(0.5 * (x + a))))
-    db = abs(float(f.deriv(0.5 * (b + x))))
-    bracket = (x - a) ** (alpha + 1.0) * da + (b - x) ** (alpha + 1.0) * db
-    return (
-        2.0 ** ((s - 1.0) / prm.q)
-        / ((1.0 + prm.p * alpha) ** (1.0 / prm.p) * (b - a))
-        * bracket
-    )
+_thm4 = ClosedForm(
+    lambda r: 2.0 ** ((r.s - 1.0) / r.q) / ((1.0 + r.p * r.alpha) ** (1.0 / r.p) * (r.b - r.a)),
+    lambda r, f: _midpoint_pair(r, f, r.alpha + 1.0),
+)
 
 
 def rhs_thm4(
@@ -304,10 +450,7 @@ def rhs_e8_printed(prm: FracParams) -> float:
     return rhs_thm2(prm)
 
 
-def _ostrowski(prm: FracParams, f: Optional[Function1D] = None) -> float:
-    a, b, x = prm.a, prm.b, prm.x
-    shift = (x - 0.5 * (a + b)) / (b - a)
-    return prm.M * (b - a) * (0.25 + shift * shift)
+_ostrowski = ClosedForm(lambda r: r.M * (r.b - r.a), _shift)
 
 
 def rhs_ostrowski(prm: FracParams) -> float:
@@ -316,9 +459,7 @@ def rhs_ostrowski(prm: FracParams) -> float:
     return _ostrowski(prm)
 
 
-def _msconvex(prm: FracParams, f: Optional[Function1D] = None) -> float:
-    a, b, x, s = prm.a, prm.b, prm.x, prm.s
-    return prm.M * ((x - a) ** 2 + (b - x) ** 2) / ((b - a) * (s + 1.0))
+_msconvex = ClosedForm(lambda r: r.M, _squares, lambda r: (r.b - r.a) * (r.s + 1.0))
 
 
 def rhs_alomari_msconvex(prm: FracParams) -> float:
@@ -327,15 +468,11 @@ def rhs_alomari_msconvex(prm: FracParams) -> float:
     return _msconvex(prm)
 
 
-def _hoelder(prm: FracParams, f: Optional[Function1D] = None) -> float:
-    a, b, x, s = prm.a, prm.b, prm.x, prm.s
-    return (
-        prm.M
-        / (1.0 + prm.p) ** (1.0 / prm.p)
-        * (2.0 / (s + 1.0)) ** (1.0 / prm.q)
-        * ((x - a) ** 2 + (b - x) ** 2)
-        / (b - a)
-    )
+_hoelder = ClosedForm(
+    lambda r: r.M / (1.0 + r.p) ** (1.0 / r.p) * (2.0 / (r.s + 1.0)) ** (1.0 / r.q),
+    _squares,
+    _width,
+)
 
 
 def rhs_alomari_hoelder(prm: FracParams) -> float:
@@ -350,14 +487,9 @@ def rhs_alomari_hoelder(prm: FracParams) -> float:
     return _hoelder(prm)
 
 
-def _powermean(prm: FracParams, f: Optional[Function1D] = None) -> float:
-    a, b, x, s = prm.a, prm.b, prm.x, prm.s
-    return (
-        prm.M
-        * (2.0 / (s + 1.0)) ** (1.0 / prm.q)
-        * ((x - a) ** 2 + (b - x) ** 2)
-        / (2.0 * (b - a))
-    )
+_powermean = ClosedForm(
+    lambda r: r.M * (2.0 / (r.s + 1.0)) ** (1.0 / r.q), _squares, lambda r: 2.0 * (r.b - r.a)
+)
 
 
 def rhs_alomari_powermean(prm: FracParams) -> float:
@@ -366,12 +498,10 @@ def rhs_alomari_powermean(prm: FracParams) -> float:
     return _powermean(prm)
 
 
-def _sconcave(prm: FracParams, f: Function1D) -> float:
-    a, b, x, s = prm.a, prm.b, prm.x, prm.s
-    da = abs(float(f.deriv(0.5 * (x + a))))
-    db = abs(float(f.deriv(0.5 * (b + x))))
-    bracket = (x - a) ** 2 * da + (b - x) ** 2 * db
-    return 2.0 ** ((s - 1.0) / prm.q) / ((1.0 + prm.p) ** (1.0 / prm.p) * (b - a)) * bracket
+_sconcave = ClosedForm(
+    lambda r: 2.0 ** ((r.s - 1.0) / r.q) / ((1.0 + r.p) ** (1.0 / r.p) * (r.b - r.a)),
+    lambda r, f: _midpoint_pair(r, f, 2),
+)
 
 
 def rhs_alomari_sconcave(f: Function1D, prm: FracParams) -> float:
@@ -402,17 +532,18 @@ class Theorem:
     ``FracParams`` fields the bound reads besides a, b and M, in CSV column
     order: they are the row's filled CSV cells, and each of p and q among
     them must be set. The family follows from them: a fractional bound reads
-    alpha. ``rhs(prm, f)`` is the closed form, with nothing checked (None
-    for e13, whose Hermite-Hadamard pair ``evaluate_block`` builds), and
-    ``twin(prm, f)`` the classical closed form it equals at alpha = 1.
+    alpha. ``rhs`` is the ``ClosedForm``, with nothing checked (None for
+    e13, whose Hermite-Hadamard pair ``evaluate_block`` builds), and
+    ``twin`` the classical closed form it equals at alpha = 1; both are
+    called as ``rhs(prm, f)``.
     """
 
     tid: str
     target: Optional[str]
     mode: Optional[str]
     fields: tuple[str, ...]
-    rhs: Optional[Callable[..., float]]
-    twin: Optional[Callable[..., float]] = None
+    rhs: Optional[ClosedForm]
+    twin: Optional[ClosedForm] = None
 
     # derived once per row of the table, not once per report row
 
@@ -543,6 +674,17 @@ def _nonnegative_on_grid(f: Function1D, tol: float) -> bool:
     return float(np.min(np.asarray(f.eval(f.grid()), dtype=float))) >= -tol
 
 
+@functools.lru_cache(maxsize=256)
+def _report_order(runs: tuple[int, ...], n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each report row's grid row and point: per run of grid rows (``runs``
+    gives their lengths), then per point, then per grid row of the run."""
+    order = [(start + k, j) for start, size in zip(accumulate((0, *runs)), runs)
+             for j in range(n_points) for k in range(size)]
+    row, point = np.array(order, dtype=np.intp).reshape(-1, 2).T.copy()
+    row.flags.writeable = point.flags.writeable = False  # shared by blocks of this shape
+    return row, point
+
+
 def evaluate_block(
     theorem_id: str,
     entry: CatalogEntry,
@@ -555,94 +697,90 @@ def evaluate_block(
     margin_tol: float = DEFAULT_MARGIN_TOL,
     certs: Optional[CertCache] = None,
     mean: Optional[Estimate] = None,
-) -> list[InequalityReport]:
+) -> RowBlock:
     """Evaluate one theorem on every (s, p, q) of ``grid`` at every point.
 
     ``points`` are (x, pieces) pairs sharing function and alpha; pieces may
     be None, and classical theorems read none. Each grid row is checked and
-    certified once for the whole block. Rows come out per run of grid rows
-    sharing (s, p), then per point, then per grid row of the run, so a grid
-    from ``Theorem.grid`` over ascending s, p and x gives the report order.
-    The Hermite-Hadamard pair (e13), which reads no p, gives its two rows
-    per grid row and point.
+    certified once for the whole block. The right-hand sides are the
+    theorem's ``ClosedForm``: its coefficient and divisor once per grid row,
+    its shape once per point, and their (grid row x point) product and
+    quotient as one numpy broadcast; margins and verdicts follow the same
+    way. Rows come out per run of grid rows sharing (s, p), then per point,
+    then per grid row of the run, so a grid from ``Theorem.grid`` over
+    ascending s, p and x gives the report order. The Hermite-Hadamard pair
+    (e13), which reads no p, gives two block rows per grid row, one per side.
     """
     thm = THEOREMS.get(theorem_id)
     if thm is None:
         raise ConfigError(f"unknown theorem id {theorem_id!r}; known: {THEOREM_IDS}")
     certs = certs if certs is not None else CertCache()
-    f, name = entry.func, entry.name
+    f = entry.func
     a, b = interval
-    columns = []  # per grid row: its rows' parameters, verdict and note
+    asserted, notes = [], []
     for row in grid:
         _require(row, theorem_id, *thm.exponents)
-        s, p, q = row
         if thm.target is None:
             cert = None
         else:
-            cert = certs.get(entry, thm.target, thm.mode, s, q if thm.q_in_hypothesis else 1.0)
-        asserted = cert is None or cert.passed
-        note = "" if asserted else certs.skip_note(cert)
-        prms = [FracParams(a, b, x, alpha, s, p, q, M) for x, _ in points]
-        columns.append((prms, asserted, note))
+            q = row.q if thm.q_in_hypothesis else 1.0
+            cert = certs.get(entry, thm.target, thm.mode, row.s, q)
+        asserted.append(cert is None or cert.passed)
+        notes.append("" if asserted[-1] else certs.skip_note(cert))
     if not thm.fractional and mean is None:
         mean = plain_integral(f, a, b, cfg)
+    xs = tuple(x for x, _ in points)
 
     if theorem_id == "e13":  # the Hermite-Hadamard pair; f >= 0 is assumed too
         nonneg = _nonnegative_on_grid(f, certs.cert_tol)
         width = b - a
         mean_value = float(mean.value / width)
-        mean_err = float(mean.error / width)
-        floor = -float(max(margin_tol, 10.0 * mean_err))
+        budget = float(mean.error / width)
+        floor = -float(max(margin_tol, 10.0 * budget))
         at_mid = float(f.eval(0.5 * (a + b)))
         at_ends = float(f.eval(a)) + float(f.eval(b))
-        rows = []
-        for (s, _, _), (prms, asserted, note) in zip(grid, columns):
-            if asserted and not nonneg:
+        sides = []  # per block row: its grid row, gate, note, lhs and rhs
+        for row, ok, note in zip(grid, asserted, notes):
+            if ok and not nonneg:
                 note = "hypothesis not certified: f takes negative values"
-            asserted = asserted and nonneg
+            ok = ok and nonneg
             lead = note + " " if note else ""
-            sides = (
-                (float(2.0 ** (s - 1.0) * at_mid), mean_value, lead + "hh-lower"),
-                (mean_value, float(at_ends / (s + 1.0)), lead + "hh-upper"),
-            )
-            for prm in prms:
-                for lhs, rhs, tag in sides:
-                    margin = rhs - lhs
-                    rows.append(InequalityReport(
-                        "e13", name, prm, lhs, rhs, margin, margin >= floor,
-                        mean_err, asserted, tag,
-                    ))
-        return rows
-
-    at = columns[0][0] if columns else []
-    if thm.fractional:
-        lefts = [lhs_frac(f, prm, cfg, pieces=pieces) for prm, (_, pieces) in zip(at, points)]
+            sides.append((row, ok, lead + "hh-lower", float(2.0 ** (row.s - 1.0) * at_mid),
+                          mean_value))
+            sides.append((row, ok, lead + "hh-upper", mean_value, float(at_ends / (row.s + 1.0))))
+        grid, asserted, notes, lhs, rhs = ([side[k] for side in sides] for k in range(5))
+        row_of, point_of = _report_order((2,) * len(sides[::2]), len(xs))
+        lhs, rhs = (np.array(col, dtype=float)[row_of] for col in (lhs, rhs))
+        budget = np.full(len(row_of), budget)
     else:
-        lefts = [lhs_classical(f, prm, cfg, mean=mean) for prm in at]
-    # per point: the LHS, its budget and the lowest margin that still holds
-    per_point = []
-    for left in lefts:
-        lhs, budget = float(left.value), float(left.error)
-        per_point.append((lhs, budget, -float(max(margin_tol, 10.0 * budget))))
-    rhs_of = thm.rhs
-    # E9 and t6_147 read f' at the same two midpoints on every grid row of
-    # a point, so each distinct value is evaluated once per block
-    f_once = replace(f, deriv=functools.lru_cache(maxsize=None)(f.deriv))
-    cells = []
-    for prms, asserted, note in columns:
-        reports = []
-        for prm, (lhs, budget, floor) in zip(prms, per_point):
-            rhs = float(rhs_of(prm, f_once))
-            margin = rhs - lhs
-            reports.append(InequalityReport(
-                theorem_id, name, prm, lhs, rhs, margin, margin >= floor,
-                budget, asserted, note,
-            ))
-        cells.append(reports)
-    rows = []
-    for _, run in groupby(zip(grid, cells), key=lambda row_cells: row_cells[0][:2]):
-        rows.extend(chain.from_iterable(zip(*(reports for _, reports in run))))
-    return rows
+        runs = tuple(len(list(run)) for _, run in groupby(grid, key=itemgetter(0, 1)))
+        row_of, point_of = _report_order(runs, len(xs))
+        at_points = [_At(a, b, x, alpha, None, None, None, M) for x in xs]
+        if thm.fractional:
+            lefts = [lhs_frac(f, at, cfg, pieces=pieces) for at, (_, pieces) in zip(at_points, points)]
+        else:
+            lefts = [lhs_classical(f, at, cfg, mean=mean) for at in at_points]
+        lhs = np.array([float(left.value) for left in lefts], dtype=float)
+        budget = np.array([float(left.error) for left in lefts], dtype=float)
+        # per point, the lowest margin that still holds
+        floor = np.array([-float(max(margin_tol, 10.0 * err)) for err in budget.tolist()])
+        lhs, budget, floor = lhs[point_of], budget[point_of], floor[point_of]
+        form = thm.rhs
+        at_rows = [_At(a, b, None, alpha, s, p, q, M) for s, p, q in grid]
+        coef = np.array([form.coef(at) for at in at_rows], dtype=float)
+        shape = np.array([form.shape(at, f) for at in at_points], dtype=float)
+        with np.errstate(all="ignore"):  # IEEE results without warnings, as in Python
+            rhs = coef[:, None] * shape
+            if form.div is not None:
+                rhs = rhs / np.array([form.div(at) for at in at_rows], dtype=float)[:, None]
+        rhs = rhs[row_of, point_of]
+    with np.errstate(all="ignore"):
+        margin = rhs - lhs
+        holds = margin >= floor
+    return RowBlock(
+        theorem_id, entry.name, a, b, alpha, M, tuple(grid), tuple(asserted), tuple(notes),
+        xs, row_of, point_of, lhs, rhs, margin, holds, budget,
+    )
 
 
 def evaluate_theorem(
@@ -666,11 +804,11 @@ def evaluate_theorem(
     at one point.
     """
     prm = _resolve_m(entry, prm)
-    return evaluate_block(
+    return list(ReportRows([evaluate_block(
         theorem_id, entry, (prm.a, prm.b), prm.alpha, prm.M,
         [GridRow(prm.s, prm.p, prm.q)], [(prm.x, pieces)],
         cfg, margin_tol=margin_tol, certs=certs, mean=mean,
-    )
+    )]))
 
 
 def classical_suite(

@@ -10,6 +10,12 @@ alpha-free grids for the classical family), one block of rows per
 bounds are computed once per function before any point; rows are emitted
 in report order (``_report_sort_key``), with no sort afterwards.
 
+Each block is a ``bounds.RowBlock`` of columns, and ``SweepResult.reports``
+is a ``bounds.ReportRows`` over the blocks: it reads as the list of
+``InequalityReport`` rows, building each on access. The summary and both
+writers read the columns and build no row; a plain list of reports in its
+place is written the same way, one attribute column at a time.
+
 Output contracts kept deliberately rigid for reproducibility:
 
 * CSV columns: theorem_id, function, alpha, s, p, q, x, lhs, rhs, margin,
@@ -29,13 +35,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import reprlib
 import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import compress, count, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, eq, itemgetter
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,6 +56,7 @@ from .bounds import (
     THEOREMS,
     CertCache,
     InequalityReport,
+    ReportRows,
     evaluate_block,
 )
 from .errors import ConfigError, ConvergenceError
@@ -78,6 +86,7 @@ __all__ = [
     "SweepConfig",
     "SweepResult",
     "ResidualRecord",
+    "MAX_GRID_POINTS",
     "default_config",
     "run_sweep",
     "emit_report",
@@ -103,6 +112,59 @@ def _repeats(axis: str, values) -> list[str]:
             repeated.append(value)
         seen.add(value)
     return [f"{axis}: {value!r} is repeated" for value in repeated]
+
+
+#: The most grid points, functions x alphas x x points, and so the most x
+#: points, a sweep takes; the default sweep has 594 and the largest
+#: benchmark grid 693.
+MAX_GRID_POINTS = 20_000
+
+_TOLERANCES = ("identity_tol", "margin_tol", "cert_tol", "quad_rel_tol", "quad_abs_tol")
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _are_numbers(value, size: Optional[int] = None) -> bool:
+    fits = isinstance(value, (list, tuple)) and all(map(_is_number, value))
+    return fits and (size is None or len(value) == size)
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(map(float, values))
+
+
+_NAMES = (
+    "a list of strings",
+    lambda v: isinstance(v, (list, tuple)) and all(isinstance(n, str) for n in v),
+    tuple,
+)
+_NUMBERS = ("a list of numbers", _are_numbers, _floats)
+# per config key: the JSON type it takes, its test and the field's conversion
+_KEY_TYPES = {
+    "functions": _NAMES,
+    "theorems": _NAMES,
+    "alphas": _NUMBERS,
+    "s_values": _NUMBERS,
+    "interval": _NUMBERS,
+    "pq_pairs": (
+        "a list of [p, q] number pairs",
+        lambda v: isinstance(v, (list, tuple)) and all(_are_numbers(pair, 2) for pair in v),
+        lambda v: tuple(map(_floats, v)),
+    ),
+    "x_points": (
+        "a count or a list of numbers",
+        lambda v: _is_count(v) or _are_numbers(v),
+        lambda v: v if _is_count(v) else _floats(v),
+    ),
+    "seed": ("an integer", _is_count, int),
+    **{tname: ("a number", _is_number, float) for tname in _TOLERANCES},
+}
 
 
 @dataclass(frozen=True)
@@ -187,6 +249,15 @@ class SweepConfig:
             if not conjugate:
                 problems.append(f"pq_pairs: ({p!r}, {q!r}) is not a conjugate pair")
         problems.extend(_repeats("pq_pairs", [tuple(pair) for pair in self.pq_pairs]))
+        n_x = self.x_points if isinstance(self.x_points, int) else len(self.x_points)
+        n_points = len(self.functions) * len(self.alphas) * n_x
+        if n_x > MAX_GRID_POINTS:
+            problems.append(f"x_points: at most {MAX_GRID_POINTS} points, got {n_x}")
+        elif n_points > MAX_GRID_POINTS:
+            problems.append(
+                f"grid: at most {MAX_GRID_POINTS} points (functions x alphas x x), "
+                f"got {n_points}"
+            )
         if isinstance(self.x_points, int):
             if self.x_points < 1:
                 problems.append(f"x_points: count must be >= 1, got {self.x_points}")
@@ -199,7 +270,7 @@ class SweepConfig:
                     if not (a <= x <= b):
                         problems.append(f"x_points: {x!r} outside interval {self.interval!r}")
             problems.extend(_repeats("x_points", self.x_points))
-        for tname in ("identity_tol", "margin_tol", "cert_tol", "quad_rel_tol", "quad_abs_tol"):
+        for tname in _TOLERANCES:
             if not getattr(self, tname) > 0.0:
                 problems.append(f"{tname}: must be > 0, got {getattr(self, tname)!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
@@ -235,43 +306,32 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
+        """The config a JSON object states, over ``default_config()``.
+
+        Each key's JSON type is checked (tolerances may sit flat or under
+        ``tolerances``, which wins); one ``ConfigError`` names every
+        problem. ``validate`` checks the values.
+        """
         data = dict(data)
         tol = data.pop("tolerances", {})
-        unknown = set(data) - {
-            "functions", "alphas", "s_values", "pq_pairs", "x_points",
-            "interval", "theorems", "seed",
-        } - {  # flat tolerance keys are accepted too
-            "identity_tol", "margin_tol", "cert_tol", "quad_rel_tol", "quad_abs_tol",
-        }
+        problems: list[str] = []
+        if not isinstance(tol, dict):
+            problems.append(f"tolerances: must be an object, got {reprlib.repr(tol)}")
+            tol = {}
+        unknown = (set(data) - set(_KEY_TYPES)) | (set(tol) - set(_TOLERANCES))
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        base = default_config()
+            problems.append(f"unknown config keys: {sorted(unknown)}")
         kwargs = {}
-        if "functions" in data:
-            kwargs["functions"] = tuple(data["functions"])
-        if "alphas" in data:
-            kwargs["alphas"] = tuple(float(v) for v in data["alphas"])
-        if "s_values" in data:
-            kwargs["s_values"] = tuple(float(v) for v in data["s_values"])
-        if "pq_pairs" in data:
-            kwargs["pq_pairs"] = tuple(
-                tuple(float(v) for v in pair) for pair in data["pq_pairs"]
-            )
-        if "x_points" in data:
-            xp = data["x_points"]
-            kwargs["x_points"] = xp if isinstance(xp, int) else tuple(float(v) for v in xp)
-        if "interval" in data:
-            kwargs["interval"] = tuple(float(v) for v in data["interval"])
-        if "theorems" in data:
-            kwargs["theorems"] = tuple(data["theorems"])
-        if "seed" in data:
-            kwargs["seed"] = data["seed"]
-        for tname in ("identity_tol", "margin_tol", "cert_tol", "quad_rel_tol", "quad_abs_tol"):
-            if tname in tol:
-                kwargs[tname] = float(tol[tname])
-            elif tname in data:
-                kwargs[tname] = float(data[tname])
-        return dataclasses.replace(base, **kwargs)
+        given = [item for item in data.items() if item[0] in _KEY_TYPES]
+        for key, value in given + [item for item in tol.items() if item[0] in _TOLERANCES]:
+            want, fits, convert = _KEY_TYPES[key]
+            if fits(value):
+                kwargs[key] = convert(value)
+            else:
+                problems.append(f"{key}: must be {want}, got {reprlib.repr(value)}")
+        if problems:
+            raise ConfigError("; ".join(problems))
+        return dataclasses.replace(default_config(), **kwargs)
 
     @classmethod
     def from_file(cls, path: str) -> "SweepConfig":
@@ -303,7 +363,14 @@ class ResidualRecord:
 
 @dataclass
 class SweepResult:
-    reports: list[InequalityReport]
+    """A sweep's rows, residuals, summary and provenance.
+
+    ``run_sweep`` gives ``reports`` as a ``ReportRows``: the rows' columnar
+    blocks, read as a list whose reports are built on access. Any list of
+    ``InequalityReport`` may stand in for it.
+    """
+
+    reports: Sequence[InequalityReport]
     residuals: list[ResidualRecord]
     convergence_errors: list[str]
     summary: dict
@@ -430,35 +497,35 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     s_up = sorted(cfg.s_values)
     pq_up = sorted(cfg.pq_pairs, key=itemgetter(0))
     classical_points = [(x, None) for x in sorted(xs)]
-    reports: list[InequalityReport] = []
+    blocks = []
     for thm in sorted(thms, key=attrgetter("tid")):
         grid = thm.grid(s_up, pq_up, q_dedup)
         for entry in sorted(entries, key=attrgetter("name")):
             m = bound_m[entry.name]
             if thm.fractional:
                 for alpha in sorted(cfg.alphas):
-                    reports.extend(evaluate_block(
+                    blocks.append(evaluate_block(
                         thm.tid, entry, cfg.interval, alpha, m, grid,
                         points_at[entry.name, alpha], qcfg, cfg.margin_tol, certs,
                     ))
             else:
                 points = classical_points if "x" in thm.fields else [(mid, None)]
-                reports.extend(evaluate_block(
+                blocks.append(evaluate_block(
                     thm.tid, entry, cfg.interval, 1.0, m, grid, points, qcfg,
                     cfg.margin_tol, certs, means[entry.name],
                 ))
     residuals.sort(key=lambda rec: (rec.function, rec.alpha, rec.x))
 
-    asserted = [r for r in reports if r.asserted]
-    failed = sum(1 for r in asserted if not r.holds)
-    passed = len(asserted) - failed
-    skipped = len(reports) - len(asserted)
+    reports = ReportRows(blocks)
+    asserted = reports.column("asserted")
+    n_asserted = sum(asserted)
+    passed = sum(compress(reports.column("holds"), asserted))
     summary = {
         "total": len(reports),
         "passed": passed,
-        "failed": failed,
-        "skipped": skipped,
-        "worst_margin": min((r.margin for r in asserted), default=None),
+        "failed": n_asserted - passed,
+        "skipped": len(reports) - n_asserted,
+        "worst_margin": min(compress(reports.column("margin"), asserted), default=None),
         "worst_residual": max((rec.residual.rel_residual for rec in residuals), default=None),
         "identity_failures": sum(1 for rec in residuals if not rec.passed),
         "convergence_errors": len(convergence_errors),
@@ -489,13 +556,19 @@ def _memo_texts(values: list, kinds: set, text_of, nonfinite: dict) -> list[str]
     A float-only column takes ``float.__repr__``, with the texts of NaN and
     the infinities renamed by ``nonfinite``; any other takes ``text_of``.
     0.0 and -0.0 share a dict key but not a text, so in a column holding
-    both, each zero cell is written again by its own sign.
+    both, each zero cell is written again by its own sign. A float-only
+    column of mostly distinct values (rhs, margin) is written cell by cell,
+    which costs less than its memo and keeps each zero's sign.
     """
     distinct = dict.fromkeys(values)
     if kinds == {float}:
-        memo = dict(zip(distinct, map(float.__repr__, distinct)))
+        cells = values if 2 * len(distinct) > len(values) else distinct
+        texts = list(map(float.__repr__, cells))
         if nonfinite and not all(map(math.isfinite, distinct)):
-            memo = {v: nonfinite.get(text, text) for v, text in memo.items()}
+            texts = [nonfinite.get(text, text) for text in texts]
+        if cells is values:
+            return texts
+        memo = dict(zip(distinct, texts))
     else:
         memo = {v: text_of(v) for v in distinct}
     texts = list(map(memo.__getitem__, values))
@@ -512,6 +585,18 @@ def _csv_texts(values: list) -> list[str]:
     return _memo_texts(values, set(map(type, values)), _fmt_float, {})
 
 
+def _column(records: Sequence, path: str) -> list:
+    """A dotted field path's values over ``records``, in order; a
+    ``ReportRows`` gives its blocks' column without building a record.
+
+    The writers take one column at a time, so only its values are alive
+    beside the texts written so far.
+    """
+    if isinstance(records, ReportRows):
+        return records.column(path)
+    return list(map(attrgetter(path), records))
+
+
 def render_csv(res: SweepResult) -> str:
     """Render reports to the fixed CSV schema (byte-stable).
 
@@ -521,12 +606,11 @@ def render_csv(res: SweepResult) -> str:
     float-only columns they are written by ``float.__repr__`` in one pass.
     """
     reports = res.reports
-    tids = list(map(attrgetter("theorem_id"), reports))
+    tids = _column(reports, "theorem_id")
     runs = [(tid, len(list(run))) for tid, run in groupby(tids)]
-    prms = list(map(attrgetter("prm"), reports))
-    columns = [tids, list(map(attrgetter("function"), reports))]
+    columns = [tids, _column(reports, "function")]
     for fieldname in ("alpha", "s", "p", "q", "x"):
-        cells = list(map(attrgetter(fieldname), prms))
+        cells = _column(reports, "prm." + fieldname)
         start = 0
         for tid, size in runs:  # blank the runs whose theorem reads no fieldname
             if fieldname not in THEOREMS[tid].fields:
@@ -534,9 +618,9 @@ def render_csv(res: SweepResult) -> str:
             start += size
         columns.append(_csv_texts(cells))
     for fieldname in ("lhs", "rhs", "margin"):
-        columns.append(_csv_texts(list(map(attrgetter(fieldname), reports))))
-    columns.append(["true" if r.holds else "false" for r in reports])
-    columns.append(_csv_texts(list(map(attrgetter("quad_error_budget"), reports))))
+        columns.append(_csv_texts(_column(reports, fieldname)))
+    columns.append(["true" if held else "false" for held in _column(reports, "holds")])
+    columns.append(_csv_texts(_column(reports, "quad_error_budget")))
     return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
@@ -615,9 +699,7 @@ def _records_chunks(records: list, cls) -> list[str]:
     if not records:
         return ["[]"]
     template, leaves = _record_layout(cls, 2)
-    columns = [
-        _column_texts(list(map(attrgetter(path), records)), lv) for path, lv in leaves
-    ]
+    columns = [_column_texts(_column(records, path), lv) for path, lv in leaves]
     item = _INDENT * 2 + template + ",\n"
     chunks = ["[\n", *map(item.__mod__, zip(*columns)), "\n" + _INDENT + "]"]
     chunks[-2] = chunks[-2][:-2]  # the last record takes no comma

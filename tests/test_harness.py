@@ -143,6 +143,74 @@ class TestSweepConfig:
             SweepConfig.from_file(str(path))
 
 
+class TestConfigFileTypes:
+    """A config file whose keys have the wrong JSON type exits 2 with a
+    ConfigError naming each problem, never a traceback or a silent guess."""
+
+    @pytest.mark.parametrize(
+        "config,needles",
+        [
+            # a string was split into one unknown name per character
+            ({"functions": "square"}, ["functions: must be a list of strings, got 'square'"]),
+            # a bool was taken as the count 1
+            ({"x_points": True}, ["x_points: must be a count or a list of numbers, got True"]),
+            ({"x_points": 1.5}, ["x_points: must be a count or a list of numbers, got 1.5"]),
+            # a numeric string was taken as its number
+            ({"x_points": [0.5, "0.7"]}, ["x_points: must be a count or a list of numbers"]),
+            ({"alphas": ["a"]}, ["alphas: must be a list of numbers, got ['a']"]),
+            ({"tolerances": {"identity_tol": "x"}}, ["identity_tol: must be a number, got 'x'"]),
+            ({"pq_pairs": 3}, ["pq_pairs: must be a list of [p, q] number pairs, got 3"]),
+            ({"pq_pairs": [[2.0, 2.0, 1.0]]}, ["pq_pairs: must be a list of [p, q] number pairs"]),
+            (
+                {"tolerances": 1e-9, "seed": False, "interval": [0, "1"], "theorems": ["E6", 7]},
+                [
+                    "tolerances: must be an object, got 1e-09",
+                    "seed: must be an integer, got False",
+                    "interval: must be a list of numbers",
+                    "theorems: must be a list of strings",
+                ],
+            ),
+            (
+                {"tolerances": {"margin_tol": 1e-9, "margin": 1.0}, "alpha": 0.5},
+                ["unknown config keys: ['alpha', 'margin']"],
+            ),
+        ],
+    )
+    def test_probe_exits_two(self, config, needles, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        for needle in needles:
+            assert needle in err, err
+
+    def test_valid_types_are_taken(self):
+        cfg = SweepConfig.from_dict({
+            "functions": ["square"], "alphas": [1, 0.5], "pq_pairs": [[2, 2]],
+            "x_points": [0, 0.5], "seed": 3, "margin_tol": 1e-6,
+            "tolerances": {"margin_tol": 1e-7},
+        })
+        assert cfg.alphas == (1.0, 0.5) and type(cfg.alphas[0]) is float
+        assert cfg.pq_pairs == ((2.0, 2.0),) and cfg.x_points == (0.0, 0.5)
+        assert cfg.seed == 3 and cfg.margin_tol == 1e-7  # the nested value wins
+        assert SweepConfig.from_dict({"x_points": 7}).x_points == 7
+
+    def test_grid_size_is_capped(self):
+        # validate counts the grid without building it
+        cap = harness.MAX_GRID_POINTS
+        base = dataclasses.replace(default_config(), functions=("square",), alphas=(0.5,))
+        for x_points in (cap + 1, 10**11):
+            problems = dataclasses.replace(base, x_points=x_points).validate()
+            assert problems == [f"x_points: at most {cap} points, got {x_points}"]
+        assert dataclasses.replace(base, x_points=cap).validate() == []
+        wide = dataclasses.replace(default_config(), x_points=cap // 54 + 1)  # 9 x 6 x n
+        assert wide.validate() == [
+            f"grid: at most {cap} points (functions x alphas x x), got {54 * (cap // 54 + 1)}"
+        ]
+        assert dataclasses.replace(wide, x_points=cap // 54).validate() == []
+
+
 class TestRunSweep:
     def test_summary_arithmetic(self, small_result):
         s = small_result.summary
@@ -469,6 +537,13 @@ def _csv_oracle(res: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _mostly_distinct(i: int) -> float:
+    # a distinct value per row, but 0.0, -0.0, NaN and both infinities at
+    # rows 0, 7, 14, 21 and 28
+    specials = (0.0, -0.0, math.nan, math.inf, -math.inf)
+    return specials[i // 7] if i % 7 == 0 and i < 35 else i / 7.0 + 0.1
+
+
 class TestCsvWriter:
     """render_csv writes what a per-cell loop writes."""
 
@@ -542,6 +617,17 @@ class TestCsvWriter:
         assert text == _csv_oracle(res)
         assert {line.split(",")[8] for line in text.splitlines()[1:]} == {"nan", "inf", "-inf"}
 
+    def test_mostly_distinct_column_with_specials(self, small_result):
+        # a column of mostly distinct floats is written cell by cell, with no
+        # memo; its zeros keep their sign and nan and the infinities their text
+        res = _edit_reports(
+            small_result, lambda i, r: dataclasses.replace(r, margin=_mostly_distinct(i))
+        )
+        text = render_csv(res)
+        assert text == _csv_oracle(res)
+        cells = {line.split(",")[9] for line in text.splitlines()[1:]}
+        assert {"0.0", "-0.0", "nan", "inf", "-inf"} <= cells
+
     def test_int_alpha_sweep(self):
         cfg = SweepConfig(
             functions=("square",), alphas=(1,), s_values=(1.0,), x_points=3, theorems=("E6",)
@@ -609,6 +695,15 @@ class TestJsonWriter:
         text = render_json(res)
         for name in ("NaN", "Infinity", "-Infinity", "0.5"):
             assert f'"lhs": {name},' in text, name
+        assert text == _json_oracle(res)
+
+    def test_mostly_distinct_column_with_specials(self, small_result):
+        res = _edit_reports(
+            small_result, lambda i, r: dataclasses.replace(r, rhs=_mostly_distinct(i))
+        )
+        text = render_json(res)
+        for name in ("0.0", "-0.0", "NaN", "Infinity", "-Infinity"):
+            assert f'"rhs": {name},' in text, name
         assert text == _json_oracle(res)
 
     def test_none_values(self, small_result):
