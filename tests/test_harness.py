@@ -150,12 +150,12 @@ class TestConfigFileTypes:
     @pytest.mark.parametrize(
         "config,needles",
         [
-            # a string was split into one unknown name per character
+            # a string is not a list of one-character names
             ({"functions": "square"}, ["functions: must be a list of strings, got 'square'"]),
-            # a bool was taken as the count 1
+            # a bool is not a count
             ({"x_points": True}, ["x_points: must be a count or a list of numbers, got True"]),
             ({"x_points": 1.5}, ["x_points: must be a count or a list of numbers, got 1.5"]),
-            # a numeric string was taken as its number
+            # a numeric string is not a number
             ({"x_points": [0.5, "0.7"]}, ["x_points: must be a count or a list of numbers"]),
             ({"alphas": ["a"]}, ["alphas: must be a list of numbers, got ['a']"]),
             ({"tolerances": {"identity_tol": "x"}}, ["identity_tol: must be a number, got 'x'"]),
