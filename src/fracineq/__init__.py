@@ -24,7 +24,6 @@ from .bounds import (
     THEOREM_IDS,
     CertCache,
     InequalityReport,
-    classical_suite,
     evaluate_theorem,
     lhs_classical,
     lhs_frac,
@@ -51,7 +50,6 @@ from .errors import (
 from .fracint import (
     DEFAULT_QUADRATURE,
     RULE_ADAPTIVE,
-    RULE_GAUSS_JACOBI,
     RULE_ORACLE,
     Estimate,
     FracParams,
@@ -131,7 +129,6 @@ __all__ = [
     "QuadratureConfig",
     "DEFAULT_QUADRATURE",
     "RULE_ADAPTIVE",
-    "RULE_GAUSS_JACOBI",
     "RULE_ORACLE",
     "FracParams",
     "weighted_endpoint_integral",
@@ -174,7 +171,6 @@ __all__ = [
     "rhs_alomari_powermean",
     "rhs_alomari_sconcave",
     "evaluate_theorem",
-    "classical_suite",
     "reduction_check",
     # harness
     "SweepConfig",

@@ -109,7 +109,6 @@ __all__ = [
     "rhs_alomari_sconcave",
     "evaluate_block",
     "evaluate_theorem",
-    "classical_suite",
     "reduction_check",
 ]
 
@@ -809,31 +808,6 @@ def evaluate_theorem(
         [GridRow(prm.s, prm.p, prm.q)], [(prm.x, pieces)],
         cfg, margin_tol=margin_tol, certs=certs, mean=mean,
     )]))
-
-
-def classical_suite(
-    entry: CatalogEntry,
-    prm: FracParams,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    margin_tol: float = DEFAULT_MARGIN_TOL,
-    certs: Optional[CertCache] = None,
-) -> list[InequalityReport]:
-    """All classical rows (e1, e13 pair, e14, t5_146, t6_147) at one point.
-
-    prm must carry M (or the entry an analytic bound) plus p and q for the
-    exponent-based members.
-    """
-    certs = certs if certs is not None else CertCache()
-    mean = plain_integral(entry.func, prm.a, prm.b, cfg)
-    out: list[InequalityReport] = []
-    for tid in CLASSICAL_IDS:
-        out.extend(
-            evaluate_theorem(
-                tid, entry, prm, cfg,
-                margin_tol=margin_tol, certs=certs, mean=mean,
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,11 @@ where t(u) = c -/+ L * u**(1/alpha) walks from the singular endpoint. The
 transformed integrand is bounded whenever f is, so adaptive error estimates
 stay honest for every alpha > 0.
 
-Three interchangeable rules evaluate the transformed integral:
+Two interchangeable rules evaluate the transformed integral:
 
 ``transformed-adaptive``
     The lane-batched adaptive Gauss-Kronrod engine below; the default
     everywhere.
-``gauss-jacobi``
-    A fixed-order Gauss-Jacobi rule applied to the *original* weighted
-    integrand. Spectrally accurate for analytic f; degrades to roughly 1e-7
-    for integrands with fractional-power interior behavior, so it serves as
-    a cross-check rule, not the default.
 ``oracle-midpoint``
     A brute-force composite midpoint rule with >= 1e6 panels on the
     transformed integrand. Deliberately simple; exists so tests can validate
@@ -87,7 +82,6 @@ from .specfun import gamma
 
 __all__ = [
     "RULE_ADAPTIVE",
-    "RULE_GAUSS_JACOBI",
     "RULE_ORACLE",
     "Estimate",
     "QuadratureConfig",
@@ -106,9 +100,8 @@ __all__ = [
 ]
 
 RULE_ADAPTIVE = "transformed-adaptive"
-RULE_GAUSS_JACOBI = "gauss-jacobi"
 RULE_ORACLE = "oracle-midpoint"
-_RULES = (RULE_ADAPTIVE, RULE_GAUSS_JACOBI, RULE_ORACLE)
+_RULES = (RULE_ADAPTIVE, RULE_ORACLE)
 
 _ORACLE_PANELS = 1_000_000
 
@@ -437,7 +430,12 @@ def _outcome(
 def _one_lane(
     lanes: _LaneSet, cfg: QuadratureConfig, what: str, scale: float = 1.0
 ) -> Estimate:
-    """Adaptive quadrature of a single lane; raises its ConvergenceError."""
+    """A single lane by the configured rule; raises the adaptive rule's
+    ConvergenceError. The oracle's error is a half-resolution comparison."""
+    if cfg.rule == RULE_ORACLE:
+        full = _midpoint_unit(lanes, _ORACLE_PANELS)
+        half = _midpoint_unit(lanes, _ORACLE_PANELS // 2)
+        return Estimate(scale * full, scale * abs(full - half) / 3.0)
     value, error, why = _integrate((lanes,), cfg)
     got = _outcome(value[0], error[0], why[0], what, scale)
     if isinstance(got, ConvergenceError):
@@ -448,24 +446,6 @@ def _one_lane(
 def _midpoint_unit(lanes: _LaneSet, panels: int) -> float:
     u = (np.arange(panels, dtype=float) + 0.5) / panels
     return float(np.mean(lanes.fn(np.zeros(1, dtype=int), u[None, :])))
-
-
-def _gauss_jacobi_weighted(
-    g: Callable, lo: float, hi: float, alpha: float, singular: str, order: int
-) -> float:
-    # scipy is imported here, not at module level: only this cross-check rule
-    # uses it, and importing it would double the package's import time
-    from scipy.special import roots_jacobi
-
-    # weight (hi - t)^(alpha-1) maps to (1 - xi)^(alpha-1): Jacobi (a, b) = (alpha-1, 0)
-    if singular == "hi":
-        nodes, weights = roots_jacobi(order, alpha - 1.0, 0.0)
-    else:
-        nodes, weights = roots_jacobi(order, 0.0, alpha - 1.0)
-    mid = 0.5 * (hi + lo)
-    rad = 0.5 * (hi - lo)
-    t = mid + rad * nodes
-    return rad**alpha * float(np.sum(weights * np.asarray(g(t), dtype=float)))
 
 
 def weighted_endpoint_integral(
@@ -495,26 +475,15 @@ def weighted_endpoint_integral(
     Returns
     -------
     Estimate
-        Value and absolute error estimate. For the fixed rules the error
+        Value and absolute error estimate. For the oracle rule the error
         field is a half-resolution comparison, not a guaranteed bound.
     """
     if not alpha > 0.0:
         raise DomainError(f"alpha must be > 0, got {alpha!r}")
     if not lo < hi:
         raise EmptyIntervalError(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    g = _as_callable(f)
-    lanes, (c,) = _weighted_lanes(g, (lo,), (hi,), alpha, (singular,))
-
-    if cfg.rule == RULE_ADAPTIVE:
-        return _one_lane(lanes, cfg, f"weighted integral on [{lo}, {hi}]", c)
-    if cfg.rule == RULE_ORACLE:
-        full = _midpoint_unit(lanes, _ORACLE_PANELS)
-        half = _midpoint_unit(lanes, _ORACLE_PANELS // 2)
-        return Estimate(c * full, c * abs(full - half) / 3.0)
-    order = min(96, cfg.max_subdivisions)
-    full = _gauss_jacobi_weighted(g, lo, hi, alpha, singular, order)
-    half = _gauss_jacobi_weighted(g, lo, hi, alpha, singular, max(4, order // 2))
-    return Estimate(full, abs(full - half))
+    lanes, (c,) = _weighted_lanes(_as_callable(f), (lo,), (hi,), alpha, (singular,))
+    return _one_lane(lanes, cfg, f"weighted integral on [{lo}, {hi}]", c)
 
 
 def plain_integral(
@@ -547,30 +516,7 @@ def moment_integral(
     if not alpha > 0.0:
         raise DomainError(f"alpha must be > 0, got {alpha!r}")
     lanes = _moment_lanes(deriv, (x,), (base,), alpha)
-
-    if cfg.rule == RULE_ADAPTIVE:
-        return _one_lane(lanes, cfg, f"moment integral (x={x}, base={base})")
-    if cfg.rule == RULE_ORACLE:
-        full = _midpoint_unit(lanes, _ORACLE_PANELS)
-        half = _midpoint_unit(lanes, _ORACLE_PANELS // 2)
-        return Estimate(full, abs(full - half) / 3.0)
-    from scipy.special import roots_jacobi  # see _gauss_jacobi_weighted
-
-    order = min(96, cfg.max_subdivisions)
-    wlo = min(x, base)
-    whi = max(x, base)
-
-    def weighted_sum(n: int) -> float:
-        nodes, weights = roots_jacobi(n, 0.0, alpha)  # weight (1+xi)^alpha on [-1,1]
-        t = 0.5 * (nodes + 1.0)
-        pts = np.clip(t * x + (1.0 - t) * base, wlo, whi)
-        return 0.5 ** (alpha + 1.0) * float(
-            np.sum(weights * np.asarray(deriv(pts), dtype=float))
-        )
-
-    full = weighted_sum(order)
-    half = weighted_sum(max(4, order // 2))
-    return Estimate(full, abs(full - half))
+    return _one_lane(lanes, cfg, f"moment integral (x={x}, base={base})")
 
 
 def _check_domain(f: Union[Function1D, Callable], lo: float, hi: float) -> None:
@@ -684,8 +630,8 @@ def lemma_integrals_batch(
 
     Returns one list per job, as :func:`lemma_integrals` gives it. Under the
     adaptive rule the 4 * len(xs) integrals of every job run as lanes of one
-    batch, and each value equals the one-x call's to the bit; the other
-    rules integrate one x at a time.
+    batch, and each value equals the one-x call's to the bit; the oracle
+    rule integrates one x at a time.
     """
     points = [[FracParams(a, b, x, alpha) for x in xs] for _, alpha in jobs]
     for f, _ in jobs:

@@ -167,6 +167,12 @@ _KEY_TYPES = {
 }
 
 
+def _type_problem(key: str, value) -> Optional[str]:
+    """The problem with a config key's value when it has the wrong type."""
+    want, fits, _ = _KEY_TYPES[key]
+    return None if fits(value) else f"{key}: must be {want}, got {reprlib.repr(value)}"
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid, tolerances, and theorem selection for one sweep."""
@@ -186,8 +192,18 @@ class SweepConfig:
     quad_abs_tol: float = 1e-12
 
     def validate(self) -> list[str]:
-        """Return a list of human-readable problems; empty means valid."""
-        problems: list[str] = []
+        """Return a list of human-readable problems; empty means valid.
+
+        Fields of the wrong type are the only problems reported, as
+        ``from_dict`` reports them: the value checks read every field.
+        """
+        problems = [
+            problem
+            for key in _KEY_TYPES
+            if (problem := _type_problem(key, getattr(self, key))) is not None
+        ]
+        if problems:
+            return problems
         known = set(catalog_names())
         if not self.functions:
             problems.append("functions: must not be empty")
@@ -237,11 +253,7 @@ class SweepConfig:
         problems.extend(_repeats("s_values", self.s_values))
         if not self.pq_pairs and any(thm.exponents for thm in thms):
             problems.append("pq_pairs: must not be empty for exponent-based theorems")
-        for pair in self.pq_pairs:
-            if len(pair) != 2:
-                problems.append(f"pq_pairs: need (p, q) pairs, got {pair!r}")
-                continue
-            p, q = pair
+        for p, q in self.pq_pairs:
             # NaN-safe, and q is checked before 1 / q is taken
             conjugate = (
                 p > 1.0 and q >= 1.0 and abs(1.0 / p + 1.0 / q - 1.0) <= CONJUGACY_TOL
@@ -273,8 +285,6 @@ class SweepConfig:
         for tname in _TOLERANCES:
             if not getattr(self, tname) > 0.0:
                 problems.append(f"{tname}: must be > 0, got {getattr(self, tname)!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            problems.append(f"seed: must be an integer, got {self.seed!r}")
         return problems
 
     def resolve_x(self) -> tuple[float, ...]:
@@ -324,11 +334,11 @@ class SweepConfig:
         kwargs = {}
         given = [item for item in data.items() if item[0] in _KEY_TYPES]
         for key, value in given + [item for item in tol.items() if item[0] in _TOLERANCES]:
-            want, fits, convert = _KEY_TYPES[key]
-            if fits(value):
-                kwargs[key] = convert(value)
+            problem = _type_problem(key, value)
+            if problem is None:
+                kwargs[key] = _KEY_TYPES[key][2](value)
             else:
-                problems.append(f"{key}: must be {want}, got {reprlib.repr(value)}")
+                problems.append(problem)
         if problems:
             raise ConfigError("; ".join(problems))
         return dataclasses.replace(default_config(), **kwargs)

@@ -2,7 +2,7 @@
 
 Every bound evaluator and closed-form oracle in the package funnels through
 these three functions, so they carry an explicit accuracy contract
-(:class:`SpecFunAccuracy`).
+(:data:`REL_TOL`).
 
 Implementation: the standard library's ``math.gamma`` and ``math.lgamma``,
 whose errors of a few ulp lie well inside the contract; ``gamma`` stays
@@ -13,51 +13,38 @@ finite up to z ~ 171.6. The wrappers add the z > 0 domain check, since
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["SpecFunAccuracy", "ACCURACY", "gamma", "ln_gamma", "beta"]
+__all__ = ["REL_TOL", "gamma", "ln_gamma", "beta"]
 
-
-@dataclass(frozen=True)
-class SpecFunAccuracy:
-    """Precision contract for this module's kernels.
-
-    rel_tol bounds the relative error of ``gamma`` and the scaled absolute
-    error of ``ln_gamma``; ``beta`` is guaranteed to 4 * rel_tol because it
-    composes three log-Gamma evaluations.
-    """
-
-    rel_tol: float = 1e-13
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < 1e-6):
-            raise DomainError(
-                f"rel_tol must lie in (0, 1e-6), got {self.rel_tol!r}"
-            )
-
-
-#: Accuracy contract met by the kernels below.
-ACCURACY = SpecFunAccuracy()
+#: Precision contract for this module's kernels: REL_TOL bounds the relative
+#: error of ``gamma`` and the scaled absolute error of ``ln_gamma``; ``beta``
+#: is guaranteed to 4 * REL_TOL because it composes three log-Gamma
+#: evaluations.
+REL_TOL = 1e-13
 
 
 def gamma(z: float) -> float:
-    """Gamma(z) for real z > 0, relative error <= ACCURACY.rel_tol.
+    """Gamma(z) for real z > 0, relative error <= REL_TOL.
 
     Raises DomainError for z <= 0 (callers never need the analytic
-    continuation; a non-positive argument signals a bug upstream).
+    continuation; a non-positive argument signals a bug upstream) and where
+    Gamma(z) overflows a float: z > 171.6, or z < 5.6e-309.
     """
     z = float(z)
     if not z > 0.0:
         raise DomainError(f"gamma requires z > 0, got {z!r}")
-    return math.gamma(z)
+    try:
+        return math.gamma(z)
+    except OverflowError:
+        raise DomainError(f"gamma({z!r}) overflows a float") from None
 
 
 def ln_gamma(z: float) -> float:
     """ln Gamma(z) for real z > 0.
 
-    Absolute error <= ACCURACY.rel_tol * max(1, |ln Gamma(z)|). Preferred
+    Absolute error <= REL_TOL * max(1, |ln Gamma(z)|). Preferred
     over ``gamma`` whenever ratios of Gamma values are formed, since the
     ratio can be exponentiated once at the end without overflow.
     """
@@ -71,7 +58,7 @@ def beta(x: float, y: float) -> float:
     """Euler Beta function for x, y > 0.
 
     Computed as exp(ln_gamma(x) + ln_gamma(y) - ln_gamma(x + y)); relative
-    error <= 4 * ACCURACY.rel_tol. Symmetric in (x, y) by construction.
+    error <= 4 * REL_TOL. Symmetric in (x, y) by construction.
     """
     x = float(x)
     y = float(y)

@@ -18,7 +18,6 @@ from fracineq.bounds import (
     THEOREM_IDS,
     THEOREMS,
     CertCache,
-    classical_suite,
     evaluate_theorem,
     lhs_classical,
     lhs_frac,
@@ -548,23 +547,18 @@ class TestCertCache:
 
 
 class TestClassicalSuite:
+    """Every classical theorem at one point."""
+
     def test_row_order_and_verdicts(self):
         entry = get_entry("square")
         prm = FracParams(0.0, 1.0, 0.25, 1.0, s=0.5, p=2.0, q=2.0, M=2.0)
-        rows = classical_suite(entry, prm)
+        rows = [row for tid in CLASSICAL_IDS for row in evaluate_theorem(tid, entry, prm)]
         assert [r.theorem_id for r in rows] == [
             "e1", "e13", "e13", "e14", "t5_146", "t6_147",
         ]
         for row in rows:
             if row.asserted:
                 assert row.holds, row
-
-    def test_affine_sharpness_witness(self):
-        entry = get_entry("affine")
-        for x in (0.0, 1.0):
-            prm = FracParams(0.0, 1.0, x, 1.0, s=1.0, p=2.0, q=2.0, M=1.0)
-            rows = [r for r in classical_suite(entry, prm) if r.theorem_id == "e1"]
-            assert abs(rows[0].margin) <= 1e-12
 
 
 class TestReductionCheck:

@@ -26,7 +26,6 @@ from fracineq.fracint import (
     MAX_ALPHA,
     _integrate,
     _LaneSet,
-    RULE_GAUSS_JACOBI,
     RULE_ORACLE,
     Estimate,
     FracParams,
@@ -66,6 +65,7 @@ class TestConfigs:
             {"abs_tol": -1e-12},
             {"max_subdivisions": 7},
             {"rule": "simpson"},
+            {"rule": "gauss-jacobi"},
         ],
     )
     def test_quadrature_rejects(self, kwargs):
@@ -230,14 +230,14 @@ class TestOracleAndRules:
         assert est.value == pytest.approx(2.0, rel=1e-8)  # integral of (1-t)^(-1/2)
         assert est.error >= 0.0
 
-    def test_gauss_jacobi_exact_for_polynomials(self):
-        cfg = QuadratureConfig(rule=RULE_GAUSS_JACOBI)
+    def test_oracle_rule_matches_adaptive_on_polynomial(self):
+        cfg = QuadratureConfig(rule=RULE_ORACLE)
         est = weighted_endpoint_integral(square_fn, 0.0, 1.0, 0.5, "hi", cfg)
         want = weighted_endpoint_integral(square_fn, 0.0, 1.0, 0.5, "hi").value
         assert est.value == pytest.approx(want, rel=1e-12)
 
-    def test_gauss_jacobi_cross_checks_smooth(self):
-        cfg = QuadratureConfig(rule=RULE_GAUSS_JACOBI)
+    def test_oracle_rule_cross_checks_smooth(self):
+        cfg = QuadratureConfig(rule=RULE_ORACLE)
         f = get_entry("exp").func
         est = weighted_endpoint_integral(f, 0.0, 1.0, 0.75, "lo", cfg)
         want = weighted_endpoint_integral(f, 0.0, 1.0, 0.75, "lo").value
@@ -275,8 +275,8 @@ class TestMomentIntegral:
         est = moment_integral(deriv, 0.5, 0.5, 1.5)
         assert est.value == pytest.approx(math.exp(0.5) / 2.5, rel=1e-12)
 
-    def test_gauss_jacobi_route_matches(self):
-        cfg = QuadratureConfig(rule=RULE_GAUSS_JACOBI)
+    def test_oracle_route_matches(self):
+        cfg = QuadratureConfig(rule=RULE_ORACLE)
         deriv = get_entry("exp").func.deriv
         got = moment_integral(deriv, 0.9, 0.1, 0.75, cfg)
         want = moment_integral(deriv, 0.9, 0.1, 0.75)

@@ -12,13 +12,18 @@ import pickle
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fracineq
 from fracineq import bounds, cli, fracint, harness, identity
-from fracineq.bounds import evaluate_theorem
+from fracineq.bounds import THEOREM_IDS, evaluate_theorem
 from fracineq.errors import ConfigError, ConvergenceError
 from fracineq.fracint import QuadratureConfig
 from fracineq.funcatalog import (
@@ -95,12 +100,18 @@ class TestSweepConfig:
             ({"x_points": (0.25, 0.5, 0.25)}, "x_points: 0.25 is repeated"),
             ({"pq_pairs": ((2.0, math.nan),)}, "(2.0, nan) is not a conjugate pair"),
             ({"pq_pairs": ((2.0, 0.0),)}, "(2.0, 0.0) is not a conjugate pair"),
+            # a wrongly typed field set from Python is a problem, not a TypeError
+            ({"x_points": 1.5}, "x_points: must be a count or a list of numbers, got 1.5"),
+            ({"alphas": 0.5}, "alphas: must be a list of numbers, got 0.5"),
+            ({"s_values": "a"}, "s_values: must be a list of numbers, got 'a'"),
         ],
     )
     def test_validate_flags_each_problem(self, change, needle):
         cfg = dataclasses.replace(default_config(), **change)
         problems = cfg.validate()
         assert any(needle in p for p in problems), problems
+        with pytest.raises(ConfigError, match=re.escape(needle)):
+            run_sweep(cfg)
 
     def test_resolve_x_from_count(self):
         cfg = dataclasses.replace(default_config(), x_points=3)
@@ -141,6 +152,24 @@ class TestSweepConfig:
         path.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(ConfigError, match="JSON object"):
             SweepConfig.from_file(str(path))
+
+
+# JSON values of every type, counts kept small: a count near the grid cap
+# would run a sweep for minutes
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 50) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=12), inner, max_size=3),
+    max_leaves=8,
+)
+# values of the right shape, so that draws also reach the value checks
+_NUMBER = st.integers(-3, 50) | st.floats()
+_NEAR_VALID = (
+    st.lists(st.sampled_from(catalog_names() + list(THEOREM_IDS)), max_size=3)
+    | st.lists(_NUMBER, max_size=3)
+    | st.lists(st.lists(_NUMBER, min_size=2, max_size=2), max_size=3)
+    | st.dictionaries(st.sampled_from(harness._TOLERANCES), _NUMBER, max_size=2)
+)
 
 
 class TestConfigFileTypes:
@@ -184,6 +213,29 @@ class TestConfigFileTypes:
         assert err.startswith("error: ") and "Traceback" not in err
         for needle in needles:
             assert needle in err, err
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(sorted(harness._KEY_TYPES) + ["tolerances"]),
+            _JSON | _NEAR_VALID,
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @example({"alphas": [5e-324]})  # Gamma(alpha) overflows: exit 2
+    def test_any_json_value_exits_cleanly(self, changes):
+        # a valid draw runs a sweep, so the base grid is tiny and counts small
+        config = {"functions": ["square"], "alphas": [0.5], "x_points": 2, **changes}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            err = StringIO()
+            with redirect_stdout(StringIO()), redirect_stderr(err):
+                code = cli.main(["sweep", "--config", path])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
     def test_valid_types_are_taken(self):
         cfg = SweepConfig.from_dict({
@@ -449,20 +501,25 @@ class TestRecords:
         assert render_json(rebuilt) == render_json(small_result)
 
 
-def test_importing_the_cli_leaves_scipy_integrate_unloaded():
+def test_the_cli_runs_without_scipy():
+    # scipy is a test dependency only: with it blocked, the CLI imports and
+    # runs; and it starts no thread pool, since sweeps run serially
     src = os.path.dirname(os.path.dirname(fracineq.__file__))
-    # no scipy module at all: the Gauss-Jacobi cross-check imports it when run;
-    # and no thread pool, since sweeps run serially
     code = (
-        "import sys, fracineq.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-        "or m.startswith('concurrent.futures')))"
+        "import sys; sys.modules['scipy'] = None; "
+        "from fracineq.cli import main; code = main(sys.argv[1:]); "
+        "assert not [m for m in sys.modules if m.startswith('concurrent.futures')]; "
+        "raise SystemExit(code)"
     )
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    for argv in (
+        ["sweep", "--functions", "square", "--alphas", "0.5", "--x-count", "3"],
+        ["check-identity", "--function", "exp", "--alpha", "0.25", "--x-count", "3"],
+    ):
+        out = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 0, (argv, out.stderr)
 
 
 class TestRendering:
