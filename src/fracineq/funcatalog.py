@@ -14,9 +14,10 @@ defining inequality of s-convexity (second sense),
 on a dense (u, v, lam) grid and records the worst violation; s-concavity is
 the reversed inequality. The target g (f, |f'| or |f'|**q) is sampled on the
 grid once per (function, target, q), and that one sample is reduced for every
-requested s and mode; ``certify`` is the one-(s, mode) case. A certificate is
-a statement about a finite grid, which is exactly the strength needed to
-gate empirical inequality checks.
+requested s and mode; ``certify`` is the one-(s, mode) case. Only the first
+half of a mirror lam grid is evaluated, which changes no certificate. A
+certificate is a statement about a finite grid, which is exactly the strength
+needed to gate empirical inequality checks.
 """
 
 from __future__ import annotations
@@ -181,14 +182,19 @@ def certify_batch(
     that maximum is <= cert_tol. Returns the certificates s-major, in the
     order of ``s_values`` and then ``modes``.
 
-    The definition of s-convexity lives on [0, inf), so functions whose
-    domain dips below zero are rejected.
+    On a mirror grid, ``1 - lam == lam[::-1]`` exactly (grid_size - 1 a power
+    of two, as 33), the samples at (lam, u, v) and (1 - lam, v, u) are one sum
+    in swapped order, so only lam's first (n + 1) // 2 rows are sampled.
+
+    Checked in order, the first problem raising: s, q (1 <= q < inf), modes,
+    target, grid_size, a NaN cert_tol, then a domain outside [0, inf), where
+    s-convexity is defined.
     """
     for s in s_values:
         if not (0.0 < s <= 1.0):
             raise DomainError(f"s must lie in (0, 1], got {s!r}")
-    if q < 1.0:
-        raise DomainError(f"q must be >= 1, got {q!r}")
+    if not 1.0 <= q < math.inf:
+        raise DomainError(f"q must be >= 1 and finite, got {q!r}")
     for mode in modes:
         if mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -196,6 +202,8 @@ def certify_batch(
         raise ConfigError(f"target must be one of {_TARGETS}, got {target!r}")
     if grid_size < MIN_GRID_SIZE:
         raise ConfigError(f"grid_size must be >= {MIN_GRID_SIZE}, got {grid_size}")
+    if math.isnan(cert_tol):
+        raise ConfigError("cert_tol must not be NaN")
     if f.domain_lo < 0.0:
         raise DomainError(
             f"{f.name}: certification requires a domain inside [0, inf), "
@@ -207,6 +215,8 @@ def certify_batch(
     g = _target_callable(f, target, q)
     u = np.linspace(f.domain_lo, f.domain_hi, grid_size)
     lam = np.linspace(0.0, 1.0, grid_size)
+    if np.array_equal(1.0 - lam, lam[::-1]):  # a mirror grid: keep its first half
+        lam = lam[: (grid_size + 1) // 2]
 
     gu = g(u)  # shared for both axes; u and v ranges coincide
     # broadcast (lam, u, v): points lam*u + (1-lam)*v; g there does not depend on s
@@ -214,14 +224,16 @@ def certify_batch(
     gpts = g(pts)
 
     certs = []
+    violation = np.empty(pts.shape)
     for s in s_values:
         lam_s = lam**s
         lam_s_c = (1.0 - lam) ** s
-        bound = (
-            lam_s[:, None, None] * gu[None, :, None]
-            + lam_s_c[:, None, None] * gu[None, None, :]
+        np.add(
+            lam_s[:, None, None] * gu[None, :, None],
+            lam_s_c[:, None, None] * gu[None, None, :],
+            out=violation,
         )
-        violation = gpts - bound
+        np.subtract(gpts, violation, out=violation)
         for mode in modes:
             worst = np.max(violation) if mode == MODE_CONVEX else -np.min(violation)
             certs.append(

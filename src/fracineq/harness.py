@@ -39,7 +39,7 @@ import reprlib
 import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import compress, count, groupby, repeat
+from itertools import chain, compress, count, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, eq, itemgetter
 from typing import Optional, Sequence, Union
@@ -705,13 +705,15 @@ def _record_layout(cls, level: int) -> tuple[str, list[tuple[str, int]]]:
 
 
 def _records_chunks(records: list, cls) -> list[str]:
-    """A top-level list of ``cls`` records as text chunks, one per record."""
+    """A top-level list of ``cls`` records as text chunks: the template's
+    pieces around its ``%s`` fields interleaved with the columns' texts."""
     if not records:
         return ["[]"]
     template, leaves = _record_layout(cls, 2)
+    first, *rest = (_INDENT * 2 + template + ",\n").split("%s")
     columns = [_column_texts(_column(records, path), lv) for path, lv in leaves]
-    item = _INDENT * 2 + template + ",\n"
-    chunks = ["[\n", *map(item.__mod__, zip(*columns)), "\n" + _INDENT + "]"]
+    lanes = chain.from_iterable(zip(columns, map(repeat, rest)))
+    chunks = ["[\n", *chain.from_iterable(zip(repeat(first), *lanes)), "\n" + _INDENT + "]"]
     chunks[-2] = chunks[-2][:-2]  # the last record takes no comma
     return chunks
 
@@ -722,7 +724,7 @@ def render_json(res: SweepResult) -> str:
     The stdlib encodes in C only without ``indent``, so the report and
     residual records, nearly all of the report, are written from one
     template per record type instead; the other fields go through
-    ``json.dumps``. The text is joined once, so the report is copied once.
+    ``json.dumps``. The template pieces and texts are joined once, in one pass.
     """
     chunks = [
         '{\n  "convergence_errors": ', _dumps_at(res.convergence_errors, 1),

@@ -25,6 +25,7 @@ from fracineq.funcatalog import (
     TARGET_FPRIME,
     TARGET_FPRIME_POW,
     CatalogEntry,
+    ConvexityCertificate,
     Function1D,
     builtin_catalog,
     catalog_names,
@@ -194,6 +195,13 @@ class TestCertify:
             certify(f, s=0.5, target="f''")
         with pytest.raises(ConfigError):
             certify(f, s=0.5, grid_size=8)
+        for q in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                certify(f, s=0.5, q=q, target=TARGET_FPRIME_POW)
+        with pytest.raises(ConfigError, match="cert_tol"):
+            certify(f, s=0.5, cert_tol=math.nan)
+        with pytest.raises(ConfigError, match="grid_size"):
+            certify(f, s=0.5, grid_size=8, cert_tol=math.nan)
 
     def test_rejects_negative_domain(self):
         shifted = Function1D(
@@ -254,8 +262,17 @@ class TestCertifyBatch:
             (dict(s_values=(0.5,), target="f''"), dict(s=0.5, target="f''")),
             (dict(s_values=(0.5,), grid_size=MIN_GRID_SIZE - 1),
              dict(s=0.5, grid_size=MIN_GRID_SIZE - 1)),
+            (dict(s_values=(0.5,), q=math.nan, target=TARGET_FPRIME_POW),
+             dict(s=0.5, q=math.nan, target=TARGET_FPRIME_POW)),
+            (dict(s_values=(0.5,), q=math.inf, target=TARGET_FPRIME_POW),
+             dict(s=0.5, q=math.inf, target=TARGET_FPRIME_POW)),
+            (dict(s_values=(0.5,), cert_tol=math.nan), dict(s=0.5, cert_tol=math.nan)),
+            # the grid is checked before the tolerance
+            (dict(s_values=(0.5,), grid_size=MIN_GRID_SIZE - 1, cert_tol=math.nan),
+             dict(s=0.5, grid_size=MIN_GRID_SIZE - 1, cert_tol=math.nan)),
         ],
-        ids=["s-first", "s-middle", "s-last", "q", "mode", "target", "grid"],
+        ids=["s-first", "s-middle", "s-last", "q", "mode", "target", "grid",
+             "q-nan", "q-inf", "cert_tol-nan", "grid-before-cert_tol"],
     )
     def test_rejects_what_certify_rejects(self, batch_kwargs, single_kwargs):
         f = get_entry("square").func
@@ -272,6 +289,82 @@ class TestCertifyBatch:
             certify(shifted, s=0.5)
         with pytest.raises(DomainError, match=f"^{re.escape(str(single.value))}$"):
             certify_batch(shifted, (0.5, 1.0), modes=(MODE_CONVEX, MODE_CONCAVE))
+
+
+def full_grid_certificates(f, s_values, q, modes, target, grid_size,
+                           cert_tol=DEFAULT_CERT_TOL):
+    """The certifier as it was before it sampled a mirror grid's first half:
+    every lam row, with one ``bound`` and one ``violation`` array per s."""
+    if target == TARGET_F:
+        g = lambda t: np.asarray(f.eval(t), dtype=float)
+    elif target == TARGET_FPRIME:
+        g = lambda t: np.abs(np.asarray(f.deriv(t), dtype=float))
+    else:
+        g = lambda t: np.abs(np.asarray(f.deriv(t), dtype=float)) ** q
+    u = np.linspace(f.domain_lo, f.domain_hi, grid_size)
+    lam = np.linspace(0.0, 1.0, grid_size)
+    gu = g(u)
+    pts = lam[:, None, None] * u[None, :, None] + (1.0 - lam)[:, None, None] * u[None, None, :]
+    gpts = g(pts)
+    certs = []
+    for s in s_values:
+        lam_s = lam**s
+        lam_s_c = (1.0 - lam) ** s
+        bound = (
+            lam_s[:, None, None] * gu[None, :, None]
+            + lam_s_c[:, None, None] * gu[None, None, :]
+        )
+        violation = gpts - bound
+        for mode in modes:
+            worst = np.max(violation) if mode == MODE_CONVEX else -np.min(violation)
+            certs.append(
+                ConvexityCertificate(
+                    s=float(s),
+                    mode=mode,
+                    target=target,
+                    q=float(q),
+                    max_violation=float(worst),
+                    grid_size=int(grid_size),
+                    cert_tol=float(cert_tol),
+                )
+            )
+    return certs
+
+
+class TestMirrorGrid:
+    """A mirror lam grid (1 - lam == lam[::-1]) is sampled on its first half
+    only, and every certificate equals the full grid's."""
+
+    S_VALUES = (0.05, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0)
+    MODES = (MODE_CONVEX, MODE_CONCAVE)
+    # q > 1 only where the target reads it
+    TARGET_QS = ((TARGET_F, 1.0), (TARGET_FPRIME, 1.0),
+                 (TARGET_FPRIME_POW, 1.5), (TARGET_FPRIME_POW, 2.0), (TARGET_FPRIME_POW, 5.0))
+
+    # 33 and 65 are mirror grids, 34 and 41 are not
+    @pytest.mark.parametrize("grid_size", [33, 65, 34, 41])
+    @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
+    def test_equals_the_full_grid(self, entry, grid_size):
+        for target, q in self.TARGET_QS:
+            args = (entry.func, self.S_VALUES, q, self.MODES, target, grid_size)
+            batch = certify_batch(*args)
+            want = full_grid_certificates(*args)
+            assert batch == want, (target, q)
+            assert [_cert_bits(c) for c in batch] == [_cert_bits(c) for c in want]
+
+    @pytest.mark.parametrize(
+        "grid_size,block", [(33, (17, 33, 33)), (34, (34, 34, 34)), (65, (33, 65, 65))]
+    )
+    def test_samples_half_of_a_mirror_grid_only(self, grid_size, block):
+        shapes = []
+
+        def deriv(t):
+            shapes.append(np.shape(t))
+            return 2.0 * np.asarray(t, dtype=float)
+
+        f = Function1D("recorded", lambda t: np.asarray(t, dtype=float) ** 2, deriv, 0.0, 1.0)
+        certify_batch(f, (0.5, 1.0), modes=self.MODES, target=TARGET_FPRIME, grid_size=grid_size)
+        assert shapes == [(grid_size,), block]
 
 
 class TestDerivativeBound:

@@ -789,6 +789,27 @@ class TestJsonWriter:
         assert '"reports": [],' in text
         assert text == _json_oracle(res)
 
+    def test_one_report_and_one_residual(self, small_result):
+        # each list's only record is its last, so it takes no comma
+        res = dataclasses.replace(
+            small_result,
+            reports=list(small_result.reports[:1]),
+            residuals=small_result.residuals[:1],
+        )
+        text = render_json(res)
+        assert text.count('"theorem_id"') == 1 and text.count('"rel_residual"') == 1
+        assert text == _json_oracle(res)
+
+    def test_percent_signs_are_copied(self, small_result):
+        # the record template is split on %s once; a value's %s, %% and
+        # %(x)s are text like any other
+        note = "%s and %% and %(x)s"
+        res = _edit_reports(small_result, lambda i, r: dataclasses.replace(r, note=note))
+        res.convergence_errors = ["%s", "100%% %(alpha)s"]
+        text = render_json(res)
+        assert f'"note": "{note}"' in text and '"100%% %(alpha)s"' in text
+        assert text == _json_oracle(res)
+
     def test_int_valued_parameters(self):
         cfg = SweepConfig(
             functions=("affine",),
