@@ -200,8 +200,6 @@ class TestCertify:
                 certify(f, s=0.5, q=q, target=TARGET_FPRIME_POW)
         with pytest.raises(ConfigError, match="cert_tol"):
             certify(f, s=0.5, cert_tol=math.nan)
-        with pytest.raises(ConfigError, match="grid_size"):
-            certify(f, s=0.5, grid_size=8, cert_tol=math.nan)
 
     def test_rejects_negative_domain(self):
         shifted = Function1D(

@@ -969,6 +969,14 @@ class TestCli:
         assert ret == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_verify_rejects_a_nan_cert_tol(self, capsys):
+        # a NaN tolerance would fail every certificate with a 0 violation
+        ret = cli.main(
+            ["verify", "--theorem", "E6", "--function", "square", "--cert-tol", "nan"]
+        )
+        assert ret == 2
+        assert "cert_tol must not be NaN" in capsys.readouterr().err
+
     def test_reduce_all(self, capsys):
         assert cli.main(["reduce"]) == 0
         out = capsys.readouterr().out
