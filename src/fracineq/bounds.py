@@ -51,8 +51,8 @@ from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain, groupby
-from operator import eq, itemgetter
+from itertools import accumulate, groupby
+from operator import attrgetter, eq, itemgetter
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -95,6 +95,7 @@ __all__ = [
     "InequalityReport",
     "RowBlock",
     "ReportRows",
+    "as_blocks",
     "lhs_frac",
     "lhs_classical",
     "rhs_thm1",
@@ -151,14 +152,17 @@ class InequalityReport:
 class RowBlock(NamedTuple):
     """One (theorem, function, alpha)'s report rows as columns, in report order.
 
-    ``evaluate_block`` makes it. Per grid row: ``grid`` (its s, p, q),
-    ``asserted`` and ``note``; e13 has one grid row per side of its pair.
-    Per point: ``x``. Per report row: ``row`` and ``point`` (its grid row
-    and point) and the float64 or bool arrays ``lhs``, ``rhs``, ``margin``,
-    ``holds`` and ``quad_error_budget``. ``report(i)`` builds the i-th row's
-    ``InequalityReport``; ``column(name)`` gives one field of every row. (A
-    named tuple: importing the package builds the class, and a dataclass
-    of this size takes a millisecond to build.)
+    ``evaluate_block`` makes it. Each column is stored once, on the axis it
+    varies on: the block (theorem_id, function, a, b, alpha, M); the grid
+    row (``grid``'s s, p, q, ``asserted``, ``note``; e13 has a grid row per
+    side of its pair); the point (``x``); the left-hand side (the float64
+    ``lhs`` and ``quad_error_budget``, per point, or per grid row for e13's
+    sides); the report row (the float64 or bool ``rhs``, ``margin``,
+    ``holds``). The index arrays ``row``, ``point`` and ``lhs_at`` (``point``
+    or ``row``) place each report row on the axes. ``stored(name)`` gives a
+    field with its index array, ``report(i)`` the i-th row's
+    ``InequalityReport``. (A named tuple: importing the package builds the
+    class, and a dataclass of this size takes a millisecond to build.)
     """
 
     theorem_id: str
@@ -171,46 +175,71 @@ class RowBlock(NamedTuple):
     asserted: tuple[bool, ...]
     note: tuple[str, ...]
     x: tuple[float, ...]
-    row: np.ndarray
-    point: np.ndarray
     lhs: np.ndarray
+    quad_error_budget: np.ndarray
     rhs: np.ndarray
     margin: np.ndarray
     holds: np.ndarray
-    quad_error_budget: np.ndarray
+    row: np.ndarray
+    point: np.ndarray
+    lhs_at: np.ndarray
 
     def report(self, i: int) -> InequalityReport:
-        r, j = self.row[i], self.point[i]
+        r, j, k = self.row[i], self.point[i], self.lhs_at[i]
         s, p, q = self.grid[r]
         return InequalityReport(
             self.theorem_id, self.function,
             FracParams(self.a, self.b, self.x[j], self.alpha, s, p, q, self.M),
-            float(self.lhs[i]), float(self.rhs[i]), float(self.margin[i]), bool(self.holds[i]),
-            float(self.quad_error_budget[i]), self.asserted[r], self.note[r],
+            float(self.lhs[k]), float(self.rhs[i]), float(self.margin[i]), bool(self.holds[i]),
+            float(self.quad_error_budget[k]), self.asserted[r], self.note[r],
         )
 
-    def column(self, name: str) -> list:
-        """The ``name`` field of every row as Python values: an
-        ``InequalityReport`` field, or a ``FracParams`` one for ``prm``'s."""
+    def stored(self, name: str) -> tuple:
+        """The ``name`` field (an ``InequalityReport`` field, or a
+        ``FracParams`` one for ``prm``'s) as stored, with the index array that
+        maps report rows to its values: ``(value, None)`` for a field constant
+        over the block and ``(values, ...)`` for one with a value per report
+        row."""
         if name in GridRow._fields:
-            value = [getattr(row, name) for row in self.grid]
-        else:
-            value = getattr(self, name)
-        if isinstance(value, np.ndarray):
-            return value.tolist()
-        if name in ("s", "p", "q", "asserted", "note"):
-            return list(map(value.__getitem__, self.row.tolist()))
-        if name == "x":
-            return list(map(value.__getitem__, self.point.tolist()))
-        return [value] * len(self.row)
+            return tuple(map(itemgetter(GridRow._fields.index(name)), self.grid)), self.row
+        if name in ("rhs", "margin", "holds"):
+            return getattr(self, name), ...
+        return getattr(self, name), {"asserted": self.row, "note": self.row, "x": self.point,
+                                     "lhs": self.lhs_at, "quad_error_budget": self.lhs_at}.get(name)
+
+
+_CONSTANTS = attrgetter("theorem_id", "function", "prm.a", "prm.b", "prm.alpha", "prm.M")
+_PER_ROW = [attrgetter("prm.s", "prm.p", "prm.q"), *map(attrgetter, (
+    "asserted", "note", "prm.x", "lhs", "quad_error_budget", "rhs", "margin", "holds"))]
+
+
+def _block_key(r: InequalityReport) -> tuple:
+    consts = _CONSTANTS(r)
+    # equal values read apart (1 and 1.0, 0.0 and -0.0) start a new block
+    return consts, [(v.__class__, v == 0 and math.copysign(1.0, v)) for v in consts[2:]]
+
+
+def as_blocks(reports: Sequence[InequalityReport]) -> tuple[RowBlock, ...]:
+    """Report rows as ``RowBlock``s: a ``ReportRows``'s own blocks, or else
+    one block per run of rows that share theorem, function, a, b, alpha and
+    M, holding each row's other values as given, in tuples, with index
+    arrays that are the identity."""
+    if isinstance(reports, ReportRows):
+        return reports.blocks
+    blocks = []
+    for (consts, _), run in groupby(reports, key=_block_key):
+        run = list(run)
+        every = np.arange(len(run))
+        blocks.append(RowBlock(*consts, *(tuple(map(get, run)) for get in _PER_ROW),
+                               every, every, every))
+    return tuple(blocks)
 
 
 class ReportRows(Sequence):
     """The report rows of a run of blocks: a read-only list of
     ``InequalityReport``, each built when it is read.
 
-    It equals any list of the same reports, and ``column`` reads the blocks'
-    columns without building a report.
+    It equals any list of the same reports.
     """
 
     def __init__(self, blocks: Sequence[RowBlock]):
@@ -237,11 +266,6 @@ class ReportRows(Sequence):
         if not isinstance(other, (list, ReportRows)):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
-
-    def column(self, path: str) -> list:
-        """One field of every row, in order; ``prm.x`` names a parameter."""
-        name = path.removeprefix("prm.")
-        return list(chain.from_iterable(block.column(name) for block in self.blocks))
 
 
 def _require(prm, theorem_id: str, *names: str) -> None:
@@ -749,8 +773,9 @@ def evaluate_block(
             sides.append((row, ok, lead + "hh-upper", mean_value, float(at_ends / (row.s + 1.0))))
         grid, asserted, notes, lhs, rhs = ([side[k] for side in sides] for k in range(5))
         row_of, point_of = _report_order((2,) * len(sides[::2]), len(xs))
-        lhs, rhs = (np.array(col, dtype=float)[row_of] for col in (lhs, rhs))
-        budget = np.full(len(row_of), budget)
+        lhs_at = row_of  # each side of the pair has its own lhs
+        lhs, rhs = np.array(lhs, dtype=float), np.array(rhs, dtype=float)[row_of]
+        budget = np.full(len(grid), budget)
     else:
         runs = tuple(len(list(run)) for _, run in groupby(grid, key=itemgetter(0, 1)))
         row_of, point_of = _report_order(runs, len(xs))
@@ -759,11 +784,11 @@ def evaluate_block(
             lefts = [lhs_frac(f, at, cfg, pieces=pieces) for at, (_, pieces) in zip(at_points, points)]
         else:
             lefts = [lhs_classical(f, at, cfg, mean=mean) for at in at_points]
+        lhs_at = point_of
         lhs = np.array([float(left.value) for left in lefts], dtype=float)
         budget = np.array([float(left.error) for left in lefts], dtype=float)
-        # per point, the lowest margin that still holds
-        floor = np.array([-float(max(margin_tol, 10.0 * err)) for err in budget.tolist()])
-        lhs, budget, floor = lhs[point_of], budget[point_of], floor[point_of]
+        # per point, the lowest margin that still holds, read per row
+        floor = np.array([-float(max(margin_tol, 10.0 * err)) for err in budget.tolist()])[point_of]
         form = thm.rhs
         at_rows = [_At(a, b, None, alpha, s, p, q, M) for s, p, q in grid]
         coef = np.array([form.coef(at) for at in at_rows], dtype=float)
@@ -774,11 +799,11 @@ def evaluate_block(
                 rhs = rhs / np.array([form.div(at) for at in at_rows], dtype=float)[:, None]
         rhs = rhs[row_of, point_of]
     with np.errstate(all="ignore"):
-        margin = rhs - lhs
+        margin = rhs - lhs[lhs_at]
         holds = margin >= floor
     return RowBlock(
         theorem_id, entry.name, a, b, alpha, M, tuple(grid), tuple(asserted), tuple(notes),
-        xs, row_of, point_of, lhs, rhs, margin, holds, budget,
+        xs, lhs, budget, rhs, margin, holds, row_of, point_of, lhs_at,
     )
 
 

@@ -12,9 +12,9 @@ in report order (``_report_sort_key``), with no sort afterwards.
 
 Each block is a ``bounds.RowBlock`` of columns, and ``SweepResult.reports``
 is a ``bounds.ReportRows`` over the blocks: it reads as the list of
-``InequalityReport`` rows, building each on access. The summary and both
-writers read the columns and build no row; a plain list of reports in its
-place is written the same way, one attribute column at a time.
+``InequalityReport`` rows, building each on access. The summary reads the
+blocks' arrays; both writers write a block at a time, each value once on
+its axis, and a plain list of reports as ``bounds.as_blocks`` gives it.
 
 Output contracts kept deliberately rigid for reproducibility:
 
@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import reprlib
 import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain, compress, count, groupby, repeat
+from functools import partial
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, eq, itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -55,8 +55,10 @@ from .bounds import (
     THEOREM_IDS,
     THEOREMS,
     CertCache,
+    GridRow,
     InequalityReport,
     ReportRows,
+    as_blocks,
     evaluate_block,
 )
 from .errors import ConfigError, ConvergenceError
@@ -429,6 +431,22 @@ def _report_sort_key(r: InequalityReport):
     return (r.theorem_id, r.function, cell("alpha"), cell("s"), cell("p"), cell("x"))
 
 
+def _row_counts(blocks: Sequence) -> dict:
+    """The summary's row counts and worst asserted margin, from the blocks'
+    arrays. ``worst_margin`` is ``min`` of the asserted margins in report
+    order: the first of equal least values (0.0 or -0.0, as they come), NaN
+    when the first margin is NaN, and later NaNs passed over."""
+    gates = [np.asarray(block.asserted, dtype=bool)[block.row] for block in blocks]
+    margins = np.concatenate([np.empty(0)] + [b.margin[gate] for b, gate in zip(blocks, gates)])
+    passed = sum(int(np.count_nonzero(b.holds[gate])) for b, gate in zip(blocks, gates))
+    total = sum(len(block.row) for block in blocks)
+    worst = None
+    if margins.size:
+        worst = float(margins[0 if np.isnan(margins[0]) else np.argmax(margins == np.nanmin(margins))])
+    return {"total": total, "passed": passed, "failed": margins.size - passed,
+            "skipped": total - margins.size, "worst_margin": worst}
+
+
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Run the configured sweep; deterministic for a fixed (config, seed).
 
@@ -509,7 +527,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     classical_points = [(x, None) for x in sorted(xs)]
     blocks = []
     for thm in sorted(thms, key=attrgetter("tid")):
-        grid = thm.grid(s_up, pq_up, q_dedup)
+        grid = tuple(thm.grid(s_up, pq_up, q_dedup))  # shared by the theorem's blocks
         for entry in sorted(entries, key=attrgetter("name")):
             m = bound_m[entry.name]
             if thm.fractional:
@@ -526,16 +544,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
                 ))
     residuals.sort(key=lambda rec: (rec.function, rec.alpha, rec.x))
 
-    reports = ReportRows(blocks)
-    asserted = reports.column("asserted")
-    n_asserted = sum(asserted)
-    passed = sum(compress(reports.column("holds"), asserted))
     summary = {
-        "total": len(reports),
-        "passed": passed,
-        "failed": n_asserted - passed,
-        "skipped": len(reports) - n_asserted,
-        "worst_margin": min(compress(reports.column("margin"), asserted), default=None),
+        **_row_counts(blocks),
         "worst_residual": max((rec.residual.rel_residual for rec in residuals), default=None),
         "identity_failures": sum(1 for rec in residuals if not rec.passed),
         "convergence_errors": len(convergence_errors),
@@ -547,7 +557,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     return SweepResult(
-        reports=reports,
+        reports=ReportRows(blocks),
         residuals=residuals,
         convergence_errors=convergence_errors,
         summary=summary,
@@ -559,85 +569,93 @@ def _fmt_float(value: Optional[float]) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _memo_texts(values: list, kinds: set, text_of, nonfinite: dict) -> list[str]:
-    """The text of each value of one column, in order, each distinct value
-    written once.
-
-    A float-only column takes ``float.__repr__``, with the texts of NaN and
-    the infinities renamed by ``nonfinite``; any other takes ``text_of``.
-    0.0 and -0.0 share a dict key but not a text, so in a column holding
-    both, each zero cell is written again by its own sign. A float-only
-    column of mostly distinct values (rhs, margin) is written cell by cell,
-    which costs less than its memo and keeps each zero's sign.
-    """
-    distinct = dict.fromkeys(values)
-    if kinds == {float}:
-        cells = values if 2 * len(distinct) > len(values) else distinct
-        texts = list(map(float.__repr__, cells))
-        if nonfinite and not all(map(math.isfinite, distinct)):
-            texts = [nonfinite.get(text, text) for text in texts]
-        if cells is values:
-            return texts
-        memo = dict(zip(distinct, texts))
-    else:
-        memo = {v: text_of(v) for v in distinct}
-    texts = list(map(memo.__getitem__, values))
-    if float in kinds and 0.0 in memo:
-        zeros = list(compress(count(), map(eq, values, repeat(0.0))))
-        if len(set(map(math.copysign, repeat(1.0), map(values.__getitem__, zeros)))) > 1:
-            for i in zeros:
-                texts[i] = text_of(values[i])
+def _texts(values, text_of, nonfinite: dict) -> list[str]:
+    """Each value's text: ``text_of``'s, or a float64 array's ``float.__repr__``."""
+    if not isinstance(values, np.ndarray):
+        return list(map(text_of, values))
+    texts = list(map(float.__repr__, values.tolist()))
+    if nonfinite and not np.isfinite(values).all():
+        texts = [nonfinite.get(text, text) for text in texts]
     return texts
 
 
-def _csv_texts(values: list) -> list[str]:
-    """The CSV text of each value of one column, in order (``_memo_texts``)."""
-    return _memo_texts(values, set(map(type, values)), _fmt_float, {})
+def _add_text(lanes: list, text: str) -> None:
+    # literal text ends the last lane read through an index array, or is a lane
+    if lanes and lanes[-1][1] is not ...:
+        lanes[-1][0] = [t + text for t in lanes[-1][0]]
+    elif text:
+        lanes.append([repeat(text), ...])
 
 
-def _column(records: Sequence, path: str) -> list:
-    """A dotted field path's values over ``records``, in order; a
-    ``ReportRows`` gives its blocks' column without building a record.
+def _block_chunks(stored, leaves, pieces, nonfinite: dict, blank, grid_texts: dict):
+    """One block's records as text chunks: the literal ``pieces`` around the
+    fields that ``leaves`` name, each with its text function.
 
-    The writers take one column at a time, so only its values are alive
-    beside the texts written so far.
+    Each value the block holds (``stored``) is written once. Block constants and
+    the names in ``blank`` (written empty) join the literal text; other
+    fields are read through their index arrays (a bool array indexes its
+    own two texts), and fields read through one array share their texts, as
+    literal text joins them. A record takes one chunk per run of fields on
+    one axis and per field stored per report row. ``grid_texts`` holds the
+    texts of the block's grid's s, p and q, shared by blocks with one grid.
     """
-    if isinstance(records, ReportRows):
-        return records.column(path)
-    return list(map(attrgetter(path), records))
+    lanes = []  # [texts, the index array, or ... for texts in row order]
+    text = pieces[0]
+    for (name, text_of), piece in zip(leaves, pieces[1:]):
+        if name in blank:
+            text += piece
+            continue
+        values, index = stored(name)
+        if index is None:
+            text += text_of(values) + piece
+            continue
+        if isinstance(values, np.ndarray) and values.dtype == bool:
+            texts, index = ["false", "true"], (values if index is ... else values[index])
+        elif name in GridRow._fields:
+            texts = grid_texts[name] = grid_texts.get(name) or _texts(values, text_of, nonfinite)
+        else:
+            texts = _texts(values, text_of, nonfinite)
+        if index is ...:
+            _add_text(lanes, text)
+            lanes.append([texts, ...])
+        elif lanes and lanes[-1][1] is index:
+            lanes[-1][0] = [t + text + u for t, u in zip(lanes[-1][0], texts)]
+        else:
+            lanes.append([[text + t for t in texts], index])
+        text = piece
+    _add_text(lanes, text)
+    return chain.from_iterable(zip(*(
+        texts if index is ... else map(texts.__getitem__, index.tolist())
+        for texts, index in lanes
+    )))
+
+
+_CSV_LEAVES = [("theorem_id", str), ("function", str), *(
+    (name, _fmt_float) for name in ("alpha", "s", "p", "q", "x", "lhs", "rhs", "margin")
+), ("holds", lambda held: "true" if held else "false"), ("quad_error_budget", _fmt_float)]
+_CSV_PIECES = ["", *[","] * (len(_CSV_LEAVES) - 1), "\n"]
 
 
 def render_csv(res: SweepResult) -> str:
     """Render reports to the fixed CSV schema (byte-stable).
 
-    The cells are written column by column through ``_memo_texts``, each
-    distinct value of a column once: a point's rows repeat its alpha, s, p,
-    q, x, lhs and quad_error_budget. rhs and margin seldom repeat, but as
-    float-only columns they are written by ``float.__repr__`` in one pass.
+    Lines are written a ``RowBlock`` at a time (a plain list of reports as
+    ``as_blocks`` gives it), each value once, on the axis it is stored on
+    (``_block_chunks``); the parameter cells a theorem's ``fields`` leave
+    out are blank.
     """
-    reports = res.reports
-    tids = _column(reports, "theorem_id")
-    runs = [(tid, len(list(run))) for tid, run in groupby(tids)]
-    columns = [tids, _column(reports, "function")]
-    for fieldname in ("alpha", "s", "p", "q", "x"):
-        cells = _column(reports, "prm." + fieldname)
-        start = 0
-        for tid, size in runs:  # blank the runs whose theorem reads no fieldname
-            if fieldname not in THEOREMS[tid].fields:
-                cells[start:start + size] = repeat(None, size)
-            start += size
-        columns.append(_csv_texts(cells))
-    for fieldname in ("lhs", "rhs", "margin"):
-        columns.append(_csv_texts(_column(reports, fieldname)))
-    columns.append(["true" if held else "false" for held in _column(reports, "holds")])
-    columns.append(_csv_texts(_column(reports, "quad_error_budget")))
-    return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
+    memo: dict = {}  # a theorem's blocks share one grid (keyed by id: the blocks outlive it)
+    chunks = [CSV_HEADER, "\n"]
+    for block in as_blocks(res.reports):
+        visible = THEOREMS[block.theorem_id].fields
+        blank = [name for name in ("alpha", "s", "p", "q", "x") if name not in visible]
+        chunks.extend(_block_chunks(block.stored, _CSV_LEAVES, _CSV_PIECES, {}, blank,
+                                    memo.setdefault(id(block.grid), {})))
+    return "".join(chunks)
 
 
 _INDENT = "  "
 _NONFINITE_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_SCALAR_KINDS = frozenset({bool, int, float, str, type(None)})
-_NUMBER_KINDS = frozenset({bool, int, float})
 
 
 def _dumps_at(value, level: int) -> str:
@@ -666,21 +684,6 @@ def _value_text(value, level: int) -> str:
     return _dumps_at(value, level)
 
 
-def _column_texts(values: list, level: int) -> list[str]:
-    """The JSON text of each value of one record field, in order.
-
-    Most columns repeat a few values: on the rows-heavy benchmark workload
-    15 of the 17 report fields, lhs and quad_error_budget among them, repeat
-    in over 97% of rows, against 11% for margin and 26% for rhs. So a column
-    of scalars goes through ``_memo_texts``, unless it mixes number kinds,
-    whose values share a dict key but not a text (True, 1 and 1.0).
-    """
-    kinds = set(map(type, values))
-    if kinds <= _SCALAR_KINDS and len(kinds & _NUMBER_KINDS) <= 1:
-        return _memo_texts(values, kinds, lambda v: _value_text(v, level), _NONFINITE_TEXT)
-    return [_value_text(v, level) for v in values]
-
-
 def _record_layout(cls, level: int) -> tuple[str, list[tuple[str, int]]]:
     """json's indent=2, sort_keys=True layout of one ``cls`` record at ``level``.
 
@@ -704,18 +707,18 @@ def _record_layout(cls, level: int) -> tuple[str, list[tuple[str, int]]]:
     return "{" + pad + ("," + pad).join(lines) + "\n" + _INDENT * level + "}", leaves
 
 
-def _records_chunks(records: list, cls) -> list[str]:
-    """A top-level list of ``cls`` records as text chunks: the template's
-    pieces around its ``%s`` fields interleaved with the columns' texts."""
-    if not records:
-        return ["[]"]
+def _records_chunks(cls, blocks: list) -> list[str]:
+    """A top-level list of ``cls`` records as text chunks, from (stored, grid
+    texts) pairs of blocks (``_block_chunks``)."""
     template, leaves = _record_layout(cls, 2)
-    first, *rest = (_INDENT * 2 + template + ",\n").split("%s")
-    columns = [_column_texts(_column(records, path), lv) for path, lv in leaves]
-    lanes = chain.from_iterable(zip(columns, map(repeat, rest)))
-    chunks = ["[\n", *chain.from_iterable(zip(repeat(first), *lanes)), "\n" + _INDENT + "]"]
-    chunks[-2] = chunks[-2][:-2]  # the last record takes no comma
-    return chunks
+    pieces = (_INDENT * 2 + template + ",\n").split("%s")
+    leaves = [(path.removeprefix("prm."), partial(_value_text, level=lv)) for path, lv in leaves]
+    chunks = [chunk for stored, grid_texts in blocks
+              for chunk in _block_chunks(stored, leaves, pieces, _NONFINITE_TEXT, (), grid_texts)]
+    if not chunks:
+        return ["[]"]
+    chunks[-1] = chunks[-1][:-2]  # the last record takes no comma
+    return ["[\n", *chunks, "\n" + _INDENT + "]"]
 
 
 def render_json(res: SweepResult) -> str:
@@ -724,13 +727,20 @@ def render_json(res: SweepResult) -> str:
     The stdlib encodes in C only without ``indent``, so the report and
     residual records, nearly all of the report, are written from one
     template per record type instead; the other fields go through
-    ``json.dumps``. The template pieces and texts are joined once, in one pass.
+    ``json.dumps``. Reports are written a ``RowBlock`` at a time (a plain
+    list as ``as_blocks`` gives it), each value once on the axis it is
+    stored on, so a record takes about 8 chunks (``_block_chunks``);
+    residuals are written per record. All chunks are joined once.
     """
+    memo: dict = {}  # as in render_csv
+    reports = [(b.stored, memo.setdefault(id(b.grid), {})) for b in as_blocks(res.reports)]
+    # the residuals as one block, every field stored per record
+    residuals = [(lambda path: (list(map(attrgetter(path), res.residuals)), ...), {})]
     chunks = [
         '{\n  "convergence_errors": ', _dumps_at(res.convergence_errors, 1),
         ',\n  "provenance": ', _dumps_at(res.provenance, 1),
-        ',\n  "reports": ', *_records_chunks(res.reports, InequalityReport),
-        ',\n  "residuals": ', *_records_chunks(res.residuals, ResidualRecord),
+        ',\n  "reports": ', *_records_chunks(InequalityReport, reports),
+        ',\n  "residuals": ', *_records_chunks(ResidualRecord, residuals),
         ',\n  "summary": ', _dumps_at(res.summary, 1), "\n}\n",
     ]
     return "".join(chunks)

@@ -146,7 +146,6 @@ def test_hermite_hadamard_pair_for_every_registered_s():
             assert upper.margin >= -HH_MARGIN_TOL, (entry.name, s)
 
 
-def test_sweep_determinism():
-    first = run_sweep(default_config())
+def test_sweep_determinism(default_result):
     second = run_sweep(default_config())
-    assert render_csv(first) == render_csv(second)
+    assert render_csv(default_result) == render_csv(second)

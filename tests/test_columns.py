@@ -156,7 +156,7 @@ def test_columns_equal_the_scalar_closed_forms(cfg):
     reports = run_sweep(cfg).reports
     assert isinstance(reports, ReportRows)
     want = _scalar_rows(cfg, reports)
-    got = zip(*(reports.column(name) for name in ("lhs", "rhs", "margin", "holds")))
+    got = [(r.lhs, r.rhs, r.margin, r.holds) for r in reports]
     mismatches = [
         (i, g, w) for i, (g, w) in enumerate(zip(got, want))
         if not all(map(_same, g[:3], w[:3])) or g[3] is not w[3]

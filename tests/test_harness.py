@@ -578,7 +578,7 @@ def _edit_reports(res: SweepResult, edit) -> SweepResult:
 
 
 def _csv_oracle(res: SweepResult) -> str:
-    # one cell at a time, as the CSV writer wrote before its column memo
+    # one cell at a time, from the reports
     lines = [CSV_HEADER]
     for r in res.reports:
         visible = bounds.THEOREMS[r.theorem_id].fields
@@ -638,7 +638,7 @@ class TestCsvWriter:
 
 
     def test_repeated_values_with_zeros_of_both_signs(self, small_result):
-        # the memo writes 1.5 and 0.25 once; the zero cells take their sign
+        # repeated values with zeros of both signs; each zero cell takes its sign
         values = (1.5, 0.0, 0.25, -0.0, 1.5, 0.25)
 
         def edit(i, r):
@@ -664,8 +664,7 @@ class TestCsvWriter:
         assert {line.split(",")[9] for line in text.splitlines()[1:]} == {repr(zero), "2.5"}
 
     def test_repeated_nan_and_infinities(self, small_result):
-        # a fresh NaN object per row: NaN is not equal to itself, so each is
-        # its own memo key
+        # a fresh NaN object per row: NaN is not equal to itself
         res = _edit_reports(
             small_result,
             lambda i, r: dataclasses.replace(r, rhs=(float("nan"), math.inf, -math.inf)[i % 3]),
@@ -675,8 +674,8 @@ class TestCsvWriter:
         assert {line.split(",")[8] for line in text.splitlines()[1:]} == {"nan", "inf", "-inf"}
 
     def test_mostly_distinct_column_with_specials(self, small_result):
-        # a column of mostly distinct floats is written cell by cell, with no
-        # memo; its zeros keep their sign and nan and the infinities their text
+        # a column of mostly distinct floats: its zeros keep their sign and nan
+        # and the infinities their text
         res = _edit_reports(
             small_result, lambda i, r: dataclasses.replace(r, margin=_mostly_distinct(i))
         )
@@ -824,7 +823,7 @@ class TestJsonWriter:
         text = render_json(res)
         assert '"alpha": 1,' in text and '"p": 2,' in text
         assert text == _json_oracle(res)
-        # 1 and 1.0 in one column are equal dict keys with different texts
+        # 1 and 1.0 in one column are equal values with different texts
         res = _edit_reports(
             res,
             lambda i, r: dataclasses.replace(
@@ -834,6 +833,179 @@ class TestJsonWriter:
         text = render_json(res)
         assert '"alpha": 1.0,' in text and '"alpha": 1,' in text
         assert text == _json_oracle(res)
+
+
+def _edit_blocks(res: SweepResult, edit) -> SweepResult:
+    blocks = [edit(k, block) for k, block in enumerate(res.reports.blocks)]
+    return dataclasses.replace(res, reports=bounds.ReportRows(blocks))
+
+
+def _assert_writers_match_the_oracles(res: SweepResult) -> None:
+    # the blocks, and the same reports as a plain list, write the per-cell bytes
+    csv_text, json_text = _csv_oracle(res), _json_oracle(res)
+    for written in (res, dataclasses.replace(res, reports=list(res.reports))):
+        assert render_csv(written) == csv_text
+        assert render_json(written) == json_text
+
+
+_SPECIALS = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 2.5])
+
+
+def _specials(n: int, start: int) -> np.ndarray:
+    return _SPECIALS[(np.arange(n) + start) % len(_SPECIALS)]
+
+
+class TestBlockPath:
+    """The writers on ``RowBlock``s as ``run_sweep`` gives them, edited with
+    ``_replace``, write what the per-cell writers write."""
+
+    def test_special_values_in_the_arrays(self, small_result):
+        def edit(k, block):
+            # lhs and the budget per point (per grid row for e13), the rest per row
+            return block._replace(
+                lhs=_specials(len(block.lhs), k),
+                quad_error_budget=_specials(len(block.quad_error_budget), k + 3),
+                rhs=_specials(len(block.rhs), k + 1),
+                margin=_specials(len(block.margin), k + 2),
+                holds=~block.holds,
+            )
+
+        res = _edit_blocks(small_result, edit)
+        _assert_writers_match_the_oracles(res)
+        cells = [line.split(",") for line in render_csv(res).splitlines()[1:]]
+        for col in (7, 8, 9, 11):
+            assert {"nan", "inf", "-inf", "0.0", "-0.0"} <= {c[col] for c in cells}, col
+        text = render_json(res)
+        for name in ("lhs", "rhs", "margin", "quad_error_budget"):
+            for value in ("NaN", "Infinity", "-Infinity", "0.0", "-0.0"):
+                assert f'"{name}": {value},' in text or f'"{name}": {value}\n' in text
+
+    def test_grids_and_points(self, small_result):
+        # every other block of a theorem takes its own grid, with p = inf and
+        # q = 1 where p is set, so blocks that share a grid and blocks that
+        # do not alternate; x = 0 takes a negative sign
+        def edit(k, block):
+            x = tuple(-0.0 if v == 0.0 else v for v in block.x)
+            if k % 2:
+                return block._replace(x=x)
+            grid = tuple(
+                bounds.GridRow(s, math.inf, 1.0) if p is not None else bounds.GridRow(s, p, q)
+                for s, p, q in block.grid
+            )
+            return block._replace(grid=grid, x=x)
+
+        res = _edit_blocks(small_result, edit)
+        _assert_writers_match_the_oracles(res)
+        cells = [line.split(",") for line in render_csv(res).splitlines()[1:]]
+        e7 = {(c[4], c[5]) for c in cells if c[0] == "E7"}
+        assert e7 == {("inf", "1.0"), ("2.0", "2.0")}
+        assert {c[6] for c in cells if c[0] == "E6"} >= {"-0.0", "0.5", "1.0"}
+        assert '"p": Infinity' in render_json(res)
+
+    @pytest.mark.parametrize(
+        "consts",
+        [
+            lambda k: {"alpha": (1, 1.0)[k % 2]},
+            lambda k: {"alpha": 0.5, "M": (0.0, -0.0)[k % 2]},
+            lambda k: {"alpha": 0.5, "M": (2, 2.0)[k % 2]},
+        ],
+        ids=["alpha-int-and-float", "M-zeros-of-both-signs", "M-int-and-float"],
+    )
+    def test_equal_block_constants_written_apart(self, small_result, consts):
+        # neighbouring blocks of one theorem and function, which a plain list
+        # runs together, hold equal constants that are written apart
+        res = _edit_blocks(small_result, lambda k, block: block._replace(**consts(k)))
+        _assert_writers_match_the_oracles(res)
+
+    def test_int_grid_values(self, small_result):
+        def edit(k, block):
+            return block._replace(grid=tuple(
+                bounds.GridRow(int(s) if s == 1.0 else s, p, q) for s, p, q in block.grid
+            ))
+
+        res = _edit_blocks(small_result, edit)
+        _assert_writers_match_the_oracles(res)
+        assert '"s": 1,' in render_json(res) and '"s": 0.5,' in render_json(res)
+
+    def test_int_alpha_sweep(self):
+        cfg = SweepConfig(
+            functions=("square",), alphas=(1,), s_values=(1,), x_points=3,
+            theorems=("E6", "e1", "e13"),
+        )
+        _assert_writers_match_the_oracles(run_sweep(cfg))
+
+
+def _with_asserted_margins(blocks, margins) -> list:
+    # the asserted rows take margins in report order, cycled; every other
+    # row takes -5.0, which the summary must pass over
+    out, k = [], 0
+    for block in blocks:
+        gate = np.asarray(block.asserted, dtype=bool)[block.row]
+        margin = np.full(len(block.row), -5.0)
+        take = np.resize(np.array(margins, dtype=float), k + int(gate.sum()))[k:]
+        margin[gate] = take
+        k += len(take)
+        out.append(block._replace(margin=margin))
+    return out
+
+
+class TestSummaryCounts:
+    """``run_sweep``'s row counts read the blocks' arrays as ``min``, ``sum``
+    and ``len`` read the rows."""
+
+    @pytest.mark.parametrize(
+        "margins",
+        [
+            [1.0, 0.0, 2.0, -0.0],
+            [1.0, -0.0, 0.0, 3.0],
+            [math.nan, -1.0, 0.0],
+            [1.0, math.nan, -1.0, math.nan],
+            [0.0, math.nan, -0.0],
+            [math.nan],
+            [math.inf, -math.inf, -math.inf],
+        ],
+        ids=["zero-first", "negative-zero-first", "leading-nan", "later-nan", "zeros-and-nan",
+             "all-nan", "infinities"],
+    )
+    def test_worst_margin_is_min_of_the_asserted_rows(self, small_result, margins):
+        blocks = _with_asserted_margins(small_result.reports.blocks, margins)
+        rows = bounds.ReportRows(blocks)
+        asserted = [r for r in rows if r.asserted]
+        want = min((r.margin for r in asserted), default=None)
+        got = harness._row_counts(blocks)
+        assert repr(got["worst_margin"]) == repr(want)
+        passed = sum(r.holds for r in asserted)
+        assert got == {
+            "total": len(rows), "passed": passed, "failed": len(asserted) - passed,
+            "skipped": len(rows) - len(asserted), "worst_margin": got["worst_margin"],
+        }
+
+    def test_no_asserted_row(self, small_result):
+        blocks = [b._replace(asserted=(False,) * len(b.asserted))
+                  for b in small_result.reports.blocks]
+        got = harness._row_counts(blocks)
+        assert got["worst_margin"] is None and got["skipped"] == got["total"] > 0
+        assert harness._row_counts([])["worst_margin"] is None
+
+
+# CI's all-theorem smoke config: every theorem id, and p = inf with q = 1
+ALL_THEOREMS = SweepConfig(
+    functions=("constant", "affine", "square", "pow150"),
+    alphas=(0.5, 2.0),
+    x_points=5,
+    theorems=THEOREM_IDS,
+    pq_pairs=((math.inf, 1.0), (2.0, 2.0)),
+)
+
+
+class TestFullSize:
+    """Whole sweeps, not only ``small_result``, write the per-cell bytes."""
+
+    def test_default_sweep(self, default_result):
+        _assert_writers_match_the_oracles(default_result)
+
+    def test_all_theorem_sweep(self):
+        _assert_writers_match_the_oracles(run_sweep(ALL_THEOREMS))
 
 
 class TestCli:
