@@ -49,8 +49,6 @@ from .errors import (
 )
 from .fracint import (
     DEFAULT_QUADRATURE,
-    RULE_ADAPTIVE,
-    RULE_ORACLE,
     Estimate,
     FracParams,
     QuadratureConfig,
@@ -128,8 +126,6 @@ __all__ = [
     "Estimate",
     "QuadratureConfig",
     "DEFAULT_QUADRATURE",
-    "RULE_ADAPTIVE",
-    "RULE_ORACLE",
     "FracParams",
     "weighted_endpoint_integral",
     "plain_integral",

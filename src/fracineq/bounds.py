@@ -50,7 +50,7 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, groupby
 from operator import attrgetter, eq, itemgetter
 from typing import Callable, NamedTuple, Optional
@@ -466,8 +466,8 @@ def rhs_e8_printed(prm: FracParams) -> float:
 
     The statement in circulation textually duplicates the Hoelder-route
     bound (E7) and mentions p although its hypothesis only fixes q >= 1.
-    This evaluator reproduces that printed formula (so sweeps can compare it
-    against E8proof) but is never used as the official right-hand side.
+    This evaluator reproduces that printed formula, for comparison with
+    E8proof by hand; no sweep or command evaluates it.
     """
     _require(prm, "E8printed", "M", "p", "q")
     return rhs_thm2(prm)
@@ -626,23 +626,17 @@ THEOREM_IDS = FRACTIONAL_IDS + CLASSICAL_IDS
 # certificate plumbing and report assembly
 
 
-def _resolve_m(entry: CatalogEntry, prm: FracParams) -> FracParams:
-    if prm.M is not None:
-        return prm
-    return replace(prm, M=entry.deriv_bound().M)
-
-
 class CertCache:
     """Memoizes certificates per (function, target, mode, s, q).
 
     ``warm`` fills the cache a batch at a time, sampling each target grid
     once; ``get`` certifies a missing key on its own. ``skip_note`` builds
-    each failed certificate's row note once.
+    each failed certificate's row note once. Every certificate samples
+    ``certify_batch``'s default grid, the mirror grid its half-sampling needs.
     """
 
-    def __init__(self, cert_tol: float = 1e-9, grid_size: int = 33):
+    def __init__(self, cert_tol: float = 1e-9):
         self.cert_tol = cert_tol
-        self.grid_size = grid_size
         self._store: dict[tuple, ConvexityCertificate] = {}
         self._notes: dict[ConvexityCertificate, str] = {}
 
@@ -661,7 +655,6 @@ class CertCache:
             q=q,
             modes=modes,
             target=target,
-            grid_size=self.grid_size,
             cert_tol=self.cert_tol,
         )
         for cert in batch:
@@ -679,7 +672,6 @@ class CertCache:
                 q=q,
                 mode=mode,
                 target=target,
-                grid_size=self.grid_size,
                 cert_tol=self.cert_tol,
             )
             self._store[key] = cert
@@ -814,7 +806,6 @@ def evaluate_theorem(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     margin_tol: float = DEFAULT_MARGIN_TOL,
     certs: Optional[CertCache] = None,
-    pieces: Optional[LemmaPieces] = None,
     mean: Optional[Estimate] = None,
 ) -> list[InequalityReport]:
     """Evaluate one theorem at one parameter point, certificate-gated.
@@ -827,10 +818,10 @@ def evaluate_theorem(
     when the theorem reads them. This is ``evaluate_block`` on one grid row
     at one point.
     """
-    prm = _resolve_m(entry, prm)
+    M = entry.deriv_bound().M if prm.M is None else prm.M
     return list(ReportRows([evaluate_block(
-        theorem_id, entry, (prm.a, prm.b), prm.alpha, prm.M,
-        [GridRow(prm.s, prm.p, prm.q)], [(prm.x, pieces)],
+        theorem_id, entry, (prm.a, prm.b), prm.alpha, M,
+        [GridRow(prm.s, prm.p, prm.q)], [(prm.x, None)],
         cfg, margin_tol=margin_tol, certs=certs, mean=mean,
     )]))
 

@@ -63,6 +63,7 @@ from .harness import (
     render_csv,
     render_json,
     run_sweep,
+    tolerance_problems,
 )
 from .identity import (
     DEFAULT_IDENTITY_TOL,
@@ -208,7 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_tolerances(**tolerances: float) -> None:
+    if problems := tolerance_problems(**tolerances):
+        raise ConfigError("; ".join(problems))
+
+
 def _cmd_check_identity(args: argparse.Namespace) -> int:
+    _check_tolerances(tol=args.tol)
     entry = get_entry(args.function)
     f = entry.func
     a, b = args.a, args.b
@@ -299,6 +306,7 @@ def _format_report(r: InequalityReport) -> tuple[str, bool]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _check_tolerances(margin_tol=args.margin_tol, cert_tol=args.cert_tol)
     tid = args.theorem
     thm = THEOREMS[tid]
     entry = get_entry(args.function)

@@ -13,17 +13,13 @@ where t(u) = c -/+ L * u**(1/alpha) walks from the singular endpoint. The
 transformed integrand is bounded whenever f is, so adaptive error estimates
 stay honest for every alpha > 0.
 
-Two interchangeable rules evaluate the transformed integral:
+Every evaluator runs one rule: the lane-batched adaptive Gauss-Kronrod
+engine below. ``oracle`` is a reference function, not an option: a
+brute-force composite midpoint sum with 1e6 panels on the same transformed
+integrand, deliberately simple, so that tests can check the engine against
+an independent computation.
 
-``transformed-adaptive``
-    The lane-batched adaptive Gauss-Kronrod engine below; the default
-    everywhere.
-``oracle-midpoint``
-    A brute-force composite midpoint rule with >= 1e6 panels on the
-    transformed integrand. Deliberately simple; exists so tests can validate
-    the adaptive engine against an independent computation.
-
-The adaptive engine integrates many integrals ("lanes") over [0, 1] at
+The engine integrates many integrals ("lanes") over [0, 1] at
 once, all with numpy. Each round applies QUADPACK's 21-point Gauss-Kronrod
 rule (qk21; Piessens et al., *QUADPACK*, 1983) to every new interval of
 every lane in one call of the integrand, with qk21's local error estimate
@@ -60,7 +56,7 @@ values 80 times less accurate than their error estimates; v resolves the
 layer to full precision.
 
 Integrands are always called with numpy arrays, of shape (intervals, 21)
-for the adaptive rule.
+in the engine.
 """
 
 from __future__ import annotations
@@ -81,8 +77,6 @@ from .funcatalog import Function1D
 from .specfun import gamma
 
 __all__ = [
-    "RULE_ADAPTIVE",
-    "RULE_ORACLE",
     "Estimate",
     "QuadratureConfig",
     "DEFAULT_QUADRATURE",
@@ -99,10 +93,6 @@ __all__ = [
     "oracle",
 ]
 
-RULE_ADAPTIVE = "transformed-adaptive"
-RULE_ORACLE = "oracle-midpoint"
-_RULES = (RULE_ADAPTIVE, RULE_ORACLE)
-
 _ORACLE_PANELS = 1_000_000
 
 
@@ -115,12 +105,11 @@ class Estimate(NamedTuple):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances, subdivision budget, and rule selection for the engine."""
+    """Tolerances and subdivision budget for the engine."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
-    rule: str = RULE_ADAPTIVE
 
     def __post_init__(self) -> None:
         problems = []
@@ -132,8 +121,6 @@ class QuadratureConfig:
             problems.append(
                 f"max_subdivisions must be >= 8, got {self.max_subdivisions!r}"
             )
-        if self.rule not in _RULES:
-            problems.append(f"rule must be one of {_RULES}, got {self.rule!r}")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -190,8 +177,8 @@ class FracParams:
                     f"p and q must be conjugate (1/p + 1/q = 1), got "
                     f"p={self.p!r}, q={self.q!r}"
                 )
-        if self.M is not None and self.M < 0.0:
-            problems.append(f"M must be nonnegative, got {self.M!r}")
+        if self.M is not None and not 0.0 <= self.M < math.inf:
+            problems.append(f"M must be nonnegative and finite, got {self.M!r}")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -430,12 +417,7 @@ def _outcome(
 def _one_lane(
     lanes: _LaneSet, cfg: QuadratureConfig, what: str, scale: float = 1.0
 ) -> Estimate:
-    """A single lane by the configured rule; raises the adaptive rule's
-    ConvergenceError. The oracle's error is a half-resolution comparison."""
-    if cfg.rule == RULE_ORACLE:
-        full = _midpoint_unit(lanes, _ORACLE_PANELS)
-        half = _midpoint_unit(lanes, _ORACLE_PANELS // 2)
-        return Estimate(scale * full, scale * abs(full - half) / 3.0)
+    """A single lane, scaled; raises its ConvergenceError."""
     value, error, why = _integrate((lanes,), cfg)
     got = _outcome(value[0], error[0], why[0], what, scale)
     if isinstance(got, ConvergenceError):
@@ -462,7 +444,7 @@ def weighted_endpoint_integral(
     ----------
     f : Function1D or callable
         Integrand factor multiplying the weight. Must accept numpy arrays
-        (every rule calls it with arrays) and act elementwise.
+        (the engine calls it with arrays) and act elementwise.
     lo, hi : float
         Integration interval, lo < hi.
     alpha : float
@@ -470,13 +452,12 @@ def weighted_endpoint_integral(
     singular : {'lo', 'hi'}
         Which endpoint carries the singular weight (c = lo or c = hi).
     cfg : QuadratureConfig
-        Tolerances and rule selection.
+        Tolerances and subdivision budget.
 
     Returns
     -------
     Estimate
-        Value and absolute error estimate. For the oracle rule the error
-        field is a half-resolution comparison, not a guaranteed bound.
+        Value and the engine's absolute error estimate.
     """
     if not alpha > 0.0:
         raise DomainError(f"alpha must be > 0, got {alpha!r}")
@@ -511,7 +492,7 @@ def moment_integral(
     """Evaluate integral_0^1 t**alpha * deriv(t*x + (1-t)*base) dt.
 
     The integrand is bounded for alpha > 0, so no transformation is applied;
-    the configured rule integrates it directly.
+    the engine integrates it directly.
     """
     if not alpha > 0.0:
         raise DomainError(f"alpha must be > 0, got {alpha!r}")
@@ -628,26 +609,13 @@ def lemma_integrals_batch(
 ) -> list[list[Union[tuple[Estimate, Estimate, Estimate, Estimate], ConvergenceError]]]:
     """:func:`lemma_integrals` at every x of every (f, alpha) job.
 
-    Returns one list per job, as :func:`lemma_integrals` gives it. Under the
-    adaptive rule the 4 * len(xs) integrals of every job run as lanes of one
-    batch, and each value equals the one-x call's to the bit; the oracle
-    rule integrates one x at a time.
+    Returns one list per job, as :func:`lemma_integrals` gives it. The
+    4 * len(xs) integrals of every job run as lanes of one batch, and each
+    value equals the one-x call's to the bit.
     """
     points = [[FracParams(a, b, x, alpha) for x in xs] for _, alpha in jobs]
     for f, _ in jobs:
         _check_domain(f, a, b)
-    if cfg.rule != RULE_ADAPTIVE:
-        return [
-            [
-                lemma_pair(f, p, cfg)
-                + (
-                    moment_integral(f.deriv, p.x, a, alpha, cfg),
-                    moment_integral(f.deriv, p.x, b, alpha, cfg),
-                )
-                for p in pts
-            ]
-            for (f, alpha), pts in zip(jobs, points)
-        ]
     built = [
         _lemma_lanes(f, a, b, alpha, pts) for (f, alpha), pts in zip(jobs, points)
     ]

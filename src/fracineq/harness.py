@@ -124,6 +124,13 @@ MAX_GRID_POINTS = 20_000
 _TOLERANCES = ("identity_tol", "margin_tol", "cert_tol", "quad_rel_tol", "quad_abs_tol")
 
 
+def tolerance_problems(**tolerances: float) -> list[str]:
+    """One problem per tolerance that is not finite and > 0: an infinite one
+    passes every check and a NaN one fails every check."""
+    return [f"{name}: must be > 0 and finite, got {value!r}"
+            for name, value in tolerances.items() if not 0.0 < value < np.inf]
+
+
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -284,9 +291,7 @@ class SweepConfig:
                     if not (a <= x <= b):
                         problems.append(f"x_points: {x!r} outside interval {self.interval!r}")
             problems.extend(_repeats("x_points", self.x_points))
-        for tname in _TOLERANCES:
-            if not getattr(self, tname) > 0.0:
-                problems.append(f"{tname}: must be > 0, got {getattr(self, tname)!r}")
+        problems.extend(tolerance_problems(**{t: getattr(self, t) for t in _TOLERANCES}))
         return problems
 
     def resolve_x(self) -> tuple[float, ...]:

@@ -33,7 +33,7 @@ from fracineq import (
 
 GAMMA_IDENTITY_RTOL = 8e-13
 HALF_INTEGER_RTOL = 1e-13
-POWER_RULE_RTOL = 1e-9
+POWER_FORMULA_RTOL = 1e-9
 ORACLE_MATCH_TOL = 1e-8
 IDENTITY_RTOL = 1e-8
 ALPHA_ONE_MATCH = 1e-12
@@ -73,7 +73,7 @@ def test_power_rule_and_adaptive_oracle_equivalence():
                     * (x - a) ** (alpha + exponent)
                 )
                 got = rl_left(f, a, x, alpha).value
-                assert abs(got - want) <= POWER_RULE_RTOL * abs(want)
+                assert abs(got - want) <= POWER_FORMULA_RTOL * abs(want)
 
     rng = np.random.default_rng(0)
     entries = builtin_catalog()

@@ -1,4 +1,4 @@
-"""Weighted-endpoint integral engine: closed forms, rules, error paths.
+"""Weighted-endpoint integral engine: closed forms, the oracle, error paths.
 
 Closed-form oracles come from the power rule
 Gamma(beta+1)/Gamma(alpha+beta+1) * (x-a)**(alpha+beta) with stdlib
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import hyp1f1
 
 from fracineq.errors import (
     ConfigError,
@@ -26,7 +27,6 @@ from fracineq.fracint import (
     MAX_ALPHA,
     _integrate,
     _LaneSet,
-    RULE_ORACLE,
     Estimate,
     FracParams,
     QuadratureConfig,
@@ -64,8 +64,6 @@ class TestConfigs:
             {"rel_tol": 0.0},
             {"abs_tol": -1e-12},
             {"max_subdivisions": 7},
-            {"rule": "simpson"},
-            {"rule": "gauss-jacobi"},
         ],
     )
     def test_quadrature_rejects(self, kwargs):
@@ -225,23 +223,19 @@ class TestOracleAndRules:
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
     def test_oracle_rule_through_config(self):
-        cfg = QuadratureConfig(rule=RULE_ORACLE)
-        est = weighted_endpoint_integral(one, 0.0, 1.0, 0.5, "hi", cfg)
-        assert est.value == pytest.approx(2.0, rel=1e-8)  # integral of (1-t)^(-1/2)
-        assert est.error >= 0.0
+        got = oracle(one, 0.0, 1.0, 0.5, "hi")
+        assert got == pytest.approx(2.0, rel=1e-8)  # integral of (1-t)^(-1/2)
 
     def test_oracle_rule_matches_adaptive_on_polynomial(self):
-        cfg = QuadratureConfig(rule=RULE_ORACLE)
-        est = weighted_endpoint_integral(square_fn, 0.0, 1.0, 0.5, "hi", cfg)
+        got = oracle(square_fn, 0.0, 1.0, 0.5, "hi")
         want = weighted_endpoint_integral(square_fn, 0.0, 1.0, 0.5, "hi").value
-        assert est.value == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_oracle_rule_cross_checks_smooth(self):
-        cfg = QuadratureConfig(rule=RULE_ORACLE)
         f = get_entry("exp").func
-        est = weighted_endpoint_integral(f, 0.0, 1.0, 0.75, "lo", cfg)
+        got = oracle(f, 0.0, 1.0, 0.75, "lo")
         want = weighted_endpoint_integral(f, 0.0, 1.0, 0.75, "lo").value
-        assert est.value == pytest.approx(want, rel=1e-10)
+        assert got == pytest.approx(want, rel=1e-10)
 
     def test_oracle_rejects_bad_arguments(self):
         with pytest.raises(ConfigError):
@@ -276,11 +270,12 @@ class TestMomentIntegral:
         assert est.value == pytest.approx(math.exp(0.5) / 2.5, rel=1e-12)
 
     def test_oracle_route_matches(self):
-        cfg = QuadratureConfig(rule=RULE_ORACLE)
-        deriv = get_entry("exp").func.deriv
-        got = moment_integral(deriv, 0.9, 0.1, 0.75, cfg)
-        want = moment_integral(deriv, 0.9, 0.1, 0.75)
-        assert got.value == pytest.approx(want.value, rel=1e-10)
+        # exp' = exp along u = 0.1 + 0.8 t: integral_0^1 t^alpha e^(0.1 + 0.8 t) dt
+        # = e^0.1 M(alpha + 1, alpha + 2, 0.8) / (alpha + 1), Kummer's M
+        alpha = 0.75
+        got = moment_integral(get_entry("exp").func.deriv, 0.9, 0.1, alpha)
+        want = math.exp(0.1) * hyp1f1(alpha + 1.0, alpha + 2.0, 0.8) / (alpha + 1.0)
+        assert got.value == pytest.approx(want, rel=1e-10)
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(DomainError):

@@ -1147,7 +1147,33 @@ class TestCli:
             ["verify", "--theorem", "E6", "--function", "square", "--cert-tol", "nan"]
         )
         assert ret == 2
-        assert "cert_tol must not be NaN" in capsys.readouterr().err
+        assert "cert_tol: must be > 0 and finite, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_verify_rejects_a_non_finite_M(self, capsys, value):
+        # a NaN bound would make every row VIOLATED and an infinite one HOLD
+        ret = cli.main(["verify", "--theorem", "E6", "--function", "square", "--M", value])
+        assert ret == 2
+        assert f"error: M must be nonnegative and finite, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("verify --theorem E6 --function square", "--margin-tol"),
+            ("verify --theorem E6 --function square", "--cert-tol"),
+            ("check-identity --function square --alpha 0.5 --x 0.5", "--tol"),
+            ("sweep --functions square --alphas 0.5 --x-count 3", "--margin-tol"),
+            ("sweep --functions square --alphas 0.5 --x-count 3", "--cert-tol"),
+            ("sweep --functions square --alphas 0.5 --x-count 3", "--identity-tol"),
+        ],
+    )
+    def test_tolerances_must_be_finite_and_positive(self, capsys, command, flag, value):
+        # an infinite tolerance would pass every check and a NaN one fail them all
+        ret = cli.main(command.split() + [flag, value])
+        assert ret == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "must be > 0 and finite" in err
 
     def test_reduce_all(self, capsys):
         assert cli.main(["reduce"]) == 0
@@ -1367,8 +1393,9 @@ def test_rows_that_differ_only_in_q_keep_the_pq_order():
 
 
 def test_rows_come_out_in_the_order_a_stable_sort_gives():
-    # the oracle builds every row with its own evaluate_theorem call, in
-    # generation order (per function, alpha and x the fractional ids, then
+    # the oracle builds every row with its own one-row, one-point
+    # evaluate_block call, as evaluate_theorem does but with the point's
+    # shared pieces, in generation order (per function, alpha and x the fractional ids, then
     # per function the classical ids), and sorts them stably by the report
     # key; run_sweep emits its rows in that order without sorting
     cfg = dataclasses.replace(
@@ -1386,12 +1413,13 @@ def test_rows_come_out_in_the_order_a_stable_sort_gives():
     thms = [bounds.THEOREMS[tid] for tid in cfg.theorems]
     rows = []
 
-    def add(thm, entry, alpha, x, **kwargs):
-        for s, p, q in thm.grid(cfg.s_values, cfg.pq_pairs, q_dedup):
-            prm = fracint.FracParams(0.0, 1.0, x, alpha, s=s, p=p, q=q,
-                                     M=entry.deriv_bound().M)
-            rows.extend(evaluate_theorem(thm.tid, entry, prm, qcfg, cfg.margin_tol,
-                                         certs, **kwargs))
+    def add(thm, entry, alpha, x, pieces=None, mean=None):
+        for row in thm.grid(cfg.s_values, cfg.pq_pairs, q_dedup):
+            block = bounds.evaluate_block(
+                thm.tid, entry, (0.0, 1.0), alpha, entry.deriv_bound().M, [row],
+                [(x, pieces)], qcfg, cfg.margin_tol, certs, mean,
+            )
+            rows.extend(bounds.ReportRows([block]))
 
     for name in cfg.functions:
         entry = get_entry(name)

@@ -1,7 +1,7 @@
 """Residual checks for the central identity, its halves, and the alpha=1 twin.
 
-Independent routes: hand-evaluated closed forms at alpha = 1, and the
-brute-force oracle-midpoint rule re-running the same checks at 1e6 panels.
+Independent routes: hand-evaluated closed forms at alpha = 1, and pieces
+built from the brute-force midpoint oracle (1e6 panels) and closed forms.
 """
 
 from __future__ import annotations
@@ -13,14 +13,16 @@ import pytest
 
 from fracineq import fracint
 from fracineq.errors import ConfigError, ConvergenceError, DomainError, FracIneqError
-from fracineq.fracint import RULE_ORACLE, FracParams, QuadratureConfig
+from fracineq.fracint import Estimate, FracParams, oracle
 from fracineq.funcatalog import Function1D, builtin_catalog, get_entry
 from fracineq.identity import (
     ALPHA_ONE_MATCH_TOL,
     DEFAULT_IDENTITY_TOL,
     IdentityResidual,
+    LemmaPieces,
     check_classical_lemma,
     check_e1,
+    check_e1_from_pieces,
     check_e4_e5,
     compute_pieces,
     compute_pieces_batch,
@@ -72,12 +74,20 @@ class TestFullIdentity:
         assert res.passes()
 
     def test_square_half_order_against_oracle_rule(self):
-        # both sides recomputed on the brute-force midpoint rule must agree
-        # with the adaptive evaluation
-        prm = FracParams(0.0, 1.0, 0.5, 0.5)
+        # both sides rebuilt from the brute-force midpoint oracle (the operator
+        # pair) and closed forms (the moments of f' = 2t) must agree with the
+        # adaptive evaluation
+        a, b, x, alpha = 0.0, 1.0, 0.5, 0.5
         f = get_entry("square").func
-        fast = check_e1(f, prm)
-        slow = check_e1(f, prm, QuadratureConfig(rule=RULE_ORACLE))
+        fast = check_e1(f, FracParams(a, b, x, alpha))
+        ginv = 1.0 / math.gamma(alpha)
+        slow = check_e1_from_pieces(LemmaPieces(
+            a, b, x, alpha, x**2,
+            Estimate(ginv * oracle(f, a, x, alpha, "lo"), 0.0),
+            Estimate(ginv * oracle(f, x, b, alpha, "hi"), 0.0),
+            Estimate(2.0 * x / (alpha + 2.0), 0.0),
+            Estimate(2.0 * (x - 1.0) / (alpha + 2.0) + 2.0 / (alpha + 1.0), 0.0),
+        ))
         assert fast.lhs == pytest.approx(slow.lhs, rel=1e-8, abs=1e-10)
         assert fast.rhs == pytest.approx(slow.rhs, rel=1e-8, abs=1e-10)
         assert slow.passes()
