@@ -52,7 +52,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, groupby
-from operator import attrgetter, eq, itemgetter
+from operator import eq, itemgetter
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -95,7 +95,6 @@ __all__ = [
     "InequalityReport",
     "RowBlock",
     "ReportRows",
-    "as_blocks",
     "lhs_frac",
     "lhs_classical",
     "rhs_thm1",
@@ -206,33 +205,6 @@ class RowBlock(NamedTuple):
             return getattr(self, name), ...
         return getattr(self, name), {"asserted": self.row, "note": self.row, "x": self.point,
                                      "lhs": self.lhs_at, "quad_error_budget": self.lhs_at}.get(name)
-
-
-_CONSTANTS = attrgetter("theorem_id", "function", "prm.a", "prm.b", "prm.alpha", "prm.M")
-_PER_ROW = [attrgetter("prm.s", "prm.p", "prm.q"), *map(attrgetter, (
-    "asserted", "note", "prm.x", "lhs", "quad_error_budget", "rhs", "margin", "holds"))]
-
-
-def _block_key(r: InequalityReport) -> tuple:
-    consts = _CONSTANTS(r)
-    # equal values read apart (1 and 1.0, 0.0 and -0.0) start a new block
-    return consts, [(v.__class__, v == 0 and math.copysign(1.0, v)) for v in consts[2:]]
-
-
-def as_blocks(reports: Sequence[InequalityReport]) -> tuple[RowBlock, ...]:
-    """Report rows as ``RowBlock``s: a ``ReportRows``'s own blocks, or else
-    one block per run of rows that share theorem, function, a, b, alpha and
-    M, holding each row's other values as given, in tuples, with index
-    arrays that are the identity."""
-    if isinstance(reports, ReportRows):
-        return reports.blocks
-    blocks = []
-    for (consts, _), run in groupby(reports, key=_block_key):
-        run = list(run)
-        every = np.arange(len(run))
-        blocks.append(RowBlock(*consts, *(tuple(map(get, run)) for get in _PER_ROW),
-                               every, every, every))
-    return tuple(blocks)
 
 
 class ReportRows(Sequence):

@@ -180,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--x-count", type=int, default=None, dest="x_count", help="size of uniform x grid"
     )
     p.add_argument("--interval", type=float, nargs=2, default=None, metavar=("A", "B"))
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--identity-tol", type=float, default=None, dest="identity_tol")
     p.add_argument("--margin-tol", type=float, default=None, dest="margin_tol")
     p.add_argument("--cert-tol", type=float, default=None, dest="cert_tol")
@@ -216,6 +215,8 @@ def _check_tolerances(**tolerances: float) -> None:
 
 def _cmd_check_identity(args: argparse.Namespace) -> int:
     _check_tolerances(tol=args.tol)
+    if args.x_count < 1:  # --x leaves the default count
+        raise ConfigError(f"--x-count: must be >= 1, got {args.x_count}")
     entry = get_entry(args.function)
     f = entry.func
     a, b = args.a, args.b
@@ -372,8 +373,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         overrides["x_points"] = args.x_count
     if args.interval is not None:
         overrides["interval"] = tuple(args.interval)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     for tname in ("identity_tol", "margin_tol", "cert_tol"):
         value = getattr(args, tname)
         if value is not None:
@@ -419,6 +418,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
+    # 0 is meaningful: closed forms can coincide exactly
+    if not 0.0 <= args.tol < np.inf:
+        raise ConfigError(f"tol: must be >= 0 and finite, got {args.tol!r}")
     tids = FRACTIONAL_IDS if args.theorem == "all" else (args.theorem,)
     failures = 0
     for tid in tids:

@@ -8,13 +8,14 @@ evaluates every selected theorem row
 alpha-free grids for the classical family), one block of rows per
 (theorem, function, alpha) at a time. Certificates and derivative
 bounds are computed once per function before any point; rows are emitted
-in report order (``_report_sort_key``), with no sort afterwards.
+in report order, theorem, function, alpha, s, p and x ascending (each where
+the theorem reads it), with no sort afterwards.
 
 Each block is a ``bounds.RowBlock`` of columns, and ``SweepResult.reports``
 is a ``bounds.ReportRows`` over the blocks: it reads as the list of
 ``InequalityReport`` rows, building each on access. The summary reads the
 blocks' arrays; both writers write a block at a time, each value once on
-its axis, and a plain list of reports as ``bounds.as_blocks`` gives it.
+its axis, and a plain list of reports every field per record.
 
 Output contracts kept deliberately rigid for reproducibility:
 
@@ -22,9 +23,9 @@ Output contracts kept deliberately rigid for reproducibility:
   holds, quad_error_budget. A parameter cell is filled exactly when the
   row's formula consumes it, and is empty otherwise. Floats are emitted
   with shortest round-trip repr, booleans as true/false, newline is "\\n".
-  Two runs with identical config and seed produce byte-identical CSV.
+  Two runs with identical config produce byte-identical CSV.
 * JSON mirrors the full SweepResult including residuals and provenance
-  (config echo, package version, seed, timestamp). The report is byte for
+  (config echo, package version, timestamp). The report is byte for
   byte ``json.dumps(SweepResult.to_dict(), indent=2, sort_keys=True)``
   plus a final newline: keys sorted, two-space indent, floats as
   ``float.__repr__`` with NaN/Infinity/-Infinity, strings ASCII-escaped.
@@ -39,7 +40,7 @@ import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from typing import Optional, Sequence, Union
@@ -58,7 +59,6 @@ from .bounds import (
     GridRow,
     InequalityReport,
     ReportRows,
-    as_blocks,
     evaluate_block,
 )
 from .errors import ConfigError, ConvergenceError
@@ -171,7 +171,6 @@ _KEY_TYPES = {
         lambda v: _is_count(v) or _are_numbers(v),
         lambda v: v if _is_count(v) else _floats(v),
     ),
-    "seed": ("an integer", _is_count, int),
     **{tname: ("a number", _is_number, float) for tname in _TOLERANCES},
 }
 
@@ -193,7 +192,6 @@ class SweepConfig:
     x_points: Union[int, tuple[float, ...]] = 11
     interval: tuple[float, float] = (0.0, 1.0)
     theorems: tuple[str, ...] = FRACTIONAL_IDS
-    seed: int = 0
     identity_tol: float = DEFAULT_IDENTITY_TOL
     margin_tol: float = DEFAULT_MARGIN_TOL
     cert_tol: float = 1e-9
@@ -311,7 +309,6 @@ class SweepConfig:
             ),
             "interval": list(self.interval),
             "theorems": list(self.theorems),
-            "seed": self.seed,
             "tolerances": {
                 "identity_tol": self.identity_tol,
                 "margin_tol": self.margin_tol,
@@ -330,6 +327,7 @@ class SweepConfig:
         problem. ``validate`` checks the values.
         """
         data = dict(data)
+        data.pop("seed", None)  # the sweep draws nothing at random; older configs set one
         tol = data.pop("tolerances", {})
         problems: list[str] = []
         if not isinstance(tol, dict):
@@ -422,20 +420,6 @@ class SweepResult:
         )
 
 
-def _report_sort_key(r: InequalityReport):
-    """The report order: ``run_sweep`` emits rows ascending in this key, and
-    rows that differ only in q in the order of their (p, q) pairs."""
-    visible = THEOREMS[r.theorem_id].fields
-
-    def cell(fieldname: str) -> float:
-        if fieldname not in visible:
-            return -1.0
-        value = getattr(r.prm, fieldname)
-        return -1.0 if value is None else float(value)
-
-    return (r.theorem_id, r.function, cell("alpha"), cell("s"), cell("p"), cell("x"))
-
-
 def _row_counts(blocks: Sequence) -> dict:
     """The summary's row counts and worst asserted margin, from the blocks'
     arrays. ``worst_margin`` is ``min`` of the asserted margins in report
@@ -453,7 +437,7 @@ def _row_counts(blocks: Sequence) -> dict:
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
-    """Run the configured sweep; deterministic for a fixed (config, seed).
+    """Run the configured sweep; deterministic for a fixed config.
 
     Sweeps run serially; ``workers`` has one legal value, 1.
     """
@@ -524,9 +508,9 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
 
     # one block of rows per (theorem, function, alpha), or per (theorem,
     # function) for a classical bound, which is evaluated at alpha = 1 and
-    # at the midpoint when it reads no x. Blocks go in _report_sort_key
-    # order, and each one's grid and points ascend, so the rows come out in
-    # that order; rows that differ only in q keep the q_dedup order
+    # at the midpoint when it reads no x. Blocks go in report order (see the
+    # module docstring), and each one's grid and points ascend, so the rows
+    # come out in that order; rows that differ only in q keep the q_dedup order
     s_up = sorted(cfg.s_values)
     pq_up = sorted(cfg.pq_pairs, key=itemgetter(0))
     classical_points = [(x, None) for x in sorted(xs)]
@@ -558,7 +542,6 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     provenance = {
         "config": cfg.to_dict(),
         "version": __version__,
-        "seed": cfg.seed,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     return SweepResult(
@@ -641,21 +624,39 @@ _CSV_LEAVES = [("theorem_id", str), ("function", str), *(
 _CSV_PIECES = ["", *[","] * (len(_CSV_LEAVES) - 1), "\n"]
 
 
+def _per_record(records: Sequence, prm: bool = False):
+    """A ``stored`` (``_block_chunks``) that reads every field per record;
+    with ``prm``, a ``FracParams`` field ``name`` as ``prm.<name>``."""
+    def stored(name: str) -> tuple:
+        path = "prm." + name if prm and name in FracParams.__slots__ else name
+        return list(map(attrgetter(path), records)), ...
+    return stored
+
+
+def _report_groups(reports: Sequence[InequalityReport]) -> list[tuple]:
+    """The reports as (theorem id, ``stored``, grid texts) groups for
+    ``_block_chunks``: a ``ReportRows``'s blocks, each value once on the axis
+    it is stored on, or else each run of one theorem's reports, every field
+    per record."""
+    if isinstance(reports, ReportRows):
+        memo: dict = {}  # a theorem's blocks share one grid (keyed by id: the blocks outlive it)
+        return [(b.theorem_id, b.stored, memo.setdefault(id(b.grid), {})) for b in reports.blocks]
+    return [(tid, _per_record(list(run), prm=True), {})
+            for tid, run in groupby(reports, key=attrgetter("theorem_id"))]
+
+
 def render_csv(res: SweepResult) -> str:
     """Render reports to the fixed CSV schema (byte-stable).
 
-    Lines are written a ``RowBlock`` at a time (a plain list of reports as
-    ``as_blocks`` gives it), each value once, on the axis it is stored on
+    Lines are written a group of ``_report_groups`` at a time
     (``_block_chunks``); the parameter cells a theorem's ``fields`` leave
     out are blank.
     """
-    memo: dict = {}  # a theorem's blocks share one grid (keyed by id: the blocks outlive it)
     chunks = [CSV_HEADER, "\n"]
-    for block in as_blocks(res.reports):
-        visible = THEOREMS[block.theorem_id].fields
+    for tid, stored, grid_texts in _report_groups(res.reports):
+        visible = THEOREMS[tid].fields
         blank = [name for name in ("alpha", "s", "p", "q", "x") if name not in visible]
-        chunks.extend(_block_chunks(block.stored, _CSV_LEAVES, _CSV_PIECES, {}, blank,
-                                    memo.setdefault(id(block.grid), {})))
+        chunks.extend(_block_chunks(stored, _CSV_LEAVES, _CSV_PIECES, {}, blank, grid_texts))
     return "".join(chunks)
 
 
@@ -732,15 +733,13 @@ def render_json(res: SweepResult) -> str:
     The stdlib encodes in C only without ``indent``, so the report and
     residual records, nearly all of the report, are written from one
     template per record type instead; the other fields go through
-    ``json.dumps``. Reports are written a ``RowBlock`` at a time (a plain
-    list as ``as_blocks`` gives it), each value once on the axis it is
-    stored on, so a record takes about 8 chunks (``_block_chunks``);
-    residuals are written per record. All chunks are joined once.
+    ``json.dumps``. Reports are written a group of ``_report_groups`` at a
+    time, so a record of a ``RowBlock`` takes about 8 chunks
+    (``_block_chunks``); residuals, and a plain list of reports, are written
+    every field per record. All chunks are joined once.
     """
-    memo: dict = {}  # as in render_csv
-    reports = [(b.stored, memo.setdefault(id(b.grid), {})) for b in as_blocks(res.reports)]
-    # the residuals as one block, every field stored per record
-    residuals = [(lambda path: (list(map(attrgetter(path), res.residuals)), ...), {})]
+    reports = [(stored, grid_texts) for _, stored, grid_texts in _report_groups(res.reports)]
+    residuals = [(_per_record(res.residuals), {})]
     chunks = [
         '{\n  "convergence_errors": ', _dumps_at(res.convergence_errors, 1),
         ',\n  "provenance": ', _dumps_at(res.provenance, 1),

@@ -41,13 +41,27 @@ from fracineq.harness import (
     ResidualRecord,
     SweepConfig,
     SweepResult,
-    _report_sort_key,
     default_config,
     emit_report,
     render_csv,
     render_json,
     run_sweep,
 )
+
+
+def _report_sort_key(r):
+    """The report order: ``run_sweep`` emits rows ascending in this key, and
+    rows that differ only in q in the order of their (p, q) pairs."""
+    visible = bounds.THEOREMS[r.theorem_id].fields
+
+    def cell(fieldname: str) -> float:
+        if fieldname not in visible:
+            return -1.0
+        value = getattr(r.prm, fieldname)
+        return -1.0 if value is None else float(value)
+
+    return (r.theorem_id, r.function, cell("alpha"), cell("s"), cell("p"), cell("x"))
+
 
 SMALL = SweepConfig(
     functions=("affine", "square"),
@@ -90,7 +104,6 @@ class TestSweepConfig:
             ({"x_points": (2.0,)}, "outside interval"),
             ({"identity_tol": 0.0}, "identity_tol: must be > 0"),
             ({"margin_tol": -1.0}, "margin_tol: must be > 0"),
-            ({"seed": "0"}, "seed: must be an integer"),
             ({"alphas": (0.5, 140.5)}, "alphas: must be <= 140"),
             ({"functions": ("square", "exp", "square")}, "functions: 'square' is repeated"),
             ({"alphas": (0.5, 1.0, 0.5)}, "alphas: 0.5 is repeated"),
@@ -123,6 +136,9 @@ class TestSweepConfig:
 
     def test_dict_round_trip(self):
         assert SweepConfig.from_dict(SMALL.to_dict()) == SMALL
+        # an older config's seed is dropped, whatever its value
+        for seed in (3, "x", False):
+            assert SweepConfig.from_dict({**SMALL.to_dict(), "seed": seed}) == SMALL
 
     def test_from_dict_flat_tolerance_keys(self):
         cfg = SweepConfig.from_dict({"margin_tol": 1e-6})
@@ -191,10 +207,9 @@ class TestConfigFileTypes:
             ({"pq_pairs": 3}, ["pq_pairs: must be a list of [p, q] number pairs, got 3"]),
             ({"pq_pairs": [[2.0, 2.0, 1.0]]}, ["pq_pairs: must be a list of [p, q] number pairs"]),
             (
-                {"tolerances": 1e-9, "seed": False, "interval": [0, "1"], "theorems": ["E6", 7]},
+                {"tolerances": 1e-9, "interval": [0, "1"], "theorems": ["E6", 7]},
                 [
                     "tolerances: must be an object, got 1e-09",
-                    "seed: must be an integer, got False",
                     "interval: must be a list of numbers",
                     "theorems: must be a list of strings",
                 ],
@@ -240,12 +255,12 @@ class TestConfigFileTypes:
     def test_valid_types_are_taken(self):
         cfg = SweepConfig.from_dict({
             "functions": ["square"], "alphas": [1, 0.5], "pq_pairs": [[2, 2]],
-            "x_points": [0, 0.5], "seed": 3, "margin_tol": 1e-6,
+            "x_points": [0, 0.5], "margin_tol": 1e-6,
             "tolerances": {"margin_tol": 1e-7},
         })
         assert cfg.alphas == (1.0, 0.5) and type(cfg.alphas[0]) is float
         assert cfg.pq_pairs == ((2.0, 2.0),) and cfg.x_points == (0.0, 0.5)
-        assert cfg.seed == 3 and cfg.margin_tol == 1e-7  # the nested value wins
+        assert cfg.margin_tol == 1e-7  # the nested value wins
         assert SweepConfig.from_dict({"x_points": 7}).x_points == 7
 
     def test_grid_size_is_capped(self):
@@ -290,7 +305,6 @@ class TestRunSweep:
 
     def test_provenance_records_config(self, small_result):
         assert small_result.provenance["config"] == SMALL.to_dict()
-        assert small_result.provenance["seed"] == SMALL.seed
 
     def test_invalid_config_raises_joined_problems(self):
         bad = dataclasses.replace(SMALL, alphas=(), s_values=(2.0,))
@@ -841,11 +855,15 @@ def _edit_blocks(res: SweepResult, edit) -> SweepResult:
 
 
 def _assert_writers_match_the_oracles(res: SweepResult) -> None:
-    # the blocks, and the same reports as a plain list, write the per-cell bytes
+    # the blocks, and the same reports as a plain list, write the per-cell
+    # bytes; so does the list reversed, an order in which no block is written
     csv_text, json_text = _csv_oracle(res), _json_oracle(res)
     for written in (res, dataclasses.replace(res, reports=list(res.reports))):
         assert render_csv(written) == csv_text
         assert render_json(written) == json_text
+    backwards = dataclasses.replace(res, reports=list(res.reports)[::-1])
+    assert render_csv(backwards) == _csv_oracle(backwards)
+    assert render_json(backwards) == _json_oracle(backwards)
 
 
 _SPECIALS = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 2.5])
@@ -1183,6 +1201,26 @@ class TestCli:
 
     def test_reduce_single(self):
         assert cli.main(["reduce", "--theorem", "E7"]) == 0
+        # E7's closed forms coincide exactly, so a zero tolerance is meaningful
+        assert cli.main(["reduce", "--theorem", "E7", "--tol", "0"]) == 0
+
+    @pytest.mark.parametrize(
+        "command, needle",
+        [
+            ("reduce --tol nan", "tol: must be >= 0 and finite, got nan"),
+            ("reduce --tol -1", "tol: must be >= 0 and finite, got -1.0"),
+            ("reduce --tol inf", "tol: must be >= 0 and finite, got inf"),
+            ("check-identity --function square --x-count 0", "--x-count: must be >= 1, got 0"),
+            ("check-identity --function square --x-count -1", "--x-count: must be >= 1, got -1"),
+            ("check-identity --function square --x-count -3", "--x-count: must be >= 1, got -3"),
+        ],
+    )
+    def test_reduce_tol_and_identity_x_count_are_checked(self, capsys, command, needle):
+        # a NaN or negative tolerance would fail every id and an infinite one
+        # pass them all; a count below 1 would check no point
+        assert cli.main(command.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {needle}\n"
 
     def test_sweep_writes_report_file(self, capsys, tmp_path):
         out = tmp_path / "report.csv"
@@ -1321,10 +1359,12 @@ class TestCli:
         assert data["residuals"][0]["residual"]["rel_residual"] < 1e-10
 
     def test_sweep_has_no_workers_flag(self):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["sweep", "--functions", "square", "--alphas", "0.5",
-                      "--x-count", "3", "--workers", "2"])
-        assert excinfo.value.code == 2
+        # nor a seed: the sweep draws nothing at random
+        for flag in ("--workers", "--seed"):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(["sweep", "--functions", "square", "--alphas", "0.5",
+                          "--x-count", "3", flag, "2"])
+            assert excinfo.value.code == 2
 
     def test_sweep_ignores_a_thread_count_in_the_environment(self, capsys, monkeypatch):
         # the thread count the serial sweep no longer reads, spelled in two
