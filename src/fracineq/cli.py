@@ -57,7 +57,9 @@ from .funcatalog import (
     get_entry,
 )
 from .harness import (
+    MAX_GRID_POINTS,
     SweepConfig,
+    _repeats,
     default_config,
     emit_report,
     render_csv,
@@ -208,15 +210,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_tolerances(**tolerances: float) -> None:
-    if problems := tolerance_problems(**tolerances):
-        raise ConfigError("; ".join(problems))
-
-
 def _cmd_check_identity(args: argparse.Namespace) -> int:
-    _check_tolerances(tol=args.tol)
+    # the sweep's grid rules: no repeated value, 1 to MAX_GRID_POINTS points
+    problems = tolerance_problems(tol=args.tol) + _repeats("--alpha", args.alpha)
+    problems += _repeats("--x", args.x or ())
     if args.x_count < 1:  # --x leaves the default count
-        raise ConfigError(f"--x-count: must be >= 1, got {args.x_count}")
+        problems.append(f"--x-count: must be >= 1, got {args.x_count}")
+    n_points = len(args.alpha) * (args.x_count if args.x is None else len(args.x))
+    if n_points > MAX_GRID_POINTS:
+        problems.append(f"grid: at most {MAX_GRID_POINTS} points (alphas x x), got {n_points}")
+    if problems:
+        raise ConfigError("; ".join(problems))
     entry = get_entry(args.function)
     f = entry.func
     a, b = args.a, args.b
@@ -307,7 +311,8 @@ def _format_report(r: InequalityReport) -> tuple[str, bool]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _check_tolerances(margin_tol=args.margin_tol, cert_tol=args.cert_tol)
+    if problems := tolerance_problems(margin_tol=args.margin_tol, cert_tol=args.cert_tol):
+        raise ConfigError("; ".join(problems))
     tid = args.theorem
     thm = THEOREMS[tid]
     entry = get_entry(args.function)

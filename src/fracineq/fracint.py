@@ -1,23 +1,32 @@
 """Weighted-endpoint (Riemann-Liouville type) integral evaluation.
 
-All four integral expressions consumed by the identity and bound modules
-share one shape: an integrand f against a weight |t - c|**(alpha - 1) whose
-singular endpoint c is one end of the interval. This module removes that
-singularity analytically before any quadrature runs. With L = hi - lo and
-the substitution u = (|t - c| / L)**alpha,
+The identity and bound modules consume four integrals per point, all of one
+shape. The two operator terms weigh f by |t - c|**(alpha - 1), singular at
+one end c of [lo, hi]; with L = hi - lo and t = c +/- L tau,
 
     integral_lo^hi |t - c|**(alpha-1) f(t) dt
-        = (L**alpha / alpha) * integral_0^1 f(t(u)) du,
+        = L**alpha * integral_0^1 tau**(alpha-1) f(c +/- L tau) dtau.
 
-where t(u) = c -/+ L * u**(1/alpha) walks from the singular endpoint. The
-transformed integrand is bounded whenever f is, so adaptive error estimates
-stay honest for every alpha > 0.
+The two moment integrals of f' are integral_0^1 tau**alpha f'(base + (x -
+base) tau) dtau. So each is a lane
+
+    integral_0^1 tau**(beta-1) h(start + (end - start) tau) dtau,
+
+with beta = alpha for the operator terms and beta = alpha + 1 for the
+moments. One substitution, tau = w**m with the integer m = max(1,
+ceil(4 / beta)), removes the endpoint weight before any quadrature runs:
+
+    integral_0^1 m w**(m beta - 1) h(start + (end - start) w**m) dw.
+
+An integer m keeps h(... w**m) as smooth as h, and m beta - 1 >= 3 makes the
+weight three times differentiable, so adaptive error estimates stay honest
+for every alpha > 0.
 
 Every evaluator runs one rule: the lane-batched adaptive Gauss-Kronrod
 engine below. ``oracle`` is a reference function, not an option: a
-brute-force composite midpoint sum with 1e6 panels on the same transformed
-integrand, deliberately simple, so that tests can check the engine against
-an independent computation.
+brute-force composite midpoint sum with 1e6 panels after its own
+substitution, u = (|t - c| / L)**alpha, deliberately simple and independent
+of the engine's, so that tests can check the engine against it.
 
 The engine integrates many integrals ("lanes") over [0, 1] at
 once, all with numpy. Each round applies QUADPACK's 21-point Gauss-Kronrod
@@ -32,7 +41,9 @@ epsilon algorithm), so endpoint singularities cost more evaluations, but
 they are vectorized.
 A lane that would need more than ``max_subdivisions`` intervals, whose
 intervals get too narrow to bisect, or whose value or error is not finite
-fails on its own, as a ``ConvergenceError`` for that lane only.
+fails on its own, as a ``ConvergenceError`` for that lane only. A reported
+error is never below one ulp of its nonzero value, the rounding the value
+itself carries, even where the value is subnormal.
 
 Lanes are independent to the bit: a lane's value and error do not depend
 on which lanes share its batch. Each interval's rule is a row sum
@@ -45,15 +56,13 @@ the sweep's call over every (f, alpha) (``lemma_integrals_batch``) give
 identical results; a batch only takes fewer rounds, as many as its slowest
 lane needs.
 
-The substitution squeezes all of f's variation into a layer of width
-~alpha at u = 1 when alpha is small, which a first sample of [0, 1] can
-miss entirely. Every transformed lane therefore starts with a break point
-at u = 1 - min(1/2, 50 alpha). The engine integrates the transformed
-lanes over v = 1 - u and computes u**(1/alpha) as exp(log1p(-v) / alpha):
-in u, the rounding of a node next to 1 (about 1e-16) moves
-u**(1/alpha) by about 1e-16 / alpha relative, which at alpha = 1e-4 made
-values 80 times less accurate than their error estimates; v resolves the
-layer to full precision.
+When beta is small, m is large (40,000 at alpha = 1e-4), and w**m squeezes
+all of h's variation into a layer of width ~1/m at w = 1, which a first
+sample of [0, 1] can miss entirely. Every lane therefore starts with a break
+point at w = 1 - min(1/2, 50 / m). The engine integrates over v = 1 - w and
+computes w**m as exp(m log1p(-v)): in w, the rounding of a node next to 1
+(about 1e-16) moves w**m by about 1e-16 m relative, 4e-12 at m = 40,000,
+far more than the error estimates; v resolves the layer to full precision.
 
 Integrands are always called with numpy arrays, of shape (intervals, 21)
 in the engine.
@@ -237,64 +246,41 @@ _UFLOW = float(np.finfo(float).tiny)
 
 @dataclass(frozen=True)
 class _LaneSet:
-    """Integrals over u in [0, 1] sharing one integrand.
+    """Integrals over v in [0, 1] sharing one integrand.
 
-    ``fn(lane, u)`` evaluates lane ``lane[i]``'s integrand at the nodes
-    ``u[i]`` (one row per interval); ``brk`` is the break point every lane
-    starts with, if any.
+    ``fn(lane, v)`` evaluates lane ``lane[i]``'s integrand at the nodes
+    ``v[i]`` (one row per interval); every lane starts with a break at
+    ``brk``.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     size: int
-    brk: Optional[float] = None
+    brk: float
 
 
-def _weighted_lanes(
-    g: Callable,
-    lo: Sequence[float],
-    hi: Sequence[float],
-    alpha: float,
-    singular: Sequence[str],
-) -> tuple[_LaneSet, list[float]]:
-    """The singularity-free integrands over v = 1 - u in [0, 1], one lane per
-    interval, and their prefactors L**alpha / alpha."""
-    for side in singular:
-        if side not in ("lo", "hi"):
-            raise ConfigError(f"singular must be 'lo' or 'hi', got {side!r}")
-    prefactors = [(h - l) ** alpha / alpha for l, h in zip(lo, hi)]
-    lo_ = np.array(lo, dtype=float)
-    hi_ = np.array(hi, dtype=float)
-    at_hi = np.array([side == "hi" for side in singular], dtype=bool)
-    start = np.where(at_hi, hi_, lo_)
-    step = np.where(at_hi, lo_ - hi_, hi_ - lo_)
-    inv = 1.0 / alpha
-
-    def tr(lane: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # u**(1/alpha) with u = 1 - v, through log1p so that v keeps its full
-        # precision; rounding in t can overshoot the interval by one ulp,
-        # which turns fractional powers of (t - lo) into NaN, so clamp
-        t = start[lane, None] + step[lane, None] * np.exp(inv * np.log1p(-v))
-        return g(np.clip(t, lo_[lane, None], hi_[lane, None]))
-
-    return _LaneSet(tr, len(prefactors), min(0.5, 50.0 * alpha)), prefactors
-
-
-def _moment_lanes(
-    deriv: Callable, x: Sequence[float], base: Sequence[float], alpha: float
+def _lanes(
+    h: Callable, start: Sequence[float], end: Sequence[float], beta: float
 ) -> _LaneSet:
-    """t -> t**alpha * deriv(t*x + (1-t)*base) on [0, 1] per lane, points kept
-    on the segment."""
-    x_ = np.array(x, dtype=float)
-    base_ = np.array(base, dtype=float)
-    wlo = np.minimum(x_, base_)
-    whi = np.maximum(x_, base_)
+    """integral_0^1 tau**(beta-1) h(start + (end - start) tau) dtau, one lane
+    per (start, end), through tau = w**m over v = 1 - w."""
+    m = max(1.0, float(np.ceil(4.0 / beta)))  # inf when 4 / beta overflows
+    start_ = np.array(start, dtype=float)
+    end_ = np.array(end, dtype=float)
+    step = end_ - start_
+    lo = np.minimum(start_, end_)
+    hi = np.maximum(start_, end_)
 
-    def h(lane: np.ndarray, t: np.ndarray) -> np.ndarray:
-        pts = t * x_[lane, None] + (1.0 - t) * base_[lane, None]
-        pts = np.clip(pts, wlo[lane, None], whi[lane, None])
-        return t**alpha * np.asarray(deriv(pts), dtype=float)
+    def fn(lane: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # w**m through log1p, so that v keeps its full precision; rounding in
+        # t can overshoot the segment by one ulp, which turns fractional
+        # powers of (t - lo) into NaN, so clamp
+        log_w = np.log1p(-v)
+        t = start_[lane, None] + step[lane, None] * np.exp(m * log_w)
+        t = np.clip(t, lo[lane, None], hi[lane, None])
+        return m * np.exp((m * beta - 1.0) * log_w) * h(t)
 
-    return _LaneSet(h, len(x_))
+    # the break resolves the layer at w = 1 (see the module docstring)
+    return _LaneSet(fn, len(start_), min(0.5, 50.0 / m))
 
 
 def _qk21(fn: Callable, lane: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -336,11 +322,9 @@ def _integrate(
     n = int(offsets[-1])
     lanes, los, his = [], [], []
     for s, off in zip(sets, offsets):
-        ids = np.arange(off, off + s.size)
-        edges = (0.0, 1.0) if s.brk is None else (0.0, s.brk, 1.0)
-        lanes.append(np.repeat(ids, len(edges) - 1))
-        los.append(np.tile(edges[:-1], s.size))
-        his.append(np.tile(edges[1:], s.size))
+        lanes.append(np.repeat(np.arange(off, off + s.size), 2))
+        los.append(np.tile((0.0, s.brk), s.size))
+        his.append(np.tile((s.brk, 1.0), s.size))
     lane = np.concatenate(lanes)
     lo = np.concatenate(los)
     hi = np.concatenate(his)
@@ -402,16 +386,23 @@ def _integrate(
     return value, error, why
 
 
+def _scaled(scale: float, value: float, error: float) -> Estimate:
+    """scale * (value, error), the error kept at or above one ulp of a
+    nonzero value: the rounding the value itself carries."""
+    value, error = scale * float(value), scale * float(error)
+    return Estimate(value, max(error, math.ulp(value)) if value else error)
+
+
 def _outcome(
     value: float, error: float, why: Optional[str], what: str, scale: float = 1.0
 ) -> Union[Estimate, ConvergenceError]:
     """One lane's result in Python floats, scaled, or its ConvergenceError."""
-    value, error = scale * float(value), scale * float(error)
+    got = _scaled(scale, value, error)
     if why is not None:
         return ConvergenceError(
-            f"{what}: adaptive quadrature {why}", estimate=value, error_bound=error
+            f"{what}: adaptive quadrature {why}", estimate=got.value, error_bound=got.error
         )
-    return Estimate(value, error)
+    return got
 
 
 def _one_lane(
@@ -425,9 +416,11 @@ def _one_lane(
     return got
 
 
-def _midpoint_unit(lanes: _LaneSet, panels: int) -> float:
-    u = (np.arange(panels, dtype=float) + 0.5) / panels
-    return float(np.mean(lanes.fn(np.zeros(1, dtype=int), u[None, :])))
+def _ends(lo: float, hi: float, singular: str) -> tuple[float, float]:
+    """(c, the other end) for the singular end c."""
+    if singular not in ("lo", "hi"):
+        raise ConfigError(f"singular must be 'lo' or 'hi', got {singular!r}")
+    return (lo, hi) if singular == "lo" else (hi, lo)
 
 
 def weighted_endpoint_integral(
@@ -463,8 +456,9 @@ def weighted_endpoint_integral(
         raise DomainError(f"alpha must be > 0, got {alpha!r}")
     if not lo < hi:
         raise EmptyIntervalError(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    lanes, (c,) = _weighted_lanes(_as_callable(f), (lo,), (hi,), alpha, (singular,))
-    return _one_lane(lanes, cfg, f"weighted integral on [{lo}, {hi}]", c)
+    start, end = _ends(lo, hi, singular)
+    lanes = _lanes(_as_callable(f), (start,), (end,), alpha)
+    return _one_lane(lanes, cfg, f"weighted integral on [{lo}, {hi}]", (hi - lo) ** alpha)
 
 
 def plain_integral(
@@ -478,7 +472,8 @@ def plain_integral(
         return Estimate(0.0, 0.0)
     if lo > hi:
         raise EmptyIntervalError(f"need lo <= hi, got [{lo!r}, {hi!r}]")
-    # alpha = 1 turns the transform into a linear change of variables
+    # at alpha = 1 the weight is 1; the lane's tau = w**4 only spaces the
+    # nodes more densely toward lo
     return weighted_endpoint_integral(f, lo, hi, 1.0, "lo", cfg)
 
 
@@ -491,12 +486,11 @@ def moment_integral(
 ) -> Estimate:
     """Evaluate integral_0^1 t**alpha * deriv(t*x + (1-t)*base) dt.
 
-    The integrand is bounded for alpha > 0, so no transformation is applied;
-    the engine integrates it directly.
+    This is the module's lane with beta = alpha + 1, running from base to x.
     """
     if not alpha > 0.0:
         raise DomainError(f"alpha must be > 0, got {alpha!r}")
-    lanes = _moment_lanes(deriv, (x,), (base,), alpha)
+    lanes = _lanes(deriv, (base,), (x,), alpha + 1.0)
     return _one_lane(lanes, cfg, f"moment integral (x={x}, base={base})")
 
 
@@ -524,9 +518,7 @@ def rl_left(
     if not x > a:
         raise EmptyIntervalError(f"rl_left requires x > a, got a={a!r}, x={x!r}")
     _check_domain(f, a, x)
-    w = weighted_endpoint_integral(f, a, x, alpha, "hi", cfg)
-    ginv = 1.0 / gamma(alpha)
-    return Estimate(ginv * w.value, ginv * w.error)
+    return _scaled(1.0 / gamma(alpha), *weighted_endpoint_integral(f, a, x, alpha, "hi", cfg))
 
 
 def rl_right(
@@ -543,9 +535,7 @@ def rl_right(
     if not b > x:
         raise EmptyIntervalError(f"rl_right requires b > x, got x={x!r}, b={b!r}")
     _check_domain(f, x, b)
-    w = weighted_endpoint_integral(f, x, b, alpha, "lo", cfg)
-    ginv = 1.0 / gamma(alpha)
-    return Estimate(ginv * w.value, ginv * w.error)
+    return _scaled(1.0 / gamma(alpha), *weighted_endpoint_integral(f, x, b, alpha, "lo", cfg))
 
 
 def lemma_pair(
@@ -571,13 +561,11 @@ def lemma_pair(
     if x == a:
         jm = Estimate(0.0, 0.0)
     else:
-        w = weighted_endpoint_integral(f, a, x, alpha, "lo", cfg)
-        jm = Estimate(ginv * w.value, ginv * w.error)
+        jm = _scaled(ginv, *weighted_endpoint_integral(f, a, x, alpha, "lo", cfg))
     if x == b:
         jp = Estimate(0.0, 0.0)
     else:
-        w = weighted_endpoint_integral(f, x, b, alpha, "hi", cfg)
-        jp = Estimate(ginv * w.value, ginv * w.error)
+        jp = _scaled(ginv, *weighted_endpoint_integral(f, x, b, alpha, "hi", cfg))
     return jm, jp
 
 
@@ -634,20 +622,16 @@ def _lemma_lanes(
 ) -> tuple[tuple[_LaneSet, _LaneSet], Callable]:
     """One job's lane sets, and the function that turns their values, errors
     and failure reasons into :func:`lemma_integrals` entries."""
+    ginv = 1.0 / gamma(alpha)  # raises where Gamma(alpha) overflows
     n = len(points)
-    left = [i for i, p in enumerate(points) if p.x > a]  # jm lanes
-    right = [i for i, p in enumerate(points) if p.x < b]  # jp lanes
-    weighted, prefactors = _weighted_lanes(
-        f.eval,
-        [a] * len(left) + [points[i].x for i in right],
-        [points[i].x for i in left] + [b] * len(right),
-        alpha,
-        ["lo"] * len(left) + ["hi"] * len(right),
-    )
-    moments = _moment_lanes(
-        f.deriv, [p.x for p in points] * 2, [a] * n + [b] * n, alpha
-    )
-    ginv = 1.0 / gamma(alpha)
+    xs = [p.x for p in points]
+    left = [i for i, x in enumerate(xs) if x > a]  # jm lanes, singular at a
+    right = [i for i, x in enumerate(xs) if x < b]  # jp lanes, singular at b
+    starts = [a] * len(left) + [b] * len(right)
+    ends = [xs[i] for i in left + right]
+    operators = _lanes(f.eval, starts, ends, alpha)
+    prefactors = [abs(x - c) ** alpha for c, x in zip(starts, ends)]
+    moments = _lanes(f.deriv, [a] * n + [b] * n, xs * 2, alpha + 1.0)
     jm_lane = {i: k for k, i in enumerate(left)}
     jp_lane = {i: len(left) + k for k, i in enumerate(right)}
 
@@ -661,11 +645,11 @@ def _lemma_lanes(
             )
             if isinstance(w, ConvergenceError):
                 return w
-            return Estimate(ginv * w.value, ginv * w.error)
+            return _scaled(ginv, *w)
 
         out = []
         for i, p in enumerate(points):
-            k = weighted.size + i
+            k = operators.size + i
             got = (
                 operator(jm_lane.get(i), a, p.x),
                 operator(jp_lane.get(i), p.x, b),
@@ -681,7 +665,7 @@ def _lemma_lanes(
             out.append(failed[0] if failed else got)
         return out
 
-    return (weighted, moments), collect
+    return (operators, moments), collect
 
 
 def oracle(
@@ -694,9 +678,10 @@ def oracle(
 ) -> float:
     """Brute-force midpoint evaluation of the weighted integral.
 
-    Applies the same singularity-removing substitution as the adaptive
-    engine, then a fixed composite midpoint rule with ``panels`` panels and
-    no adaptivity whatsoever. Intended purely as an independent cross-check;
+    Substitutes u = (|t - c| / L)**alpha, which the engine does not, so that
+    the integral becomes (L**alpha / alpha) integral_0^1 f(t(u)) du, then
+    applies a fixed composite midpoint rule with ``panels`` panels and no
+    adaptivity whatsoever. Intended purely as an independent cross-check;
     f must accept numpy arrays.
     """
     if panels < 2:
@@ -705,5 +690,8 @@ def oracle(
         raise DomainError(f"alpha must be > 0, got {alpha!r}")
     if not lo < hi:
         raise EmptyIntervalError(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    lanes, (c,) = _weighted_lanes(_as_callable(f), (lo,), (hi,), alpha, (singular,))
-    return c * _midpoint_unit(lanes, panels)
+    c, end = _ends(lo, hi, singular)
+    # the midpoints of v = 1 - u; u**(1/alpha) through log1p keeps v's precision
+    v = (np.arange(panels, dtype=float) + 0.5) / panels
+    t = np.clip(c + (end - c) * np.exp(np.log1p(-v) / alpha), lo, hi)
+    return (hi - lo) ** alpha / alpha * float(np.mean(_as_callable(f)(t)))

@@ -310,11 +310,11 @@ def _nasty(u):
 
 
 def _lanes(rows) -> _LaneSet:
-    # lane k integrates rows[k](u) over [0, 1]
+    # lane k integrates rows[k](u) over [0, 1], starting with a break at 1/2
     def fn(lane, u):
         return np.stack([rows[k](u[i]) for i, k in enumerate(lane)])
 
-    return _LaneSet(fn, len(rows))
+    return _LaneSet(fn, len(rows), 0.5)
 
 
 class TestLaneEngine:

@@ -371,21 +371,22 @@ class TestRunSweep:
         assert render_csv(result) == render_csv(small_result)
 
     def test_a_lane_that_fails_fails_only_its_point(self, monkeypatch):
-        # the moment lane of x = 0.5 toward a gets an integrand that cannot
-        # converge in 8 subdivisions; the batch's other points still give rows
-        real = fracint._moment_lanes
+        # the moment lane (beta = alpha + 1 = 2) of x = 0.5 toward a gets an
+        # integrand that cannot converge in 8 subdivisions; the batch's other
+        # points still give rows
+        real = fracint._lanes
 
-        def rigged(deriv, x, base, alpha):
-            lanes = real(deriv, x, base, alpha)
-            bad = (np.asarray(x) == 0.5) & (np.asarray(base) == 0.0)
+        def rigged(h, start, end, beta):
+            lanes = real(h, start, end, beta)
+            bad = (np.asarray(end) == 0.5) & (np.asarray(start) == 0.0) & (beta == 2.0)
 
-            def fn(lane, t):
-                nasty = np.sin(1000.0 * t**2) / (0.001 + t)
-                return np.where(bad[lane, None], nasty, lanes.fn(lane, t))
+            def fn(lane, v):
+                nasty = np.sin(1000.0 * v**2) / (0.001 + v)
+                return np.where(bad[lane, None], nasty, lanes.fn(lane, v))
 
             return dataclasses.replace(lanes, fn=fn)
 
-        monkeypatch.setattr(fracint, "_moment_lanes", rigged)
+        monkeypatch.setattr(fracint, "_lanes", rigged)
         monkeypatch.setattr(
             harness, "QuadratureConfig",
             functools.partial(QuadratureConfig, max_subdivisions=8),
@@ -1213,11 +1214,26 @@ class TestCli:
             ("check-identity --function square --x-count 0", "--x-count: must be >= 1, got 0"),
             ("check-identity --function square --x-count -1", "--x-count: must be >= 1, got -1"),
             ("check-identity --function square --x-count -3", "--x-count: must be >= 1, got -3"),
+            (
+                "check-identity --function square --alpha 0.5 0.5 --x-count 1",
+                "--alpha: 0.5 is repeated",
+            ),
+            ("check-identity --function square --x 0.5 0.25 0.5", "--x: 0.5 is repeated"),
+            (
+                "check-identity --function square --x-count 20001",
+                "grid: at most 20000 points (alphas x x), got 120006",
+            ),
+            (
+                "check-identity --function square --alpha 0.5 --x-count 20001",
+                "grid: at most 20000 points (alphas x x), got 20001",
+            ),
         ],
     )
     def test_reduce_tol_and_identity_x_count_are_checked(self, capsys, command, needle):
         # a NaN or negative tolerance would fail every id and an infinite one
-        # pass them all; a count below 1 would check no point
+        # pass them all; a count below 1 would check no point, a repeated
+        # value would check one point twice, and a huge count would run for
+        # minutes
         assert cli.main(command.split()) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {needle}\n"

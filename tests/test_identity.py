@@ -298,9 +298,9 @@ class TestPiecesBatch:
     def test_default_grid_in_one_batch_does_the_same_work_in_fewer_rounds(
         self, monkeypatch
     ):
-        # the default sweep's 54 jobs: 32,984 qk21 intervals (692,664
+        # the default sweep's 54 jobs: 6,212 qk21 intervals (130,452
         # integrand evaluations) either way; one batch takes as many rounds
-        # as its slowest job, where one batch per job takes 947 in total
+        # as its slowest job, where one batch per job takes 576 in total
         counts = []
         real = fracint._qk21
 
@@ -318,7 +318,7 @@ class TestPiecesBatch:
         jobs = [(e.func, alpha) for e in builtin_catalog() for alpha in ALPHAS]
         per_job = [work(compute_pieces, f, 0.0, 1.0, alpha, self.XS) for f, alpha in jobs]
         rounds, intervals = work(compute_pieces_batch, jobs, 0.0, 1.0, self.XS)
-        assert sum(r for r, _ in per_job) == 947
-        assert sum(n for _, n in per_job) == intervals == 32_984
-        assert 21 * intervals == 692_664
+        assert sum(r for r, _ in per_job) == 576
+        assert sum(n for _, n in per_job) == intervals == 6_212
+        assert 21 * intervals == 130_452
         assert rounds == max(r for r, _ in per_job) <= 40
