@@ -66,6 +66,7 @@ from .fracint import (
     plain_integral,
 )
 from .funcatalog import (
+    DEFAULT_CERT_TOL,
     MODE_CONCAVE,
     MODE_CONVEX,
     TARGET_F,
@@ -74,7 +75,6 @@ from .funcatalog import (
     CatalogEntry,
     ConvexityCertificate,
     Function1D,
-    certify,
     certify_batch,
     get_entry,
 )
@@ -413,16 +413,17 @@ def rhs_thm4(
         raise CertificateError(
             f"E9 for {f.name}: no s-concavity certificate supplied"
         )
+    need = THEOREMS["E9"]
     matches = (
-        cert.mode == MODE_CONCAVE
-        and cert.target == TARGET_FPRIME_POW
+        cert.mode == need.mode
+        and cert.target == need.target
         and abs(cert.s - prm.s) <= 1e-12
         and abs(cert.q - prm.q) <= 1e-12
     )
     if not matches:
         raise CertificateError(
             f"E9 for {f.name}: certificate does not match "
-            f"(need {MODE_CONCAVE} of |f'|^q at s={prm.s}, q={prm.q}; "
+            f"(need {need.mode} of {need.target} at s={prm.s}, q={prm.q}; "
             f"got {cert.mode} of {cert.target} at s={cert.s}, q={cert.q})"
         )
     if not cert.passed:
@@ -601,36 +602,20 @@ THEOREM_IDS = FRACTIONAL_IDS + CLASSICAL_IDS
 class CertCache:
     """Memoizes certificates per (function, target, mode, s, q).
 
-    ``warm`` fills the cache a batch at a time, sampling each target grid
-    once; ``get`` certifies a missing key on its own. ``skip_note`` builds
-    each failed certificate's row note once. Every certificate samples
+    ``get`` builds them all: a miss runs one ``certify_batch`` of the
+    (function, target, q) over ``s_values`` (the requested s alone when it is
+    off that grid), in every mode ``THEOREMS`` asks of the target and the
+    requested one, and stores every certificate it returns; so a cache on a
+    sweep's s grid samples each target grid once. ``skip_note`` builds each
+    failed certificate's row note once. Every certificate samples
     ``certify_batch``'s default grid, the mirror grid its half-sampling needs.
     """
 
-    def __init__(self, cert_tol: float = 1e-9):
+    def __init__(self, cert_tol: float = DEFAULT_CERT_TOL, s_values: Sequence[float] = ()):
         self.cert_tol = cert_tol
+        self.s_values = tuple(map(float, s_values))
         self._store: dict[tuple, ConvexityCertificate] = {}
         self._notes: dict[ConvexityCertificate, str] = {}
-
-    def warm(
-        self,
-        entry: CatalogEntry,
-        target: str,
-        modes: Sequence[str],
-        s_values: Sequence[float],
-        q: float = 1.0,
-    ) -> None:
-        """Store the certificate of every (s, mode) from one ``certify_batch``."""
-        batch = certify_batch(
-            entry.func,
-            s_values,
-            q=q,
-            modes=modes,
-            target=target,
-            cert_tol=self.cert_tol,
-        )
-        for cert in batch:
-            self._store[(entry.name, target, cert.mode, cert.s, cert.q)] = cert
 
     def get(
         self, entry: CatalogEntry, target: str, mode: str, s: float, q: float = 1.0
@@ -638,15 +623,12 @@ class CertCache:
         key = (entry.name, target, mode, float(s), float(q))
         cert = self._store.get(key)
         if cert is None:
-            cert = certify(
-                entry.func,
-                s=s,
-                q=q,
-                mode=mode,
-                target=target,
-                cert_tol=self.cert_tol,
-            )
-            self._store[key] = cert
+            modes = [thm.mode for thm in THEOREMS.values() if thm.target == target] + [mode]
+            s_grid = self.s_values if key[3] in self.s_values else (s,)
+            for got in certify_batch(entry.func, s_grid, q=q, modes=tuple(dict.fromkeys(modes)),
+                                     target=target, cert_tol=self.cert_tol):
+                self._store[(entry.name, target, got.mode, got.s, got.q)] = got
+            cert = self._store[key]
         return cert
 
     def skip_note(self, cert: ConvexityCertificate) -> str:

@@ -57,6 +57,7 @@ from .funcatalog import (
     get_entry,
 )
 from .harness import (
+    _DEFAULT_ALPHAS,
     MAX_GRID_POINTS,
     SweepConfig,
     _repeats,
@@ -77,8 +78,6 @@ from .identity import (
 )
 
 __all__ = ["main", "build_parser"]
-
-_IDENTITY_ALPHAS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha",
         type=float,
         nargs="+",
-        default=list(_IDENTITY_ALPHAS),
+        default=list(_DEFAULT_ALPHAS),
         help="fractional orders to test (default: six standard orders)",
     )
     xgroup = p.add_mutually_exclusive_group()

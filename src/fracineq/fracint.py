@@ -20,7 +20,7 @@ ceil(4 / beta)), removes the endpoint weight before any quadrature runs:
 
 An integer m keeps h(... w**m) as smooth as h, and m beta - 1 >= 3 makes the
 weight three times differentiable, so adaptive error estimates stay honest
-for every alpha > 0.
+for every alpha from ``MIN_ALPHA`` up.
 
 Every evaluator runs one rule: the lane-batched adaptive Gauss-Kronrod
 engine below. ``oracle`` is a reference function, not an option: a
@@ -89,6 +89,7 @@ __all__ = [
     "Estimate",
     "QuadratureConfig",
     "DEFAULT_QUADRATURE",
+    "MIN_ALPHA",
     "MAX_ALPHA",
     "FracParams",
     "weighted_endpoint_integral",
@@ -144,6 +145,10 @@ CONJUGACY_TOL = 1e-12
 #: below every tolerance, so the checks are vacuous (ROADMAP item 4(a)).
 MAX_ALPHA = 140.0
 
+#: Smallest accepted alpha. From ~1e-307 down, the lanes' factor m = ceil(4 /
+#: beta) is so large that their values and error estimates stop being finite.
+MIN_ALPHA = 1e-300
+
 
 # slotted: a sweep builds one per report row (see bounds.InequalityReport)
 @dataclass(frozen=True, slots=True)
@@ -172,6 +177,8 @@ class FracParams:
             problems.append(f"x must lie in [a, b], got x={self.x!r}")
         if not self.alpha > 0.0:
             problems.append(f"alpha must be > 0, got {self.alpha!r}")
+        elif self.alpha < MIN_ALPHA:
+            problems.append(f"alpha must be >= {MIN_ALPHA:g}, got {self.alpha!r}")
         elif self.alpha > MAX_ALPHA:
             problems.append(f"alpha must be <= {MAX_ALPHA:g}, got {self.alpha!r}")
         if not (0.0 < self.s <= 1.0):
@@ -263,7 +270,7 @@ def _lanes(
 ) -> _LaneSet:
     """integral_0^1 tau**(beta-1) h(start + (end - start) tau) dtau, one lane
     per (start, end), through tau = w**m over v = 1 - w."""
-    m = max(1.0, float(np.ceil(4.0 / beta)))  # inf when 4 / beta overflows
+    m = max(1.0, float(np.ceil(4.0 / beta)))
     start_ = np.array(start, dtype=float)
     end_ = np.array(end, dtype=float)
     step = end_ - start_
@@ -341,8 +348,10 @@ def _integrate(
     value = np.zeros(n)
     error = np.zeros(n)
     why: list[Optional[str]] = [None] * n
-    r, e = _qk21(fn, lane, lo, hi)
+    r, e = np.empty(lane.size), np.empty(lane.size)
+    fresh = np.arange(lane.size)  # the intervals the rule has not seen yet
     while lane.size:
+        r[fresh], e[fresh] = _qk21(fn, lane[fresh], lo[fresh], hi[fresh])
         # per-lane sums in each lane's own left-to-right interval order
         tot = np.bincount(lane, weights=r, minlength=n)
         err = np.bincount(lane, weights=e, minlength=n)
@@ -382,7 +391,6 @@ def _integrate(
         hi[first] = mid[split]
         lo[first + 1] = mid[split]
         fresh = np.sort(np.concatenate((first, first + 1)))
-        r[fresh], e[fresh] = _qk21(fn, lane[fresh], lo[fresh], hi[fresh])
     return value, error, why
 
 
@@ -423,6 +431,13 @@ def _ends(lo: float, hi: float, singular: str) -> tuple[float, float]:
     return (lo, hi) if singular == "lo" else (hi, lo)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not alpha > 0.0:
+        raise DomainError(f"alpha must be > 0, got {alpha!r}")
+    if alpha < MIN_ALPHA:
+        raise DomainError(f"alpha must be >= {MIN_ALPHA:g}, got {alpha!r}")
+
+
 def weighted_endpoint_integral(
     f: Union[Function1D, Callable],
     lo: float,
@@ -452,8 +467,7 @@ def weighted_endpoint_integral(
     Estimate
         Value and the engine's absolute error estimate.
     """
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be > 0, got {alpha!r}")
+    _check_alpha(alpha)
     if not lo < hi:
         raise EmptyIntervalError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     start, end = _ends(lo, hi, singular)
@@ -488,8 +502,7 @@ def moment_integral(
 
     This is the module's lane with beta = alpha + 1, running from base to x.
     """
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be > 0, got {alpha!r}")
+    _check_alpha(alpha)
     lanes = _lanes(deriv, (base,), (x,), alpha + 1.0)
     return _one_lane(lanes, cfg, f"moment integral (x={x}, base={base})")
 

@@ -6,10 +6,11 @@ call, records an identity residual at every point, and
 evaluates every selected theorem row
 (functions x alphas x s x exponent pairs x x for the fractional family;
 alpha-free grids for the classical family), one block of rows per
-(theorem, function, alpha) at a time. Certificates and derivative
-bounds are computed once per function before any point; rows are emitted
-in report order, theorem, function, alpha, s, p and x ascending (each where
-the theorem reads it), with no sort afterwards.
+(theorem, function, alpha) at a time. Derivative bounds are computed once
+per function before any point, and certificates when a row first needs
+them, each (function, target, q)'s over the whole s grid at once. Rows are
+emitted in report order, theorem, function, alpha, s, p and x ascending
+(each where the theorem reads it), with no sort afterwards.
 
 Each block is a ``bounds.RowBlock`` of columns, and ``SweepResult.reports``
 is a ``bounds.ReportRows`` over the blocks: it reads as the list of
@@ -64,18 +65,15 @@ from .bounds import (
 from .errors import ConfigError, ConvergenceError
 from .fracint import (
     CONJUGACY_TOL,
+    DEFAULT_QUADRATURE,
     MAX_ALPHA,
+    MIN_ALPHA,
     Estimate,
     FracParams,
     QuadratureConfig,
     plain_integral,
 )
-from .funcatalog import (
-    MODE_CONCAVE,
-    MODE_CONVEX,
-    catalog_names,
-    get_entry,
-)
+from .funcatalog import DEFAULT_CERT_TOL, catalog_names, get_entry
 from .identity import (
     DEFAULT_IDENTITY_TOL,
     IdentityResidual,
@@ -194,9 +192,9 @@ class SweepConfig:
     theorems: tuple[str, ...] = FRACTIONAL_IDS
     identity_tol: float = DEFAULT_IDENTITY_TOL
     margin_tol: float = DEFAULT_MARGIN_TOL
-    cert_tol: float = 1e-9
-    quad_rel_tol: float = 1e-10
-    quad_abs_tol: float = 1e-12
+    cert_tol: float = DEFAULT_CERT_TOL
+    quad_rel_tol: float = DEFAULT_QUADRATURE.rel_tol
+    quad_abs_tol: float = DEFAULT_QUADRATURE.abs_tol
 
     def validate(self) -> list[str]:
         """Return a list of human-readable problems; empty means valid.
@@ -246,6 +244,8 @@ class SweepConfig:
         for al in self.alphas:
             if not al > 0.0:
                 problems.append(f"alphas: must be > 0, got {al!r}")
+            elif al < MIN_ALPHA:
+                problems.append(f"alphas: must be >= {MIN_ALPHA:g}, got {al!r}")
             elif al > MAX_ALPHA:
                 problems.append(
                     f"alphas: must be <= {MAX_ALPHA:g} (checks near it are vacuous: "
@@ -454,14 +454,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     mid = 0.5 * (a + b)
     thms = [THEOREMS[tid] for tid in cfg.theorems]
     q_dedup = tuple(dict.fromkeys(q for _, q in cfg.pq_pairs))
-    # the modes each certificate target is needed in, and its q values
-    hypotheses: dict[tuple, set[str]] = {}
-    for thm in thms:
-        if thm.target is not None:
-            qs = q_dedup if thm.q_in_hypothesis else (1.0,)
-            hypotheses.setdefault((thm.target, qs), set()).add(thm.mode)
-
-    certs = CertCache(cert_tol=cfg.cert_tol)
+    certs = CertCache(cert_tol=cfg.cert_tol, s_values=cfg.s_values)
     bound_m: dict[str, float] = {}
     means: dict[str, Estimate] = {}
     classical = any(not thm.fractional for thm in thms)
@@ -469,12 +462,6 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
         bound_m[entry.name] = entry.deriv_bound().M
         if classical:
             means[entry.name] = plain_integral(entry.func, a, b, qcfg)
-        # warm the certificate cache: each target grid is sampled once per
-        # (function, target, q)
-        for (target, qs), modes in hypotheses.items():
-            ordered = [m for m in (MODE_CONVEX, MODE_CONCAVE) if m in modes]
-            for q in qs:
-                certs.warm(entry, target, ordered, cfg.s_values, q)
 
     points_at: dict[tuple[str, float], list[tuple[float, LemmaPieces]]] = {}
     residuals: list[ResidualRecord] = []

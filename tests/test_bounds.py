@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import beta as scipy_beta
 
+from fracineq import bounds
 from fracineq.bounds import (
     CLASSICAL_IDS,
     FRACTIONAL_IDS,
@@ -523,27 +524,53 @@ class TestCertCache:
         b = cache.get(entry, TARGET_FPRIME_POW, MODE_CONVEX, 0.5, q=2.0)
         assert a is not b
 
-    def test_warm_stores_under_the_keys_get_reads(self, monkeypatch):
-        # after one warm batch every (s, mode) is a hit; a miss would certify
-        cache = CertCache(cert_tol=1e-6)
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """The (target, q, modes, s values) of each certify_batch bounds runs."""
+        seen = []
+        real_batch = bounds.certify_batch
+
+        def counted_batch(f, s_values, **kwargs):
+            seen.append((kwargs["target"], kwargs["q"], tuple(kwargs["modes"]),
+                         tuple(s_values)))
+            return real_batch(f, s_values, **kwargs)
+
+        monkeypatch.setattr(bounds, "certify_batch", counted_batch)
+        return seen
+
+    def test_first_get_certifies_the_grid_in_every_table_mode(self, batches, monkeypatch):
+        # one batch per (function, target, q) covers every grid s and every
+        # mode THEOREMS asks of the target; every later get is a hit
+        cache = CertCache(cert_tol=1e-6, s_values=S_GRID)
         entry = get_entry("threehalf")
-        modes = (MODE_CONVEX, MODE_CONCAVE)
-        cache.warm(entry, TARGET_FPRIME_POW, modes, S_GRID, q=2.0)
-        cache.warm(entry, TARGET_FPRIME, (MODE_CONVEX,), S_GRID)
+        cache.get(entry, TARGET_FPRIME_POW, MODE_CONVEX, 0.5, q=2.0)
+        cache.get(entry, TARGET_FPRIME, MODE_CONVEX, 1.0)
+        both = (MODE_CONVEX, MODE_CONCAVE)
+        assert batches == [
+            (TARGET_FPRIME_POW, 2.0, both, S_GRID),
+            (TARGET_FPRIME, 1.0, (MODE_CONVEX,), S_GRID),
+        ]
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("CertCache.get missed after the first batch")
+
+        monkeypatch.setattr(bounds, "certify_batch", no_batch)
         wanted = [
-            (TARGET_FPRIME_POW, mode, s, 2.0) for s in S_GRID for mode in modes
+            (TARGET_FPRIME_POW, mode, s, 2.0) for s in S_GRID for mode in both
         ] + [(TARGET_FPRIME, MODE_CONVEX, s, 1.0) for s in S_GRID]
+        got = [cache.get(entry, target, mode, s, q) for target, mode, s, q in wanted]
         fresh = [
             certify(entry.func, s=s, q=q, mode=mode, target=target, cert_tol=1e-6)
             for target, mode, s, q in wanted
         ]
-
-        def no_lazy_certify(*args, **kwargs):
-            raise AssertionError("CertCache.get missed after warm")
-
-        monkeypatch.setattr("fracineq.bounds.certify", no_lazy_certify)
-        got = [cache.get(entry, target, mode, s, q) for target, mode, s, q in wanted]
         assert got == fresh
+
+    def test_an_s_off_the_grid_is_certified_alone(self, batches):
+        # E9 on a fresh cache, which has no s grid: one batch over (s,)
+        prm = FracParams(0.0, 1.0, 0.5, 0.5, s=1.0, p=2.0, q=2.0)
+        (row,) = evaluate_theorem("E9", get_entry("pow150"), prm, certs=CertCache())
+        assert batches == [(TARGET_FPRIME_POW, 2.0, (MODE_CONVEX, MODE_CONCAVE), (1.0,))]
+        assert row.asserted and row.holds
 
 
 class TestClassicalSuite:

@@ -25,6 +25,7 @@ from fracineq.errors import (
 )
 from fracineq.fracint import (
     MAX_ALPHA,
+    MIN_ALPHA,
     _integrate,
     _LaneSet,
     Estimate,
@@ -391,3 +392,17 @@ class TestAlphaLimit:
         FracParams(0.0, 1.0, 0.5, MAX_ALPHA)
         with pytest.raises(ConfigError, match="140"):
             FracParams(0.0, 1.0, 0.5, MAX_ALPHA + 1.0)
+
+    def test_params_reject_alpha_below_the_engine_range(self):
+        FracParams(0.0, 1.0, 0.5, MIN_ALPHA)
+        with pytest.raises(ConfigError, match="1e-300"):
+            FracParams(0.0, 1.0, 0.5, 1e-307)
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-307])
+    def test_integrals_refuse_alpha_below_the_engine_range(self, alpha):
+        # no lane runs, so numpy has nothing to warn about
+        with np.errstate(all="raise"):
+            with pytest.raises(DomainError, match="1e-300"):
+                weighted_endpoint_integral(lambda t: t, 0.0, 1.0, alpha, "lo")
+            with pytest.raises(DomainError, match="1e-300"):
+                moment_integral(lambda t: t, 0.5, 0.0, alpha)

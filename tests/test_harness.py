@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -105,6 +106,7 @@ class TestSweepConfig:
             ({"identity_tol": 0.0}, "identity_tol: must be > 0"),
             ({"margin_tol": -1.0}, "margin_tol: must be > 0"),
             ({"alphas": (0.5, 140.5)}, "alphas: must be <= 140"),
+            ({"alphas": (0.5, 1e-307)}, "alphas: must be >= 1e-300"),
             ({"functions": ("square", "exp", "square")}, "functions: 'square' is repeated"),
             ({"alphas": (0.5, 1.0, 0.5)}, "alphas: 0.5 is repeated"),
             ({"theorems": ("E6", "e1", "E6")}, "theorems: 'E6' is repeated"),
@@ -279,6 +281,17 @@ class TestConfigFileTypes:
 
 
 class TestRunSweep:
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (0.2, 0.9)])
+    def test_the_smallest_alpha_runs_clean_on_the_default_catalog(self, interval):
+        # every lane stays finite at fracint.MIN_ALPHA, with no numpy warning
+        cfg = dataclasses.replace(
+            default_config(), alphas=(fracint.MIN_ALPHA,), interval=interval
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = run_sweep(cfg).summary
+        assert s["convergence_errors"] == s["identity_failures"] == s["failed"] == 0
+
     def test_summary_arithmetic(self, small_result):
         s = small_result.summary
         assert s["total"] == len(small_result.reports)
@@ -409,8 +422,8 @@ class TestRunSweep:
 
     def test_each_target_grid_is_sampled_once(self, monkeypatch):
         # 9 theorems, 2 functions, 3 s, 2 distinct q: per function one batch
-        # for |f'|, one for f and one per q for |f'|^q, covering both modes;
-        # every CertCache.get during the sweep is then a hit
+        # for |f'|, one for f and one per q for |f'|^q, covering both modes,
+        # each run by the first CertCache.get of its (function, target, q)
         batches = []
         real_batch = bounds.certify_batch
 
@@ -420,9 +433,6 @@ class TestRunSweep:
             )
             return real_batch(f, s_values, **kwargs)
 
-        def no_lazy_certify(*args, **kwargs):
-            raise AssertionError("CertCache.get missed during run_sweep")
-
         gets = []
         real_get = bounds.CertCache.get
 
@@ -431,7 +441,6 @@ class TestRunSweep:
             return real_get(self, *args, **kwargs)
 
         monkeypatch.setattr(bounds, "certify_batch", counted_batch)
-        monkeypatch.setattr(bounds, "certify", no_lazy_certify)
         monkeypatch.setattr(bounds.CertCache, "get", counted_get)
         s_values = (0.25, 0.5, 1.0)
         cfg = dataclasses.replace(
@@ -1318,6 +1327,19 @@ class TestCli:
         )
         assert ret == 1
         assert "convergence errors: 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["3e-308", "1e-307"])
+    def test_sweep_alpha_below_the_engine_range_exits_two(self, alpha, capsys):
+        # from ~1e-307 down some lanes' values stop being finite; at 3e-308
+        # this sweep's do, and it would exit 1 if let through
+        ret = cli.main(
+            ["sweep", "--functions", "square", "--alphas", alpha, "--x", "0.5",
+             "--theorems", "E6"]
+        )
+        assert ret == 2
+        err = capsys.readouterr().err
+        assert "error: alphas: must be >= 1e-300" in err
+        assert "Traceback" not in err
 
     def test_sweep_alpha_past_the_gamma_range_exits_two(self, capsys):
         ret = cli.main(
