@@ -52,9 +52,6 @@ from .fracint import (
     Estimate,
     FracParams,
     QuadratureConfig,
-    lemma_integrals,
-    lemma_integrals_batch,
-    lemma_pair,
     moment_integral,
     oracle,
     plain_integral,
@@ -132,9 +129,6 @@ __all__ = [
     "moment_integral",
     "rl_left",
     "rl_right",
-    "lemma_pair",
-    "lemma_integrals",
-    "lemma_integrals_batch",
     "oracle",
     # identity
     "DEFAULT_IDENTITY_TOL",

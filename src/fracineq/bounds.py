@@ -63,6 +63,7 @@ from .fracint import (
     Estimate,
     FracParams,
     QuadratureConfig,
+    _check_domain,
     plain_integral,
 )
 from .funcatalog import (
@@ -686,6 +687,7 @@ def evaluate_block(
     certs = certs if certs is not None else CertCache()
     f = entry.func
     a, b = interval
+    _check_domain(f, a, b)  # a catalog bound such as M holds on f's domain only
     asserted, notes = [], []
     for row in grid:
         _require(row, theorem_id, *thm.exponents)

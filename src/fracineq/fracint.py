@@ -50,11 +50,11 @@ on which lanes share its batch. Each interval's rule is a row sum
 ``(fv * w).sum(axis=1)`` rather than a BLAS product, whose summation order
 can change with the batch's shape; each lane's total is an ``np.bincount``
 over its intervals, kept in left-to-right order; and every decision a lane
-takes reads only its own numbers. So one-x calls (``lemma_pair``,
-``moment_integral``), one (f, alpha)'s grid call (``lemma_integrals``) and
-the sweep's call over every (f, alpha) (``lemma_integrals_batch``) give
-identical results; a batch only takes fewer rounds, as many as its slowest
-lane needs.
+takes reads only its own numbers, its beta, m and break included. So a
+one-lane call (``weighted_endpoint_integral``, ``moment_integral``) and the
+same lane in the sweep's one batch (``identity.compute_pieces_batch``, one
+lane set per integrand whatever the alphas) give identical results; a batch
+only takes fewer rounds, as many as its slowest lane needs.
 
 When beta is small, m is large (40,000 at alpha = 1e-4), and w**m squeezes
 all of h's variation into a layer of width ~1/m at w = 1, which a first
@@ -97,9 +97,6 @@ __all__ = [
     "moment_integral",
     "rl_left",
     "rl_right",
-    "lemma_pair",
-    "lemma_integrals",
-    "lemma_integrals_batch",
     "oracle",
 ]
 
@@ -256,23 +253,25 @@ class _LaneSet:
     """Integrals over v in [0, 1] sharing one integrand.
 
     ``fn(lane, v)`` evaluates lane ``lane[i]``'s integrand at the nodes
-    ``v[i]`` (one row per interval); every lane starts with a break at
-    ``brk``.
+    ``v[i]`` (one row per interval); lane k starts with a break at
+    ``brk[k]``.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     size: int
-    brk: float
+    brk: np.ndarray
 
 
 def _lanes(
-    h: Callable, start: Sequence[float], end: Sequence[float], beta: float
+    h: Callable, start: Sequence[float], end: Sequence[float], beta: Sequence[float]
 ) -> _LaneSet:
     """integral_0^1 tau**(beta-1) h(start + (end - start) tau) dtau, one lane
-    per (start, end), through tau = w**m over v = 1 - w."""
-    m = max(1.0, float(np.ceil(4.0 / beta)))
+    per (start, end, beta), through tau = w**m over v = 1 - w."""
     start_ = np.array(start, dtype=float)
     end_ = np.array(end, dtype=float)
+    beta_ = np.array(beta, dtype=float)
+    m = np.maximum(1.0, np.ceil(4.0 / beta_))
+    power = m * beta_ - 1.0
     step = end_ - start_
     lo = np.minimum(start_, end_)
     hi = np.maximum(start_, end_)
@@ -282,12 +281,13 @@ def _lanes(
         # t can overshoot the segment by one ulp, which turns fractional
         # powers of (t - lo) into NaN, so clamp
         log_w = np.log1p(-v)
-        t = start_[lane, None] + step[lane, None] * np.exp(m * log_w)
+        m_ = m[lane, None]
+        t = start_[lane, None] + step[lane, None] * np.exp(m_ * log_w)
         t = np.clip(t, lo[lane, None], hi[lane, None])
-        return m * np.exp((m * beta - 1.0) * log_w) * h(t)
+        return m_ * np.exp(power[lane, None] * log_w) * h(t)
 
     # the break resolves the layer at w = 1 (see the module docstring)
-    return _LaneSet(fn, len(start_), min(0.5, 50.0 / m))
+    return _LaneSet(fn, len(start_), np.minimum(0.5, 50.0 / m))
 
 
 def _qk21(fn: Callable, lane: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -327,14 +327,11 @@ def _integrate(
     """
     offsets = np.cumsum([0] + [s.size for s in sets])
     n = int(offsets[-1])
-    lanes, los, his = [], [], []
-    for s, off in zip(sets, offsets):
-        lanes.append(np.repeat(np.arange(off, off + s.size), 2))
-        los.append(np.tile((0.0, s.brk), s.size))
-        his.append(np.tile((s.brk, 1.0), s.size))
-    lane = np.concatenate(lanes)
-    lo = np.concatenate(los)
-    hi = np.concatenate(his)
+    # every lane starts as [0, brk] and [brk, 1], its own break
+    brk = np.concatenate([np.zeros(0), *(s.brk for s in sets)])
+    lane = np.repeat(np.arange(n), 2)
+    lo = np.stack((np.zeros(n), brk), axis=1).ravel()
+    hi = np.stack((brk, np.ones(n)), axis=1).ravel()
 
     def fn(lane: np.ndarray, u: np.ndarray) -> np.ndarray:
         # lane ascends, so each set's rows are one slice
@@ -471,7 +468,7 @@ def weighted_endpoint_integral(
     if not lo < hi:
         raise EmptyIntervalError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     start, end = _ends(lo, hi, singular)
-    lanes = _lanes(_as_callable(f), (start,), (end,), alpha)
+    lanes = _lanes(_as_callable(f), (start,), (end,), (alpha,))
     return _one_lane(lanes, cfg, f"weighted integral on [{lo}, {hi}]", (hi - lo) ** alpha)
 
 
@@ -503,7 +500,7 @@ def moment_integral(
     This is the module's lane with beta = alpha + 1, running from base to x.
     """
     _check_alpha(alpha)
-    lanes = _lanes(deriv, (base,), (x,), alpha + 1.0)
+    lanes = _lanes(deriv, (base,), (x,), (alpha + 1.0,))
     return _one_lane(lanes, cfg, f"moment integral (x={x}, base={base})")
 
 
@@ -549,136 +546,6 @@ def rl_right(
         raise EmptyIntervalError(f"rl_right requires b > x, got x={x!r}, b={b!r}")
     _check_domain(f, x, b)
     return _scaled(1.0 / gamma(alpha), *weighted_endpoint_integral(f, x, b, alpha, "lo", cfg))
-
-
-def lemma_pair(
-    f: Union[Function1D, Callable],
-    prm: FracParams,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> tuple[Estimate, Estimate]:
-    """The identity's operator pair, both anchored at the interior point x.
-
-    Returns (Jm, Jp) with
-
-        Jm = (1/Gamma(alpha)) integral_a^x (t-a)**(alpha-1) f(t) dt,
-        Jp = (1/Gamma(alpha)) integral_x^b (b-t)**(alpha-1) f(t) dt,
-
-    singular at t = a and t = b respectively. At x = a the first term is the
-    integral over an empty interval and is defined as 0; likewise the second
-    at x = b. (The matching prefactors in the identity vanish there too, so
-    both sides stay consistent.)
-    """
-    a, b, x, alpha = prm.a, prm.b, prm.x, prm.alpha
-    _check_domain(f, a, b)
-    ginv = 1.0 / gamma(alpha)
-    if x == a:
-        jm = Estimate(0.0, 0.0)
-    else:
-        jm = _scaled(ginv, *weighted_endpoint_integral(f, a, x, alpha, "lo", cfg))
-    if x == b:
-        jp = Estimate(0.0, 0.0)
-    else:
-        jp = _scaled(ginv, *weighted_endpoint_integral(f, x, b, alpha, "hi", cfg))
-    return jm, jp
-
-
-def lemma_integrals(
-    f: Function1D,
-    a: float,
-    b: float,
-    alpha: float,
-    xs: Sequence[float],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> list[Union[tuple[Estimate, Estimate, Estimate, Estimate], ConvergenceError]]:
-    """The identity's four integrals at every x of one (f, a, b, alpha).
-
-    Returns one entry per x: ``(jm, jp, ia, ib)``, where (jm, jp) is
-    :func:`lemma_pair` at x and ia, ib are :func:`moment_integral` of f'
-    from x toward a and toward b; or, when one of them did not converge, its
-    ``ConvergenceError``, which leaves the other x untouched. This is the
-    one-job case of :func:`lemma_integrals_batch`.
-    """
-    return lemma_integrals_batch(((f, alpha),), a, b, xs, cfg)[0]
-
-
-def lemma_integrals_batch(
-    jobs: Sequence[tuple[Function1D, float]],
-    a: float,
-    b: float,
-    xs: Sequence[float],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> list[list[Union[tuple[Estimate, Estimate, Estimate, Estimate], ConvergenceError]]]:
-    """:func:`lemma_integrals` at every x of every (f, alpha) job.
-
-    Returns one list per job, as :func:`lemma_integrals` gives it. The
-    4 * len(xs) integrals of every job run as lanes of one batch, and each
-    value equals the one-x call's to the bit.
-    """
-    points = [[FracParams(a, b, x, alpha) for x in xs] for _, alpha in jobs]
-    for f, _ in jobs:
-        _check_domain(f, a, b)
-    built = [
-        _lemma_lanes(f, a, b, alpha, pts) for (f, alpha), pts in zip(jobs, points)
-    ]
-    value, error, why = _integrate([s for sets, _ in built for s in sets], cfg)
-    out = []
-    start = 0
-    for sets, collect in built:
-        stop = start + sum(s.size for s in sets)
-        out.append(collect(value[start:stop], error[start:stop], why[start:stop]))
-        start = stop
-    return out
-
-
-def _lemma_lanes(
-    f: Function1D, a: float, b: float, alpha: float, points: Sequence[FracParams]
-) -> tuple[tuple[_LaneSet, _LaneSet], Callable]:
-    """One job's lane sets, and the function that turns their values, errors
-    and failure reasons into :func:`lemma_integrals` entries."""
-    ginv = 1.0 / gamma(alpha)  # raises where Gamma(alpha) overflows
-    n = len(points)
-    xs = [p.x for p in points]
-    left = [i for i, x in enumerate(xs) if x > a]  # jm lanes, singular at a
-    right = [i for i, x in enumerate(xs) if x < b]  # jp lanes, singular at b
-    starts = [a] * len(left) + [b] * len(right)
-    ends = [xs[i] for i in left + right]
-    operators = _lanes(f.eval, starts, ends, alpha)
-    prefactors = [abs(x - c) ** alpha for c, x in zip(starts, ends)]
-    moments = _lanes(f.deriv, [a] * n + [b] * n, xs * 2, alpha + 1.0)
-    jm_lane = {i: k for k, i in enumerate(left)}
-    jp_lane = {i: len(left) + k for k, i in enumerate(right)}
-
-    def collect(value, error, why):
-        def operator(lane: Optional[int], lo: float, hi: float):
-            if lane is None:  # empty interval: defined as 0
-                return Estimate(0.0, 0.0)
-            w = _outcome(
-                value[lane], error[lane], why[lane],
-                f"weighted integral on [{lo}, {hi}]", prefactors[lane],
-            )
-            if isinstance(w, ConvergenceError):
-                return w
-            return _scaled(ginv, *w)
-
-        out = []
-        for i, p in enumerate(points):
-            k = operators.size + i
-            got = (
-                operator(jm_lane.get(i), a, p.x),
-                operator(jp_lane.get(i), p.x, b),
-                _outcome(
-                    value[k], error[k], why[k], f"moment integral (x={p.x}, base={a})"
-                ),
-                _outcome(
-                    value[k + n], error[k + n], why[k + n],
-                    f"moment integral (x={p.x}, base={b})",
-                ),
-            )
-            failed = [g for g in got if isinstance(g, ConvergenceError)]
-            out.append(failed[0] if failed else got)
-        return out
-
-    return (operators, moments), collect
 
 
 def oracle(

@@ -1,8 +1,8 @@
 """Numerical verification of the package's central integral identity.
 
 The identity under test equates a pointwise/operator combination with a pair
-of weighted derivative averages: with Jm, Jp the operator pair from
-:func:`fracineq.fracint.lemma_pair`,
+of weighted derivative averages: with Jm, Jp the operator pair of
+:func:`compute_pieces_batch`,
 
     ((x-a)**alpha + (b-x)**alpha) / (b-a) * f(x)
         - Gamma(alpha+1)/(b-a) * (Jm + Jp)
@@ -29,16 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
+from . import fracint
 from .errors import ConfigError, ConvergenceError, DomainError, FracIneqError
 from .fracint import (
     DEFAULT_QUADRATURE,
     Estimate,
     FracParams,
     QuadratureConfig,
-    lemma_integrals,
-    lemma_integrals_batch,
     moment_integral,
     plain_integral,
 )
@@ -139,12 +138,9 @@ def compute_pieces(
 ) -> list[Union[LemmaPieces, ConvergenceError]]:
     """Evaluate the four quadratures the identity and bounds share, at every x.
 
-    All x of one (f, alpha) are integrated together. Returns one entry per
-    x: its pieces, or the ``ConvergenceError`` of that x alone; the pieces
-    equal those of a one-x call to the bit, and those of
-    :func:`compute_pieces_batch` with the one job (f, alpha).
+    This is :func:`compute_pieces_batch` with the one job (f, alpha).
     """
-    return _pieces(f, a, b, alpha, xs, lemma_integrals(f, a, b, alpha, xs, cfg))
+    return compute_pieces_batch(((f, alpha),), a, b, xs, cfg)[0]
 
 
 def compute_pieces_batch(
@@ -154,25 +150,64 @@ def compute_pieces_batch(
     xs: Sequence[float],
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> list[list[Union[LemmaPieces, ConvergenceError]]]:
-    """:func:`compute_pieces` at every x of every (f, alpha) job.
+    """The identity's four integrals at every x of every (f, alpha) job.
 
-    Every job's x are integrated together in one batch. Returns one list
-    per job, equal to the job's own :func:`compute_pieces` to the bit.
+    At each x they are the operator pair
+
+        jm = (1/Gamma(alpha)) integral_a^x (t-a)**(alpha-1) f(t) dt,
+        jp = (1/Gamma(alpha)) integral_x^b (b-t)**(alpha-1) f(t) dt,
+
+    each |x - c|**alpha times a lane of f singular at its end c, and 0 over
+    the empty interval at x = a or x = b (where the identity's prefactors
+    vanish too); and ia, ib, :func:`fracineq.fracint.moment_integral` of f'
+    from x toward a and toward b. Every integral is a lane of one batch, one
+    lane set per integrand (f or f'), and equals its one-lane call to the
+    bit. Returns one list per job with one entry per x: its pieces, or the
+    ``ConvergenceError`` of its first failed integral, which leaves the
+    other points untouched.
     """
-    return [
-        _pieces(f, a, b, alpha, xs, got)
-        for (f, alpha), got in zip(jobs, lemma_integrals_batch(jobs, a, b, xs, cfg))
-    ]
-
-
-def _pieces(
-    f: Function1D, a: float, b: float, alpha: float, xs: Sequence[float], integrals
-) -> list[Union[LemmaPieces, ConvergenceError]]:
-    return [
-        got if isinstance(got, ConvergenceError)
-        else LemmaPieces(a, b, x, alpha, float(f.eval(x)), *got)
-        for x, got in zip(xs, integrals)
-    ]
+    for f, alpha in jobs:
+        for x in xs:
+            FracParams(a, b, x, alpha)  # refuses x off [a, b] and alpha out of range
+        fracint._check_domain(f, a, b)
+    ginv = [1.0 / gamma(alpha) for _, alpha in jobs]  # raises where Gamma overflows
+    by_integrand: dict[int, tuple[Callable, list]] = {}  # id(h) -> (h, lanes)
+    for j, (f, alpha) in enumerate(jobs):
+        for i, x in enumerate(xs):
+            for h, c, beta, piece in (
+                (f.eval, a, alpha, 0), (f.eval, b, alpha, 1),
+                (f.deriv, a, alpha + 1.0, 2), (f.deriv, b, alpha + 1.0, 3),
+            ):
+                if piece > 1 or x != c:
+                    lane = (c, x, beta, (j, i, piece))
+                    by_integrand.setdefault(id(h), (h, []))[1].append(lane)
+    sets = []
+    for h, lanes in by_integrand.values():
+        starts, ends, betas, _ = zip(*lanes)
+        sets.append(fracint._lanes(h, starts, ends, betas))
+    value, error, why = fracint._integrate(sets, cfg)
+    got = [[[Estimate(0.0, 0.0)] * 4 for _ in xs] for _ in jobs]
+    lanes = (lane for _, group in by_integrand.values() for lane in group)
+    for (c, x, _, (j, i, piece)), v, e, w in zip(lanes, value, error, why):
+        if piece > 1:
+            got[j][i][piece] = fracint._outcome(v, e, w, f"moment integral (x={x}, base={c})")
+            continue
+        lo, hi = (c, x) if piece == 0 else (x, c)
+        op = fracint._outcome(
+            v, e, w, f"weighted integral on [{lo}, {hi}]", (hi - lo) ** jobs[j][1]
+        )
+        if not isinstance(op, ConvergenceError):
+            op = fracint._scaled(ginv[j], *op)
+        got[j][i][piece] = op
+    out = []
+    for (f, alpha), per_x in zip(jobs, got):
+        out.append([])
+        for x, four in zip(xs, per_x):
+            failed = [g for g in four if isinstance(g, ConvergenceError)]
+            out[-1].append(
+                failed[0] if failed else LemmaPieces(a, b, x, alpha, float(f.eval(x)), *four)
+            )
+    return out
 
 
 def pieces_at(

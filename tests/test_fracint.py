@@ -27,12 +27,12 @@ from fracineq.fracint import (
     MAX_ALPHA,
     MIN_ALPHA,
     _integrate,
+    _lanes,
     _LaneSet,
+    _scaled,
     Estimate,
     FracParams,
     QuadratureConfig,
-    lemma_integrals,
-    lemma_pair,
     moment_integral,
     oracle,
     plain_integral,
@@ -41,6 +41,8 @@ from fracineq.fracint import (
     weighted_endpoint_integral,
 )
 from fracineq.funcatalog import Function1D, builtin_catalog, get_entry
+from fracineq.identity import compute_pieces, pieces_at
+from fracineq.specfun import gamma
 
 TWO_OVER_SQRT_PI = 1.1283791670955126
 
@@ -179,27 +181,35 @@ class TestRightOperator:
             rl_right(one, 1.0, 1.0, 1.0)
 
 
+def _pair(f, deriv, x, alpha):
+    pieces = pieces_at(Function1D("f", f, deriv, 0.0, 1.0), FracParams(0.0, 1.0, x, alpha))
+    return pieces.jm, pieces.jp
+
+
+zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+
+
 class TestLemmaPair:
     def test_constant_classical(self):
-        jm, jp = lemma_pair(one, FracParams(0.0, 1.0, 0.5, 1.0))
+        jm, jp = _pair(one, zero, 0.5, 1.0)
         assert jm.value == pytest.approx(0.5, rel=1e-12)
         assert jp.value == pytest.approx(0.5, rel=1e-12)
 
     def test_constant_half_order(self):
-        jm, jp = lemma_pair(one, FracParams(0.0, 1.0, 0.5, 0.5))
+        jm, jp = _pair(one, zero, 0.5, 0.5)
         want = 0.5**0.5 / math.gamma(1.5)
         assert jm.value == pytest.approx(want, rel=1e-12)
         assert jp.value == pytest.approx(want, rel=1e-12)
         assert want == pytest.approx(0.7978845608028654, rel=1e-13)
 
     def test_identity_function_split(self):
-        jm, jp = lemma_pair(ident, FracParams(0.0, 1.0, 0.5, 1.0))
+        jm, jp = _pair(ident, one, 0.5, 1.0)
         assert jm.value == pytest.approx(0.125, rel=1e-12)
         assert jp.value == pytest.approx(0.375, rel=1e-12)
 
     def test_degenerate_endpoints(self):
-        assert lemma_pair(one, FracParams(0.0, 1.0, 0.0, 0.5))[0] == Estimate(0.0, 0.0)
-        assert lemma_pair(one, FracParams(0.0, 1.0, 1.0, 0.5))[1] == Estimate(0.0, 0.0)
+        assert _pair(one, zero, 0.0, 0.5)[0] == Estimate(0.0, 0.0)
+        assert _pair(one, zero, 1.0, 0.5)[1] == Estimate(0.0, 0.0)
 
 
 class TestOracleAndRules:
@@ -310,24 +320,24 @@ def _nasty(u):
     return np.sin(1000.0 * u**2) / (0.001 + u)
 
 
-def _lanes(rows) -> _LaneSet:
+def _rows(rows) -> _LaneSet:
     # lane k integrates rows[k](u) over [0, 1], starting with a break at 1/2
     def fn(lane, u):
         return np.stack([rows[k](u[i]) for i, k in enumerate(lane)])
 
-    return _LaneSet(fn, len(rows), 0.5)
+    return _LaneSet(fn, len(rows), np.full(len(rows), 0.5))
 
 
 class TestLaneEngine:
     def test_a_failing_lane_fails_alone(self):
         smooth = (np.exp, np.cos, lambda u: u**3)
         cfg = QuadratureConfig(max_subdivisions=8)
-        value, error, why = _integrate((_lanes(smooth[:1] + (_nasty,) + smooth[1:]),), cfg)
+        value, error, why = _integrate((_rows(smooth[:1] + (_nasty,) + smooth[1:]),), cfg)
         assert why[1] is not None and "8 subdivisions" in why[1]
         assert error[1] > 0.0
         for k, g in zip((0, 2, 3), smooth):
             assert why[k] is None
-            v1, e1, w1 = _integrate((_lanes((g,)),), cfg)
+            v1, e1, w1 = _integrate((_rows((g,)),), cfg)
             assert (value[k], error[k], w1[0]) == (v1[0], e1[0], None)
         assert value[0] == pytest.approx(math.e - 1.0, rel=1e-12)
 
@@ -336,24 +346,52 @@ class TestLaneEngine:
         f = lambda t: np.where(np.asarray(t) > 0.5, bad, np.asarray(t, dtype=float))
         with pytest.raises(ConvergenceError, match="not finite"):
             weighted_endpoint_integral(f, 0.0, 1.0, 0.5, "hi")
-        value, _, why = _integrate((_lanes((lambda u: u, lambda u: u * bad)),), QuadratureConfig())
+        value, _, why = _integrate((_rows((lambda u: u, lambda u: u * bad)),), QuadratureConfig())
         assert why == [None, why[1]] and "not finite" in why[1]
         assert value[0] == 0.5
 
     def test_batch_equals_one_lane_calls_bit_for_bit(self):
+        empty = Estimate(0.0, 0.0)
         for entry in builtin_catalog():
             f = entry.func
             for alpha in (0.25, 1.0, 2.0):
+                ginv = 1.0 / gamma(alpha)
                 xs = tuple(float(v) for v in np.linspace(0.0, 1.0, 11))
-                for x, got in zip(xs, lemma_integrals(f, 0.0, 1.0, alpha, xs)):
-                    jm, jp = lemma_pair(f, FracParams(0.0, 1.0, x, alpha))
-                    ia = moment_integral(f.deriv, x, 0.0, alpha)
-                    ib = moment_integral(f.deriv, x, 1.0, alpha)
-                    want = (jm, jp, ia, ib)
+                for x, got in zip(xs, compute_pieces(f, 0.0, 1.0, alpha, xs)):
+                    want = (
+                        _scaled(ginv, *weighted_endpoint_integral(f, 0.0, x, alpha, "lo"))
+                        if x > 0.0 else empty,
+                        _scaled(ginv, *weighted_endpoint_integral(f, x, 1.0, alpha, "hi"))
+                        if x < 1.0 else empty,
+                        moment_integral(f.deriv, x, 0.0, alpha),
+                        moment_integral(f.deriv, x, 1.0, alpha),
+                    )
+                    got = (got.jm, got.jp, got.ia, got.ib)
                     assert [v.hex() for e in got for v in e] == [
                         v.hex() for e in want for v in e
                     ], (entry.name, alpha, x)
                     assert all(type(v) is float for e in got for v in e)
+
+    def test_one_set_of_mixed_betas_equals_one_lane_sets_bit_for_bit(self):
+        # beta sets each lane's m = ceil(4 / beta) and its first break; lanes
+        # that converge, run out of subdivisions and meet NaN share the set
+        h = lambda t: np.sqrt(t - 0.2) * np.sin(200.0 * t**2)
+        segments = ((1.0, 0.25), (0.6, 0.65), (0.0, 1.0), (0.5, 0.5))
+        lanes = [(start, end, beta) for beta in (1e-4, 0.5, 3.0, 141.0)
+                 for start, end in segments]
+        cfg = QuadratureConfig(max_subdivisions=16)
+        with np.errstate(invalid="ignore"):
+            value, error, why = _integrate((_lanes(h, *zip(*lanes)),), cfg)
+            for k, (start, end, beta) in enumerate(lanes):
+                v1, e1, w1 = _integrate((_lanes(h, (start,), (end,), (beta,)),), cfg)
+                assert (value[k].hex(), error[k].hex(), why[k]) == (
+                    v1[0].hex(), e1[0].hex(), w1[0]
+                ), (start, end, beta)
+        assert {w.split(" (")[0] if w else w for w in why} == {
+            None,
+            "did not converge within 16 subdivisions",
+            "gave a value or error estimate that is not finite",
+        }
 
     def test_many_sets_equal_one_call_per_set(self):
         # sets of mixed sizes, an empty one, break points and failing lanes:
@@ -362,8 +400,10 @@ class TestLaneEngine:
         sizes = (3, 1, 0, 5, 2, 1, 4)
         sets = []
         for i, size in enumerate(sizes):
-            lanes = _lanes(tuple(pool[(i + j) % len(pool)] for j in range(size)))
-            sets.append(dataclasses.replace(lanes, brk=0.3) if i % 2 else lanes)
+            lanes = _rows(tuple(pool[(i + j) % len(pool)] for j in range(size)))
+            if i % 2:
+                lanes = dataclasses.replace(lanes, brk=np.full(size, 0.3))
+            sets.append(lanes)
         cfg = QuadratureConfig(max_subdivisions=40)
         value, error, why = _integrate(sets, cfg)
         k = 0
@@ -380,7 +420,7 @@ class TestLaneEngine:
 
     def test_tolerance_is_met_per_lane(self):
         cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300)
-        value, error, why = _integrate((_lanes((np.sqrt, lambda u: np.exp(-u))),), cfg)
+        value, error, why = _integrate((_rows((np.sqrt, lambda u: np.exp(-u))),), cfg)
         assert why == [None, None]
         assert error[0] <= 1e-13 * abs(value[0])
         assert abs(value[0] - 2.0 / 3.0) <= error[0]

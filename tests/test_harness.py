@@ -391,7 +391,10 @@ class TestRunSweep:
 
         def rigged(h, start, end, beta):
             lanes = real(h, start, end, beta)
-            bad = (np.asarray(end) == 0.5) & (np.asarray(start) == 0.0) & (beta == 2.0)
+            bad = (
+                (np.asarray(end) == 0.5) & (np.asarray(start) == 0.0)
+                & (np.asarray(beta) == 2.0)
+            )
 
             def fn(lane, v):
                 nasty = np.sin(1000.0 * v**2) / (0.001 + v)
@@ -1074,13 +1077,13 @@ class TestCli:
 
     def test_check_identity_integrates_once_per_alpha(self, capsys, monkeypatch):
         calls = []
-        real = identity.lemma_integrals
+        real = identity.compute_pieces_batch
 
-        def counted(*args, **kwargs):
-            calls.append(args[4])
-            return real(*args, **kwargs)
+        def counted(jobs, a, b, xs, cfg):
+            calls.append(xs)
+            return real(jobs, a, b, xs, cfg)
 
-        monkeypatch.setattr(identity, "lemma_integrals", counted)
+        monkeypatch.setattr(identity, "compute_pieces_batch", counted)
         ret = cli.main(
             ["check-identity", "--function", "square", "--alpha", "0.5", "1.0",
              "--x-count", "5", "--halves"]
@@ -1097,19 +1100,20 @@ class TestCli:
         # the alpha = 1 twins reuse the grid's alpha = 1 batch when there is
         # one and take one batch of their own otherwise
         calls = []
-        real = identity.lemma_integrals
+        real = identity.compute_pieces_batch
 
-        def counted(*args, **kwargs):
-            calls.append((args[3], len(args[4])))
-            return real(*args, **kwargs)
+        def counted(jobs, a, b, xs, cfg):
+            ((_, alpha),) = jobs
+            calls.append((alpha, len(xs)))
+            return real(jobs, a, b, xs, cfg)
 
-        monkeypatch.setattr(identity, "lemma_integrals", counted)
+        monkeypatch.setattr(identity, "compute_pieces_batch", counted)
         argv = ["check-identity", "--function", "square", "--alpha", *alphas,
                 "--x-count", "5", "--classical"]
         assert cli.main(argv) == 0
         assert calls == [(0.5, 5), (1.0, 5)]
         lines = capsys.readouterr().out.splitlines()
-        monkeypatch.setattr(identity, "lemma_integrals", real)
+        monkeypatch.setattr(identity, "compute_pieces_batch", real)
         f = get_entry("square").func
         xs = [float(v) for v in np.linspace(0.0, 1.0, 7)[1:-1]]
         want = []
@@ -1125,16 +1129,16 @@ class TestCli:
     def test_check_identity_convergence_error_fails_its_point_alone(
         self, capsys, monkeypatch
     ):
-        real = identity.lemma_integrals
+        real = identity.compute_pieces_batch
 
-        def one_fails(f, a, b, alpha, xs, cfg):
-            got = real(f, a, b, alpha, xs, cfg)
-            return [
+        def one_fails(jobs, a, b, xs, cfg):
+            (got,) = real(jobs, a, b, xs, cfg)
+            return [[
                 ConvergenceError("stalled", 0.0, 1.0) if x == 0.5 else g
                 for x, g in zip(xs, got)
-            ]
+            ]]
 
-        monkeypatch.setattr(identity, "lemma_integrals", one_fails)
+        monkeypatch.setattr(identity, "compute_pieces_batch", one_fails)
         ret = cli.main(
             ["check-identity", "--function", "square", "--alpha", "0.5",
              "--x", "0.25", "0.5", "0.75", "--halves"]
@@ -1168,6 +1172,25 @@ class TestCli:
         )
         assert ret == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, interval",
+        [
+            ("--theorem e1 --function pow125 --a 0 --b 2 --x 2", "[0.0, 2.0]"),
+            ("--theorem e13 --function pow125 --a -1 --b 1", "[-1.0, 1.0]"),
+            ("--theorem e14 --function square --a 0 --b 3 --x 3", "[0.0, 3.0]"),
+            ("--theorem E6 --function pow125 --a 0 --b 2 --x 2", "[0.0, 2.0]"),
+        ],
+    )
+    def test_verify_outside_the_function_domain_exits_two(self, capsys, argv, interval):
+        # the catalog's M and certificates hold on f's domain only: e1 and
+        # e14 printed VIOLATED here, and e13 a convergence error after a
+        # RuntimeWarning; every theorem refuses the interval the same way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["verify", *argv.split()]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {interval} is outside the domain of" in err
 
     def test_verify_rejects_a_nan_cert_tol(self, capsys):
         # a NaN tolerance would fail every certificate with a 0 violation

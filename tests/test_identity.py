@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from fracineq import fracint
+from fracineq import fracint, harness
 from fracineq.errors import ConfigError, ConvergenceError, DomainError, FracIneqError
 from fracineq.fracint import Estimate, FracParams, oracle
 from fracineq.funcatalog import Function1D, builtin_catalog, get_entry
@@ -322,3 +322,25 @@ class TestPiecesBatch:
         assert sum(n for _, n in per_job) == intervals == 6_212
         assert 21 * intervals == 130_452
         assert rounds == max(r for r, _ in per_job) == 26
+
+    def test_default_sweep_builds_one_lane_set_per_integrand(self, monkeypatch):
+        # one set per distinct callable, f for the operator lanes and f' for
+        # the moment lanes, whatever the alpha: 17 for the 9 functions
+        # (constant's f is affine's f'), where one set per (function, alpha)
+        # and lane kind made 108
+        built = []
+        real = fracint._lanes
+
+        def counted(h, start, end, beta):
+            built.append((h, len(start)))
+            return real(h, start, end, beta)
+
+        monkeypatch.setattr(fracint, "_lanes", counted)
+        cfg = harness.default_config()
+        harness.run_sweep(cfg)
+        funcs = [get_entry(name).func for name in cfg.functions]
+        integrands = {h for f in funcs for h in (f.eval, f.deriv)}
+        assert len(built) == len({h for h, _ in built}) == len(integrands) <= 18
+        # per x and alpha both moments, and the operator pair but for jm at
+        # x = a and jp at x = b
+        assert sum(n for _, n in built) == len(funcs) * len(cfg.alphas) * (4 * 11 - 2)

@@ -30,11 +30,11 @@ from fracineq.fracint import (
     MAX_ALPHA,
     Estimate,
     FracParams,
-    lemma_pair,
     moment_integral,
     rl_left,
 )
 from fracineq.funcatalog import get_entry
+from fracineq.identity import pieces_at
 
 LARGE_ALPHAS = (8.0, 32.0, MAX_ALPHA)
 ALPHAS = (1e-6, 1e-4, 0.05, 0.25, 1.0, 2.0, 4.0) + LARGE_ALPHAS
@@ -110,7 +110,8 @@ def test_power_functions_match_closed_forms(name, alpha):
     f = get_entry(name).func
     terms = POWER_TERMS[name]
     for x in XS:
-        jm, jp = lemma_pair(f, FracParams(0.0, 1.0, x, alpha))
+        pieces = pieces_at(f, FracParams(0.0, 1.0, x, alpha))
+        jm, jp = pieces.jm, pieces.jp
         ia = moment_integral(f.deriv, x, 0.0, alpha)
         assert_honest(jm, exact_jm(terms, alpha, x), f"jm x={x}", alpha)
         assert_honest(jp, exact_jp(terms, alpha, x), f"jp x={x}", alpha)
@@ -121,7 +122,7 @@ def test_power_functions_match_closed_forms(name, alpha):
 def test_exp_matches_incomplete_gamma(alpha):
     f = get_entry("exp").func
     for x in XS:
-        _, jp = lemma_pair(f, FracParams(0.0, 1.0, x, alpha))
+        jp = pieces_at(f, FracParams(0.0, 1.0, x, alpha)).jp
         assert_honest(jp, scaled_p(alpha, 1.0 - x, 1.0), f"jp x={x}", alpha)
         if x > 0.0:
             left = rl_left(f, 0.0, x, alpha)
@@ -134,7 +135,7 @@ def test_small_alpha_operator_is_exact(alpha):
     # layer of width ~1/m at w = 1; without the break point the first
     # samples miss it
     x = 0.5
-    jm, _ = lemma_pair(get_entry("square").func, FracParams(0.0, 1.0, x, alpha))
+    jm = pieces_at(get_entry("square").func, FracParams(0.0, 1.0, x, alpha)).jm
     want = x ** (2.0 + alpha) / ((2.0 + alpha) * math.gamma(alpha))
     assert jm.value == pytest.approx(want, rel=1e-12)
     assert abs(jm.value - want) <= jm.error
