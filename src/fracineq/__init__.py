@@ -25,19 +25,7 @@ from .bounds import (
     CertCache,
     InequalityReport,
     evaluate_theorem,
-    lhs_classical,
-    lhs_frac,
     reduction_check,
-    rhs_alomari_hoelder,
-    rhs_alomari_msconvex,
-    rhs_alomari_powermean,
-    rhs_alomari_sconcave,
-    rhs_e8_printed,
-    rhs_ostrowski,
-    rhs_thm1,
-    rhs_thm2,
-    rhs_thm3,
-    rhs_thm4,
 )
 from .errors import (
     CertificateError,
@@ -148,18 +136,6 @@ __all__ = [
     "REDUCTION_TOL",
     "InequalityReport",
     "CertCache",
-    "lhs_frac",
-    "lhs_classical",
-    "rhs_thm1",
-    "rhs_thm2",
-    "rhs_thm3",
-    "rhs_thm4",
-    "rhs_e8_printed",
-    "rhs_ostrowski",
-    "rhs_alomari_msconvex",
-    "rhs_alomari_hoelder",
-    "rhs_alomari_powermean",
-    "rhs_alomari_sconcave",
     "evaluate_theorem",
     "reduction_check",
     # harness

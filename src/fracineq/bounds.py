@@ -13,14 +13,14 @@ Fractional family (parameterized by alpha > 0):
     Power-mean-route bound
     M * (1/(1+alpha))**(1-1/q) * (1/(alpha+s+1))**(1/q) * (1 + ratio)**(1/q);
     hypothesis: |f'|**q s-convex, q >= 1 (no conjugate exponent needed).
-    The associated *printed* bound in circulation textually duplicates E7;
-    ``rhs_e8_printed`` evaluates that duplicate as a diagnostic only.
+    The associated *printed* bound in circulation textually duplicates E7,
+    so it is E7's closed form and has no row of its own.
 ``E9``
     Midpoint-derivative bound 2**((s-1)/q) / ((1+p*alpha)**(1/p) (b-a)) times
     a weighted pair of |f'| midpoint values; hypothesis: |f'|**q s-concave.
 
-All four share the same left-hand side: |identity LHS| from the identity
-module (``lhs_frac``).
+All four share the same left-hand side: |identity LHS|, the
+``abs_lhs`` of the point's ``identity.LemmaPieces``.
 
 Classical suite (no alpha):
 
@@ -32,8 +32,8 @@ Classical suite (no alpha):
 ``t6_147``  2**((s-1)/q)/((1+p)**(1/p)(b-a)) times the weighted midpoint pair;
          |f'|**q s-concave.
 
-Each evaluator is pure closed-form arithmetic except the left-hand sides,
-which carry quadrature error budgets that the pass/fail tolerance couples to.
+Each right-hand side is pure closed-form arithmetic; the left-hand sides
+carry quadrature error budgets that the pass/fail tolerance couples to.
 ``THEOREMS`` states each bound's hypothesis, parameters, right-hand side and
 alpha = 1 twin once; everything that handles a theorem id reads it there.
 Each right-hand side is a ``ClosedForm`` ``coef(row) * shape(point) /
@@ -57,7 +57,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CertificateError, ConfigError
+from .errors import ConfigError
 from .fracint import (
     DEFAULT_QUADRATURE,
     Estimate,
@@ -96,18 +96,6 @@ __all__ = [
     "InequalityReport",
     "RowBlock",
     "ReportRows",
-    "lhs_frac",
-    "lhs_classical",
-    "rhs_thm1",
-    "rhs_thm2",
-    "rhs_thm3",
-    "rhs_thm4",
-    "rhs_e8_printed",
-    "rhs_ostrowski",
-    "rhs_alomari_msconvex",
-    "rhs_alomari_hoelder",
-    "rhs_alomari_powermean",
-    "rhs_alomari_sconcave",
     "evaluate_block",
     "evaluate_theorem",
     "reduction_check",
@@ -256,41 +244,8 @@ def _gamma_ratio(alpha: float, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# left-hand sides
-
-
-def lhs_frac(
-    f: Function1D,
-    prm: FracParams,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    pieces: Optional[LemmaPieces] = None,
-) -> Estimate:
-    """|identity LHS| shared by E6-E9, with its quadrature error budget.
-
-    Passing the point's ``pieces`` reuses both the integrals and the value
-    derived from them, which ``pieces`` computes once.
-    """
-    if pieces is None:
-        pieces = pieces_at(f, prm, cfg)
-    return pieces.abs_lhs
-
-
-def lhs_classical(
-    f: Function1D,
-    prm: FracParams,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    mean: Optional[Estimate] = None,
-) -> Estimate:
-    """|f(x) - integral mean| for the classical suite."""
-    if mean is None:
-        mean = plain_integral(f, prm.a, prm.b, cfg)
-    width = prm.b - prm.a
-    return Estimate(abs(float(f.eval(prm.x)) - mean.value / width), mean.error / width)
-
-
-# ---------------------------------------------------------------------------
 # right-hand sides: each closed form unchecked (the theorem table's rhs and
-# twin), then the public evaluator that checks the fields it needs
+# twin); evaluate_block checks the fields a row needs
 
 
 # the FracParams fields a closed form's parts read, unchecked: evaluate_block
@@ -347,13 +302,6 @@ _thm1 = ClosedForm(
     lambda r: r.alpha + r.s + 1.0,
 )
 
-
-def rhs_thm1(prm: FracParams) -> float:
-    """Gamma-ratio bound (E6). Requires M."""
-    _require(prm, "E6", "M")
-    return _thm1(prm)
-
-
 _thm2 = ClosedForm(
     lambda r: r.M / (1.0 + r.p * r.alpha) ** (1.0 / r.p) * (2.0 / (r.s + 1.0)) ** (1.0 / r.q),
     _powers,
@@ -361,13 +309,10 @@ _thm2 = ClosedForm(
 )
 
 
-def rhs_thm2(prm: FracParams) -> float:
-    """Hoelder-route bound (E7). Requires M and conjugate p, q."""
-    _require(prm, "E7", "M", "p", "q")
-    return _thm2(prm)
-
-
 def _thm3_coef(r) -> float:
+    # E8proof degenerates to E6 exactly at q = 1, so that case takes E6's
+    # coefficient (and, in _thm3, its divisor) to keep the two formula paths
+    # literally identical
     if r.q == 1.0:
         return _thm1.coef(r)
     inv_q = 1.0 / r.q
@@ -383,128 +328,33 @@ _thm3 = ClosedForm(
     _thm3_coef, _powers, lambda r: _thm1.div(r) if r.q == 1.0 else r.b - r.a
 )
 
-
-def rhs_thm3(prm: FracParams) -> float:
-    """Power-mean-route bound (E8proof). Requires M and q >= 1; p unused.
-
-    At q = 1 the bound degenerates to rhs_thm1 exactly, so that case is
-    delegated to keep the two formula paths literally identical.
-    """
-    _require(prm, "E8proof", "M", "q")
-    return _thm3(prm)
-
-
 _thm4 = ClosedForm(
     lambda r: 2.0 ** ((r.s - 1.0) / r.q) / ((1.0 + r.p * r.alpha) ** (1.0 / r.p) * (r.b - r.a)),
     lambda r, f: _midpoint_pair(r, f, r.alpha + 1.0),
 )
 
-
-def rhs_thm4(
-    f: Function1D,
-    prm: FracParams,
-    cert: Optional[ConvexityCertificate],
-) -> float:
-    """Midpoint-derivative bound (E9). Requires conjugate p, q and a PASS
-    s-concavity certificate for |f'|**q at this (s, q); evaluating the bound
-    without an established hypothesis is refused.
-    """
-    _require(prm, "E9", "p", "q")
-    if cert is None:
-        raise CertificateError(
-            f"E9 for {f.name}: no s-concavity certificate supplied"
-        )
-    need = THEOREMS["E9"]
-    matches = (
-        cert.mode == need.mode
-        and cert.target == need.target
-        and abs(cert.s - prm.s) <= 1e-12
-        and abs(cert.q - prm.q) <= 1e-12
-    )
-    if not matches:
-        raise CertificateError(
-            f"E9 for {f.name}: certificate does not match "
-            f"(need {need.mode} of {need.target} at s={prm.s}, q={prm.q}; "
-            f"got {cert.mode} of {cert.target} at s={cert.s}, q={cert.q})"
-        )
-    if not cert.passed:
-        raise CertificateError(
-            f"E9 for {f.name}: s-concavity certificate failed "
-            f"(max violation {cert.max_violation:.3e})"
-        )
-    return _thm4(prm, f)
-
-
-def rhs_e8_printed(prm: FracParams) -> float:
-    """Diagnostic twin of the circulated E8 statement.
-
-    The statement in circulation textually duplicates the Hoelder-route
-    bound (E7) and mentions p although its hypothesis only fixes q >= 1.
-    This evaluator reproduces that printed formula, for comparison with
-    E8proof by hand; no sweep or command evaluates it.
-    """
-    _require(prm, "E8printed", "M", "p", "q")
-    return rhs_thm2(prm)
-
-
 _ostrowski = ClosedForm(lambda r: r.M * (r.b - r.a), _shift)
-
-
-def rhs_ostrowski(prm: FracParams) -> float:
-    """Classical bound M(b-a)[1/4 + ((x - midpoint)/(b-a))**2] (e1)."""
-    _require(prm, "e1", "M")
-    return _ostrowski(prm)
-
 
 _msconvex = ClosedForm(lambda r: r.M, _squares, lambda r: (r.b - r.a) * (r.s + 1.0))
 
-
-def rhs_alomari_msconvex(prm: FracParams) -> float:
-    """M[(x-a)**2 + (b-x)**2] / ((b-a)(s+1)) (e14)."""
-    _require(prm, "e14", "M")
-    return _msconvex(prm)
-
-
+# E7's twin: M/(1+p)**(1/p) (2/(s+1))**(1/q) [(x-a)**2 + (b-x)**2] / (b-a), the
+# form the Hoelder proof route gives; the circulated restatement of the
+# corresponding classical theorem prints a different, inconsistent right-hand
+# side, which is not reproduced
 _hoelder = ClosedForm(
     lambda r: r.M / (1.0 + r.p) ** (1.0 / r.p) * (2.0 / (r.s + 1.0)) ** (1.0 / r.q),
     _squares,
     _width,
 )
 
-
-def rhs_alomari_hoelder(prm: FracParams) -> float:
-    """Hoelder-structured classical bound used as the E7 reduction target.
-
-    M/(1+p)**(1/p) * (2/(s+1))**(1/q) * [(x-a)**2+(b-x)**2]/(b-a); this is
-    the form consistent with the Hoelder proof route (the circulated
-    restatement of the corresponding classical theorem prints a different,
-    inconsistent right-hand side, which we do not reproduce).
-    """
-    _require(prm, "hoelder", "M", "p", "q")
-    return _hoelder(prm)
-
-
 _powermean = ClosedForm(
     lambda r: r.M * (2.0 / (r.s + 1.0)) ** (1.0 / r.q), _squares, lambda r: 2.0 * (r.b - r.a)
 )
-
-
-def rhs_alomari_powermean(prm: FracParams) -> float:
-    """M (2/(s+1))**(1/q) [(x-a)**2 + (b-x)**2] / (2(b-a)) (t5_146)."""
-    _require(prm, "t5_146", "M", "q")
-    return _powermean(prm)
-
 
 _sconcave = ClosedForm(
     lambda r: 2.0 ** ((r.s - 1.0) / r.q) / ((1.0 + r.p) ** (1.0 / r.p) * (r.b - r.a)),
     lambda r, f: _midpoint_pair(r, f, 2),
 )
-
-
-def rhs_alomari_sconcave(f: Function1D, prm: FracParams) -> float:
-    """2**((s-1)/q)/((1+p)**(1/p)(b-a)) x weighted midpoint pair (t6_147)."""
-    _require(prm, "t6_147", "p", "q")
-    return _sconcave(prm, f)
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +430,8 @@ THEOREMS: dict[str, Theorem] = {
         Theorem("E6", TARGET_FPRIME, MODE_CONVEX, ("alpha", "s", "x"), _thm1, _msconvex),
         Theorem("E7", TARGET_FPRIME_POW, MODE_CONVEX, ("alpha", "s", "p", "q", "x"),
                 _thm2, _hoelder),
+        # the proof's own final bound; the E8 printed in circulation is E7's
+        # closed form (it reads p, though its hypothesis fixes only q >= 1)
         Theorem("E8proof", TARGET_FPRIME_POW, MODE_CONVEX, ("alpha", "s", "q", "x"),
                 _thm3, _powermean),
         Theorem("E9", TARGET_FPRIME_POW, MODE_CONCAVE, ("alpha", "s", "p", "q", "x"),
@@ -608,8 +460,7 @@ class CertCache:
     off that grid), in every mode ``THEOREMS`` asks of the target and the
     requested one, and stores every certificate it returns; so a cache on a
     sweep's s grid samples each target grid once. ``skip_note`` builds each
-    failed certificate's row note once. Every certificate samples
-    ``certify_batch``'s default grid, the mirror grid its half-sampling needs.
+    failed certificate's row note once.
     """
 
     def __init__(self, cert_tol: float = DEFAULT_CERT_TOL, s_values: Sequence[float] = ()):
@@ -701,10 +552,10 @@ def evaluate_block(
     if not thm.fractional and mean is None:
         mean = plain_integral(f, a, b, cfg)
     xs = tuple(x for x, _ in points)
+    width = b - a
 
     if theorem_id == "e13":  # the Hermite-Hadamard pair; f >= 0 is assumed too
         nonneg = _nonnegative_on_grid(f, certs.cert_tol)
-        width = b - a
         mean_value = float(mean.value / width)
         budget = float(mean.error / width)
         floor = -float(max(margin_tol, 10.0 * budget))
@@ -729,9 +580,11 @@ def evaluate_block(
         row_of, point_of = _report_order(runs, len(xs))
         at_points = [_At(a, b, x, alpha, None, None, None, M) for x in xs]
         if thm.fractional:
-            lefts = [lhs_frac(f, at, cfg, pieces=pieces) for at, (_, pieces) in zip(at_points, points)]
-        else:
-            lefts = [lhs_classical(f, at, cfg, mean=mean) for at in at_points]
+            lefts = [(pieces_at(f, at, cfg) if pieces is None else pieces).abs_lhs
+                     for at, (_, pieces) in zip(at_points, points)]
+        else:  # |f(x) - integral mean|
+            lefts = [Estimate(abs(float(f.eval(x)) - mean.value / width), mean.error / width)
+                     for x in xs]
         lhs_at = point_of
         lhs = np.array([float(left.value) for left in lefts], dtype=float)
         budget = np.array([float(left.error) for left in lefts], dtype=float)

@@ -15,7 +15,7 @@ on a dense (u, v, lam) grid and records the worst violation; s-concavity is
 the reversed inequality. The target g (f, |f'| or |f'|**q) is sampled on the
 grid once per (function, target, q), and that one sample is reduced for every
 requested s and mode; ``certify`` is the one-(s, mode) case. Only the first
-half of a mirror lam grid is evaluated, which changes no certificate. A
+half of the mirror lam grid is evaluated, which changes no certificate. A
 certificate is a statement about a finite grid, which is exactly the strength
 needed to gate empirical inequality checks.
 """
@@ -61,8 +61,9 @@ _TARGETS = (TARGET_F, TARGET_FPRIME, TARGET_FPRIME_POW)
 #: Default PASS threshold for a certificate's worst grid violation.
 DEFAULT_CERT_TOL = 1e-9
 
-#: Minimum grid resolution per sampled axis (u, v, lam).
-MIN_GRID_SIZE = 33
+#: Grid resolution per sampled axis (u, v, lam); GRID_SIZE - 1 must stay a
+#: power of two, which makes the lam grid the mirror certify_batch halves.
+GRID_SIZE = 33
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,6 @@ class ConvexityCertificate:
     target: str
     q: float
     max_violation: float
-    grid_size: int
     cert_tol: float = DEFAULT_CERT_TOL
 
     @property
@@ -140,7 +140,7 @@ class ConvexityCertificate:
         tgt = self.target if self.target != TARGET_FPRIME_POW else f"|f'|^{self.q:g}"
         return (
             f"{verdict} {self.mode} s={self.s:g} target {tgt} "
-            f"(max violation {self.max_violation:.3e}, grid {self.grid_size}^3)"
+            f"(max violation {self.max_violation:.3e}, grid {GRID_SIZE}^3)"
         )
 
 
@@ -168,26 +168,26 @@ def certify_batch(
     q: float = 1.0,
     modes: Sequence[str] = (MODE_CONVEX,),
     target: str = TARGET_FPRIME,
-    grid_size: int = MIN_GRID_SIZE,
     cert_tol: float = DEFAULT_CERT_TOL,
 ) -> list[ConvexityCertificate]:
     """Certify one target of f for every (s, mode) from a single sampling.
 
     Evaluates the target function g (f itself, |f'|, or |f'|**q) at every
-    triple (u, v, lam) of three uniform grids over [domain_lo, domain_hi]**2
-    x [0, 1] once, then, for each s, records the worst signed violation of
-    the defining inequality in each mode: ``max(g(pts) - bound)`` for
-    s-convexity and ``-min(g(pts) - bound)`` for s-concavity, which equals
-    the maximum of the negated violation exactly. A certificate PASSes when
-    that maximum is <= cert_tol. Returns the certificates s-major, in the
-    order of ``s_values`` and then ``modes``.
+    triple (u, v, lam) of three uniform GRID_SIZE-point grids over
+    [domain_lo, domain_hi]**2 x [0, 1] once, then, for each s, records the
+    worst signed violation of the defining inequality in each mode:
+    ``max(g(pts) - bound)`` for s-convexity and ``-min(g(pts) - bound)`` for
+    s-concavity, which equals the maximum of the negated violation exactly.
+    A certificate PASSes when that maximum is <= cert_tol. Returns the
+    certificates s-major, in the order of ``s_values`` and then ``modes``.
 
-    On a mirror grid, ``1 - lam == lam[::-1]`` exactly (grid_size - 1 a power
-    of two, as 33), the samples at (lam, u, v) and (1 - lam, v, u) are one sum
-    in swapped order, so only lam's first (n + 1) // 2 rows are sampled.
+    The lam grid is a mirror grid, ``1 - lam == lam[::-1]`` exactly
+    (GRID_SIZE - 1 is a power of two): the samples at (lam, u, v) and
+    (1 - lam, v, u) are one sum in swapped order, so only lam's first
+    (GRID_SIZE + 1) // 2 rows are sampled.
 
     Checked in order, the first problem raising: s, q (1 <= q < inf), modes,
-    target, grid_size, a NaN cert_tol, then a domain outside [0, inf), where
+    target, a NaN cert_tol, then a domain outside [0, inf), where
     s-convexity is defined.
     """
     for s in s_values:
@@ -200,8 +200,6 @@ def certify_batch(
             raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
     if target not in _TARGETS:
         raise ConfigError(f"target must be one of {_TARGETS}, got {target!r}")
-    if grid_size < MIN_GRID_SIZE:
-        raise ConfigError(f"grid_size must be >= {MIN_GRID_SIZE}, got {grid_size}")
     if math.isnan(cert_tol):
         raise ConfigError("cert_tol must not be NaN")
     if f.domain_lo < 0.0:
@@ -213,10 +211,8 @@ def certify_batch(
         return []
 
     g = _target_callable(f, target, q)
-    u = np.linspace(f.domain_lo, f.domain_hi, grid_size)
-    lam = np.linspace(0.0, 1.0, grid_size)
-    if np.array_equal(1.0 - lam, lam[::-1]):  # a mirror grid: keep its first half
-        lam = lam[: (grid_size + 1) // 2]
+    u = np.linspace(f.domain_lo, f.domain_hi, GRID_SIZE)
+    lam = np.linspace(0.0, 1.0, GRID_SIZE)[: (GRID_SIZE + 1) // 2]  # the mirror's first half
 
     gu = g(u)  # shared for both axes; u and v ranges coincide
     # broadcast (lam, u, v): points lam*u + (1-lam)*v; g there does not depend on s
@@ -243,7 +239,6 @@ def certify_batch(
                     target=target,
                     q=float(q),
                     max_violation=float(worst),
-                    grid_size=int(grid_size),
                     cert_tol=float(cert_tol),
                 )
             )
@@ -256,7 +251,6 @@ def certify(
     q: float = 1.0,
     mode: str = MODE_CONVEX,
     target: str = TARGET_FPRIME,
-    grid_size: int = MIN_GRID_SIZE,
     cert_tol: float = DEFAULT_CERT_TOL,
 ) -> ConvexityCertificate:
     """Sample one s-convexity or s-concavity hypothesis on a dense grid.
@@ -264,7 +258,7 @@ def certify(
     The one-(s, mode) case of :func:`certify_batch`, which documents the
     grid and the PASS rule.
     """
-    (cert,) = certify_batch(f, (s,), q, (mode,), target, grid_size, cert_tol)
+    (cert,) = certify_batch(f, (s,), q, (mode,), target, cert_tol)
     return cert
 
 

@@ -17,7 +17,8 @@ term), and ``check_classical_lemma`` the alpha = 1 degeneration
     = ((x-a)**2/(b-a)) integral_0^1 t f'(tx+(1-t)a) dt
       - ((b-x)**2/(b-a)) integral_0^1 t f'(tx+(1-t)b) dt
 
-through an independent plain-quadrature route.
+with the integral mean from an independent plain-quadrature route and the
+moment integrals shared with its alpha = 1 twin.
 
 Every check reports a residual relative to max(1, |lhs|, |rhs|) so that
 near-zero cases (constant f makes both sides exactly 0) keep a meaningful
@@ -38,7 +39,6 @@ from .fracint import (
     Estimate,
     FracParams,
     QuadratureConfig,
-    moment_integral,
     plain_integral,
 )
 from .funcatalog import Function1D
@@ -103,7 +103,7 @@ class LemmaPieces:
     use and kept, so the sweep's rows at one grid point share it without
     passing it along. It lives here rather than in ``bounds`` because it is
     this identity's left-hand side: every fractional inequality (E6-E9)
-    bounds it, and ``bounds.lhs_frac`` returns it.
+    bounds it, and ``bounds.evaluate_block`` reads it.
     """
 
     a: float
@@ -305,16 +305,19 @@ def check_classical_lemma(
     """Verify the classical (alpha = 1) identity through plain integrals.
 
     The integral mean is computed from ordinary quadrature split at x, an
-    independent route from the weighted-operator machinery. The result is
-    then cross-asserted against check_e1 at alpha = 1: both sides must
-    coincide to ALPHA_ONE_MATCH_TOL (relative to the residual scale), and a
-    disagreement raises rather than returning silently inconsistent data.
-    ``pieces``, when given, are the alpha = 1 pieces at (a, b, x) for that
-    twin, for instance one x of a :func:`compute_pieces` batch; otherwise
-    they are computed here.
+    independent route from the weighted-operator machinery. The right-hand
+    side's moment integrals are the twin's: the alpha = 1 pieces' ``ia`` and
+    ``ib``. The result is then cross-asserted against check_e1 at alpha = 1
+    on those pieces: both sides must coincide to ALPHA_ONE_MATCH_TOL
+    (relative to the residual scale), and a disagreement raises rather than
+    returning silently inconsistent data. ``pieces``, when given, are the
+    alpha = 1 pieces at (a, b, x), for instance one x of a
+    :func:`compute_pieces` batch; otherwise they are computed here.
     """
     prm = FracParams(a=a, b=b, x=x, alpha=1.0)
-    if pieces is not None and (pieces.a, pieces.b, pieces.x, pieces.alpha) != (a, b, x, 1.0):
+    if pieces is None:
+        pieces = pieces_at(f, prm, cfg)
+    elif (pieces.a, pieces.b, pieces.x, pieces.alpha) != (a, b, x, 1.0):
         raise ConfigError(
             f"twin pieces are for (a, b, x, alpha) = "
             f"{(pieces.a, pieces.b, pieces.x, pieces.alpha)!r}, "
@@ -324,19 +327,17 @@ def check_classical_lemma(
     fx = float(f.eval(x))
     il = plain_integral(f, a, x, cfg)
     ir = plain_integral(f, x, b, cfg)
-    i_toward_a = moment_integral(f.deriv, x, a, 1.0, cfg)
-    i_toward_b = moment_integral(f.deriv, x, b, 1.0, cfg)
 
     lhs = fx - (il.value + ir.value) / width
-    rhs = (x - a) ** 2 / width * i_toward_a.value - (b - x) ** 2 / width * i_toward_b.value
+    rhs = (x - a) ** 2 / width * pieces.ia.value - (b - x) ** 2 / width * pieces.ib.value
     budget = (
         (il.error + ir.error) / width
-        + (x - a) ** 2 / width * i_toward_a.error
-        + (b - x) ** 2 / width * i_toward_b.error
+        + (x - a) ** 2 / width * pieces.ia.error
+        + (b - x) ** 2 / width * pieces.ib.error
     )
     res = IdentityResidual.from_sides(lhs, rhs, budget)
 
-    twin = check_e1(f, prm, cfg) if pieces is None else check_e1_from_pieces(pieces)
+    twin = check_e1_from_pieces(pieces)
     tol = ALPHA_ONE_MATCH_TOL * max(res.scale, twin.scale)
     if abs(res.lhs - twin.lhs) > tol or abs(res.rhs - twin.rhs) > tol:
         raise FracIneqError(

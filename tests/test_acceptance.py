@@ -8,11 +8,14 @@ honest about being desk-scale.
 
 from __future__ import annotations
 
+import importlib
 import math
+import pkgutil
 import time
 
 import numpy as np
 
+import fracineq
 from fracineq import (
     FRACTIONAL_IDS,
     FracParams,
@@ -149,3 +152,15 @@ def test_hermite_hadamard_pair_for_every_registered_s():
 def test_sweep_determinism(default_result):
     second = run_sweep(default_config())
     assert render_csv(default_result) == render_csv(second)
+
+
+def test_every_exported_name_resolves():
+    # a name left in an export list after its object is removed would break
+    # a star import and mislead the reader of the list
+    modules = [fracineq] + [
+        importlib.import_module(f"fracineq.{info.name}")
+        for info in pkgutil.iter_modules(fracineq.__path__)
+    ]
+    missing = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ())
+               if not hasattr(m, name)]
+    assert missing == []

@@ -1,4 +1,4 @@
-"""Closed-form bound evaluators, certificate gating, and alpha=1 reductions."""
+"""The theorem table's closed forms, certificate gating, and alpha=1 reductions."""
 
 from __future__ import annotations
 
@@ -20,22 +20,10 @@ from fracineq.bounds import (
     THEOREMS,
     CertCache,
     evaluate_theorem,
-    lhs_classical,
-    lhs_frac,
     reduction_check,
-    rhs_alomari_hoelder,
-    rhs_alomari_msconvex,
-    rhs_alomari_powermean,
-    rhs_alomari_sconcave,
-    rhs_e8_printed,
-    rhs_ostrowski,
-    rhs_thm1,
-    rhs_thm2,
-    rhs_thm3,
-    rhs_thm4,
     _gamma_ratio,
 )
-from fracineq.errors import CertificateError, ConfigError
+from fracineq.errors import ConfigError
 from fracineq.fracint import MAX_ALPHA, Estimate, FracParams
 from fracineq.identity import pieces_at
 from fracineq.funcatalog import (
@@ -50,6 +38,9 @@ from fracineq.funcatalog import (
 )
 
 S_GRID = (0.25, 0.5, 0.75, 1.0)
+# each theorem's right-hand side and alpha = 1 twin, unchecked: rhs(prm, f)
+RHS = {tid: thm.rhs for tid, thm in THEOREMS.items()}
+TWIN = {tid: thm.twin for tid, thm in THEOREMS.items()}
 PQ_PAIRS = ((2.0, 2.0), (3.0, 1.5), (1.25, 5.0))
 X_GRID = (0.0, 0.1, 0.35, 0.5, 0.8, 1.0)
 
@@ -109,15 +100,27 @@ class TestTheoremTable:
                 assert bits(evaluate_theorem(tid, entry, prm)) == want
 
 
+def abs_lhs(f, prm):
+    """The fractional rows' left-hand side, |identity LHS|."""
+    return pieces_at(f, prm).abs_lhs
+
+
+def classical_lhs(f, prm, mean=None):
+    """The classical rows' left-hand side, |f(x) - integral mean|, off e1's row."""
+    entry = CatalogEntry(f, (), (), None, "")
+    (row,) = evaluate_theorem("e1", entry, dataclasses.replace(prm, M=1.0), mean=mean)
+    return Estimate(row.lhs, row.quad_error_budget)
+
+
 class TestLhsFrac:
     def test_constant_vanishes(self):
-        est = lhs_frac(get_entry("constant").func, FracParams(0.0, 1.0, 0.3, 0.75))
+        est = abs_lhs(get_entry("constant").func, FracParams(0.0, 1.0, 0.3, 0.75))
         assert est.value <= 1e-13
         assert est.error >= 0.0
 
     def test_square_classical_twelfth(self):
         # alpha=1 midpoint: |f(x) - mean| = |1/4 - 1/3| = 1/12
-        est = lhs_frac(get_entry("square").func, FracParams(0.0, 1.0, 0.5, 1.0))
+        est = abs_lhs(get_entry("square").func, FracParams(0.0, 1.0, 0.5, 1.0))
         assert est.value == pytest.approx(1.0 / 12.0, abs=1e-10)
 
     @pytest.mark.parametrize("x", [0.25, 0.5])
@@ -127,7 +130,7 @@ class TestLhsFrac:
         jm = x ** 1.5 / (1.5 * g(0.5))
         jp = (2.0 * math.sqrt(1.0 - x) - (2.0 / 3.0) * (1.0 - x) ** 1.5) / g(0.5)
         expr = (x ** 0.5 + (1.0 - x) ** 0.5) * x - g(1.5) * (jm + jp)
-        est = lhs_frac(get_entry("affine").func, FracParams(0.0, 1.0, x, 0.5))
+        est = abs_lhs(get_entry("affine").func, FracParams(0.0, 1.0, x, 0.5))
         assert est.value == pytest.approx(abs(expr), abs=1e-9)
 
 
@@ -135,9 +138,9 @@ class TestLhsFrac:
         f = get_entry("pow150").func
         prm = FracParams(0.0, 1.0, 0.3, 0.75)
         pieces = pieces_at(f, prm)
-        first = lhs_frac(f, prm, pieces=pieces)
-        assert lhs_frac(f, prm, pieces=pieces) is first
-        assert first == lhs_frac(f, prm)
+        first = pieces.abs_lhs
+        assert pieces.abs_lhs is first
+        assert first == abs_lhs(f, prm)
 
     def test_memoized_gamma_ratio_equals_a_fresh_evaluation(self):
         # the memo is keyed on both alpha and s; a swapped pair is a new entry
@@ -148,16 +151,16 @@ class TestLhsFrac:
 
 class TestLhsClassical:
     def test_square_midpoint(self):
-        est = lhs_classical(get_entry("square").func, FracParams(0.0, 1.0, 0.5, 1.0))
+        est = classical_lhs(get_entry("square").func, FracParams(0.0, 1.0, 0.5, 1.0))
         assert est.value == pytest.approx(1.0 / 12.0, abs=1e-12)
 
     def test_affine_at_endpoint(self):
-        est = lhs_classical(get_entry("affine").func, FracParams(0.0, 1.0, 0.0, 1.0))
+        est = classical_lhs(get_entry("affine").func, FracParams(0.0, 1.0, 0.0, 1.0))
         assert est.value == pytest.approx(0.5, abs=1e-12)
 
     def test_precomputed_mean_is_used(self):
         f = get_entry("square").func
-        est = lhs_classical(f, FracParams(0.0, 1.0, 0.5, 1.0), mean=Estimate(1.0 / 3.0, 0.0))
+        est = classical_lhs(f, FracParams(0.0, 1.0, 0.5, 1.0), mean=Estimate(1.0 / 3.0, 0.0))
         assert est.value == abs(0.25 - 1.0 / 3.0)
         assert est.error == 0.0
 
@@ -165,22 +168,23 @@ class TestLhsClassical:
 class TestRhsThm1:
     def test_hand_value_alpha_one(self):
         prm = FracParams(0.0, 1.0, 0.5, 1.0, s=1.0, M=2.0)
-        assert rhs_thm1(prm) == pytest.approx(0.5, rel=1e-14)
+        assert RHS["E6"](prm) == pytest.approx(0.5, rel=1e-14)
 
     def test_endpoint_hand_value(self):
         # x=a, alpha=s=0.5, M=1: (1 + pi/4) / 2
         prm = FracParams(0.0, 1.0, 0.0, 0.5, s=0.5, M=1.0)
-        assert rhs_thm1(prm) == pytest.approx((1.0 + math.pi / 4.0) / 2.0, rel=1e-13)
+        assert RHS["E6"](prm) == pytest.approx((1.0 + math.pi / 4.0) / 2.0, rel=1e-13)
 
     def test_frozen_regression_point(self):
         prm = FracParams(0.0, 1.0, 0.5, 0.5, s=0.5, M=2.0)
-        assert rhs_thm1(prm) == pytest.approx(1.2624671484563437, rel=1e-13)
+        assert RHS["E6"](prm) == pytest.approx(1.2624671484563437, rel=1e-13)
 
     @pytest.mark.parametrize("s", S_GRID)
     @pytest.mark.parametrize("x", X_GRID)
     def test_alpha_one_equals_classical(self, s, x):
         prm = FracParams(0.0, 1.0, x, 1.0, s=s, M=2.0)
-        assert abs(rhs_thm1(prm) - rhs_alomari_msconvex(prm)) <= 1e-12
+        assert TWIN["E6"] is RHS["e14"]
+        assert abs(RHS["E6"](prm) - RHS["e14"](prm)) <= 1e-12
 
     @pytest.mark.parametrize("alpha", (0.25, 0.5, 1.5))
     @pytest.mark.parametrize("s", S_GRID)
@@ -193,22 +197,18 @@ class TestRhsThm1:
             * ((0.4) ** (alpha + 1.0) + (0.6) ** (alpha + 1.0))
             / (alpha + s + 1.0)
         )
-        assert rhs_thm1(prm) == pytest.approx(via_beta, rel=1e-12)
-
-    def test_missing_m_rejected(self):
-        with pytest.raises(ConfigError):
-            rhs_thm1(FracParams(0.0, 1.0, 0.5, 0.5, s=0.5))
+        assert RHS["E6"](prm) == pytest.approx(via_beta, rel=1e-12)
 
 
 class TestRhsThm2:
     def test_hand_value_alpha_one(self):
         prm = FracParams(0.0, 1.0, 0.5, 1.0, s=1.0, p=2.0, q=2.0, M=2.0)
-        assert rhs_thm2(prm) == pytest.approx(2.0 / math.sqrt(3.0) * 0.5, rel=1e-14)
+        assert RHS["E7"](prm) == pytest.approx(2.0 / math.sqrt(3.0) * 0.5, rel=1e-14)
 
     def test_endpoint_keeps_single_term(self):
         prm_a = FracParams(0.0, 1.0, 0.0, 0.75, s=0.5, p=2.0, q=2.0, M=1.0)
         expected = 1.0 / math.sqrt(1.0 + 2.0 * 0.75) * math.sqrt(2.0 / 1.5) * 1.0
-        assert rhs_thm2(prm_a) == pytest.approx(expected, rel=1e-14)
+        assert RHS["E7"](prm_a) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("s", S_GRID)
     @pytest.mark.parametrize("pq", PQ_PAIRS)
@@ -216,133 +216,88 @@ class TestRhsThm2:
         p, q = pq
         for x in X_GRID:
             prm = FracParams(0.0, 1.0, x, 1.0, s=s, p=p, q=q, M=2.0)
-            assert abs(rhs_thm2(prm) - rhs_alomari_hoelder(prm)) <= 1e-12
+            assert abs(RHS["E7"](prm) - TWIN["E7"](prm)) <= 1e-12
 
     def test_missing_exponents_rejected(self):
-        with pytest.raises(ConfigError):
-            rhs_thm2(FracParams(0.0, 1.0, 0.5, 0.5, s=0.5, M=2.0))
+        with pytest.raises(ConfigError, match="^E7 requires p, q to be set$"):
+            evaluate_theorem("E7", get_entry("square"), FracParams(0.0, 1.0, 0.5, 0.5, s=0.5))
 
 
 class TestRhsThm3:
     def test_q_one_degenerates_to_thm1_exactly(self):
         prm = FracParams(0.0, 1.0, 0.3, 0.75, s=0.5, q=1.0, M=2.0)
-        assert rhs_thm3(prm) == rhs_thm1(prm)
+        assert RHS["E8proof"](prm) == RHS["E6"](prm)
 
     def test_hand_value_alpha_one(self):
         prm = FracParams(0.0, 1.0, 0.5, 1.0, s=1.0, q=2.0, M=2.0)
-        assert rhs_thm3(prm) == pytest.approx(0.5, rel=1e-14)
+        assert RHS["E8proof"](prm) == pytest.approx(0.5, rel=1e-14)
 
     @pytest.mark.parametrize("s", S_GRID)
     @pytest.mark.parametrize("q", (1.0, 1.5, 2.0, 3.0))
     def test_alpha_one_equals_powermean_form(self, s, q):
+        assert TWIN["E8proof"] is RHS["t5_146"]
         for x in X_GRID:
             prm = FracParams(0.0, 1.0, x, 1.0, s=s, q=q, M=2.0)
-            assert abs(rhs_thm3(prm) - rhs_alomari_powermean(prm)) <= 1e-12
+            assert abs(RHS["E8proof"](prm) - RHS["t5_146"](prm)) <= 1e-12
 
     def test_missing_q_rejected(self):
-        with pytest.raises(ConfigError):
-            rhs_thm3(FracParams(0.0, 1.0, 0.5, 0.5, s=0.5, M=2.0))
+        with pytest.raises(ConfigError, match="^E8proof requires q to be set$"):
+            evaluate_theorem(
+                "E8proof", get_entry("square"), FracParams(0.0, 1.0, 0.5, 0.5, s=0.5)
+            )
 
 
 class TestRhsThm4:
-    def threehalf_cert(self, s=1.0, q=2.0):
-        return certify(
-            get_entry("threehalf").func,
-            s=s,
-            q=q,
-            mode=MODE_CONCAVE,
-            target=TARGET_FPRIME_POW,
-        )
-
     def test_hand_value_alpha_one(self):
         f = get_entry("threehalf").func
         prm = FracParams(0.0, 1.0, 0.5, 1.0, s=1.0, p=2.0, q=2.0)
         expected = 0.25 * (0.5 + math.sqrt(0.75)) / math.sqrt(3.0)
-        assert rhs_thm4(f, prm, self.threehalf_cert()) == pytest.approx(
-            expected, rel=1e-13
-        )
+        assert RHS["E9"](prm, f) == pytest.approx(expected, rel=1e-13)
 
     def test_frozen_regression_point(self):
         f = get_entry("threehalf").func
         prm = FracParams(0.0, 1.0, 0.5, 0.5, s=1.0, p=2.0, q=2.0)
-        assert rhs_thm4(f, prm, self.threehalf_cert()) == pytest.approx(
-            0.3415063509461097, rel=1e-13
-        )
+        assert RHS["E9"](prm, f) == pytest.approx(0.3415063509461097, rel=1e-13)
 
     def test_endpoint_keeps_single_term(self):
         f = get_entry("threehalf").func
         prm = FracParams(0.0, 1.0, 0.0, 1.0, s=1.0, p=2.0, q=2.0)
         expected = abs(float(f.deriv(0.5))) / math.sqrt(3.0)
-        assert rhs_thm4(f, prm, self.threehalf_cert()) == pytest.approx(
-            expected, rel=1e-13
-        )
+        assert RHS["E9"](prm, f) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("pq", PQ_PAIRS)
     def test_alpha_one_equals_classical(self, pq):
         p, q = pq
         f = get_entry("threehalf").func
-        cert = self.threehalf_cert(s=1.0, q=q)
+        assert TWIN["E9"] is RHS["t6_147"]
         for x in (0.2, 0.5, 0.9):
             prm = FracParams(0.0, 1.0, x, 1.0, s=1.0, p=p, q=q)
-            if not cert.passed:
-                continue
-            assert abs(rhs_thm4(f, prm, cert) - rhs_alomari_sconcave(f, prm)) <= 1e-12
-
-    def test_missing_certificate_refused(self):
-        f = get_entry("threehalf").func
-        prm = FracParams(0.0, 1.0, 0.5, 0.5, s=1.0, p=2.0, q=2.0)
-        with pytest.raises(CertificateError, match="no s-concavity certificate"):
-            rhs_thm4(f, prm, None)
-
-    def test_mismatched_certificate_refused(self):
-        f = get_entry("threehalf").func
-        prm = FracParams(0.0, 1.0, 0.5, 0.5, s=0.5, p=2.0, q=2.0)
-        with pytest.raises(CertificateError, match="does not match"):
-            rhs_thm4(f, prm, self.threehalf_cert(s=1.0, q=2.0))
-
-    def test_wrong_target_certificate_refused(self):
-        f = get_entry("threehalf").func
-        prm = FracParams(0.0, 1.0, 0.5, 0.5, s=0.5, p=2.0, q=2.0)
-        convex_cert = certify(
-            f, s=0.5, q=2.0, mode=MODE_CONVEX, target=TARGET_FPRIME
-        )
-        with pytest.raises(CertificateError, match="does not match"):
-            rhs_thm4(f, prm, convex_cert)
-
-    def test_failed_certificate_refused(self):
-        # |f'|^2 of t^2 is 4t^2, convex, so the concavity check fails
-        f = get_entry("square").func
-        failed = certify(f, s=1.0, q=2.0, mode=MODE_CONCAVE, target=TARGET_FPRIME_POW)
-        assert not failed.passed
-        prm = FracParams(0.0, 1.0, 0.5, 0.5, s=1.0, p=2.0, q=2.0)
-        with pytest.raises(CertificateError, match="certificate failed"):
-            rhs_thm4(f, prm, failed)
+            assert abs(RHS["E9"](prm, f) - RHS["t6_147"](prm, f)) <= 1e-12
 
     def test_missing_exponents_rejected(self):
-        f = get_entry("threehalf").func
-        with pytest.raises(ConfigError):
-            rhs_thm4(f, FracParams(0.0, 1.0, 0.5, 0.5, s=1.0), self.threehalf_cert())
+        with pytest.raises(ConfigError, match="^E9 requires p, q to be set$"):
+            evaluate_theorem(
+                "E9", get_entry("threehalf"), FracParams(0.0, 1.0, 0.5, 0.5, s=1.0)
+            )
 
 
 class TestPrintedDiagnostic:
     def test_printed_form_duplicates_hoelder_route(self):
+        # the E8 printed in circulation is E7's closed form, which reads p;
+        # the table's E8proof is the proof's own bound, which reads no p
         prm = FracParams(0.0, 1.0, 0.35, 0.75, s=0.5, p=3.0, q=1.5, M=2.0)
-        assert rhs_e8_printed(prm) == rhs_thm2(prm)
-
-    def test_requires_p_even_though_official_form_does_not(self):
-        with pytest.raises(ConfigError):
-            rhs_e8_printed(FracParams(0.0, 1.0, 0.35, 0.75, s=0.5, q=1.5, M=2.0))
+        assert "p" in THEOREMS["E7"].fields and "p" not in THEOREMS["E8proof"].fields
+        assert RHS["E8proof"](prm) != RHS["E7"](prm)
+        assert RHS["E8proof"](prm) == RHS["E8proof"](dataclasses.replace(prm, p=None))
 
 
 class TestStructuralProperties:
     @pytest.mark.parametrize(
-        "rhs",
-        [rhs_thm1, rhs_thm2, rhs_thm3],
-        ids=["gamma-ratio", "hoelder", "power-mean"],
+        "tid", ["E6", "E7", "E8proof"], ids=["gamma-ratio", "hoelder", "power-mean"]
     )
-    def test_endpoint_symmetry(self, rhs):
-        at_a = rhs(FracParams(0.0, 1.0, 0.0, 0.75, s=0.5, p=2.0, q=2.0, M=2.0))
-        at_b = rhs(FracParams(0.0, 1.0, 1.0, 0.75, s=0.5, p=2.0, q=2.0, M=2.0))
+    def test_endpoint_symmetry(self, tid):
+        at_a = RHS[tid](FracParams(0.0, 1.0, 0.0, 0.75, s=0.5, p=2.0, q=2.0, M=2.0))
+        at_b = RHS[tid](FracParams(0.0, 1.0, 1.0, 0.75, s=0.5, p=2.0, q=2.0, M=2.0))
         assert at_a == at_b
 
     @settings(max_examples=25, deadline=None)
@@ -350,8 +305,8 @@ class TestStructuralProperties:
     def test_linear_in_m(self, m):
         base = FracParams(0.0, 1.0, 0.3, 0.75, s=0.5, p=2.0, q=2.0, M=m)
         doubled = FracParams(0.0, 1.0, 0.3, 0.75, s=0.5, p=2.0, q=2.0, M=2.0 * m)
-        for rhs in (rhs_thm1, rhs_thm2, rhs_thm3):
-            assert rhs(doubled) == pytest.approx(2.0 * rhs(base), rel=1e-14)
+        for tid in ("E6", "E7", "E8proof"):
+            assert RHS[tid](doubled) == pytest.approx(2.0 * RHS[tid](base), rel=1e-14)
 
 
 @st.composite
@@ -376,7 +331,7 @@ class TestClosedFormProperties:
     @given(prm=_points())
     def test_thm3_at_q_one_is_thm1(self, prm):
         prm = dataclasses.replace(prm, p=None, q=1.0)
-        assert rhs_thm3(prm) == rhs_thm1(prm)
+        assert RHS["E8proof"](prm) == RHS["E6"](prm)
 
     @settings(max_examples=200, deadline=None)
     @given(prm=_points(alpha=st.just(1.0)))
@@ -389,19 +344,19 @@ class TestClosedFormProperties:
 
 class TestClassicalRhs:
     def test_ostrowski_hand_value(self):
-        assert rhs_ostrowski(FracParams(0.0, 1.0, 0.25, 1.0, M=2.0)) == pytest.approx(
+        assert RHS["e1"](FracParams(0.0, 1.0, 0.25, 1.0, M=2.0)) == pytest.approx(
             0.625, rel=1e-15
         )
 
     def test_ostrowski_minimal_at_midpoint(self):
-        mid = rhs_ostrowski(FracParams(0.0, 1.0, 0.5, 1.0, M=1.0))
-        off = rhs_ostrowski(FracParams(0.0, 1.0, 0.8, 1.0, M=1.0))
+        mid = RHS["e1"](FracParams(0.0, 1.0, 0.5, 1.0, M=1.0))
+        off = RHS["e1"](FracParams(0.0, 1.0, 0.8, 1.0, M=1.0))
         assert mid == pytest.approx(0.25, rel=1e-15)
         assert off > mid
 
     def test_msconvex_hand_value(self):
         prm = FracParams(0.0, 1.0, 0.5, 1.0, s=1.0, M=2.0)
-        assert rhs_alomari_msconvex(prm) == pytest.approx(0.5, rel=1e-15)
+        assert RHS["e14"](prm) == pytest.approx(0.5, rel=1e-15)
 
 
 class TestEvaluateTheorem:

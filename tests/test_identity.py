@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fracineq import fracint, harness
+from fracineq.cli import main
 from fracineq.errors import ConfigError, ConvergenceError, DomainError, FracIneqError
 from fracineq.fracint import Estimate, FracParams, oracle
 from fracineq.funcatalog import Function1D, builtin_catalog, get_entry
@@ -229,17 +230,35 @@ class TestClassicalLemma:
         # skew the operator-route twin; the cross-assertion must detect it
         import fracineq.identity as ident
 
-        real = ident.check_e1
+        real = ident.check_e1_from_pieces
 
-        def skewed(f, prm, cfg):
-            res = real(f, prm, cfg)
+        def skewed(pieces):
+            res = real(pieces)
             return IdentityResidual.from_sides(
                 res.lhs + 1e-6, res.rhs, res.quad_error_budget * res.scale
             )
 
-        monkeypatch.setattr(ident, "check_e1", skewed)
+        monkeypatch.setattr(ident, "check_e1_from_pieces", skewed)
         with pytest.raises(FracIneqError):
             ident.check_classical_lemma(get_entry("exp").func, 0.0, 1.0, 0.5)
+
+    def test_shares_the_twins_moment_integrals(self, monkeypatch, capsys):
+        # the moment integrals are the twin pieces' ia and ib; the route
+        # integrates only its two plain halves per x: one batch for the
+        # alpha = 0.5 grid, one for the alpha = 1 twins, then 2 per x
+        calls = []
+        real = fracint._integrate
+
+        def counted(sets, cfg):
+            calls.append(len(sets))
+            return real(sets, cfg)
+
+        monkeypatch.setattr(fracint, "_integrate", counted)
+        args = ["check-identity", "--function", "exp", "--alpha", "0.5", "--x-count", "5",
+                "--classical"]
+        assert main(args) == 0
+        assert len(calls) == 2 + 2 * 5
+        assert capsys.readouterr().out.endswith("10 identity checks, 0 failures\n")
 
 
 @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
