@@ -464,6 +464,55 @@ class TestEvaluateTheorem:
             )
 
 
+class TestTableGate:
+    """A row's hypothesis gate is the certificate its THEOREMS entry names,
+    at the row's s and, when the hypothesis reads it, the row's q."""
+
+    GATED = tuple(tid for tid, thm in THEOREMS.items() if thm.target is not None)
+
+    @staticmethod
+    def point(tid, **changes):
+        alpha = 0.5 if THEOREMS[tid].fractional else 1.0
+        return dataclasses.replace(FracParams(0.0, 1.0, 0.3, alpha, s=0.5, p=3.0, q=1.5),
+                                   **changes)
+
+    @pytest.mark.parametrize("fname", ["square", "threehalf", "exp"])
+    @pytest.mark.parametrize("tid", GATED)
+    def test_row_gate_is_the_tables_certificate(self, tid, fname):
+        # square fails E9's concavity gate at s = 1 and threehalf passes it;
+        # a fresh certificate, not the cache's, decides what each row shows
+        thm = THEOREMS[tid]
+        entry = get_entry(fname)
+        for s in (0.5, 1.0):
+            prm = self.point(tid, s=s)
+            q = prm.q if thm.q_in_hypothesis else 1.0
+            cert = certify(entry.func, s=s, q=q, mode=thm.mode, target=thm.target)
+            for row in evaluate_theorem(tid, entry, prm, certs=CertCache()):
+                assert row.asserted == cert.passed, (s, row)
+                if not cert.passed:
+                    assert row.note.startswith(f"hypothesis not certified: {cert.describe()}")
+
+    @pytest.mark.parametrize(
+        "tid,name", [(tid, name) for tid, thm in THEOREMS.items() for name in thm.exponents]
+    )
+    def test_missing_exponent_rejected(self, tid, name):
+        prm = self.point(tid, **{name: None})
+        with pytest.raises(ConfigError, match=f"^{tid} requires {name} to be set$"):
+            evaluate_theorem(tid, get_entry("threehalf"), prm)
+
+    @pytest.mark.parametrize("tid", THEOREM_IDS)
+    def test_unread_exponents_change_nothing(self, tid):
+        # E8proof, for one, reads no p: its row is the same without one
+        unread = {name: None for name in ("p", "q") if name not in THEOREMS[tid].exponents}
+        entry = get_entry("threehalf")
+
+        def sides(prm):
+            return [(r.lhs, r.rhs, r.margin, r.asserted, r.holds, r.note)
+                    for r in evaluate_theorem(tid, entry, prm)]
+
+        assert sides(self.point(tid, **unread)) == sides(self.point(tid))
+
+
 class TestCertCache:
     def test_memoizes_identical_requests(self):
         cache = CertCache()

@@ -242,6 +242,18 @@ class TestClassicalLemma:
         with pytest.raises(FracIneqError):
             ident.check_classical_lemma(get_entry("exp").func, 0.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
+    def test_twin_pieces_hold_the_plain_route_integrals(self, entry):
+        # the alpha = 1 pieces' ia and ib are the moment integrals of f',
+        # and jm is the plain integral of f over [a, x], bit for bit
+        f = entry.func
+        a, b = f.domain_lo, f.domain_hi
+        for x in (a, a + 0.3 * (b - a), 0.5 * (a + b), a + 0.7 * (b - a), b):
+            pieces = pieces_at(f, FracParams(a, b, x, 1.0))
+            assert pieces.ia == fracint.moment_integral(f.deriv, x, a, 1.0), x
+            assert pieces.ib == fracint.moment_integral(f.deriv, x, b, 1.0), x
+            assert pieces.jm == fracint.plain_integral(f, a, x), x
+
     def test_shares_the_twins_moment_integrals(self, monkeypatch, capsys):
         # the moment integrals are the twin pieces' ia and ib; the route
         # integrates only its two plain halves per x: one batch for the
