@@ -63,8 +63,7 @@ from .harness import (
     _repeats,
     default_config,
     emit_report,
-    render_csv,
-    render_json,
+    report_texts,
     run_sweep,
     tolerance_problems,
 )
@@ -361,14 +360,9 @@ def _fmt_opt(value: Optional[float]) -> str:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = SweepConfig.from_file(args.config) if args.config else default_config()
     overrides: dict = {}
-    if args.functions:
-        overrides["functions"] = tuple(args.functions)
-    if args.theorems:
-        overrides["theorems"] = tuple(args.theorems)
-    if args.alphas:
-        overrides["alphas"] = tuple(args.alphas)
-    if args.s_values:
-        overrides["s_values"] = tuple(args.s_values)
+    for name in ("functions", "theorems", "alphas", "s_values"):
+        if getattr(args, name):
+            overrides[name] = tuple(getattr(args, name))
     if args.pq:
         overrides["pq_pairs"] = tuple((float(pv), float(qv)) for pv, qv in args.pq)
     if args.x is not None:
@@ -390,8 +384,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         emit_report(res, format=args.format, path=args.out)
         dest = sys.stdout
     else:
-        payload = render_csv(res) if args.format == "csv" else render_json(res)
-        sys.stdout.write(payload)
+        sys.stdout.writelines(report_texts(res, args.format))
         dest = sys.stderr
 
     s = res.summary

@@ -16,7 +16,8 @@ Each block is a ``bounds.RowBlock`` of columns, and ``SweepResult.reports``
 is a ``bounds.ReportRows`` over the blocks: it reads as the list of
 ``InequalityReport`` rows, building each on access. The summary reads the
 blocks' arrays; both writers write a block at a time, each value once on
-its axis, and a plain list of reports every field per record.
+its axis, and a plain list of reports every field per record. A report is
+streamed one block's text at a time (``report_texts``), never held whole.
 
 Output contracts kept deliberately rigid for reproducibility:
 
@@ -44,7 +45,7 @@ from functools import partial
 from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -91,6 +92,7 @@ __all__ = [
     "run_sweep",
     "emit_report",
     "render_csv",
+    "report_texts",
     "CSV_HEADER",
 ]
 
@@ -309,13 +311,7 @@ class SweepConfig:
             ),
             "interval": list(self.interval),
             "theorems": list(self.theorems),
-            "tolerances": {
-                "identity_tol": self.identity_tol,
-                "margin_tol": self.margin_tol,
-                "cert_tol": self.cert_tol,
-                "quad_rel_tol": self.quad_rel_tol,
-                "quad_abs_tol": self.quad_abs_tol,
-            },
+            "tolerances": {name: getattr(self, name) for name in _TOLERANCES},
         }
 
     @classmethod
@@ -632,6 +628,14 @@ def _report_groups(reports: Sequence[InequalityReport]) -> list[tuple]:
             for tid, run in groupby(reports, key=attrgetter("theorem_id"))]
 
 
+def _csv_texts(res: SweepResult) -> Iterator[str]:
+    yield CSV_HEADER + "\n"
+    for tid, stored, grid_texts in _report_groups(res.reports):
+        visible = THEOREMS[tid].fields
+        blank = [name for name in ("alpha", "s", "p", "q", "x") if name not in visible]
+        yield "".join(_block_chunks(stored, _CSV_LEAVES, _CSV_PIECES, {}, blank, grid_texts))
+
+
 def render_csv(res: SweepResult) -> str:
     """Render reports to the fixed CSV schema (byte-stable).
 
@@ -639,12 +643,7 @@ def render_csv(res: SweepResult) -> str:
     (``_block_chunks``); the parameter cells a theorem's ``fields`` leave
     out are blank.
     """
-    chunks = [CSV_HEADER, "\n"]
-    for tid, stored, grid_texts in _report_groups(res.reports):
-        visible = THEOREMS[tid].fields
-        blank = [name for name in ("alpha", "s", "p", "q", "x") if name not in visible]
-        chunks.extend(_block_chunks(stored, _CSV_LEAVES, _CSV_PIECES, {}, blank, grid_texts))
-    return "".join(chunks)
+    return "".join(_csv_texts(res))
 
 
 _INDENT = "  "
@@ -700,18 +699,29 @@ def _record_layout(cls, level: int) -> tuple[str, list[tuple[str, int]]]:
     return "{" + pad + ("," + pad).join(lines) + "\n" + _INDENT * level + "}", leaves
 
 
-def _records_chunks(cls, blocks: list) -> list[str]:
-    """A top-level list of ``cls`` records as text chunks, from (stored, grid
-    texts) pairs of blocks (``_block_chunks``)."""
+def _records_texts(cls, groups: list) -> Iterator[str]:
+    """A top-level list of ``cls`` records, one text per ``_report_groups``
+    group. A text is held back until the next nonempty one comes, as the last
+    record takes no comma."""
     template, leaves = _record_layout(cls, 2)
     pieces = (_INDENT * 2 + template + ",\n").split("%s")
     leaves = [(path.removeprefix("prm."), partial(_value_text, level=lv)) for path, lv in leaves]
-    chunks = [chunk for stored, grid_texts in blocks
-              for chunk in _block_chunks(stored, leaves, pieces, _NONFINITE_TEXT, (), grid_texts)]
-    if not chunks:
-        return ["[]"]
-    chunks[-1] = chunks[-1][:-2]  # the last record takes no comma
-    return ["[\n", *chunks, "\n" + _INDENT + "]"]
+    held = None
+    for _, stored, grid_texts in groups:
+        text = "".join(_block_chunks(stored, leaves, pieces, _NONFINITE_TEXT, (), grid_texts))
+        if text:
+            yield "[\n" if held is None else held
+            held = text
+    yield "[]" if held is None else held[:-2] + "\n" + _INDENT + "]"
+
+
+def _json_texts(res: SweepResult) -> Iterator[str]:
+    yield from ('{\n  "convergence_errors": ', _dumps_at(res.convergence_errors, 1),
+                ',\n  "provenance": ', _dumps_at(res.provenance, 1), ',\n  "reports": ')
+    yield from _records_texts(InequalityReport, _report_groups(res.reports))
+    yield ',\n  "residuals": '
+    yield from _records_texts(ResidualRecord, [(None, _per_record(res.residuals), {})])
+    yield from (',\n  "summary": ', _dumps_at(res.summary, 1), "\n}\n")
 
 
 def render_json(res: SweepResult) -> str:
@@ -723,27 +733,23 @@ def render_json(res: SweepResult) -> str:
     ``json.dumps``. Reports are written a group of ``_report_groups`` at a
     time, so a record of a ``RowBlock`` takes about 8 chunks
     (``_block_chunks``); residuals, and a plain list of reports, are written
-    every field per record. All chunks are joined once.
+    every field per record; ``report_texts`` gives them one group at a time.
     """
-    reports = [(stored, grid_texts) for _, stored, grid_texts in _report_groups(res.reports)]
-    residuals = [(_per_record(res.residuals), {})]
-    chunks = [
-        '{\n  "convergence_errors": ', _dumps_at(res.convergence_errors, 1),
-        ',\n  "provenance": ', _dumps_at(res.provenance, 1),
-        ',\n  "reports": ', *_records_chunks(InequalityReport, reports),
-        ',\n  "residuals": ', *_records_chunks(ResidualRecord, residuals),
-        ',\n  "summary": ', _dumps_at(res.summary, 1), "\n}\n",
-    ]
-    return "".join(chunks)
+    return "".join(_json_texts(res))
+
+
+def report_texts(res: SweepResult, format: str = "csv") -> Iterator[str]:
+    """``render_csv``'s or ``render_json``'s text, made one group of
+    ``_report_groups`` at a time; another format raises ``ConfigError`` at once."""
+    texts = {"csv": _csv_texts, "json": _json_texts}.get(format)
+    if texts is None:
+        raise ConfigError(f"format must be 'csv' or 'json', got {format!r}")
+    return texts(res)
 
 
 def emit_report(res: SweepResult, format: str = "csv", path: str = "report.csv") -> None:
-    """Write the sweep result to path in the requested format."""
-    if format == "csv":
-        payload = render_csv(res)
-    elif format == "json":
-        payload = render_json(res)
-    else:
-        raise ConfigError(f"format must be 'csv' or 'json', got {format!r}")
+    """Stream ``report_texts`` to path; the format is checked before the file
+    is opened. An exception raised mid-write may leave a partial file."""
+    texts = report_texts(res, format)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
+        fh.writelines(texts)

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -592,8 +593,15 @@ class TestRendering:
         assert json_path.read_text(encoding="utf-8") == render_json(small_result)
 
     def test_emit_report_rejects_unknown_format(self, small_result, tmp_path):
-        with pytest.raises(ConfigError, match="format"):
-            emit_report(small_result, "xml", str(tmp_path / "out.xml"))
+        # the format is checked before the file is opened: no file is made,
+        # and a file already at the path keeps its bytes
+        fresh, kept = tmp_path / "out.xml", tmp_path / "kept.xml"
+        kept.write_bytes(b"an earlier report\n")
+        for path in (fresh, kept):
+            with pytest.raises(ConfigError, match="format"):
+                emit_report(small_result, "xml", str(path))
+        assert not fresh.exists()
+        assert kept.read_bytes() == b"an earlier report\n"
 
 
 def _json_oracle(res: SweepResult) -> str:
@@ -1039,6 +1047,62 @@ class TestFullSize:
         _assert_writers_match_the_oracles(run_sweep(ALL_THEOREMS))
 
 
+class TestStreaming:
+    """``emit_report`` streams the report a block at a time: it never holds
+    the whole report, and a block with no rows writes nothing."""
+
+    @pytest.mark.parametrize("fmt, render", [("csv", render_csv), ("json", render_json)])
+    def test_emit_report_peak_memory_is_a_small_share_of_the_report(
+        self, default_result, fmt, render, tmp_path
+    ):
+        path = tmp_path / f"report.{fmt}"
+        tracemalloc.start()
+        try:
+            emit_report(default_result, fmt, str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a whole-report copy would be at least the file's size
+        assert peak < path.stat().st_size / 8
+        assert path.read_text(encoding="utf-8") == render(default_result)
+
+    @pytest.mark.parametrize(
+        "failing, empty",
+        [
+            ({("affine", 0.5)}, [0, 4]),
+            ({("affine", 1.0)}, [1, 5]),
+            ({("square", 1.0)}, [3, 7]),
+            ({("affine", 0.5), ("affine", 1.0), ("square", 0.5), ("square", 1.0)}, None),
+        ],
+        ids=["first", "middle", "last", "every"],
+    )
+    def test_empty_blocks_match_the_oracles(self, monkeypatch, tmp_path, failing, empty):
+        # every point of the failing (function, alpha) jobs fails, so each
+        # theorem's block of that job has no rows; when every job fails
+        # there are no reports and no residuals
+        real = harness.compute_pieces_batch
+
+        def rigged(jobs, *args):
+            failed = [ConvergenceError("subdivision budget exhausted", 0.0, 1.0)]
+            return [failed * len(outcomes) if (f.name, alpha) in failing else outcomes
+                    for (f, alpha), outcomes in zip(jobs, real(jobs, *args))]
+
+        monkeypatch.setattr(harness, "compute_pieces_batch", rigged)
+        res = run_sweep(dataclasses.replace(SMALL, theorems=("E6", "E7")))
+        blocks = res.reports.blocks
+        assert len(blocks) == 8
+        if empty is None:
+            assert list(res.reports) == [] and res.residuals == []
+        else:
+            assert [k for k, block in enumerate(blocks) if not len(block.row)] == empty
+        csv_text, json_text = _csv_oracle(res), _json_oracle(res)
+        assert render_csv(res) == csv_text
+        assert render_json(res) == json_text
+        for fmt, text in (("csv", csv_text), ("json", json_text)):
+            emit_report(res, fmt, str(tmp_path / f"report.{fmt}"))
+            assert (tmp_path / f"report.{fmt}").read_text(encoding="utf-8") == text
+
+
 class TestCli:
     def test_catalog_lists_functions(self, capsys):
         assert cli.main(["catalog"]) == 0
@@ -1304,18 +1368,29 @@ class TestCli:
         assert data["summary"]["failed"] == 0
         assert "passed" in captured.err
 
-    def test_sweep_json_on_stdout_equals_the_out_file(self, capsys, tmp_path):
-        # the two destinations reach render_json from different call sites
-        args = ["sweep", "--functions", "affine", "square", "--alphas", "0.5",
-                "--s-values", "0.5", "1.0", "--x-count", "3", "--format", "json"]
-        out = tmp_path / "r.json"
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_on_stdout_equals_the_out_file(self, capsys, tmp_path, fmt):
+        # without --out the report streams to stdout: the bytes --out writes,
+        # but for the JSON timestamp line of each run
+        args = ["sweep", "--functions", "affine", "square", "--alphas", "0.5", "1",
+                "--s-values", "0.5", "1.0", "--x-count", "3", "--format", fmt,
+                "--theorems", "E6", "E7", "E9", "e1", "e13"]
+        out = tmp_path / f"r.{fmt}"
         assert cli.main(args + ["--out", str(out)]) == 0
         capsys.readouterr()
         assert cli.main(args) == 0
-        stamp = re.compile(r'"timestamp": "[^"]*"')
-        from_file = stamp.sub('"timestamp": ""', out.read_text(encoding="utf-8"))
-        from_stdout = stamp.sub('"timestamp": ""', capsys.readouterr().out)
+        captured = capsys.readouterr()
+        from_file, from_stdout = out.read_bytes(), captured.out.encode("utf-8")
+        if fmt == "json":
+            def untimed(data):
+                lines = data.splitlines(keepends=True)
+                kept = [line for line in lines if b'"timestamp"' not in line]
+                assert len(kept) == len(lines) - 1
+                return b"".join(kept)
+
+            from_file, from_stdout = untimed(from_file), untimed(from_stdout)
         assert from_stdout == from_file
+        assert "rows:" in captured.err and "report written" not in captured.err
 
     def test_sweep_config_file_with_flag_override(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
