@@ -43,20 +43,15 @@ from .fracint import (
     moment_integral,
     oracle,
     plain_integral,
-    rl_left,
-    rl_right,
     weighted_endpoint_integral,
 )
 from .funcatalog import (
     CatalogEntry,
     ConvexityCertificate,
-    DerivBound,
     Function1D,
     builtin_catalog,
     catalog_names,
-    certify,
     certify_batch,
-    derivative_bound,
     get_entry,
 )
 from .harness import (
@@ -75,8 +70,6 @@ from .identity import (
     IdentityResidual,
     LemmaPieces,
     check_classical_lemma,
-    check_e1,
-    check_e4_e5,
     compute_pieces,
     compute_pieces_batch,
     pieces_at,
@@ -99,11 +92,8 @@ __all__ = [
     # catalog
     "Function1D",
     "ConvexityCertificate",
-    "DerivBound",
     "CatalogEntry",
-    "certify",
     "certify_batch",
-    "derivative_bound",
     "builtin_catalog",
     "catalog_names",
     "get_entry",
@@ -115,8 +105,6 @@ __all__ = [
     "weighted_endpoint_integral",
     "plain_integral",
     "moment_integral",
-    "rl_left",
-    "rl_right",
     "oracle",
     # identity
     "DEFAULT_IDENTITY_TOL",
@@ -125,8 +113,6 @@ __all__ = [
     "compute_pieces",
     "compute_pieces_batch",
     "pieces_at",
-    "check_e1",
-    "check_e4_e5",
     "check_classical_lemma",
     # bounds
     "THEOREM_IDS",

@@ -94,6 +94,7 @@ __all__ = [
     "DEFAULT_MARGIN_TOL",
     "REDUCTION_TOL",
     "InequalityReport",
+    "CertCache",
     "RowBlock",
     "ReportRows",
     "evaluate_block",
@@ -627,7 +628,7 @@ def evaluate_theorem(
     when the theorem reads them. This is ``evaluate_block`` on one grid row
     at one point.
     """
-    M = entry.deriv_bound().M if prm.M is None else prm.M
+    M = entry.deriv_bound() if prm.M is None else prm.M
     return list(ReportRows([evaluate_block(
         theorem_id, entry, (prm.a, prm.b), prm.alpha, M,
         [GridRow(prm.s, prm.p, prm.q)], [(prm.x, None)],

@@ -443,7 +443,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         f = entry.func
         bound = entry.deriv_bound()
         print(f"{entry.name}: {entry.summary} on [{f.domain_lo:g}, {f.domain_hi:g}]")
-        print(f"  |f'| <= {bound.M!r} ({bound.method})")
+        print(f"  |f'| <= {bound!r} (analytic)")
         print(f"  s-convex registrations (|f'|): {_fmt_s_list(entry.s_convex)}")
         print(f"  s-concave registrations (|f'|^2): {_fmt_s_list(entry.s_concave)}")
         if detailed:

@@ -83,7 +83,6 @@ from .errors import (
     EmptyIntervalError,
 )
 from .funcatalog import Function1D
-from .specfun import gamma
 
 __all__ = [
     "Estimate",
@@ -95,8 +94,6 @@ __all__ = [
     "weighted_endpoint_integral",
     "plain_integral",
     "moment_integral",
-    "rl_left",
-    "rl_right",
     "oracle",
 ]
 
@@ -512,40 +509,6 @@ def _check_domain(f: Union[Function1D, Callable], lo: float, hi: float) -> None:
                 f"[{lo}, {hi}] is outside the domain of {f.name} "
                 f"([{f.domain_lo}, {f.domain_hi}])"
             )
-
-
-def rl_left(
-    f: Union[Function1D, Callable],
-    a: float,
-    x: float,
-    alpha: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> Estimate:
-    """Left-based operator: (1/Gamma(alpha)) integral_a^x (x-t)**(alpha-1) f(t) dt.
-
-    The weight is singular at t = x; requires a < x.
-    """
-    if not x > a:
-        raise EmptyIntervalError(f"rl_left requires x > a, got a={a!r}, x={x!r}")
-    _check_domain(f, a, x)
-    return _scaled(1.0 / gamma(alpha), *weighted_endpoint_integral(f, a, x, alpha, "hi", cfg))
-
-
-def rl_right(
-    f: Union[Function1D, Callable],
-    x: float,
-    b: float,
-    alpha: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> Estimate:
-    """Right-based operator: (1/Gamma(alpha)) integral_x^b (t-x)**(alpha-1) f(t) dt.
-
-    Mirror of rl_left; the weight is singular at t = x and x < b is required.
-    """
-    if not b > x:
-        raise EmptyIntervalError(f"rl_right requires b > x, got x={x!r}, b={b!r}")
-    _check_domain(f, x, b)
-    return _scaled(1.0 / gamma(alpha), *weighted_endpoint_integral(f, x, b, alpha, "lo", cfg))
 
 
 def oracle(

@@ -3,8 +3,7 @@
 The catalog supplies the subjects every inequality is evaluated on: each
 entry carries an exact closed-form derivative (numerical differentiation
 would contaminate identity residuals), the s values under which its
-hypothesis certificates are known to pass, and an analytic derivative bound
-where one is available.
+hypothesis certificates are known to pass, and an analytic derivative bound.
 
 Certification is deliberately not symbolic. ``certify_batch`` samples the
 defining inequality of s-convexity (second sense),
@@ -14,17 +13,17 @@ defining inequality of s-convexity (second sense),
 on a dense (u, v, lam) grid and records the worst violation; s-concavity is
 the reversed inequality. The target g (f, |f'| or |f'|**q) is sampled on the
 grid once per (function, target, q), and that one sample is reduced for every
-requested s and mode; ``certify`` is the one-(s, mode) case. Only the first
-half of the mirror lam grid is evaluated, which changes no certificate. A
-certificate is a statement about a finite grid, which is exactly the strength
-needed to gate empirical inequality checks.
+requested s and mode. Only the first half of the mirror lam grid is
+evaluated, which changes no certificate. A certificate is a statement about a
+finite grid, which is exactly the strength needed to gate empirical
+inequality checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,11 +37,8 @@ __all__ = [
     "TARGET_FPRIME_POW",
     "Function1D",
     "ConvexityCertificate",
-    "DerivBound",
     "CatalogEntry",
-    "certify",
     "certify_batch",
-    "derivative_bound",
     "builtin_catalog",
     "get_entry",
     "catalog_names",
@@ -144,14 +140,6 @@ class ConvexityCertificate:
         )
 
 
-@dataclass(frozen=True)
-class DerivBound:
-    """A certified bound M on |f'| over the domain."""
-
-    M: float
-    method: str  # "analytic" or "sampled"
-
-
 def _target_callable(f: Function1D, target: str, q: float):
     if target == TARGET_F:
         return lambda t: np.asarray(f.eval(t), dtype=float)
@@ -245,50 +233,6 @@ def certify_batch(
     return certs
 
 
-def certify(
-    f: Function1D,
-    s: float,
-    q: float = 1.0,
-    mode: str = MODE_CONVEX,
-    target: str = TARGET_FPRIME,
-    cert_tol: float = DEFAULT_CERT_TOL,
-) -> ConvexityCertificate:
-    """Sample one s-convexity or s-concavity hypothesis on a dense grid.
-
-    The one-(s, mode) case of :func:`certify_batch`, which documents the
-    grid and the PASS rule.
-    """
-    (cert,) = certify_batch(f, (s,), q, (mode,), target, cert_tol)
-    return cert
-
-
-def derivative_bound(
-    f: Function1D,
-    analytic: Optional[float] = None,
-    grid_points: int = 1001,
-) -> DerivBound:
-    """Bound |f'| over the domain.
-
-    With an analytic value the grid merely cross-checks it (a claimed bound
-    the sampled supremum exceeds is refuted and raises). Without one, the
-    sampled supremum is inflated by a relative 1e-9 so that downstream
-    inequality hypotheses are satisfied honestly rather than marginally.
-    """
-    if grid_points < 2:
-        raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
-    sup = float(np.max(np.abs(np.asarray(f.deriv(f.grid(grid_points)), dtype=float))))
-    if analytic is not None:
-        if analytic < 0.0:
-            raise DomainError(f"analytic bound must be nonnegative, got {analytic!r}")
-        if sup > analytic + 1e-12:
-            raise CertificateError(
-                f"{f.name}: claimed derivative bound {analytic!r} refuted by "
-                f"sampled supremum {sup!r}"
-            )
-        return DerivBound(M=float(analytic), method="analytic")
-    return DerivBound(M=(1.0 + 1e-9) * sup, method="sampled")
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     """A catalog function with its registered hypothesis data.
@@ -296,26 +240,37 @@ class CatalogEntry:
     s_convex lists the s values for which |f'| certifies s-convex.
     s_concave lists the s values for which |f'|**q certifies s-concave at
     the registration convention q = 2 (the sweep re-certifies at whatever
-    (s, q) it actually uses). analytic_m, when present, is an exact bound
-    on |f'| over the domain.
+    (s, q) it actually uses). analytic_m is an exact bound on |f'| over the
+    domain.
     """
 
     func: Function1D
     s_convex: tuple[float, ...]
     s_concave: tuple[float, ...]
-    analytic_m: Optional[float]
+    analytic_m: float
     summary: str
 
     @property
     def name(self) -> str:
         return self.func.name
 
-    @property
-    def registered_s(self) -> tuple[float, ...]:
-        return tuple(sorted(set(self.s_convex) | set(self.s_concave)))
+    def deriv_bound(self) -> float:
+        """The bound M = analytic_m on |f'|, cross-checked on the domain grid.
 
-    def deriv_bound(self) -> DerivBound:
-        return derivative_bound(self.func, analytic=self.analytic_m)
+        A negative bound raises DomainError; one that the supremum of |f'|
+        sampled on ``func.grid()`` exceeds is refuted and raises
+        CertificateError.
+        """
+        f, m = self.func, self.analytic_m
+        if m < 0.0:
+            raise DomainError(f"analytic bound must be nonnegative, got {m!r}")
+        sup = float(np.max(np.abs(np.asarray(f.deriv(f.grid()), dtype=float))))
+        if sup > m + 1e-12:
+            raise CertificateError(
+                f"{f.name}: claimed derivative bound {m!r} refuted by "
+                f"sampled supremum {sup!r}"
+            )
+        return float(m)
 
 
 def _arr(t):

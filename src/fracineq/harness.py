@@ -92,6 +92,7 @@ __all__ = [
     "run_sweep",
     "emit_report",
     "render_csv",
+    "render_json",
     "report_texts",
     "CSV_HEADER",
 ]
@@ -455,7 +456,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     means: dict[str, Estimate] = {}
     classical = any(not thm.fractional for thm in thms)
     for entry in entries:
-        bound_m[entry.name] = entry.deriv_bound().M
+        bound_m[entry.name] = entry.deriv_bound()
         if classical:
             means[entry.name] = plain_integral(entry.func, a, b, qcfg)
 

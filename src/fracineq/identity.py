@@ -9,9 +9,11 @@ of weighted derivative averages: with Jm, Jp the operator pair of
     =   ((x-a)**(alpha+1) / (b-a)) * integral_0^1 t**alpha f'(t x + (1-t) a) dt
       - ((b-x)**(alpha+1) / (b-a)) * integral_0^1 t**alpha f'(t x + (1-t) b) dt.
 
-``check_e1`` verifies the full identity, ``check_e4_e5`` its two one-sided
-halves (each equating one weighted derivative average with one operator
-term), and ``check_classical_lemma`` the alpha = 1 degeneration
+``check_e1_from_pieces`` verifies the full identity on one point's pieces,
+``check_e4_from_pieces`` and ``check_e5_from_pieces`` its two one-sided
+halves (each equating one operator term with one weighted derivative
+average; their residuals give r1 = r4 - r5 up to rounding), and
+``check_classical_lemma`` the alpha = 1 degeneration
 
     f(x) - (1/(b-a)) integral_a^b f
     = ((x-a)**2/(b-a)) integral_0^1 t f'(tx+(1-t)a) dt
@@ -33,7 +35,7 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 from . import fracint
-from .errors import ConfigError, ConvergenceError, DomainError, FracIneqError
+from .errors import ConfigError, ConvergenceError, FracIneqError
 from .fracint import (
     DEFAULT_QUADRATURE,
     Estimate,
@@ -52,8 +54,9 @@ __all__ = [
     "compute_pieces",
     "compute_pieces_batch",
     "pieces_at",
-    "check_e1",
-    "check_e4_e5",
+    "check_e1_from_pieces",
+    "check_e4_from_pieces",
+    "check_e5_from_pieces",
     "check_classical_lemma",
 ]
 
@@ -263,37 +266,6 @@ def check_e5_from_pieces(p: LemmaPieces) -> IdentityResidual:
     return IdentityResidual.from_sides(lhs, rhs, budget)
 
 
-def check_e1(
-    f: Function1D,
-    prm: FracParams,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> IdentityResidual:
-    """Verify the full identity at one parameter point (endpoints allowed)."""
-    return check_e1_from_pieces(pieces_at(f, prm, cfg))
-
-
-def check_e4_e5(
-    f: Function1D,
-    prm: FracParams,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> tuple[IdentityResidual, IdentityResidual]:
-    """Verify the two one-sided halves separately; requires a < x < b.
-
-    Each half keeps the operator expression on the left and its
-    moment-integral representation on the right, the same orientation as
-    the full identity. With residuals r = lhs - rhs, the full residual
-    decomposes as r1 = r4 - r5 up to floating-point regrouping of the
-    shared quadrature values.
-    """
-    if not (prm.a < prm.x < prm.b):
-        raise DomainError(
-            f"one-sided checks require a < x < b, got a={prm.a!r}, "
-            f"x={prm.x!r}, b={prm.b!r}"
-        )
-    pieces = pieces_at(f, prm, cfg)
-    return check_e4_from_pieces(pieces), check_e5_from_pieces(pieces)
-
-
 def check_classical_lemma(
     f: Function1D,
     a: float,
@@ -307,11 +279,11 @@ def check_classical_lemma(
     The integral mean is computed from ordinary quadrature split at x, an
     independent route from the weighted-operator machinery. The right-hand
     side's moment integrals are the twin's: the alpha = 1 pieces' ``ia`` and
-    ``ib``. The result is then cross-asserted against check_e1 at alpha = 1
-    on those pieces: both sides must coincide to ALPHA_ONE_MATCH_TOL
-    (relative to the residual scale), and a disagreement raises rather than
-    returning silently inconsistent data. ``pieces``, when given, are the
-    alpha = 1 pieces at (a, b, x), for instance one x of a
+    ``ib``. The result is then cross-asserted against check_e1_from_pieces
+    at alpha = 1 on those pieces: both sides must coincide to
+    ALPHA_ONE_MATCH_TOL (relative to the residual scale), and a disagreement
+    raises rather than returning silently inconsistent data. ``pieces``, when
+    given, are the alpha = 1 pieces at (a, b, x), for instance one x of a
     :func:`compute_pieces` batch; otherwise they are computed here.
     """
     prm = FracParams(a=a, b=b, x=x, alpha=1.0)

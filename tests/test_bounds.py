@@ -33,7 +33,7 @@ from fracineq.funcatalog import (
     TARGET_FPRIME_POW,
     CatalogEntry,
     Function1D,
-    certify,
+    certify_batch,
     get_entry,
 )
 
@@ -486,7 +486,7 @@ class TestTableGate:
         for s in (0.5, 1.0):
             prm = self.point(tid, s=s)
             q = prm.q if thm.q_in_hypothesis else 1.0
-            cert = certify(entry.func, s=s, q=q, mode=thm.mode, target=thm.target)
+            cert = certify_batch(entry.func, (s,), q=q, modes=(thm.mode,), target=thm.target)[0]
             for row in evaluate_theorem(tid, entry, prm, certs=CertCache()):
                 assert row.asserted == cert.passed, (s, row)
                 if not cert.passed:
@@ -564,7 +564,7 @@ class TestCertCache:
         ] + [(TARGET_FPRIME, MODE_CONVEX, s, 1.0) for s in S_GRID]
         got = [cache.get(entry, target, mode, s, q) for target, mode, s, q in wanted]
         fresh = [
-            certify(entry.func, s=s, q=q, mode=mode, target=target, cert_tol=1e-6)
+            certify_batch(entry.func, (s,), q=q, modes=(mode,), target=target, cert_tol=1e-6)[0]
             for target, mode, s, q in wanted
         ]
         assert got == fresh

@@ -7,6 +7,7 @@ report the same worst violation.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 
@@ -29,9 +30,7 @@ from fracineq.funcatalog import (
     Function1D,
     builtin_catalog,
     catalog_names,
-    certify,
     certify_batch,
-    derivative_bound,
     get_entry,
 )
 
@@ -96,22 +95,22 @@ class TestFunction1D:
 class TestCertify:
     def test_square_deriv_convex_at_s_one(self):
         # |f'| = 2t is linear, hence convex
-        cert = certify(get_entry("square").func, s=1.0, target=TARGET_FPRIME)
+        cert = certify_batch(get_entry("square").func, (1.0,), target=TARGET_FPRIME)[0]
         assert cert.passed
         assert cert.max_violation <= DEFAULT_CERT_TOL
 
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.0])
     def test_constant_passes_every_s(self, s):
-        cert = certify(get_entry("constant").func, s=s, target=TARGET_FPRIME)
+        cert = certify_batch(get_entry("constant").func, (s,), target=TARGET_FPRIME)[0]
         assert cert.passed
 
     def test_threehalf_sq_deriv_concave(self):
         # |f'|^2 = t is linear, hence s-concave at s = 1
-        cert = certify(
+        (cert,) = certify_batch(
             get_entry("threehalf").func,
-            s=1.0,
+            (1.0,),
             q=2.0,
-            mode=MODE_CONCAVE,
+            modes=(MODE_CONCAVE,),
             target=TARGET_FPRIME_POW,
         )
         assert cert.passed
@@ -119,14 +118,14 @@ class TestCertify:
     def test_pow125_deriv_fails_above_quarter(self):
         # |f'| ~ t^0.25 is s-convex only for s <= 0.25
         f = get_entry("pow125").func
-        assert certify(f, s=0.25, target=TARGET_FPRIME).passed
-        cert = certify(f, s=0.5, target=TARGET_FPRIME)
+        assert certify_batch(f, (0.25,), target=TARGET_FPRIME)[0].passed
+        cert = certify_batch(f, (0.5,), target=TARGET_FPRIME)[0]
         assert not cert.passed
         assert cert.max_violation > DEFAULT_CERT_TOL
 
     def test_target_f_routes(self):
-        assert certify(get_entry("square").func, s=1.0, target=TARGET_F).passed
-        assert certify(get_entry("exp").func, s=0.25, target=TARGET_F).passed
+        assert certify_batch(get_entry("square").func, (1.0,), target=TARGET_F)[0].passed
+        assert certify_batch(get_entry("exp").func, (0.25,), target=TARGET_F)[0].passed
 
     @pytest.mark.parametrize(
         "fname,target,mode,s,q",
@@ -141,7 +140,7 @@ class TestCertify:
     )
     def test_matches_naive_loop(self, fname, target, mode, s, q):
         f = get_entry(fname).func
-        cert = certify(f, s=s, q=q, mode=mode, target=target)
+        cert = certify_batch(f, (s,), q=q, modes=(mode,), target=target)[0]
         if target == TARGET_FPRIME:
             g = lambda t: abs(float(f.deriv(t)))
         else:
@@ -154,7 +153,7 @@ class TestCertify:
         # convexity test on the same grid
         for fname in ("square", "exp", "threehalf"):
             f = get_entry(fname).func
-            cert = certify(f, s=1.0, target=TARGET_FPRIME)
+            cert = certify_batch(f, (1.0,), target=TARGET_FPRIME)[0]
             us = np.linspace(f.domain_lo, f.domain_hi, GRID_SIZE)
             g = np.abs(np.asarray(f.deriv(us), dtype=float))
             gmid = np.abs(
@@ -169,8 +168,8 @@ class TestCertify:
 
     def test_monotone_in_tolerance(self):
         f = get_entry("pow150").func
-        tight = certify(f, s=0.5, target=TARGET_FPRIME, cert_tol=1e-12)
-        loose = certify(f, s=0.5, target=TARGET_FPRIME, cert_tol=1e-6)
+        tight = certify_batch(f, (0.5,), target=TARGET_FPRIME, cert_tol=1e-12)[0]
+        loose = certify_batch(f, (0.5,), target=TARGET_FPRIME, cert_tol=1e-6)[0]
         assert tight.max_violation == loose.max_violation
         if tight.passed:
             assert loose.passed
@@ -179,32 +178,32 @@ class TestCertify:
     @given(st.floats(min_value=0.01, max_value=1.0))
     def test_constant_target_passes_any_s(self, s):
         # g = |f'| = 0 and lambda^s + (1-lambda)^s >= 1 on [0, 1]
-        assert certify(get_entry("constant").func, s=s, target=TARGET_FPRIME).passed
+        assert certify_batch(get_entry("constant").func, (s,), target=TARGET_FPRIME)[0].passed
 
     def test_validation_errors(self):
         f = get_entry("square").func
         with pytest.raises(DomainError):
-            certify(f, s=0.0)
+            certify_batch(f, (0.0,))
         with pytest.raises(DomainError):
-            certify(f, s=1.5)
+            certify_batch(f, (1.5,))
         with pytest.raises(DomainError):
-            certify(f, s=0.5, q=0.5, target=TARGET_FPRIME_POW)
+            certify_batch(f, (0.5,), q=0.5, target=TARGET_FPRIME_POW)
         with pytest.raises(ConfigError):
-            certify(f, s=0.5, mode="convex-ish")
+            certify_batch(f, (0.5,), modes=("convex-ish",))
         with pytest.raises(ConfigError):
-            certify(f, s=0.5, target="f''")
+            certify_batch(f, (0.5,), target="f''")
         for q in (math.nan, math.inf):
             with pytest.raises(DomainError, match="finite"):
-                certify(f, s=0.5, q=q, target=TARGET_FPRIME_POW)
+                certify_batch(f, (0.5,), q=q, target=TARGET_FPRIME_POW)
         with pytest.raises(ConfigError, match="cert_tol"):
-            certify(f, s=0.5, cert_tol=math.nan)
+            certify_batch(f, (0.5,), cert_tol=math.nan)
 
     def test_rejects_negative_domain(self):
         shifted = Function1D(
             "neg", lambda t: np.asarray(t) ** 2, lambda t: 2.0 * np.asarray(t), -1.0, 1.0
         )
         with pytest.raises(DomainError):
-            certify(shifted, s=0.5)
+            certify_batch(shifted, (0.5,))
 
 
 def _cert_bits(cert):
@@ -219,13 +218,13 @@ class TestCertifyBatch:
     @pytest.mark.parametrize("target", [TARGET_F, TARGET_FPRIME, TARGET_FPRIME_POW])
     @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
     def test_equals_one_certify_per_s_and_mode(self, entry, target):
-        # one sampling reduced per (s, mode) must give certify's certificate
-        # to the bit, s-major then mode
+        # one sampling reduced per (s, mode) must give the certificate of a
+        # batch of that one (s, mode) to the bit, s-major then mode
         f = entry.func
         for q in (1.0, 1.5, 2.0, 5.0):
             batch = certify_batch(f, self.S_VALUES, q=q, modes=self.MODES, target=target)
             single = [
-                certify(f, s=s, q=q, mode=mode, target=target)
+                certify_batch(f, (s,), q=q, modes=(mode,), target=target)[0]
                 for s in self.S_VALUES
                 for mode in self.MODES
             ]
@@ -236,7 +235,7 @@ class TestCertifyBatch:
         f = get_entry("pow150").func
         kwargs = dict(q=2.0, target=TARGET_FPRIME_POW, cert_tol=1e-6)
         (batch,) = certify_batch(f, (0.5,), modes=(MODE_CONCAVE,), **kwargs)
-        assert batch == certify(f, s=0.5, mode=MODE_CONCAVE, **kwargs)
+        assert batch == certify_batch(f, (0.5,), modes=(MODE_CONCAVE,), **kwargs)[0]
         assert batch.cert_tol == 1e-6
 
     def test_nothing_requested_gives_no_certificates(self):
@@ -247,27 +246,29 @@ class TestCertifyBatch:
     @pytest.mark.parametrize(
         "batch_kwargs,single_kwargs",
         [
-            (dict(s_values=(0.0, 0.5, 1.0)), dict(s=0.0)),
-            (dict(s_values=(0.5, 1.5, 1.0)), dict(s=1.5)),
-            (dict(s_values=(0.5, 1.0, math.nan)), dict(s=math.nan)),
+            (dict(s_values=(0.0, 0.5, 1.0)), dict(s_values=(0.0,))),
+            (dict(s_values=(0.5, 1.5, 1.0)), dict(s_values=(1.5,))),
+            (dict(s_values=(0.5, 1.0, math.nan)), dict(s_values=(math.nan,))),
             (dict(s_values=(0.5,), q=0.5, target=TARGET_FPRIME_POW),
-             dict(s=0.5, q=0.5, target=TARGET_FPRIME_POW)),
+             dict(s_values=(0.5,), q=0.5, target=TARGET_FPRIME_POW)),
             (dict(s_values=(0.5,), modes=(MODE_CONVEX, "convex-ish")),
-             dict(s=0.5, mode="convex-ish")),
-            (dict(s_values=(0.5,), target="f''"), dict(s=0.5, target="f''")),
+             dict(s_values=(0.5,), modes=("convex-ish",))),
+            (dict(s_values=(0.5,), target="f''"), dict(s_values=(0.5,), target="f''")),
             (dict(s_values=(0.5,), q=math.nan, target=TARGET_FPRIME_POW),
-             dict(s=0.5, q=math.nan, target=TARGET_FPRIME_POW)),
+             dict(s_values=(0.5,), q=math.nan, target=TARGET_FPRIME_POW)),
             (dict(s_values=(0.5,), q=math.inf, target=TARGET_FPRIME_POW),
-             dict(s=0.5, q=math.inf, target=TARGET_FPRIME_POW)),
-            (dict(s_values=(0.5,), cert_tol=math.nan), dict(s=0.5, cert_tol=math.nan)),
+             dict(s_values=(0.5,), q=math.inf, target=TARGET_FPRIME_POW)),
+            (dict(s_values=(0.5,), cert_tol=math.nan),
+             dict(s_values=(0.5,), cert_tol=math.nan)),
         ],
         ids=["s-first", "s-middle", "s-last", "q", "mode", "target",
              "q-nan", "q-inf", "cert_tol-nan"],
     )
     def test_rejects_what_certify_rejects(self, batch_kwargs, single_kwargs):
+        # a batch rejects with the message its one offending (s, mode) case gives
         f = get_entry("square").func
         with pytest.raises((ConfigError, DomainError)) as single:
-            certify(f, **single_kwargs)
+            certify_batch(f, **single_kwargs)
         with pytest.raises(single.type, match=f"^{re.escape(str(single.value))}$"):
             certify_batch(f, **batch_kwargs)
 
@@ -276,7 +277,7 @@ class TestCertifyBatch:
             "neg", lambda t: np.asarray(t) ** 2, lambda t: 2.0 * np.asarray(t), -1.0, 1.0
         )
         with pytest.raises(DomainError) as single:
-            certify(shifted, s=0.5)
+            certify_batch(shifted, (0.5,))
         with pytest.raises(DomainError, match=f"^{re.escape(str(single.value))}$"):
             certify_batch(shifted, (0.5, 1.0), modes=(MODE_CONVEX, MODE_CONCAVE))
 
@@ -355,28 +356,16 @@ class TestMirrorGrid:
 
 class TestDerivativeBound:
     def test_analytic_bounds(self):
-        assert derivative_bound(get_entry("square").func, analytic=2.0).M == 2.0
-        assert derivative_bound(get_entry("affine").func, analytic=1.0).M == 1.0
-        assert derivative_bound(get_entry("square").func, analytic=2.0).method == "analytic"
-
-    def test_sampled_bound_covers_supremum(self):
-        sine = Function1D("sine", np.sin, np.cos, 0.0, 1.0)
-        bound = derivative_bound(sine)
-        assert bound.method == "sampled"
-        sup = float(np.max(np.abs(np.cos(sine.grid()))))
-        assert sup <= bound.M + 1e-12
-        assert bound.M == pytest.approx(1.0, rel=1e-8)
+        assert get_entry("square").deriv_bound() == 2.0
+        assert get_entry("affine").deriv_bound() == 1.0
 
     def test_refutes_false_claim(self):
         with pytest.raises(CertificateError):
-            derivative_bound(get_entry("square").func, analytic=0.5)
+            dataclasses.replace(get_entry("square"), analytic_m=0.5).deriv_bound()
 
     def test_rejects_bad_arguments(self):
-        f = get_entry("square").func
         with pytest.raises(DomainError):
-            derivative_bound(f, analytic=-1.0)
-        with pytest.raises(ConfigError):
-            derivative_bound(f, grid_points=1)
+            dataclasses.replace(get_entry("square"), analytic_m=-1.0).deriv_bound()
 
 
 class TestCatalog:
@@ -384,29 +373,23 @@ class TestCatalog:
         assert EXPECTED_NAMES.issubset(set(catalog_names()))
 
     def test_square_and_constant_bounds(self):
-        assert get_entry("square").deriv_bound().M == 2.0
-        assert get_entry("constant").deriv_bound().M == 0.0
+        assert get_entry("square").deriv_bound() == 2.0
+        assert get_entry("constant").deriv_bound() == 0.0
 
     def test_get_entry_unknown(self):
         with pytest.raises(ConfigError):
             get_entry("does-not-exist")
-
-    def test_registered_s_union(self):
-        entry = get_entry("pow150")
-        assert entry.registered_s == tuple(
-            sorted(set(entry.s_convex) | set(entry.s_concave))
-        )
 
     def test_every_registration_certifies(self):
         # the catalog's registered s values are promises; re-run the
         # certifier on each one
         for entry in builtin_catalog():
             for s in entry.s_convex:
-                cert = certify(entry.func, s=s, target=TARGET_FPRIME)
+                cert = certify_batch(entry.func, (s,), target=TARGET_FPRIME)[0]
                 assert cert.passed, f"{entry.name} s-convex s={s}: {cert.describe()}"
             for s in entry.s_concave:
-                cert = certify(
-                    entry.func, s=s, q=2.0, mode=MODE_CONCAVE, target=TARGET_FPRIME_POW
+                (cert,) = certify_batch(
+                    entry.func, (s,), q=2.0, modes=(MODE_CONCAVE,), target=TARGET_FPRIME_POW
                 )
                 assert cert.passed, f"{entry.name} s-concave s={s}: {cert.describe()}"
 
@@ -414,10 +397,10 @@ class TestCatalog:
         for entry in builtin_catalog():
             bound = entry.deriv_bound()
             sup = float(np.max(np.abs(np.asarray(entry.func.deriv(entry.func.grid())))))
-            assert sup <= bound.M + 1e-12
+            assert sup <= bound + 1e-12
 
     def test_describe_mentions_verdict(self):
-        cert = certify(get_entry("square").func, s=1.0, target=TARGET_FPRIME)
+        cert = certify_batch(get_entry("square").func, (1.0,), target=TARGET_FPRIME)[0]
         assert "PASS" in cert.describe()
-        bad = certify(get_entry("pow125").func, s=1.0, target=TARGET_FPRIME)
+        bad = certify_batch(get_entry("pow125").func, (1.0,), target=TARGET_FPRIME)[0]
         assert "FAIL" in bad.describe()

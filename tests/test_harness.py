@@ -34,8 +34,9 @@ from fracineq.funcatalog import (
     TARGET_F,
     TARGET_FPRIME,
     TARGET_FPRIME_POW,
+    builtin_catalog,
     catalog_names,
-    certify,
+    certify_batch,
     get_entry,
 )
 from fracineq.harness import (
@@ -1108,6 +1109,9 @@ class TestCli:
         assert cli.main(["catalog"]) == 0
         out = capsys.readouterr().out
         assert "square" in out and "threehalf" in out
+        lines = out.splitlines()
+        for entry in builtin_catalog():
+            assert f"  |f'| <= {entry.analytic_m!r} (analytic)" in lines, entry.name
 
     def test_catalog_detail_recertifies(self, capsys):
         assert cli.main(["catalog", "--function", "square"]) == 0
@@ -1115,20 +1119,20 @@ class TestCli:
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_catalog_detail_equals_one_certify_per_line(self, name, capsys):
-        # the batched certificates print as one certify call per (s, target) did
+        # the batched certificates print as one single-s batch per (s, target) did
         assert cli.main(["catalog", "--function", name]) == 0
         lines = capsys.readouterr().out.splitlines()
         entry = get_entry(name)
         want = []
         for s in entry.s_convex:
             for target in (TARGET_F, TARGET_FPRIME):
-                want.append(certify(entry.func, s=s, target=target, mode=MODE_CONVEX))
-            want.append(
-                certify(entry.func, s=s, q=2.0, target=TARGET_FPRIME_POW, mode=MODE_CONVEX)
+                want += certify_batch(entry.func, (s,), modes=(MODE_CONVEX,), target=target)
+            want += certify_batch(
+                entry.func, (s,), q=2.0, modes=(MODE_CONVEX,), target=TARGET_FPRIME_POW
             )
         for s in entry.s_concave:
-            want.append(
-                certify(entry.func, s=s, q=2.0, target=TARGET_FPRIME_POW, mode=MODE_CONCAVE)
+            want += certify_batch(
+                entry.func, (s,), q=2.0, modes=(MODE_CONCAVE,), target=TARGET_FPRIME_POW
             )
         assert lines[4:] == [f"  {cert.describe()}" for cert in want]
 
@@ -1592,7 +1596,7 @@ def test_rows_come_out_in_the_order_a_stable_sort_gives():
     def add(thm, entry, alpha, x, pieces=None, mean=None):
         for row in thm.grid(cfg.s_values, cfg.pq_pairs, q_dedup):
             block = bounds.evaluate_block(
-                thm.tid, entry, (0.0, 1.0), alpha, entry.deriv_bound().M, [row],
+                thm.tid, entry, (0.0, 1.0), alpha, entry.deriv_bound(), [row],
                 [(x, pieces)], qcfg, cfg.margin_tol, certs, mean,
             )
             rows.extend(bounds.ReportRows([block]))

@@ -13,7 +13,7 @@ import pytest
 
 from fracineq import fracint, harness
 from fracineq.cli import main
-from fracineq.errors import ConfigError, ConvergenceError, DomainError, FracIneqError
+from fracineq.errors import ConfigError, ConvergenceError, FracIneqError
 from fracineq.fracint import Estimate, FracParams, oracle
 from fracineq.funcatalog import Function1D, builtin_catalog, get_entry
 from fracineq.identity import (
@@ -22,15 +22,21 @@ from fracineq.identity import (
     IdentityResidual,
     LemmaPieces,
     check_classical_lemma,
-    check_e1,
     check_e1_from_pieces,
-    check_e4_e5,
+    check_e4_from_pieces,
+    check_e5_from_pieces,
     compute_pieces,
     compute_pieces_batch,
     pieces_at,
 )
 
 ALPHAS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
+
+
+def halves(f, prm):
+    """The two one-sided residuals (r4, r5) at prm, from one set of pieces."""
+    pieces = pieces_at(f, prm)
+    return check_e4_from_pieces(pieces), check_e5_from_pieces(pieces)
 
 
 class TestResidualRecord:
@@ -60,17 +66,19 @@ class TestFullIdentity:
     def test_constant_gives_zero_both_sides(self):
         f = get_entry("constant").func
         for alpha in (0.5, 1.0, 1.7):
-            res = check_e1(f, FracParams(0.0, 1.0, 0.3, alpha))
+            res = check_e1_from_pieces(pieces_at(f, FracParams(0.0, 1.0, 0.3, alpha)))
             assert res.rel_residual <= 1e-13
             assert abs(res.rhs) <= 1e-13
 
     def test_affine_midpoint_symmetry(self):
-        res = check_e1(get_entry("affine").func, FracParams(0.0, 1.0, 0.5, 1.0))
+        prm = FracParams(0.0, 1.0, 0.5, 1.0)
+        res = check_e1_from_pieces(pieces_at(get_entry("affine").func, prm))
         assert abs(res.lhs) <= 1e-14
         assert abs(res.rhs) <= 1e-14
 
     def test_square_half_order(self):
-        res = check_e1(get_entry("square").func, FracParams(0.0, 1.0, 0.5, 0.5))
+        prm = FracParams(0.0, 1.0, 0.5, 0.5)
+        res = check_e1_from_pieces(pieces_at(get_entry("square").func, prm))
         assert res.rel_residual <= 1e-8
         assert res.passes()
 
@@ -80,7 +88,7 @@ class TestFullIdentity:
         # adaptive evaluation
         a, b, x, alpha = 0.0, 1.0, 0.5, 0.5
         f = get_entry("square").func
-        fast = check_e1(f, FracParams(a, b, x, alpha))
+        fast = check_e1_from_pieces(pieces_at(f, FracParams(a, b, x, alpha)))
         ginv = 1.0 / math.gamma(alpha)
         slow = check_e1_from_pieces(LemmaPieces(
             a, b, x, alpha, x**2,
@@ -97,7 +105,8 @@ class TestFullIdentity:
     def test_catalog_grid_passes(self, alpha):
         for entry in builtin_catalog():
             for x in np.linspace(0.0, 1.0, 7):
-                res = check_e1(entry.func, FracParams(0.0, 1.0, float(x), alpha))
+                prm = FracParams(0.0, 1.0, float(x), alpha)
+                res = check_e1_from_pieces(pieces_at(entry.func, prm))
                 assert res.passes(DEFAULT_IDENTITY_TOL), (
                     f"{entry.name} alpha={alpha} x={x}: rel={res.rel_residual}"
                 )
@@ -106,42 +115,35 @@ class TestFullIdentity:
         # at x=a the toward-a terms vanish by convention; identity still holds
         f = get_entry("exp").func
         for x in (0.0, 1.0):
-            res = check_e1(f, FracParams(0.0, 1.0, x, 0.5))
+            res = check_e1_from_pieces(pieces_at(f, FracParams(0.0, 1.0, x, 0.5)))
             assert res.passes()
 
     def test_off_unit_interval(self):
         f = Function1D(
             "wide", lambda t: np.asarray(t) ** 2, lambda t: 2.0 * np.asarray(t), -3.0, 5.0
         )
-        res = check_e1(f, FracParams(-2.0, 4.0, 1.0, 0.75))
+        res = check_e1_from_pieces(pieces_at(f, FracParams(-2.0, 4.0, 1.0, 0.75)))
         assert res.passes()
 
 
 class TestHalves:
     def test_constant_both_sides_zero(self):
-        r4, r5 = check_e4_e5(get_entry("constant").func, FracParams(0.0, 1.0, 0.5, 1.0))
+        r4, r5 = halves(get_entry("constant").func, FracParams(0.0, 1.0, 0.5, 1.0))
         assert abs(r4.lhs) <= 1e-14 and abs(r4.rhs) <= 1e-14
         assert abs(r5.lhs) <= 1e-14 and abs(r5.rhs) <= 1e-14
 
     def test_affine_hand_values(self):
         # operator side (x-a)^a f(x)/(b-a) - Gamma(2) Jm /(b-a) = 0.25 - 0.125
         # and moment side 0.25 * integral_0^1 t dt both equal 0.125
-        r4, r5 = check_e4_e5(get_entry("affine").func, FracParams(0.0, 1.0, 0.5, 1.0))
+        r4, r5 = halves(get_entry("affine").func, FracParams(0.0, 1.0, 0.5, 1.0))
         assert r4.lhs == pytest.approx(0.125, rel=1e-12)
         assert r4.rhs == pytest.approx(0.125, rel=1e-12)
         assert r5.rel_residual <= 1e-12
 
     def test_exponential_fractional(self):
-        r4, r5 = check_e4_e5(get_entry("exp").func, FracParams(0.0, 1.0, 0.3, 0.75))
+        r4, r5 = halves(get_entry("exp").func, FracParams(0.0, 1.0, 0.3, 0.75))
         assert r4.rel_residual <= 1e-8
         assert r5.rel_residual <= 1e-8
-
-    def test_requires_strict_interior(self):
-        f = get_entry("square").func
-        with pytest.raises(DomainError):
-            check_e4_e5(f, FracParams(0.0, 1.0, 0.0, 0.5))
-        with pytest.raises(DomainError):
-            check_e4_e5(f, FracParams(0.0, 1.0, 1.0, 0.5))
 
     @pytest.mark.parametrize("fname", ["square", "exp", "threehalf"])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
@@ -150,12 +152,6 @@ class TestHalves:
         f = get_entry(fname).func
         prm = FracParams(0.0, 1.0, 0.375, alpha)
         pieces = pieces_at(f, prm)
-        from fracineq.identity import (
-            check_e1_from_pieces,
-            check_e4_from_pieces,
-            check_e5_from_pieces,
-        )
-
         r1 = check_e1_from_pieces(pieces)
         r4 = check_e4_from_pieces(pieces)
         r5 = check_e5_from_pieces(pieces)
@@ -187,7 +183,7 @@ class TestClassicalLemma:
         # 1e-12 match; verify it externally as well
         f = get_entry("exp").func
         classical = check_classical_lemma(f, 0.0, 1.0, x)
-        fractional = check_e1(f, FracParams(0.0, 1.0, x, 1.0))
+        fractional = check_e1_from_pieces(pieces_at(f, FracParams(0.0, 1.0, x, 1.0)))
         tol = ALPHA_ONE_MATCH_TOL * max(classical.scale, fractional.scale)
         assert abs(classical.lhs - fractional.lhs) <= tol
         assert abs(classical.rhs - fractional.rhs) <= tol

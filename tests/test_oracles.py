@@ -28,13 +28,15 @@ from scipy.special import betainc
 
 from fracineq.fracint import (
     MAX_ALPHA,
+    _scaled,
     Estimate,
     FracParams,
     moment_integral,
-    rl_left,
+    weighted_endpoint_integral,
 )
 from fracineq.funcatalog import get_entry
 from fracineq.identity import pieces_at
+from fracineq.specfun import gamma
 
 LARGE_ALPHAS = (8.0, 32.0, MAX_ALPHA)
 ALPHAS = (1e-6, 1e-4, 0.05, 0.25, 1.0, 2.0, 4.0) + LARGE_ALPHAS
@@ -125,8 +127,11 @@ def test_exp_matches_incomplete_gamma(alpha):
         jp = pieces_at(f, FracParams(0.0, 1.0, x, alpha)).jp
         assert_honest(jp, scaled_p(alpha, 1.0 - x, 1.0), f"jp x={x}", alpha)
         if x > 0.0:
-            left = rl_left(f, 0.0, x, alpha)
-            assert_honest(left, scaled_p(alpha, x, x), f"rl_left x={x}", alpha)
+            # J_{0+}^alpha f(x), the textbook left operator
+            left = _scaled(
+                1.0 / gamma(alpha), *weighted_endpoint_integral(f, 0.0, x, alpha, "hi")
+            )
+            assert_honest(left, scaled_p(alpha, x, x), f"left operator x={x}", alpha)
 
 
 @pytest.mark.parametrize("alpha", [1e-4, 1e-6])
