@@ -359,6 +359,17 @@ class TestDerivativeBound:
         assert get_entry("square").deriv_bound() == 2.0
         assert get_entry("affine").deriv_bound() == 1.0
 
+    def test_sampled_bound_covers_supremum(self):
+        # the claim is checked against the grid supremum of |f'|, with 1e-12 slack
+        sine = Function1D("sine", np.sin, np.cos, 0.0, 1.0)
+        entry = CatalogEntry(sine, (), (), 1.0, "sin(t)")
+        sup = float(np.max(np.abs(np.cos(sine.grid()))))
+        assert sup <= entry.deriv_bound() + 1e-12
+        assert entry.deriv_bound() == 1.0
+        assert dataclasses.replace(entry, analytic_m=sup - 1e-13).deriv_bound() == sup - 1e-13
+        with pytest.raises(CertificateError):
+            dataclasses.replace(entry, analytic_m=sup - 1e-9).deriv_bound()
+
     def test_refutes_false_claim(self):
         with pytest.raises(CertificateError):
             dataclasses.replace(get_entry("square"), analytic_m=0.5).deriv_bound()

@@ -1113,6 +1113,21 @@ class TestCli:
         for entry in builtin_catalog():
             assert f"  |f'| <= {entry.analytic_m!r} (analytic)" in lines, entry.name
 
+    def test_catalog_lists_registrations(self, capsys):
+        # each entry's s values print in order, with "none" for an empty list
+        assert cli.main(["catalog"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("pow150: f(t) = t^1.5 on [0, 1]")
+        assert lines[start + 2:start + 4] == [
+            "  s-convex registrations (|f'|): 0.25, 0.5",
+            "  s-concave registrations (|f'|^2): 1",
+        ]
+        start = lines.index("square: f(t) = t^2 on [0, 1]")
+        assert lines[start + 2:start + 4] == [
+            "  s-convex registrations (|f'|): 0.25, 0.5, 0.75, 1",
+            "  s-concave registrations (|f'|^2): none",
+        ]
+
     def test_catalog_detail_recertifies(self, capsys):
         assert cli.main(["catalog", "--function", "square"]) == 0
         assert "PASS" in capsys.readouterr().out

@@ -145,6 +145,22 @@ class TestHalves:
         assert r4.rel_residual <= 1e-8
         assert r5.rel_residual <= 1e-8
 
+    def test_requires_strict_interior(self, capsys):
+        # check-identity --halves checks the halves only at a < x < b; the
+        # endpoints get the full identity alone
+        argv = ["check-identity", "--function", "square", "--alpha", "0.5",
+                "--x", "0", "0.5", "1", "--halves"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            "square alpha=0.5 x=0",
+            "square alpha=0.5 x=0.5",
+            "  square alpha=0.5 x=0.5 half-a",
+            "  square alpha=0.5 x=0.5 half-b",
+            "square alpha=0.5 x=1",
+        ]
+        assert lines[-1] == "5 identity checks, 0 failures"
+
     @pytest.mark.parametrize("fname", ["square", "exp", "threehalf"])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_full_residual_is_difference_of_halves(self, fname, alpha):
