@@ -70,7 +70,6 @@ from .identity import (
     IdentityResidual,
     LemmaPieces,
     check_classical_lemma,
-    compute_pieces,
     compute_pieces_batch,
     pieces_at,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "DEFAULT_IDENTITY_TOL",
     "IdentityResidual",
     "LemmaPieces",
-    "compute_pieces",
     "compute_pieces_batch",
     "pieces_at",
     "check_classical_lemma",

@@ -559,7 +559,6 @@ def evaluate_block(
         nonneg = _nonnegative_on_grid(f, certs.cert_tol)
         mean_value = float(mean.value / width)
         budget = float(mean.error / width)
-        floor = -float(max(margin_tol, 10.0 * budget))
         at_mid = float(f.eval(0.5 * (a + b)))
         at_ends = float(f.eval(a)) + float(f.eval(b))
         sides = []  # per block row: its grid row, gate, note, lhs and rhs
@@ -589,8 +588,6 @@ def evaluate_block(
         lhs_at = point_of
         lhs = np.array([float(left.value) for left in lefts], dtype=float)
         budget = np.array([float(left.error) for left in lefts], dtype=float)
-        # per point, the lowest margin that still holds, read per row
-        floor = np.array([-float(max(margin_tol, 10.0 * err)) for err in budget.tolist()])[point_of]
         form = thm.rhs
         at_rows = [_At(a, b, None, alpha, s, p, q, M) for s, p, q in grid]
         coef = np.array([form.coef(at) for at in at_rows], dtype=float)
@@ -602,7 +599,8 @@ def evaluate_block(
         rhs = rhs[row_of, point_of]
     with np.errstate(all="ignore"):
         margin = rhs - lhs[lhs_at]
-        holds = margin >= floor
+        # the lowest margin that still holds; fmax, as Python's max, ignores a NaN budget
+        holds = margin >= -np.fmax(margin_tol, 10.0 * budget)[lhs_at]
     return RowBlock(
         theorem_id, entry.name, a, b, alpha, M, tuple(grid), tuple(asserted), tuple(notes),
         xs, lhs, budget, rhs, margin, holds, row_of, point_of, lhs_at,
@@ -640,25 +638,17 @@ def evaluate_theorem(
 # alpha = 1 reduction checks
 
 
-def reduction_check(
-    theorem_id: str,
-    interval: tuple[float, float] = (0.0, 1.0),
-    M: float = 2.0,
-    s_values: tuple[float, ...] = DEFAULT_S_GRID,
-    x_count: int = 11,
-    pq_pairs: tuple[tuple[float, float], ...] = DEFAULT_PQ_GRID,
-    q_values: tuple[float, ...] = _DEFAULT_Q_GRID,
-    f: Optional[Function1D] = None,
-) -> float:
-    """Maximum |fractional RHS at alpha=1 - classical RHS| over a grid.
+def reduction_check(theorem_id: str, f: Optional[Function1D] = None) -> float:
+    """Maximum |fractional RHS at alpha=1 - classical RHS| over a fixed grid.
 
     Pure closed-form arithmetic with no quadrature: the theorem's ``rhs`` and
     its ``twin`` from ``THEOREMS`` must coincide to REDUCTION_TOL at every
-    s, x and, as the theorem reads them, (p, q) pair or q value. E6 reduces
-    to e14, E7 to the Hoelder-structured classical form, E8proof to t5_146,
-    and E9 to t6_147 (E9 compares the bracket formulas directly, so any f
-    with an exact derivative works; the default is the catalog's (2/3)
-    t**1.5 entry).
+    s of DEFAULT_S_GRID, each of 11 uniform x on [0, 1] and, as the theorem
+    reads them, (p, q) pair of DEFAULT_PQ_GRID or q of _DEFAULT_Q_GRID, with
+    M = 2. E6 reduces to e14, E7 to the Hoelder-structured classical form,
+    E8proof to t5_146, and E9 to t6_147 (E9 compares the bracket formulas
+    directly, so any f with an exact derivative works; the default is the
+    catalog's (2/3) t**1.5 entry).
     """
     thm = THEOREMS.get(theorem_id)
     if thm is None or thm.twin is None:
@@ -667,11 +657,9 @@ def reduction_check(
         )
     if f is None:
         f = get_entry("threehalf").func
-    a, b = interval
-    xs = np.linspace(a, b, x_count)
     worst = 0.0
-    for s, p, q in thm.grid(s_values, pq_pairs, q_values):
-        for x in xs:
-            prm = FracParams(a, b, float(x), 1.0, s=s, p=p, q=q, M=M)
+    for s, p, q in thm.grid(DEFAULT_S_GRID, DEFAULT_PQ_GRID, _DEFAULT_Q_GRID):
+        for x in np.linspace(0.0, 1.0, 11):
+            prm = FracParams(0.0, 1.0, float(x), 1.0, s=s, p=p, q=q, M=2.0)
             worst = max(worst, abs(thm.rhs(prm, f) - thm.twin(prm, f)))
     return worst

@@ -69,11 +69,12 @@ from .harness import (
 )
 from .identity import (
     DEFAULT_IDENTITY_TOL,
+    IdentityResidual,
     check_classical_lemma,
     check_e1_from_pieces,
     check_e4_from_pieces,
     check_e5_from_pieces,
-    compute_pieces,
+    compute_pieces_batch,
 )
 
 __all__ = ["main", "build_parser"]
@@ -229,52 +230,43 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
     cfg = QuadratureConfig()
     checks = 0
     failures = 0
-    twins = None
 
-    def report(tag: str, rel: float, budget: float, ok: bool) -> None:
+    def report(tag: str, res: IdentityResidual | ConvergenceError) -> None:
         nonlocal checks, failures
         checks += 1
+        if isinstance(res, ConvergenceError):
+            failures += 1
+            print(f"{tag}: CONVERGENCE ERROR {res}")
+            return
+        ok = res.passes(args.tol)
         if not ok:
             failures += 1
         print(
-            f"{tag}: rel_residual={rel:.3e} budget={budget:.3e} "
-            f"{'PASS' if ok else 'FAIL'}"
+            f"{tag}: rel_residual={res.rel_residual:.3e} "
+            f"budget={res.quad_error_budget:.3e} {'PASS' if ok else 'FAIL'}"
         )
 
-    for alpha in args.alpha:
-        # one batched call per alpha; the full identity and both halves share it
-        try:
-            outcomes = compute_pieces(f, a, b, alpha, xs, cfg)
-        except ConvergenceError as exc:
-            outcomes = [exc] * len(xs)
-        if alpha == 1.0:
-            twins = outcomes
+    # one batch for the whole grid; the classical twins are its alpha = 1
+    # outcomes, from a job of their own when the grid has no alpha = 1
+    alphas = list(args.alpha)
+    if args.classical and 1.0 not in alphas:
+        alphas.append(1.0)
+    batch = compute_pieces_batch([(f, alpha) for alpha in alphas], a, b, xs, cfg)
+    for alpha, outcomes in zip(args.alpha, batch):
         for x, pieces in zip(xs, outcomes):
             tag = f"{f.name} alpha={alpha:g} x={x:g}"
             if isinstance(pieces, ConvergenceError):
-                checks += 1
-                failures += 1
-                print(f"{tag}: CONVERGENCE ERROR {pieces}")
+                report(tag, pieces)
                 continue
-            res = check_e1_from_pieces(pieces)
-            report(tag, res.rel_residual, res.quad_error_budget, res.passes(args.tol))
+            report(tag, check_e1_from_pieces(pieces))
             if args.halves and a < x < b:
-                for half, res in (
-                    ("half-a", check_e4_from_pieces(pieces)),
-                    ("half-b", check_e5_from_pieces(pieces)),
-                ):
-                    report(f"  {tag} {half}", res.rel_residual, res.quad_error_budget,
-                           res.passes(args.tol))
+                report(f"  {tag} half-a", check_e4_from_pieces(pieces))
+                report(f"  {tag} half-b", check_e5_from_pieces(pieces))
     if args.classical:
-        # the alpha = 1 twins come from one batch, the grid's own when it has one
-        if twins is None:
-            twins = compute_pieces(f, a, b, 1.0, xs, cfg)
-        for x, pieces in zip(xs, twins):
-            if isinstance(pieces, ConvergenceError):
-                raise pieces
-            res = check_classical_lemma(f, a, b, x, cfg, pieces=pieces)
-            report(f"{f.name} classical x={x:g}", res.rel_residual,
-                   res.quad_error_budget, res.passes(args.tol))
+        for x, pieces in zip(xs, batch[alphas.index(1.0)]):
+            if not isinstance(pieces, ConvergenceError):
+                pieces = check_classical_lemma(f, a, b, x, cfg, pieces=pieces)
+            report(f"{f.name} classical x={x:g}", pieces)
 
     print(f"{checks} identity checks, {failures} failures")
     return 0 if failures == 0 else 1

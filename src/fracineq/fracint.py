@@ -502,13 +502,11 @@ def moment_integral(
 
 
 def _check_domain(f: Union[Function1D, Callable], lo: float, hi: float) -> None:
-    if isinstance(f, Function1D):
-        slack = 1e-12 * max(1.0, abs(f.domain_lo), abs(f.domain_hi))
-        if lo < f.domain_lo - slack or hi > f.domain_hi + slack:
-            raise DomainError(
-                f"[{lo}, {hi}] is outside the domain of {f.name} "
-                f"([{f.domain_lo}, {f.domain_hi}])"
-            )
+    if isinstance(f, Function1D) and f.outside(lo, hi):
+        raise DomainError(
+            f"[{lo}, {hi}] is outside the domain of {f.name} "
+            f"([{f.domain_lo}, {f.domain_hi}])"
+        )
 
 
 def oracle(

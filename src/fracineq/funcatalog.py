@@ -89,6 +89,11 @@ class Function1D:
     def __call__(self, t):
         return self.eval(t)
 
+    def outside(self, lo: float, hi: float) -> bool:
+        """Whether [lo, hi] leaves the domain by more than 1e-12 of its scale."""
+        slack = 1e-12 * max(1.0, abs(self.domain_lo), abs(self.domain_hi))
+        return lo < self.domain_lo - slack or hi > self.domain_hi + slack
+
     def grid(self, n: int = 1001) -> np.ndarray:
         return np.linspace(self.domain_lo, self.domain_hi, n)
 
@@ -145,11 +150,11 @@ def _target_callable(f: Function1D, target: str, q: float):
         return lambda t: np.asarray(f.eval(t), dtype=float)
     if target == TARGET_FPRIME:
         return lambda t: np.abs(np.asarray(f.deriv(t), dtype=float))
-    if target == TARGET_FPRIME_POW:
-        return lambda t: np.abs(np.asarray(f.deriv(t), dtype=float)) ** q
-    raise ConfigError(f"unknown certification target {target!r}")
+    return lambda t: np.abs(np.asarray(f.deriv(t), dtype=float)) ** q  # TARGET_FPRIME_POW
 
 
+# a non-finite |f'|**q makes a NaN violation, whose certificate fails
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def certify_batch(
     f: Function1D,
     s_values: Sequence[float],

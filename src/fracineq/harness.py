@@ -236,12 +236,10 @@ class SweepConfig:
                     "s-concavity hypothesis is in play"
                 )
             for name in self.functions:
-                if name in known:
-                    fn = get_entry(name).func
-                    if a < fn.domain_lo - 1e-12 or b > fn.domain_hi + 1e-12:
-                        problems.append(
-                            f"interval: {self.interval!r} outside domain of {name!r}"
-                        )
+                if name in known and get_entry(name).func.outside(a, b):
+                    problems.append(
+                        f"interval: {self.interval!r} outside domain of {name!r}"
+                    )
         if not self.alphas:
             problems.append("alphas: must not be empty")
         for al in self.alphas:
@@ -463,13 +461,9 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     points_at: dict[tuple[str, float], list[tuple[float, LemmaPieces]]] = {}
     residuals: list[ResidualRecord] = []
     convergence_errors: list[str] = []
-    # one batched quadrature call covers every x of every (function, alpha);
-    # a call that raises as a whole fails each of its points
+    # one batched quadrature call covers every x of every (function, alpha)
     jobs = [(entry, alpha) for entry in entries for alpha in cfg.alphas]
-    try:
-        batch = compute_pieces_batch([(e.func, al) for e, al in jobs], a, b, xs, qcfg)
-    except ConvergenceError as exc:
-        batch = [[exc] * len(xs)] * len(jobs)
+    batch = compute_pieces_batch([(e.func, al) for e, al in jobs], a, b, xs, qcfg)
     for (entry, alpha), outcomes in zip(jobs, batch):
         points: list[tuple[float, LemmaPieces]] = []
         for x, pieces in zip(xs, outcomes):

@@ -51,7 +51,6 @@ __all__ = [
     "ALPHA_ONE_MATCH_TOL",
     "IdentityResidual",
     "LemmaPieces",
-    "compute_pieces",
     "compute_pieces_batch",
     "pieces_at",
     "check_e1_from_pieces",
@@ -131,21 +130,6 @@ class LemmaPieces:
         return Estimate(abs(check_e1_from_pieces(self).lhs), budget)
 
 
-def compute_pieces(
-    f: Function1D,
-    a: float,
-    b: float,
-    alpha: float,
-    xs: Sequence[float],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> list[Union[LemmaPieces, ConvergenceError]]:
-    """Evaluate the four quadratures the identity and bounds share, at every x.
-
-    This is :func:`compute_pieces_batch` with the one job (f, alpha).
-    """
-    return compute_pieces_batch(((f, alpha),), a, b, xs, cfg)[0]
-
-
 def compute_pieces_batch(
     jobs: Sequence[tuple[Function1D, float]],
     a: float,
@@ -218,8 +202,8 @@ def pieces_at(
     prm: FracParams,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> LemmaPieces:
-    """:func:`compute_pieces` at the single point prm; raises its ConvergenceError."""
-    (got,) = compute_pieces(f, prm.a, prm.b, prm.alpha, (prm.x,), cfg)
+    """:func:`compute_pieces_batch` at the single point prm; raises its ConvergenceError."""
+    ((got,),) = compute_pieces_batch(((f, prm.alpha),), prm.a, prm.b, (prm.x,), cfg)
     if isinstance(got, ConvergenceError):
         raise got
     return got
@@ -284,7 +268,7 @@ def check_classical_lemma(
     ALPHA_ONE_MATCH_TOL (relative to the residual scale), and a disagreement
     raises rather than returning silently inconsistent data. ``pieces``, when
     given, are the alpha = 1 pieces at (a, b, x), for instance one x of a
-    :func:`compute_pieces` batch; otherwise they are computed here.
+    :func:`compute_pieces_batch` job; otherwise they are computed here.
     """
     prm = FracParams(a=a, b=b, x=x, alpha=1.0)
     if pieces is None:

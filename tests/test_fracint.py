@@ -39,7 +39,7 @@ from fracineq.fracint import (
     weighted_endpoint_integral,
 )
 from fracineq.funcatalog import Function1D, builtin_catalog, get_entry
-from fracineq.identity import compute_pieces, pieces_at
+from fracineq.identity import compute_pieces_batch, pieces_at
 from fracineq.specfun import gamma
 
 TWO_OVER_SQRT_PI = 1.1283791670955126
@@ -157,7 +157,7 @@ class TestLeftOperator:
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):
-            compute_pieces(get_entry("square").func, 0.0, 2.0, 1.0, (1.0,))
+            compute_pieces_batch(((get_entry("square").func, 1.0),), 0.0, 2.0, (1.0,))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -366,7 +366,8 @@ class TestLaneEngine:
             for alpha in (0.25, 1.0, 2.0):
                 ginv = 1.0 / gamma(alpha)
                 xs = tuple(float(v) for v in np.linspace(0.0, 1.0, 11))
-                for x, got in zip(xs, compute_pieces(f, 0.0, 1.0, alpha, xs)):
+                (outcomes,) = compute_pieces_batch(((f, alpha),), 0.0, 1.0, xs)
+                for x, got in zip(xs, outcomes):
                     want = (
                         _scaled(ginv, *weighted_endpoint_integral(f, 0.0, x, alpha, "lo"))
                         if x > 0.0 else empty,

@@ -76,6 +76,37 @@ SMALL = SweepConfig(
 )
 
 
+def _stall_lanes(monkeypatch, module, picked):
+    """Give each lane that ``picked(start, end, beta)`` selects an integrand
+    that cannot converge in 8 subdivisions, the budget ``module``'s
+    quadrature config is held to; every other lane is left as it is."""
+    real = fracint._lanes
+
+    def rigged(h, start, end, beta):
+        lanes = real(h, start, end, beta)
+        bad = picked(np.asarray(start), np.asarray(end), np.asarray(beta))
+
+        def fn(lane, v):
+            nasty = np.sin(1000.0 * v**2) / (0.001 + v)
+            return np.where(bad[lane, None], nasty, lanes.fn(lane, v))
+
+        return dataclasses.replace(lanes, fn=fn)
+
+    monkeypatch.setattr(fracint, "_lanes", rigged)
+    monkeypatch.setattr(
+        module, "QuadratureConfig", functools.partial(QuadratureConfig, max_subdivisions=8)
+    )
+
+
+def _every_lane(start, end, beta):
+    return np.ones(np.shape(start), dtype=bool)
+
+
+def _moment_lane_at_half(start, end, beta):
+    # the moment lane (beta = alpha + 1 = 2) of x = 0.5 toward a = 0
+    return (end == 0.5) & (start == 0.0) & (beta == 2.0)
+
+
 @pytest.fixture(scope="module")
 def small_result():
     return run_sweep(SMALL)
@@ -337,10 +368,7 @@ class TestRunSweep:
             run_sweep(SMALL, workers=2)
 
     def test_convergence_errors_are_recorded_not_fatal(self, monkeypatch):
-        def stall(*args, **kwargs):
-            raise ConvergenceError("subdivision budget exhausted", 0.0, 1.0)
-
-        monkeypatch.setattr("fracineq.harness.compute_pieces_batch", stall)
+        _stall_lanes(monkeypatch, harness, _every_lane)
         cfg = SweepConfig(
             functions=("affine",),
             alphas=(0.5,),
@@ -353,13 +381,10 @@ class TestRunSweep:
         assert result.summary["convergence_errors"] == 1
         assert result.summary["total"] == 0
         assert "affine" in result.convergence_errors[0]
-        assert "budget exhausted" in result.convergence_errors[0]
+        assert "8 subdivisions" in result.convergence_errors[0]
 
     def test_a_failed_batch_fails_every_point_in_config_order(self, monkeypatch):
-        def stall(*args, **kwargs):
-            raise ConvergenceError("subdivision budget exhausted", 0.0, 1.0)
-
-        monkeypatch.setattr(harness, "compute_pieces_batch", stall)
+        _stall_lanes(monkeypatch, harness, _every_lane)
         cfg = dataclasses.replace(
             SMALL, functions=("square", "affine"), alphas=(1.0, 0.5), theorems=("E6",)
         )
@@ -386,29 +411,9 @@ class TestRunSweep:
         assert render_csv(result) == render_csv(small_result)
 
     def test_a_lane_that_fails_fails_only_its_point(self, monkeypatch):
-        # the moment lane (beta = alpha + 1 = 2) of x = 0.5 toward a gets an
-        # integrand that cannot converge in 8 subdivisions; the batch's other
-        # points still give rows
-        real = fracint._lanes
-
-        def rigged(h, start, end, beta):
-            lanes = real(h, start, end, beta)
-            bad = (
-                (np.asarray(end) == 0.5) & (np.asarray(start) == 0.0)
-                & (np.asarray(beta) == 2.0)
-            )
-
-            def fn(lane, v):
-                nasty = np.sin(1000.0 * v**2) / (0.001 + v)
-                return np.where(bad[lane, None], nasty, lanes.fn(lane, v))
-
-            return dataclasses.replace(lanes, fn=fn)
-
-        monkeypatch.setattr(fracint, "_lanes", rigged)
-        monkeypatch.setattr(
-            harness, "QuadratureConfig",
-            functools.partial(QuadratureConfig, max_subdivisions=8),
-        )
+        # the moment lane of x = 0.5 toward a fails; the batch's other points
+        # still give rows
+        _stall_lanes(monkeypatch, harness, _moment_lane_at_half)
         cfg = SweepConfig(
             functions=("affine",),
             alphas=(1.0,),
@@ -1158,21 +1163,21 @@ class TestCli:
         assert ret == 0
         assert "0 failures" in capsys.readouterr().out
 
-    def test_check_identity_integrates_once_per_alpha(self, capsys, monkeypatch):
+    def test_check_identity_integrates_its_grid_in_one_batch(self, capsys, monkeypatch):
         calls = []
-        real = identity.compute_pieces_batch
+        real = cli.compute_pieces_batch
 
         def counted(jobs, a, b, xs, cfg):
-            calls.append(xs)
+            calls.append(([alpha for _, alpha in jobs], len(xs)))
             return real(jobs, a, b, xs, cfg)
 
-        monkeypatch.setattr(identity, "compute_pieces_batch", counted)
+        monkeypatch.setattr(cli, "compute_pieces_batch", counted)
         ret = cli.main(
             ["check-identity", "--function", "square", "--alpha", "0.5", "1.0",
              "--x-count", "5", "--halves"]
         )
         assert ret == 0
-        assert [len(xs) for xs in calls] == [5, 5]
+        assert calls == [([0.5, 1.0], 5)]
         out = capsys.readouterr().out
         assert out.count("half-a") == 10 and "30 identity checks, 0 failures" in out
 
@@ -1180,23 +1185,21 @@ class TestCli:
     def test_check_identity_classical_twins_come_from_one_batch(
         self, alphas, capsys, monkeypatch
     ):
-        # the alpha = 1 twins reuse the grid's alpha = 1 batch when there is
-        # one and take one batch of their own otherwise
+        # the alpha = 1 twins are the grid's one batch's alpha = 1 job: the
+        # grid's own when it has one, one added to the batch otherwise
         calls = []
-        real = identity.compute_pieces_batch
+        real = cli.compute_pieces_batch
 
         def counted(jobs, a, b, xs, cfg):
-            ((_, alpha),) = jobs
-            calls.append((alpha, len(xs)))
+            calls.append(([(f.name, alpha) for f, alpha in jobs], len(xs)))
             return real(jobs, a, b, xs, cfg)
 
-        monkeypatch.setattr(identity, "compute_pieces_batch", counted)
+        monkeypatch.setattr(cli, "compute_pieces_batch", counted)
         argv = ["check-identity", "--function", "square", "--alpha", *alphas,
                 "--x-count", "5", "--classical"]
         assert cli.main(argv) == 0
-        assert calls == [(0.5, 5), (1.0, 5)]
+        assert calls == [([("square", 0.5), ("square", 1.0)], 5)]
         lines = capsys.readouterr().out.splitlines()
-        monkeypatch.setattr(identity, "compute_pieces_batch", real)
         f = get_entry("square").func
         xs = [float(v) for v in np.linspace(0.0, 1.0, 7)[1:-1]]
         want = []
@@ -1212,18 +1215,20 @@ class TestCli:
     def test_check_identity_convergence_error_fails_its_point_alone(
         self, capsys, monkeypatch
     ):
-        real = identity.compute_pieces_batch
+        real = cli.compute_pieces_batch
 
         def one_fails(jobs, a, b, xs, cfg):
-            (got,) = real(jobs, a, b, xs, cfg)
-            return [[
-                ConvergenceError("stalled", 0.0, 1.0) if x == 0.5 else g
-                for x, g in zip(xs, got)
-            ]]
+            return [
+                [
+                    ConvergenceError("stalled", 0.0, 1.0) if (alpha, x) == (0.5, 0.5) else g
+                    for x, g in zip(xs, got)
+                ]
+                for (_, alpha), got in zip(jobs, real(jobs, a, b, xs, cfg))
+            ]
 
-        monkeypatch.setattr(identity, "compute_pieces_batch", one_fails)
+        monkeypatch.setattr(cli, "compute_pieces_batch", one_fails)
         ret = cli.main(
-            ["check-identity", "--function", "square", "--alpha", "0.5",
+            ["check-identity", "--function", "square", "--alpha", "0.5", "2.0",
              "--x", "0.25", "0.5", "0.75", "--halves"]
         )
         assert ret == 1
@@ -1231,8 +1236,25 @@ class TestCli:
         assert [line for line in lines if "CONVERGENCE ERROR" in line] == [
             "square alpha=0.5 x=0.5: CONVERGENCE ERROR stalled"
         ]
-        assert sum("PASS" in line for line in lines) == 6
-        assert lines[-1] == "7 identity checks, 1 failures"
+        assert sum("PASS" in line for line in lines) == 6 + 9
+        assert lines[-1] == "16 identity checks, 1 failures"
+
+    def test_check_identity_failed_twin_fails_its_point_alone(self, capsys, monkeypatch):
+        # the alpha = 1 moment lane of x = 0.5 fails: its classical check is
+        # one failed point, and the command still prints every other line
+        _stall_lanes(monkeypatch, cli, _moment_lane_at_half)
+        ret = cli.main(
+            ["check-identity", "--function", "square", "--alpha", "0.5",
+             "--x", "0.25", "0.5", "--classical"]
+        )
+        assert ret == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if "CONVERGENCE ERROR" in line]
+        assert len(failed) == 1
+        assert failed[0].startswith("square classical x=0.5: CONVERGENCE ERROR ")
+        assert "8 subdivisions" in failed[0]
+        assert sum("PASS" in line for line in lines) == 3
+        assert lines[-1] == "4 identity checks, 1 failures"
 
     def test_verify_certified_bound_holds(self, capsys):
         assert cli.main(["verify", "--theorem", "E6", "--function", "square"]) == 0
@@ -1274,6 +1296,41 @@ class TestCli:
             assert cli.main(["verify", *argv.split()]) == 2
         err = capsys.readouterr().err
         assert f"error: {interval} is outside the domain of" in err
+
+    @pytest.mark.parametrize(
+        "theorem, given, spelled_out",
+        [
+            ("E7", "--p 3", "--p 3 --q 1.5"),
+            ("E7", "--q 3", "--p 1.5 --q 3"),
+            ("E8proof", "--p 3", "--q 1.5"),
+        ],
+    )
+    def test_verify_takes_the_conjugate_of_one_exponent(
+        self, capsys, theorem, given, spelled_out
+    ):
+        outs = []
+        for flags in (given, spelled_out):
+            argv = ["verify", "--theorem", theorem, "--function", "square", *flags.split()]
+            assert cli.main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "HOLDS" in outs[0]
+
+    def test_verify_refuses_a_conjugate_exponent_of_one(self, capsys):
+        assert cli.main(["verify", "--theorem", "E7", "--function", "square", "--q", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "error: conjugate exponent requires a value > 1, got 1.0" in err
+
+    def test_verify_of_a_q_that_overflows_the_certificate_skips_quietly(self, capsys):
+        # q ~ 1e10 makes |f'|**q overflow on the certificate grid: the NaN
+        # violation fails the certificate without a RuntimeWarning
+        argv = ["verify", "--theorem", "t6_147", "--function", "pow150", "--p", "1.0000000001"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "SKIPPED (hypothesis not certified: FAIL s-concave" in out
+        assert "max violation nan" in out
 
     def test_verify_rejects_a_nan_cert_tol(self, capsys):
         # a NaN tolerance would fail every certificate with a 0 violation
@@ -1427,11 +1484,18 @@ class TestCli:
         body = out.read_text(encoding="utf-8").splitlines()[1:]
         assert body and all(line.startswith("e1,") for line in body)
 
-    def test_sweep_convergence_error_exits_one(self, capsys, monkeypatch):
-        def stall(*args, **kwargs):
-            raise ConvergenceError("subdivision budget exhausted", 0.0, 1.0)
+    def test_sweep_on_another_interval_is_run_sweep_of_it(self, capsys):
+        argv = ["sweep", "--functions", "square", "--alphas", "0.5", "--x-count", "3",
+                "--interval", "0.2", "0.9"]
+        assert cli.main(argv) == 0
+        cfg = dataclasses.replace(
+            default_config(), functions=("square",), alphas=(0.5,), x_points=3,
+            interval=(0.2, 0.9),
+        )
+        assert capsys.readouterr().out == render_csv(run_sweep(cfg))
 
-        monkeypatch.setattr("fracineq.harness.compute_pieces_batch", stall)
+    def test_sweep_convergence_error_exits_one(self, capsys, monkeypatch):
+        _stall_lanes(monkeypatch, harness, _every_lane)
         ret = cli.main(
             [
                 "sweep",
@@ -1619,7 +1683,9 @@ def test_rows_come_out_in_the_order_a_stable_sort_gives():
     for name in cfg.functions:
         entry = get_entry(name)
         for alpha in cfg.alphas:
-            outcomes = identity.compute_pieces(entry.func, 0.0, 1.0, alpha, cfg.x_points, qcfg)
+            (outcomes,) = identity.compute_pieces_batch(
+                ((entry.func, alpha),), 0.0, 1.0, cfg.x_points, qcfg
+            )
             for x, pieces in zip(cfg.x_points, outcomes):
                 for thm in thms:
                     if thm.fractional:

@@ -25,7 +25,6 @@ from fracineq.identity import (
     check_e1_from_pieces,
     check_e4_from_pieces,
     check_e5_from_pieces,
-    compute_pieces,
     compute_pieces_batch,
     pieces_at,
 )
@@ -227,14 +226,14 @@ class TestClassicalLemma:
         # point are refused rather than cross-checked against
         f = get_entry("exp").func
         xs = (0.0, 0.3, 1.0)
-        batch = compute_pieces(f, 0.0, 1.0, 1.0, xs)
+        (batch,) = compute_pieces_batch(((f, 1.0),), 0.0, 1.0, xs)
         for x, pieces in zip(xs, batch):
             assert check_classical_lemma(f, 0.0, 1.0, x, pieces=pieces) == (
                 check_classical_lemma(f, 0.0, 1.0, x)
             )
         with pytest.raises(ConfigError, match="twin pieces"):
             check_classical_lemma(f, 0.0, 1.0, 0.3, pieces=batch[0])
-        (half,) = compute_pieces(f, 0.0, 1.0, 0.5, (0.3,))
+        ((half,),) = compute_pieces_batch(((f, 0.5),), 0.0, 1.0, (0.3,))
         with pytest.raises(ConfigError, match="twin pieces"):
             check_classical_lemma(f, 0.0, 1.0, 0.3, pieces=half)
 
@@ -269,7 +268,7 @@ class TestClassicalLemma:
     def test_shares_the_twins_moment_integrals(self, monkeypatch, capsys):
         # the moment integrals are the twin pieces' ia and ib; the route
         # integrates only its two plain halves per x: one batch for the
-        # alpha = 0.5 grid, one for the alpha = 1 twins, then 2 per x
+        # alpha = 0.5 grid and its alpha = 1 twins, then 2 per x
         calls = []
         real = fracint._integrate
 
@@ -281,7 +280,7 @@ class TestClassicalLemma:
         args = ["check-identity", "--function", "exp", "--alpha", "0.5", "--x-count", "5",
                 "--classical"]
         assert main(args) == 0
-        assert len(calls) == 2 + 2 * 5
+        assert len(calls) == 1 + 2 * 5
         assert capsys.readouterr().out.endswith("10 identity checks, 0 failures\n")
 
 
@@ -290,7 +289,7 @@ def test_grid_pieces_equal_one_x_pieces_bit_for_bit(entry):
     # all x of one (function, alpha) share a batch; no x may feel the others
     xs = tuple(float(v) for v in np.linspace(0.0, 1.0, 11))
     for alpha in (0.25, 1.0, 2.0):
-        grid = compute_pieces(entry.func, 0.0, 1.0, alpha, xs)
+        (grid,) = compute_pieces_batch(((entry.func, alpha),), 0.0, 1.0, xs)
         for x, pieces in zip(xs, grid):
             alone = pieces_at(entry.func, FracParams(0.0, 1.0, x, alpha))
             bits = [
@@ -317,7 +316,7 @@ class TestPiecesBatch:
         batch = compute_pieces_batch(jobs, 0.0, 1.0, self.XS)
         assert len(batch) == len(jobs)
         for (f, alpha), got in zip(jobs, batch):
-            want = compute_pieces(f, 0.0, 1.0, alpha, self.XS)
+            (want,) = compute_pieces_batch(((f, alpha),), 0.0, 1.0, self.XS)
             assert _bits(got) == _bits(want), (f.name, alpha)
             assert got == want
 
@@ -335,7 +334,8 @@ class TestPiecesBatch:
             isinstance(p, ConvergenceError) and "not finite" in str(p) for p in batch[1]
         )
         for (f, alpha), got in zip(good, (batch[0], batch[2])):
-            assert _bits(got) == _bits(compute_pieces(f, 0.0, 1.0, alpha, self.XS))
+            (want,) = compute_pieces_batch(((f, alpha),), 0.0, 1.0, self.XS)
+            assert _bits(got) == _bits(want)
             assert not any(isinstance(p, ConvergenceError) for p in got)
 
     def test_default_grid_in_one_batch_does_the_same_work_in_fewer_rounds(
@@ -359,7 +359,7 @@ class TestPiecesBatch:
 
         monkeypatch.setattr(fracint, "_qk21", counted)
         jobs = [(e.func, alpha) for e in builtin_catalog() for alpha in ALPHAS]
-        per_job = [work(compute_pieces, f, 0.0, 1.0, alpha, self.XS) for f, alpha in jobs]
+        per_job = [work(compute_pieces_batch, ((f, alpha),), 0.0, 1.0, self.XS) for f, alpha in jobs]
         rounds, intervals = work(compute_pieces_batch, jobs, 0.0, 1.0, self.XS)
         assert sum(r for r, _ in per_job) == 522
         assert sum(n for _, n in per_job) == intervals == 6_212
