@@ -37,10 +37,10 @@ carry quadrature error budgets that the pass/fail tolerance couples to.
 ``THEOREMS`` states each bound's hypothesis, parameters, right-hand side and
 alpha = 1 twin once; everything that handles a theorem id reads it there.
 Each right-hand side is a ``ClosedForm`` ``coef(row) * shape(point) /
-div(row)``: ``evaluate_block`` takes its parts once per grid row or point
-and the rest as numpy broadcasts, bit for bit as the scalar form, and
-returns a ``RowBlock`` of columns; ``ReportRows`` reads blocks as a list of
-``InequalityReport``.
+div(row)``: ``evaluate_block`` takes its parts once per (alpha, grid row)
+or point and the rest as numpy arrays, bit for bit as the scalar form, and
+returns a ``RowBlock`` of columns per (theorem, function); ``ReportRows``
+reads blocks as a list of ``InequalityReport``.
 """
 
 from __future__ import annotations
@@ -139,30 +139,30 @@ class InequalityReport:
 
 
 class RowBlock(NamedTuple):
-    """One (theorem, function, alpha)'s report rows as columns, in report order.
+    """One (theorem, function)'s report rows as columns, in report order.
 
     ``evaluate_block`` makes it. Each column is stored once, on the axis it
-    varies on: the block (theorem_id, function, a, b, alpha, M); the grid
-    row (``grid``'s s, p, q, ``asserted``, ``note``; e13 has a grid row per
-    side of its pair); the point (``x``); the left-hand side (the float64
-    ``lhs`` and ``quad_error_budget``, per point, or per grid row for e13's
-    sides); the report row (the float64 or bool ``rhs``, ``margin``,
-    ``holds``). The index arrays ``row``, ``point`` and ``lhs_at`` (``point``
-    or ``row``) place each report row on the axes. ``stored(name)`` gives a
-    field with its index array, ``report(i)`` the i-th row's
-    ``InequalityReport``. (A named tuple: importing the package builds the
-    class, and a dataclass of this size takes a millisecond to build.)
+    varies on: the block (theorem_id, function, a, b, M); the grid row
+    (``grid``'s s, p, q, ``asserted``, ``note``; e13 has a grid row per side
+    of its pair); the point (``alpha`` and ``x``, alpha by alpha); the
+    left-hand side (the float64 ``lhs`` and ``quad_error_budget``, per point,
+    or per grid row for e13's sides); the report row (the float64 or bool
+    ``rhs``, ``margin``, ``holds``). The index arrays ``row``, ``point`` and
+    ``lhs_at`` (``point`` or ``row``) place each report row on the axes.
+    ``stored(name)`` gives a field with its index array, ``report(i)`` the
+    i-th row's ``InequalityReport``. (A named tuple: importing the package
+    builds the class; a dataclass of this size takes a millisecond.)
     """
 
     theorem_id: str
     function: str
     a: float
     b: float
-    alpha: float
     M: float
     grid: tuple[GridRow, ...]
     asserted: tuple[bool, ...]
     note: tuple[str, ...]
+    alpha: tuple[float, ...]
     x: tuple[float, ...]
     lhs: np.ndarray
     quad_error_budget: np.ndarray
@@ -178,7 +178,7 @@ class RowBlock(NamedTuple):
         s, p, q = self.grid[r]
         return InequalityReport(
             self.theorem_id, self.function,
-            FracParams(self.a, self.b, self.x[j], self.alpha, s, p, q, self.M),
+            FracParams(self.a, self.b, self.x[j], self.alpha[j], s, p, q, self.M),
             float(self.lhs[k]), float(self.rhs[i]), float(self.margin[i]), bool(self.holds[i]),
             float(self.quad_error_budget[k]), self.asserted[r], self.note[r],
         )
@@ -193,8 +193,9 @@ class RowBlock(NamedTuple):
             return tuple(map(itemgetter(GridRow._fields.index(name)), self.grid)), self.row
         if name in ("rhs", "margin", "holds"):
             return getattr(self, name), ...
-        return getattr(self, name), {"asserted": self.row, "note": self.row, "x": self.point,
-                                     "lhs": self.lhs_at, "quad_error_budget": self.lhs_at}.get(name)
+        return getattr(self, name), {"asserted": self.row, "note": self.row, "alpha": self.point,
+                                     "x": self.point, "lhs": self.lhs_at,
+                                     "quad_error_budget": self.lhs_at}.get(name)
 
 
 class ReportRows(Sequence):
@@ -250,8 +251,8 @@ def _gamma_ratio(alpha: float, s: float) -> float:
 
 
 # the FracParams fields a closed form's parts read, unchecked: evaluate_block
-# passes one grid row's to coef and div and one point's to shape, None for
-# the fields they never read
+# passes one (alpha, grid row)'s to coef and div and one point's to shape,
+# None for the fields they never read
 _At = namedtuple("_At", "a b x alpha s p q M")
 
 
@@ -497,24 +498,25 @@ def _nonnegative_on_grid(f: Function1D, tol: float) -> bool:
 
 
 @functools.lru_cache(maxsize=256)
-def _report_order(runs: tuple[int, ...], n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each report row's grid row and point: per run of grid rows (``runs``
-    gives their lengths), then per point, then per grid row of the run."""
-    order = [(start + k, j) for start, size in zip(accumulate((0, *runs)), runs)
-             for j in range(n_points) for k in range(size)]
-    row, point = np.array(order, dtype=np.intp).reshape(-1, 2).T.copy()
-    row.flags.writeable = point.flags.writeable = False  # shared by blocks of this shape
-    return row, point
+def _report_order(runs: tuple[int, ...], sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Each report row's grid row, point and group of points (one per alpha,
+    of ``sizes``): per group, per run of ``runs``, per point, per grid row."""
+    order = [(start + k, first + j, g)
+             for g, (first, n) in enumerate(zip(accumulate((0, *sizes)), sizes))
+             for start, size in zip(accumulate((0, *runs)), runs)
+             for j in range(n) for k in range(size)]
+    got = np.array(order, dtype=np.intp).reshape(-1, 3).T.copy()
+    got.flags.writeable = False  # shared by blocks of this shape
+    return tuple(got)
 
 
 def evaluate_block(
     theorem_id: str,
     entry: CatalogEntry,
     interval: tuple[float, float],
-    alpha: float,
     M: float,
     grid: Sequence[GridRow],
-    points: Sequence[tuple[float, Optional[LemmaPieces]]],
+    points: Sequence[tuple[float, float, Optional[LemmaPieces]]],
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     margin_tol: float = DEFAULT_MARGIN_TOL,
     certs: Optional[CertCache] = None,
@@ -522,16 +524,16 @@ def evaluate_block(
 ) -> RowBlock:
     """Evaluate one theorem on every (s, p, q) of ``grid`` at every point.
 
-    ``points`` are (x, pieces) pairs sharing function and alpha; pieces may
-    be None, and classical theorems read none. Each grid row is checked and
-    certified once for the whole block. The right-hand sides are the
-    theorem's ``ClosedForm``: its coefficient and divisor once per grid row,
-    its shape once per point, and their (grid row x point) product and
-    quotient as one numpy broadcast; margins and verdicts follow the same
-    way. Rows come out per run of grid rows sharing (s, p), then per point,
-    then per grid row of the run, so a grid from ``Theorem.grid`` over
-    ascending s, p and x gives the report order. The Hermite-Hadamard pair
-    (e13), which reads no p, gives two block rows per grid row, one per side.
+    ``points`` are (alpha, x, pieces) triples of one function, each alpha's
+    together; pieces may be None, and classical theorems read none. Each grid
+    row is checked and certified once for all the alphas. The right-hand
+    sides are the theorem's ``ClosedForm``: coefficient and divisor once per
+    (alpha, grid row), shape once per point, their product and quotient, the
+    margins and the verdicts per report row in numpy. Rows come out per
+    alpha, per run of grid rows sharing (s, p), per point, then per grid row
+    of the run, so points ascending in (alpha, x) and a grid from
+    ``Theorem.grid`` over ascending s and p give the report order. The
+    Hermite-Hadamard pair (e13) gives two block rows per grid row, one per side.
     """
     thm = THEOREMS.get(theorem_id)
     if thm is None:
@@ -552,7 +554,10 @@ def evaluate_block(
         notes.append("" if asserted[-1] else certs.skip_note(cert))
     if not thm.fractional and mean is None:
         mean = plain_integral(f, a, b, cfg)
-    xs = tuple(x for x, _ in points)
+    alphas = tuple(alpha for alpha, _, _ in points)
+    xs = tuple(x for _, x, _ in points)
+    groups = [(alpha, len(list(run))) for alpha, run in groupby(alphas)]  # each alpha's points
+    sizes = tuple(size for _, size in groups)
     width = b - a
 
     if theorem_id == "e13":  # the Hermite-Hadamard pair; f >= 0 is assumed too
@@ -571,39 +576,38 @@ def evaluate_block(
                           mean_value))
             sides.append((row, ok, lead + "hh-upper", mean_value, float(at_ends / (row.s + 1.0))))
         grid, asserted, notes, lhs, rhs = ([side[k] for side in sides] for k in range(5))
-        row_of, point_of = _report_order((2,) * len(sides[::2]), len(xs))
+        row_of, point_of, _ = _report_order((2,) * len(sides[::2]), sizes)
         lhs_at = row_of  # each side of the pair has its own lhs
         lhs, rhs = np.array(lhs, dtype=float), np.array(rhs, dtype=float)[row_of]
         budget = np.full(len(grid), budget)
     else:
         runs = tuple(len(list(run)) for _, run in groupby(grid, key=itemgetter(0, 1)))
-        row_of, point_of = _report_order(runs, len(xs))
-        at_points = [_At(a, b, x, alpha, None, None, None, M) for x in xs]
+        row_of, point_of, group_of = _report_order(runs, sizes)
+        at_points = [_At(a, b, x, alpha, None, None, None, M) for alpha, x, _ in points]
         if thm.fractional:
             lefts = [(pieces_at(f, at, cfg) if pieces is None else pieces).abs_lhs
-                     for at, (_, pieces) in zip(at_points, points)]
+                     for at, (_, _, pieces) in zip(at_points, points)]
         else:  # |f(x) - integral mean|
             lefts = [Estimate(abs(float(f.eval(x)) - mean.value / width), mean.error / width)
                      for x in xs]
         lhs_at = point_of
-        lhs = np.array([float(left.value) for left in lefts], dtype=float)
-        budget = np.array([float(left.error) for left in lefts], dtype=float)
+        lhs, budget = np.array(lefts, dtype=float).reshape(-1, 2).T.copy()
         form = thm.rhs
-        at_rows = [_At(a, b, None, alpha, s, p, q, M) for s, p, q in grid]
-        coef = np.array([form.coef(at) for at in at_rows], dtype=float)
+        # coef and div per cell: per alpha's group of points, per grid row
+        at_cells = [_At(a, b, None, alpha, s, p, q, M) for alpha, _ in groups for s, p, q in grid]
+        cell = group_of * len(grid) + row_of
         shape = np.array([form.shape(at, f) for at in at_points], dtype=float)
         with np.errstate(all="ignore"):  # IEEE results without warnings, as in Python
-            rhs = coef[:, None] * shape
+            rhs = np.array([form.coef(at) for at in at_cells], dtype=float)[cell] * shape[point_of]
             if form.div is not None:
-                rhs = rhs / np.array([form.div(at) for at in at_rows], dtype=float)[:, None]
-        rhs = rhs[row_of, point_of]
+                rhs = rhs / np.array([form.div(at) for at in at_cells], dtype=float)[cell]
     with np.errstate(all="ignore"):
         margin = rhs - lhs[lhs_at]
         # the lowest margin that still holds; fmax, as Python's max, ignores a NaN budget
         holds = margin >= -np.fmax(margin_tol, 10.0 * budget)[lhs_at]
     return RowBlock(
-        theorem_id, entry.name, a, b, alpha, M, tuple(grid), tuple(asserted), tuple(notes),
-        xs, lhs, budget, rhs, margin, holds, row_of, point_of, lhs_at,
+        theorem_id, entry.name, a, b, M, tuple(grid), tuple(asserted), tuple(notes),
+        alphas, xs, lhs, budget, rhs, margin, holds, row_of, point_of, lhs_at,
     )
 
 
@@ -628,8 +632,8 @@ def evaluate_theorem(
     """
     M = entry.deriv_bound() if prm.M is None else prm.M
     return list(ReportRows([evaluate_block(
-        theorem_id, entry, (prm.a, prm.b), prm.alpha, M,
-        [GridRow(prm.s, prm.p, prm.q)], [(prm.x, None)],
+        theorem_id, entry, (prm.a, prm.b), M,
+        [GridRow(prm.s, prm.p, prm.q)], [(prm.alpha, prm.x, None)],
         cfg, margin_tol=margin_tol, certs=certs, mean=mean,
     )]))
 

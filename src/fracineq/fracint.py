@@ -144,7 +144,17 @@ MAX_ALPHA = 140.0
 MIN_ALPHA = 1e-300
 
 
-# slotted: a sweep builds one per report row (see bounds.InequalityReport)
+def too_narrow(a: float, b: float, alpha: float) -> Optional[str]:
+    """Why [a, b] is too narrow to check at alpha (a classical bound's is 1),
+    or None: where the identity's scale (b - a)**(alpha + 1) is subnormal,
+    its sides turn to roundoff or NaN and budgets ~ 1 / (b - a) excuse any."""
+    if b - a < 1.0 and (b - a) ** (alpha + 1.0) < _UFLOW:
+        return (f"[{a!r}, {b!r}] is too narrow to check at alpha={alpha!r}: "
+                "(b - a)**(alpha + 1) underflows")
+    return None
+
+
+# slotted: each report row read from a bounds.RowBlock builds one
 @dataclass(frozen=True, slots=True)
 class FracParams:
     """The full parameter tuple (a, b, x, alpha, s, p, q, M).
@@ -175,6 +185,8 @@ class FracParams:
             problems.append(f"alpha must be >= {MIN_ALPHA:g}, got {self.alpha!r}")
         elif self.alpha > MAX_ALPHA:
             problems.append(f"alpha must be <= {MAX_ALPHA:g}, got {self.alpha!r}")
+        elif self.a < self.b and (narrow := too_narrow(self.a, self.b, self.alpha)):
+            problems.append(f"interval {narrow}")
         if not (0.0 < self.s <= 1.0):
             problems.append(f"s must lie in (0, 1], got {self.s!r}")
         if self.p is not None and not self.p > 1.0:
@@ -243,6 +255,7 @@ _KRONROD = np.array(_WGK[:10] + _WGK[::-1])
 _GAUSS = np.array(_WG[:10] + _WG[::-1])
 _EPS = float(np.finfo(float).eps)
 _UFLOW = float(np.finfo(float).tiny)
+_BELOW_MAX = np.nextafter(np.finfo(float).max, 0.0)  # math.ulp's gap at the largest float
 
 
 @dataclass(frozen=True)
@@ -363,16 +376,13 @@ def _integrate(
         over = count + np.bincount(lane[split], minlength=n) > cfg.max_subdivisions
         narrow = np.bincount(lane[split & ~((lo < mid) & (mid < hi))], minlength=n) > 0
         go_on = unmet & ~over & ~narrow
-        for k in np.flatnonzero((count > 0) & ~go_on):
-            value[k], error[k] = tot[k], err[k]
-            if not finite[k]:
-                why[k] = "gave a value or error estimate that is not finite"
-            elif unmet[k]:
-                why[k] = (
-                    f"did not converge within {cfg.max_subdivisions} subdivisions"
-                    if over[k]
-                    else "ran into intervals too narrow to bisect"
-                ) + f" (error {err[k]:.3e} > tolerance {tol[k]:.3e})"
+        done = np.flatnonzero((count > 0) & ~go_on)
+        value[done], error[done] = tot[done], err[done]
+        for k in done[~finite[done] | unmet[done]].tolist():
+            why[k] = "gave a value or error estimate that is not finite" if not finite[k] else (
+                f"did not converge within {cfg.max_subdivisions} subdivisions" if over[k]
+                else "ran into intervals too narrow to bisect"
+            ) + f" (error {err[k]:.3e} > tolerance {tol[k]:.3e})"
         keep = go_on[lane]
         lane, lo, hi, mid, r, e, split = (
             v[keep] for v in (lane, lo, hi, mid, r, e, split)
@@ -388,22 +398,26 @@ def _integrate(
     return value, error, why
 
 
-def _scaled(scale: float, value: float, error: float) -> Estimate:
-    """scale * (value, error), the error kept at or above one ulp of a
-    nonzero value: the rounding the value itself carries."""
-    value, error = scale * float(value), scale * float(error)
-    return Estimate(value, max(error, math.ulp(value)) if value else error)
+def _scaled(scale, value: np.ndarray, error: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scale * (value, error), the error of a nonzero value floored at its
+    rounding, one ``math.ulp``, as Python's ``max(error, ulp)`` floors it."""
+    value, error = scale * value, scale * error
+    size = np.abs(value)
+    ulp = np.where(np.isfinite(value), np.spacing(np.minimum(size, _BELOW_MAX)), size)
+    return value, np.where((value != 0.0) & (ulp > error), ulp, error)
 
 
-def _outcome(
-    value: float, error: float, why: Optional[str], what: str, scale: float = 1.0
-) -> Union[Estimate, ConvergenceError]:
-    """One lane's result in Python floats, scaled, or its ConvergenceError."""
-    got = _scaled(scale, value, error)
-    if why is not None:
-        return ConvergenceError(
-            f"{what}: adaptive quadrature {why}", estimate=got.value, error_bound=got.error
-        )
+def _outcomes(value: np.ndarray, error: np.ndarray, why: Sequence[Optional[str]],
+              what: Callable[[int], str], scale=1.0, factor=1.0) -> list:
+    """Each lane's result, ``_scaled`` by scale and then by factor; a failed
+    lane k gives a ``ConvergenceError`` named ``what(k)``, scaled by scale alone."""
+    with np.errstate(all="ignore"):  # IEEE results without warnings, as in Python
+        value, error = _scaled(scale, value, error)
+        got = list(map(Estimate, *(v.tolist() for v in _scaled(factor, value, error))))
+    for k, reason in enumerate(why):
+        if reason is not None:
+            got[k] = ConvergenceError(f"{what(k)}: adaptive quadrature {reason}",
+                                      estimate=value[k], error_bound=error[k])
     return got
 
 
@@ -411,8 +425,7 @@ def _one_lane(
     lanes: _LaneSet, cfg: QuadratureConfig, what: str, scale: float = 1.0
 ) -> Estimate:
     """A single lane, scaled; raises its ConvergenceError."""
-    value, error, why = _integrate((lanes,), cfg)
-    got = _outcome(value[0], error[0], why[0], what, scale)
+    (got,) = _outcomes(*_integrate((lanes,), cfg), lambda k: what, scale)
     if isinstance(got, ConvergenceError):
         raise got
     return got

@@ -6,11 +6,11 @@ call, records an identity residual at every point, and
 evaluates every selected theorem row
 (functions x alphas x s x exponent pairs x x for the fractional family;
 alpha-free grids for the classical family), one block of rows per
-(theorem, function, alpha) at a time. Derivative bounds are computed once
-per function before any point, and certificates when a row first needs
-them, each (function, target, q)'s over the whole s grid at once. Rows are
-emitted in report order, theorem, function, alpha, s, p and x ascending
-(each where the theorem reads it), with no sort afterwards.
+(theorem, function) at a time, every alpha in it. Derivative bounds are
+computed once per function before any point, and certificates when a block
+first gates a grid row, each (function, target, q)'s over the whole s grid
+at once. Rows are emitted in report order, theorem, function, alpha, s, p
+and x ascending (each where the theorem reads it), with no sort afterwards.
 
 Each block is a ``bounds.RowBlock`` of columns, and ``SweepResult.reports``
 is a ``bounds.ReportRows`` over the blocks: it reads as the list of
@@ -69,17 +69,15 @@ from .fracint import (
     DEFAULT_QUADRATURE,
     MAX_ALPHA,
     MIN_ALPHA,
-    Estimate,
     FracParams,
     QuadratureConfig,
     plain_integral,
+    too_narrow,
 )
 from .funcatalog import DEFAULT_CERT_TOL, catalog_names, get_entry
 from .identity import (
     DEFAULT_IDENTITY_TOL,
     IdentityResidual,
-    LemmaPieces,
-    check_e1_from_pieces,
     compute_pieces_batch,
 )
 
@@ -240,6 +238,11 @@ class SweepConfig:
                     problems.append(
                         f"interval: {self.interval!r} outside domain of {name!r}"
                     )
+            # the largest alpha checked underflows first; classical bounds take 1
+            used = [al for al in self.alphas if MIN_ALPHA <= al <= MAX_ALPHA]
+            used += [1.0] * any(not thm.fractional for thm in thms)
+            if used and (narrow := too_narrow(a, b, max(used))):
+                problems.append(f"interval: {narrow}")
         if not self.alphas:
             problems.append("alphas: must not be empty")
         for al in self.alphas:
@@ -446,70 +449,47 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     entries = [get_entry(name) for name in cfg.functions]
     a, b = cfg.interval
     xs = cfg.resolve_x()
-    mid = 0.5 * (a + b)
     thms = [THEOREMS[tid] for tid in cfg.theorems]
     q_dedup = tuple(dict.fromkeys(q for _, q in cfg.pq_pairs))
     certs = CertCache(cert_tol=cfg.cert_tol, s_values=cfg.s_values)
-    bound_m: dict[str, float] = {}
-    means: dict[str, Estimate] = {}
+    bound_m = {entry.name: entry.deriv_bound() for entry in entries}
     classical = any(not thm.fractional for thm in thms)
-    for entry in entries:
-        bound_m[entry.name] = entry.deriv_bound()
-        if classical:
-            means[entry.name] = plain_integral(entry.func, a, b, qcfg)
+    means = {e.name: plain_integral(e.func, a, b, qcfg) for e in entries if classical}
 
-    points_at: dict[tuple[str, float], list[tuple[float, LemmaPieces]]] = {}
-    residuals: list[ResidualRecord] = []
+    points_of: dict[str, list] = {entry.name: [] for entry in entries}  # (alpha, x, pieces)
     convergence_errors: list[str] = []
     # one batched quadrature call covers every x of every (function, alpha)
     jobs = [(entry, alpha) for entry in entries for alpha in cfg.alphas]
     batch = compute_pieces_batch([(e.func, al) for e, al in jobs], a, b, xs, qcfg)
     for (entry, alpha), outcomes in zip(jobs, batch):
-        points: list[tuple[float, LemmaPieces]] = []
         for x, pieces in zip(xs, outcomes):
             if isinstance(pieces, ConvergenceError):
                 convergence_errors.append(f"{entry.name} alpha={alpha!r} x={x!r}: {pieces}")
-                continue
-            res = check_e1_from_pieces(pieces)
-            residuals.append(
-                ResidualRecord(
-                    function=entry.name,
-                    alpha=alpha,
-                    x=x,
-                    residual=res,
-                    passed=res.passes(cfg.identity_tol),
-                )
-            )
-            points.append((x, pieces))
-        points.sort(key=itemgetter(0))  # a block takes its points ascending
-        points_at[entry.name, alpha] = points
+            else:
+                points_of[entry.name].append((alpha, x, pieces))
+    # a block takes its points ascending, and the residuals come in that order
+    residuals: list[ResidualRecord] = []
+    for name in sorted(points_of):
+        points_of[name].sort(key=itemgetter(0, 1))
+        residuals += [ResidualRecord(name, alpha, x, pieces.e1, pieces.e1.passes(cfg.identity_tol))
+                      for alpha, x, pieces in points_of[name]]
 
-    # one block of rows per (theorem, function, alpha), or per (theorem,
-    # function) for a classical bound, which is evaluated at alpha = 1 and
-    # at the midpoint when it reads no x. Blocks go in report order (see the
-    # module docstring), and each one's grid and points ascend, so the rows
-    # come out in that order; rows that differ only in q keep the q_dedup order
+    # one block of rows per (theorem, function), every alpha in it; a classical
+    # bound sits at alpha = 1, and at the midpoint when it reads no x. Blocks go
+    # in report order (module docstring) with their grids and points ascending;
+    # rows that differ only in q keep the q_dedup order
     s_up = sorted(cfg.s_values)
     pq_up = sorted(cfg.pq_pairs, key=itemgetter(0))
-    classical_points = [(x, None) for x in sorted(xs)]
     blocks = []
     for thm in sorted(thms, key=attrgetter("tid")):
         grid = tuple(thm.grid(s_up, pq_up, q_dedup))  # shared by the theorem's blocks
+        at_one = [(1.0, x, None) for x in (sorted(xs) if "x" in thm.fields else [0.5 * (a + b)])]
         for entry in sorted(entries, key=attrgetter("name")):
-            m = bound_m[entry.name]
-            if thm.fractional:
-                for alpha in sorted(cfg.alphas):
-                    blocks.append(evaluate_block(
-                        thm.tid, entry, cfg.interval, alpha, m, grid,
-                        points_at[entry.name, alpha], qcfg, cfg.margin_tol, certs,
-                    ))
-            else:
-                points = classical_points if "x" in thm.fields else [(mid, None)]
-                blocks.append(evaluate_block(
-                    thm.tid, entry, cfg.interval, 1.0, m, grid, points, qcfg,
-                    cfg.margin_tol, certs, means[entry.name],
-                ))
-    residuals.sort(key=lambda rec: (rec.function, rec.alpha, rec.x))
+            blocks.append(evaluate_block(
+                thm.tid, entry, cfg.interval, bound_m[entry.name], grid,
+                points_of[entry.name] if thm.fractional else at_one, qcfg,
+                cfg.margin_tol, certs, means.get(entry.name),
+            ))
 
     summary = {
         **_row_counts(blocks),

@@ -9,11 +9,12 @@ of weighted derivative averages: with Jm, Jp the operator pair of
     =   ((x-a)**(alpha+1) / (b-a)) * integral_0^1 t**alpha f'(t x + (1-t) a) dt
       - ((b-x)**(alpha+1) / (b-a)) * integral_0^1 t**alpha f'(t x + (1-t) b) dt.
 
-``check_e1_from_pieces`` verifies the full identity on one point's pieces,
-``check_e4_from_pieces`` and ``check_e5_from_pieces`` its two one-sided
-halves (each equating one operator term with one weighted derivative
-average; their residuals give r1 = r4 - r5 up to rounding), and
-``check_classical_lemma`` the alpha = 1 degeneration
+``check_e1_from_pieces`` verifies the full identity on one point's pieces
+(``LemmaPieces.e1`` keeps its result), ``check_e4_from_pieces`` and
+``check_e5_from_pieces`` its two one-sided halves (each equating one
+operator term with one weighted derivative average; their residuals give
+r1 = r4 - r5 up to rounding), and ``check_classical_lemma`` the alpha = 1
+degeneration
 
     f(x) - (1/(b-a)) integral_a^b f
     = ((x-a)**2/(b-a)) integral_0^1 t f'(tx+(1-t)a) dt
@@ -33,6 +34,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
+
+import numpy as np
 
 from . import fracint
 from .errors import ConfigError, ConvergenceError, FracIneqError
@@ -100,12 +103,12 @@ class LemmaPieces:
     """Shared quadrature results for one (f, a, b, x, alpha) instance.
 
     Computing these once lets the full identity, its two halves, and the
-    inequality left-hand side all reuse the same four integrals. The
-    left-hand side with its error budget (``abs_lhs``) is computed on first
-    use and kept, so the sweep's rows at one grid point share it without
-    passing it along. It lives here rather than in ``bounds`` because it is
-    this identity's left-hand side: every fractional inequality (E6-E9)
-    bounds it, and ``bounds.evaluate_block`` reads it.
+    inequality left-hand side all reuse the same four integrals. The full
+    identity's residual (``e1``) and the left-hand side read off it with its
+    error budget (``abs_lhs``) are computed on first use and kept, so a
+    sweep's residual record and rows at one point share them. ``abs_lhs``
+    lives here because every fractional inequality (E6-E9) bounds this
+    identity's left-hand side; ``bounds.evaluate_block`` reads it.
     """
 
     a: float
@@ -119,15 +122,17 @@ class LemmaPieces:
     ib: Estimate  # moment integral of f' toward b
 
     @cached_property
-    def abs_lhs(self) -> Estimate:
-        """|identity LHS| with the operator pair's share of the error budget.
+    def e1(self) -> IdentityResidual:
+        """The full identity's ``check_e1_from_pieces``, computed once."""
+        return check_e1_from_pieces(self)
 
-        This is the left-hand side every fractional inequality shares; only
-        the operator pair contributes quadrature error to it.
-        """
+    @cached_property
+    def abs_lhs(self) -> Estimate:
+        """|identity LHS| with its error budget: only the operator pair
+        contributes quadrature error to it."""
         ga_over_width = (self.jm.error + self.jp.error) / (self.b - self.a)
         budget = math.exp(ln_gamma(self.alpha + 1.0)) * ga_over_width
-        return Estimate(abs(check_e1_from_pieces(self).lhs), budget)
+        return Estimate(abs(self.e1.lhs), budget)
 
 
 def compute_pieces_batch(
@@ -148,14 +153,15 @@ def compute_pieces_batch(
     the empty interval at x = a or x = b (where the identity's prefactors
     vanish too); and ia, ib, :func:`fracineq.fracint.moment_integral` of f'
     from x toward a and toward b. Every integral is a lane of one batch, one
-    lane set per integrand (f or f'), and equals its one-lane call to the
-    bit. Returns one list per job with one entry per x: its pieces, or the
-    ``ConvergenceError`` of its first failed integral, which leaves the
-    other points untouched.
+    lane set per integrand (f or f'), whose outcomes are scaled in one numpy
+    pass, and equals its one-lane call to the bit. Returns one list per job
+    with one entry per x: its pieces, or the ``ConvergenceError`` of its
+    first failed integral, which leaves the other points untouched.
     """
+    n = len(xs)
     for f, alpha in jobs:
-        for x in xs:
-            FracParams(a, b, x, alpha)  # refuses x off [a, b] and alpha out of range
+        # refuses x off [a, b], alpha out of range and an [a, b] too narrow to check
+        FracParams(a, b, next((x for x in xs if not a <= x <= b), a), alpha)
         fracint._check_domain(f, a, b)
     ginv = [1.0 / gamma(alpha) for _, alpha in jobs]  # raises where Gamma overflows
     by_integrand: dict[int, tuple[Callable, list]] = {}  # id(h) -> (h, lanes)
@@ -165,35 +171,32 @@ def compute_pieces_batch(
                 (f.eval, a, alpha, 0), (f.eval, b, alpha, 1),
                 (f.deriv, a, alpha + 1.0, 2), (f.deriv, b, alpha + 1.0, 3),
             ):
-                if piece > 1 or x != c:
-                    lane = (c, x, beta, (j, i, piece))
+                if piece > 1 or x != c:  # scaled by |x - c|**alpha / Gamma(alpha), or 1
+                    lane = (c, x, beta, 4 * (j * n + i) + piece,
+                            *((abs(x - c) ** alpha, ginv[j]) if piece < 2 else (1.0, 1.0)))
                     by_integrand.setdefault(id(h), (h, []))[1].append(lane)
-    sets = []
-    for h, lanes in by_integrand.values():
-        starts, ends, betas, _ = zip(*lanes)
-        sets.append(fracint._lanes(h, starts, ends, betas))
-    value, error, why = fracint._integrate(sets, cfg)
-    got = [[[Estimate(0.0, 0.0)] * 4 for _ in xs] for _ in jobs]
-    lanes = (lane for _, group in by_integrand.values() for lane in group)
-    for (c, x, _, (j, i, piece)), v, e, w in zip(lanes, value, error, why):
-        if piece > 1:
-            got[j][i][piece] = fracint._outcome(v, e, w, f"moment integral (x={x}, base={c})")
-            continue
-        lo, hi = (c, x) if piece == 0 else (x, c)
-        op = fracint._outcome(
-            v, e, w, f"weighted integral on [{lo}, {hi}]", (hi - lo) ** jobs[j][1]
-        )
-        if not isinstance(op, ConvergenceError):
-            op = fracint._scaled(ginv[j], *op)
-        got[j][i][piece] = op
+    sets = [fracint._lanes(h, *list(zip(*lanes))[:3]) for h, lanes in by_integrand.values()]
+    lanes = [lane for _, group in by_integrand.values() for lane in group]
+
+    def what(k: int) -> str:  # a failed lane's name
+        c, x, _, slot, _, _ = lanes[k]
+        return (f"moment integral (x={x}, base={c})" if slot % 4 > 1
+                else f"weighted integral on [{min(c, x)}, {max(c, x)}]")
+
+    got = [Estimate(0.0, 0.0)] * (4 * n * len(jobs))
+    _, _, _, slots, scale, factor = zip(*lanes) if lanes else ((),) * 6
+    outcomes = fracint._outcomes(
+        *fracint._integrate(sets, cfg), what, np.array(scale), np.array(factor))
+    for slot, outcome in zip(slots, outcomes):
+        got[slot] = outcome
+    fours = zip(*[iter(got)] * 4)  # per job, per x: (jm, jp, ia, ib)
     out = []
-    for (f, alpha), per_x in zip(jobs, got):
+    for f, alpha in jobs:
+        fx = np.asarray(f.eval(np.array(xs, dtype=float)), dtype=float).tolist()
         out.append([])
-        for x, four in zip(xs, per_x):
+        for x, fx_x, four in zip(xs, fx, fours):
             failed = [g for g in four if isinstance(g, ConvergenceError)]
-            out[-1].append(
-                failed[0] if failed else LemmaPieces(a, b, x, alpha, float(f.eval(x)), *four)
-            )
+            out[-1].append(failed[0] if failed else LemmaPieces(a, b, x, alpha, fx_x, *four))
     return out
 
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import hyp1f1
 
+from fracineq import fracint
 from fracineq.errors import (
     ConfigError,
     ConvergenceError,
@@ -29,7 +30,6 @@ from fracineq.fracint import (
     _integrate,
     _lanes,
     _LaneSet,
-    _scaled,
     Estimate,
     FracParams,
     QuadratureConfig,
@@ -47,6 +47,13 @@ TWO_OVER_SQRT_PI = 1.1283791670955126
 one = lambda t: np.ones_like(np.asarray(t, dtype=float))
 ident = lambda t: np.asarray(t, dtype=float)
 square_fn = lambda t: np.asarray(t, dtype=float) ** 2
+
+
+def _scaled(scale, value, error) -> Estimate:
+    """The engine's one-ulp error floor in plain Python: scale * (value,
+    error), the error at least ``math.ulp`` of a nonzero value."""
+    value, error = scale * float(value), scale * float(error)
+    return Estimate(value, max(error, math.ulp(value)) if value else error)
 
 
 def left_operator(f, a, x, alpha):
@@ -435,6 +442,137 @@ class TestLaneEngine:
         assert error[0] <= 1e-13 * abs(value[0])
         assert abs(value[0] - 2.0 / 3.0) <= error[0]
         assert abs(value[1] - (1.0 - math.exp(-1.0))) <= error[1] + 1e-16
+
+
+def _scalar_outcome(value, error, why, what, scale=1.0):
+    """One lane's result by the scalar rule: scaled in Python floats, or its
+    ConvergenceError."""
+    got = _scaled(scale, value, error)
+    if why is not None:
+        return ConvergenceError(
+            f"{what}: adaptive quadrature {why}", estimate=got.value, error_bound=got.error
+        )
+    return got
+
+
+def _outcome_bits(got):
+    if isinstance(got, ConvergenceError):
+        return str(got), got.estimate.hex(), got.error_bound.hex()
+    assert type(got) is Estimate and all(type(v) is float for v in got)
+    return tuple(v.hex() for v in got)
+
+
+_NAN_PAST_HALF = Function1D(
+    "nan-past-half",
+    lambda t: np.where(np.asarray(t) > 0.5, np.nan, t),
+    lambda t: np.ones_like(np.asarray(t, dtype=float)),
+    0.0,
+    1.0,
+)
+
+
+class TestConversion:
+    """The conversion of lane outcomes runs on arrays, once per batch, and
+    gives what the scalar rule gives, lane by lane, to the bit."""
+
+    _SPECIAL = (0.0, -0.0, 1.0, -2.5, 5e-324, 2.2250738585072014e-308, 1e-310,
+                1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan)
+
+    def test_scaled_floors_as_python_max_does(self):
+        # every pair of special values, with scales that overflow, underflow,
+        # flip no sign and leave the value alone
+        rng = np.random.default_rng(7)
+        values = list(self._SPECIAL) + list(np.exp(rng.uniform(-745.0, 709.0, 200)))
+        pairs = [(v, e) for v in values for e in self._SPECIAL + (3e-17, 1e300)]
+        value, error = (np.array(column) for column in zip(*pairs))
+        for scale in (1.0, 0.5, 3.0, 1e300, 1e-300, 1.0 / gamma(0.25)):
+            with np.errstate(all="ignore"):
+                got = zip(*(a.tolist() for a in fracint._scaled(scale, value, error)))
+            for (v, e), (gv, ge) in zip(pairs, got):
+                want = _scaled(scale, v, e)
+                assert (gv.hex(), ge.hex()) == (want.value.hex(), want.error.hex()), (scale, v, e)
+
+    def test_outcomes_scale_twice_and_name_the_failed_lanes(self):
+        value = np.array([1.0, math.nan, 2.0, math.inf, 0.0, 1e-310])
+        error = np.array([1e-17, math.nan, 0.5, 1.0, 0.0, 0.0])
+        why = [None, "gave a value or error estimate that is not finite", None,
+               "did not converge", None, "ran into intervals too narrow to bisect"]
+        scale = np.array([0.3**0.25, 1.0, 2.0, 1e300, 0.5, 1e10])
+        factor = np.array([1.0 / gamma(0.25), 1.0, 1e308, 1e300, 3.0, 1.0])
+        got = fracint._outcomes(value, error, why, lambda k: f"lane {k}", scale, factor)
+        for k, outcome in enumerate(got):
+            want = _scalar_outcome(value[k], error[k], why[k], f"lane {k}", float(scale[k]))
+            if not isinstance(want, ConvergenceError):
+                want = _scaled(float(factor[k]), *want)
+            assert _outcome_bits(outcome) == _outcome_bits(want), k
+
+    @pytest.mark.parametrize(
+        "cfg", [QuadratureConfig(), QuadratureConfig(max_subdivisions=8)], ids=["default", "stalled"]
+    )
+    def test_batch_equals_the_scalar_rule_on_every_lane_bit_for_bit(self, monkeypatch, cfg):
+        # the default grid (x = a and x = b included) and a job whose lanes
+        # meet NaN; with 8 subdivisions many lanes fail with finite values
+        sets, raw, names = [], [], []
+        real_lanes, real_integrate, real_outcomes = (
+            fracint._lanes, fracint._integrate, fracint._outcomes
+        )
+
+        def lanes(h, start, end, beta):
+            sets.append([(id(h), *lane) for lane in zip(start, end, beta)])
+            return real_lanes(h, start, end, beta)
+
+        def integrate(*args):
+            raw.append(real_integrate(*args))
+            return raw[-1]
+
+        def outcomes(value, error, why, what, *args):
+            names.extend(map(what, range(len(why))))
+            return real_outcomes(value, error, why, what, *args)
+
+        monkeypatch.setattr(fracint, "_lanes", lanes)
+        monkeypatch.setattr(fracint, "_integrate", integrate)
+        monkeypatch.setattr(fracint, "_outcomes", outcomes)
+        xs = tuple(float(v) for v in np.linspace(0.0, 1.0, 11))
+        jobs = [(e.func, alpha) for e in builtin_catalog() for alpha in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)]
+        jobs.append((_NAN_PAST_HALF, 0.5))
+        batch = compute_pieces_batch(jobs, 0.0, 1.0, xs, cfg)
+        ((value, error, why),) = raw
+        # a lane's raw outcome depends on its integrand, ends and beta alone
+        by_lane = {lane: (value[k], error[k], why[k])
+                   for k, lane in enumerate(lane for group in sets for lane in group)}
+        failed = 0
+        for (f, alpha), outcomes_ in zip(jobs, batch):
+            ginv = 1.0 / gamma(alpha)
+            for x, got in zip(xs, outcomes_):
+                want = []
+                for c, (lo, hi) in ((0.0, (0.0, x)), (1.0, (x, 1.0))):
+                    if x == c:
+                        want.append(Estimate(0.0, 0.0))
+                        continue
+                    op = _scalar_outcome(*by_lane[id(f.eval), c, x, alpha],
+                                         f"weighted integral on [{lo}, {hi}]", (hi - lo) ** alpha)
+                    want.append(op if isinstance(op, ConvergenceError) else _scaled(ginv, *op))
+                for c in (0.0, 1.0):
+                    want.append(_scalar_outcome(*by_lane[id(f.deriv), c, x, alpha + 1.0],
+                                                f"moment integral (x={x}, base={c})"))
+                errors = [w for w in want if isinstance(w, ConvergenceError)]
+                failed += len(errors)
+                if errors:
+                    assert _outcome_bits(got) == _outcome_bits(errors[0]), (f.name, alpha, x)
+                else:
+                    assert [_outcome_bits(g) for g in (got.jm, got.jp, got.ia, got.ib)] == [
+                        _outcome_bits(w) for w in want
+                    ], (f.name, alpha, x)
+                    assert type(got.fx) is float and got.fx == float(f.eval(x))
+        assert len(names) == len(value) == sum(map(len, sets))
+        assert failed > 0 and all(isinstance(p, ConvergenceError) for p in batch[-1])
+        stalled = [k for k, w in enumerate(why) if w is not None and np.isfinite(value[k])]
+        if cfg.max_subdivisions == 8:
+            assert len(stalled) > len(xs)
+        else:  # only the NaN job fails
+            assert not stalled and not any(
+                isinstance(p, ConvergenceError) for outcomes_ in batch[:-1] for p in outcomes_
+            )
 
 
 class TestAlphaLimit:

@@ -161,6 +161,39 @@ class TestSweepConfig:
         with pytest.raises(ConfigError, match=re.escape(needle)):
             run_sweep(cfg)
 
+    @pytest.mark.parametrize(
+        "change, alpha",
+        [
+            # (1e-103)**3 underflows, (1e-103)**1.25 does not: the largest alpha
+            ({"interval": (0.0, 1e-103), "alphas": (0.25, 2.0)}, 2.0),
+            # classical bounds are checked at alpha = 1, whatever the alphas
+            ({"interval": (0.0, 1e-160), "alphas": (0.25,), "theorems": ("E6", "e1")}, 1.0),
+            ({"interval": (0.5, 0.5 + 1e-3), "alphas": (100.0, 140.0)}, 140.0),
+        ],
+    )
+    def test_validate_refuses_an_interval_too_narrow_to_check(self, change, alpha):
+        cfg = dataclasses.replace(default_config(), **change)
+        a, b = cfg.interval
+        want = f"interval: {fracint.too_narrow(a, b, alpha)}"
+        assert f"[{a!r}, {b!r}] is too narrow to check at alpha={alpha!r}" in want
+        assert want in cfg.validate()
+        with pytest.raises(ConfigError, match=re.escape(f"[{a!r}, {b!r}] is too narrow")):
+            fracint.FracParams(a, b, a, alpha)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"interval": (0.0, 1e-103), "alphas": (0.25, 1.5)},
+            {"interval": (0.0, 1e-160), "alphas": (0.25,), "theorems": ("E6",)},
+            {"interval": (0.5, 0.5 + 1e-3), "alphas": (100.0,)},
+            # out-of-range alphas are refused as such, not as a narrow interval
+            {"interval": (0.0, 1e-200), "alphas": (-1.0, math.nan, 1e-307)},
+        ],
+    )
+    def test_validate_keeps_an_interval_wide_enough_to_check(self, change):
+        cfg = dataclasses.replace(default_config(), **change)
+        assert not any("too narrow" in p for p in cfg.validate())
+
     def test_resolve_x_from_count(self):
         cfg = dataclasses.replace(default_config(), x_points=3)
         assert cfg.resolve_x() == (0.0, 0.5, 1.0)
@@ -950,16 +983,18 @@ class TestBlockPath:
     @pytest.mark.parametrize(
         "consts",
         [
-            lambda k: {"alpha": (1, 1.0)[k % 2]},
-            lambda k: {"alpha": 0.5, "M": (0.0, -0.0)[k % 2]},
-            lambda k: {"alpha": 0.5, "M": (2, 2.0)[k % 2]},
+            lambda k, n: {"alpha": tuple((1, 1.0)[(k + j) % 2] for j in range(n))},
+            lambda k, n: {"alpha": (0.5,) * n, "M": (0.0, -0.0)[k % 2]},
+            lambda k, n: {"alpha": (0.5,) * n, "M": (2, 2.0)[k % 2]},
         ],
         ids=["alpha-int-and-float", "M-zeros-of-both-signs", "M-int-and-float"],
     )
     def test_equal_block_constants_written_apart(self, small_result, consts):
-        # neighbouring blocks of one theorem and function, which a plain list
-        # runs together, hold equal constants that are written apart
-        res = _edit_blocks(small_result, lambda k, block: block._replace(**consts(k)))
+        # neighbouring points and blocks, which a plain list runs together,
+        # hold equal alphas and constants that are written apart
+        res = _edit_blocks(
+            small_result, lambda k, block: block._replace(**consts(k, len(block.x)))
+        )
         _assert_writers_match_the_oracles(res)
 
     def test_int_grid_values(self, small_result):
@@ -1075,17 +1110,21 @@ class TestStreaming:
     @pytest.mark.parametrize(
         "failing, empty",
         [
-            ({("affine", 0.5)}, [0, 4]),
-            ({("affine", 1.0)}, [1, 5]),
-            ({("square", 1.0)}, [3, 7]),
-            ({("affine", 0.5), ("affine", 1.0), ("square", 0.5), ("square", 1.0)}, None),
+            ({("affine", 0.5), ("affine", 1.0)}, [0, 3]),
+            ({("pow150", 0.5), ("pow150", 1.0)}, [1, 4]),
+            ({("square", 0.5), ("square", 1.0)}, [2, 5]),
+            ({(name, alpha) for name in ("affine", "pow150", "square") for alpha in (0.5, 1.0)},
+             None),
+            ({("affine", 0.5)}, []),
+            ({("square", 1.0)}, []),
         ],
-        ids=["first", "middle", "last", "every"],
+        ids=["first", "middle", "last", "every", "first-alpha", "last-alpha"],
     )
     def test_empty_blocks_match_the_oracles(self, monkeypatch, tmp_path, failing, empty):
         # every point of the failing (function, alpha) jobs fails, so each
-        # theorem's block of that job has no rows; when every job fails
-        # there are no reports and no residuals
+        # theorem's block of a function whose every job fails has no rows,
+        # and one with a failing job lacks that alpha's rows; when every job
+        # fails there are no reports and no residuals
         real = harness.compute_pieces_batch
 
         def rigged(jobs, *args):
@@ -1094,9 +1133,13 @@ class TestStreaming:
                     for (f, alpha), outcomes in zip(jobs, real(jobs, *args))]
 
         monkeypatch.setattr(harness, "compute_pieces_batch", rigged)
-        res = run_sweep(dataclasses.replace(SMALL, theorems=("E6", "E7")))
+        res = run_sweep(dataclasses.replace(
+            SMALL, functions=("affine", "pow150", "square"), theorems=("E6", "E7")
+        ))
         blocks = res.reports.blocks
-        assert len(blocks) == 8
+        assert len(blocks) == 6
+        for block in blocks:
+            assert {(block.function, alpha) for alpha in block.alpha}.isdisjoint(failing)
         if empty is None:
             assert list(res.reports) == [] and res.residuals == []
         else:
@@ -1494,6 +1537,28 @@ class TestCli:
         )
         assert capsys.readouterr().out == render_csv(run_sweep(cfg))
 
+    @pytest.mark.parametrize(
+        "argv, interval",
+        [
+            ("verify --theorem E6 --function square --a 0 --b 1e-310", "[0.0, 1e-310]"),
+            ("sweep --functions exp square --interval 0 3e-308 --theorems " + " ".join(THEOREM_IDS),
+             "[0.0, 3e-308]"),
+            ("sweep --functions exp --interval 0 1e-160 --alphas 0.25 --theorems e1",
+             "[0.0, 1e-160]"),
+            ("check-identity --function exp --b 1e-200 --alpha 0.5 2", "[0.0, 1e-200]"),
+        ],
+        ids=["verify", "sweep", "classical-sweep", "check-identity"],
+    )
+    def test_an_interval_too_narrow_to_check_is_refused(self, capsys, argv, interval):
+        # unchecked, verify would print VIOLATED on NaN sides, and the sweep
+        # would pass every row with budgets that excuse margins of -2.6e215
+        assert cli.main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: interval {interval} is too narrow to check" in captured.err or (
+            f"error: interval: {interval} is too narrow to check" in captured.err
+        )
+
     def test_sweep_convergence_error_exits_one(self, capsys, monkeypatch):
         _stall_lanes(monkeypatch, harness, _every_lane)
         ret = cli.main(
@@ -1640,6 +1705,35 @@ def test_sweep_rows_equal_standalone_evaluation():
     assert {r.prm.x for r in classical if r.theorem_id == "e13"} == {0.5}
 
 
+def test_default_sweep_gates_and_checks_once_per_block_and_point(monkeypatch):
+    # one RowBlock per (theorem, function), 4 x 9; each block gates each grid
+    # row once for all its alphas: (E6's 4 s, E7's and E9's 4 s x 3 pairs,
+    # E8proof's 4 s x 3 q) x 9 functions; and the identity is checked once at
+    # each of the 594 points, for its residual and its rows' left-hand side
+    counts = {"blocks": 0, "gets": 0, "e1": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(harness, "evaluate_block", counted("blocks", harness.evaluate_block))
+    monkeypatch.setattr(bounds.CertCache, "get", counted("gets", bounds.CertCache.get))
+    monkeypatch.setattr(identity, "check_e1_from_pieces",
+                        counted("e1", identity.check_e1_from_pieces))
+    res = run_sweep(default_config())
+    assert counts == {"blocks": 36, "gets": 360, "e1": 594}
+    assert len(res.reports.blocks) == 36 and len(res.residuals) == 594
+    assert {(b.theorem_id, b.function) for b in res.reports.blocks} == {
+        (tid, name) for tid in bounds.FRACTIONAL_IDS for name in catalog_names()
+    }
+    for block in res.reports.blocks:
+        assert sorted(set(block.alpha)) == sorted(default_config().alphas)
+    s = res.summary
+    assert (s["total"], s["passed"], s["failed"], s["skipped"]) == (23_760, 16_764, 0, 6_996)
+
+
 def test_rows_that_differ_only_in_q_keep_the_pq_order():
     # the report sort key leaves out q, so these rows stay in generation order
     cfg = dataclasses.replace(
@@ -1675,8 +1769,8 @@ def test_rows_come_out_in_the_order_a_stable_sort_gives():
     def add(thm, entry, alpha, x, pieces=None, mean=None):
         for row in thm.grid(cfg.s_values, cfg.pq_pairs, q_dedup):
             block = bounds.evaluate_block(
-                thm.tid, entry, (0.0, 1.0), alpha, entry.deriv_bound(), [row],
-                [(x, pieces)], qcfg, cfg.margin_tol, certs, mean,
+                thm.tid, entry, (0.0, 1.0), entry.deriv_bound(), [row],
+                [(alpha, x, pieces)], qcfg, cfg.margin_tol, certs, mean,
             )
             rows.extend(bounds.ReportRows([block]))
 
