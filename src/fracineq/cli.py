@@ -18,14 +18,16 @@ catalog
     List the built-in test functions, their derivative bounds, and their
     registered hypothesis certificates.
 
-Exit codes: 0 when nothing asserted failed, 1 when an asserted check failed
-or quadrature did not converge, 2 on usage or configuration errors.
+Exit codes: 0 when nothing asserted failed, 1 when an asserted check failed,
+quadrature did not converge or stdout was closed before the output was
+written (as ``| head``), 2 on usage or configuration errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -464,7 +466,14 @@ _DISPATCH = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return 1

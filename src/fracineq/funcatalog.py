@@ -11,18 +11,26 @@ defining inequality of s-convexity (second sense),
     g(lam*u + (1-lam)*v) <= lam**s * g(u) + (1-lam)**s * g(v),
 
 on a dense (u, v, lam) grid and records the worst violation; s-concavity is
-the reversed inequality. The target g (f, |f'| or |f'|**q) is sampled on the
-grid once per (function, target, q), and that one sample is reduced for every
-requested s and mode. Only the first half of the mirror lam grid is
-evaluated, which changes no certificate. A certificate is a statement about a
-finite grid, which is exactly the strength needed to gate empirical
-inequality checks.
+the reversed inequality. The grid is built once per domain. The target g
+(f, |f'| or |f'|**q) is sampled on it once per (function, target, q), and
+that one sample is reduced for every requested s and mode. Only the first
+half of the mirror lam grid is evaluated, which changes no certificate.
+
+Each s's bound lam**s * g(u) + (1-lam)**s * g(v) is the K = 2 matrix product
+[t1, 1] @ [1, t2], which is exact: a product by 1.0 is exact, and a sum of
+two terms is rounded once, in either order, with or without FMA. The product
+sums from +0.0, so cells whose two terms are both -0.0 (only f can have them)
+are set back to -0.0: every certificate has the broadcast sum's bits.
+
+A certificate is a statement about a finite grid, which is exactly the
+strength needed to gate empirical inequality checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -153,6 +161,18 @@ def _target_callable(f: Function1D, target: str, q: float):
     return lambda t: np.abs(np.asarray(f.deriv(t), dtype=float)) ** q  # TARGET_FPRIME_POW
 
 
+@lru_cache(maxsize=64)
+def _grid(lo: str, hi: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u, the mirror lam grid's first half and the points lam*u + (1-lam)*v
+    over (lam, u, v) of the domain whose ends have the ``float.hex`` lo and hi
+    (so a -0.0 end has its own grid); read-only, as calls on it share them."""
+    u = np.linspace(float.fromhex(lo), float.fromhex(hi), GRID_SIZE)
+    lam = np.linspace(0.0, 1.0, GRID_SIZE)[: (GRID_SIZE + 1) // 2]
+    pts = lam[:, None, None] * u[None, :, None] + (1.0 - lam)[:, None, None] * u[None, None, :]
+    u.flags.writeable = lam.flags.writeable = pts.flags.writeable = False
+    return u, lam, pts
+
+
 # a non-finite |f'|**q makes a NaN violation, whose certificate fails
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def certify_batch(
@@ -204,27 +224,29 @@ def certify_batch(
         return []
 
     g = _target_callable(f, target, q)
-    u = np.linspace(f.domain_lo, f.domain_hi, GRID_SIZE)
-    lam = np.linspace(0.0, 1.0, GRID_SIZE)[: (GRID_SIZE + 1) // 2]  # the mirror's first half
-
+    u, lam, pts = _grid(float(f.domain_lo).hex(), float(f.domain_hi).hex())
     gu = g(u)  # shared for both axes; u and v ranges coincide
-    # broadcast (lam, u, v): points lam*u + (1-lam)*v; g there does not depend on s
-    pts = lam[:, None, None] * u[None, :, None] + (1.0 - lam)[:, None, None] * u[None, None, :]
-    gpts = g(pts)
+    gpts = g(pts)  # g at the points does not depend on s
+
+    ss = np.array(s_values, dtype=float)[:, None]
+    t1 = (lam**ss)[:, :, None] * gu  # (s, lam, u): lam**s * g(u)
+    t2 = ((1.0 - lam) ** ss)[:, :, None] * gu  # (s, lam, v): (1-lam)**s * g(v)
+    # each s's bound t1[lam, u] + t2[lam, v] is the K = 2 product [t1, 1] @ [1, t2]
+    left = np.stack((t1, np.ones_like(t1)), axis=-1)
+    right = np.stack((np.ones_like(t2), t2), axis=-2)
+    # the product sums from +0.0: where both terms are -0.0 it reads +0.0, not -0.0
+    negzero1, negzero2 = (np.signbit(t) & (t == 0.0) for t in (t1, t2))
+    has_negzero = negzero1.any(axis=(1, 2)) & negzero2.any(axis=(1, 2))
 
     certs = []
     violation = np.empty(pts.shape)
-    for s in s_values:
-        lam_s = lam**s
-        lam_s_c = (1.0 - lam) ** s
-        np.add(
-            lam_s[:, None, None] * gu[None, :, None],
-            lam_s_c[:, None, None] * gu[None, None, :],
-            out=violation,
-        )
+    for i, s in enumerate(s_values):
+        np.matmul(left[i], right[i], out=violation)
+        if has_negzero[i]:
+            violation[negzero1[i][:, :, None] & negzero2[i][:, None, :]] = -0.0
         np.subtract(gpts, violation, out=violation)
         for mode in modes:
-            worst = np.max(violation) if mode == MODE_CONVEX else -np.min(violation)
+            worst = violation.max() if mode == MODE_CONVEX else -violation.min()
             certs.append(
                 ConvexityCertificate(
                     s=float(s),

@@ -28,6 +28,7 @@ from fracineq.funcatalog import (
     CatalogEntry,
     ConvexityCertificate,
     Function1D,
+    _grid,
     builtin_catalog,
     catalog_names,
     certify_batch,
@@ -282,10 +283,11 @@ class TestCertifyBatch:
             certify_batch(shifted, (0.5, 1.0), modes=(MODE_CONVEX, MODE_CONCAVE))
 
 
-def full_grid_certificates(f, s_values, q, modes, target, grid_size,
-                           cert_tol=DEFAULT_CERT_TOL):
-    """The certifier as it was before it sampled a mirror grid's first half:
-    every lam row, with one ``bound`` and one ``violation`` array per s."""
+def broadcast_certificates(f, s_values, q, modes, target, grid_size,
+                           cert_tol=DEFAULT_CERT_TOL, lam_rows=None):
+    """The certifier as one broadcast sum ``bound`` and one ``violation``
+    array per s, over the first ``lam_rows`` rows of the lam grid (every row
+    by default; the mirror grid's first half is ``(grid_size + 1) // 2``)."""
     if target == TARGET_F:
         g = lambda t: np.asarray(f.eval(t), dtype=float)
     elif target == TARGET_FPRIME:
@@ -293,7 +295,7 @@ def full_grid_certificates(f, s_values, q, modes, target, grid_size,
     else:
         g = lambda t: np.abs(np.asarray(f.deriv(t), dtype=float)) ** q
     u = np.linspace(f.domain_lo, f.domain_hi, grid_size)
-    lam = np.linspace(0.0, 1.0, grid_size)
+    lam = np.linspace(0.0, 1.0, grid_size)[:lam_rows]
     gu = g(u)
     pts = lam[:, None, None] * u[None, :, None] + (1.0 - lam)[:, None, None] * u[None, None, :]
     gpts = g(pts)
@@ -323,7 +325,8 @@ def full_grid_certificates(f, s_values, q, modes, target, grid_size,
 
 class TestMirrorGrid:
     """The mirror lam grid (1 - lam == lam[::-1]) is sampled on its first half
-    only, and every certificate equals the full grid's."""
+    only, and every certificate equals the full grid's; each s's bound, a
+    K = 2 product, has the bits of the half grid's broadcast sum."""
 
     S_VALUES = (0.05, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0)
     MODES = (MODE_CONVEX, MODE_CONCAVE)
@@ -337,9 +340,57 @@ class TestMirrorGrid:
         for target, q in self.TARGET_QS:
             args = (entry.func, self.S_VALUES, q, self.MODES, target)
             batch = certify_batch(*args)
-            want = full_grid_certificates(*args, grid_size)
+            want = broadcast_certificates(*args, grid_size)
             assert batch == want, (target, q)
             assert [_cert_bits(c) for c in batch] == [_cert_bits(c) for c in want]
+
+    @pytest.mark.parametrize("entry", [
+        *builtin_catalog(),
+        # f = -t and f = -0.0 give cells whose two bound terms are both -0.0
+        CatalogEntry(Function1D("negated", lambda t: -np.asarray(t, dtype=float),
+                                lambda t: np.full_like(np.asarray(t, dtype=float), -1.0),
+                                0.0, 1.0), (), (), 1.0, "f(t) = -t"),
+        CatalogEntry(Function1D("negative_zero",
+                                lambda t: np.full_like(np.asarray(t, dtype=float), -0.0),
+                                lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+                                0.0, 1.0), (), (), 0.0, "f(t) = -0.0"),
+        # |f'| = inf at 0, so every target but f has a NaN violation
+        CatalogEntry(Function1D("root", lambda t: np.sqrt(np.asarray(t, dtype=float)),
+                                lambda t: 0.5 / np.sqrt(np.asarray(t, dtype=float)),
+                                0.0, 1.0), (), (), math.inf, "f(t) = sqrt(t)"),
+    ], ids=lambda e: e.name)
+    @np.errstate(divide="ignore", invalid="ignore")
+    def test_product_bound_equals_the_broadcast_sum(self, entry):
+        # the K = 2 product and its -0.0 repair give the broadcast sum's bits
+        s_values = (0.05, 0.1, 0.2, 0.25, 1.0 / 3.0, 0.4, 0.5, 0.6, 0.75, 0.8, 0.9, 1.0)
+        half = (GRID_SIZE + 1) // 2
+        got = []
+        for target in (TARGET_F, TARGET_FPRIME, TARGET_FPRIME_POW):
+            for q in (1.0, 1.2, 2.0, 5.0, 11.0):
+                args = (entry.func, s_values, q, self.MODES, target)
+                batch = certify_batch(*args)
+                want = broadcast_certificates(*args, GRID_SIZE, lam_rows=half)
+                assert [_cert_bits(c) for c in batch] == [_cert_bits(c) for c in want], (target, q)
+                got += batch
+        violations = [c.max_violation for c in got]
+        if entry.name in ("negated", "negative_zero"):
+            assert any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in violations)
+        if entry.name == "root":
+            assert any(math.isnan(v) for v in violations)
+
+    def test_the_domain_grid_is_shared_and_read_only(self):
+        f = get_entry("square").func
+        key = (float(f.domain_lo).hex(), float(f.domain_hi).hex())
+        grid = _grid(*key)
+        assert _grid(*key) is grid
+        # a -0.0 end is a different key from a 0.0 end
+        assert _grid((-0.0).hex(), key[1]) is not grid
+        assert [a.shape for a in grid] == [(GRID_SIZE,), ((GRID_SIZE + 1) // 2,),
+                                           ((GRID_SIZE + 1) // 2, GRID_SIZE, GRID_SIZE)]
+        for a in grid:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
 
     @pytest.mark.parametrize("grid_size,block", [(33, (17, 33, 33))])
     def test_samples_half_of_a_mirror_grid_only(self, grid_size, block):

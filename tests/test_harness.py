@@ -589,6 +589,22 @@ def test_the_cli_runs_without_scipy():
         assert out.returncode == 0, (argv, out.stderr)
 
 
+def test_a_closed_stdout_ends_the_cli_cleanly():
+    # a reader that stops after one line (as `| head -1`) closes the pipe while
+    # the CSV, far larger than a pipe buffer, is still being written
+    src = os.path.dirname(os.path.dirname(fracineq.__file__))
+    argv = ["sweep", "--functions", "square", "exp", "--x-count", "5"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fracineq.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.readline().startswith(b"theorem_id,")
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
+
+
 class TestRendering:
     def test_csv_header(self, small_result):
         assert render_csv(small_result).splitlines()[0] == CSV_HEADER
