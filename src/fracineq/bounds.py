@@ -57,13 +57,13 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .fracint import (
     DEFAULT_QUADRATURE,
     Estimate,
     FracParams,
     QuadratureConfig,
-    _check_domain,
+    domain_problem,
     plain_integral,
 )
 from .funcatalog import (
@@ -541,7 +541,8 @@ def evaluate_block(
     certs = certs if certs is not None else CertCache()
     f = entry.func
     a, b = interval
-    _check_domain(f, a, b)  # a catalog bound such as M holds on f's domain only
+    if why := domain_problem(f, a, b):
+        raise DomainError(f"interval: {why}")
     asserted, notes = [], []
     for row in grid:
         _require(row, theorem_id, *thm.exponents)

@@ -60,9 +60,7 @@ from .funcatalog import (
 )
 from .harness import (
     _DEFAULT_ALPHAS,
-    MAX_GRID_POINTS,
     SweepConfig,
-    _repeats,
     default_config,
     emit_report,
     report_texts,
@@ -212,23 +210,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check_identity(args: argparse.Namespace) -> int:
-    # the sweep's grid rules: no repeated value, 1 to MAX_GRID_POINTS points
-    problems = tolerance_problems(tol=args.tol) + _repeats("--alpha", args.alpha)
-    problems += _repeats("--x", args.x or ())
-    if args.x_count < 1:  # --x leaves the default count
-        problems.append(f"--x-count: must be >= 1, got {args.x_count}")
-    n_points = len(args.alpha) * (args.x_count if args.x is None else len(args.x))
-    if n_points > MAX_GRID_POINTS:
-        problems.append(f"grid: at most {MAX_GRID_POINTS} points (alphas x x), got {n_points}")
-    if problems:
-        raise ConfigError("; ".join(problems))
-    entry = get_entry(args.function)
-    f = entry.func
+    # the grid is checked as a sweep's, before any point is placed
     a, b = args.a, args.b
-    if args.x is not None:
-        xs = [float(v) for v in args.x]
-    else:
-        xs = [float(v) for v in np.linspace(a, b, args.x_count + 2)[1:-1]]
+    grid = SweepConfig(
+        (args.function,), tuple(args.alpha), interval=(a, b), identity_tol=args.tol,
+        x_points=args.x_count if args.x is None else tuple(args.x),
+    )
+    if problems := grid.validate():
+        raise ConfigError("; ".join(problems))
+    f = get_entry(args.function).func
+    # a count stands for that many interior points of [a, b]
+    xs = grid.x_points if args.x else np.linspace(a, b, args.x_count + 2)[1:-1].tolist()
     cfg = QuadratureConfig()
     checks = 0
     failures = 0
@@ -277,7 +269,7 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
 def _conjugate(v: float) -> float:
     if v <= 1.0:
         raise ConfigError(f"conjugate exponent requires a value > 1, got {v!r}")
-    return v / (v - 1.0)
+    return 1.0 if v == np.inf else v / (v - 1.0)
 
 
 def _format_report(r: InequalityReport) -> tuple[str, bool]:

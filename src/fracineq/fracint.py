@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -82,7 +82,6 @@ from .errors import (
     DomainError,
     EmptyIntervalError,
 )
-from .funcatalog import Function1D
 
 __all__ = [
     "Estimate",
@@ -154,6 +153,61 @@ def too_narrow(a: float, b: float, alpha: float) -> Optional[str]:
     return None
 
 
+# The accepted domain, one rule per parameter axis. Each rule returns what is
+# wrong with a value, or None; every check reads them, and puts its own name
+# for the value in front ("alpha: ...", "alphas: ..."). NaN fails every rule.
+
+
+def interval_problem(a: float, b: float) -> Optional[str]:
+    return None if a < b else f"need a < b, got [{a!r}, {b!r}]"
+
+
+def x_problem(x: float, a: float, b: float) -> Optional[str]:
+    return None if a <= x <= b else f"must lie in [{a!r}, {b!r}], got {x!r}"
+
+
+def alpha_problem(alpha: float, top: float = MAX_ALPHA) -> Optional[str]:
+    ok = MIN_ALPHA <= alpha <= top  # the evaluators take top = inf
+    return None if ok else f"must lie in [{MIN_ALPHA:g}, {top:g}], got {alpha!r}"
+
+
+def s_problem(s: float) -> Optional[str]:
+    return None if 0.0 < s <= 1.0 else f"must lie in (0, 1], got {s!r}"
+
+
+def pq_problem(p: Optional[float], q: Optional[float]) -> Optional[str]:
+    """p and q must be Hoelder-conjugate; a missing one is left to be the
+    other's conjugate. q is checked before 1 / q is taken."""
+    ok = (p is None or p > 1.0) and (q is None or q >= 1.0)
+    if ok and p is not None and q is not None:
+        ok = abs(1.0 / p + 1.0 / q - 1.0) <= CONJUGACY_TOL
+    return None if ok else (
+        f"({p!r}, {q!r}) is not a conjugate pair (p > 1, q >= 1, 1/p + 1/q = 1)")
+
+
+def m_problem(M: float) -> Optional[str]:
+    return None if 0.0 <= M < math.inf else f"must be nonnegative and finite, got {M!r}"
+
+
+def domain_problem(f, a: float, b: float) -> Optional[str]:
+    """[a, b] must lie in the domain of f, a ``funcatalog.Function1D``: a
+    catalog bound such as M, and its certificates, hold there only."""
+    return (f"[{a!r}, {b!r}] is outside the domain of {f.name} "
+            f"([{f.domain_lo!r}, {f.domain_hi!r}])") if f.outside(a, b) else None
+
+
+def _point_problems(a: float, b: float, xs: Sequence[float], alpha: float) -> list[str]:
+    """The problems of [a, b], each x of xs and alpha, named as FracParams'."""
+    bad_interval = interval_problem(a, b)
+    problems = [f"interval: {bad_interval}"] if bad_interval else [
+        f"x: {why}" for x in xs if (why := x_problem(x, a, b))]
+    if why := alpha_problem(alpha):
+        problems.append(f"alpha: {why}")
+    elif not bad_interval and (why := too_narrow(a, b, alpha)):
+        problems.append(f"interval: {why}")
+    return problems
+
+
 # slotted: each report row read from a bounds.RowBlock builds one
 @dataclass(frozen=True, slots=True)
 class FracParams:
@@ -174,39 +228,12 @@ class FracParams:
     M: Optional[float] = None
 
     def __post_init__(self) -> None:
-        problems = []
-        if not self.a < self.b:
-            problems.append(f"a < b required, got a={self.a!r}, b={self.b!r}")
-        elif not (self.a <= self.x <= self.b):
-            problems.append(f"x must lie in [a, b], got x={self.x!r}")
-        if not self.alpha > 0.0:
-            problems.append(f"alpha must be > 0, got {self.alpha!r}")
-        elif self.alpha < MIN_ALPHA:
-            problems.append(f"alpha must be >= {MIN_ALPHA:g}, got {self.alpha!r}")
-        elif self.alpha > MAX_ALPHA:
-            problems.append(f"alpha must be <= {MAX_ALPHA:g}, got {self.alpha!r}")
-        elif self.a < self.b and (narrow := too_narrow(self.a, self.b, self.alpha)):
-            problems.append(f"interval {narrow}")
-        if not (0.0 < self.s <= 1.0):
-            problems.append(f"s must lie in (0, 1], got {self.s!r}")
-        if self.p is not None and not self.p > 1.0:
-            problems.append(f"p must be > 1, got {self.p!r}")
-        if self.q is not None and not self.q >= 1.0:
-            problems.append(f"q must be >= 1, got {self.q!r}")
-        if self.p is not None and self.q is not None:
-            if abs(1.0 / self.p + 1.0 / self.q - 1.0) > CONJUGACY_TOL:
-                problems.append(
-                    f"p and q must be conjugate (1/p + 1/q = 1), got "
-                    f"p={self.p!r}, q={self.q!r}"
-                )
-        if self.M is not None and not 0.0 <= self.M < math.inf:
-            problems.append(f"M must be nonnegative and finite, got {self.M!r}")
+        problems = _point_problems(self.a, self.b, (self.x,), self.alpha) + [
+            f"{name}: {why}" for name, why in (
+                ("s", s_problem(self.s)), ("p, q", pq_problem(self.p, self.q)),
+                ("M", self.M is not None and m_problem(self.M))) if why]
         if problems:
             raise ConfigError("; ".join(problems))
-
-
-def _as_callable(f: Union[Function1D, Callable]) -> Callable:
-    return f.eval if isinstance(f, Function1D) else f
 
 
 # QUADPACK's qk21: the 21-point Kronrod extension of the 10-point Gauss rule
@@ -439,14 +466,13 @@ def _ends(lo: float, hi: float, singular: str) -> tuple[float, float]:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be > 0, got {alpha!r}")
-    if alpha < MIN_ALPHA:
-        raise DomainError(f"alpha must be >= {MIN_ALPHA:g}, got {alpha!r}")
+    # the evaluators also take alpha above MAX_ALPHA
+    if why := alpha_problem(alpha, math.inf):
+        raise DomainError(f"alpha: {why}")
 
 
 def weighted_endpoint_integral(
-    f: Union[Function1D, Callable],
+    f: Callable,
     lo: float,
     hi: float,
     alpha: float,
@@ -478,12 +504,12 @@ def weighted_endpoint_integral(
     if not lo < hi:
         raise EmptyIntervalError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     start, end = _ends(lo, hi, singular)
-    lanes = _lanes(_as_callable(f), (start,), (end,), (alpha,))
+    lanes = _lanes(f, (start,), (end,), (alpha,))
     return _one_lane(lanes, cfg, f"weighted integral on [{lo}, {hi}]", (hi - lo) ** alpha)
 
 
 def plain_integral(
-    f: Union[Function1D, Callable],
+    f: Callable,
     lo: float,
     hi: float,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
@@ -514,16 +540,8 @@ def moment_integral(
     return _one_lane(lanes, cfg, f"moment integral (x={x}, base={base})")
 
 
-def _check_domain(f: Union[Function1D, Callable], lo: float, hi: float) -> None:
-    if isinstance(f, Function1D) and f.outside(lo, hi):
-        raise DomainError(
-            f"[{lo}, {hi}] is outside the domain of {f.name} "
-            f"([{f.domain_lo}, {f.domain_hi}])"
-        )
-
-
 def oracle(
-    f: Union[Function1D, Callable],
+    f: Callable,
     lo: float,
     hi: float,
     alpha: float,
@@ -540,12 +558,11 @@ def oracle(
     """
     if panels < 2:
         raise ConfigError(f"panels must be >= 2, got {panels!r}")
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be > 0, got {alpha!r}")
+    _check_alpha(alpha)
     if not lo < hi:
         raise EmptyIntervalError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     c, end = _ends(lo, hi, singular)
     # the midpoints of v = 1 - u; u**(1/alpha) through log1p keeps v's precision
     v = (np.arange(panels, dtype=float) + 0.5) / panels
     t = np.clip(c + (end - c) * np.exp(np.log1p(-v) / alpha), lo, hi)
-    return (hi - lo) ** alpha / alpha * float(np.mean(_as_callable(f)(t)))
+    return (hi - lo) ** alpha / alpha * float(np.mean(f(t)))

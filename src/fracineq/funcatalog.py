@@ -36,6 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CertificateError, ConfigError, DomainError
+from .fracint import s_problem
 
 __all__ = [
     "MODE_CONVEX",
@@ -204,8 +205,8 @@ def certify_batch(
     s-convexity is defined.
     """
     for s in s_values:
-        if not (0.0 < s <= 1.0):
-            raise DomainError(f"s must lie in (0, 1], got {s!r}")
+        if why := s_problem(s):
+            raise DomainError(f"s_values: {why}")
     if not 1.0 <= q < math.inf:
         raise DomainError(f"q must be >= 1 and finite, got {q!r}")
     for mode in modes:

@@ -65,14 +65,17 @@ from .bounds import (
 )
 from .errors import ConfigError, ConvergenceError
 from .fracint import (
-    CONJUGACY_TOL,
     DEFAULT_QUADRATURE,
-    MAX_ALPHA,
-    MIN_ALPHA,
     FracParams,
     QuadratureConfig,
+    alpha_problem,
+    domain_problem,
+    interval_problem,
     plain_integral,
+    pq_problem,
+    s_problem,
     too_narrow,
+    x_problem,
 )
 from .funcatalog import DEFAULT_CERT_TOL, catalog_names, get_entry
 from .identity import (
@@ -224,8 +227,10 @@ class SweepConfig:
                 problems.append(f"theorems: unknown id {tid!r} (known: {THEOREM_IDS})")
         problems.extend(_repeats("theorems", self.theorems))
         thms = [THEOREMS[tid] for tid in self.theorems if tid in THEOREMS]
-        if len(self.interval) != 2 or not self.interval[0] < self.interval[1]:
-            problems.append(f"interval: need a < b, got {self.interval!r}")
+        bad_interval = (f"need [a, b], got {self.interval!r}" if len(self.interval) != 2
+                        else interval_problem(*self.interval))
+        if bad_interval:
+            problems.append(f"interval: {bad_interval}")
         else:
             a, b = self.interval
             if a < 0.0 and any(thm.target is not None for thm in thms):
@@ -233,44 +238,24 @@ class SweepConfig:
                     "interval: must lie in [0, inf) when any s-convexity or "
                     "s-concavity hypothesis is in play"
                 )
-            for name in self.functions:
-                if name in known and get_entry(name).func.outside(a, b):
-                    problems.append(
-                        f"interval: {self.interval!r} outside domain of {name!r}"
-                    )
+            problems += [f"interval: {why}" for name in self.functions
+                         if name in known and (why := domain_problem(get_entry(name).func, a, b))]
             # the largest alpha checked underflows first; classical bounds take 1
-            used = [al for al in self.alphas if MIN_ALPHA <= al <= MAX_ALPHA]
+            used = [al for al in self.alphas if not alpha_problem(al)]
             used += [1.0] * any(not thm.fractional for thm in thms)
             if used and (narrow := too_narrow(a, b, max(used))):
                 problems.append(f"interval: {narrow}")
         if not self.alphas:
             problems.append("alphas: must not be empty")
-        for al in self.alphas:
-            if not al > 0.0:
-                problems.append(f"alphas: must be > 0, got {al!r}")
-            elif al < MIN_ALPHA:
-                problems.append(f"alphas: must be >= {MIN_ALPHA:g}, got {al!r}")
-            elif al > MAX_ALPHA:
-                problems.append(
-                    f"alphas: must be <= {MAX_ALPHA:g} (checks near it are vacuous: "
-                    f"both sides fall far below every tolerance), got {al!r}"
-                )
+        problems += [f"alphas: {why}" for al in self.alphas if (why := alpha_problem(al))]
         problems.extend(_repeats("alphas", self.alphas))
         if not self.s_values:
             problems.append("s_values: must not be empty")
-        for s in self.s_values:
-            if not (0.0 < s <= 1.0):
-                problems.append(f"s_values: must lie in (0, 1], got {s!r}")
+        problems += [f"s_values: {why}" for s in self.s_values if (why := s_problem(s))]
         problems.extend(_repeats("s_values", self.s_values))
         if not self.pq_pairs and any(thm.exponents for thm in thms):
             problems.append("pq_pairs: must not be empty for exponent-based theorems")
-        for p, q in self.pq_pairs:
-            # NaN-safe, and q is checked before 1 / q is taken
-            conjugate = (
-                p > 1.0 and q >= 1.0 and abs(1.0 / p + 1.0 / q - 1.0) <= CONJUGACY_TOL
-            )
-            if not conjugate:
-                problems.append(f"pq_pairs: ({p!r}, {q!r}) is not a conjugate pair")
+        problems += [f"pq_pairs: {why}" for p, q in self.pq_pairs if (why := pq_problem(p, q))]
         problems.extend(_repeats("pq_pairs", [tuple(pair) for pair in self.pq_pairs]))
         n_x = self.x_points if isinstance(self.x_points, int) else len(self.x_points)
         n_points = len(self.functions) * len(self.alphas) * n_x
@@ -287,11 +272,9 @@ class SweepConfig:
         else:
             if not self.x_points:
                 problems.append("x_points: explicit list must not be empty")
-            elif len(self.interval) == 2 and self.interval[0] < self.interval[1]:
-                a, b = self.interval
-                for x in self.x_points:
-                    if not (a <= x <= b):
-                        problems.append(f"x_points: {x!r} outside interval {self.interval!r}")
+            elif not bad_interval:
+                problems += [f"x_points: {why}" for x in self.x_points
+                             if (why := x_problem(x, a, b))]
             problems.extend(_repeats("x_points", self.x_points))
         problems.extend(tolerance_problems(**{t: getattr(self, t) for t in _TOLERANCES}))
         return problems

@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import fracint
-from .errors import ConfigError, ConvergenceError, FracIneqError
+from .errors import ConfigError, ConvergenceError, DomainError, FracIneqError
 from .fracint import (
     DEFAULT_QUADRATURE,
     Estimate,
@@ -160,9 +160,10 @@ def compute_pieces_batch(
     """
     n = len(xs)
     for f, alpha in jobs:
-        # refuses x off [a, b], alpha out of range and an [a, b] too narrow to check
-        FracParams(a, b, next((x for x in xs if not a <= x <= b), a), alpha)
-        fracint._check_domain(f, a, b)
+        if problems := fracint._point_problems(a, b, xs, alpha):
+            raise ConfigError("; ".join(problems))
+        if why := fracint.domain_problem(f, a, b):
+            raise DomainError(f"interval: {why}")
     ginv = [1.0 / gamma(alpha) for _, alpha in jobs]  # raises where Gamma overflows
     by_integrand: dict[int, tuple[Callable, list]] = {}  # id(h) -> (h, lanes)
     for j, (f, alpha) in enumerate(jobs):

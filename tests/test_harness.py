@@ -127,19 +127,19 @@ class TestSweepConfig:
             ({"theorems": ()}, "theorems: must not be empty"),
             ({"interval": (1.0, 0.0)}, "need a < b"),
             ({"interval": (-1.0, 1.0)}, "must lie in [0, inf)"),
-            ({"interval": (0.0, 2.0)}, "outside domain"),
-            ({"alphas": (0.5, -1.0)}, "alphas: must be > 0"),
+            ({"interval": (0.0, 2.0)}, "is outside the domain of"),
+            ({"alphas": (0.5, -1.0)}, "alphas: must lie in [1e-300, 140], got -1.0"),
             ({"alphas": ()}, "alphas: must not be empty"),
             ({"s_values": (1.5,)}, "must lie in (0, 1]"),
             ({"s_values": ()}, "s_values: must not be empty"),
             ({"pq_pairs": ((2.0, 3.0),)}, "not a conjugate pair"),
             ({"pq_pairs": ()}, "pq_pairs: must not be empty"),
             ({"x_points": 0}, "count must be >= 1"),
-            ({"x_points": (2.0,)}, "outside interval"),
+            ({"x_points": (2.0,)}, "x_points: must lie in [0.0, 1.0], got 2.0"),
             ({"identity_tol": 0.0}, "identity_tol: must be > 0"),
             ({"margin_tol": -1.0}, "margin_tol: must be > 0"),
-            ({"alphas": (0.5, 140.5)}, "alphas: must be <= 140"),
-            ({"alphas": (0.5, 1e-307)}, "alphas: must be >= 1e-300"),
+            ({"alphas": (0.5, 140.5)}, "alphas: must lie in [1e-300, 140], got 140.5"),
+            ({"alphas": (0.5, 1e-307)}, "alphas: must lie in [1e-300, 140], got 1e-307"),
             ({"functions": ("square", "exp", "square")}, "functions: 'square' is repeated"),
             ({"alphas": (0.5, 1.0, 0.5)}, "alphas: 0.5 is repeated"),
             ({"theorems": ("E6", "e1", "E6")}, "theorems: 'E6' is repeated"),
@@ -559,7 +559,7 @@ class TestRecords:
 
     def test_replace_keeps_the_checks(self, small_result):
         prm = small_result.reports[0].prm
-        with pytest.raises(ConfigError, match="alpha must be > 0"):
+        with pytest.raises(ConfigError, match=re.escape("alpha: must lie in [1e-300, 140]")):
             dataclasses.replace(prm, alpha=-1.0)
 
     def test_dict_round_trip(self, small_result):
@@ -1354,7 +1354,7 @@ class TestCli:
             warnings.simplefilter("error")
             assert cli.main(["verify", *argv.split()]) == 2
         err = capsys.readouterr().err
-        assert f"error: {interval} is outside the domain of" in err
+        assert f"error: interval: {interval} is outside the domain of" in err
 
     @pytest.mark.parametrize(
         "theorem, given, spelled_out",
@@ -1374,6 +1374,24 @@ class TestCli:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
         assert "HOLDS" in outs[0]
+
+    def test_verify_takes_one_as_the_conjugate_of_an_infinite_p(self, capsys):
+        outs = []
+        for flags in ("--p inf", "--p inf --q 1"):
+            argv = ["verify", "--theorem", "E7", "--function", "square", *flags.split()]
+            assert cli.main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "p=inf q=1 " in outs[0] and "HOLDS" in outs[0]
+
+    def test_check_identity_checks_the_interval_before_placing_points(self, capsys):
+        # points placed over [0, inf] would warn before the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = "check-identity --function exp --a 0 --b inf --x-count 2".split()
+            assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: interval: [0.0, inf] is outside the domain of exp ([0.0, 1.0])\n")
 
     def test_verify_refuses_a_conjugate_exponent_of_one(self, capsys):
         assert cli.main(["verify", "--theorem", "E7", "--function", "square", "--q", "1"]) == 2
@@ -1404,7 +1422,7 @@ class TestCli:
         # a NaN bound would make every row VIOLATED and an infinite one HOLD
         ret = cli.main(["verify", "--theorem", "E6", "--function", "square", "--M", value])
         assert ret == 2
-        assert f"error: M must be nonnegative and finite, got {value}" in capsys.readouterr().err
+        assert f"error: M: must be nonnegative and finite, got {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
     @pytest.mark.parametrize(
@@ -1442,21 +1460,21 @@ class TestCli:
             ("reduce --tol nan", "tol: must be >= 0 and finite, got nan"),
             ("reduce --tol -1", "tol: must be >= 0 and finite, got -1.0"),
             ("reduce --tol inf", "tol: must be >= 0 and finite, got inf"),
-            ("check-identity --function square --x-count 0", "--x-count: must be >= 1, got 0"),
-            ("check-identity --function square --x-count -1", "--x-count: must be >= 1, got -1"),
-            ("check-identity --function square --x-count -3", "--x-count: must be >= 1, got -3"),
+            ("check-identity --function square --x-count 0", "x_points: count must be >= 1, got 0"),
+            ("check-identity --function square --x-count -1", "x_points: count must be >= 1, got -1"),
+            ("check-identity --function square --x-count -3", "x_points: count must be >= 1, got -3"),
             (
                 "check-identity --function square --alpha 0.5 0.5 --x-count 1",
-                "--alpha: 0.5 is repeated",
+                "alphas: 0.5 is repeated",
             ),
-            ("check-identity --function square --x 0.5 0.25 0.5", "--x: 0.5 is repeated"),
+            ("check-identity --function square --x 0.5 0.25 0.5", "x_points: 0.5 is repeated"),
             (
                 "check-identity --function square --x-count 20001",
-                "grid: at most 20000 points (alphas x x), got 120006",
+                "x_points: at most 20000 points, got 20001",
             ),
             (
                 "check-identity --function square --alpha 0.5 --x-count 20001",
-                "grid: at most 20000 points (alphas x x), got 20001",
+                "x_points: at most 20000 points, got 20001",
             ),
         ],
     )
@@ -1600,7 +1618,7 @@ class TestCli:
         )
         assert ret == 2
         err = capsys.readouterr().err
-        assert "error: alphas: must be >= 1e-300" in err
+        assert "error: alphas: must lie in [1e-300, 140]" in err
         assert "Traceback" not in err
 
     def test_sweep_alpha_past_the_gamma_range_exits_two(self, capsys):
@@ -1615,7 +1633,7 @@ class TestCli:
         )
         assert ret == 2
         err = capsys.readouterr().err
-        assert "error: alphas: must be <= 140" in err
+        assert "error: alphas: must lie in [1e-300, 140]" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("q", ["nan", "0"])
@@ -1694,6 +1712,91 @@ class TestCli:
             cli.main(["--version"])
         assert excinfo.value.code == 0
         assert "fracineq" in capsys.readouterr().out
+
+
+def _bad_values():
+    """(id, the rule's text, {entry point: (its name for the value, its input)})
+    per bad value; an entry point that does not take the axis is left out."""
+    for alpha in ("0", "nan", "1e-307", "150"):
+        yield f"alpha={alpha}", f"must lie in [1e-300, 140], got {float(alpha)!r}", {
+            "FracParams": ("alpha", {"alpha": float(alpha)}),
+            "SweepConfig": ("alphas", {"alphas": (float(alpha),)}),
+            "verify": ("alpha", f"--alpha {alpha}"),
+            "check-identity": ("alphas", f"--alpha {alpha}"),
+            "sweep": ("alphas", f"--alphas {alpha}"),
+        }
+    for x in ("2", "nan"):
+        yield f"x={x}", f"must lie in [0.0, 1.0], got {float(x)!r}", {
+            "FracParams": ("x", {"x": float(x)}),
+            "SweepConfig": ("x_points", {"x_points": (float(x),)}),
+            "verify": ("x", f"--x {x}"),
+            "check-identity": ("x_points", f"--x {x}"),
+            "sweep": ("x_points", f"--x {x}"),
+        }
+    yield "s=0", "must lie in (0, 1], got 0.0", {
+        "FracParams": ("s", {"s": 0.0}),
+        "SweepConfig": ("s_values", {"s_values": (0.0,)}),
+        "verify": ("s", "--s 0"),
+        "sweep": ("s_values", "--s-values 0"),
+    }
+    # verify's --q inf alone makes p its conjugate, 1
+    for p, q, flags in (("2", "3", "--p 2 --q 3"), ("1", "inf", "--q inf")):
+        pair = (float(p), float(q))
+        yield f"pq={p},{q}", f"{pair!r} is not a conjugate pair (p > 1, q >= 1, 1/p + 1/q = 1)", {
+            "FracParams": ("p, q", {"p": pair[0], "q": pair[1]}),
+            "SweepConfig": ("pq_pairs", {"pq_pairs": (pair,)}),
+            "verify": ("p, q", f"--theorem E7 {flags}"),
+            "sweep": ("pq_pairs", f"--pq {p} {q}"),
+        }
+    for a, b, name, text in (
+        ("1", "0", "square", "need a < b, got [1.0, 0.0]"),
+        ("0", "2", "pow125", "[0.0, 2.0] is outside the domain of pow125 ([0.0, 1.0])"),
+        ("0", "1e-310", "square",
+         "[0.0, 1e-310] is too narrow to check at alpha=0.5: (b - a)**(alpha + 1) underflows"),
+    ):
+        uses = {
+            "SweepConfig": ("interval", {"interval": (float(a), float(b)), "functions": (name,)}),
+            "verify": ("interval", f"--function {name} --a {a} --b {b}"),
+            "check-identity": ("interval", f"--function {name} --a {a} --b {b}"),
+            "sweep": ("interval", f"--functions {name} --interval {a} {b}"),
+        }
+        if name == "square":  # FracParams knows no function, so no domain
+            uses["FracParams"] = ("interval", {"a": float(a), "b": float(b), "x": float(a)})
+        yield f"interval={a},{b}", text, uses
+
+
+_BASES = {
+    "verify": "verify --theorem E6 --function square",
+    "check-identity": "check-identity --function square --alpha 0.5",
+    "sweep": "sweep --functions square --alphas 0.5",
+}
+
+
+@pytest.mark.parametrize(
+    "entry, name, given, text",
+    [
+        pytest.param(entry, name, given, text, id=f"{entry}-{bad}")
+        for bad, text, uses in _bad_values()
+        for entry, (name, given) in uses.items()
+    ],
+)
+def test_each_axis_rule_reads_the_same_at_every_entry_point(capsys, entry, name, given, text):
+    # one rule per axis: every entry point refuses the value with the rule's
+    # own text after its own name for the value, and nothing else
+    want = f"{name}: {text}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if entry == "FracParams":
+            with pytest.raises(ConfigError) as got:
+                fracint.FracParams(**{"a": 0.0, "b": 1.0, "x": 0.5, "alpha": 0.5, **given})
+            assert str(got.value) == want
+        elif entry == "SweepConfig":
+            base = dataclasses.replace(default_config(), functions=("square",), alphas=(0.5,))
+            assert dataclasses.replace(base, **given).validate() == [want]
+        else:
+            # later flags win over the base command's
+            assert cli.main(f"{_BASES[entry]} {given}".split()) == 2
+            assert capsys.readouterr() == ("", f"error: {want}\n")
 
 
 def test_sweep_rows_equal_standalone_evaluation():
