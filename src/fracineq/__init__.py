@@ -24,7 +24,6 @@ from .bounds import (
     THEOREM_IDS,
     CertCache,
     InequalityReport,
-    evaluate_theorem,
     reduction_check,
 )
 from .errors import (
@@ -71,7 +70,6 @@ from .identity import (
     LemmaPieces,
     check_classical_lemma,
     compute_pieces_batch,
-    pieces_at,
 )
 from .specfun import beta, gamma, ln_gamma
 
@@ -110,7 +108,6 @@ __all__ = [
     "IdentityResidual",
     "LemmaPieces",
     "compute_pieces_batch",
-    "pieces_at",
     "check_classical_lemma",
     # bounds
     "THEOREM_IDS",
@@ -120,7 +117,6 @@ __all__ = [
     "REDUCTION_TOL",
     "InequalityReport",
     "CertCache",
-    "evaluate_theorem",
     "reduction_check",
     # harness
     "SweepConfig",

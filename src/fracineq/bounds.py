@@ -33,7 +33,9 @@ Classical suite (no alpha):
          |f'|**q s-concave.
 
 Each right-hand side is pure closed-form arithmetic; the left-hand sides
-carry quadrature error budgets that the pass/fail tolerance couples to.
+carry quadrature error budgets that the pass/fail tolerance couples to. The
+module runs no quadrature: the caller supplies each point's
+``identity.LemmaPieces``, the integral mean and a ``CertCache``.
 ``THEOREMS`` states each bound's hypothesis, parameters, right-hand side and
 alpha = 1 twin once; everything that handles a theorem id reads it there.
 Each right-hand side is a ``ClosedForm`` ``coef(row) * shape(point) /
@@ -58,14 +60,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .fracint import (
-    DEFAULT_QUADRATURE,
-    Estimate,
-    FracParams,
-    QuadratureConfig,
-    domain_problem,
-    plain_integral,
-)
+from .fracint import Estimate, FracParams, domain_problem
 from .funcatalog import (
     DEFAULT_CERT_TOL,
     MODE_CONCAVE,
@@ -79,7 +74,7 @@ from .funcatalog import (
     certify_batch,
     get_entry,
 )
-from .identity import LemmaPieces, pieces_at
+from .identity import LemmaPieces
 from .specfun import ln_gamma
 
 __all__ = [
@@ -98,7 +93,6 @@ __all__ = [
     "RowBlock",
     "ReportRows",
     "evaluate_block",
-    "evaluate_theorem",
     "reduction_check",
 ]
 
@@ -517,17 +511,21 @@ def evaluate_block(
     M: float,
     grid: Sequence[GridRow],
     points: Sequence[tuple[float, float, Optional[LemmaPieces]]],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    margin_tol: float = DEFAULT_MARGIN_TOL,
-    certs: Optional[CertCache] = None,
+    margin_tol: float,
+    certs: CertCache,
     mean: Optional[Estimate] = None,
 ) -> RowBlock:
     """Evaluate one theorem on every (s, p, q) of ``grid`` at every point.
 
     ``points`` are (alpha, x, pieces) triples of one function, each alpha's
-    together; pieces may be None, and classical theorems read none. Each grid
-    row is checked and certified once for all the alphas. The right-hand
-    sides are the theorem's ``ClosedForm``: coefficient and divisor once per
+    together. The caller supplies what the left-hand sides integrate and the
+    certificates: a fractional theorem reads each point's pieces (from
+    ``identity.compute_pieces_batch``), a classical one no pieces but
+    ``mean``, the integral of f over ``interval`` (from
+    ``fracint.plain_integral``), and ``certs`` gives every hypothesis
+    certificate; nothing here runs quadrature. Each grid row is checked and
+    certified once for all the alphas. The right-hand sides are the
+    theorem's ``ClosedForm``: coefficient and divisor once per
     (alpha, grid row), shape once per point, their product and quotient, the
     margins and the verdicts per report row in numpy. Rows come out per
     alpha, per run of grid rows sharing (s, p), per point, then per grid row
@@ -538,7 +536,6 @@ def evaluate_block(
     thm = THEOREMS.get(theorem_id)
     if thm is None:
         raise ConfigError(f"unknown theorem id {theorem_id!r}; known: {THEOREM_IDS}")
-    certs = certs if certs is not None else CertCache()
     f = entry.func
     a, b = interval
     if why := domain_problem(f, a, b):
@@ -553,8 +550,6 @@ def evaluate_block(
             cert = certs.get(entry, thm.target, thm.mode, row.s, q)
         asserted.append(cert is None or cert.passed)
         notes.append("" if asserted[-1] else certs.skip_note(cert))
-    if not thm.fractional and mean is None:
-        mean = plain_integral(f, a, b, cfg)
     alphas = tuple(alpha for alpha, _, _ in points)
     xs = tuple(x for _, x, _ in points)
     groups = [(alpha, len(list(run))) for alpha, run in groupby(alphas)]  # each alpha's points
@@ -586,8 +581,7 @@ def evaluate_block(
         row_of, point_of, group_of = _report_order(runs, sizes)
         at_points = [_At(a, b, x, alpha, None, None, None, M) for alpha, x, _ in points]
         if thm.fractional:
-            lefts = [(pieces_at(f, at, cfg) if pieces is None else pieces).abs_lhs
-                     for at, (_, _, pieces) in zip(at_points, points)]
+            lefts = [pieces.abs_lhs for _, _, pieces in points]
         else:  # |f(x) - integral mean|
             lefts = [Estimate(abs(float(f.eval(x)) - mean.value / width), mean.error / width)
                      for x in xs]
@@ -610,33 +604,6 @@ def evaluate_block(
         theorem_id, entry.name, a, b, M, tuple(grid), tuple(asserted), tuple(notes),
         alphas, xs, lhs, budget, rhs, margin, holds, row_of, point_of, lhs_at,
     )
-
-
-def evaluate_theorem(
-    theorem_id: str,
-    entry: CatalogEntry,
-    prm: FracParams,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    margin_tol: float = DEFAULT_MARGIN_TOL,
-    certs: Optional[CertCache] = None,
-    mean: Optional[Estimate] = None,
-) -> list[InequalityReport]:
-    """Evaluate one theorem at one parameter point, certificate-gated.
-
-    Returns one report, or two for the Hermite-Hadamard pair (e13), whose
-    rows are tagged ``hh-lower`` and ``hh-upper`` in that order. Rows whose
-    hypothesis certificate fails are still computed but carry
-    asserted=False and an explanatory note. M is taken from prm when set,
-    otherwise from the catalog entry's derivative bound; p and q must be set
-    when the theorem reads them. This is ``evaluate_block`` on one grid row
-    at one point.
-    """
-    M = entry.deriv_bound() if prm.M is None else prm.M
-    return list(ReportRows([evaluate_block(
-        theorem_id, entry, (prm.a, prm.b), M,
-        [GridRow(prm.s, prm.p, prm.q)], [(prm.alpha, prm.x, None)],
-        cfg, margin_tol=margin_tol, certs=certs, mean=mean,
-    )]))
 
 
 # ---------------------------------------------------------------------------

@@ -41,12 +41,14 @@ from .bounds import (
     THEOREM_IDS,
     THEOREMS,
     CertCache,
+    GridRow,
     InequalityReport,
-    evaluate_theorem,
+    ReportRows,
+    evaluate_block,
     reduction_check,
 )
-from .errors import ConfigError, ConvergenceError, FracIneqError
-from .fracint import FracParams, QuadratureConfig
+from .errors import ConfigError, ConvergenceError, DomainError, FracIneqError
+from .fracint import FracParams, QuadratureConfig, domain_problem, plain_integral
 from .funcatalog import (
     DEFAULT_CERT_TOL,
     MODE_CONCAVE,
@@ -71,7 +73,6 @@ from .identity import (
     DEFAULT_IDENTITY_TOL,
     IdentityResidual,
     check_classical_lemma,
-    check_e1_from_pieces,
     check_e4_from_pieces,
     check_e5_from_pieces,
     compute_pieces_batch,
@@ -252,14 +253,14 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
             if isinstance(pieces, ConvergenceError):
                 report(tag, pieces)
                 continue
-            report(tag, check_e1_from_pieces(pieces))
+            report(tag, pieces.e1)
             if args.halves and a < x < b:
                 report(f"  {tag} half-a", check_e4_from_pieces(pieces))
                 report(f"  {tag} half-b", check_e5_from_pieces(pieces))
     if args.classical:
         for x, pieces in zip(xs, batch[alphas.index(1.0)]):
             if not isinstance(pieces, ConvergenceError):
-                pieces = check_classical_lemma(f, a, b, x, cfg, pieces=pieces)
+                pieces = check_classical_lemma(f, a, b, x, pieces, cfg)
             report(f"{f.name} classical x={x:g}", pieces)
 
     print(f"{checks} identity checks, {failures} failures")
@@ -326,12 +327,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         q = 2.0 if p is None else _conjugate(p)
 
     prm = FracParams(a, b, x, alpha, s=args.s, p=p, q=q, M=args.M)
-    certs = CertCache(cert_tol=args.cert_tol)
-    reports = evaluate_theorem(
-        tid, entry, prm, margin_tol=args.margin_tol, certs=certs
-    )
+    # the catalog's domain is checked before any quadrature samples f
+    if why := domain_problem(entry.func, a, b):
+        raise DomainError(f"interval: {why}")
+    pieces = mean = None
+    if thm.fractional:
+        ((pieces,),) = compute_pieces_batch([(entry.func, alpha)], a, b, [x])
+        if isinstance(pieces, ConvergenceError):
+            raise pieces
+    else:
+        mean = plain_integral(entry.func, a, b)
+    M = entry.deriv_bound() if prm.M is None else prm.M
+    block = evaluate_block(tid, entry, (a, b), M, [GridRow(prm.s, prm.p, prm.q)],
+                           [(alpha, x, pieces)], args.margin_tol, CertCache(args.cert_tol), mean)
     failures = 0
-    for r in reports:
+    for r in ReportRows([block]):
         line, failed = _format_report(r)
         if failed:
             failures += 1

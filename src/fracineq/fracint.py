@@ -177,8 +177,9 @@ def s_problem(s: float) -> Optional[str]:
 
 def pq_problem(p: Optional[float], q: Optional[float]) -> Optional[str]:
     """p and q must be Hoelder-conjugate; a missing one is left to be the
-    other's conjugate. q is checked before 1 / q is taken."""
-    ok = (p is None or p > 1.0) and (q is None or q >= 1.0)
+    other's conjugate, so a lone q = inf, whose conjugate is p = 1, is
+    refused. q is checked before 1 / q is taken."""
+    ok = (p is None or p > 1.0) and (q is None or 1.0 <= q < math.inf)
     if ok and p is not None and q is not None:
         ok = abs(1.0 / p + 1.0 / q - 1.0) <= CONJUGACY_TOL
     return None if ok else (

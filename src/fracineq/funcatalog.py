@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CertificateError, ConfigError, DomainError
-from .fracint import s_problem
+from .fracint import pq_problem, s_problem
 
 __all__ = [
     "MODE_CONVEX",
@@ -200,15 +200,15 @@ def certify_batch(
     (1 - lam, v, u) are one sum in swapped order, so only lam's first
     (GRID_SIZE + 1) // 2 rows are sampled.
 
-    Checked in order, the first problem raising: s, q (1 <= q < inf), modes,
-    target, a NaN cert_tol, then a domain outside [0, inf), where
-    s-convexity is defined.
+    Checked in order, the first problem raising: s, q (as a lone exponent,
+    ``fracint.pq_problem``: 1 <= q < inf), modes, target, a NaN cert_tol,
+    then a domain outside [0, inf), where s-convexity is defined.
     """
     for s in s_values:
         if why := s_problem(s):
             raise DomainError(f"s_values: {why}")
-    if not 1.0 <= q < math.inf:
-        raise DomainError(f"q must be >= 1 and finite, got {q!r}")
+    if why := pq_problem(None, q):
+        raise DomainError(f"q: {why}")
     for mode in modes:
         if mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")

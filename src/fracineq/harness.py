@@ -470,7 +470,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
         for entry in sorted(entries, key=attrgetter("name")):
             blocks.append(evaluate_block(
                 thm.tid, entry, cfg.interval, bound_m[entry.name], grid,
-                points_of[entry.name] if thm.fractional else at_one, qcfg,
+                points_of[entry.name] if thm.fractional else at_one,
                 cfg.margin_tol, certs, means.get(entry.name),
             ))
 

@@ -33,19 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from . import fracint
 from .errors import ConfigError, ConvergenceError, DomainError, FracIneqError
-from .fracint import (
-    DEFAULT_QUADRATURE,
-    Estimate,
-    FracParams,
-    QuadratureConfig,
-    plain_integral,
-)
+from .fracint import DEFAULT_QUADRATURE, Estimate, QuadratureConfig, plain_integral
 from .funcatalog import Function1D
 from .specfun import gamma, ln_gamma
 
@@ -55,7 +49,6 @@ __all__ = [
     "IdentityResidual",
     "LemmaPieces",
     "compute_pieces_batch",
-    "pieces_at",
     "check_e1_from_pieces",
     "check_e4_from_pieces",
     "check_e5_from_pieces",
@@ -201,18 +194,6 @@ def compute_pieces_batch(
     return out
 
 
-def pieces_at(
-    f: Function1D,
-    prm: FracParams,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> LemmaPieces:
-    """:func:`compute_pieces_batch` at the single point prm; raises its ConvergenceError."""
-    ((got,),) = compute_pieces_batch(((f, prm.alpha),), prm.a, prm.b, (prm.x,), cfg)
-    if isinstance(got, ConvergenceError):
-        raise got
-    return got
-
-
 def _coefficients(p: LemmaPieces) -> tuple[float, float, float, float, float]:
     width = p.b - p.a
     ga1 = gamma(p.alpha + 1.0)
@@ -259,25 +240,22 @@ def check_classical_lemma(
     a: float,
     b: float,
     x: float,
+    pieces: LemmaPieces,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    pieces: Optional[LemmaPieces] = None,
 ) -> IdentityResidual:
     """Verify the classical (alpha = 1) identity through plain integrals.
 
     The integral mean is computed from ordinary quadrature split at x, an
     independent route from the weighted-operator machinery. The right-hand
-    side's moment integrals are the twin's: the alpha = 1 pieces' ``ia`` and
-    ``ib``. The result is then cross-asserted against check_e1_from_pieces
-    at alpha = 1 on those pieces: both sides must coincide to
-    ALPHA_ONE_MATCH_TOL (relative to the residual scale), and a disagreement
-    raises rather than returning silently inconsistent data. ``pieces``, when
-    given, are the alpha = 1 pieces at (a, b, x), for instance one x of a
-    :func:`compute_pieces_batch` job; otherwise they are computed here.
+    side's moment integrals are the twin's: ``pieces``, the alpha = 1 pieces
+    at (a, b, x), for instance one x of a :func:`compute_pieces_batch` job,
+    give ``ia`` and ``ib``; pieces of another point are refused. The result
+    is then cross-asserted against the pieces' full identity (``e1``): both
+    sides must coincide to ALPHA_ONE_MATCH_TOL (relative to the residual
+    scale), and a disagreement raises rather than returning silently
+    inconsistent data.
     """
-    prm = FracParams(a=a, b=b, x=x, alpha=1.0)
-    if pieces is None:
-        pieces = pieces_at(f, prm, cfg)
-    elif (pieces.a, pieces.b, pieces.x, pieces.alpha) != (a, b, x, 1.0):
+    if (pieces.a, pieces.b, pieces.x, pieces.alpha) != (a, b, x, 1.0):
         raise ConfigError(
             f"twin pieces are for (a, b, x, alpha) = "
             f"{(pieces.a, pieces.b, pieces.x, pieces.alpha)!r}, "
@@ -297,7 +275,7 @@ def check_classical_lemma(
     )
     res = IdentityResidual.from_sides(lhs, rhs, budget)
 
-    twin = check_e1_from_pieces(pieces)
+    twin = pieces.e1
     tol = ALPHA_ONE_MATCH_TOL * max(res.scale, twin.scale)
     if abs(res.lhs - twin.lhs) > tol or abs(res.rhs - twin.rhs) > tol:
         raise FracIneqError(

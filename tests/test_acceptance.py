@@ -23,19 +23,18 @@ from fracineq import (
     FracParams,
     beta,
     builtin_catalog,
-    check_classical_lemma,
     default_config,
-    evaluate_theorem,
     gamma,
     get_entry,
     oracle,
-    pieces_at,
     reduction_check,
     render_csv,
     run_sweep,
     weighted_endpoint_integral,
 )
 from fracineq.identity import check_e1_from_pieces
+
+from at_point import classical_at, pieces_of, rows_at
 
 GAMMA_IDENTITY_RTOL = 8e-13
 HALF_INTEGER_RTOL = 1e-13
@@ -100,11 +99,11 @@ def test_identity_residuals_across_catalog_and_classical_agreement():
     for entry in builtin_catalog():
         for alpha in alphas:
             for x in xs:
-                res = check_e1_from_pieces(pieces_at(entry.func, FracParams(0.0, 1.0, x, alpha)))
+                res = check_e1_from_pieces(pieces_of(entry.func, FracParams(0.0, 1.0, x, alpha)))
                 assert res.rel_residual <= IDENTITY_RTOL, (entry.name, alpha, x)
         for x in xs:
-            frac = check_e1_from_pieces(pieces_at(entry.func, FracParams(0.0, 1.0, x, 1.0)))
-            classical = check_classical_lemma(entry.func, 0.0, 1.0, x)
+            frac = check_e1_from_pieces(pieces_of(entry.func, FracParams(0.0, 1.0, x, 1.0)))
+            classical = classical_at(entry.func, 0.0, 1.0, x)
             scale = max(1.0, abs(frac.lhs), abs(classical.lhs))
             assert abs(frac.lhs - classical.lhs) <= ALPHA_ONE_MATCH * scale
             assert abs(frac.rhs - classical.rhs) <= ALPHA_ONE_MATCH * scale
@@ -138,7 +137,7 @@ def test_ostrowski_equality_witness_at_endpoints():
     entry = get_entry("affine")
     for x in (0.0, 1.0):
         prm = FracParams(0.0, 1.0, x, 1.0, M=1.0)
-        (row,) = evaluate_theorem("e1", entry, prm)
+        (row,) = rows_at("e1", entry, prm)
         assert abs(row.margin) <= SHARPNESS_TOL, x
 
 
@@ -146,7 +145,7 @@ def test_hermite_hadamard_pair_for_every_registered_s():
     for entry in builtin_catalog():
         for s in sorted(set(entry.s_convex) | set(entry.s_concave)):
             prm = FracParams(0.0, 1.0, 0.5, 1.0, s=s)
-            lower, upper = evaluate_theorem("e13", entry, prm)
+            lower, upper = rows_at("e13", entry, prm)
             assert lower.asserted and upper.asserted, (entry.name, s)
             assert lower.margin >= -HH_MARGIN_TOL, (entry.name, s)
             assert upper.margin >= -HH_MARGIN_TOL, (entry.name, s)

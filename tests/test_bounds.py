@@ -19,13 +19,11 @@ from fracineq.bounds import (
     THEOREM_IDS,
     THEOREMS,
     CertCache,
-    evaluate_theorem,
     reduction_check,
     _gamma_ratio,
 )
 from fracineq.errors import ConfigError
 from fracineq.fracint import MAX_ALPHA, Estimate, FracParams
-from fracineq.identity import pieces_at
 from fracineq.funcatalog import (
     MODE_CONCAVE,
     MODE_CONVEX,
@@ -36,6 +34,8 @@ from fracineq.funcatalog import (
     certify_batch,
     get_entry,
 )
+
+from at_point import pieces_of, rows_at
 
 S_GRID = (0.25, 0.5, 0.75, 1.0)
 # each theorem's right-hand side and alpha = 1 twin, unchecked: rhs(prm, f)
@@ -90,25 +90,25 @@ class TestTheoremTable:
         def bits(rows):
             return repr([dataclasses.replace(r, prm=None) for r in rows])
 
-        want = bits(evaluate_theorem(tid, entry, full))
+        want = bits(rows_at(tid, entry, full))
         for name in ("p", "q"):
             prm = dataclasses.replace(full, **{name: None})
             if name in PARAM_FIELDS[tid]:
                 with pytest.raises(ConfigError, match=f"^{tid} requires {name} to be set$"):
-                    evaluate_theorem(tid, entry, prm)
+                    rows_at(tid, entry, prm)
             else:
-                assert bits(evaluate_theorem(tid, entry, prm)) == want
+                assert bits(rows_at(tid, entry, prm)) == want
 
 
 def abs_lhs(f, prm):
     """The fractional rows' left-hand side, |identity LHS|."""
-    return pieces_at(f, prm).abs_lhs
+    return pieces_of(f, prm).abs_lhs
 
 
 def classical_lhs(f, prm, mean=None):
     """The classical rows' left-hand side, |f(x) - integral mean|, off e1's row."""
     entry = CatalogEntry(f, (), (), None, "")
-    (row,) = evaluate_theorem("e1", entry, dataclasses.replace(prm, M=1.0), mean=mean)
+    (row,) = rows_at("e1", entry, dataclasses.replace(prm, M=1.0), mean=mean)
     return Estimate(row.lhs, row.quad_error_budget)
 
 
@@ -137,7 +137,7 @@ class TestLhsFrac:
     def test_pieces_compute_the_estimate_once(self):
         f = get_entry("pow150").func
         prm = FracParams(0.0, 1.0, 0.3, 0.75)
-        pieces = pieces_at(f, prm)
+        pieces = pieces_of(f, prm)
         first = pieces.abs_lhs
         assert pieces.abs_lhs is first
         assert first == abs_lhs(f, prm)
@@ -220,7 +220,7 @@ class TestRhsThm2:
 
     def test_missing_exponents_rejected(self):
         with pytest.raises(ConfigError, match="^E7 requires p, q to be set$"):
-            evaluate_theorem("E7", get_entry("square"), FracParams(0.0, 1.0, 0.5, 0.5, s=0.5))
+            rows_at("E7", get_entry("square"), FracParams(0.0, 1.0, 0.5, 0.5, s=0.5))
 
 
 class TestRhsThm3:
@@ -242,7 +242,7 @@ class TestRhsThm3:
 
     def test_missing_q_rejected(self):
         with pytest.raises(ConfigError, match="^E8proof requires q to be set$"):
-            evaluate_theorem(
+            rows_at(
                 "E8proof", get_entry("square"), FracParams(0.0, 1.0, 0.5, 0.5, s=0.5)
             )
 
@@ -276,7 +276,7 @@ class TestRhsThm4:
 
     def test_missing_exponents_rejected(self):
         with pytest.raises(ConfigError, match="^E9 requires p, q to be set$"):
-            evaluate_theorem(
+            rows_at(
                 "E9", get_entry("threehalf"), FracParams(0.0, 1.0, 0.5, 0.5, s=1.0)
             )
 
@@ -362,12 +362,12 @@ class TestClassicalRhs:
 class TestEvaluateTheorem:
     def test_unknown_id_rejected(self):
         with pytest.raises(ConfigError, match="unknown theorem id"):
-            evaluate_theorem("E10", get_entry("square"), FracParams(0.0, 1.0, 0.5, 0.5))
+            rows_at("E10", get_entry("square"), FracParams(0.0, 1.0, 0.5, 0.5))
 
     def test_frozen_certified_row(self):
         entry = get_entry("square")
         prm = FracParams(0.0, 1.0, 0.5, 0.5, s=0.5)
-        (row,) = evaluate_theorem("E6", entry, prm)
+        (row,) = rows_at("E6", entry, prm)
         assert row.theorem_id == "E6"
         assert row.function == "square"
         assert row.prm.M == 2.0  # resolved from the catalog bound
@@ -380,7 +380,7 @@ class TestEvaluateTheorem:
         # |f'|^2 of t^2 is convex, so the concavity gate cannot pass
         entry = get_entry("square")
         prm = FracParams(0.0, 1.0, 0.5, 0.5, s=1.0, p=2.0, q=2.0)
-        (row,) = evaluate_theorem("E9", entry, prm)
+        (row,) = rows_at("E9", entry, prm)
         assert not row.asserted
         assert "hypothesis not certified" in row.note
         assert math.isfinite(row.rhs) and math.isfinite(row.margin)
@@ -388,18 +388,18 @@ class TestEvaluateTheorem:
     def test_certified_concave_row_asserted(self):
         entry = get_entry("threehalf")
         prm = FracParams(0.0, 1.0, 0.5, 0.5, s=1.0, p=2.0, q=2.0)
-        (row,) = evaluate_theorem("E9", entry, prm)
+        (row,) = rows_at("E9", entry, prm)
         assert row.asserted and row.holds
 
     def test_powermean_row_needs_no_p(self):
         entry = get_entry("square")
         prm = FracParams(0.0, 1.0, 0.5, 0.5, s=0.5, q=1.5)
-        (row,) = evaluate_theorem("E8proof", entry, prm)
+        (row,) = rows_at("E8proof", entry, prm)
         assert row.asserted and row.holds
 
     def test_hoelder_row_missing_exponents_rejected(self):
         with pytest.raises(ConfigError):
-            evaluate_theorem(
+            rows_at(
                 "E7", get_entry("square"), FracParams(0.0, 1.0, 0.5, 0.5, s=0.5)
             )
 
@@ -407,7 +407,7 @@ class TestEvaluateTheorem:
         # deliberately undersized M: the certificate passes, the bound fails
         entry = get_entry("square")
         prm = FracParams(0.0, 1.0, 0.5, 0.5, s=0.5, M=1e-3)
-        (row,) = evaluate_theorem("E6", entry, prm)
+        (row,) = rows_at("E6", entry, prm)
         assert row.asserted
         assert row.margin < 0.0
         assert not row.holds
@@ -415,13 +415,13 @@ class TestEvaluateTheorem:
     def test_margin_tolerance_couples_to_verdict(self):
         entry = get_entry("square")
         prm = FracParams(0.0, 1.0, 0.5, 0.5, s=0.5, M=1e-3)
-        (row,) = evaluate_theorem("E6", entry, prm, margin_tol=1.0)
+        (row,) = rows_at("E6", entry, prm, margin_tol=1.0)
         assert row.holds  # same negative margin, wider tolerance
 
     def test_hh_pair_rows(self):
         entry = get_entry("square")
         prm = FracParams(0.0, 1.0, 0.5, 1.0, s=0.5, M=2.0)
-        lower, upper = evaluate_theorem("e13", entry, prm)
+        lower, upper = rows_at("e13", entry, prm)
         assert lower.note.endswith("hh-lower")
         assert upper.note.endswith("hh-upper")
         assert lower.lhs == pytest.approx(0.25 / math.sqrt(2.0), rel=1e-14)
@@ -446,20 +446,20 @@ class TestEvaluateTheorem:
             summary="affine shifted below zero",
         )
         prm = FracParams(0.0, 1.0, 0.5, 1.0, s=1.0, M=1.0)
-        lower, upper = evaluate_theorem("e13", dipped, prm)
+        lower, upper = rows_at("e13", dipped, prm)
         assert not lower.asserted and not upper.asserted
         assert "negative values" in lower.note
 
     def test_e1_uses_precomputed_mean(self):
         entry = get_entry("square")
         prm = FracParams(0.0, 1.0, 0.25, 1.0, M=2.0)
-        (row,) = evaluate_theorem("e1", entry, prm, mean=Estimate(1.0 / 3.0, 0.0))
+        (row,) = rows_at("e1", entry, prm, mean=Estimate(1.0 / 3.0, 0.0))
         assert row.lhs == abs(0.0625 - 1.0 / 3.0)
         assert row.quad_error_budget == 0.0
 
     def test_t5_missing_q_rejected(self):
         with pytest.raises(ConfigError):
-            evaluate_theorem(
+            rows_at(
                 "t5_146", get_entry("square"), FracParams(0.0, 1.0, 0.5, 1.0, s=0.5, M=2.0)
             )
 
@@ -487,7 +487,7 @@ class TestTableGate:
             prm = self.point(tid, s=s)
             q = prm.q if thm.q_in_hypothesis else 1.0
             cert = certify_batch(entry.func, (s,), q=q, modes=(thm.mode,), target=thm.target)[0]
-            for row in evaluate_theorem(tid, entry, prm, certs=CertCache()):
+            for row in rows_at(tid, entry, prm, certs=CertCache()):
                 assert row.asserted == cert.passed, (s, row)
                 if not cert.passed:
                     assert row.note.startswith(f"hypothesis not certified: {cert.describe()}")
@@ -498,7 +498,7 @@ class TestTableGate:
     def test_missing_exponent_rejected(self, tid, name):
         prm = self.point(tid, **{name: None})
         with pytest.raises(ConfigError, match=f"^{tid} requires {name} to be set$"):
-            evaluate_theorem(tid, get_entry("threehalf"), prm)
+            rows_at(tid, get_entry("threehalf"), prm)
 
     @pytest.mark.parametrize("tid", THEOREM_IDS)
     def test_unread_exponents_change_nothing(self, tid):
@@ -508,7 +508,7 @@ class TestTableGate:
 
         def sides(prm):
             return [(r.lhs, r.rhs, r.margin, r.asserted, r.holds, r.note)
-                    for r in evaluate_theorem(tid, entry, prm)]
+                    for r in rows_at(tid, entry, prm)]
 
         assert sides(self.point(tid, **unread)) == sides(self.point(tid))
 
@@ -572,7 +572,7 @@ class TestCertCache:
     def test_an_s_off_the_grid_is_certified_alone(self, batches):
         # E9 on a fresh cache, which has no s grid: one batch over (s,)
         prm = FracParams(0.0, 1.0, 0.5, 0.5, s=1.0, p=2.0, q=2.0)
-        (row,) = evaluate_theorem("E9", get_entry("pow150"), prm, certs=CertCache())
+        (row,) = rows_at("E9", get_entry("pow150"), prm, certs=CertCache())
         assert batches == [(TARGET_FPRIME_POW, 2.0, (MODE_CONVEX, MODE_CONCAVE), (1.0,))]
         assert row.asserted and row.holds
 
@@ -583,7 +583,7 @@ class TestClassicalSuite:
     def test_row_order_and_verdicts(self):
         entry = get_entry("square")
         prm = FracParams(0.0, 1.0, 0.25, 1.0, s=0.5, p=2.0, q=2.0, M=2.0)
-        rows = [row for tid in CLASSICAL_IDS for row in evaluate_theorem(tid, entry, prm)]
+        rows = [row for tid in CLASSICAL_IDS for row in rows_at(tid, entry, prm)]
         assert [r.theorem_id for r in rows] == [
             "e1", "e13", "e13", "e14", "t5_146", "t6_147",
         ]

@@ -39,8 +39,10 @@ from fracineq.fracint import (
     weighted_endpoint_integral,
 )
 from fracineq.funcatalog import Function1D, builtin_catalog, get_entry
-from fracineq.identity import compute_pieces_batch, pieces_at
+from fracineq.identity import compute_pieces_batch
 from fracineq.specfun import gamma
+
+from at_point import pieces_of
 
 TWO_OVER_SQRT_PI = 1.1283791670955126
 
@@ -198,7 +200,7 @@ class TestRightOperator:
 
 
 def _pair(f, deriv, x, alpha):
-    pieces = pieces_at(Function1D("f", f, deriv, 0.0, 1.0), FracParams(0.0, 1.0, x, alpha))
+    pieces = pieces_of(Function1D("f", f, deriv, 0.0, 1.0), FracParams(0.0, 1.0, x, alpha))
     return pieces.jm, pieces.jp
 
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import fracineq
 from fracineq import bounds, cli, fracint, harness, identity
-from fracineq.bounds import THEOREM_IDS, evaluate_theorem
+from fracineq.bounds import THEOREM_IDS
 from fracineq.errors import ConfigError, ConvergenceError
 from fracineq.fracint import QuadratureConfig
 from fracineq.funcatalog import (
@@ -50,6 +50,8 @@ from fracineq.harness import (
     render_json,
     run_sweep,
 )
+
+from at_point import classical_at, rows_at
 
 
 def _report_sort_key(r):
@@ -1264,7 +1266,7 @@ class TestCli:
         want = []
         for x in xs:
             # the independent route with its own one-x twin
-            res = identity.check_classical_lemma(f, 0.0, 1.0, x)
+            res = classical_at(f, 0.0, 1.0, x)
             want.append(
                 f"square classical x={x:g}: rel_residual={res.rel_residual:.3e} "
                 f"budget={res.quad_error_budget:.3e} PASS"
@@ -1748,6 +1750,11 @@ def _bad_values():
             "verify": ("p, q", f"--theorem E7 {flags}"),
             "sweep": ("pq_pairs", f"--pq {p} {q}"),
         }
+    # a lone q = inf, whose conjugate would be p = 1; a sweep takes pairs only
+    yield "q=inf", "(None, inf) is not a conjugate pair (p > 1, q >= 1, 1/p + 1/q = 1)", {
+        "FracParams": ("p, q", {"q": math.inf}),
+        "verify": ("p, q", "--theorem E8proof --q inf"),
+    }
     for a, b, name, text in (
         ("1", "0", "square", "need a < b, got [1.0, 0.0]"),
         ("0", "2", "pow125", "[0.0, 2.0] is outside the domain of pow125 ([0.0, 1.0])"),
@@ -1802,8 +1809,8 @@ def test_each_axis_rule_reads_the_same_at_every_entry_point(capsys, entry, name,
 def test_sweep_rows_equal_standalone_evaluation():
     # run_sweep shares the identity, its left-hand side, the integral mean,
     # the certificates and the Gamma ratios between rows; the rows of each
-    # (theorem, function, parameters) must still equal what evaluate_theorem
-    # gives with nothing precomputed
+    # (theorem, function, parameters) must still equal a one-row, one-point
+    # evaluate_block fed freshly computed pieces, mean and certificates
     cfg = SMALL
     qcfg = QuadratureConfig(rel_tol=cfg.quad_rel_tol, abs_tol=cfg.quad_abs_tol)
     res = run_sweep(cfg)
@@ -1816,12 +1823,40 @@ def test_sweep_rows_equal_standalone_evaluation():
         groups.setdefault((r.theorem_id, r.function, r.prm), []).append(r)
     assert {tid for tid, _, _ in groups} == set(cfg.theorems)
     for (tid, name, prm), rows in groups.items():
-        alone = evaluate_theorem(tid, get_entry(name), prm, qcfg, margin_tol=cfg.margin_tol)
+        alone = rows_at(tid, get_entry(name), prm, qcfg, margin_tol=cfg.margin_tol)
         assert alone == rows
     # classical rows sit at alpha = 1; the e13 pair, which reads no x, at the midpoint
     classical = [r for r in res.reports if r.theorem_id[0] != "E"]
     assert {r.prm.alpha for r in classical} == {1.0}
     assert {r.prm.x for r in classical if r.theorem_id == "e13"} == {0.5}
+
+
+def test_verify_prints_the_sweeps_rows(capsys):
+    # verify builds its rows as the sweep does, from one point's pieces or
+    # the integral mean: at each point of a small sweep, for every theorem
+    # id, the p = inf, q = 1 pair and both gate verdicts included, it prints
+    # the sweep's rows and exits 1 exactly when one of them is a violation
+    cfg = dataclasses.replace(
+        SMALL, functions=("pow150", "square"), alphas=(0.5,),
+        pq_pairs=((math.inf, 1.0), (2.0, 2.0)), x_points=(0.0, 0.3),
+    )
+    groups: dict = {}
+    for r in run_sweep(cfg).reports:
+        groups.setdefault((r.theorem_id, r.function, r.prm), []).append(r)
+    assert {tid for tid, _, _ in groups} == set(THEOREM_IDS)
+    assert {(prm.p, prm.q) for _, _, prm in groups} >= {(math.inf, 1.0), (None, 1.0)}
+    assert {r.asserted for rows in groups.values() for r in rows} == {True, False}
+    for (tid, name, prm), rows in groups.items():
+        argv = ["verify", "--theorem", tid, "--function", name, "--s", repr(prm.s),
+                "--x", repr(prm.x)]
+        if bounds.THEOREMS[tid].fractional:
+            argv += ["--alpha", repr(prm.alpha)]
+        for flag, value in (("--p", prm.p), ("--q", prm.q)):
+            if value is not None:
+                argv += [flag, repr(value)]
+        want = [cli._format_report(r) for r in rows]
+        assert cli.main(argv) == int(any(failed for _, failed in want)), argv
+        assert capsys.readouterr().out.splitlines() == [line for line, _ in want], argv
 
 
 def test_default_sweep_gates_and_checks_once_per_block_and_point(monkeypatch):
@@ -1866,8 +1901,8 @@ def test_rows_that_differ_only_in_q_keep_the_pq_order():
 
 def test_rows_come_out_in_the_order_a_stable_sort_gives():
     # the oracle builds every row with its own one-row, one-point
-    # evaluate_block call, as evaluate_theorem does but with the point's
-    # shared pieces, in generation order (per function, alpha and x the fractional ids, then
+    # evaluate_block call, as verify does but with the point's shared pieces,
+    # in generation order (per function, alpha and x the fractional ids, then
     # per function the classical ids), and sorts them stably by the report
     # key; run_sweep emits its rows in that order without sorting
     cfg = dataclasses.replace(
@@ -1889,7 +1924,7 @@ def test_rows_come_out_in_the_order_a_stable_sort_gives():
         for row in thm.grid(cfg.s_values, cfg.pq_pairs, q_dedup):
             block = bounds.evaluate_block(
                 thm.tid, entry, (0.0, 1.0), entry.deriv_bound(), [row],
-                [(alpha, x, pieces)], qcfg, cfg.margin_tol, certs, mean,
+                [(alpha, x, pieces)], cfg.margin_tol, certs, mean,
             )
             rows.extend(bounds.ReportRows([block]))
 

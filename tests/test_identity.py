@@ -26,15 +26,16 @@ from fracineq.identity import (
     check_e4_from_pieces,
     check_e5_from_pieces,
     compute_pieces_batch,
-    pieces_at,
 )
+
+from at_point import classical_at, pieces_of
 
 ALPHAS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
 
 
 def halves(f, prm):
     """The two one-sided residuals (r4, r5) at prm, from one set of pieces."""
-    pieces = pieces_at(f, prm)
+    pieces = pieces_of(f, prm)
     return check_e4_from_pieces(pieces), check_e5_from_pieces(pieces)
 
 
@@ -65,19 +66,19 @@ class TestFullIdentity:
     def test_constant_gives_zero_both_sides(self):
         f = get_entry("constant").func
         for alpha in (0.5, 1.0, 1.7):
-            res = check_e1_from_pieces(pieces_at(f, FracParams(0.0, 1.0, 0.3, alpha)))
+            res = check_e1_from_pieces(pieces_of(f, FracParams(0.0, 1.0, 0.3, alpha)))
             assert res.rel_residual <= 1e-13
             assert abs(res.rhs) <= 1e-13
 
     def test_affine_midpoint_symmetry(self):
         prm = FracParams(0.0, 1.0, 0.5, 1.0)
-        res = check_e1_from_pieces(pieces_at(get_entry("affine").func, prm))
+        res = check_e1_from_pieces(pieces_of(get_entry("affine").func, prm))
         assert abs(res.lhs) <= 1e-14
         assert abs(res.rhs) <= 1e-14
 
     def test_square_half_order(self):
         prm = FracParams(0.0, 1.0, 0.5, 0.5)
-        res = check_e1_from_pieces(pieces_at(get_entry("square").func, prm))
+        res = check_e1_from_pieces(pieces_of(get_entry("square").func, prm))
         assert res.rel_residual <= 1e-8
         assert res.passes()
 
@@ -87,7 +88,7 @@ class TestFullIdentity:
         # adaptive evaluation
         a, b, x, alpha = 0.0, 1.0, 0.5, 0.5
         f = get_entry("square").func
-        fast = check_e1_from_pieces(pieces_at(f, FracParams(a, b, x, alpha)))
+        fast = check_e1_from_pieces(pieces_of(f, FracParams(a, b, x, alpha)))
         ginv = 1.0 / math.gamma(alpha)
         slow = check_e1_from_pieces(LemmaPieces(
             a, b, x, alpha, x**2,
@@ -105,7 +106,7 @@ class TestFullIdentity:
         for entry in builtin_catalog():
             for x in np.linspace(0.0, 1.0, 7):
                 prm = FracParams(0.0, 1.0, float(x), alpha)
-                res = check_e1_from_pieces(pieces_at(entry.func, prm))
+                res = check_e1_from_pieces(pieces_of(entry.func, prm))
                 assert res.passes(DEFAULT_IDENTITY_TOL), (
                     f"{entry.name} alpha={alpha} x={x}: rel={res.rel_residual}"
                 )
@@ -114,14 +115,14 @@ class TestFullIdentity:
         # at x=a the toward-a terms vanish by convention; identity still holds
         f = get_entry("exp").func
         for x in (0.0, 1.0):
-            res = check_e1_from_pieces(pieces_at(f, FracParams(0.0, 1.0, x, 0.5)))
+            res = check_e1_from_pieces(pieces_of(f, FracParams(0.0, 1.0, x, 0.5)))
             assert res.passes()
 
     def test_off_unit_interval(self):
         f = Function1D(
             "wide", lambda t: np.asarray(t) ** 2, lambda t: 2.0 * np.asarray(t), -3.0, 5.0
         )
-        res = check_e1_from_pieces(pieces_at(f, FracParams(-2.0, 4.0, 1.0, 0.75)))
+        res = check_e1_from_pieces(pieces_of(f, FracParams(-2.0, 4.0, 1.0, 0.75)))
         assert res.passes()
 
 
@@ -166,7 +167,7 @@ class TestHalves:
         # r1 = r4 - r5 up to regrouping of the shared quadrature values
         f = get_entry(fname).func
         prm = FracParams(0.0, 1.0, 0.375, alpha)
-        pieces = pieces_at(f, prm)
+        pieces = pieces_of(f, prm)
         r1 = check_e1_from_pieces(pieces)
         r4 = check_e4_from_pieces(pieces)
         r5 = check_e5_from_pieces(pieces)
@@ -177,18 +178,18 @@ class TestHalves:
 class TestClassicalLemma:
     def test_square_hand_value(self):
         # f(x) - mean = 1/4 - 1/3 = -1/12
-        res = check_classical_lemma(get_entry("square").func, 0.0, 1.0, 0.5)
+        res = classical_at(get_entry("square").func, 0.0, 1.0, 0.5)
         assert res.lhs == pytest.approx(-1.0 / 12.0, rel=1e-10)
         assert res.passes()
 
     def test_constant_trivial(self):
-        res = check_classical_lemma(get_entry("constant").func, 0.0, 1.0, 0.25)
+        res = classical_at(get_entry("constant").func, 0.0, 1.0, 0.25)
         assert abs(res.lhs) <= 1e-13
         assert abs(res.rhs) <= 1e-13
 
     def test_affine_at_left_endpoint(self):
         # f(t)=t at x=a: lhs = a - (a+b)/2 = -(b-a)/2, single surviving term
-        res = check_classical_lemma(get_entry("affine").func, 0.0, 1.0, 0.0)
+        res = classical_at(get_entry("affine").func, 0.0, 1.0, 0.0)
         assert res.lhs == pytest.approx(-0.5, rel=1e-12)
         assert res.rhs == pytest.approx(-0.5, rel=1e-12)
 
@@ -197,15 +198,15 @@ class TestClassicalLemma:
         # the cross-assertion inside check_classical_lemma enforces the
         # 1e-12 match; verify it externally as well
         f = get_entry("exp").func
-        classical = check_classical_lemma(f, 0.0, 1.0, x)
-        fractional = check_e1_from_pieces(pieces_at(f, FracParams(0.0, 1.0, x, 1.0)))
+        classical = classical_at(f, 0.0, 1.0, x)
+        fractional = check_e1_from_pieces(pieces_of(f, FracParams(0.0, 1.0, x, 1.0)))
         tol = ALPHA_ONE_MATCH_TOL * max(classical.scale, fractional.scale)
         assert abs(classical.lhs - fractional.lhs) <= tol
         assert abs(classical.rhs - fractional.rhs) <= tol
 
     def test_all_catalog_functions_pass(self):
         for entry in builtin_catalog():
-            res = check_classical_lemma(entry.func, 0.0, 1.0, 0.7)
+            res = classical_at(entry.func, 0.0, 1.0, 0.7)
             assert res.passes(), f"{entry.name}: rel={res.rel_residual}"
 
     def test_inconsistent_derivative_fails_residual(self):
@@ -218,7 +219,7 @@ class TestClassicalLemma:
             0.0,
             1.0,
         )
-        res = check_classical_lemma(liar, 0.0, 1.0, 0.5)
+        res = classical_at(liar, 0.0, 1.0, 0.5)
         assert not res.passes()
 
     def test_twin_pieces_from_a_batch(self):
@@ -229,7 +230,7 @@ class TestClassicalLemma:
         (batch,) = compute_pieces_batch(((f, 1.0),), 0.0, 1.0, xs)
         for x, pieces in zip(xs, batch):
             assert check_classical_lemma(f, 0.0, 1.0, x, pieces=pieces) == (
-                check_classical_lemma(f, 0.0, 1.0, x)
+                classical_at(f, 0.0, 1.0, x)
             )
         with pytest.raises(ConfigError, match="twin pieces"):
             check_classical_lemma(f, 0.0, 1.0, 0.3, pieces=batch[0])
@@ -251,7 +252,7 @@ class TestClassicalLemma:
 
         monkeypatch.setattr(ident, "check_e1_from_pieces", skewed)
         with pytest.raises(FracIneqError):
-            ident.check_classical_lemma(get_entry("exp").func, 0.0, 1.0, 0.5)
+            classical_at(get_entry("exp").func, 0.0, 1.0, 0.5)
 
     @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
     def test_twin_pieces_hold_the_plain_route_integrals(self, entry):
@@ -260,7 +261,7 @@ class TestClassicalLemma:
         f = entry.func
         a, b = f.domain_lo, f.domain_hi
         for x in (a, a + 0.3 * (b - a), 0.5 * (a + b), a + 0.7 * (b - a), b):
-            pieces = pieces_at(f, FracParams(a, b, x, 1.0))
+            pieces = pieces_of(f, FracParams(a, b, x, 1.0))
             assert pieces.ia == fracint.moment_integral(f.deriv, x, a, 1.0), x
             assert pieces.ib == fracint.moment_integral(f.deriv, x, b, 1.0), x
             assert pieces.jm == fracint.plain_integral(f, a, x), x
@@ -291,7 +292,7 @@ def test_grid_pieces_equal_one_x_pieces_bit_for_bit(entry):
     for alpha in (0.25, 1.0, 2.0):
         (grid,) = compute_pieces_batch(((entry.func, alpha),), 0.0, 1.0, xs)
         for x, pieces in zip(xs, grid):
-            alone = pieces_at(entry.func, FracParams(0.0, 1.0, x, alpha))
+            alone = pieces_of(entry.func, FracParams(0.0, 1.0, x, alpha))
             bits = [
                 v.hex() for p in (pieces, alone)
                 for e in (p.jm, p.jp, p.ia, p.ib) for v in e

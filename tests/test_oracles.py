@@ -35,8 +35,9 @@ from fracineq.fracint import (
     weighted_endpoint_integral,
 )
 from fracineq.funcatalog import get_entry
-from fracineq.identity import pieces_at
 from fracineq.specfun import gamma
+
+from at_point import pieces_of
 
 LARGE_ALPHAS = (8.0, 32.0, MAX_ALPHA)
 ALPHAS = (1e-6, 1e-4, 0.05, 0.25, 1.0, 2.0, 4.0) + LARGE_ALPHAS
@@ -112,7 +113,7 @@ def test_power_functions_match_closed_forms(name, alpha):
     f = get_entry(name).func
     terms = POWER_TERMS[name]
     for x in XS:
-        pieces = pieces_at(f, FracParams(0.0, 1.0, x, alpha))
+        pieces = pieces_of(f, FracParams(0.0, 1.0, x, alpha))
         jm, jp = pieces.jm, pieces.jp
         ia = moment_integral(f.deriv, x, 0.0, alpha)
         assert_honest(jm, exact_jm(terms, alpha, x), f"jm x={x}", alpha)
@@ -124,7 +125,7 @@ def test_power_functions_match_closed_forms(name, alpha):
 def test_exp_matches_incomplete_gamma(alpha):
     f = get_entry("exp").func
     for x in XS:
-        jp = pieces_at(f, FracParams(0.0, 1.0, x, alpha)).jp
+        jp = pieces_of(f, FracParams(0.0, 1.0, x, alpha)).jp
         assert_honest(jp, scaled_p(alpha, 1.0 - x, 1.0), f"jp x={x}", alpha)
         if x > 0.0:
             # J_{0+}^alpha f(x), the textbook left operator
@@ -139,7 +140,7 @@ def test_small_alpha_operator_is_exact(alpha):
     # layer of width ~1/m at w = 1; without the break point the first
     # samples miss it
     x = 0.5
-    jm = pieces_at(get_entry("square").func, FracParams(0.0, 1.0, x, alpha)).jm
+    jm = pieces_of(get_entry("square").func, FracParams(0.0, 1.0, x, alpha)).jm
     want = x ** (2.0 + alpha) / ((2.0 + alpha) * math.gamma(alpha))
     assert jm.value == pytest.approx(want, rel=1e-12)
     assert abs(jm.value - want) <= jm.error

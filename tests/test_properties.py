@@ -16,10 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracineq.bounds import THEOREM_IDS, evaluate_theorem
+from fracineq.bounds import THEOREM_IDS
 from fracineq.errors import ConfigError
 from fracineq.fracint import MAX_ALPHA, FracParams
 from fracineq.funcatalog import catalog_names, get_entry
+
+from at_point import rows_at
 
 
 @st.composite
@@ -71,7 +73,7 @@ def test_asserted_rows_hold_anywhere_in_the_domain(tid, name, point):
 
     def rows():
         prm = FracParams(a, b, x, alpha, s=s, p=p, q=p / (p - 1.0))
-        return evaluate_theorem(tid, get_entry(name), prm)
+        return rows_at(tid, get_entry(name), prm)
 
     if not _inside(a, b, x, alpha, s):
         with pytest.raises(ConfigError):
