@@ -523,11 +523,12 @@ def evaluate_block(
     ``identity.compute_pieces_batch``), a classical one no pieces but
     ``mean``, the integral of f over ``interval`` (from
     ``fracint.plain_integral``), and ``certs`` gives every hypothesis
-    certificate; nothing here runs quadrature. Each grid row is checked and
-    certified once for all the alphas. The right-hand sides are the
-    theorem's ``ClosedForm``: coefficient and divisor once per
-    (alpha, grid row), shape once per point, their product and quotient, the
-    margins and the verdicts per report row in numpy. Rows come out per
+    certificate; nothing here runs quadrature, and a missing input raises
+    ``ConfigError``. Each grid row is checked and certified once for all the
+    alphas. The right-hand sides are the theorem's ``ClosedForm``:
+    coefficient and divisor once per (alpha, grid row), shape once per
+    point, their product and quotient, the margins and the verdicts per
+    report row in numpy. Rows come out per
     alpha, per run of grid rows sharing (s, p), per point, then per grid row
     of the run, so points ascending in (alpha, x) and a grid from
     ``Theorem.grid`` over ascending s and p give the report order. The
@@ -536,6 +537,12 @@ def evaluate_block(
     thm = THEOREMS.get(theorem_id)
     if thm is None:
         raise ConfigError(f"unknown theorem id {theorem_id!r}; known: {THEOREM_IDS}")
+    if thm.fractional:
+        for alpha, x, pieces in points:
+            if pieces is None:
+                raise ConfigError(f"{theorem_id} needs the pieces at alpha={alpha!r} x={x!r}, got None")
+    elif mean is None:
+        raise ConfigError(f"{theorem_id} is a classical bound and needs mean, got None")
     f = entry.func
     a, b = interval
     if why := domain_problem(f, a, b):

@@ -6,8 +6,9 @@ check-identity
     Verify the core integral identity (and optionally its two one-sided
     constituents) for one catalog function over an alpha x x grid.
 verify
-    Evaluate a single inequality at a single parameter point and print the
-    report row(s); uncertified hypotheses downgrade the row to a skip notice.
+    Evaluate a single inequality at a single parameter point, as a one-point
+    sweep, and print its report row(s); uncertified hypotheses downgrade the
+    row to a skip notice, and values are checked and named as the sweep's.
 sweep
     Run the full certificate-gated parameter sweep, from a JSON config file
     and/or flag overrides (flags win), and emit CSV or JSON.
@@ -40,15 +41,11 @@ from .bounds import (
     REDUCTION_TOL,
     THEOREM_IDS,
     THEOREMS,
-    CertCache,
-    GridRow,
     InequalityReport,
-    ReportRows,
-    evaluate_block,
     reduction_check,
 )
-from .errors import ConfigError, ConvergenceError, DomainError, FracIneqError
-from .fracint import FracParams, QuadratureConfig, domain_problem, plain_integral
+from .errors import ConfigError, ConvergenceError, FracIneqError
+from .fracint import QuadratureConfig
 from .funcatalog import (
     DEFAULT_CERT_TOL,
     MODE_CONCAVE,
@@ -67,7 +64,6 @@ from .harness import (
     emit_report,
     report_texts,
     run_sweep,
-    tolerance_problems,
 )
 from .identity import (
     DEFAULT_IDENTITY_TOL,
@@ -147,12 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=None, help="conjugate exponent q")
     p.add_argument(
         "--x", type=float, default=None, help="evaluation point (default midpoint)"
-    )
-    p.add_argument(
-        "--M",
-        type=float,
-        default=None,
-        help="derivative bound override (default: catalog bound)",
     )
     p.add_argument("--margin-tol", type=float, default=DEFAULT_MARGIN_TOL)
     p.add_argument("--cert-tol", type=float, default=DEFAULT_CERT_TOL)
@@ -268,8 +258,10 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
 
 
 def _conjugate(v: float) -> float:
-    if v <= 1.0:
-        raise ConfigError(f"conjugate exponent requires a value > 1, got {v!r}")
+    """The Hoelder conjugate of v; 1 and inf are each other's. The (p, q)
+    rule refuses the pair a v <= 1 makes, as any other bad pair."""
+    if v == 1.0:
+        return np.inf
     return 1.0 if v == np.inf else v / (v - 1.0)
 
 
@@ -296,11 +288,9 @@ def _format_report(r: InequalityReport) -> tuple[str, bool]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if problems := tolerance_problems(margin_tol=args.margin_tol, cert_tol=args.cert_tol):
-        raise ConfigError("; ".join(problems))
+    # one point of a sweep: its rows, gates and errors are the sweep's
     tid = args.theorem
     thm = THEOREMS[tid]
-    entry = get_entry(args.function)
     a, b = args.a, args.b
 
     if thm.fractional:
@@ -315,33 +305,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # a bound that reads no x is evaluated at the midpoint
     x = args.x if args.x is not None and "x" in thm.fields else 0.5 * (a + b)
 
+    # a missing exponent is the other's conjugate; both are 2 when neither is given
     p, q = args.p, args.q
-    if "p" in thm.fields:
-        if p is None and q is None:
-            p = q = 2.0
-        elif p is None:
-            p = _conjugate(q)
-        elif q is None:
-            q = _conjugate(p)
-    elif "q" in thm.fields and q is None:
-        q = 2.0 if p is None else _conjugate(p)
+    if p is None:
+        p = 2.0 if q is None else _conjugate(q)
+    if q is None:
+        q = _conjugate(p)
 
-    prm = FracParams(a, b, x, alpha, s=args.s, p=p, q=q, M=args.M)
-    # the catalog's domain is checked before any quadrature samples f
-    if why := domain_problem(entry.func, a, b):
-        raise DomainError(f"interval: {why}")
-    pieces = mean = None
-    if thm.fractional:
-        ((pieces,),) = compute_pieces_batch([(entry.func, alpha)], a, b, [x])
-        if isinstance(pieces, ConvergenceError):
-            raise pieces
-    else:
-        mean = plain_integral(entry.func, a, b)
-    M = entry.deriv_bound() if prm.M is None else prm.M
-    block = evaluate_block(tid, entry, (a, b), M, [GridRow(prm.s, prm.p, prm.q)],
-                           [(alpha, x, pieces)], args.margin_tol, CertCache(args.cert_tol), mean)
+    cfg = SweepConfig((args.function,), (alpha,), (args.s,), ((p, q),), (x,), (a, b), (tid,),
+                      margin_tol=args.margin_tol, cert_tol=args.cert_tol)
+    res = run_sweep(cfg)
+    if res.convergence_errors:  # the one point's, as main prints a ConvergenceError
+        print(f"convergence error: {res.convergence_errors[0]}", file=sys.stderr)
+        return 1
     failures = 0
-    for r in ReportRows([block]):
+    for r in res.reports:
         line, failed = _format_report(r)
         if failed:
             failures += 1

@@ -126,13 +126,6 @@ MAX_GRID_POINTS = 20_000
 _TOLERANCES = ("identity_tol", "margin_tol", "cert_tol", "quad_rel_tol", "quad_abs_tol")
 
 
-def tolerance_problems(**tolerances: float) -> list[str]:
-    """One problem per tolerance that is not finite and > 0: an infinite one
-    passes every check and a NaN one fails every check."""
-    return [f"{name}: must be > 0 and finite, got {value!r}"
-            for name, value in tolerances.items() if not 0.0 < value < np.inf]
-
-
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -276,7 +269,9 @@ class SweepConfig:
                 problems += [f"x_points: {why}" for x in self.x_points
                              if (why := x_problem(x, a, b))]
             problems.extend(_repeats("x_points", self.x_points))
-        problems.extend(tolerance_problems(**{t: getattr(self, t) for t in _TOLERANCES}))
+        # an infinite tolerance passes every check and a NaN one fails every check
+        problems += [f"{t}: must be > 0 and finite, got {value!r}" for t in _TOLERANCES
+                     if not 0.0 < (value := getattr(self, t)) < np.inf]
         return problems
 
     def resolve_x(self) -> tuple[float, ...]:

@@ -1,8 +1,8 @@
 """Inputs at one parameter point, built through the package's one entry
 into each engine: pieces from ``compute_pieces_batch``, the integral mean
 from ``plain_integral``, and report rows from ``evaluate_block`` on one grid
-row at the one point, as ``fracineq verify`` builds them. Nothing is shared
-with another call unless it is passed in."""
+row at the one point. Nothing is shared with another call unless it is
+passed in."""
 
 from __future__ import annotations
 

@@ -457,6 +457,22 @@ class TestEvaluateTheorem:
         assert row.lhs == abs(0.0625 - 1.0 / 3.0)
         assert row.quad_error_budget == 0.0
 
+    @pytest.mark.parametrize("tid", CLASSICAL_IDS)
+    def test_classical_block_without_a_mean_names_it(self, tid):
+        grid = THEOREMS[tid].grid((0.5,), ((2.0, 2.0),), (2.0,))
+        with pytest.raises(ConfigError, match=f"^{tid} is a classical bound and needs mean, got None$"):
+            bounds.evaluate_block(tid, get_entry("square"), (0.0, 1.0), 2.0, grid,
+                                  [(1.0, 0.5, None)], 1e-9, CertCache())
+
+    @pytest.mark.parametrize("tid", FRACTIONAL_IDS)
+    def test_fractional_point_without_pieces_names_it(self, tid):
+        entry = get_entry("square")
+        points = [(0.5, 0.25, pieces_of(entry.func, FracParams(0.0, 1.0, 0.25, 0.5))),
+                  (0.5, 0.75, None)]
+        grid = THEOREMS[tid].grid((0.5,), ((2.0, 2.0),), (2.0,))
+        with pytest.raises(ConfigError, match=f"^{tid} needs the pieces at alpha=0.5 x=0.75, got None$"):
+            bounds.evaluate_block(tid, entry, (0.0, 1.0), 2.0, grid, points, 1e-9, CertCache())
+
     def test_t5_missing_q_rejected(self):
         with pytest.raises(ConfigError):
             rows_at(

@@ -1325,12 +1325,14 @@ class TestCli:
         assert cli.main(["verify", "--theorem", "E9", "--function", "square"]) == 0
         assert "SKIPPED" in capsys.readouterr().out
 
-    def test_verify_undersized_bound_fails(self, capsys):
-        ret = cli.main(
-            ["verify", "--theorem", "E6", "--function", "square", "--M", "0.001"]
-        )
-        assert ret == 1
-        assert "VIOLATED" in capsys.readouterr().out
+    def test_verify_convergence_error_exits_one(self, capsys, monkeypatch):
+        # the sweep's message for the point, with no row printed
+        _stall_lanes(monkeypatch, harness, _every_lane)
+        assert cli.main(["verify", "--theorem", "E6", "--function", "affine"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("convergence error: affine alpha=0.5 x=0.5: ")
+        assert "8 subdivisions" in err and err.count("\n") == 1
 
     def test_verify_classical_requires_alpha_one(self, capsys):
         ret = cli.main(
@@ -1351,12 +1353,17 @@ class TestCli:
     def test_verify_outside_the_function_domain_exits_two(self, capsys, argv, interval):
         # the catalog's M and certificates hold on f's domain only: e1 and
         # e14 printed VIOLATED here, and e13 a convergence error after a
-        # RuntimeWarning; every theorem refuses the interval the same way
+        # RuntimeWarning; every theorem refuses the interval the same way,
+        # after the rule that a hypothesis needs a >= 0 when a < 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(["verify", *argv.split()]) == 2
-        err = capsys.readouterr().err
-        assert f"error: interval: {interval} is outside the domain of" in err
+        out, err = capsys.readouterr()
+        below_zero = ("interval: must lie in [0, inf) when any s-convexity or "
+                      "s-concavity hypothesis is in play; ") if interval.startswith("[-") else ""
+        name = argv.split()[3]
+        assert (out, err) == ("", f"error: {below_zero}interval: {interval} is outside "
+                              f"the domain of {name} ([0.0, 1.0])\n")
 
     @pytest.mark.parametrize(
         "theorem, given, spelled_out",
@@ -1364,6 +1371,7 @@ class TestCli:
             ("E7", "--p 3", "--p 3 --q 1.5"),
             ("E7", "--q 3", "--p 1.5 --q 3"),
             ("E8proof", "--p 3", "--q 1.5"),
+            ("E7", "--q 1", "--p inf --q 1"),  # the sweep's --pq inf 1
         ],
     )
     def test_verify_takes_the_conjugate_of_one_exponent(
@@ -1395,11 +1403,6 @@ class TestCli:
         assert capsys.readouterr() == (
             "", "error: interval: [0.0, inf] is outside the domain of exp ([0.0, 1.0])\n")
 
-    def test_verify_refuses_a_conjugate_exponent_of_one(self, capsys):
-        assert cli.main(["verify", "--theorem", "E7", "--function", "square", "--q", "1"]) == 2
-        err = capsys.readouterr().err
-        assert "error: conjugate exponent requires a value > 1, got 1.0" in err
-
     def test_verify_of_a_q_that_overflows_the_certificate_skips_quietly(self, capsys):
         # q ~ 1e10 makes |f'|**q overflow on the certificate grid: the NaN
         # violation fails the certificate without a RuntimeWarning
@@ -1419,12 +1422,13 @@ class TestCli:
         assert ret == 2
         assert "cert_tol: must be > 0 and finite, got nan" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_verify_rejects_a_non_finite_M(self, capsys, value):
-        # a NaN bound would make every row VIOLATED and an infinite one HOLD
-        ret = cli.main(["verify", "--theorem", "E6", "--function", "square", "--M", value])
-        assert ret == 2
-        assert f"error: M: must be nonnegative and finite, got {value}" in capsys.readouterr().err
+    def test_verify_takes_no_derivative_bound(self, capsys):
+        # M is the catalog's, as in a sweep: a smaller one breaks the
+        # hypothesis and a larger one loosens a bound that holds
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["verify", "--theorem", "E6", "--function", "square", "--M", "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --M 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
     @pytest.mark.parametrize(
@@ -1723,7 +1727,7 @@ def _bad_values():
         yield f"alpha={alpha}", f"must lie in [1e-300, 140], got {float(alpha)!r}", {
             "FracParams": ("alpha", {"alpha": float(alpha)}),
             "SweepConfig": ("alphas", {"alphas": (float(alpha),)}),
-            "verify": ("alpha", f"--alpha {alpha}"),
+            "verify": ("alphas", f"--alpha {alpha}"),
             "check-identity": ("alphas", f"--alpha {alpha}"),
             "sweep": ("alphas", f"--alphas {alpha}"),
         }
@@ -1731,29 +1735,31 @@ def _bad_values():
         yield f"x={x}", f"must lie in [0.0, 1.0], got {float(x)!r}", {
             "FracParams": ("x", {"x": float(x)}),
             "SweepConfig": ("x_points", {"x_points": (float(x),)}),
-            "verify": ("x", f"--x {x}"),
+            "verify": ("x_points", f"--x {x}"),
             "check-identity": ("x_points", f"--x {x}"),
             "sweep": ("x_points", f"--x {x}"),
         }
     yield "s=0", "must lie in (0, 1], got 0.0", {
         "FracParams": ("s", {"s": 0.0}),
         "SweepConfig": ("s_values", {"s_values": (0.0,)}),
-        "verify": ("s", "--s 0"),
+        "verify": ("s_values", "--s 0"),
         "sweep": ("s_values", "--s-values 0"),
     }
-    # verify's --q inf alone makes p its conjugate, 1
-    for p, q, flags in (("2", "3", "--p 2 --q 3"), ("1", "inf", "--q inf")):
+    # verify's --q inf alone makes p its conjugate, 1, for a theorem that
+    # reads q only too
+    for p, q, flags in (("2", "3", "--theorem E7 --p 2 --q 3"),
+                        ("1", "inf", "--theorem E8proof --q inf")):
         pair = (float(p), float(q))
         yield f"pq={p},{q}", f"{pair!r} is not a conjugate pair (p > 1, q >= 1, 1/p + 1/q = 1)", {
             "FracParams": ("p, q", {"p": pair[0], "q": pair[1]}),
             "SweepConfig": ("pq_pairs", {"pq_pairs": (pair,)}),
-            "verify": ("p, q", f"--theorem E7 {flags}"),
+            "verify": ("pq_pairs", flags),
             "sweep": ("pq_pairs", f"--pq {p} {q}"),
         }
-    # a lone q = inf, whose conjugate would be p = 1; a sweep takes pairs only
+    # a lone q = inf, whose conjugate would be p = 1; a sweep and verify
+    # take pairs only
     yield "q=inf", "(None, inf) is not a conjugate pair (p > 1, q >= 1, 1/p + 1/q = 1)", {
         "FracParams": ("p, q", {"q": math.inf}),
-        "verify": ("p, q", "--theorem E8proof --q inf"),
     }
     for a, b, name, text in (
         ("1", "0", "square", "need a < b, got [1.0, 0.0]"),
