@@ -4,14 +4,16 @@ Subcommands:
 
 check-identity
     Verify the core integral identity (and optionally its two one-sided
-    constituents) for one catalog function over an alpha x x grid.
+    constituents and its alpha = 1 classical form) for one catalog function
+    over an alpha x x grid, through the sweep's identity pass.
 verify
     Evaluate a single inequality at a single parameter point, as a one-point
     sweep, and print its report row(s); uncertified hypotheses downgrade the
     row to a skip notice, and values are checked and named as the sweep's.
 sweep
     Run the full certificate-gated parameter sweep, from a JSON config file
-    and/or flag overrides (flags win), and emit CSV or JSON.
+    and/or flags that set the config keys they name (flags win), and emit
+    CSV or JSON.
 reduce
     Check that each fractional bound collapses onto its classical counterpart
     at alpha = 1, in closed form.
@@ -45,7 +47,6 @@ from .bounds import (
     reduction_check,
 )
 from .errors import ConfigError, ConvergenceError, FracIneqError
-from .fracint import QuadratureConfig
 from .funcatalog import (
     DEFAULT_CERT_TOL,
     MODE_CONCAVE,
@@ -62,16 +63,15 @@ from .harness import (
     SweepConfig,
     default_config,
     emit_report,
+    identity_pass,
     report_texts,
     run_sweep,
 )
 from .identity import (
     DEFAULT_IDENTITY_TOL,
-    IdentityResidual,
     check_classical_lemma,
     check_e4_from_pieces,
     check_e5_from_pieces,
-    compute_pieces_batch,
 )
 
 __all__ = ["main", "build_parser"]
@@ -147,34 +147,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin-tol", type=float, default=DEFAULT_MARGIN_TOL)
     p.add_argument("--cert-tol", type=float, default=DEFAULT_CERT_TOL)
 
+    # a flag's dest is the SweepConfig field it sets, and only given flags are set
     p = sub.add_parser(
-        "sweep", help="run the parameter sweep and emit a CSV or JSON report"
+        "sweep", help="run the parameter sweep and emit a CSV or JSON report",
+        argument_default=argparse.SUPPRESS,
     )
     p.add_argument(
         "--config", default=None, help="JSON config file; flags override its values"
     )
-    p.add_argument("--functions", nargs="+", choices=catalog_names(), default=None)
-    p.add_argument("--theorems", nargs="+", choices=list(THEOREM_IDS), default=None)
-    p.add_argument("--alphas", type=float, nargs="+", default=None)
-    p.add_argument("--s-values", type=float, nargs="+", default=None, dest="s_values")
+    p.add_argument("--functions", nargs="+", choices=catalog_names())
+    p.add_argument("--theorems", nargs="+", choices=list(THEOREM_IDS))
+    p.add_argument("--alphas", type=float, nargs="+")
+    p.add_argument("--s-values", type=float, nargs="+")
     p.add_argument(
         "--pq",
         type=float,
         nargs=2,
         action="append",
-        default=None,
+        dest="pq_pairs",
         metavar=("P", "Q"),
         help="conjugate exponent pair; repeat the flag for several pairs",
     )
     xgroup = p.add_mutually_exclusive_group()
-    xgroup.add_argument("--x", type=float, nargs="+", help="explicit x grid")
+    xgroup.add_argument("--x", type=float, nargs="+", dest="x_points", metavar="X",
+                        help="explicit x grid")
     xgroup.add_argument(
-        "--x-count", type=int, default=None, dest="x_count", help="size of uniform x grid"
+        "--x-count", type=int, dest="x_points", metavar="X_COUNT", help="size of uniform x grid"
     )
-    p.add_argument("--interval", type=float, nargs=2, default=None, metavar=("A", "B"))
-    p.add_argument("--identity-tol", type=float, default=None, dest="identity_tol")
-    p.add_argument("--margin-tol", type=float, default=None, dest="margin_tol")
-    p.add_argument("--cert-tol", type=float, default=None, dest="cert_tol")
+    p.add_argument("--interval", type=float, nargs=2, metavar=("A", "B"))
+    p.add_argument("--identity-tol", type=float)
+    p.add_argument("--margin-tol", type=float)
+    p.add_argument("--cert-tol", type=float)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -209,51 +212,38 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
     )
     if problems := grid.validate():
         raise ConfigError("; ".join(problems))
-    f = get_entry(args.function).func
-    # a count stands for that many interior points of [a, b]
+    # a count stands for that many interior points of [a, b]; the classical twins are
+    # the alpha = 1 outcomes, from a job added after the grid's when it has none
     xs = grid.x_points if args.x else np.linspace(a, b, args.x_count + 2)[1:-1].tolist()
-    cfg = QuadratureConfig()
-    checks = 0
-    failures = 0
+    twin = (1.0,) * (args.classical and 1.0 not in grid.alphas)
+    checks, classical = [], []  # (tag, residual or ConvergenceError), in print order
+    for entry, alpha, x, pieces in identity_pass(
+        dataclasses.replace(grid, alphas=grid.alphas + twin, x_points=tuple(xs))
+    ):
+        tag = f"{entry.name} alpha={alpha:g} x={x:g}"
+        failed = isinstance(pieces, ConvergenceError)
+        if alpha in grid.alphas:
+            checks.append((tag, pieces if failed else pieces.e1))
+            if args.halves and a < x < b and not failed:
+                checks += [(f"  {tag} half-a", check_e4_from_pieces(pieces)),
+                           (f"  {tag} half-b", check_e5_from_pieces(pieces))]
+        if args.classical and alpha == 1.0:
+            classical.append((f"{entry.name} classical x={x:g}", pieces if failed
+                              else check_classical_lemma(entry.func, a, b, x, pieces)))
 
-    def report(tag: str, res: IdentityResidual | ConvergenceError) -> None:
-        nonlocal checks, failures
-        checks += 1
+    failures = 0
+    for tag, res in checks + classical:
         if isinstance(res, ConvergenceError):
-            failures += 1
             print(f"{tag}: CONVERGENCE ERROR {res}")
-            return
-        ok = res.passes(args.tol)
-        if not ok:
             failures += 1
+            continue
+        ok = res.passes(args.tol)
+        failures += not ok
         print(
             f"{tag}: rel_residual={res.rel_residual:.3e} "
             f"budget={res.quad_error_budget:.3e} {'PASS' if ok else 'FAIL'}"
         )
-
-    # one batch for the whole grid; the classical twins are its alpha = 1
-    # outcomes, from a job of their own when the grid has no alpha = 1
-    alphas = list(args.alpha)
-    if args.classical and 1.0 not in alphas:
-        alphas.append(1.0)
-    batch = compute_pieces_batch([(f, alpha) for alpha in alphas], a, b, xs, cfg)
-    for alpha, outcomes in zip(args.alpha, batch):
-        for x, pieces in zip(xs, outcomes):
-            tag = f"{f.name} alpha={alpha:g} x={x:g}"
-            if isinstance(pieces, ConvergenceError):
-                report(tag, pieces)
-                continue
-            report(tag, pieces.e1)
-            if args.halves and a < x < b:
-                report(f"  {tag} half-a", check_e4_from_pieces(pieces))
-                report(f"  {tag} half-b", check_e5_from_pieces(pieces))
-    if args.classical:
-        for x, pieces in zip(xs, batch[alphas.index(1.0)]):
-            if not isinstance(pieces, ConvergenceError):
-                pieces = check_classical_lemma(f, a, b, x, pieces, cfg)
-            report(f"{f.name} classical x={x:g}", pieces)
-
-    print(f"{checks} identity checks, {failures} failures")
+    print(f"{len(checks) + len(classical)} identity checks, {failures} failures")
     return 0 if failures == 0 else 1
 
 
@@ -331,27 +321,15 @@ def _fmt_opt(value: Optional[float]) -> str:
     return "n/a" if value is None else f"{value:.3e}"
 
 
+def _frozen(value):
+    """A flag's value as a ``SweepConfig`` field holds it: lists as tuples."""
+    return tuple(map(_frozen, value)) if isinstance(value, list) else value
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = SweepConfig.from_file(args.config) if args.config else default_config()
-    overrides: dict = {}
-    for name in ("functions", "theorems", "alphas", "s_values"):
-        if getattr(args, name):
-            overrides[name] = tuple(getattr(args, name))
-    if args.pq:
-        overrides["pq_pairs"] = tuple((float(pv), float(qv)) for pv, qv in args.pq)
-    if args.x is not None:
-        overrides["x_points"] = tuple(args.x)
-    elif args.x_count is not None:
-        overrides["x_points"] = args.x_count
-    if args.interval is not None:
-        overrides["interval"] = tuple(args.interval)
-    for tname in ("identity_tol", "margin_tol", "cert_tol"):
-        value = getattr(args, tname)
-        if value is not None:
-            overrides[tname] = value
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-
+    cfg = dataclasses.replace(cfg, **{key: _frozen(value) for key, value in vars(args).items()
+                                      if key not in ("command", "config", "out", "format")})
     res = run_sweep(cfg)
 
     if args.out:

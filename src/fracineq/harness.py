@@ -91,6 +91,7 @@ __all__ = [
     "MAX_GRID_POINTS",
     "default_config",
     "run_sweep",
+    "identity_pass",
     "emit_report",
     "render_csv",
     "render_json",
@@ -280,6 +281,10 @@ class SweepConfig:
             return tuple(float(v) for v in np.linspace(a, b, self.x_points))
         return tuple(float(v) for v in self.x_points)
 
+    def quadrature(self) -> QuadratureConfig:
+        """The quadrature config its ``quad_rel_tol`` and ``quad_abs_tol`` set."""
+        return QuadratureConfig(rel_tol=self.quad_rel_tol, abs_tol=self.quad_abs_tol)
+
     def to_dict(self) -> dict:
         return {
             "functions": list(self.functions),
@@ -423,7 +428,6 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     if problems:
         raise ConfigError("; ".join(problems))
 
-    qcfg = QuadratureConfig(rel_tol=cfg.quad_rel_tol, abs_tol=cfg.quad_abs_tol)
     entries = [get_entry(name) for name in cfg.functions]
     a, b = cfg.interval
     xs = cfg.resolve_x()
@@ -432,19 +436,15 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     certs = CertCache(cert_tol=cfg.cert_tol, s_values=cfg.s_values)
     bound_m = {entry.name: entry.deriv_bound() for entry in entries}
     classical = any(not thm.fractional for thm in thms)
-    means = {e.name: plain_integral(e.func, a, b, qcfg) for e in entries if classical}
+    means = {e.name: plain_integral(e.func, a, b, cfg.quadrature()) for e in entries if classical}
 
     points_of: dict[str, list] = {entry.name: [] for entry in entries}  # (alpha, x, pieces)
     convergence_errors: list[str] = []
-    # one batched quadrature call covers every x of every (function, alpha)
-    jobs = [(entry, alpha) for entry in entries for alpha in cfg.alphas]
-    batch = compute_pieces_batch([(e.func, al) for e, al in jobs], a, b, xs, qcfg)
-    for (entry, alpha), outcomes in zip(jobs, batch):
-        for x, pieces in zip(xs, outcomes):
-            if isinstance(pieces, ConvergenceError):
-                convergence_errors.append(f"{entry.name} alpha={alpha!r} x={x!r}: {pieces}")
-            else:
-                points_of[entry.name].append((alpha, x, pieces))
+    for entry, alpha, x, pieces in identity_pass(cfg):
+        if isinstance(pieces, ConvergenceError):
+            convergence_errors.append(f"{entry.name} alpha={alpha!r} x={x!r}: {pieces}")
+        else:
+            points_of[entry.name].append((alpha, x, pieces))
     # a block takes its points ascending, and the residuals come in that order
     residuals: list[ResidualRecord] = []
     for name in sorted(points_of):
@@ -487,6 +487,21 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
         summary=summary,
         provenance=provenance,
     )
+
+
+def identity_pass(cfg: SweepConfig) -> Iterator[tuple]:
+    """The identity's pieces at every point of a valid config's grid, from
+    one ``compute_pieces_batch`` call: (``CatalogEntry``, alpha, x, pieces
+    or the point's ``ConvergenceError``), in grid order, functions, alphas
+    and x as the config lists them."""
+    jobs = [(get_entry(name), alpha) for name in cfg.functions for alpha in cfg.alphas]
+    xs = cfg.resolve_x()
+    batch = compute_pieces_batch(
+        [(entry.func, alpha) for entry, alpha in jobs], *cfg.interval, xs, cfg.quadrature()
+    )
+    for (entry, alpha), outcomes in zip(jobs, batch):
+        for x, pieces in zip(xs, outcomes):
+            yield entry, alpha, x, pieces
 
 
 def _fmt_float(value: Optional[float]) -> str:

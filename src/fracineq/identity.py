@@ -20,8 +20,8 @@ degeneration
     = ((x-a)**2/(b-a)) integral_0^1 t f'(tx+(1-t)a) dt
       - ((b-x)**2/(b-a)) integral_0^1 t f'(tx+(1-t)b) dt
 
-with the integral mean from an independent plain-quadrature route and the
-moment integrals shared with its alpha = 1 twin.
+with integral_a^x f and the moment integrals shared with its alpha = 1 twin,
+and integral_x^b f from a plain quadrature lane of its own.
 
 Every check reports a residual relative to max(1, |lhs|, |rhs|) so that
 near-zero cases (constant f makes both sides exactly 0) keep a meaningful
@@ -245,15 +245,15 @@ def check_classical_lemma(
 ) -> IdentityResidual:
     """Verify the classical (alpha = 1) identity through plain integrals.
 
-    The integral mean is computed from ordinary quadrature split at x, an
-    independent route from the weighted-operator machinery. The right-hand
-    side's moment integrals are the twin's: ``pieces``, the alpha = 1 pieces
-    at (a, b, x), for instance one x of a :func:`compute_pieces_batch` job,
-    give ``ia`` and ``ib``; pieces of another point are refused. The result
-    is then cross-asserted against the pieces' full identity (``e1``): both
-    sides must coincide to ALPHA_ONE_MATCH_TOL (relative to the residual
-    scale), and a disagreement raises rather than returning silently
-    inconsistent data.
+    ``pieces``, the alpha = 1 twin's at (a, b, x), for instance one x of a
+    :func:`compute_pieces_batch` job, give ``ia``, ``ib`` and the mean's
+    integral over [a, x] (at alpha = 1, ``jm`` is that plain integral);
+    pieces of another point are refused. The integral over [x, b] is a
+    plain lane from x, which the twin's ``jp``, a lane from b, does not
+    share. The result is then cross-asserted against the pieces' full
+    identity (``e1``): both sides must coincide to ALPHA_ONE_MATCH_TOL
+    (relative to the residual scale), and a disagreement raises rather than
+    returning silently inconsistent data.
     """
     if (pieces.a, pieces.b, pieces.x, pieces.alpha) != (a, b, x, 1.0):
         raise ConfigError(
@@ -263,8 +263,7 @@ def check_classical_lemma(
         )
     width = b - a
     fx = float(f.eval(x))
-    il = plain_integral(f, a, x, cfg)
-    ir = plain_integral(f, x, b, cfg)
+    il, ir = pieces.jm, plain_integral(f, x, b, cfg)
 
     lhs = fx - (il.value + ir.value) / width
     rhs = (x - a) ** 2 / width * pieces.ia.value - (b - x) ** 2 / width * pieces.ib.value

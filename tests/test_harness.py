@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import copy
 import dataclasses
 import functools
@@ -1226,13 +1227,13 @@ class TestCli:
 
     def test_check_identity_integrates_its_grid_in_one_batch(self, capsys, monkeypatch):
         calls = []
-        real = cli.compute_pieces_batch
+        real = harness.compute_pieces_batch
 
         def counted(jobs, a, b, xs, cfg):
             calls.append(([alpha for _, alpha in jobs], len(xs)))
             return real(jobs, a, b, xs, cfg)
 
-        monkeypatch.setattr(cli, "compute_pieces_batch", counted)
+        monkeypatch.setattr(harness, "compute_pieces_batch", counted)
         ret = cli.main(
             ["check-identity", "--function", "square", "--alpha", "0.5", "1.0",
              "--x-count", "5", "--halves"]
@@ -1249,13 +1250,13 @@ class TestCli:
         # the alpha = 1 twins are the grid's one batch's alpha = 1 job: the
         # grid's own when it has one, one added to the batch otherwise
         calls = []
-        real = cli.compute_pieces_batch
+        real = harness.compute_pieces_batch
 
         def counted(jobs, a, b, xs, cfg):
             calls.append(([(f.name, alpha) for f, alpha in jobs], len(xs)))
             return real(jobs, a, b, xs, cfg)
 
-        monkeypatch.setattr(cli, "compute_pieces_batch", counted)
+        monkeypatch.setattr(harness, "compute_pieces_batch", counted)
         argv = ["check-identity", "--function", "square", "--alpha", *alphas,
                 "--x-count", "5", "--classical"]
         assert cli.main(argv) == 0
@@ -1276,7 +1277,7 @@ class TestCli:
     def test_check_identity_convergence_error_fails_its_point_alone(
         self, capsys, monkeypatch
     ):
-        real = cli.compute_pieces_batch
+        real = harness.compute_pieces_batch
 
         def one_fails(jobs, a, b, xs, cfg):
             return [
@@ -1287,7 +1288,7 @@ class TestCli:
                 for (_, alpha), got in zip(jobs, real(jobs, a, b, xs, cfg))
             ]
 
-        monkeypatch.setattr(cli, "compute_pieces_batch", one_fails)
+        monkeypatch.setattr(harness, "compute_pieces_batch", one_fails)
         ret = cli.main(
             ["check-identity", "--function", "square", "--alpha", "0.5", "2.0",
              "--x", "0.25", "0.5", "0.75", "--halves"]
@@ -1303,7 +1304,7 @@ class TestCli:
     def test_check_identity_failed_twin_fails_its_point_alone(self, capsys, monkeypatch):
         # the alpha = 1 moment lane of x = 0.5 fails: its classical check is
         # one failed point, and the command still prints every other line
-        _stall_lanes(monkeypatch, cli, _moment_lane_at_half)
+        _stall_lanes(monkeypatch, harness, _moment_lane_at_half)
         ret = cli.main(
             ["check-identity", "--function", "square", "--alpha", "0.5",
              "--x", "0.25", "0.5", "--classical"]
@@ -1566,6 +1567,88 @@ class TestCli:
         assert ret == 0
         body = out.read_text(encoding="utf-8").splitlines()[1:]
         assert body and all(line.startswith("e1,") for line in body)
+
+    @pytest.mark.parametrize("nested", [True, False], ids=["nested-tolerances", "flat"])
+    def test_every_sweep_flag_sets_its_config_key_over_the_file(
+        self, monkeypatch, tmp_path, nested
+    ):
+        # a sweep flag's dest is the SweepConfig field it sets, and a given
+        # flag wins over the config file's value, whether the file states a
+        # tolerance flat or under "tolerances"; it changes no other key
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices["sweep"]._actions} - {"help"}
+        keys = dests - {"config", "out", "format"}
+        assert keys <= {f.name for f in dataclasses.fields(SweepConfig)}
+        from_file = dataclasses.replace(SMALL, identity_tol=1e-9, margin_tol=1e-10, cert_tol=1e-7)
+        data = from_file.to_dict()
+        if not nested:
+            data.update(data.pop("tolerances"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert SweepConfig.from_file(str(path)) == from_file
+        flags = [
+            (["--functions", "exp", "square"], "functions", ("exp", "square")),
+            (["--theorems", "E7"], "theorems", ("E7",)),
+            (["--alphas", "1.5", "0.25"], "alphas", (1.5, 0.25)),
+            (["--s-values", "0.75"], "s_values", (0.75,)),
+            (["--pq", "3", "1.5", "--pq", "2", "2"], "pq_pairs", ((3.0, 1.5), (2.0, 2.0))),
+            (["--x", "0.75", "0.25"], "x_points", (0.75, 0.25)),
+            (["--x-count", "4"], "x_points", 4),
+            (["--interval", "0", "2"], "interval", (0.0, 2.0)),
+            (["--identity-tol", "1e-7"], "identity_tol", 1e-7),
+            (["--margin-tol", "1e-9"], "margin_tol", 1e-9),
+            (["--cert-tol", "1e-8"], "cert_tol", 1e-8),
+        ]
+        assert {key for _, key, _ in flags} == keys
+        ran = []
+
+        class Ran(Exception):
+            pass
+
+        def record(cfg):
+            ran.append(cfg)
+            raise Ran
+
+        monkeypatch.setattr(cli, "run_sweep", record)
+        for argv, key, value in flags:
+            with pytest.raises(Ran):
+                cli.main(["sweep", "--config", str(path), *argv])
+            assert ran.pop() == dataclasses.replace(from_file, **{key: value}), argv
+        with pytest.raises(Ran):
+            cli.main(["sweep", "--config", str(path)])
+        assert ran.pop() == from_file
+
+    def test_check_identity_prints_the_sweeps_residual_records(self, capsys):
+        # each alpha line is the sweep's residual record at its (alpha, x):
+        # tag, rel_residual, budget and verdict, in the command's own
+        # (unsorted) grid order; the halves follow their point's line, and
+        # the classical lines come last, in x order
+        alphas, xs = (2.0, 0.25), (0.75, 0.0, 0.5)
+        argv = ["check-identity", "--function", "square", "--alpha", "2", "0.25",
+                "--x", "0.75", "0", "0.5", "--halves", "--classical"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        res = run_sweep(SweepConfig(("square",), alphas, x_points=xs, theorems=("E6",)))
+        assert [(rec.alpha, rec.x) for rec in res.residuals] == sorted(
+            (alpha, x) for alpha in alphas for x in xs
+        )
+        record = {(rec.alpha, rec.x): rec for rec in res.residuals}
+        want, tags = [], []
+        for alpha in alphas:
+            for x in xs:
+                rec = record[alpha, x]
+                tag = f"square alpha={alpha:g} x={x:g}"
+                want.append(
+                    f"{tag}: rel_residual={rec.residual.rel_residual:.3e} "
+                    f"budget={rec.residual.quad_error_budget:.3e} "
+                    f"{'PASS' if rec.passed else 'FAIL'}"
+                )
+                tags += [tag] + [f"  {tag} half-{end}" for end in "ab" if 0.0 < x < 1.0]
+        tags += [f"square classical x={x:g}" for x in xs]
+        assert [line for line in lines if line.startswith("square alpha=")] == want
+        assert [line.split(":")[0] for line in lines[:-1]] == tags
+        assert lines[-1] == f"{len(tags)} identity checks, 0 failures"
 
     def test_sweep_on_another_interval_is_run_sweep_of_it(self, capsys):
         argv = ["sweep", "--functions", "square", "--alphas", "0.5", "--x-count", "3",
