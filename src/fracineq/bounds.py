@@ -71,7 +71,9 @@ from .funcatalog import (
     CatalogEntry,
     ConvexityCertificate,
     Function1D,
-    certify_batch,
+    _certificates,
+    _sample,
+    _worst_violations,
     get_entry,
 )
 from .identity import LemmaPieces
@@ -451,18 +453,22 @@ THEOREM_IDS = FRACTIONAL_IDS + CLASSICAL_IDS
 class CertCache:
     """Memoizes certificates per (function, target, mode, s, q).
 
-    ``get`` builds them all: a miss runs one ``certify_batch`` of the
-    (function, target, q) over ``s_values`` (the requested s alone when it is
-    off that grid), in every mode ``THEOREMS`` asks of the target and the
-    requested one, and stores every certificate it returns; so a cache on a
-    sweep's s grid samples each target grid once. ``skip_note`` builds each
-    failed certificate's row note once.
+    ``get`` builds them all: a miss samples the (function, target, q) once
+    and certifies that sample over ``s_values`` (the requested s alone when it
+    is off that grid), in every mode ``THEOREMS`` asks of the target and the
+    requested one, and stores every certificate it makes; so a cache on a
+    sweep's s grid samples each target grid once. A certificate is a function
+    of its sample, so targets whose samples have the same bits (|f'|**q of a
+    constant f at every q, say) share one pass over the worst violations, for
+    as long as this cache lives. ``skip_note`` builds each failed
+    certificate's row note once.
     """
 
     def __init__(self, cert_tol: float = DEFAULT_CERT_TOL, s_values: Sequence[float] = ()):
         self.cert_tol = cert_tol
         self.s_values = tuple(map(float, s_values))
         self._store: dict[tuple, ConvexityCertificate] = {}
+        self._worst: dict[tuple, list[list[float]]] = {}
         self._notes: dict[ConvexityCertificate, str] = {}
 
     def get(
@@ -472,9 +478,15 @@ class CertCache:
         cert = self._store.get(key)
         if cert is None:
             modes = [thm.mode for thm in THEOREMS.values() if thm.target == target] + [mode]
+            modes = tuple(dict.fromkeys(modes))
             s_grid = self.s_values if key[3] in self.s_values else (s,)
-            for got in certify_batch(entry.func, s_grid, q=q, modes=tuple(dict.fromkeys(modes)),
-                                     target=target, cert_tol=self.cert_tol):
+            sample = _sample(entry.func, s_grid, q, modes, target, self.cert_tol)
+            domain, gu, gpoints = sample
+            shared = (domain, gu.tobytes(), gpoints.tobytes(), s_grid, modes)
+            worst = self._worst.get(shared)
+            if worst is None:
+                worst = self._worst[shared] = _worst_violations(sample, s_grid, modes)
+            for got in _certificates(worst, s_grid, q, modes, target, self.cert_tol):
                 self._store[(entry.name, target, got.mode, got.s, got.q)] = got
             cert = self._store[key]
         return cert

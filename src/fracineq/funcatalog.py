@@ -11,10 +11,15 @@ defining inequality of s-convexity (second sense),
     g(lam*u + (1-lam)*v) <= lam**s * g(u) + (1-lam)**s * g(v),
 
 on a dense (u, v, lam) grid and records the worst violation; s-concavity is
-the reversed inequality. The grid is built once per domain. The target g
-(f, |f'| or |f'|**q) is sampled on it once per (function, target, q), and
-that one sample is reduced for every requested s and mode. Only the first
-half of the mirror lam grid is evaluated, which changes no certificate.
+the reversed inequality. The grid is built once per domain. Only the first
+half of the mirror lam grid is used, which changes no certificate, and its
+17 x 33 x 33 cells hold few distinct points (1,025 on [0, 1], where each is
+a multiple of 1/1024). The target g (f, |f'| or |f'|**q) is sampled once per
+(function, target, q), at u and at those distinct points, and each cell
+reads its point's value: exact, as a ``Function1D`` is elementwise. A
+certificate is a function of that sample, reduced for every requested s
+and mode, so a sweep's ``bounds.CertCache`` runs one pass per distinct
+sample: |f'|**q of a constant f, say, has one sample at every q.
 
 Each s's bound lam**s * g(u) + (1-lam)**s * g(v) is the K = 2 matrix product
 [t1, 1] @ [1, t2], which is exact: a product by 1.0 is exact, and a sum of
@@ -75,8 +80,11 @@ GRID_SIZE = 33
 class Function1D:
     """A scalar function on an interval with exact value and derivative.
 
-    ``eval`` and ``deriv`` must accept floats and numpy arrays alike and
-    ``deriv`` must be the exact analytic derivative of ``eval``; use
+    ``eval`` and ``deriv`` must accept floats and numpy arrays alike and be
+    elementwise: the value at t depends on t alone, never on the array
+    around it, so an array gives the values its points give one by one
+    (certification samples each distinct grid point once and reuses the
+    value). ``deriv`` must be the exact analytic derivative of ``eval``; use
     :meth:`self_check` to verify a hand-written pair. Negative domains are
     accepted here (identity checks are domain-agnostic); convexity
     certification separately insists on [0, inf).
@@ -163,19 +171,111 @@ def _target_callable(f: Function1D, target: str, q: float):
 
 
 @lru_cache(maxsize=64)
-def _grid(lo: str, hi: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u, the mirror lam grid's first half and the points lam*u + (1-lam)*v
-    over (lam, u, v) of the domain whose ends have the ``float.hex`` lo and hi
-    (so a -0.0 end has its own grid); read-only, as calls on it share them."""
+def _grid(lo: str, hi: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """u, the mirror lam grid's first half, the distinct points among
+    lam*u + (1-lam)*v over (lam, u, v) and each (lam, u, v) cell's index into
+    them, of the domain whose ends have the ``float.hex`` lo and hi (so a -0.0
+    end has its own grid); read-only, as calls on it share them. Points are
+    told apart by their bits, so -0.0 and +0.0 stay two points."""
     u = np.linspace(float.fromhex(lo), float.fromhex(hi), GRID_SIZE)
     lam = np.linspace(0.0, 1.0, GRID_SIZE)[: (GRID_SIZE + 1) // 2]
     pts = lam[:, None, None] * u[None, :, None] + (1.0 - lam)[:, None, None] * u[None, None, :]
-    u.flags.writeable = lam.flags.writeable = pts.flags.writeable = False
-    return u, lam, pts
+    bits, index = np.unique(pts.view(np.uint64), return_inverse=True)
+    points, index = bits.view(np.float64), index.reshape(pts.shape)
+    for a in (u, lam, points, index):
+        a.flags.writeable = False
+    return u, lam, points, index
+
+
+#: A target's sample: its domain grid's key, g(u) and g at the grid's points.
+_Sample = tuple[tuple[str, str], np.ndarray, np.ndarray]
 
 
 # a non-finite |f'|**q makes a NaN violation, whose certificate fails
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _sample(
+    f: Function1D, s_values: Sequence[float], q: float, modes: Sequence[str], target: str,
+    cert_tol: float,
+) -> _Sample | None:
+    """Check certify_batch's arguments in its order, then sample what its
+    certificates are a function of: the key of f's domain grid, and the target
+    g at u and at the grid's distinct points; None when there is no s or no
+    mode to certify."""
+    for s in s_values:
+        if why := s_problem(s):
+            raise DomainError(f"s_values: {why}")
+    if why := pq_problem(None, q):
+        raise DomainError(f"q: {why}")
+    for mode in modes:
+        if mode not in _MODES:
+            raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
+    if target not in _TARGETS:
+        raise ConfigError(f"target must be one of {_TARGETS}, got {target!r}")
+    if math.isnan(cert_tol):
+        raise ConfigError("cert_tol must not be NaN")
+    if f.domain_lo < 0.0:
+        raise DomainError(
+            f"{f.name}: certification requires a domain inside [0, inf), "
+            f"got domain_lo={f.domain_lo}"
+        )
+    if len(s_values) == 0 or len(modes) == 0:
+        return None
+    domain = (float(f.domain_lo).hex(), float(f.domain_hi).hex())
+    u, _, points, _ = _grid(*domain)
+    g = _target_callable(f, target, q)
+    return domain, g(u), g(points)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _worst_violations(
+    sample: _Sample,
+    s_values: Sequence[float],
+    modes: Sequence[str],
+) -> list[list[float]]:
+    """The worst violation in each mode for each s, of one ``_sample``."""
+    domain, gu, gpoints = sample
+    _, lam, _, index = _grid(*domain)
+    gpts = gpoints[index]  # exact: g is elementwise, so g at a cell is g at its point
+
+    # each s's bound t1[lam, u] + t2[lam, v], with t1 = lam**s * g(u) and
+    # t2 = (1-lam)**s * g(v), is the K = 2 product [t1, 1] @ [1, t2]
+    ss = np.array(s_values, dtype=float)[:, None, None]
+    left = np.ones((len(s_values), len(lam), len(gu), 2))
+    right = np.ones((len(s_values), len(lam), 2, len(gu)))
+    t1, t2 = left[..., 0], right[:, :, 1]
+    np.multiply(lam[:, None] ** ss, gu, out=t1)
+    np.multiply((1.0 - lam)[:, None] ** ss, gu, out=t2)
+    # the product sums from +0.0: where both terms are -0.0 it reads +0.0, not
+    # -0.0; lam**s >= 0, so a term is -0.0 only where g(u) has its sign bit set
+    has_negzero = np.zeros(len(s_values), dtype=bool)
+    if np.signbit(gu).any():
+        negzero1, negzero2 = (np.signbit(t) & (t == 0.0) for t in (t1, t2))
+        has_negzero = negzero1.any(axis=(1, 2)) & negzero2.any(axis=(1, 2))
+
+    worst = []
+    violation = np.empty(gpts.shape)
+    for i in range(len(s_values)):
+        np.matmul(left[i], right[i], out=violation)
+        if has_negzero[i]:
+            violation[negzero1[i][:, :, None] & negzero2[i][:, None, :]] = -0.0
+        np.subtract(gpts, violation, out=violation)
+        worst.append([float(violation.max() if mode == MODE_CONVEX else -violation.min())
+                      for mode in modes])
+    return worst
+
+
+def _certificates(
+    worst: list[list[float]], s_values, q, modes, target, cert_tol
+) -> list[ConvexityCertificate]:
+    """The certificates of ``_worst_violations``' result, s-major."""
+    return [
+        ConvexityCertificate(s=float(s), mode=mode, target=target, q=float(q),
+                             max_violation=w, cert_tol=float(cert_tol))
+        for s, row in zip(s_values, worst)
+        for mode, w in zip(modes, row)
+    ]
+
+
 def certify_batch(
     f: Function1D,
     s_values: Sequence[float],
@@ -198,67 +298,19 @@ def certify_batch(
     The lam grid is a mirror grid, ``1 - lam == lam[::-1]`` exactly
     (GRID_SIZE - 1 is a power of two): the samples at (lam, u, v) and
     (1 - lam, v, u) are one sum in swapped order, so only lam's first
-    (GRID_SIZE + 1) // 2 rows are sampled.
+    (GRID_SIZE + 1) // 2 rows are sampled. g is evaluated at u and at the
+    distinct points of those rows only (1,025 on [0, 1], whose points are
+    all multiples of 1/1024), and each cell reads its point's value.
 
     Checked in order, the first problem raising: s, q (as a lone exponent,
     ``fracint.pq_problem``: 1 <= q < inf), modes, target, a NaN cert_tol,
     then a domain outside [0, inf), where s-convexity is defined.
     """
-    for s in s_values:
-        if why := s_problem(s):
-            raise DomainError(f"s_values: {why}")
-    if why := pq_problem(None, q):
-        raise DomainError(f"q: {why}")
-    for mode in modes:
-        if mode not in _MODES:
-            raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
-    if target not in _TARGETS:
-        raise ConfigError(f"target must be one of {_TARGETS}, got {target!r}")
-    if math.isnan(cert_tol):
-        raise ConfigError("cert_tol must not be NaN")
-    if f.domain_lo < 0.0:
-        raise DomainError(
-            f"{f.name}: certification requires a domain inside [0, inf), "
-            f"got domain_lo={f.domain_lo}"
-        )
-    if len(s_values) == 0 or len(modes) == 0:
+    sample = _sample(f, s_values, q, modes, target, cert_tol)
+    if sample is None:
         return []
-
-    g = _target_callable(f, target, q)
-    u, lam, pts = _grid(float(f.domain_lo).hex(), float(f.domain_hi).hex())
-    gu = g(u)  # shared for both axes; u and v ranges coincide
-    gpts = g(pts)  # g at the points does not depend on s
-
-    ss = np.array(s_values, dtype=float)[:, None]
-    t1 = (lam**ss)[:, :, None] * gu  # (s, lam, u): lam**s * g(u)
-    t2 = ((1.0 - lam) ** ss)[:, :, None] * gu  # (s, lam, v): (1-lam)**s * g(v)
-    # each s's bound t1[lam, u] + t2[lam, v] is the K = 2 product [t1, 1] @ [1, t2]
-    left = np.stack((t1, np.ones_like(t1)), axis=-1)
-    right = np.stack((np.ones_like(t2), t2), axis=-2)
-    # the product sums from +0.0: where both terms are -0.0 it reads +0.0, not -0.0
-    negzero1, negzero2 = (np.signbit(t) & (t == 0.0) for t in (t1, t2))
-    has_negzero = negzero1.any(axis=(1, 2)) & negzero2.any(axis=(1, 2))
-
-    certs = []
-    violation = np.empty(pts.shape)
-    for i, s in enumerate(s_values):
-        np.matmul(left[i], right[i], out=violation)
-        if has_negzero[i]:
-            violation[negzero1[i][:, :, None] & negzero2[i][:, None, :]] = -0.0
-        np.subtract(gpts, violation, out=violation)
-        for mode in modes:
-            worst = violation.max() if mode == MODE_CONVEX else -violation.min()
-            certs.append(
-                ConvexityCertificate(
-                    s=float(s),
-                    mode=mode,
-                    target=target,
-                    q=float(q),
-                    max_violation=float(worst),
-                    cert_tol=float(cert_tol),
-                )
-            )
-    return certs
+    worst = _worst_violations(sample, s_values, modes)
+    return _certificates(worst, s_values, q, modes, target, cert_tol)
 
 
 @dataclass(frozen=True)

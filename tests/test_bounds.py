@@ -546,16 +546,29 @@ class TestCertCache:
 
     @pytest.fixture
     def batches(self, monkeypatch):
-        """The (target, q, modes, s values) of each certify_batch bounds runs."""
+        """The (target, q, modes, s values) of each sample bounds takes for a
+        batch of certificates."""
         seen = []
-        real_batch = bounds.certify_batch
+        real_sample = bounds._sample
 
-        def counted_batch(f, s_values, **kwargs):
-            seen.append((kwargs["target"], kwargs["q"], tuple(kwargs["modes"]),
-                         tuple(s_values)))
-            return real_batch(f, s_values, **kwargs)
+        def counted_sample(f, s_values, q, modes, target, cert_tol):
+            seen.append((target, q, tuple(modes), tuple(s_values)))
+            return real_sample(f, s_values, q, modes, target, cert_tol)
 
-        monkeypatch.setattr(bounds, "certify_batch", counted_batch)
+        monkeypatch.setattr(bounds, "_sample", counted_sample)
+        return seen
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The (s values, modes) of each worst-violation pass bounds runs."""
+        seen = []
+        real_worst = bounds._worst_violations
+
+        def counted_worst(sample, s_values, modes):
+            seen.append((tuple(s_values), tuple(modes)))
+            return real_worst(sample, s_values, modes)
+
+        monkeypatch.setattr(bounds, "_worst_violations", counted_worst)
         return seen
 
     def test_first_get_certifies_the_grid_in_every_table_mode(self, batches, monkeypatch):
@@ -574,7 +587,7 @@ class TestCertCache:
         def no_batch(*args, **kwargs):
             raise AssertionError("CertCache.get missed after the first batch")
 
-        monkeypatch.setattr(bounds, "certify_batch", no_batch)
+        monkeypatch.setattr(bounds, "_sample", no_batch)
         wanted = [
             (TARGET_FPRIME_POW, mode, s, 2.0) for s in S_GRID for mode in both
         ] + [(TARGET_FPRIME, MODE_CONVEX, s, 1.0) for s in S_GRID]
@@ -591,6 +604,43 @@ class TestCertCache:
         (row,) = rows_at("E9", get_entry("pow150"), prm, certs=CertCache())
         assert batches == [(TARGET_FPRIME_POW, 2.0, (MODE_CONVEX, MODE_CONCAVE), (1.0,))]
         assert row.asserted and row.holds
+
+    QS = (1.0, 1.25, 1.5, 2.0, 3.0, 5.0)
+
+    def wanted(self):
+        """Each of constant's and affine's seven |f'| targets, in every mode
+        THEOREMS asks of it, at every grid s."""
+        both = (MODE_CONVEX, MODE_CONCAVE)
+        return [(name, target, mode, s, q)
+                for name in ("constant", "affine")
+                for target, q, modes in ((TARGET_FPRIME, 1.0, (MODE_CONVEX,)),
+                                         *((TARGET_FPRIME_POW, q, both) for q in self.QS))
+                for s in S_GRID for mode in modes]
+
+    def test_targets_with_one_sample_share_its_passes(self, batches, passes):
+        # |f'|**q is 0 for constant and 1 for affine at every q, and |f'| has
+        # those samples too: each function's seven targets are seven samples
+        # but two worst-violation passes, one per mode set
+        cache = CertCache(cert_tol=1e-6, s_values=S_GRID)
+        got = [cache.get(get_entry(name), target, mode, s, q)
+               for name, target, mode, s, q in self.wanted()]
+        assert len(batches) == 2 * 7
+        assert passes == [(S_GRID, (MODE_CONVEX,)), (S_GRID, (MODE_CONVEX, MODE_CONCAVE))] * 2
+        fresh = [
+            certify_batch(get_entry(name).func, (s,), q=q, modes=(mode,), target=target,
+                          cert_tol=1e-6)[0]
+            for name, target, mode, s, q in self.wanted()
+        ]
+        # field for field, and the violation bit for bit
+        bits = lambda c: (dataclasses.astuple(c), np.float64(c.max_violation).tobytes())
+        assert [bits(c) for c in got] == [bits(c) for c in fresh]
+
+    def test_nothing_is_shared_across_caches(self, passes):
+        for _ in range(2):
+            cache = CertCache(s_values=S_GRID)
+            for name, target, mode, s, q in self.wanted():
+                cache.get(get_entry(name), target, mode, s, q)
+        assert len(passes) == 2 * 4
 
 
 class TestClassicalSuite:

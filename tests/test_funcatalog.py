@@ -378,6 +378,30 @@ class TestMirrorGrid:
         if entry.name == "root":
             assert any(math.isnan(v) for v in violations)
 
+    @pytest.mark.parametrize("f", [
+        # not dyadic: more distinct points than [0, 1] has
+        Function1D("pow150_inner", lambda t: np.asarray(t, dtype=float) ** 1.5,
+                   lambda t: 1.5 * np.sqrt(np.asarray(t, dtype=float)), 0.1, 0.7),
+        Function1D("square_wide", lambda t: np.asarray(t, dtype=float) ** 2,
+                   lambda t: 2.0 * np.asarray(t, dtype=float), 0.0, 2.0),
+        # f(+0.0) = -0.0, so bound terms can be -0.0
+        Function1D("negated_from_negative_zero", lambda t: -np.asarray(t, dtype=float),
+                   lambda t: np.full_like(np.asarray(t, dtype=float), -1.0), -0.0, 1.0),
+        # f and f' overflow to inf on part of the grid
+        Function1D("overflowing", lambda t: np.exp(800.0 * np.asarray(t, dtype=float)),
+                   lambda t: 800.0 * np.exp(800.0 * np.asarray(t, dtype=float)), 0.0, 1.0),
+    ], ids=lambda f: f.name)
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_distinct_point_samples_keep_the_bits_off_the_catalog(self, f):
+        # the target is sampled at the grid's distinct points and gathered back
+        # per cell; the reference samples every cell of the half grid
+        half = (GRID_SIZE + 1) // 2
+        for target, q in (*self.TARGET_QS, (TARGET_FPRIME_POW, 1e6)):
+            args = (f, self.S_VALUES, q, self.MODES, target)
+            batch = certify_batch(*args)
+            want = broadcast_certificates(*args, GRID_SIZE, lam_rows=half)
+            assert [_cert_bits(c) for c in batch] == [_cert_bits(c) for c in want], (target, q)
+
     def test_the_domain_grid_is_shared_and_read_only(self):
         f = get_entry("square").func
         key = (float(f.domain_lo).hex(), float(f.domain_hi).hex())
@@ -385,15 +409,24 @@ class TestMirrorGrid:
         assert _grid(*key) is grid
         # a -0.0 end is a different key from a 0.0 end
         assert _grid((-0.0).hex(), key[1]) is not grid
-        assert [a.shape for a in grid] == [(GRID_SIZE,), ((GRID_SIZE + 1) // 2,),
-                                           ((GRID_SIZE + 1) // 2, GRID_SIZE, GRID_SIZE)]
+        half = (GRID_SIZE + 1) // 2
+        # every point of [0, 1]'s grid is a multiple of 1/1024
+        assert [a.shape for a in grid] == [(GRID_SIZE,), (half,), (1025,),
+                                           (half, GRID_SIZE, GRID_SIZE)]
         for a in grid:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
-                a[0] = 1.0
+                a[0] = 1
+        # the points are distinct by their bits and give each cell its point
+        u, lam, points, index = grid
+        pts = lam[:, None, None] * u[None, :, None] + (1.0 - lam)[:, None, None] * u[None, None, :]
+        assert len({p.hex() for p in points.tolist()}) == len(points)
+        assert points[index].tobytes() == pts.tobytes()
+        assert len(_grid((0.1).hex(), (0.7).hex())[2]) == 2298  # not dyadic
 
-    @pytest.mark.parametrize("grid_size,block", [(33, (17, 33, 33))])
+    @pytest.mark.parametrize("grid_size,block", [(33, (1025,))])
     def test_samples_half_of_a_mirror_grid_only(self, grid_size, block):
+        # at u, and at the 1,025 distinct points of [0, 1]'s 17 x 33 x 33 cells
         shapes = []
 
         def deriv(t):

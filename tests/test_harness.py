@@ -467,17 +467,15 @@ class TestRunSweep:
         assert result.summary["identity_failures"] == 0
 
     def test_each_target_grid_is_sampled_once(self, monkeypatch):
-        # 9 theorems, 2 functions, 3 s, 2 distinct q: per function one batch
+        # 9 theorems, 2 functions, 3 s, 2 distinct q: per function one sample
         # for |f'|, one for f and one per q for |f'|^q, covering both modes,
-        # each run by the first CertCache.get of its (function, target, q)
+        # each taken by the first CertCache.get of its (function, target, q)
         batches = []
-        real_batch = bounds.certify_batch
+        real_sample = bounds._sample
 
-        def counted_batch(f, s_values, **kwargs):
-            batches.append(
-                (f.name, kwargs["target"], kwargs["q"], tuple(kwargs["modes"]), tuple(s_values))
-            )
-            return real_batch(f, s_values, **kwargs)
+        def counted_sample(f, s_values, q, modes, target, cert_tol):
+            batches.append((f.name, target, q, tuple(modes), tuple(s_values)))
+            return real_sample(f, s_values, q, modes, target, cert_tol)
 
         gets = []
         real_get = bounds.CertCache.get
@@ -486,7 +484,7 @@ class TestRunSweep:
             gets.append(args)
             return real_get(self, *args, **kwargs)
 
-        monkeypatch.setattr(bounds, "certify_batch", counted_batch)
+        monkeypatch.setattr(bounds, "_sample", counted_sample)
         monkeypatch.setattr(bounds.CertCache, "get", counted_get)
         s_values = (0.25, 0.5, 1.0)
         cfg = dataclasses.replace(
@@ -506,6 +504,29 @@ class TestRunSweep:
         )
         assert len(batches) == 8
         assert gets and result.summary["failed"] == 0
+
+    def test_identical_samples_share_one_pass(self, monkeypatch):
+        # rows-heavy's shape (every theorem, 12 s, 6 (p, q) pairs) on the
+        # catalog: 9 x 8 samples (f, |f'| and |f'|^q at 6 q). Passes are
+        # shared by constant's |f'|^q (0) at every q, affine's |f'|^q (1) at
+        # every q, affine's |f'| and constant's f (both 1), and exp's f and
+        # |f'|: 60 passes, where a pass per sample would make 72
+        passes = []
+        real_worst = bounds._worst_violations
+
+        def counted_worst(sample, s_values, modes):
+            passes.append(modes)
+            return real_worst(sample, s_values, modes)
+
+        monkeypatch.setattr(bounds, "_worst_violations", counted_worst)
+        ps = (1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
+        cfg = dataclasses.replace(
+            SMALL, functions=tuple(catalog_names()), alphas=(0.5,), x_points=(0.5,),
+            s_values=tuple(k / 12 for k in range(1, 13)),
+            pq_pairs=tuple((p, p / (p - 1.0)) for p in ps),
+        )
+        run_sweep(cfg)
+        assert len(passes) == 60
 
     def test_each_skip_note_is_built_once(self, monkeypatch):
         described = []
@@ -1953,7 +1974,7 @@ def test_default_sweep_gates_and_checks_once_per_block_and_point(monkeypatch):
     # row once for all its alphas: (E6's 4 s, E7's and E9's 4 s x 3 pairs,
     # E8proof's 4 s x 3 q) x 9 functions; and the identity is checked once at
     # each of the 594 points, for its residual and its rows' left-hand side
-    counts = {"blocks": 0, "gets": 0, "e1": 0}
+    counts = {"blocks": 0, "gets": 0, "e1": 0, "passes": 0}
 
     def counted(name, real):
         def call(*args, **kwargs):
@@ -1965,8 +1986,12 @@ def test_default_sweep_gates_and_checks_once_per_block_and_point(monkeypatch):
     monkeypatch.setattr(bounds.CertCache, "get", counted("gets", bounds.CertCache.get))
     monkeypatch.setattr(identity, "check_e1_from_pieces",
                         counted("e1", identity.check_e1_from_pieces))
+    # 9 functions x 4 samples (|f'| and |f'|^q at 3 q); constant's and
+    # affine's |f'|^q have one sample at every q, so 32 worst-violation passes
+    monkeypatch.setattr(bounds, "_worst_violations",
+                        counted("passes", bounds._worst_violations))
     res = run_sweep(default_config())
-    assert counts == {"blocks": 36, "gets": 360, "e1": 594}
+    assert counts == {"blocks": 36, "gets": 360, "e1": 594, "passes": 32}
     assert len(res.reports.blocks) == 36 and len(res.residuals) == 594
     assert {(b.theorem_id, b.function) for b in res.reports.blocks} == {
         (tid, name) for tid in bounds.FRACTIONAL_IDS for name in catalog_names()
