@@ -19,8 +19,9 @@ Fractional family (parameterized by alpha > 0):
     Midpoint-derivative bound 2**((s-1)/q) / ((1+p*alpha)**(1/p) (b-a)) times
     a weighted pair of |f'| midpoint values; hypothesis: |f'|**q s-concave.
 
-All four share the same left-hand side: |identity LHS|, the
-``abs_lhs`` of the point's ``identity.LemmaPieces``.
+All four share the same left-hand side: |identity LHS|, which
+``identity.check_e1`` and ``identity.lhs_budget`` give at every point of a
+sweep at once, with its error budget.
 
 Classical suite (no alpha):
 
@@ -34,15 +35,17 @@ Classical suite (no alpha):
 
 Each right-hand side is pure closed-form arithmetic; the left-hand sides
 carry quadrature error budgets that the pass/fail tolerance couples to. The
-module runs no quadrature: the caller supplies each point's
-``identity.LemmaPieces``, the integral mean and a ``CertCache``.
+module runs no quadrature: the caller supplies a function's ``Points``
+(alpha, x and, for the fractional bounds, |LHS| with its budget, as
+columns), the integral mean and a ``CertCache``.
 ``THEOREMS`` states each bound's hypothesis, parameters, right-hand side and
 alpha = 1 twin once; everything that handles a theorem id reads it there.
 Each right-hand side is a ``ClosedForm`` ``coef(row) * shape(point) /
-div(row)``: ``evaluate_block`` takes its parts once per (alpha, grid row)
-or point and the rest as numpy arrays, bit for bit as the scalar form, and
-returns a ``RowBlock`` of columns per (theorem, function); ``ReportRows``
-reads blocks as a list of ``InequalityReport``.
+div(row)``: ``evaluate_block`` takes the coefficient and divisor once per
+(alpha, grid row) and the shape over all points at once, an f-independent
+shape once per sweep, and the rest as numpy arrays, bit for bit as the
+scalar form, and returns a ``RowBlock`` of columns per (theorem, function);
+``ReportRows`` reads blocks as a list of ``InequalityReport``.
 """
 
 from __future__ import annotations
@@ -76,7 +79,6 @@ from .funcatalog import (
     _worst_violations,
     get_entry,
 )
-from .identity import LemmaPieces
 from .specfun import ln_gamma
 
 __all__ = [
@@ -92,6 +94,7 @@ __all__ = [
     "REDUCTION_TOL",
     "InequalityReport",
     "CertCache",
+    "Points",
     "RowBlock",
     "ReportRows",
     "evaluate_block",
@@ -134,6 +137,19 @@ class InequalityReport:
     note: str = ""
 
 
+class Points(NamedTuple):
+    """One function's points, each alpha's together: their alpha and x and,
+    for the fractional bounds, the |identity LHS| each bound there reads
+    (``lhs``) with its error ``budget``, as float64 arrays; the classical
+    bounds read the integral mean instead. The blocks of one function share
+    one, so the writers make its columns' texts once."""
+
+    alpha: tuple[float, ...]
+    x: tuple[float, ...]
+    lhs: Optional[np.ndarray] = None
+    budget: Optional[np.ndarray] = None
+
+
 class RowBlock(NamedTuple):
     """One (theorem, function)'s report rows as columns, in report order.
 
@@ -142,7 +158,9 @@ class RowBlock(NamedTuple):
     (``grid``'s s, p, q, ``asserted``, ``note``; e13 has a grid row per side
     of its pair); the point (``alpha`` and ``x``, alpha by alpha); the
     left-hand side (the float64 ``lhs`` and ``quad_error_budget``, per point,
-    or per grid row for e13's sides); the report row (the float64 or bool
+    or per grid row for e13's sides); a fractional block's point columns are
+    its ``Points``' own, shared with the function's other blocks; the report
+    row (the float64 or bool
     ``rhs``, ``margin``, ``holds``). The index arrays ``row``, ``point`` and
     ``lhs_at`` (``point`` or ``row``) place each report row on the axes.
     ``stored(name)`` gives a field with its index array, ``report(i)`` the
@@ -194,12 +212,27 @@ class RowBlock(NamedTuple):
                                      "quad_error_budget": self.lhs_at}.get(name)
 
 
-class ReportRows(Sequence):
-    """The report rows of a run of blocks: a read-only list of
-    ``InequalityReport``, each built when it is read.
+class _Rows(Sequence):
+    """A read-only list whose items, ``_item(k)``, are built when read. It
+    equals any list of the same items."""
 
-    It equals any list of the same reports.
-    """
+    def _item(self, k: int):
+        raise NotImplementedError
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._item(k) for k in range(len(self))[i]]
+        return self._item(range(len(self))[i])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, type(self))):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
+class ReportRows(_Rows):
+    """The report rows of a run of blocks: a read-only list of
+    ``InequalityReport``, each built when it is read."""
 
     def __init__(self, blocks: Sequence[RowBlock]):
         self.blocks = tuple(blocks)
@@ -208,23 +241,13 @@ class ReportRows(Sequence):
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        k = i + len(self) if i < 0 else i
-        if not 0 <= k < len(self):
-            raise IndexError("report index out of range")
+    def _item(self, k: int) -> InequalityReport:
         n = bisect_right(self._ends, k)
         return self.blocks[n].report(k - (self._ends[n - 1] if n else 0))
 
     def __iter__(self):
         for block in self.blocks:
             yield from map(block.report, range(len(block.row)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, ReportRows)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
 
 
 def _require(prm, theorem_id: str, *names: str) -> None:
@@ -247,7 +270,7 @@ def _gamma_ratio(alpha: float, s: float) -> float:
 
 
 # the FracParams fields a closed form's parts read, unchecked: evaluate_block
-# passes one (alpha, grid row)'s to coef and div and one point's to shape,
+# passes one (alpha, grid row)'s to coef and div and its points' to shape,
 # None for the fields they never read
 _At = namedtuple("_At", "a b x alpha s p q M")
 
@@ -255,18 +278,21 @@ _At = namedtuple("_At", "a b x alpha s p q M")
 class ClosedForm(NamedTuple):
     """A right-hand side ``coef(row) * shape(point, f) / div(row)``, in this
     operation order; ``coef`` and ``div`` read a grid row (a, b, alpha, s, p,
-    q, M) and ``shape`` a point (a, b, x, alpha); without ``div`` nothing is
-    divided. ``evaluate_block`` takes the parts, and so every power, in
-    Python (``np.power`` differs from ``**`` in the last bit) and only the
-    product and quotient as numpy broadcasts, which round as Python does.
+    q, M) and ``shape`` a sequence of points (a, b, x, alpha), giving a
+    float64 array; without ``div`` nothing is divided, and a shape reads f
+    only when ``reads_f``. ``evaluate_block`` takes the parts, and so every
+    power, in Python (``np.power`` differs from ``**`` in the last bit) and
+    only the product and quotient as numpy broadcasts, which round as Python
+    does.
     """
 
     coef: Callable[..., float]
-    shape: Callable[..., float]
+    shape: Callable[..., np.ndarray]
     div: Optional[Callable[..., float]] = None
+    reads_f: bool = False
 
     def __call__(self, prm, f: Optional[Function1D] = None) -> float:
-        value = self.coef(prm) * self.shape(prm, f)
+        value = self.coef(prm) * float(self.shape((prm,), f)[0])
         return value if self.div is None else value / self.div(prm)
 
 
@@ -274,23 +300,27 @@ def _width(r) -> float:
     return r.b - r.a
 
 
-def _powers(r, f=None) -> float:
-    return (r.x - r.a) ** (r.alpha + 1.0) + (r.b - r.x) ** (r.alpha + 1.0)
+def _powers(rs, f=None) -> np.ndarray:
+    return np.array([(r.x - r.a) ** (r.alpha + 1.0) + (r.b - r.x) ** (r.alpha + 1.0)
+                     for r in rs], dtype=float)
 
 
-def _squares(r, f=None) -> float:
-    return (r.x - r.a) ** 2 + (r.b - r.x) ** 2
+def _squares(rs, f=None) -> np.ndarray:
+    return np.array([(r.x - r.a) ** 2 + (r.b - r.x) ** 2 for r in rs], dtype=float)
 
 
-def _midpoint_pair(r, f: Function1D, k: float) -> float:
-    # |f'| at the midpoints of [a, x] and [x, b], weighted by the k-th powers
-    da = abs(float(f.deriv(0.5 * (r.x + r.a))))
-    db = abs(float(f.deriv(0.5 * (r.b + r.x))))
-    return (r.x - r.a) ** k * da + (r.b - r.x) ** k * db
+def _midpoint_pair(rs, f: Function1D, k: Callable) -> np.ndarray:
+    # |f'| at the midpoints of [a, x] and [x, b], in one f.deriv call,
+    # weighted by the k(r)-th powers
+    mids = [0.5 * (r.x + r.a) for r in rs] + [0.5 * (r.b + r.x) for r in rs]
+    d = np.abs(np.asarray(f.deriv(np.array(mids, dtype=float)), dtype=float))
+    weights = np.array([((r.x - r.a) ** k(r), (r.b - r.x) ** k(r)) for r in rs],
+                       dtype=float).reshape(-1, 2)
+    return weights[:, 0] * d[:len(rs)] + weights[:, 1] * d[len(rs):]
 
 
-def _shift(r, f=None) -> float:
-    shift = (r.x - 0.5 * (r.a + r.b)) / (r.b - r.a)
+def _shift(rs, f=None) -> np.ndarray:
+    shift = np.array([(r.x - 0.5 * (r.a + r.b)) / (r.b - r.a) for r in rs], dtype=float)
     return 0.25 + shift * shift
 
 
@@ -328,7 +358,8 @@ _thm3 = ClosedForm(
 
 _thm4 = ClosedForm(
     lambda r: 2.0 ** ((r.s - 1.0) / r.q) / ((1.0 + r.p * r.alpha) ** (1.0 / r.p) * (r.b - r.a)),
-    lambda r, f: _midpoint_pair(r, f, r.alpha + 1.0),
+    lambda rs, f: _midpoint_pair(rs, f, lambda r: r.alpha + 1.0),
+    reads_f=True,
 )
 
 _ostrowski = ClosedForm(lambda r: r.M * (r.b - r.a), _shift)
@@ -351,7 +382,8 @@ _powermean = ClosedForm(
 
 _sconcave = ClosedForm(
     lambda r: 2.0 ** ((r.s - 1.0) / r.q) / ((1.0 + r.p) ** (1.0 / r.p) * (r.b - r.a)),
-    lambda r, f: _midpoint_pair(r, f, 2),
+    lambda rs, f: _midpoint_pair(rs, f, lambda r: 2),
+    reads_f=True,
 )
 
 
@@ -460,7 +492,8 @@ class CertCache:
     sweep's s grid samples each target grid once. A certificate is a function
     of its sample, so targets whose samples have the same bits (|f'|**q of a
     constant f at every q, say) share one pass over the worst violations, for
-    as long as this cache lives. ``skip_note`` builds each failed
+    as long as this cache lives. ``gate`` gives a block's certificates with
+    one lookup per distinct (s, q), and ``skip_note`` builds each failed
     certificate's row note once.
     """
 
@@ -474,7 +507,7 @@ class CertCache:
     def get(
         self, entry: CatalogEntry, target: str, mode: str, s: float, q: float = 1.0
     ) -> ConvexityCertificate:
-        key = (entry.name, target, mode, float(s), float(q))
+        key = (entry.func.name, target, mode, float(s), float(q))
         cert = self._store.get(key)
         if cert is None:
             modes = [thm.mode for thm in THEOREMS.values() if thm.target == target] + [mode]
@@ -487,9 +520,21 @@ class CertCache:
             if worst is None:
                 worst = self._worst[shared] = _worst_violations(sample, s_grid, modes)
             for got in _certificates(worst, s_grid, q, modes, target, self.cert_tol):
-                self._store[(entry.name, target, got.mode, got.s, got.q)] = got
+                self._store[(key[0], target, got.mode, got.s, got.q)] = got
             cert = self._store[key]
         return cert
+
+    def gate(
+        self, entry: CatalogEntry, target: str, mode: str, cells: Sequence[tuple[float, float]]
+    ) -> list[ConvexityCertificate]:
+        """``get``'s certificate at each (s, q) of ``cells``, looked up once
+        per distinct cell; ``get`` runs on a miss."""
+        name, store = entry.func.name, self._store
+        found = {}
+        for s, q in dict.fromkeys(cells):
+            cert = store.get((name, target, mode, float(s), float(q)))
+            found[s, q] = self.get(entry, target, mode, s, q) if cert is None else cert
+        return [found[cell] for cell in cells]
 
     def skip_note(self, cert: ConvexityCertificate) -> str:
         """The note on a row whose hypothesis ``cert`` failed."""
@@ -522,25 +567,27 @@ def evaluate_block(
     interval: tuple[float, float],
     M: float,
     grid: Sequence[GridRow],
-    points: Sequence[tuple[float, float, Optional[LemmaPieces]]],
+    points: Points,
     margin_tol: float,
     certs: CertCache,
     mean: Optional[Estimate] = None,
+    shapes: Optional[dict] = None,
 ) -> RowBlock:
     """Evaluate one theorem on every (s, p, q) of ``grid`` at every point.
 
-    ``points`` are (alpha, x, pieces) triples of one function, each alpha's
-    together. The caller supplies what the left-hand sides integrate and the
-    certificates: a fractional theorem reads each point's pieces (from
-    ``identity.compute_pieces_batch``), a classical one no pieces but
+    ``points`` are one function's, each alpha's together. The caller
+    supplies what the left-hand sides integrate and the certificates: a
+    fractional theorem reads the points' |LHS| and budget (from
+    ``identity.check_e1`` and ``identity.lhs_budget``), a classical one
     ``mean``, the integral of f over ``interval`` (from
     ``fracint.plain_integral``), and ``certs`` gives every hypothesis
     certificate; nothing here runs quadrature, and a missing input raises
     ``ConfigError``. Each grid row is checked and certified once for all the
     alphas. The right-hand sides are the theorem's ``ClosedForm``:
-    coefficient and divisor once per (alpha, grid row), shape once per
-    point, their product and quotient, the margins and the verdicts per
-    report row in numpy. Rows come out per
+    coefficient and divisor once per (alpha, grid row), shape once over the
+    points (an f-independent one once per ``shapes``, a memo the caller may
+    share between the blocks of one sweep), their product and quotient, the
+    margins and the verdicts per report row in numpy. Rows come out per
     alpha, per run of grid rows sharing (s, p), per point, then per grid row
     of the run, so points ascending in (alpha, x) and a grid from
     ``Theorem.grid`` over ascending s and p give the report order. The
@@ -550,27 +597,24 @@ def evaluate_block(
     if thm is None:
         raise ConfigError(f"unknown theorem id {theorem_id!r}; known: {THEOREM_IDS}")
     if thm.fractional:
-        for alpha, x, pieces in points:
-            if pieces is None:
-                raise ConfigError(f"{theorem_id} needs the pieces at alpha={alpha!r} x={x!r}, got None")
+        if points.lhs is None or points.budget is None:
+            raise ConfigError(f"{theorem_id} needs the points' |LHS| and budget, got None")
     elif mean is None:
         raise ConfigError(f"{theorem_id} is a classical bound and needs mean, got None")
     f = entry.func
     a, b = interval
     if why := domain_problem(f, a, b):
         raise DomainError(f"interval: {why}")
-    asserted, notes = [], []
     for row in grid:
         _require(row, theorem_id, *thm.exponents)
-        if thm.target is None:
-            cert = None
-        else:
-            q = row.q if thm.q_in_hypothesis else 1.0
-            cert = certs.get(entry, thm.target, thm.mode, row.s, q)
-        asserted.append(cert is None or cert.passed)
-        notes.append("" if asserted[-1] else certs.skip_note(cert))
-    alphas = tuple(alpha for alpha, _, _ in points)
-    xs = tuple(x for _, x, _ in points)
+    if thm.target is None:
+        asserted, notes = [True] * len(grid), [""] * len(grid)
+    else:
+        cells = [(row.s, row.q if thm.q_in_hypothesis else 1.0) for row in grid]
+        got = certs.gate(entry, thm.target, thm.mode, cells)
+        asserted = [cert.passed for cert in got]
+        notes = ["" if cert.passed else certs.skip_note(cert) for cert in got]
+    alphas, xs = points.alpha, points.x
     groups = [(alpha, len(list(run))) for alpha, run in groupby(alphas)]  # each alpha's points
     sizes = tuple(size for _, size in groups)
     width = b - a
@@ -598,20 +642,23 @@ def evaluate_block(
     else:
         runs = tuple(len(list(run)) for _, run in groupby(grid, key=itemgetter(0, 1)))
         row_of, point_of, group_of = _report_order(runs, sizes)
-        at_points = [_At(a, b, x, alpha, None, None, None, M) for alpha, x, _ in points]
         if thm.fractional:
-            lefts = [pieces.abs_lhs for _, _, pieces in points]
+            lhs, budget = points.lhs, points.budget
         else:  # |f(x) - integral mean|
-            lefts = [Estimate(abs(float(f.eval(x)) - mean.value / width), mean.error / width)
-                     for x in xs]
+            lefts = [(abs(float(f.eval(x)) - mean.value / width), mean.error / width) for x in xs]
+            lhs, budget = np.array(lefts, dtype=float).reshape(-1, 2).T.copy()
         lhs_at = point_of
-        lhs, budget = np.array(lefts, dtype=float).reshape(-1, 2).T.copy()
         form = thm.rhs
+        memo = {} if form.reads_f or shapes is None else shapes
+        key = (form.shape, a, b, alphas, xs)
         # coef and div per cell: per alpha's group of points, per grid row
         at_cells = [_At(a, b, None, alpha, s, p, q, M) for alpha, _ in groups for s, p, q in grid]
         cell = group_of * len(grid) + row_of
-        shape = np.array([form.shape(at, f) for at in at_points], dtype=float)
         with np.errstate(all="ignore"):  # IEEE results without warnings, as in Python
+            shape = memo.get(key)
+            if shape is None:
+                shape = memo[key] = form.shape(
+                    [_At(a, b, x, alpha, None, None, None, M) for alpha, x in zip(alphas, xs)], f)
             rhs = np.array([form.coef(at) for at in at_cells], dtype=float)[cell] * shape[point_of]
             if form.div is not None:
                 rhs = rhs / np.array([form.div(at) for at in at_cells], dtype=float)[cell]

@@ -70,6 +70,7 @@ from .harness import (
 from .identity import (
     DEFAULT_IDENTITY_TOL,
     check_classical_lemma,
+    check_e1,
     check_e4_from_pieces,
     check_e5_from_pieces,
 )
@@ -216,20 +217,22 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
     # the alpha = 1 outcomes, from a job added after the grid's when it has none
     xs = grid.x_points if args.x else np.linspace(a, b, args.x_count + 2)[1:-1].tolist()
     twin = (1.0,) * (args.classical and 1.0 not in grid.alphas)
+    cols = identity_pass(dataclasses.replace(grid, alphas=grid.alphas + twin, x_points=tuple(xs)))
+    e1 = check_e1(cols)
+    f = get_entry(args.function).func
     checks, classical = [], []  # (tag, residual or ConvergenceError), in print order
-    for entry, alpha, x, pieces in identity_pass(
-        dataclasses.replace(grid, alphas=grid.alphas + twin, x_points=tuple(xs))
-    ):
-        tag = f"{entry.name} alpha={alpha:g} x={x:g}"
-        failed = isinstance(pieces, ConvergenceError)
-        if alpha in grid.alphas:
-            checks.append((tag, pieces if failed else pieces.e1))
-            if args.halves and a < x < b and not failed:
-                checks += [(f"  {tag} half-a", check_e4_from_pieces(pieces)),
-                           (f"  {tag} half-b", check_e5_from_pieces(pieces))]
-        if args.classical and alpha == 1.0:
-            classical.append((f"{entry.name} classical x={x:g}", pieces if failed
-                              else check_classical_lemma(entry.func, a, b, x, pieces)))
+    for j, (alpha, outcomes) in enumerate(zip(cols.alphas, cols)):
+        for i, (x, pieces) in enumerate(zip(cols.xs, outcomes)):
+            tag = f"{f.name} alpha={alpha:g} x={x:g}"
+            failed = isinstance(pieces, ConvergenceError)
+            if alpha in grid.alphas:
+                checks.append((tag, pieces if failed else e1.at(j, i)))
+                if args.halves and a < x < b and not failed:
+                    checks += [(f"  {tag} half-a", check_e4_from_pieces(pieces)),
+                               (f"  {tag} half-b", check_e5_from_pieces(pieces))]
+            if args.classical and alpha == 1.0:
+                classical.append((f"{f.name} classical x={x:g}", pieces if failed
+                                  else check_classical_lemma(f, a, b, x, pieces)))
 
     failures = 0
     for tag, res in checks + classical:

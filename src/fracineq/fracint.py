@@ -436,27 +436,27 @@ def _scaled(scale, value: np.ndarray, error: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _outcomes(value: np.ndarray, error: np.ndarray, why: Sequence[Optional[str]],
-              what: Callable[[int], str], scale=1.0, factor=1.0) -> list:
-    """Each lane's result, ``_scaled`` by scale and then by factor; a failed
-    lane k gives a ``ConvergenceError`` named ``what(k)``, scaled by scale alone."""
+              what: Callable[[int], str], scale=1.0, factor=1.0):
+    """Each lane's value and error as float64 arrays, ``_scaled`` by scale
+    and then by factor, and each failed lane k's ``ConvergenceError`` by k,
+    named ``what(k)`` and scaled by scale alone."""
     with np.errstate(all="ignore"):  # IEEE results without warnings, as in Python
         value, error = _scaled(scale, value, error)
-        got = list(map(Estimate, *(v.tolist() for v in _scaled(factor, value, error))))
-    for k, reason in enumerate(why):
-        if reason is not None:
-            got[k] = ConvergenceError(f"{what(k)}: adaptive quadrature {reason}",
+        failed = {k: ConvergenceError(f"{what(k)}: adaptive quadrature {reason}",
                                       estimate=value[k], error_bound=error[k])
-    return got
+                  for k, reason in enumerate(why) if reason is not None}
+        value, error = _scaled(factor, value, error)
+    return value, error, failed
 
 
 def _one_lane(
     lanes: _LaneSet, cfg: QuadratureConfig, what: str, scale: float = 1.0
 ) -> Estimate:
     """A single lane, scaled; raises its ConvergenceError."""
-    (got,) = _outcomes(*_integrate((lanes,), cfg), lambda k: what, scale)
-    if isinstance(got, ConvergenceError):
-        raise got
-    return got
+    value, error, failed = _outcomes(*_integrate((lanes,), cfg), lambda k: what, scale)
+    if failed:
+        raise failed[0]
+    return Estimate(*value.tolist(), *error.tolist())
 
 
 def _ends(lo: float, hi: float, singular: str) -> tuple[float, float]:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -138,9 +138,13 @@ class Function1D:
             raise CertificateError(f"{self.name}: non-finite value on the domain grid")
 
 
-@dataclass(frozen=True)
-class ConvexityCertificate:
-    """Outcome of sampling one convexity-type hypothesis on a grid."""
+class ConvexityCertificate(NamedTuple):
+    """Outcome of sampling one convexity-type hypothesis on a grid.
+
+    (A named tuple: a sweep builds one per target, s and mode it certifies,
+    and a frozen dataclass would set each field through
+    ``object.__setattr__``.)
+    """
 
     s: float
     mode: str
@@ -268,10 +272,10 @@ def _certificates(
     worst: list[list[float]], s_values, q, modes, target, cert_tol
 ) -> list[ConvexityCertificate]:
     """The certificates of ``_worst_violations``' result, s-major."""
+    q, cert_tol = float(q), float(cert_tol)
     return [
-        ConvexityCertificate(s=float(s), mode=mode, target=target, q=float(q),
-                             max_violation=w, cert_tol=float(cert_tol))
-        for s, row in zip(s_values, worst)
+        ConvexityCertificate(s, mode, target, q, w, cert_tol)
+        for s, row in zip(map(float, s_values), worst)
         for mode, w in zip(modes, row)
     ]
 

@@ -2,7 +2,9 @@
 
 A sweep walks the Cartesian grid (functions x alphas x x-points), computes
 the shared quadrature pieces of every (function, alpha, x) in one batched
-call, records an identity residual at every point, and
+call (with each function's integral mean when a classical bound is
+selected), takes every point's identity residual and |LHS| from those
+columns in one numpy pass, and
 evaluates every selected theorem row
 (functions x alphas x s x exponent pairs x x for the fractional family;
 alpha-free grids for the classical family), one block of rows per
@@ -14,10 +16,13 @@ and x ascending (each where the theorem reads it), with no sort afterwards.
 
 Each block is a ``bounds.RowBlock`` of columns, and ``SweepResult.reports``
 is a ``bounds.ReportRows`` over the blocks: it reads as the list of
-``InequalityReport`` rows, building each on access. The summary reads the
-blocks' arrays; both writers write a block at a time, each value once on
-its axis, and a plain list of reports every field per record. A report is
-streamed one block's text at a time (``report_texts``), never held whole.
+``InequalityReport`` rows, building each on access. A function's blocks
+share one ``bounds.Points``, its points' alpha, x, |LHS| and budget columns;
+``SweepResult.residuals`` is a ``ResidualRows`` of the same columnar kind.
+The summary reads the arrays; both writers write a block at a time, each
+value once on its axis, the texts of a shared grid or point column once per
+report, and a plain list of reports every field per record. A report is
+streamed in texts of a bounded size (``report_texts``), never held whole.
 
 Output contracts kept deliberately rigid for reproducibility:
 
@@ -42,7 +47,7 @@ import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from typing import Iterator, Optional, Sequence, Union
@@ -60,7 +65,9 @@ from .bounds import (
     CertCache,
     GridRow,
     InequalityReport,
+    Points,
     ReportRows,
+    _Rows,
     evaluate_block,
 )
 from .errors import ConfigError, ConvergenceError
@@ -71,7 +78,6 @@ from .fracint import (
     alpha_problem,
     domain_problem,
     interval_problem,
-    plain_integral,
     pq_problem,
     s_problem,
     too_narrow,
@@ -81,13 +87,18 @@ from .funcatalog import DEFAULT_CERT_TOL, catalog_names, get_entry
 from .identity import (
     DEFAULT_IDENTITY_TOL,
     IdentityResidual,
+    PointColumns,
+    ResidualColumns,
+    check_e1,
     compute_pieces_batch,
+    lhs_budget,
 )
 
 __all__ = [
     "SweepConfig",
     "SweepResult",
     "ResidualRecord",
+    "ResidualRows",
     "MAX_GRID_POINTS",
     "default_config",
     "run_sweep",
@@ -357,17 +368,42 @@ class ResidualRecord:
     passed: bool
 
 
+class ResidualRows(_Rows):
+    """A sweep's identity residuals as columns, one entry per point: a
+    read-only list of ``ResidualRecord``, each built when it is read."""
+
+    def __init__(self, function: tuple, alpha: tuple, x: tuple,
+                 residual: ResidualColumns, passed: np.ndarray):
+        self.function, self.alpha, self.x = function, alpha, x
+        self.residual, self.passed = residual, passed
+
+    def __len__(self) -> int:
+        return len(self.function)
+
+    def _item(self, k: int) -> ResidualRecord:
+        return ResidualRecord(self.function[k], self.alpha[k], self.x[k],
+                              IdentityResidual(*(float(c[k]) for c in self.residual)),
+                              bool(self.passed[k]))
+
+    def stored(self, name: str) -> tuple:
+        """The ``name`` field (``residual.<name>`` for the residual's) with a
+        value per record, as ``_block_chunks`` reads it."""
+        owner, _, leaf = name.rpartition(".")
+        return getattr(self.residual if owner else self, leaf), ...
+
+
 @dataclass
 class SweepResult:
     """A sweep's rows, residuals, summary and provenance.
 
     ``run_sweep`` gives ``reports`` as a ``ReportRows``: the rows' columnar
-    blocks, read as a list whose reports are built on access. Any list of
-    ``InequalityReport`` may stand in for it.
+    blocks, read as a list whose reports are built on access, and
+    ``residuals`` as a ``ResidualRows``. Any list of ``InequalityReport``,
+    and of ``ResidualRecord``, may stand in for them.
     """
 
     reports: Sequence[InequalityReport]
-    residuals: list[ResidualRecord]
+    residuals: Sequence[ResidualRecord]
     convergence_errors: list[str]
     summary: dict
     provenance: dict
@@ -430,27 +466,48 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
 
     entries = [get_entry(name) for name in cfg.functions]
     a, b = cfg.interval
-    xs = cfg.resolve_x()
     thms = [THEOREMS[tid] for tid in cfg.theorems]
     q_dedup = tuple(dict.fromkeys(q for _, q in cfg.pq_pairs))
     certs = CertCache(cert_tol=cfg.cert_tol, s_values=cfg.s_values)
     bound_m = {entry.name: entry.deriv_bound() for entry in entries}
     classical = any(not thm.fractional for thm in thms)
-    means = {e.name: plain_integral(e.func, a, b, cfg.quadrature()) for e in entries if classical}
 
-    points_of: dict[str, list] = {entry.name: [] for entry in entries}  # (alpha, x, pieces)
-    convergence_errors: list[str] = []
-    for entry, alpha, x, pieces in identity_pass(cfg):
-        if isinstance(pieces, ConvergenceError):
-            convergence_errors.append(f"{entry.name} alpha={alpha!r} x={x!r}: {pieces}")
-        else:
-            points_of[entry.name].append((alpha, x, pieces))
-    # a block takes its points ascending, and the residuals come in that order
-    residuals: list[ResidualRecord] = []
-    for name in sorted(points_of):
-        points_of[name].sort(key=itemgetter(0, 1))
-        residuals += [ResidualRecord(name, alpha, x, pieces.e1, pieces.e1.passes(cfg.identity_tol))
-                      for alpha, x, pieces in points_of[name]]
+    # every point's identity quantities at once, over (job, x): job j is
+    # function j // n_alpha at alpha j % n_alpha
+    cols = identity_pass(cfg, [e.func for e in entries] if classical else ())
+    for mean in cols.plain:
+        if isinstance(mean, ConvergenceError):
+            raise mean
+    means = {e.name: mean for e, mean in zip(entries, cols.plain)}
+    e1 = check_e1(cols)
+    passed = e1.passes(cfg.identity_tol)
+    abs_lhs, budget = np.abs(e1.lhs).ravel(), lhs_budget(cols).ravel()
+    n_alpha, n_x = len(cfg.alphas), len(cols.xs)
+    convergence_errors = [
+        f"{cfg.functions[j // n_alpha]} alpha={cfg.alphas[j % n_alpha]!r} x={cols.xs[i]!r}: {err}"
+        for (j, i), err in sorted(cols.failed.items())
+    ]
+    # a function's points, as indices into the flattened (job, x) columns, go
+    # alpha, then x ascending, the failed ones left out; its blocks share
+    # them, and the residuals take them functions by name
+    ok = np.ones(len(cols) * n_x, dtype=bool)
+    ok[[j * n_x + i for j, i in cols.failed]] = False
+    grid = np.arange(ok.size).reshape(len(entries), n_alpha, n_x)
+    grid = grid[:, np.argsort(cfg.alphas, kind="stable")][:, :, np.argsort(cols.xs, kind="stable")]
+    at_of = {cfg.functions[k]: at[ok[at]] for k, at in enumerate(grid.reshape(len(entries), -1))}
+
+    def labels(at: np.ndarray) -> tuple:  # the function, alpha and x of each index
+        job, i = np.divmod(at, n_x)
+        return (tuple(cfg.functions[k] for k in (job // n_alpha).tolist()),
+                tuple(cfg.alphas[k] for k in (job % n_alpha).tolist()),
+                tuple(cols.xs[k] for k in i.tolist()))
+
+    points_of = {name: Points(*labels(at)[1:], abs_lhs[at], budget[at])
+                 for name, at in at_of.items()}
+    flat = np.concatenate([np.zeros(0, dtype=np.intp), *(at_of[name] for name in sorted(at_of))])
+    residuals = ResidualRows(*labels(flat), ResidualColumns(*(c.ravel()[flat] for c in e1)),
+                             passed.ravel()[flat])
+    rel = residuals.residual.rel_residual  # Python's max passes over NaN but a first one
 
     # one block of rows per (theorem, function), every alpha in it; a classical
     # bound sits at alpha = 1, and at the midpoint when it reads no x. Blocks go
@@ -458,21 +515,24 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     # rows that differ only in q keep the q_dedup order
     s_up = sorted(cfg.s_values)
     pq_up = sorted(cfg.pq_pairs, key=itemgetter(0))
+    at_one = {reads_x: Points((1.0,) * len(xs), xs)
+              for reads_x, xs in ((True, tuple(sorted(cols.xs))), (False, (0.5 * (a + b),)))}
+    shapes: dict = {}  # the f-independent right-hand side shapes, shared by the blocks
     blocks = []
     for thm in sorted(thms, key=attrgetter("tid")):
         grid = tuple(thm.grid(s_up, pq_up, q_dedup))  # shared by the theorem's blocks
-        at_one = [(1.0, x, None) for x in (sorted(xs) if "x" in thm.fields else [0.5 * (a + b)])]
         for entry in sorted(entries, key=attrgetter("name")):
             blocks.append(evaluate_block(
                 thm.tid, entry, cfg.interval, bound_m[entry.name], grid,
-                points_of[entry.name] if thm.fractional else at_one,
-                cfg.margin_tol, certs, means.get(entry.name),
+                points_of[entry.name] if thm.fractional else at_one["x" in thm.fields],
+                cfg.margin_tol, certs, means.get(entry.name), shapes,
             ))
 
     summary = {
         **_row_counts(blocks),
-        "worst_residual": max((rec.residual.rel_residual for rec in residuals), default=None),
-        "identity_failures": sum(1 for rec in residuals if not rec.passed),
+        "worst_residual": (float(rel[0] if np.isnan(rel[0]) else np.nanmax(rel))
+                           if rel.size else None),
+        "identity_failures": int(np.count_nonzero(~residuals.passed)),
         "convergence_errors": len(convergence_errors),
     }
     provenance = {
@@ -489,33 +549,49 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     )
 
 
-def identity_pass(cfg: SweepConfig) -> Iterator[tuple]:
+def identity_pass(cfg: SweepConfig, plain: Sequence = ()) -> PointColumns:
     """The identity's pieces at every point of a valid config's grid, from
-    one ``compute_pieces_batch`` call: (``CatalogEntry``, alpha, x, pieces
-    or the point's ``ConvergenceError``), in grid order, functions, alphas
-    and x as the config lists them."""
-    jobs = [(get_entry(name), alpha) for name in cfg.functions for alpha in cfg.alphas]
-    xs = cfg.resolve_x()
-    batch = compute_pieces_batch(
-        [(entry.func, alpha) for entry, alpha in jobs], *cfg.interval, xs, cfg.quadrature()
-    )
-    for (entry, alpha), outcomes in zip(jobs, batch):
-        for x, pieces in zip(xs, outcomes):
-            yield entry, alpha, x, pieces
+    one ``compute_pieces_batch`` call, as columns over (job, x): job j is
+    function j // len(alphas) at alpha j % len(alphas), and the x are
+    ``resolve_x``'s, each as the config lists them. The integral over the
+    interval of each function of ``plain`` joins the batch."""
+    jobs = [(get_entry(name).func, alpha) for name in cfg.functions for alpha in cfg.alphas]
+    return compute_pieces_batch(jobs, *cfg.interval, cfg.resolve_x(), cfg.quadrature(), plain)
 
 
 def _fmt_float(value: Optional[float]) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _texts(values, text_of, nonfinite: dict) -> list[str]:
-    """Each value's text: ``text_of``'s, or a float64 array's ``float.__repr__``."""
+def _texts(values, text_of, nonfinite: dict) -> Iterator[str]:
+    """Each value's text, made as it is read: ``text_of``'s, or a float64
+    array's ``float.__repr__``."""
     if not isinstance(values, np.ndarray):
-        return list(map(text_of, values))
-    texts = list(map(float.__repr__, values.tolist()))
+        return map(text_of, values)
+    texts = chain.from_iterable(map(float.__repr__, values[k:k + _SLICE].tolist())
+                                for k in range(0, len(values), _SLICE))
     if nonfinite and not np.isfinite(values).all():
-        texts = [nonfinite.get(text, text) for text in texts]
+        texts = (nonfinite.get(text, text) for text in texts)
     return texts
+
+
+def _shared(texts: Iterator[str]) -> list[str]:
+    """The texts as a list in which equal texts are one string: a column kept
+    for a whole report, such as a function's alphas, holds few distinct ones."""
+    one: dict = {}
+    return [one.setdefault(text, text) for text in texts]
+
+
+#: A block's chunks are joined, and a float column's texts made, this many
+#: at a time, so that the writers never hold a large block's whole text.
+_SLICE = 512
+
+
+def _joined(chunks: Iterator[str]) -> Iterator[str]:
+    """The chunks' text, in nonempty texts of at most ``_SLICE`` chunks."""
+    while batch := list(islice(chunks, _SLICE)):
+        if text := "".join(batch):
+            yield text
 
 
 def _add_text(lanes: list, text: str) -> None:
@@ -526,7 +602,7 @@ def _add_text(lanes: list, text: str) -> None:
         lanes.append([repeat(text), ...])
 
 
-def _block_chunks(stored, leaves, pieces, nonfinite: dict, blank, grid_texts: dict):
+def _block_chunks(stored, leaves, pieces, nonfinite: dict, blank, memo, grid):
     """One block's records as text chunks: the literal ``pieces`` around the
     fields that ``leaves`` name, each with its text function.
 
@@ -535,8 +611,10 @@ def _block_chunks(stored, leaves, pieces, nonfinite: dict, blank, grid_texts: di
     fields are read through their index arrays (a bool array indexes its
     own two texts), and fields read through one array share their texts, as
     literal text joins them. A record takes one chunk per run of fields on
-    one axis and per field stored per report row. ``grid_texts`` holds the
-    texts of the block's grid's s, p and q, shared by blocks with one grid.
+    one axis and per field stored per report row. ``memo``, unless None,
+    holds the texts of the fields stored per grid row or point, by name and
+    by the id of ``grid`` (the block's grid, for s, p and q) or of the column,
+    so blocks that share a grid or a column make its texts once.
     """
     lanes = []  # [texts, the index array, or ... for texts in row order]
     text = pieces[0]
@@ -550,10 +628,13 @@ def _block_chunks(stored, leaves, pieces, nonfinite: dict, blank, grid_texts: di
             continue
         if isinstance(values, np.ndarray) and values.dtype == bool:
             texts, index = ["false", "true"], (values if index is ... else values[index])
-        elif name in GridRow._fields:
-            texts = grid_texts[name] = grid_texts.get(name) or _texts(values, text_of, nonfinite)
-        else:
+        elif memo is None or index is ...:
             texts = _texts(values, text_of, nonfinite)
+        else:
+            key = (name, grid if name in GridRow._fields else id(values))
+            texts = memo.get(key)
+            if texts is None:
+                texts = memo[key] = _shared(_texts(values, text_of, nonfinite))
         if index is ...:
             _add_text(lanes, text)
             lanes.append([texts, ...])
@@ -585,31 +666,33 @@ def _per_record(records: Sequence, prm: bool = False):
 
 
 def _report_groups(reports: Sequence[InequalityReport]) -> list[tuple]:
-    """The reports as (theorem id, ``stored``, grid texts) groups for
+    """The reports as (theorem id, ``stored``, memo, grid id) groups for
     ``_block_chunks``: a ``ReportRows``'s blocks, each value once on the axis
     it is stored on, or else each run of one theorem's reports, every field
     per record."""
     if isinstance(reports, ReportRows):
-        memo: dict = {}  # a theorem's blocks share one grid (keyed by id: the blocks outlive it)
-        return [(b.theorem_id, b.stored, memo.setdefault(id(b.grid), {})) for b in reports.blocks]
-    return [(tid, _per_record(list(run), prm=True), {})
+        # a theorem's blocks share one grid and a function's blocks its points;
+        # their texts are made once per report (keyed by id: the blocks outlive it)
+        memo: dict = {}
+        return [(b.theorem_id, b.stored, memo, id(b.grid)) for b in reports.blocks]
+    return [(tid, _per_record(list(run), prm=True), None, None)
             for tid, run in groupby(reports, key=attrgetter("theorem_id"))]
 
 
 def _csv_texts(res: SweepResult) -> Iterator[str]:
     yield CSV_HEADER + "\n"
-    for tid, stored, grid_texts in _report_groups(res.reports):
+    for tid, stored, memo, grid in _report_groups(res.reports):
         visible = THEOREMS[tid].fields
         blank = [name for name in ("alpha", "s", "p", "q", "x") if name not in visible]
-        yield "".join(_block_chunks(stored, _CSV_LEAVES, _CSV_PIECES, {}, blank, grid_texts))
+        yield from _joined(_block_chunks(stored, _CSV_LEAVES, _CSV_PIECES, {}, blank, memo, grid))
 
 
 def render_csv(res: SweepResult) -> str:
     """Render reports to the fixed CSV schema (byte-stable).
 
     Lines are written a group of ``_report_groups`` at a time
-    (``_block_chunks``); the parameter cells a theorem's ``fields`` leave
-    out are blank.
+    (``_block_chunks``, joined by ``_joined``); the parameter cells a
+    theorem's ``fields`` leave out are blank.
     """
     return "".join(_csv_texts(res))
 
@@ -668,16 +751,15 @@ def _record_layout(cls, level: int) -> tuple[str, list[tuple[str, int]]]:
 
 
 def _records_texts(cls, groups: list) -> Iterator[str]:
-    """A top-level list of ``cls`` records, one text per ``_report_groups``
-    group. A text is held back until the next nonempty one comes, as the last
-    record takes no comma."""
+    """A top-level list of ``cls`` records, a ``_report_groups`` group at a
+    time, in ``_joined`` texts. A text is held back until the next one comes,
+    as the last record takes no comma."""
     template, leaves = _record_layout(cls, 2)
     pieces = (_INDENT * 2 + template + ",\n").split("%s")
     leaves = [(path.removeprefix("prm."), partial(_value_text, level=lv)) for path, lv in leaves]
     held = None
-    for _, stored, grid_texts in groups:
-        text = "".join(_block_chunks(stored, leaves, pieces, _NONFINITE_TEXT, (), grid_texts))
-        if text:
+    for _, stored, memo, grid in groups:
+        for text in _joined(_block_chunks(stored, leaves, pieces, _NONFINITE_TEXT, (), memo, grid)):
             yield "[\n" if held is None else held
             held = text
     yield "[]" if held is None else held[:-2] + "\n" + _INDENT + "]"
@@ -688,7 +770,9 @@ def _json_texts(res: SweepResult) -> Iterator[str]:
                 ',\n  "provenance": ', _dumps_at(res.provenance, 1), ',\n  "reports": ')
     yield from _records_texts(InequalityReport, _report_groups(res.reports))
     yield ',\n  "residuals": '
-    yield from _records_texts(ResidualRecord, [(None, _per_record(res.residuals), {})])
+    residuals = res.residuals
+    stored = residuals.stored if isinstance(residuals, ResidualRows) else _per_record(residuals)
+    yield from _records_texts(ResidualRecord, [(None, stored, None, None)])
     yield from (',\n  "summary": ', _dumps_at(res.summary, 1), "\n}\n")
 
 
@@ -700,15 +784,17 @@ def render_json(res: SweepResult) -> str:
     template per record type instead; the other fields go through
     ``json.dumps``. Reports are written a group of ``_report_groups`` at a
     time, so a record of a ``RowBlock`` takes about 8 chunks
-    (``_block_chunks``); residuals, and a plain list of reports, are written
-    every field per record; ``report_texts`` gives them one group at a time.
+    (``_block_chunks``); residuals are written from ``ResidualRows``'
+    columns, and a plain list of reports or residuals every field per
+    record; ``report_texts`` gives the text in bounded slices.
     """
     return "".join(_json_texts(res))
 
 
 def report_texts(res: SweepResult, format: str = "csv") -> Iterator[str]:
-    """``render_csv``'s or ``render_json``'s text, made one group of
-    ``_report_groups`` at a time; another format raises ``ConfigError`` at once."""
+    """``render_csv``'s or ``render_json``'s text, made in texts of at most
+    ``_SLICE`` chunks of one group of ``_report_groups``; another format
+    raises ``ConfigError`` at once."""
     texts = {"csv": _csv_texts, "json": _json_texts}.get(format)
     if texts is None:
         raise ConfigError(f"format must be 'csv' or 'json', got {format!r}")

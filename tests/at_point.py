@@ -1,12 +1,14 @@
 """Inputs at one parameter point, built through the package's one entry
-into each engine: pieces from ``compute_pieces_batch``, the integral mean
-from ``plain_integral``, and report rows from ``evaluate_block`` on one grid
-row at the one point. Nothing is shared with another call unless it is
+into each engine: pieces from ``compute_pieces_batch``, read as the one
+point's ``LemmaPieces``, the integral mean from ``plain_integral``, and
+report rows from ``evaluate_block`` on one grid row at the one point. Nothing is shared with another call unless it is
 passed in."""
 
 from __future__ import annotations
 
 from typing import Optional
+
+import numpy as np
 
 from fracineq.bounds import (
     DEFAULT_MARGIN_TOL,
@@ -14,6 +16,7 @@ from fracineq.bounds import (
     CertCache,
     GridRow,
     InequalityReport,
+    Points,
     ReportRows,
     evaluate_block,
 )
@@ -58,15 +61,16 @@ def rows_at(
     M is prm's, or else the catalog bound; ``certs`` is a fresh cache and
     ``mean`` a fresh ``plain_integral`` unless given.
     """
-    pieces = None
+    points = Points((prm.alpha,), (prm.x,))
     if theorem_id in FRACTIONAL_IDS:
-        pieces = pieces_of(entry.func, prm, cfg)
+        lhs = pieces_of(entry.func, prm, cfg).abs_lhs
+        points = Points((prm.alpha,), (prm.x,), np.array([lhs.value]), np.array([lhs.error]))
     elif mean is None:
         mean = plain_integral(entry.func, prm.a, prm.b, cfg)
     M = entry.deriv_bound() if prm.M is None else prm.M
     block = evaluate_block(
         theorem_id, entry, (prm.a, prm.b), M, [GridRow(prm.s, prm.p, prm.q)],
-        [(prm.alpha, prm.x, pieces)], margin_tol, CertCache() if certs is None else certs, mean,
+        points, margin_tol, CertCache() if certs is None else certs, mean,
     )
     return list(ReportRows([block]))
 

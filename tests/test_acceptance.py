@@ -32,7 +32,6 @@ from fracineq import (
     run_sweep,
     weighted_endpoint_integral,
 )
-from fracineq.identity import check_e1_from_pieces
 
 from at_point import classical_at, pieces_of, rows_at
 
@@ -99,10 +98,10 @@ def test_identity_residuals_across_catalog_and_classical_agreement():
     for entry in builtin_catalog():
         for alpha in alphas:
             for x in xs:
-                res = check_e1_from_pieces(pieces_of(entry.func, FracParams(0.0, 1.0, x, alpha)))
+                res = pieces_of(entry.func, FracParams(0.0, 1.0, x, alpha)).e1
                 assert res.rel_residual <= IDENTITY_RTOL, (entry.name, alpha, x)
         for x in xs:
-            frac = check_e1_from_pieces(pieces_of(entry.func, FracParams(0.0, 1.0, x, 1.0)))
+            frac = pieces_of(entry.func, FracParams(0.0, 1.0, x, 1.0)).e1
             classical = classical_at(entry.func, 0.0, 1.0, x)
             scale = max(1.0, abs(frac.lhs), abs(classical.lhs))
             assert abs(frac.lhs - classical.lhs) <= ALPHA_ONE_MATCH * scale

@@ -462,15 +462,15 @@ class TestEvaluateTheorem:
         grid = THEOREMS[tid].grid((0.5,), ((2.0, 2.0),), (2.0,))
         with pytest.raises(ConfigError, match=f"^{tid} is a classical bound and needs mean, got None$"):
             bounds.evaluate_block(tid, get_entry("square"), (0.0, 1.0), 2.0, grid,
-                                  [(1.0, 0.5, None)], 1e-9, CertCache())
+                                  bounds.Points((1.0,), (0.5,)), 1e-9, CertCache())
 
     @pytest.mark.parametrize("tid", FRACTIONAL_IDS)
     def test_fractional_point_without_pieces_names_it(self, tid):
+        # points without the |identity LHS| each fractional bound reads
         entry = get_entry("square")
-        points = [(0.5, 0.25, pieces_of(entry.func, FracParams(0.0, 1.0, 0.25, 0.5))),
-                  (0.5, 0.75, None)]
+        points = bounds.Points((0.5, 0.5), (0.25, 0.75))
         grid = THEOREMS[tid].grid((0.5,), ((2.0, 2.0),), (2.0,))
-        with pytest.raises(ConfigError, match=f"^{tid} needs the pieces at alpha=0.5 x=0.75, got None$"):
+        with pytest.raises(ConfigError, match=fr"^{tid} needs the points' \|LHS\| and budget, got None$"):
             bounds.evaluate_block(tid, entry, (0.0, 1.0), 2.0, grid, points, 1e-9, CertCache())
 
     def test_t5_missing_q_rejected(self):
@@ -632,7 +632,7 @@ class TestCertCache:
             for name, target, mode, s, q in self.wanted()
         ]
         # field for field, and the violation bit for bit
-        bits = lambda c: (dataclasses.astuple(c), np.float64(c.max_violation).tobytes())
+        bits = lambda c: (tuple(c), np.float64(c.max_violation).tobytes())
         assert [bits(c) for c in got] == [bits(c) for c in fresh]
 
     def test_nothing_is_shared_across_caches(self, passes):

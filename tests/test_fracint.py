@@ -501,7 +501,10 @@ class TestConversion:
                "did not converge", None, "ran into intervals too narrow to bisect"]
         scale = np.array([0.3**0.25, 1.0, 2.0, 1e300, 0.5, 1e10])
         factor = np.array([1.0 / gamma(0.25), 1.0, 1e308, 1e300, 3.0, 1.0])
-        got = fracint._outcomes(value, error, why, lambda k: f"lane {k}", scale, factor)
+        got_value, got_error, failed = fracint._outcomes(
+            value, error, why, lambda k: f"lane {k}", scale, factor)
+        got = [failed.get(k) or Estimate(v, e)
+               for k, (v, e) in enumerate(zip(got_value.tolist(), got_error.tolist()))]
         for k, outcome in enumerate(got):
             want = _scalar_outcome(value[k], error[k], why[k], f"lane {k}", float(scale[k]))
             if not isinstance(want, ConvergenceError):

@@ -499,3 +499,24 @@ class TestCatalog:
         assert "PASS" in cert.describe()
         bad = certify_batch(get_entry("pow125").func, (1.0,), target=TARGET_FPRIME)[0]
         assert "FAIL" in bad.describe()
+
+    def test_certificates_describe_compare_and_hash_by_their_fields(self):
+        # a passing |f'| certificate and a failing |f'|^q one, as sweeps
+        # note them; equal fields make equal, interchangeable keys
+        good = ConvexityCertificate(0.5, MODE_CONVEX, TARGET_FPRIME, 1.0, -2.5e-17)
+        bad = ConvexityCertificate(s=1.0, mode=MODE_CONCAVE, target=TARGET_FPRIME_POW, q=1.5,
+                                   max_violation=0.03125, cert_tol=1e-6)
+        assert good.passed and not bad.passed
+        assert good.cert_tol == DEFAULT_CERT_TOL
+        assert good.describe() == (
+            "PASS s-convex s=0.5 target |f'| (max violation -2.500e-17, grid 33^3)"
+        )
+        assert bad.describe() == (
+            "FAIL s-concave s=1 target |f'|^1.5 (max violation 3.125e-02, grid 33^3)"
+        )
+        twin = ConvexityCertificate(1.0, MODE_CONCAVE, TARGET_FPRIME_POW, 1.5, 0.03125, 1e-6)
+        assert twin == bad and hash(twin) == hash(bad) and twin != good
+        assert {bad: "note"}[twin] == "note"
+        assert (bad.s, bad.mode, bad.target, bad.q, bad.max_violation, bad.cert_tol) == (
+            1.0, MODE_CONCAVE, TARGET_FPRIME_POW, 1.5, 0.03125, 1e-6
+        )

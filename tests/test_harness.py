@@ -446,6 +446,44 @@ class TestRunSweep:
         assert calls == [[(name, alpha) for name in SMALL.functions for alpha in SMALL.alphas]]
         assert render_csv(result) == render_csv(small_result)
 
+    def test_every_theorem_over_the_catalog_makes_one_quadrature_call(self, monkeypatch):
+        # the classical means are plain lanes of the identity batch: a sweep of
+        # every theorem over the catalog (rows-heavy's shape) makes one
+        # _integrate call where a call per function's mean made ten, and each
+        # mean keeps its one-lane bits (the e13 pair reads it as mean / (b - a))
+        cfg = dataclasses.replace(
+            SMALL, functions=tuple(catalog_names()), alphas=(0.3, 1.7), x_points=(0.1, 0.6),
+            s_values=(0.5, 1.0), theorems=THEOREM_IDS,
+        )
+        calls = []
+        real = fracint._integrate
+
+        def counted(sets, qcfg):
+            calls.append(sum(lanes.size for lanes in sets))
+            return real(sets, qcfg)
+
+        monkeypatch.setattr(fracint, "_integrate", counted)
+        res = run_sweep(cfg)
+        assert calls == [9 * 2 * 2 * 4 + 9]
+        monkeypatch.setattr(fracint, "_integrate", real)
+        lower = [r for r in res.reports if r.note.endswith("hh-lower")]
+        assert len(lower) == 9 * 2
+        for r in lower:
+            mean = fracint.plain_integral(get_entry(r.function).func, 0.0, 1.0, cfg.quadrature())
+            assert r.rhs.hex() == (mean.value / 1.0).hex(), r.function
+            assert r.quad_error_budget.hex() == (mean.error / 1.0).hex(), r.function
+
+    def test_a_mean_that_fails_stops_the_sweep(self, monkeypatch):
+        # a classical bound cannot go without its integral mean: the plain
+        # lane's ConvergenceError is raised, named as plain_integral names it
+        _stall_lanes(monkeypatch, harness, lambda start, end, beta: (
+            (start == 0.0) & (end == 1.0) & (beta == 1.0)))
+        cfg = dataclasses.replace(SMALL, alphas=(0.5,), theorems=("E6", "e1"))
+        with pytest.raises(ConvergenceError, match=(
+            r"^weighted integral on \[0.0, 1.0\]: adaptive quadrature did not converge "
+            r"within 8 subdivisions")):
+            run_sweep(cfg)
+
     def test_a_lane_that_fails_fails_only_its_point(self, monkeypatch):
         # the moment lane of x = 0.5 toward a fails; the batch's other points
         # still give rows
@@ -825,10 +863,11 @@ class TestJsonWriter:
             return dataclasses.replace(r, lhs=(*specials, 0.0)[i]) if i < 4 else r
 
         res = _edit_reports(small_result, edit)
-        res.residuals[0] = dataclasses.replace(
-            res.residuals[0],
-            residual=dataclasses.replace(res.residuals[0].residual, residual=math.nan),
+        residuals = list(res.residuals)
+        residuals[0] = dataclasses.replace(
+            residuals[0], residual=dataclasses.replace(residuals[0].residual, residual=math.nan),
         )
+        res = dataclasses.replace(res, residuals=residuals)
         text = render_json(res)
         assert '"rhs": NaN' in text and '"rhs": -Infinity' in text
         assert '"lhs": Infinity' in text
@@ -997,6 +1036,21 @@ class TestBlockPath:
         for name in ("lhs", "rhs", "margin", "quad_error_budget"):
             for value in ("NaN", "Infinity", "-Infinity", "0.0", "-0.0"):
                 assert f'"{name}": {value},' in text or f'"{name}": {value}\n' in text
+
+    def test_special_values_in_the_residual_columns(self, small_result):
+        # the residuals are written from their columns as well, and read as
+        # the list of records they stand for
+        rows = small_result.residuals
+        assert isinstance(rows, harness.ResidualRows)
+        assert rows == list(rows) and rows[-1] == list(rows)[-1] and rows[1:4] == list(rows)[1:4]
+        residual = identity.ResidualColumns(*(_specials(len(rows), k) for k in range(6)))
+        res = dataclasses.replace(small_result, residuals=harness.ResidualRows(
+            rows.function, rows.alpha, rows.x, residual, ~rows.passed))
+        _assert_writers_match_the_oracles(res)
+        text = render_json(res)
+        for value in ("NaN", "Infinity", "-Infinity", "0.0", "-0.0"):
+            assert f'"rel_residual": {value},' in text
+        assert '"passed": false' in text
 
     def test_grids_and_points(self, small_result):
         # every other block of a theorem takes its own grid, with p = inf and
@@ -1168,9 +1222,11 @@ class TestStreaming:
         real = harness.compute_pieces_batch
 
         def rigged(jobs, *args):
-            failed = [ConvergenceError("subdivision budget exhausted", 0.0, 1.0)]
-            return [failed * len(outcomes) if (f.name, alpha) in failing else outcomes
-                    for (f, alpha), outcomes in zip(jobs, real(jobs, *args))]
+            got = real(jobs, *args)
+            got.failed.update({(j, i): ConvergenceError("subdivision budget exhausted", 0.0, 1.0)
+                               for j, (f, alpha) in enumerate(jobs) if (f.name, alpha) in failing
+                               for i in range(len(got.xs))})
+            return got
 
         monkeypatch.setattr(harness, "compute_pieces_batch", rigged)
         res = run_sweep(dataclasses.replace(
@@ -1250,9 +1306,9 @@ class TestCli:
         calls = []
         real = harness.compute_pieces_batch
 
-        def counted(jobs, a, b, xs, cfg):
+        def counted(jobs, a, b, xs, cfg, plain):
             calls.append(([alpha for _, alpha in jobs], len(xs)))
-            return real(jobs, a, b, xs, cfg)
+            return real(jobs, a, b, xs, cfg, plain)
 
         monkeypatch.setattr(harness, "compute_pieces_batch", counted)
         ret = cli.main(
@@ -1273,9 +1329,9 @@ class TestCli:
         calls = []
         real = harness.compute_pieces_batch
 
-        def counted(jobs, a, b, xs, cfg):
+        def counted(jobs, a, b, xs, cfg, plain):
             calls.append(([(f.name, alpha) for f, alpha in jobs], len(xs)))
-            return real(jobs, a, b, xs, cfg)
+            return real(jobs, a, b, xs, cfg, plain)
 
         monkeypatch.setattr(harness, "compute_pieces_batch", counted)
         argv = ["check-identity", "--function", "square", "--alpha", *alphas,
@@ -1300,14 +1356,12 @@ class TestCli:
     ):
         real = harness.compute_pieces_batch
 
-        def one_fails(jobs, a, b, xs, cfg):
-            return [
-                [
-                    ConvergenceError("stalled", 0.0, 1.0) if (alpha, x) == (0.5, 0.5) else g
-                    for x, g in zip(xs, got)
-                ]
-                for (_, alpha), got in zip(jobs, real(jobs, a, b, xs, cfg))
-            ]
+        def one_fails(jobs, a, b, xs, cfg, plain):
+            got = real(jobs, a, b, xs, cfg, plain)
+            got.failed.update({(j, i): ConvergenceError("stalled", 0.0, 1.0)
+                               for j, (_, alpha) in enumerate(jobs) for i, x in enumerate(xs)
+                               if (alpha, x) == (0.5, 0.5)})
+            return got
 
         monkeypatch.setattr(harness, "compute_pieces_batch", one_fails)
         ret = cli.main(
@@ -1973,25 +2027,29 @@ def test_default_sweep_gates_and_checks_once_per_block_and_point(monkeypatch):
     # one RowBlock per (theorem, function), 4 x 9; each block gates each grid
     # row once for all its alphas: (E6's 4 s, E7's and E9's 4 s x 3 pairs,
     # E8proof's 4 s x 3 q) x 9 functions; and the identity is checked once at
-    # each of the 594 points, for its residual and its rows' left-hand side
+    # each of the 594 points, in one pass over the columns, for its residual
+    # and its rows' left-hand side
     counts = {"blocks": 0, "gets": 0, "e1": 0, "passes": 0}
+    e1_calls = []
 
-    def counted(name, real):
+    def counted(name, real, size=lambda *args: 1):
         def call(*args, **kwargs):
-            counts[name] += 1
+            counts[name] += size(*args)
             return real(*args, **kwargs)
         return call
 
     monkeypatch.setattr(harness, "evaluate_block", counted("blocks", harness.evaluate_block))
-    monkeypatch.setattr(bounds.CertCache, "get", counted("gets", bounds.CertCache.get))
-    monkeypatch.setattr(identity, "check_e1_from_pieces",
-                        counted("e1", identity.check_e1_from_pieces))
+    monkeypatch.setattr(bounds.CertCache, "gate", counted(
+        "gets", bounds.CertCache.gate, lambda self, entry, target, mode, cells: len(cells)))
+    monkeypatch.setattr(harness, "check_e1", counted(
+        "e1", harness.check_e1, lambda cols: e1_calls.append(cols) or cols.fx.size))
     # 9 functions x 4 samples (|f'| and |f'|^q at 3 q); constant's and
     # affine's |f'|^q have one sample at every q, so 32 worst-violation passes
     monkeypatch.setattr(bounds, "_worst_violations",
                         counted("passes", bounds._worst_violations))
     res = run_sweep(default_config())
     assert counts == {"blocks": 36, "gets": 360, "e1": 594, "passes": 32}
+    assert len(e1_calls) == 1
     assert len(res.reports.blocks) == 36 and len(res.residuals) == 594
     assert {(b.theorem_id, b.function) for b in res.reports.blocks} == {
         (tid, name) for tid in bounds.FRACTIONAL_IDS for name in catalog_names()
@@ -2035,10 +2093,14 @@ def test_rows_come_out_in_the_order_a_stable_sort_gives():
     rows = []
 
     def add(thm, entry, alpha, x, pieces=None, mean=None):
+        points = bounds.Points((alpha,), (x,))
+        if pieces is not None:
+            lhs = pieces.abs_lhs
+            points = bounds.Points((alpha,), (x,), np.array([lhs.value]), np.array([lhs.error]))
         for row in thm.grid(cfg.s_values, cfg.pq_pairs, q_dedup):
             block = bounds.evaluate_block(
                 thm.tid, entry, (0.0, 1.0), entry.deriv_bound(), [row],
-                [(alpha, x, pieces)], cfg.margin_tol, certs, mean,
+                points, cfg.margin_tol, certs, mean,
             )
             rows.extend(bounds.ReportRows([block]))
 

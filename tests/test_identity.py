@@ -6,6 +6,7 @@ built from the brute-force midpoint oracle (1e6 panels) and closed forms.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,11 +23,12 @@ from fracineq.identity import (
     IdentityResidual,
     LemmaPieces,
     check_classical_lemma,
-    check_e1_from_pieces,
     check_e4_from_pieces,
     check_e5_from_pieces,
     compute_pieces_batch,
 )
+
+from fracineq.specfun import gamma, ln_gamma
 
 from at_point import classical_at, pieces_of
 
@@ -66,19 +68,19 @@ class TestFullIdentity:
     def test_constant_gives_zero_both_sides(self):
         f = get_entry("constant").func
         for alpha in (0.5, 1.0, 1.7):
-            res = check_e1_from_pieces(pieces_of(f, FracParams(0.0, 1.0, 0.3, alpha)))
+            res = pieces_of(f, FracParams(0.0, 1.0, 0.3, alpha)).e1
             assert res.rel_residual <= 1e-13
             assert abs(res.rhs) <= 1e-13
 
     def test_affine_midpoint_symmetry(self):
         prm = FracParams(0.0, 1.0, 0.5, 1.0)
-        res = check_e1_from_pieces(pieces_of(get_entry("affine").func, prm))
+        res = pieces_of(get_entry("affine").func, prm).e1
         assert abs(res.lhs) <= 1e-14
         assert abs(res.rhs) <= 1e-14
 
     def test_square_half_order(self):
         prm = FracParams(0.0, 1.0, 0.5, 0.5)
-        res = check_e1_from_pieces(pieces_of(get_entry("square").func, prm))
+        res = pieces_of(get_entry("square").func, prm).e1
         assert res.rel_residual <= 1e-8
         assert res.passes()
 
@@ -88,15 +90,15 @@ class TestFullIdentity:
         # adaptive evaluation
         a, b, x, alpha = 0.0, 1.0, 0.5, 0.5
         f = get_entry("square").func
-        fast = check_e1_from_pieces(pieces_of(f, FracParams(a, b, x, alpha)))
+        fast = pieces_of(f, FracParams(a, b, x, alpha)).e1
         ginv = 1.0 / math.gamma(alpha)
-        slow = check_e1_from_pieces(LemmaPieces(
+        slow = LemmaPieces(
             a, b, x, alpha, x**2,
             Estimate(ginv * oracle(f, a, x, alpha, "lo"), 0.0),
             Estimate(ginv * oracle(f, x, b, alpha, "hi"), 0.0),
             Estimate(2.0 * x / (alpha + 2.0), 0.0),
             Estimate(2.0 * (x - 1.0) / (alpha + 2.0) + 2.0 / (alpha + 1.0), 0.0),
-        ))
+        ).e1
         assert fast.lhs == pytest.approx(slow.lhs, rel=1e-8, abs=1e-10)
         assert fast.rhs == pytest.approx(slow.rhs, rel=1e-8, abs=1e-10)
         assert slow.passes()
@@ -106,7 +108,7 @@ class TestFullIdentity:
         for entry in builtin_catalog():
             for x in np.linspace(0.0, 1.0, 7):
                 prm = FracParams(0.0, 1.0, float(x), alpha)
-                res = check_e1_from_pieces(pieces_of(entry.func, prm))
+                res = pieces_of(entry.func, prm).e1
                 assert res.passes(DEFAULT_IDENTITY_TOL), (
                     f"{entry.name} alpha={alpha} x={x}: rel={res.rel_residual}"
                 )
@@ -115,14 +117,14 @@ class TestFullIdentity:
         # at x=a the toward-a terms vanish by convention; identity still holds
         f = get_entry("exp").func
         for x in (0.0, 1.0):
-            res = check_e1_from_pieces(pieces_of(f, FracParams(0.0, 1.0, x, 0.5)))
+            res = pieces_of(f, FracParams(0.0, 1.0, x, 0.5)).e1
             assert res.passes()
 
     def test_off_unit_interval(self):
         f = Function1D(
             "wide", lambda t: np.asarray(t) ** 2, lambda t: 2.0 * np.asarray(t), -3.0, 5.0
         )
-        res = check_e1_from_pieces(pieces_of(f, FracParams(-2.0, 4.0, 1.0, 0.75)))
+        res = pieces_of(f, FracParams(-2.0, 4.0, 1.0, 0.75)).e1
         assert res.passes()
 
 
@@ -168,7 +170,7 @@ class TestHalves:
         f = get_entry(fname).func
         prm = FracParams(0.0, 1.0, 0.375, alpha)
         pieces = pieces_of(f, prm)
-        r1 = check_e1_from_pieces(pieces)
+        r1 = pieces.e1
         r4 = check_e4_from_pieces(pieces)
         r5 = check_e5_from_pieces(pieces)
         slack = 1e-12 * max(r1.scale, r4.scale, r5.scale)
@@ -199,7 +201,7 @@ class TestClassicalLemma:
         # 1e-12 match; verify it externally as well
         f = get_entry("exp").func
         classical = classical_at(f, 0.0, 1.0, x)
-        fractional = check_e1_from_pieces(pieces_of(f, FracParams(0.0, 1.0, x, 1.0)))
+        fractional = pieces_of(f, FracParams(0.0, 1.0, x, 1.0)).e1
         tol = ALPHA_ONE_MATCH_TOL * max(classical.scale, fractional.scale)
         assert abs(classical.lhs - fractional.lhs) <= tol
         assert abs(classical.rhs - fractional.rhs) <= tol
@@ -242,15 +244,15 @@ class TestClassicalLemma:
         # skew the operator-route twin; the cross-assertion must detect it
         import fracineq.identity as ident
 
-        real = ident.check_e1_from_pieces
+        real = ident.check_e1
 
-        def skewed(pieces):
-            res = real(pieces)
-            return IdentityResidual.from_sides(
+        def skewed(cols):
+            res = real(cols)
+            return ident.ResidualColumns(*ident._residual_fields(
                 res.lhs + 1e-6, res.rhs, res.quad_error_budget * res.scale
-            )
+            ))
 
-        monkeypatch.setattr(ident, "check_e1_from_pieces", skewed)
+        monkeypatch.setattr(ident, "check_e1", skewed)
         with pytest.raises(FracIneqError):
             classical_at(get_entry("exp").func, 0.0, 1.0, 0.5)
 
@@ -389,3 +391,60 @@ class TestPiecesBatch:
         # per x and alpha both moments, and the operator pair but for jm at
         # x = a and jp at x = b
         assert sum(n for _, n in built) == len(funcs) * len(cfg.alphas) * (4 * 11 - 2)
+
+
+def _scalar_point(p: LemmaPieces, identity_tol: float):
+    """One point's full identity, |LHS| and budgets in Python floats, one
+    operation at a time: (IdentityResidual's six fields, passes, |LHS|, its
+    budget)."""
+    a, b, x, alpha = p.a, p.b, p.x, p.alpha
+    width = b - a
+    ga1 = gamma(alpha + 1.0)
+    wa, wb = (x - a) ** alpha, (b - x) ** alpha
+    ka, kb = (x - a) ** (alpha + 1.0) / width, (b - x) ** (alpha + 1.0) / width
+    lhs = (wa + wb) / width * p.fx - ga1 / width * (p.jm.value + p.jp.value)
+    rhs = ka * p.ia.value - kb * p.ib.value
+    budget = ga1 / width * (p.jm.error + p.jp.error) + ka * p.ia.error + kb * p.ib.error
+    scale = max(1.0, abs(lhs), abs(rhs))
+    residual = lhs - rhs
+    fields = (lhs, rhs, residual, scale, abs(residual) / scale, budget / scale)
+    passes = fields[4] <= max(identity_tol, 10.0 * fields[5])
+    lhs_budget = math.exp(ln_gamma(alpha + 1.0)) * ((p.jm.error + p.jp.error) / width)
+    return fields, passes, abs(lhs), lhs_budget
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (0.1, 0.7)])
+def test_sweep_columns_equal_a_scalar_evaluation_bit_for_bit(interval):
+    # the residual records and every row's |LHS| and budget, from the sweep's
+    # columns, against the identity evaluated in Python floats from the
+    # point's own pieces; x = a and x = b leave one operator term empty, and
+    # alpha spans the engine's range
+    a, b = interval
+    cfg = harness.SweepConfig(
+        functions=("square", "pow150", "exp"), alphas=(1e-4, 0.5, 140.0),
+        x_points=(a, a + 0.37 * (b - a), b), interval=interval, s_values=(1.0,),
+        pq_pairs=((2.0, 2.0),), theorems=("E6", "E9"),
+    )
+    res = harness.run_sweep(cfg)
+    cols = harness.identity_pass(cfg)
+    want = {}
+    for j, outcomes in enumerate(cols):
+        name = cfg.functions[j // len(cfg.alphas)]
+        for pieces in outcomes:
+            want[name, pieces.alpha, pieces.x] = _scalar_point(pieces, cfg.identity_tol)
+            fields, _, value, error = want[name, pieces.alpha, pieces.x]
+            assert _hex(dataclasses.astuple(pieces.e1)) == _hex(fields)
+            assert _hex(pieces.abs_lhs) == _hex((value, error))
+    assert len(want) == len(res.residuals) == 27
+    for rec in res.residuals:
+        fields, passes, _, _ = want[rec.function, rec.alpha, rec.x]
+        assert _hex(dataclasses.astuple(rec.residual)) == _hex(fields), rec
+        assert rec.passed is passes
+    assert len(res.reports) == 2 * 27
+    for r in res.reports:
+        _, _, value, error = want[r.function, r.prm.alpha, r.prm.x]
+        assert _hex((r.lhs, r.quad_error_budget)) == _hex((value, error)), r
