@@ -39,10 +39,7 @@ from .fracint import (
     Estimate,
     FracParams,
     QuadratureConfig,
-    moment_integral,
     oracle,
-    plain_integral,
-    weighted_endpoint_integral,
 )
 from .funcatalog import (
     CatalogEntry,
@@ -99,9 +96,6 @@ __all__ = [
     "QuadratureConfig",
     "DEFAULT_QUADRATURE",
     "FracParams",
-    "weighted_endpoint_integral",
-    "plain_integral",
-    "moment_integral",
     "oracle",
     # identity
     "DEFAULT_IDENTITY_TOL",

@@ -36,8 +36,8 @@ Classical suite (no alpha):
 Each right-hand side is pure closed-form arithmetic; the left-hand sides
 carry quadrature error budgets that the pass/fail tolerance couples to. The
 module runs no quadrature: the caller supplies a function's ``Points``
-(alpha, x and, for the fractional bounds, |LHS| with its budget, as
-columns), the integral mean and a ``CertCache``.
+(alpha, x and, but for e13, |LHS| with its budget, as columns), e13's
+integral mean and a ``CertCache``.
 ``THEOREMS`` states each bound's hypothesis, parameters, right-hand side and
 alpha = 1 twin once; everything that handles a theorem id reads it there.
 Each right-hand side is a ``ClosedForm`` ``coef(row) * shape(point) /
@@ -138,11 +138,12 @@ class InequalityReport:
 
 
 class Points(NamedTuple):
-    """One function's points, each alpha's together: their alpha and x and,
-    for the fractional bounds, the |identity LHS| each bound there reads
-    (``lhs``) with its error ``budget``, as float64 arrays; the classical
-    bounds read the integral mean instead. The blocks of one function share
-    one, so the writers make its columns' texts once."""
+    """One function's points, each alpha's together: their alpha and x and
+    the left-hand side each bound there reads (``lhs``) with its error
+    ``budget``, as float64 arrays: the |identity LHS| for the fractional
+    bounds, |f(x) - integral mean| at alpha = 1 for the classical ones but
+    e13, which reads the integral mean instead. The blocks of one function
+    and family share one, so the writers make its columns' texts once."""
 
     alpha: tuple[float, ...]
     x: tuple[float, ...]
@@ -576,18 +577,19 @@ def evaluate_block(
     """Evaluate one theorem on every (s, p, q) of ``grid`` at every point.
 
     ``points`` are one function's, each alpha's together. The caller
-    supplies what the left-hand sides integrate and the certificates: a
-    fractional theorem reads the points' |LHS| and budget (from
-    ``identity.check_e1`` and ``identity.lhs_budget``), a classical one
-    ``mean``, the integral of f over ``interval`` (from
-    ``fracint.plain_integral``), and ``certs`` gives every hypothesis
-    certificate; nothing here runs quadrature, and a missing input raises
-    ``ConfigError``. Each grid row is checked and certified once for all the
-    alphas. The right-hand sides are the theorem's ``ClosedForm``:
-    coefficient and divisor once per (alpha, grid row), shape once over the
-    points (an f-independent one once per ``shapes``, a memo the caller may
-    share between the blocks of one sweep), their product and quotient, the
-    margins and the verdicts per report row in numpy. Rows come out per
+    supplies what the left-hand sides integrate and the certificates: every
+    theorem but e13 reads the points' |LHS| and budget (a fractional one's
+    from ``identity.check_e1`` and ``identity.lhs_budget``, a classical
+    one's from f(x) and the integral mean), e13 reads ``mean``, the integral
+    of f over ``interval`` (a plain segment of the identity batch), and
+    ``certs`` gives every hypothesis certificate; nothing here runs
+    quadrature, and a missing input raises ``ConfigError``. Each grid row
+    is checked and certified once for all the alphas. The right-hand sides
+    are the theorem's ``ClosedForm``: coefficient and divisor once per
+    (alpha, grid row), shape once over the points (an f-independent one
+    once per ``shapes``, a memo the caller may share between the blocks of
+    one sweep), their product and quotient, the margins and the verdicts
+    per report row in numpy. Rows come out per
     alpha, per run of grid rows sharing (s, p), per point, then per grid row
     of the run, so points ascending in (alpha, x) and a grid from
     ``Theorem.grid`` over ascending s and p give the report order. The
@@ -596,11 +598,11 @@ def evaluate_block(
     thm = THEOREMS.get(theorem_id)
     if thm is None:
         raise ConfigError(f"unknown theorem id {theorem_id!r}; known: {THEOREM_IDS}")
-    if thm.fractional:
-        if points.lhs is None or points.budget is None:
-            raise ConfigError(f"{theorem_id} needs the points' |LHS| and budget, got None")
-    elif mean is None:
-        raise ConfigError(f"{theorem_id} is a classical bound and needs mean, got None")
+    if theorem_id == "e13":
+        if mean is None:
+            raise ConfigError(f"{theorem_id} is a classical bound and needs mean, got None")
+    elif points.lhs is None or points.budget is None:
+        raise ConfigError(f"{theorem_id} needs the points' |LHS| and budget, got None")
     f = entry.func
     a, b = interval
     if why := domain_problem(f, a, b):
@@ -617,10 +619,10 @@ def evaluate_block(
     alphas, xs = points.alpha, points.x
     groups = [(alpha, len(list(run))) for alpha, run in groupby(alphas)]  # each alpha's points
     sizes = tuple(size for _, size in groups)
-    width = b - a
 
     if theorem_id == "e13":  # the Hermite-Hadamard pair; f >= 0 is assumed too
         nonneg = _nonnegative_on_grid(f, certs.cert_tol)
+        width = b - a
         mean_value = float(mean.value / width)
         budget = float(mean.error / width)
         at_mid = float(f.eval(0.5 * (a + b)))
@@ -642,12 +644,7 @@ def evaluate_block(
     else:
         runs = tuple(len(list(run)) for _, run in groupby(grid, key=itemgetter(0, 1)))
         row_of, point_of, group_of = _report_order(runs, sizes)
-        if thm.fractional:
-            lhs, budget = points.lhs, points.budget
-        else:  # |f(x) - integral mean|
-            lefts = [(abs(float(f.eval(x)) - mean.value / width), mean.error / width) for x in xs]
-            lhs, budget = np.array(lefts, dtype=float).reshape(-1, 2).T.copy()
-        lhs_at = point_of
+        lhs, budget, lhs_at = points.lhs, points.budget, point_of
         form = thm.rhs
         memo = {} if form.reads_f or shapes is None else shapes
         key = (form.shape, a, b, alphas, xs)

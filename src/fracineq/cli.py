@@ -214,12 +214,14 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
     if problems := grid.validate():
         raise ConfigError("; ".join(problems))
     # a count stands for that many interior points of [a, b]; the classical twins are
-    # the alpha = 1 outcomes, from a job added after the grid's when it has none
+    # the alpha = 1 outcomes, from a job added after the grid's when it has none,
+    # and each x's integral over [x, b] is a plain segment of the same batch
     xs = grid.x_points if args.x else np.linspace(a, b, args.x_count + 2)[1:-1].tolist()
     twin = (1.0,) * (args.classical and 1.0 not in grid.alphas)
-    cols = identity_pass(dataclasses.replace(grid, alphas=grid.alphas + twin, x_points=tuple(xs)))
-    e1 = check_e1(cols)
     f = get_entry(args.function).func
+    cols = identity_pass(dataclasses.replace(grid, alphas=grid.alphas + twin, x_points=tuple(xs)),
+                         [(f, x, b) for x in xs] if args.classical else ())
+    e1 = check_e1(cols)
     checks, classical = [], []  # (tag, residual or ConvergenceError), in print order
     for j, (alpha, outcomes) in enumerate(zip(cols.alphas, cols)):
         for i, (x, pieces) in enumerate(zip(cols.xs, outcomes)):
@@ -231,8 +233,11 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
                     checks += [(f"  {tag} half-a", check_e4_from_pieces(pieces)),
                                (f"  {tag} half-b", check_e5_from_pieces(pieces))]
             if args.classical and alpha == 1.0:
-                classical.append((f"{f.name} classical x={x:g}", pieces if failed
-                                  else check_classical_lemma(f, a, b, x, pieces)))
+                # the twin's error, else the [x, b] segment's, else the check
+                res = pieces if failed else cols.plain[i]
+                if not isinstance(res, ConvergenceError):
+                    res = check_classical_lemma(f, a, b, x, pieces, res)
+                classical.append((f"{f.name} classical x={x:g}", res))
 
     failures = 0
     for tag, res in checks + classical:

@@ -22,7 +22,7 @@ An integer m keeps h(... w**m) as smooth as h, and m beta - 1 >= 3 makes the
 weight three times differentiable, so adaptive error estimates stay honest
 for every alpha from ``MIN_ALPHA`` up.
 
-Every evaluator runs one rule: the lane-batched adaptive Gauss-Kronrod
+Every integral runs one rule: the lane-batched adaptive Gauss-Kronrod
 engine below. ``oracle`` is a reference function, not an option: a
 brute-force composite midpoint sum with 1e6 panels after its own
 substitution, u = (|t - c| / L)**alpha, deliberately simple and independent
@@ -50,11 +50,11 @@ on which lanes share its batch. Each interval's rule is a row sum
 ``(fv * w).sum(axis=1)`` rather than a BLAS product, whose summation order
 can change with the batch's shape; each lane's total is an ``np.bincount``
 over its intervals, kept in left-to-right order; and every decision a lane
-takes reads only its own numbers, its beta, m and break included. So a
-one-lane call (``weighted_endpoint_integral``, ``moment_integral``) and the
-same lane in the sweep's one batch (``identity.compute_pieces_batch``, one
-lane set per integrand whatever the alphas) give identical results; a batch
-only takes fewer rounds, as many as its slowest lane needs.
+takes reads only its own numbers, its beta, m and break included. So a lane
+integrated alone and the same lane in a command's one batch
+(``identity.compute_pieces_batch``, one lane set per integrand whatever the
+alphas) give identical results; a batch only takes fewer rounds, as many as
+its slowest lane needs.
 
 When beta is small, m is large (40,000 at alpha = 1e-4), and w**m squeezes
 all of h's variation into a layer of width ~1/m at w = 1, which a first
@@ -90,9 +90,6 @@ __all__ = [
     "MIN_ALPHA",
     "MAX_ALPHA",
     "FracParams",
-    "weighted_endpoint_integral",
-    "plain_integral",
-    "moment_integral",
     "oracle",
 ]
 
@@ -166,9 +163,9 @@ def x_problem(x: float, a: float, b: float) -> Optional[str]:
     return None if a <= x <= b else f"must lie in [{a!r}, {b!r}], got {x!r}"
 
 
-def alpha_problem(alpha: float, top: float = MAX_ALPHA) -> Optional[str]:
-    ok = MIN_ALPHA <= alpha <= top  # the evaluators take top = inf
-    return None if ok else f"must lie in [{MIN_ALPHA:g}, {top:g}], got {alpha!r}"
+def alpha_problem(alpha: float) -> Optional[str]:
+    ok = MIN_ALPHA <= alpha <= MAX_ALPHA
+    return None if ok else f"must lie in [{MIN_ALPHA:g}, {MAX_ALPHA:g}], got {alpha!r}"
 
 
 def s_problem(s: float) -> Optional[str]:
@@ -449,98 +446,6 @@ def _outcomes(value: np.ndarray, error: np.ndarray, why: Sequence[Optional[str]]
     return value, error, failed
 
 
-def _one_lane(
-    lanes: _LaneSet, cfg: QuadratureConfig, what: str, scale: float = 1.0
-) -> Estimate:
-    """A single lane, scaled; raises its ConvergenceError."""
-    value, error, failed = _outcomes(*_integrate((lanes,), cfg), lambda k: what, scale)
-    if failed:
-        raise failed[0]
-    return Estimate(*value.tolist(), *error.tolist())
-
-
-def _ends(lo: float, hi: float, singular: str) -> tuple[float, float]:
-    """(c, the other end) for the singular end c."""
-    if singular not in ("lo", "hi"):
-        raise ConfigError(f"singular must be 'lo' or 'hi', got {singular!r}")
-    return (lo, hi) if singular == "lo" else (hi, lo)
-
-
-def _check_alpha(alpha: float) -> None:
-    # the evaluators also take alpha above MAX_ALPHA
-    if why := alpha_problem(alpha, math.inf):
-        raise DomainError(f"alpha: {why}")
-
-
-def weighted_endpoint_integral(
-    f: Callable,
-    lo: float,
-    hi: float,
-    alpha: float,
-    singular: str,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> Estimate:
-    """Evaluate integral_lo^hi |t - c|**(alpha-1) f(t) dt.
-
-    Parameters
-    ----------
-    f : Function1D or callable
-        Integrand factor multiplying the weight. Must accept numpy arrays
-        (the engine calls it with arrays) and act elementwise.
-    lo, hi : float
-        Integration interval, lo < hi.
-    alpha : float
-        Weight exponent shift; the weight is |t - c|**(alpha - 1), alpha > 0.
-    singular : {'lo', 'hi'}
-        Which endpoint carries the singular weight (c = lo or c = hi).
-    cfg : QuadratureConfig
-        Tolerances and subdivision budget.
-
-    Returns
-    -------
-    Estimate
-        Value and the engine's absolute error estimate.
-    """
-    _check_alpha(alpha)
-    if not lo < hi:
-        raise EmptyIntervalError(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    start, end = _ends(lo, hi, singular)
-    lanes = _lanes(f, (start,), (end,), (alpha,))
-    return _one_lane(lanes, cfg, f"weighted integral on [{lo}, {hi}]", (hi - lo) ** alpha)
-
-
-def plain_integral(
-    f: Callable,
-    lo: float,
-    hi: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> Estimate:
-    """Ordinary integral of f over [lo, hi] (degenerate intervals give 0)."""
-    if lo == hi:
-        return Estimate(0.0, 0.0)
-    if lo > hi:
-        raise EmptyIntervalError(f"need lo <= hi, got [{lo!r}, {hi!r}]")
-    # at alpha = 1 the weight is 1; the lane's tau = w**4 only spaces the
-    # nodes more densely toward lo
-    return weighted_endpoint_integral(f, lo, hi, 1.0, "lo", cfg)
-
-
-def moment_integral(
-    deriv: Callable,
-    x: float,
-    base: float,
-    alpha: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> Estimate:
-    """Evaluate integral_0^1 t**alpha * deriv(t*x + (1-t)*base) dt.
-
-    This is the module's lane with beta = alpha + 1, running from base to x.
-    """
-    _check_alpha(alpha)
-    lanes = _lanes(deriv, (base,), (x,), (alpha + 1.0,))
-    return _one_lane(lanes, cfg, f"moment integral (x={x}, base={base})")
-
-
 def oracle(
     f: Callable,
     lo: float,
@@ -559,10 +464,13 @@ def oracle(
     """
     if panels < 2:
         raise ConfigError(f"panels must be >= 2, got {panels!r}")
-    _check_alpha(alpha)
+    if singular not in ("lo", "hi"):
+        raise ConfigError(f"singular must be 'lo' or 'hi', got {singular!r}")
+    if why := alpha_problem(alpha):
+        raise DomainError(f"alpha: {why}")
     if not lo < hi:
         raise EmptyIntervalError(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    c, end = _ends(lo, hi, singular)
+    c, end = (lo, hi) if singular == "lo" else (hi, lo)
     # the midpoints of v = 1 - u; u**(1/alpha) through log1p keeps v's precision
     v = (np.arange(panels, dtype=float) + 0.5) / panels
     t = np.clip(c + (end - c) * np.exp(np.log1p(-v) / alpha), lo, hi)

@@ -16,8 +16,9 @@ and x ascending (each where the theorem reads it), with no sort afterwards.
 
 Each block is a ``bounds.RowBlock`` of columns, and ``SweepResult.reports``
 is a ``bounds.ReportRows`` over the blocks: it reads as the list of
-``InequalityReport`` rows, building each on access. A function's blocks
-share one ``bounds.Points``, its points' alpha, x, |LHS| and budget columns;
+``InequalityReport`` rows, building each on access. A function's
+fractional blocks share one ``bounds.Points``, its points' alpha, x, |LHS|
+and budget columns, and its classical blocks that read x share another;
 ``SweepResult.residuals`` is a ``ResidualRows`` of the same columnar kind.
 The summary reads the arrays; both writers write a block at a time, each
 value once on its axis, the texts of a shared grid or point column once per
@@ -474,7 +475,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
 
     # every point's identity quantities at once, over (job, x): job j is
     # function j // n_alpha at alpha j % n_alpha
-    cols = identity_pass(cfg, [e.func for e in entries] if classical else ())
+    cols = identity_pass(cfg, [(e.func, a, b) for e in entries] if classical else ())
     for mean in cols.plain:
         if isinstance(mean, ConvergenceError):
             raise mean
@@ -504,19 +505,24 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
 
     points_of = {name: Points(*labels(at)[1:], abs_lhs[at], budget[at])
                  for name, at in at_of.items()}
+    # a classical bound sits at alpha = 1 with x ascending, and its |f(x) -
+    # mean| reads the batch's f(x); e13 reads no x but the mean, at the midpoint
+    up = np.argsort(cols.xs, kind="stable")
+    classical_of = {e.name: Points((1.0,) * n_x, tuple(cols.xs[i] for i in up),
+                                   np.abs(cols.fx[k * n_alpha, up] - mean.value / (b - a)),
+                                   np.full(n_x, mean.error / (b - a)))
+                    for k, (e, mean) in enumerate(zip(entries, cols.plain))}
+    at_mid = Points((1.0,), (0.5 * (a + b),))
     flat = np.concatenate([np.zeros(0, dtype=np.intp), *(at_of[name] for name in sorted(at_of))])
     residuals = ResidualRows(*labels(flat), ResidualColumns(*(c.ravel()[flat] for c in e1)),
                              passed.ravel()[flat])
     rel = residuals.residual.rel_residual  # Python's max passes over NaN but a first one
 
-    # one block of rows per (theorem, function), every alpha in it; a classical
-    # bound sits at alpha = 1, and at the midpoint when it reads no x. Blocks go
+    # one block of rows per (theorem, function), every alpha in it. Blocks go
     # in report order (module docstring) with their grids and points ascending;
     # rows that differ only in q keep the q_dedup order
     s_up = sorted(cfg.s_values)
     pq_up = sorted(cfg.pq_pairs, key=itemgetter(0))
-    at_one = {reads_x: Points((1.0,) * len(xs), xs)
-              for reads_x, xs in ((True, tuple(sorted(cols.xs))), (False, (0.5 * (a + b),)))}
     shapes: dict = {}  # the f-independent right-hand side shapes, shared by the blocks
     blocks = []
     for thm in sorted(thms, key=attrgetter("tid")):
@@ -524,7 +530,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
         for entry in sorted(entries, key=attrgetter("name")):
             blocks.append(evaluate_block(
                 thm.tid, entry, cfg.interval, bound_m[entry.name], grid,
-                points_of[entry.name] if thm.fractional else at_one["x" in thm.fields],
+                points_of[entry.name] if thm.fractional
+                else classical_of[entry.name] if "x" in thm.fields else at_mid,
                 cfg.margin_tol, certs, means.get(entry.name), shapes,
             ))
 
@@ -553,8 +560,8 @@ def identity_pass(cfg: SweepConfig, plain: Sequence = ()) -> PointColumns:
     """The identity's pieces at every point of a valid config's grid, from
     one ``compute_pieces_batch`` call, as columns over (job, x): job j is
     function j // len(alphas) at alpha j % len(alphas), and the x are
-    ``resolve_x``'s, each as the config lists them. The integral over the
-    interval of each function of ``plain`` joins the batch."""
+    ``resolve_x``'s, each as the config lists them. The integral of f over
+    [lo, hi] for each (f, lo, hi) of ``plain`` joins the batch."""
     jobs = [(get_entry(name).func, alpha) for name in cfg.functions for alpha in cfg.alphas]
     return compute_pieces_batch(jobs, *cfg.interval, cfg.resolve_x(), cfg.quadrature(), plain)
 

@@ -27,7 +27,7 @@ rounding), and ``check_classical_lemma`` the alpha = 1 degeneration
       - ((b-x)**2/(b-a)) integral_0^1 t f'(tx+(1-t)b) dt
 
 with integral_a^x f and the moment integrals shared with its alpha = 1 twin,
-and integral_x^b f from a plain quadrature lane of its own.
+and integral_x^b f from a plain segment of the twin's batch.
 
 Every check reports a residual relative to max(1, |lhs|, |rhs|) so that
 near-zero cases (constant f makes both sides exactly 0) keep a meaningful
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import fracint
 from .errors import ConfigError, DomainError, FracIneqError
-from .fracint import DEFAULT_QUADRATURE, Estimate, QuadratureConfig, plain_integral
+from .fracint import DEFAULT_QUADRATURE, Estimate, QuadratureConfig
 from .funcatalog import Function1D
 from .specfun import gamma, ln_gamma
 
@@ -145,8 +145,9 @@ class PointColumns(Sequence):
     jp, ia and ib, are float64 arrays over (job, x), as are the four rows of
     ``_powers`` in ``powers``. ``failed`` maps each failed point, (job, x
     index), to the ``ConvergenceError`` of its first failed piece; the
-    columns hold nothing meaningful there. ``plain`` holds the batch's plain
-    integrals, each an ``Estimate`` or its ``ConvergenceError``. It reads as
+    columns hold nothing meaningful there. ``plain`` holds the integral of each
+    plain segment of the batch, in its order, an ``Estimate`` or its
+    ``ConvergenceError``. It reads as
     one list per job with one entry per x: the point's ``LemmaPieces``, built
     when read, or its error.
     """
@@ -218,7 +219,7 @@ def compute_pieces_batch(
     b: float,
     xs: Sequence[float],
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    plain: Sequence[Function1D] = (),
+    plain: Sequence[tuple[Function1D, float, float]] = (),
 ) -> PointColumns:
     """The identity's four integrals at every x of every (f, alpha) job.
 
@@ -229,14 +230,16 @@ def compute_pieces_batch(
 
     each |x - c|**alpha times a lane of f singular at its end c, and 0 over
     the empty interval at x = a or x = b (where the identity's prefactors
-    vanish too); and ia, ib, :func:`fracineq.fracint.moment_integral` of f'
-    from x toward a and toward b. Each function of ``plain`` adds its
-    integral over [a, b], :func:`fracineq.fracint.plain_integral`, as a
-    plain lane. Every integral is a lane of one batch, one lane set per
-    integrand (f or f'), whose outcomes are scaled in one numpy pass and
-    scattered over (job, x), and equals its one-lane call to the bit. A
-    point whose integral fails takes the ``ConvergenceError`` of its first
-    failed piece, which leaves the other points untouched.
+    vanish too); and ia, ib, the moment integrals
+    integral_0^1 t**alpha f'(t x + (1-t) c) dt toward c = a and c = b, each
+    a lane of beta = alpha + 1 from c to x. Each (f, lo, hi) of ``plain``
+    adds the integral of f over [lo, hi], (hi - lo) times a lane of beta = 1
+    from lo, and 0 where lo == hi, which runs no lane. Every integral is a
+    lane of one batch, one lane set per integrand (f or f'), whose outcomes
+    are scaled in one numpy pass and scattered over (job, x), and equals the
+    same lane integrated alone to the bit. A point whose integral fails
+    takes the ``ConvergenceError`` of its first failed piece, which leaves
+    the other points untouched; a failed plain integral is its own error.
     """
     for f, alpha in jobs:
         if problems := fracint._point_problems(a, b, xs, alpha):
@@ -247,42 +250,49 @@ def compute_pieces_batch(
     ginv = np.array([1.0 / gamma(alpha) for alpha in alphas])  # raises where Gamma overflows
     powers = _powers(a, b, alphas, xs)
     # a lane per (job, x, piece), but for jm at x = a and jp at x = b, in that
-    # order, then one per plain integral; each lane takes the set of its
-    # integrand, f for jm and jp and f' for ia and ib, in order of first use
+    # order, then one per plain segment but for the empty ones; each lane
+    # takes the set of its integrand, f for jm, jp and the segments and f'
+    # for ia and ib, in order of first use
     shape = (len(jobs), len(xs), 4)
     live = np.ones(shape, dtype=bool)
     live[:, np.equal(xs, a), 0] = False
     live[:, np.equal(xs, b), 1] = False
     slot = np.flatnonzero(live)
+    runs = [k for k, (_, lo, hi) in enumerate(plain) if lo != hi]
+    segments = [plain[k] for k in runs]
+    seg_lo, seg_hi = np.array([(lo, hi) for _, lo, hi in segments], dtype=float).reshape(-1, 2).T
     integrands: dict[int, tuple] = {}  # id(h) -> (set index, h)
     kinds = [integrands.setdefault(id(h), (len(integrands), h))[0]
              for f, _ in jobs for h in (f.eval, f.eval, f.deriv, f.deriv)]
-    kinds += [integrands.setdefault(id(f.eval), (len(integrands), f.eval))[0] for f in plain]
+    kinds += [integrands.setdefault(id(f.eval), (len(integrands), f.eval))[0]
+              for f, _, _ in segments]
     kind = np.concatenate((np.broadcast_to(np.reshape(kinds[:4 * len(jobs)], (-1, 1, 4)),
                                            shape).ravel()[slot], kinds[4 * len(jobs):]))
     order = np.argsort(kind, kind="stable").astype(np.intp)  # the lanes, set by set
 
-    def per_lane(per_piece, per_plain) -> np.ndarray:
+    def per_lane(per_piece, per_segment) -> np.ndarray:
         # per_piece broadcasts over (job, x, piece); the lanes in set order
         return np.concatenate((np.broadcast_to(per_piece, shape).ravel()[slot],
-                               np.asarray(per_plain, dtype=float)))[order]
+                               np.broadcast_to(per_segment, seg_lo.shape)))[order]
 
     operator = np.array([True, True, False, False])
-    # jm and jp scaled by |x - c|**alpha and 1 / Gamma(alpha), the rest by 1
+    # jm and jp scaled by |x - c|**alpha and 1 / Gamma(alpha), a segment by
+    # its width, the rest by 1
     scale = per_lane(np.where(operator, powers[[0, 1, 0, 0]].transpose(1, 2, 0), 1.0),
-                     [(b - a) ** 1.0] * len(plain))
-    factor = per_lane(np.where(operator, ginv.reshape(-1, 1, 1), 1.0), [1.0] * len(plain))
-    start = per_lane(np.array([a, b, a, b], dtype=float), [a] * len(plain))
-    end = per_lane(np.reshape(np.array(xs, dtype=float), (1, -1, 1)), [b] * len(plain))
+                     seg_hi - seg_lo)
+    factor = per_lane(np.where(operator, ginv.reshape(-1, 1, 1), 1.0), 1.0)
+    start = per_lane(np.array([a, b, a, b], dtype=float), seg_lo)
+    end = per_lane(np.reshape(np.array(xs, dtype=float), (1, -1, 1)), seg_hi)
     beta = per_lane(np.add.outer(np.array(alphas, dtype=float), [0.0, 0.0, 1.0, 1.0])[:, None],
-                    [1.0] * len(plain))
+                    1.0)
     cuts = np.searchsorted(kind[order], np.arange(len(integrands) + 1))
     sets = [fracint._lanes(h, start[i:j], end[i:j], beta[i:j])
             for (_, h), i, j in zip(integrands.values(), cuts, cuts[1:])]
 
     def what(k: int) -> str:  # a failed lane's name
         if order[k] >= slot.size:
-            return f"weighted integral on [{a}, {b}]"
+            _, lo, hi = segments[order[k] - slot.size]
+            return f"weighted integral on [{lo}, {hi}]"
         _, i, piece = np.unravel_index(slot[order[k]], shape)
         c, x = (a, b)[piece % 2], xs[i]
         return (f"moment integral (x={x}, base={c})" if piece > 1
@@ -299,15 +309,16 @@ def compute_pieces_batch(
     for lane in sorted(lane for lane in failed if lane < slot.size):
         j, i, _ = np.unravel_index(slot[lane], shape)
         first.setdefault((int(j), int(i)), failed[lane])
-    means = tuple(failed.get(lane) or Estimate(float(value[lane]), float(error[lane]))
-                  for lane in range(slot.size, order.size))
+    integrals = [Estimate(0.0, 0.0)] * len(plain)
+    for lane, k in enumerate(runs, slot.size):
+        integrals[k] = failed.get(lane) or Estimate(float(value[lane]), float(error[lane]))
     fx = {}
     for f, _ in jobs:
         if id(f.eval) not in fx:
             fx[id(f.eval)] = np.asarray(f.eval(np.array(xs, dtype=float)), dtype=float)
     return PointColumns(
         a, b, alphas, tuple(xs), np.array([fx[id(f.eval)] for f, _ in jobs]).reshape(shape[:2]),
-        values.transpose(2, 0, 1), errors.transpose(2, 0, 1), powers, first, means,
+        values.transpose(2, 0, 1), errors.transpose(2, 0, 1), powers, first, tuple(integrals),
     )
 
 
@@ -369,16 +380,17 @@ def check_classical_lemma(
     b: float,
     x: float,
     pieces: LemmaPieces,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    ir: Estimate,
 ) -> IdentityResidual:
     """Verify the classical (alpha = 1) identity through plain integrals.
 
     ``pieces``, the alpha = 1 twin's at (a, b, x), for instance one x of a
     :func:`compute_pieces_batch` job, give ``ia``, ``ib`` and the mean's
     integral over [a, x] (at alpha = 1, ``jm`` is that plain integral);
-    pieces of another point are refused. The integral over [x, b] is a
-    plain lane from x, which the twin's ``jp``, a lane from b, does not
-    share. The result is then cross-asserted against the pieces' full
+    pieces of another point are refused. ``ir`` is the integral over
+    [x, b], a plain segment of the same batch (``compute_pieces_batch``'s
+    ``plain``), a lane from x which the twin's ``jp``, a lane from b, does
+    not share. The result is then cross-asserted against the pieces' full
     identity (``e1``): both sides must coincide to ALPHA_ONE_MATCH_TOL
     (relative to the residual scale), and a disagreement raises rather than
     returning silently inconsistent data.
@@ -391,7 +403,7 @@ def check_classical_lemma(
         )
     width = b - a
     fx = float(f.eval(x))
-    il, ir = pieces.jm, plain_integral(f, x, b, cfg)
+    il = pieces.jm
 
     lhs = fx - (il.value + ir.value) / width
     rhs = (x - a) ** 2 / width * pieces.ia.value - (b - x) ** 2 / width * pieces.ib.value

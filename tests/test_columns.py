@@ -20,10 +20,12 @@ import pickle
 import pytest
 
 from fracineq.bounds import THEOREM_IDS, THEOREMS, InequalityReport, ReportRows
-from fracineq.fracint import QuadratureConfig, plain_integral
+from fracineq.fracint import QuadratureConfig
 from fracineq.funcatalog import get_entry
 from fracineq.harness import SweepConfig, render_csv, render_json, run_sweep
 from fracineq.specfun import ln_gamma
+
+from at_point import one_lane
 
 SMALL = SweepConfig(
     functions=("affine", "square"),
@@ -132,7 +134,7 @@ def _scalar_rows(cfg: SweepConfig, reports) -> list[tuple[float, float, float, b
         prm, f = r.prm, get_entry(r.function).func
         if r.theorem_id == "e13":
             if r.function not in means:
-                means[r.function] = plain_integral(f, a, b, qcfg).value / (b - a)
+                means[r.function] = one_lane(f, a, b, 1.0, b - a, qcfg).value / (b - a)
             mean = means[r.function]
             if r.note.endswith("hh-lower"):
                 lhs, rhs = float(2.0 ** (prm.s - 1.0) * float(f.eval(0.5 * (a + b)))), mean

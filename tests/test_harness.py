@@ -11,6 +11,7 @@ import math
 import os
 import pickle
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -52,7 +53,7 @@ from fracineq.harness import (
     run_sweep,
 )
 
-from at_point import classical_at, rows_at
+from at_point import classical_at, one_lane, rows_at
 
 
 def _report_sort_key(r):
@@ -469,13 +470,13 @@ class TestRunSweep:
         lower = [r for r in res.reports if r.note.endswith("hh-lower")]
         assert len(lower) == 9 * 2
         for r in lower:
-            mean = fracint.plain_integral(get_entry(r.function).func, 0.0, 1.0, cfg.quadrature())
+            mean = one_lane(get_entry(r.function).func, 0.0, 1.0, 1.0, 1.0, cfg.quadrature())
             assert r.rhs.hex() == (mean.value / 1.0).hex(), r.function
             assert r.quad_error_budget.hex() == (mean.error / 1.0).hex(), r.function
 
     def test_a_mean_that_fails_stops_the_sweep(self, monkeypatch):
         # a classical bound cannot go without its integral mean: the plain
-        # lane's ConvergenceError is raised, named as plain_integral names it
+        # lane's ConvergenceError is raised, named after its segment
         _stall_lanes(monkeypatch, harness, lambda start, end, beta: (
             (start == 0.0) & (end == 1.0) & (beta == 1.0)))
         cfg = dataclasses.replace(SMALL, alphas=(0.5,), theorems=("E6", "e1"))
@@ -665,6 +666,25 @@ def test_a_closed_stdout_ends_the_cli_cleanly():
     stderr = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
+
+
+@pytest.mark.parametrize("argv", [
+    "sweep --theorems E6 e1 e13 --out {tmp}/r.csv",
+    "sweep --config {tmp}/rows.json --out {tmp}/r.csv",
+    "check-identity --function exp --alpha 0.5 --x-count 5 --classical",
+    "verify --theorem e1 --function exp",
+    "verify --theorem E6 --function exp",
+], ids=["sweep", "rows-heavy", "check-identity", "verify-e1", "verify-E6"])
+def test_every_command_makes_one_quadrature_call(argv, tmp_path, monkeypatch, capsys):
+    # every integral a command takes, its classical means and [x, b]
+    # segments included, is a lane of one batch; rows-heavy is the
+    # benchmark's seed-1 config
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    (tmp_path / "rows.json").write_text(json.dumps(runpy.run_path(bench)["rows_heavy"](1, False)))
+    calls, real = [], fracint._integrate
+    monkeypatch.setattr(fracint, "_integrate", lambda *args: calls.append(args) or real(*args))
+    assert cli.main(argv.format(tmp=tmp_path).split()) == 0
+    assert len(calls) == 1
 
 
 class TestRendering:
@@ -1376,10 +1396,18 @@ class TestCli:
         assert sum("PASS" in line for line in lines) == 6 + 9
         assert lines[-1] == "16 identity checks, 1 failures"
 
-    def test_check_identity_failed_twin_fails_its_point_alone(self, capsys, monkeypatch):
-        # the alpha = 1 moment lane of x = 0.5 fails: its classical check is
-        # one failed point, and the command still prints every other line
-        _stall_lanes(monkeypatch, harness, _moment_lane_at_half)
+    @pytest.mark.parametrize("stalled, name", [
+        (_moment_lane_at_half, "moment integral (x=0.5, base=0.0)"),
+        (lambda start, end, beta: (start == 0.5) & (end == 1.0) & (beta == 1.0),
+         "weighted integral on [0.5, 1.0]"),
+    ], ids=["twin", "x-to-b"])
+    def test_check_identity_failed_twin_fails_its_point_alone(
+        self, stalled, name, capsys, monkeypatch
+    ):
+        # the alpha = 1 moment lane of x = 0.5, or its plain lane over [x, b],
+        # fails: its classical check is one failed point, and the command
+        # still prints every other line
+        _stall_lanes(monkeypatch, harness, stalled)
         ret = cli.main(
             ["check-identity", "--function", "square", "--alpha", "0.5",
              "--x", "0.25", "0.5", "--classical"]
@@ -1388,7 +1416,7 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         failed = [line for line in lines if "CONVERGENCE ERROR" in line]
         assert len(failed) == 1
-        assert failed[0].startswith("square classical x=0.5: CONVERGENCE ERROR ")
+        assert failed[0].startswith(f"square classical x=0.5: CONVERGENCE ERROR {name}: ")
         assert "8 subdivisions" in failed[0]
         assert sum("PASS" in line for line in lines) == 3
         assert lines[-1] == "4 identity checks, 1 failures"
@@ -2092,11 +2120,8 @@ def test_rows_come_out_in_the_order_a_stable_sort_gives():
     thms = [bounds.THEOREMS[tid] for tid in cfg.theorems]
     rows = []
 
-    def add(thm, entry, alpha, x, pieces=None, mean=None):
-        points = bounds.Points((alpha,), (x,))
-        if pieces is not None:
-            lhs = pieces.abs_lhs
-            points = bounds.Points((alpha,), (x,), np.array([lhs.value]), np.array([lhs.error]))
+    def add(thm, entry, alpha, x, lhs, mean=None):
+        points = bounds.Points((alpha,), (x,), np.array([lhs[0]]), np.array([lhs[1]]))
         for row in thm.grid(cfg.s_values, cfg.pq_pairs, q_dedup):
             block = bounds.evaluate_block(
                 thm.tid, entry, (0.0, 1.0), entry.deriv_bound(), [row],
@@ -2113,14 +2138,15 @@ def test_rows_come_out_in_the_order_a_stable_sort_gives():
             for x, pieces in zip(cfg.x_points, outcomes):
                 for thm in thms:
                     if thm.fractional:
-                        add(thm, entry, alpha, x, pieces=pieces)
+                        add(thm, entry, alpha, x, pieces.abs_lhs)
     for name in cfg.functions:
         entry = get_entry(name)
-        mean = fracint.plain_integral(entry.func, 0.0, 1.0, qcfg)
+        mean = one_lane(entry.func, 0.0, 1.0, 1.0, 1.0, qcfg)
         for thm in thms:
             if not thm.fractional:
                 for x in cfg.x_points if "x" in thm.fields else (0.5,):
-                    add(thm, entry, 1.0, x, mean=mean)
+                    add(thm, entry, 1.0, x, (abs(float(entry.func.eval(x)) - mean.value),
+                                             mean.error), mean)
     rows.sort(key=_report_sort_key)
     # 3 s x (E6 once, E7, E8proof and E9 once per pair or q) per point;
     # per function (e1 once, e14, t5_146, t6_147) per x and the e13 pair per s

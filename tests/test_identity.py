@@ -30,7 +30,7 @@ from fracineq.identity import (
 
 from fracineq.specfun import gamma, ln_gamma
 
-from at_point import classical_at, pieces_of
+from at_point import classical_at, one_lane, pieces_of
 
 ALPHAS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
 
@@ -229,16 +229,22 @@ class TestClassicalLemma:
         # point are refused rather than cross-checked against
         f = get_entry("exp").func
         xs = (0.0, 0.3, 1.0)
-        (batch,) = compute_pieces_batch(((f, 1.0),), 0.0, 1.0, xs)
-        for x, pieces in zip(xs, batch):
-            assert check_classical_lemma(f, 0.0, 1.0, x, pieces=pieces) == (
+        cols = compute_pieces_batch(((f, 1.0),), 0.0, 1.0, xs, plain=[(f, x, 1.0) for x in xs])
+        for x, pieces, ir in zip(xs, cols[0], cols.plain):
+            assert check_classical_lemma(f, 0.0, 1.0, x, pieces, ir) == (
                 classical_at(f, 0.0, 1.0, x)
             )
         with pytest.raises(ConfigError, match="twin pieces"):
-            check_classical_lemma(f, 0.0, 1.0, 0.3, pieces=batch[0])
+            check_classical_lemma(f, 0.0, 1.0, 0.3, cols[0][0], cols.plain[1])
         ((half,),) = compute_pieces_batch(((f, 0.5),), 0.0, 1.0, (0.3,))
         with pytest.raises(ConfigError, match="twin pieces"):
-            check_classical_lemma(f, 0.0, 1.0, 0.3, pieces=half)
+            check_classical_lemma(f, 0.0, 1.0, 0.3, half, cols.plain[1])
+
+    def test_an_empty_segment_gives_zero_and_runs_no_lane(self):
+        # [b, b] is +0.0 bit for bit where f(b) < 0; a lane scaled by 0.0 gives -0.0
+        neg = Function1D("neg", lambda t: -np.exp(t), lambda t: -np.exp(t), 0.0, 1.0)
+        cols = compute_pieces_batch(((neg, 1.0),), 0.0, 1.0, (1.0,), plain=[(neg, 1.0, 1.0)])
+        assert [v.hex() for v in cols.plain[0]] == [(0.0).hex()] * 2
 
     def test_route_disagreement_raises(self, monkeypatch):
         # skew the operator-route twin; the cross-assertion must detect it
@@ -264,15 +270,15 @@ class TestClassicalLemma:
         a, b = f.domain_lo, f.domain_hi
         for x in (a, a + 0.3 * (b - a), 0.5 * (a + b), a + 0.7 * (b - a), b):
             pieces = pieces_of(f, FracParams(a, b, x, 1.0))
-            assert pieces.ia == fracint.moment_integral(f.deriv, x, a, 1.0), x
-            assert pieces.ib == fracint.moment_integral(f.deriv, x, b, 1.0), x
-            assert pieces.jm == fracint.plain_integral(f, a, x), x
+            assert pieces.ia == one_lane(f.deriv, a, x, 2.0), x
+            assert pieces.ib == one_lane(f.deriv, b, x, 2.0), x
+            assert pieces.jm == (one_lane(f, a, x, 1.0, x - a) if x > a else (0.0, 0.0)), x
 
     def test_shares_the_twins_moment_integrals(self, monkeypatch, capsys):
         # the moment integrals and the plain integral over [a, x] are the
-        # twin pieces' ia, ib and jm; the route integrates only its plain
-        # lane over [x, b] per x: one batch for the alpha = 0.5 grid and its
-        # alpha = 1 twins, then 1 per x
+        # twin pieces' ia, ib and jm, and the plain lanes over [x, b] join
+        # them: one batch for the alpha = 0.5 grid, its alpha = 1 twins and
+        # the 5 segments
         calls = []
         real = fracint._integrate
 
@@ -284,7 +290,7 @@ class TestClassicalLemma:
         args = ["check-identity", "--function", "exp", "--alpha", "0.5", "--x-count", "5",
                 "--classical"]
         assert main(args) == 0
-        assert len(calls) == 1 + 5
+        assert len(calls) == 1
         assert capsys.readouterr().out.endswith("10 identity checks, 0 failures\n")
 
 

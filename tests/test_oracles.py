@@ -31,13 +31,11 @@ from fracineq.fracint import (
     _scaled,
     Estimate,
     FracParams,
-    moment_integral,
-    weighted_endpoint_integral,
 )
 from fracineq.funcatalog import get_entry
 from fracineq.specfun import gamma
 
-from at_point import pieces_of
+from at_point import one_lane, pieces_of
 
 LARGE_ALPHAS = (8.0, 32.0, MAX_ALPHA)
 ALPHAS = (1e-6, 1e-4, 0.05, 0.25, 1.0, 2.0, 4.0) + LARGE_ALPHAS
@@ -114,8 +112,7 @@ def test_power_functions_match_closed_forms(name, alpha):
     terms = POWER_TERMS[name]
     for x in XS:
         pieces = pieces_of(f, FracParams(0.0, 1.0, x, alpha))
-        jm, jp = pieces.jm, pieces.jp
-        ia = moment_integral(f.deriv, x, 0.0, alpha)
+        jm, jp, ia = pieces.jm, pieces.jp, pieces.ia
         assert_honest(jm, exact_jm(terms, alpha, x), f"jm x={x}", alpha)
         assert_honest(jp, exact_jp(terms, alpha, x), f"jp x={x}", alpha)
         assert_honest(ia, exact_ia(terms, alpha, x), f"ia x={x}", alpha)
@@ -129,7 +126,7 @@ def test_exp_matches_incomplete_gamma(alpha):
         assert_honest(jp, scaled_p(alpha, 1.0 - x, 1.0), f"jp x={x}", alpha)
         if x > 0.0:
             # J_{0+}^alpha f(x), the textbook left operator
-            est = weighted_endpoint_integral(f, 0.0, x, alpha, "hi")
+            est = one_lane(f, x, 0.0, alpha, x**alpha)
             left = Estimate(*map(float, _scaled(1.0 / gamma(alpha), *map(np.float64, est))))
             assert_honest(left, scaled_p(alpha, x, x), f"left operator x={x}", alpha)
 
