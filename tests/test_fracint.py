@@ -157,6 +157,12 @@ class TestLeftOperator:
             est = left_operator(entry.func, 0.0, 1.0, 0.6)
             assert est.value >= -cfg.abs_tol
 
+    def test_empty_interval(self):
+        with pytest.raises(EmptyIntervalError):
+            oracle(one, 0.5, 0.5, 1.0, "hi")
+        with pytest.raises(ConfigError, match="need a < b"):
+            compute_pieces_batch(((get_entry("square").func, 1.0),), 0.5, 0.5, (0.5,))
+
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             compute_pieces_batch(((get_entry("square").func, 1.0),), 0.0, 2.0, (1.0,))
@@ -186,6 +192,10 @@ class TestRightOperator:
         est = right_operator(two, 0.25, 1.0, 0.75)
         want = 2.0 * 0.75**0.75 / math.gamma(1.75)
         assert est.value == pytest.approx(want, rel=1e-12)
+
+    def test_empty_interval(self):
+        with pytest.raises(EmptyIntervalError):
+            oracle(one, 1.0, 1.0, 1.0, "lo")
 
 
 def _pair(f, deriv, x, alpha):
@@ -262,6 +272,8 @@ class TestOracleAndRules:
             oracle(one, 0.0, 1.0, 0.0)
         with pytest.raises(EmptyIntervalError):
             oracle(one, 1.0, 1.0, 0.5)
+
+    def test_bad_singular_flag(self):
         with pytest.raises(ConfigError, match="singular"):
             oracle(one, 0.0, 1.0, 0.5, "mid")
 
@@ -292,6 +304,10 @@ class TestMomentIntegral:
         got = one_lane(get_entry("exp").func.deriv, 0.1, 0.9, alpha + 1.0)
         want = math.exp(0.1) * hyp1f1(alpha + 1.0, alpha + 2.0, 0.8) / (alpha + 1.0)
         assert got.value == pytest.approx(want, rel=1e-10)
+
+    def test_rejects_nonpositive_alpha(self):
+        with pytest.raises(ConfigError, match="alpha"):
+            compute_pieces_batch(((get_entry("exp").func, 0.0),), 0.0, 1.0, (0.5,))
 
 
 class TestPlainIntegral:
@@ -566,3 +582,12 @@ class TestAlphaLimit:
         FracParams(0.0, 1.0, 0.5, MIN_ALPHA)
         with pytest.raises(ConfigError, match="1e-300"):
             FracParams(0.0, 1.0, 0.5, 1e-307)
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-307])
+    def test_integrals_refuse_alpha_below_the_engine_range(self, alpha):
+        # no lane runs, so numpy has nothing to warn about
+        with np.errstate(all="raise"):
+            with pytest.raises(DomainError, match="1e-300"):
+                oracle(lambda t: t, 0.0, 1.0, alpha, "lo")
+            with pytest.raises(ConfigError, match="1e-300"):
+                compute_pieces_batch(((get_entry("square").func, alpha),), 0.0, 1.0, (0.5,))
