@@ -61,13 +61,7 @@ from .harness import (
     render_json,
     run_sweep,
 )
-from .identity import (
-    DEFAULT_IDENTITY_TOL,
-    IdentityResidual,
-    LemmaPieces,
-    check_classical_lemma,
-    compute_pieces_batch,
-)
+from .identity import DEFAULT_IDENTITY_TOL, IdentityResidual, compute_pieces_batch
 from .specfun import beta, gamma, ln_gamma
 
 __all__ = [
@@ -100,9 +94,7 @@ __all__ = [
     # identity
     "DEFAULT_IDENTITY_TOL",
     "IdentityResidual",
-    "LemmaPieces",
     "compute_pieces_batch",
-    "check_classical_lemma",
     # bounds
     "THEOREM_IDS",
     "FRACTIONAL_IDS",

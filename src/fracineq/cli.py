@@ -67,13 +67,7 @@ from .harness import (
     report_texts,
     run_sweep,
 )
-from .identity import (
-    DEFAULT_IDENTITY_TOL,
-    check_classical_lemma,
-    check_e1,
-    check_e4_from_pieces,
-    check_e5_from_pieces,
-)
+from .identity import DEFAULT_IDENTITY_TOL, check_classical, check_e1, check_halves
 
 __all__ = ["main", "build_parser"]
 
@@ -221,22 +215,23 @@ def _cmd_check_identity(args: argparse.Namespace) -> int:
     f = get_entry(args.function).func
     cols = identity_pass(dataclasses.replace(grid, alphas=grid.alphas + twin, x_points=tuple(xs)),
                          [(f, x, b) for x in xs] if args.classical else ())
-    e1 = check_e1(cols)
+    e1, (half_a, half_b) = check_e1(cols), check_halves(cols)
+    lemma = check_classical(cols, f.name) if args.classical else None
     checks, classical = [], []  # (tag, residual or ConvergenceError), in print order
-    for j, (alpha, outcomes) in enumerate(zip(cols.alphas, cols)):
-        for i, (x, pieces) in enumerate(zip(cols.xs, outcomes)):
+    for j, alpha in enumerate(cols.alphas):
+        for i, x in enumerate(cols.xs):
             tag = f"{f.name} alpha={alpha:g} x={x:g}"
-            failed = isinstance(pieces, ConvergenceError)
+            failed = cols.failed.get((j, i))
             if alpha in grid.alphas:
-                checks.append((tag, pieces if failed else e1.at(j, i)))
+                checks.append((tag, failed or e1.at(j, i)))
                 if args.halves and a < x < b and not failed:
-                    checks += [(f"  {tag} half-a", check_e4_from_pieces(pieces)),
-                               (f"  {tag} half-b", check_e5_from_pieces(pieces))]
+                    checks += [(f"  {tag} half-a", half_a.at(j, i)),
+                               (f"  {tag} half-b", half_b.at(j, i))]
             if args.classical and alpha == 1.0:
                 # the twin's error, else the [x, b] segment's, else the check
-                res = pieces if failed else cols.plain[i]
+                res = failed or cols.plain[i]
                 if not isinstance(res, ConvergenceError):
-                    res = check_classical_lemma(f, a, b, x, pieces, res)
+                    res = lemma.at(0, i)
                 classical.append((f"{f.name} classical x={x:g}", res))
 
     failures = 0

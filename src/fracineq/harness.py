@@ -491,7 +491,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     # a function's points, as indices into the flattened (job, x) columns, go
     # alpha, then x ascending, the failed ones left out; its blocks share
     # them, and the residuals take them functions by name
-    ok = np.ones(len(cols) * n_x, dtype=bool)
+    ok = np.ones(cols.fx.size, dtype=bool)
     ok[[j * n_x + i for j, i in cols.failed]] = False
     grid = np.arange(ok.size).reshape(len(entries), n_alpha, n_x)
     grid = grid[:, np.argsort(cfg.alphas, kind="stable")][:, :, np.argsort(cols.xs, kind="stable")]

@@ -12,22 +12,21 @@ of weighted derivative averages: with Jm, Jp the operator pair of
 ``compute_pieces_batch`` gives the pieces of every (f, alpha, x) point of a
 batch as a ``PointColumns``: float64 arrays over (job, x) of f(x), of each
 integral's value and error, and of the identity's per-point powers, with each
-failed point's ``ConvergenceError``. ``check_e1`` checks the full identity at
-every point in one numpy pass, and ``lhs_budget`` gives the error budget of
-|LHS|, which every fractional inequality (E6-E9) bounds. Both keep the
-scalar operation order, so each value has the bits Python floats give; a
-one-point ``LemmaPieces`` reads its ``e1`` and ``abs_lhs`` off them too.
-``check_e4_from_pieces`` and ``check_e5_from_pieces`` check the identity's
-two one-sided halves at one point (each equating one operator term with one
-weighted derivative average; their residuals give r1 = r4 - r5 up to
-rounding), and ``check_classical_lemma`` the alpha = 1 degeneration
+failed point's ``ConvergenceError``. Each check reads them in one numpy pass
+over every point: ``check_e1`` the full identity, ``check_halves`` its two
+one-sided halves (each equating one operator term with one weighted
+derivative average; their residuals give r1 = r4 - r5 up to rounding), and
+``check_classical`` the alpha = 1 degeneration
 
     f(x) - (1/(b-a)) integral_a^b f
     = ((x-a)**2/(b-a)) integral_0^1 t f'(tx+(1-t)a) dt
       - ((b-x)**2/(b-a)) integral_0^1 t f'(tx+(1-t)b) dt
 
-with integral_a^x f and the moment integrals shared with its alpha = 1 twin,
-and integral_x^b f from a plain segment of the twin's batch.
+with integral_a^x f and the moment integrals from the batch's alpha = 1 job,
+and integral_x^b f from a plain segment of the batch. ``lhs_budget`` gives
+the error budget of |LHS|, which every fractional inequality (E6-E9) bounds.
+Each keeps the scalar operation order, so each value has the bits Python
+floats give.
 
 Every check reports a residual relative to max(1, |lhs|, |rhs|) so that
 near-zero cases (constant f makes both sides exactly 0) keep a meaningful
@@ -39,13 +38,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import fracint
-from .errors import ConfigError, DomainError, FracIneqError
+from .errors import ConfigError, ConvergenceError, DomainError, FracIneqError
 from .fracint import DEFAULT_QUADRATURE, Estimate, QuadratureConfig
 from .funcatalog import Function1D
 from .specfun import gamma, ln_gamma
@@ -56,13 +54,11 @@ __all__ = [
     "IdentityResidual",
     "ResidualColumns",
     "PointColumns",
-    "LemmaPieces",
     "compute_pieces_batch",
     "check_e1",
+    "check_halves",
+    "check_classical",
     "lhs_budget",
-    "check_e4_from_pieces",
-    "check_e5_from_pieces",
-    "check_classical_lemma",
 ]
 
 #: Default PASS threshold for relative residuals.
@@ -99,10 +95,6 @@ class IdentityResidual:
     rel_residual: float  # |residual| / scale
     quad_error_budget: float  # propagated quadrature error / scale
 
-    @classmethod
-    def from_sides(cls, lhs: float, rhs: float, abs_error: float) -> "IdentityResidual":
-        return cls(*map(float, _residual_fields(lhs, rhs, abs_error)))
-
     def passes(self, identity_tol: float = DEFAULT_IDENTITY_TOL) -> bool:
         """PASS iff rel_residual <= max(identity_tol, 10 * quad_error_budget)."""
         return bool(_passes(self.rel_residual, self.quad_error_budget, identity_tol))
@@ -138,7 +130,8 @@ def _powers(a: float, b: float, alphas: Sequence[float], xs: Sequence[float]) ->
                                                                 ).transpose(2, 0, 1)
 
 
-class PointColumns(Sequence):
+@dataclass(frozen=True, eq=False)
+class PointColumns:
     """The identity's pieces at every (job, x) point of one batch, as columns.
 
     ``fx`` and each of ``value``'s and ``error``'s four rows, the pieces jm,
@@ -147,70 +140,19 @@ class PointColumns(Sequence):
     index), to the ``ConvergenceError`` of its first failed piece; the
     columns hold nothing meaningful there. ``plain`` holds the integral of each
     plain segment of the batch, in its order, an ``Estimate`` or its
-    ``ConvergenceError``. It reads as
-    one list per job with one entry per x: the point's ``LemmaPieces``, built
-    when read, or its error.
-    """
-
-    def __init__(self, a: float, b: float, alphas: tuple, xs: tuple, fx: np.ndarray,
-                 value: np.ndarray, error: np.ndarray, powers: np.ndarray, failed: dict,
-                 plain: tuple = ()):
-        self.a, self.b, self.alphas, self.xs, self.fx = a, b, alphas, xs, fx
-        self.value, self.error, self.powers, self.failed, self.plain = (
-            value, error, powers, failed, plain)
-
-    def __len__(self) -> int:
-        return len(self.alphas)
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return [self[k] for k in range(len(self))[j]]
-        j = range(len(self))[j]
-        fx = self.fx[j].tolist()
-        pieces = [list(map(Estimate, v, e)) for v, e in
-                  zip(self.value[:, j].tolist(), self.error[:, j].tolist())]
-        return [self.failed.get((j, i)) or LemmaPieces(self.a, self.b, x, self.alphas[j], fx[i],
-                                                       *(piece[i] for piece in pieces))
-                for i, x in enumerate(self.xs)]
-
-
-@dataclass(frozen=True)
-class LemmaPieces:
-    """One (f, a, b, x, alpha) point's pieces, as a ``PointColumns`` reads it.
-
-    ``e1``, the full identity's residual, and ``abs_lhs``, its left-hand side
-    with that side's error budget, are ``check_e1`` and ``lhs_budget`` on a
-    one-point ``PointColumns`` of these pieces, computed on first use.
+    ``ConvergenceError``.
     """
 
     a: float
     b: float
-    x: float
-    alpha: float
-    fx: float
-    jm: Estimate  # operator term anchored toward a
-    jp: Estimate  # operator term anchored toward b
-    ia: Estimate  # moment integral of f' toward a
-    ib: Estimate  # moment integral of f' toward b
-
-    @cached_property
-    def _columns(self) -> PointColumns:
-        pieces = (self.jm, self.jp, self.ia, self.ib)
-        return PointColumns(
-            self.a, self.b, (self.alpha,), (self.x,), np.array([[self.fx]], dtype=float),
-            *(np.array([[[g[k]] for g in pieces]], dtype=float).reshape(4, 1, 1) for k in (0, 1)),
-            _powers(self.a, self.b, (self.alpha,), (self.x,)), {},
-        )
-
-    @cached_property
-    def e1(self) -> IdentityResidual:
-        """The full identity's residual here."""
-        return check_e1(self._columns).at(0, 0)
-
-    @cached_property
-    def abs_lhs(self) -> Estimate:
-        """|identity LHS| with its error budget."""
-        return Estimate(abs(self.e1.lhs), float(lhs_budget(self._columns)[0, 0]))
+    alphas: tuple
+    xs: tuple
+    fx: np.ndarray
+    value: np.ndarray
+    error: np.ndarray
+    powers: np.ndarray
+    failed: dict
+    plain: tuple = ()
 
 
 def compute_pieces_batch(
@@ -234,7 +176,8 @@ def compute_pieces_batch(
     integral_0^1 t**alpha f'(t x + (1-t) c) dt toward c = a and c = b, each
     a lane of beta = alpha + 1 from c to x. Each (f, lo, hi) of ``plain``
     adds the integral of f over [lo, hi], (hi - lo) times a lane of beta = 1
-    from lo, and 0 where lo == hi, which runs no lane. Every integral is a
+    from lo, and 0 where lo == hi, which runs no lane; a segment must lie in
+    [a, b] and in the domain of its f, with lo <= hi. Every integral is a
     lane of one batch, one lane set per integrand (f or f'), whose outcomes
     are scaled in one numpy pass and scattered over (job, x), and equals the
     same lane integrated alone to the bit. A point whose integral fails
@@ -246,7 +189,14 @@ def compute_pieces_batch(
             raise ConfigError("; ".join(problems))
         if why := fracint.domain_problem(f, a, b):
             raise DomainError(f"interval: {why}")
-    alphas = tuple(alpha for _, alpha in jobs)
+    for f, lo, hi in plain:
+        order = None if lo <= hi else f"need lo <= hi, got [{lo!r}, {hi!r}]"
+        if problems := [f"plain: {why}" for why in (fracint.x_problem(lo, a, b),
+                                                    fracint.x_problem(hi, a, b), order) if why]:
+            raise ConfigError("; ".join(problems))
+        if why := fracint.domain_problem(f, lo, hi):
+            raise DomainError(f"plain: {why}")
+    alphas =tuple(alpha for _, alpha in jobs)
     ginv = np.array([1.0 / gamma(alpha) for alpha in alphas])  # raises where Gamma overflows
     powers = _powers(a, b, alphas, xs)
     # a lane per (job, x, piece), but for jm at x = a and jp at x = b, in that
@@ -322,13 +272,19 @@ def compute_pieces_batch(
     )
 
 
+def _weights(cols: PointColumns) -> tuple:
+    """b - a, Gamma(alpha + 1) over (job, 1), (x-a)**alpha, (b-x)**alpha and
+    the moment weights (x-a)**(alpha+1)/(b-a), (b-x)**(alpha+1)/(b-a)."""
+    width = cols.b - cols.a
+    wa, wb, pa, pb = cols.powers
+    ga1 = np.array([gamma(alpha + 1.0) for alpha in cols.alphas], dtype=float).reshape(-1, 1)
+    return width, ga1, wa, wb, pa / width, pb / width
+
+
 def check_e1(cols: PointColumns) -> ResidualColumns:
     """The full identity's residual at every point of ``cols``, each in the
     scalar form's operation order."""
-    width = cols.b - cols.a
-    wa, wb, pa, pb = cols.powers
-    ka, kb = pa / width, pb / width
-    ga1 = np.array([gamma(alpha + 1.0) for alpha in cols.alphas], dtype=float).reshape(-1, 1)
+    width, ga1, wa, wb, ka, kb = _weights(cols)
     jm, jp, ia, ib = cols.value
     ejm, ejp, eia, eib = cols.error
     with np.errstate(all="ignore"):
@@ -338,88 +294,69 @@ def check_e1(cols: PointColumns) -> ResidualColumns:
     return ResidualColumns(*_residual_fields(lhs, rhs, budget))
 
 
+def check_halves(cols: PointColumns) -> tuple[ResidualColumns, ResidualColumns]:
+    """The residuals of the identity's half toward a and half toward b at
+    every point of ``cols``, each in the scalar form's operation order."""
+    width, ga1, wa, wb, ka, kb = _weights(cols)
+    jm, jp, ia, ib = cols.value
+    ejm, ejp, eia, eib = cols.error
+    with np.errstate(all="ignore"):
+        toward_a = _residual_fields(wa * cols.fx / width - ga1 / width * jm, ka * ia,
+                                    ka * eia + ga1 / width * ejm)
+        toward_b = _residual_fields(-wb * cols.fx / width + ga1 / width * jp, kb * ib,
+                                    kb * eib + ga1 / width * ejp)
+    return ResidualColumns(*toward_a), ResidualColumns(*toward_b)
+
+
+def check_classical(cols: PointColumns, name: str) -> ResidualColumns:
+    """The classical (alpha = 1) identity of f, named ``name``, at every x
+    of ``cols``' alpha = 1 job, over (1, x), in the scalar form's operation
+    order.
+
+    The job gives f(x), ``ia``, ``ib`` and the integral over [a, x] (at
+    alpha = 1, ``jm`` is that plain integral); the integral over [x, b] of
+    the i-th x is ``cols.plain[i]``, a plain segment of the same batch, a
+    lane from x which the job's ``jp``, a lane from b, does not share. A
+    batch without an alpha = 1 job or one segment per x is refused. Each
+    point whose job and segment converged is cross-asserted against the
+    job's full identity (``check_e1``): both sides must coincide to
+    ALPHA_ONE_MATCH_TOL (relative to the residual scale), and a disagreement
+    raises rather than returning silently inconsistent data. A failed point
+    holds nothing meaningful.
+    """
+    if 1.0 not in cols.alphas or len(cols.plain) != len(cols.xs):
+        raise ConfigError(
+            f"the classical identity needs an alpha = 1 job and one [x, b] segment per x, "
+            f"got alphas {cols.alphas!r} and {len(cols.plain)} segments for {len(cols.xs)} x")
+    j = cols.alphas.index(1.0)
+    failed = np.array([(j, i) in cols.failed or isinstance(ir, ConvergenceError)
+                       for i, ir in enumerate(cols.plain)], dtype=bool)
+    ir, eir = np.array([(math.nan,) * 2 if bad else ir for bad, ir in zip(failed, cols.plain)],
+                       dtype=float).reshape(-1, 2).T
+    width, _, _, _, ka, kb = _weights(cols)
+    jm, _, ia, ib = cols.value[:, j]
+    ejm, _, eia, eib = cols.error[:, j]
+    twin = check_e1(cols)
+    with np.errstate(all="ignore"):
+        res = ResidualColumns(*(np.reshape(field, (1, -1)) for field in _residual_fields(
+            cols.fx[j] - (jm + ir) / width, ka[j] * ia - kb[j] * ib,
+            (ejm + eir) / width + ka[j] * eia + kb[j] * eib)))
+        tol = ALPHA_ONE_MATCH_TOL * np.maximum(res.scale[0], twin.scale[j])
+        off = (np.abs(res.lhs[0] - twin.lhs[j]) > tol) | (np.abs(res.rhs[0] - twin.rhs[j]) > tol)
+    if (disagree := np.flatnonzero(off & ~failed)).size:
+        i = disagree[0]  # the first, as a check x by x would raise
+        got, want = res.at(0, i), twin.at(j, i)
+        raise FracIneqError(
+            f"classical identity disagrees with the alpha=1 specialization "
+            f"for {name} at x={cols.xs[i]!r}: lhs {got.lhs!r} vs {want.lhs!r}, "
+            f"rhs {got.rhs!r} vs {want.rhs!r}"
+        )
+    return res
+
+
 def lhs_budget(cols: PointColumns) -> np.ndarray:
     """The error budget of |identity LHS| at every point of ``cols``: only the
     operator pair contributes quadrature error to it."""
     ga = np.array([math.exp(ln_gamma(alpha + 1.0)) for alpha in cols.alphas]).reshape(-1, 1)
     with np.errstate(all="ignore"):
         return ga * ((cols.error[0] + cols.error[1]) / (cols.b - cols.a))
-
-
-def _coefficients(p: LemmaPieces) -> tuple[float, float, float, float, float]:
-    width = p.b - p.a
-    ga1 = gamma(p.alpha + 1.0)
-    wa = (p.x - p.a) ** p.alpha
-    wb = (p.b - p.x) ** p.alpha
-    ka = (p.x - p.a) ** (p.alpha + 1.0) / width
-    kb = (p.b - p.x) ** (p.alpha + 1.0) / width
-    return ga1, wa, wb, ka, kb
-
-
-def check_e4_from_pieces(p: LemmaPieces) -> IdentityResidual:
-    ga1, wa, _, ka, _ = _coefficients(p)
-    width = p.b - p.a
-    lhs = wa * p.fx / width - ga1 / width * p.jm.value
-    rhs = ka * p.ia.value
-    budget = ka * p.ia.error + ga1 / width * p.jm.error
-    return IdentityResidual.from_sides(lhs, rhs, budget)
-
-
-def check_e5_from_pieces(p: LemmaPieces) -> IdentityResidual:
-    ga1, _, wb, _, kb = _coefficients(p)
-    width = p.b - p.a
-    lhs = -wb * p.fx / width + ga1 / width * p.jp.value
-    rhs = kb * p.ib.value
-    budget = kb * p.ib.error + ga1 / width * p.jp.error
-    return IdentityResidual.from_sides(lhs, rhs, budget)
-
-
-def check_classical_lemma(
-    f: Function1D,
-    a: float,
-    b: float,
-    x: float,
-    pieces: LemmaPieces,
-    ir: Estimate,
-) -> IdentityResidual:
-    """Verify the classical (alpha = 1) identity through plain integrals.
-
-    ``pieces``, the alpha = 1 twin's at (a, b, x), for instance one x of a
-    :func:`compute_pieces_batch` job, give ``ia``, ``ib`` and the mean's
-    integral over [a, x] (at alpha = 1, ``jm`` is that plain integral);
-    pieces of another point are refused. ``ir`` is the integral over
-    [x, b], a plain segment of the same batch (``compute_pieces_batch``'s
-    ``plain``), a lane from x which the twin's ``jp``, a lane from b, does
-    not share. The result is then cross-asserted against the pieces' full
-    identity (``e1``): both sides must coincide to ALPHA_ONE_MATCH_TOL
-    (relative to the residual scale), and a disagreement raises rather than
-    returning silently inconsistent data.
-    """
-    if (pieces.a, pieces.b, pieces.x, pieces.alpha) != (a, b, x, 1.0):
-        raise ConfigError(
-            f"twin pieces are for (a, b, x, alpha) = "
-            f"{(pieces.a, pieces.b, pieces.x, pieces.alpha)!r}, "
-            f"expected {(a, b, x, 1.0)!r}"
-        )
-    width = b - a
-    fx = float(f.eval(x))
-    il = pieces.jm
-
-    lhs = fx - (il.value + ir.value) / width
-    rhs = (x - a) ** 2 / width * pieces.ia.value - (b - x) ** 2 / width * pieces.ib.value
-    budget = (
-        (il.error + ir.error) / width
-        + (x - a) ** 2 / width * pieces.ia.error
-        + (b - x) ** 2 / width * pieces.ib.error
-    )
-    res = IdentityResidual.from_sides(lhs, rhs, budget)
-
-    twin = pieces.e1
-    tol = ALPHA_ONE_MATCH_TOL * max(res.scale, twin.scale)
-    if abs(res.lhs - twin.lhs) > tol or abs(res.rhs - twin.rhs) > tol:
-        raise FracIneqError(
-            f"classical identity disagrees with the alpha=1 specialization "
-            f"for {f.name} at x={x!r}: lhs {res.lhs!r} vs {twin.lhs!r}, "
-            f"rhs {res.rhs!r} vs {twin.rhs!r}"
-        )
-    return res

@@ -1,6 +1,6 @@
 """Inputs at one parameter point, built through the package's one entry
-into each engine: pieces from ``compute_pieces_batch``, read as the one
-point's ``LemmaPieces``, a single integral as one lane of ``fracint``'s
+into each engine: pieces from ``compute_pieces_batch``, as one-point
+``PointColumns``, a single integral as one lane of ``fracint``'s
 engine (``one_lane``), and report rows from ``evaluate_block`` on one grid
 row at the one point. Nothing is shared with another call unless it is
 passed in."""
@@ -22,14 +22,16 @@ from fracineq.bounds import (
     ReportRows,
     evaluate_block,
 )
-from fracineq.errors import ConvergenceError
 from fracineq.fracint import DEFAULT_QUADRATURE, Estimate, FracParams, QuadratureConfig
 from fracineq.funcatalog import CatalogEntry, Function1D
 from fracineq.identity import (
     IdentityResidual,
-    LemmaPieces,
-    check_classical_lemma,
+    PointColumns,
+    _powers,
+    check_classical,
+    check_e1,
     compute_pieces_batch,
+    lhs_budget,
 )
 
 
@@ -48,12 +50,36 @@ def one_lane(h, start: float, end: float, beta: float, scale: float = 1.0,
 
 def pieces_of(
     f: Function1D, prm: FracParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> LemmaPieces:
-    """The identity's pieces at prm's (a, b, x, alpha); raises their ConvergenceError."""
-    ((got,),) = compute_pieces_batch(((f, prm.alpha),), prm.a, prm.b, (prm.x,), cfg)
-    if isinstance(got, ConvergenceError):
-        raise got
-    return got
+) -> PointColumns:
+    """The identity's pieces at prm's (a, b, x, alpha), as one-point columns;
+    raises their ConvergenceError."""
+    cols = compute_pieces_batch(((f, prm.alpha),), prm.a, prm.b, (prm.x,), cfg)
+    if cols.failed:
+        raise cols.failed[0, 0]
+    return cols
+
+
+def point_columns(a: float, b: float, x: float, alpha: float, fx: float,
+                  *pieces: Estimate) -> PointColumns:
+    """One-point columns of given f(x) and pieces jm, jp, ia and ib."""
+    value, error = (np.reshape([p[k] for p in pieces], (4, 1, 1)) for k in (0, 1))
+    return PointColumns(a, b, (alpha,), (x,), np.array([[fx]]), value, error,
+                        _powers(a, b, (alpha,), (x,)), {})
+
+
+def estimates(cols: PointColumns, j: int = 0, i: int = 0) -> tuple[Estimate, ...]:
+    """jm, jp, ia and ib at job j's i-th x."""
+    return tuple(map(Estimate, cols.value[:, j, i].tolist(), cols.error[:, j, i].tolist()))
+
+
+def e1_of(cols: PointColumns, j: int = 0, i: int = 0) -> IdentityResidual:
+    """The full identity's residual at job j's i-th x."""
+    return check_e1(cols).at(j, i)
+
+
+def abs_lhs_of(cols: PointColumns, j: int = 0, i: int = 0) -> Estimate:
+    """|identity LHS| at job j's i-th x, with its error budget."""
+    return Estimate(abs(e1_of(cols, j, i).lhs), float(lhs_budget(cols)[j, i]))
 
 
 def rows_at(
@@ -72,7 +98,7 @@ def rows_at(
     """
     f, width = entry.func, prm.b - prm.a
     if theorem_id in FRACTIONAL_IDS:
-        lhs = pieces_of(f, prm, cfg).abs_lhs
+        lhs = abs_lhs_of(pieces_of(f, prm, cfg))
     else:
         if mean is None:
             mean = one_lane(f, prm.a, prm.b, 1.0, width, cfg)
@@ -87,7 +113,7 @@ def rows_at(
 
 
 def classical_at(f: Function1D, a: float, b: float, x: float) -> IdentityResidual:
-    """``check_classical_lemma`` at x with its own one-x alpha = 1 twin pieces
+    """``check_classical`` at x with its own one-x alpha = 1 twin pieces
     and integral over [x, b], from one batch."""
     cols = compute_pieces_batch(((f, 1.0),), a, b, (x,), plain=((f, x, b),))
-    return check_classical_lemma(f, a, b, x, cols[0][0], cols.plain[0])
+    return check_classical(cols, f.name).at(0, 0)

@@ -32,7 +32,7 @@ from fracineq import (
     run_sweep,
 )
 
-from at_point import classical_at, one_lane, pieces_of, rows_at
+from at_point import classical_at, e1_of, one_lane, pieces_of, rows_at
 
 GAMMA_IDENTITY_RTOL = 8e-13
 HALF_INTEGER_RTOL = 1e-13
@@ -97,10 +97,10 @@ def test_identity_residuals_across_catalog_and_classical_agreement():
     for entry in builtin_catalog():
         for alpha in alphas:
             for x in xs:
-                res = pieces_of(entry.func, FracParams(0.0, 1.0, x, alpha)).e1
+                res = e1_of(pieces_of(entry.func, FracParams(0.0, 1.0, x, alpha)))
                 assert res.rel_residual <= IDENTITY_RTOL, (entry.name, alpha, x)
         for x in xs:
-            frac = pieces_of(entry.func, FracParams(0.0, 1.0, x, 1.0)).e1
+            frac = e1_of(pieces_of(entry.func, FracParams(0.0, 1.0, x, 1.0)))
             classical = classical_at(entry.func, 0.0, 1.0, x)
             scale = max(1.0, abs(frac.lhs), abs(classical.lhs))
             assert abs(frac.lhs - classical.lhs) <= ALPHA_ONE_MATCH * scale

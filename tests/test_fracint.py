@@ -39,7 +39,7 @@ from fracineq.funcatalog import Function1D, builtin_catalog, get_entry
 from fracineq.identity import compute_pieces_batch
 from fracineq.specfun import gamma
 
-from at_point import one_lane, pieces_of
+from at_point import estimates, one_lane, pieces_of
 
 TWO_OVER_SQRT_PI = 1.1283791670955126
 
@@ -200,7 +200,7 @@ class TestRightOperator:
 
 def _pair(f, deriv, x, alpha):
     pieces = pieces_of(Function1D("f", f, deriv, 0.0, 1.0), FracParams(0.0, 1.0, x, alpha))
-    return pieces.jm, pieces.jp
+    return estimates(pieces)[:2]
 
 
 zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
@@ -367,8 +367,8 @@ class TestLaneEngine:
             for alpha in (0.25, 1.0, 2.0):
                 ginv = 1.0 / gamma(alpha)
                 xs = tuple(float(v) for v in np.linspace(0.0, 1.0, 11))
-                (outcomes,) = compute_pieces_batch(((f, alpha),), 0.0, 1.0, xs)
-                for x, got in zip(xs, outcomes):
+                cols = compute_pieces_batch(((f, alpha),), 0.0, 1.0, xs)
+                for i, x in enumerate(xs):
                     want = (
                         _scaled(ginv, *one_lane(f, 0.0, x, alpha, x ** alpha))
                         if x > 0.0 else empty,
@@ -377,7 +377,7 @@ class TestLaneEngine:
                         one_lane(f.deriv, 0.0, x, alpha + 1.0),
                         one_lane(f.deriv, 1.0, x, alpha + 1.0),
                     )
-                    got = (got.jm, got.jp, got.ia, got.ib)
+                    got = estimates(cols, 0, i)
                     assert [v.hex() for e in got for v in e] == [
                         v.hex() for e in want for v in e
                     ], (entry.name, alpha, x)
@@ -538,9 +538,10 @@ class TestConversion:
         by_lane = {lane: (value[k], error[k], why[k])
                    for k, lane in enumerate(lane for group in sets for lane in group)}
         failed = 0
-        for (f, alpha), outcomes_ in zip(jobs, batch):
+        for j, (f, alpha) in enumerate(jobs):
             ginv = 1.0 / gamma(alpha)
-            for x, got in zip(xs, outcomes_):
+            for i, x in enumerate(xs):
+                got = batch.failed.get((j, i)) or estimates(batch, j, i)
                 want = []
                 for c, (lo, hi) in ((0.0, (0.0, x)), (1.0, (x, 1.0))):
                     if x == c:
@@ -557,19 +558,17 @@ class TestConversion:
                 if errors:
                     assert _outcome_bits(got) == _outcome_bits(errors[0]), (f.name, alpha, x)
                 else:
-                    assert [_outcome_bits(g) for g in (got.jm, got.jp, got.ia, got.ib)] == [
+                    assert [_outcome_bits(g) for g in got] == [
                         _outcome_bits(w) for w in want
                     ], (f.name, alpha, x)
-                    assert type(got.fx) is float and got.fx == float(f.eval(x))
+                    assert batch.fx.dtype == float and batch.fx[j, i] == float(f.eval(x))
         assert len(names) == len(value) == sum(map(len, sets))
-        assert failed > 0 and all(isinstance(p, ConvergenceError) for p in batch[-1])
+        assert failed > 0 and all((len(jobs) - 1, i) in batch.failed for i in range(len(xs)))
         stalled = [k for k, w in enumerate(why) if w is not None and np.isfinite(value[k])]
         if cfg.max_subdivisions == 8:
             assert len(stalled) > len(xs)
         else:  # only the NaN job fails
-            assert not stalled and not any(
-                isinstance(p, ConvergenceError) for outcomes_ in batch[:-1] for p in outcomes_
-            )
+            assert not stalled and all(j == len(jobs) - 1 for j, _ in batch.failed)
 
 
 class TestAlphaLimit:

@@ -53,7 +53,7 @@ from fracineq.harness import (
     run_sweep,
 )
 
-from at_point import classical_at, one_lane, rows_at
+from at_point import abs_lhs_of, classical_at, one_lane, rows_at
 
 
 def _report_sort_key(r):
@@ -2132,13 +2132,13 @@ def test_rows_come_out_in_the_order_a_stable_sort_gives():
     for name in cfg.functions:
         entry = get_entry(name)
         for alpha in cfg.alphas:
-            (outcomes,) = identity.compute_pieces_batch(
+            cols = identity.compute_pieces_batch(
                 ((entry.func, alpha),), 0.0, 1.0, cfg.x_points, qcfg
             )
-            for x, pieces in zip(cfg.x_points, outcomes):
+            for i, x in enumerate(cfg.x_points):
                 for thm in thms:
                     if thm.fractional:
-                        add(thm, entry, alpha, x, pieces.abs_lhs)
+                        add(thm, entry, alpha, x, abs_lhs_of(cols, 0, i))
     for name in cfg.functions:
         entry = get_entry(name)
         mean = one_lane(entry.func, 0.0, 1.0, 1.0, 1.0, qcfg)

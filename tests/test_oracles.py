@@ -35,7 +35,7 @@ from fracineq.fracint import (
 from fracineq.funcatalog import get_entry
 from fracineq.specfun import gamma
 
-from at_point import one_lane, pieces_of
+from at_point import estimates, one_lane, pieces_of
 
 LARGE_ALPHAS = (8.0, 32.0, MAX_ALPHA)
 ALPHAS = (1e-6, 1e-4, 0.05, 0.25, 1.0, 2.0, 4.0) + LARGE_ALPHAS
@@ -111,8 +111,7 @@ def test_power_functions_match_closed_forms(name, alpha):
     f = get_entry(name).func
     terms = POWER_TERMS[name]
     for x in XS:
-        pieces = pieces_of(f, FracParams(0.0, 1.0, x, alpha))
-        jm, jp, ia = pieces.jm, pieces.jp, pieces.ia
+        jm, jp, ia, _ = estimates(pieces_of(f, FracParams(0.0, 1.0, x, alpha)))
         assert_honest(jm, exact_jm(terms, alpha, x), f"jm x={x}", alpha)
         assert_honest(jp, exact_jp(terms, alpha, x), f"jp x={x}", alpha)
         assert_honest(ia, exact_ia(terms, alpha, x), f"ia x={x}", alpha)
@@ -122,7 +121,7 @@ def test_power_functions_match_closed_forms(name, alpha):
 def test_exp_matches_incomplete_gamma(alpha):
     f = get_entry("exp").func
     for x in XS:
-        jp = pieces_of(f, FracParams(0.0, 1.0, x, alpha)).jp
+        _, jp, _, _ = estimates(pieces_of(f, FracParams(0.0, 1.0, x, alpha)))
         assert_honest(jp, scaled_p(alpha, 1.0 - x, 1.0), f"jp x={x}", alpha)
         if x > 0.0:
             # J_{0+}^alpha f(x), the textbook left operator
@@ -137,7 +136,7 @@ def test_small_alpha_operator_is_exact(alpha):
     # layer of width ~1/m at w = 1; without the break point the first
     # samples miss it
     x = 0.5
-    jm = pieces_of(get_entry("square").func, FracParams(0.0, 1.0, x, alpha)).jm
+    jm, _, _, _ = estimates(pieces_of(get_entry("square").func, FracParams(0.0, 1.0, x, alpha)))
     want = x ** (2.0 + alpha) / ((2.0 + alpha) * math.gamma(alpha))
     assert jm.value == pytest.approx(want, rel=1e-12)
     assert abs(jm.value - want) <= jm.error
