@@ -42,10 +42,10 @@ integral mean and a ``CertCache``.
 alpha = 1 twin once; everything that handles a theorem id reads it there.
 Each right-hand side is a ``ClosedForm`` ``coef(row) * shape(point) /
 div(row)``: ``evaluate_block`` takes the coefficient and divisor once per
-(alpha, grid row) and the shape over all points at once, an f-independent
-shape once per sweep, and the rest as numpy arrays, bit for bit as the
-scalar form, and returns a ``RowBlock`` of columns per (theorem, function);
-``ReportRows`` reads blocks as a list of ``InequalityReport``.
+(alpha, grid row), the shape once per block over all its points and the
+rest as numpy arrays, bit for bit as the scalar form, and returns a
+``RowBlock`` of columns per (theorem, function); ``ReportRows`` reads
+blocks as a list of ``InequalityReport``.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ from .funcatalog import (
     _worst_violations,
     get_entry,
 )
+from .identity import _passes
 from .specfun import ln_gamma
 
 __all__ = [
@@ -114,8 +115,8 @@ DEFAULT_MARGIN_TOL = 1e-9
 REDUCTION_TOL = 1e-12
 
 
-# slotted: a sweep builds one per row, and a frozen dataclass sets each field
-# through object.__setattr__, which is cheaper on a slot
+# slotted: ReportRows builds one per row it reads, and a frozen dataclass sets
+# each field through object.__setattr__, which is cheaper on a slot
 @dataclass(frozen=True, slots=True)
 class InequalityReport:
     """One inequality instance: both sides, signed margin, and verdict.
@@ -280,17 +281,15 @@ class ClosedForm(NamedTuple):
     """A right-hand side ``coef(row) * shape(point, f) / div(row)``, in this
     operation order; ``coef`` and ``div`` read a grid row (a, b, alpha, s, p,
     q, M) and ``shape`` a sequence of points (a, b, x, alpha), giving a
-    float64 array; without ``div`` nothing is divided, and a shape reads f
-    only when ``reads_f``. ``evaluate_block`` takes the parts, and so every
-    power, in Python (``np.power`` differs from ``**`` in the last bit) and
-    only the product and quotient as numpy broadcasts, which round as Python
-    does.
+    float64 array; without ``div`` nothing is divided. ``evaluate_block``
+    takes the parts, and so every power, in Python (``np.power`` differs from
+    ``**`` in the last bit) and only the product and quotient as numpy
+    broadcasts, which round as Python does.
     """
 
     coef: Callable[..., float]
     shape: Callable[..., np.ndarray]
     div: Optional[Callable[..., float]] = None
-    reads_f: bool = False
 
     def __call__(self, prm, f: Optional[Function1D] = None) -> float:
         value = self.coef(prm) * float(self.shape((prm,), f)[0])
@@ -360,7 +359,6 @@ _thm3 = ClosedForm(
 _thm4 = ClosedForm(
     lambda r: 2.0 ** ((r.s - 1.0) / r.q) / ((1.0 + r.p * r.alpha) ** (1.0 / r.p) * (r.b - r.a)),
     lambda rs, f: _midpoint_pair(rs, f, lambda r: r.alpha + 1.0),
-    reads_f=True,
 )
 
 _ostrowski = ClosedForm(lambda r: r.M * (r.b - r.a), _shift)
@@ -384,7 +382,6 @@ _powermean = ClosedForm(
 _sconcave = ClosedForm(
     lambda r: 2.0 ** ((r.s - 1.0) / r.q) / ((1.0 + r.p) ** (1.0 / r.p) * (r.b - r.a)),
     lambda rs, f: _midpoint_pair(rs, f, lambda r: 2),
-    reads_f=True,
 )
 
 
@@ -493,9 +490,8 @@ class CertCache:
     sweep's s grid samples each target grid once. A certificate is a function
     of its sample, so targets whose samples have the same bits (|f'|**q of a
     constant f at every q, say) share one pass over the worst violations, for
-    as long as this cache lives. ``gate`` gives a block's certificates with
-    one lookup per distinct (s, q), and ``skip_note`` builds each failed
-    certificate's row note once.
+    as long as this cache lives. ``skip_note`` builds each failed certificate's
+    row note once.
     """
 
     def __init__(self, cert_tol: float = DEFAULT_CERT_TOL, s_values: Sequence[float] = ()):
@@ -524,18 +520,6 @@ class CertCache:
                 self._store[(key[0], target, got.mode, got.s, got.q)] = got
             cert = self._store[key]
         return cert
-
-    def gate(
-        self, entry: CatalogEntry, target: str, mode: str, cells: Sequence[tuple[float, float]]
-    ) -> list[ConvexityCertificate]:
-        """``get``'s certificate at each (s, q) of ``cells``, looked up once
-        per distinct cell; ``get`` runs on a miss."""
-        name, store = entry.func.name, self._store
-        found = {}
-        for s, q in dict.fromkeys(cells):
-            cert = store.get((name, target, mode, float(s), float(q)))
-            found[s, q] = self.get(entry, target, mode, s, q) if cert is None else cert
-        return [found[cell] for cell in cells]
 
     def skip_note(self, cert: ConvexityCertificate) -> str:
         """The note on a row whose hypothesis ``cert`` failed."""
@@ -572,7 +556,6 @@ def evaluate_block(
     margin_tol: float,
     certs: CertCache,
     mean: Optional[Estimate] = None,
-    shapes: Optional[dict] = None,
 ) -> RowBlock:
     """Evaluate one theorem on every (s, p, q) of ``grid`` at every point.
 
@@ -586,14 +569,14 @@ def evaluate_block(
     quadrature, and a missing input raises ``ConfigError``. Each grid row
     is checked and certified once for all the alphas. The right-hand sides
     are the theorem's ``ClosedForm``: coefficient and divisor once per
-    (alpha, grid row), shape once over the points (an f-independent one
-    once per ``shapes``, a memo the caller may share between the blocks of
-    one sweep), their product and quotient, the margins and the verdicts
-    per report row in numpy. Rows come out per
-    alpha, per run of grid rows sharing (s, p), per point, then per grid row
-    of the run, so points ascending in (alpha, x) and a grid from
-    ``Theorem.grid`` over ascending s and p give the report order. The
-    Hermite-Hadamard pair (e13) gives two block rows per grid row, one per side.
+    (alpha, grid row), shape once over the points, their product and
+    quotient, the margins and the verdicts per report row in numpy; a row
+    holds when -margin passes the identity's tolerance rule,
+    ``identity._passes``. Rows come out per alpha, per run of grid rows
+    sharing (s, p), per point, then per grid row of the run, so points
+    ascending in (alpha, x) and a grid from ``Theorem.grid`` over ascending
+    s and p give the report order. The Hermite-Hadamard pair (e13) gives two
+    block rows per grid row, one per side.
     """
     thm = THEOREMS.get(theorem_id)
     if thm is None:
@@ -612,8 +595,8 @@ def evaluate_block(
     if thm.target is None:
         asserted, notes = [True] * len(grid), [""] * len(grid)
     else:
-        cells = [(row.s, row.q if thm.q_in_hypothesis else 1.0) for row in grid]
-        got = certs.gate(entry, thm.target, thm.mode, cells)
+        got = [certs.get(entry, thm.target, thm.mode, row.s, row.q if thm.q_in_hypothesis else 1.0)
+               for row in grid]
         asserted = [cert.passed for cert in got]
         notes = ["" if cert.passed else certs.skip_note(cert) for cert in got]
     alphas, xs = points.alpha, points.x
@@ -627,7 +610,7 @@ def evaluate_block(
         budget = float(mean.error / width)
         at_mid = float(f.eval(0.5 * (a + b)))
         at_ends = float(f.eval(a)) + float(f.eval(b))
-        sides = []  # per block row: its grid row, gate, note, lhs and rhs
+        sides = []  # per block row: its grid row, asserted, note, lhs and rhs
         for row, ok, note in zip(grid, asserted, notes):
             if ok and not nonneg:
                 note = "hypothesis not certified: f takes negative values"
@@ -646,23 +629,18 @@ def evaluate_block(
         row_of, point_of, group_of = _report_order(runs, sizes)
         lhs, budget, lhs_at = points.lhs, points.budget, point_of
         form = thm.rhs
-        memo = {} if form.reads_f or shapes is None else shapes
-        key = (form.shape, a, b, alphas, xs)
         # coef and div per cell: per alpha's group of points, per grid row
         at_cells = [_At(a, b, None, alpha, s, p, q, M) for alpha, _ in groups for s, p, q in grid]
         cell = group_of * len(grid) + row_of
         with np.errstate(all="ignore"):  # IEEE results without warnings, as in Python
-            shape = memo.get(key)
-            if shape is None:
-                shape = memo[key] = form.shape(
-                    [_At(a, b, x, alpha, None, None, None, M) for alpha, x in zip(alphas, xs)], f)
+            shape = form.shape(
+                [_At(a, b, x, alpha, None, None, None, M) for alpha, x in zip(alphas, xs)], f)
             rhs = np.array([form.coef(at) for at in at_cells], dtype=float)[cell] * shape[point_of]
             if form.div is not None:
                 rhs = rhs / np.array([form.div(at) for at in at_cells], dtype=float)[cell]
     with np.errstate(all="ignore"):
         margin = rhs - lhs[lhs_at]
-        # the lowest margin that still holds; fmax, as Python's max, ignores a NaN budget
-        holds = margin >= -np.fmax(margin_tol, 10.0 * budget)[lhs_at]
+        holds = _passes(-margin, budget[lhs_at], margin_tol)
     return RowBlock(
         theorem_id, entry.name, a, b, M, tuple(grid), tuple(asserted), tuple(notes),
         alphas, xs, lhs, budget, rhs, margin, holds, row_of, point_of, lhs_at,

@@ -4,8 +4,7 @@ A sweep walks the Cartesian grid (functions x alphas x x-points), computes
 the shared quadrature pieces of every (function, alpha, x) in one batched
 call (with each function's integral mean when a classical bound is
 selected), takes every point's identity residual and |LHS| from those
-columns in one numpy pass, and
-evaluates every selected theorem row
+columns in one numpy pass, and evaluates every selected theorem row
 (functions x alphas x s x exponent pairs x x for the fractional family;
 alpha-free grids for the classical family), one block of rows per
 (theorem, function) at a time, every alpha in it. Derivative bounds are
@@ -189,6 +188,10 @@ def _type_problem(key: str, value) -> Optional[str]:
     return None if fits(value) else f"{key}: must be {want}, got {reprlib.repr(value)}"
 
 
+def _why(exc: Exception) -> str:  # an OSError's reason, without its errno and path
+    return getattr(exc, "strerror", None) or str(exc)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid, tolerances, and theorem selection for one sweep."""
@@ -343,11 +346,13 @@ class SweepConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "SweepConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path!r}: {_why(exc)}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path!r} must hold a JSON object")
         return cls.from_dict(data)
@@ -523,7 +528,6 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     # rows that differ only in q keep the q_dedup order
     s_up = sorted(cfg.s_values)
     pq_up = sorted(cfg.pq_pairs, key=itemgetter(0))
-    shapes: dict = {}  # the f-independent right-hand side shapes, shared by the blocks
     blocks = []
     for thm in sorted(thms, key=attrgetter("tid")):
         grid = tuple(thm.grid(s_up, pq_up, q_dedup))  # shared by the theorem's blocks
@@ -532,7 +536,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
                 thm.tid, entry, cfg.interval, bound_m[entry.name], grid,
                 points_of[entry.name] if thm.fractional
                 else classical_of[entry.name] if "x" in thm.fields else at_mid,
-                cfg.margin_tol, certs, means.get(entry.name), shapes,
+                cfg.margin_tol, certs, means.get(entry.name),
             ))
 
     summary = {
@@ -809,8 +813,12 @@ def report_texts(res: SweepResult, format: str = "csv") -> Iterator[str]:
 
 
 def emit_report(res: SweepResult, format: str = "csv", path: str = "report.csv") -> None:
-    """Stream ``report_texts`` to path; the format is checked before the file
-    is opened. An exception raised mid-write may leave a partial file."""
+    """Stream ``report_texts`` to path, checking the format first; a path that
+    cannot be opened raises ``ConfigError``, an error mid-write may leave a partial file."""
     texts = report_texts(res, format)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {path!r}: {_why(exc)}") from exc
+    with fh:
         fh.writelines(texts)

@@ -79,8 +79,8 @@ def _residual_fields(lhs, rhs, abs_error) -> tuple:
 
 @np.errstate(all="ignore")
 def _passes(rel_residual, quad_error_budget, identity_tol):
-    """PASS iff rel_residual <= max(identity_tol, 10 * quad_error_budget), of
-    floats or arrays alike; a NaN budget leaves identity_tol, as in Python."""
+    """PASS iff rel_residual <= max(identity_tol, 10 * quad_error_budget), of floats or
+    arrays, residuals or bounds' -margins alike; a NaN budget leaves identity_tol."""
     return rel_residual <= np.fmax(identity_tol, 10.0 * quad_error_budget)
 
 

@@ -24,6 +24,7 @@ from fracineq.bounds import (
 )
 from fracineq.errors import ConfigError
 from fracineq.fracint import MAX_ALPHA, Estimate, FracParams
+from fracineq.identity import _passes
 from fracineq.funcatalog import (
     MODE_CONCAVE,
     MODE_CONVEX,
@@ -478,6 +479,25 @@ class TestEvaluateTheorem:
             rows_at(
                 "t5_146", get_entry("square"), FracParams(0.0, 1.0, 0.5, 1.0, s=0.5, M=2.0)
             )
+
+    @pytest.mark.parametrize(("M", "lhs", "budget", "tol", "margin", "expected"), [
+        (2.0, np.nan, 0.0, 1e-9, np.nan, False),
+        (2.0, 0.625, np.nan, 0.25, -0.125, True),
+        (2.0, 1.0, np.nan, 0.25, -0.5, False),
+        (-0.0, 0.0, 0.0, 0.0, -0.0, True),
+        (2.0, 1e300, np.inf, 1e-9, -1e300, True),
+    ], ids=["nan-value-fails", "nan-budget-leaves-the-tolerance", "nan-budget-past-the-tolerance",
+            "margin-minus-zero-holds", "inf-budget-passes-a-finite-value"])
+    def test_residuals_and_margins_share_the_tolerance_rule(self, M, lhs, budget, tol, margin,
+                                                            expected):
+        # e1 at the midpoint of [0, 1] has the RHS M / 4, so its margin is
+        # M / 4 - lhs; a residual of -margin gets the same verdict
+        assert bool(_passes(-margin, budget, tol)) is expected
+        points = bounds.Points((1.0,), (0.5,), np.array([lhs]), np.array([budget]))
+        block = bounds.evaluate_block("e1", get_entry("square"), (0.0, 1.0), M,
+                                      THEOREMS["e1"].grid((), (), ()), points, tol, CertCache())
+        assert repr(float(block.margin[0])) == repr(margin)
+        assert block.holds.tolist() == [expected]
 
 
 class TestTableGate:

@@ -687,6 +687,20 @@ def test_every_command_makes_one_quadrature_call(argv, tmp_path, monkeypatch, ca
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    "sweep --config {tmp}/missing.json",
+    "sweep --config {tmp}",
+    "sweep --config {tmp}/latin1.json",
+    "sweep --functions square --alphas 0.5 --x-count 3 --out {tmp}/missing/r.csv",
+], ids=["missing-config", "directory-config", "non-utf8-config", "missing-out-dir"])
+def test_a_file_that_cannot_be_read_or_written_exits_two(argv, tmp_path, capsys):
+    (tmp_path / "latin1.json").write_bytes(b'{"functions": ["caf\xe9"]}')
+    assert cli.main(argv.format(tmp=tmp_path).split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: cannot ") and err.count("\n") == 1 and str(tmp_path) in err
+
+
 class TestRendering:
     def test_csv_header(self, small_result):
         assert render_csv(small_result).splitlines()[0] == CSV_HEADER
@@ -2052,11 +2066,11 @@ def test_verify_prints_the_sweeps_rows(capsys):
 
 
 def test_default_sweep_gates_and_checks_once_per_block_and_point(monkeypatch):
-    # one RowBlock per (theorem, function), 4 x 9; each block gates each grid
-    # row once for all its alphas: (E6's 4 s, E7's and E9's 4 s x 3 pairs,
-    # E8proof's 4 s x 3 q) x 9 functions; and the identity is checked once at
-    # each of the 594 points, in one pass over the columns, for its residual
-    # and its rows' left-hand side
+    # one RowBlock per (theorem, function), 4 x 9; each block gets each grid
+    # row's certificate once for all its alphas: (E6's 4 s, E7's and E9's
+    # 4 s x 3 pairs, E8proof's 4 s x 3 q) x 9 functions; and the identity is
+    # checked once at each of the 594 points, in one pass over the columns,
+    # for its residual and its rows' left-hand side
     counts = {"blocks": 0, "gets": 0, "e1": 0, "passes": 0}
     e1_calls = []
 
@@ -2067,8 +2081,7 @@ def test_default_sweep_gates_and_checks_once_per_block_and_point(monkeypatch):
         return call
 
     monkeypatch.setattr(harness, "evaluate_block", counted("blocks", harness.evaluate_block))
-    monkeypatch.setattr(bounds.CertCache, "gate", counted(
-        "gets", bounds.CertCache.gate, lambda self, entry, target, mode, cells: len(cells)))
+    monkeypatch.setattr(bounds.CertCache, "get", counted("gets", bounds.CertCache.get))
     monkeypatch.setattr(harness, "check_e1", counted(
         "e1", harness.check_e1, lambda cols: e1_calls.append(cols) or cols.fx.size))
     # 9 functions x 4 samples (|f'| and |f'|^q at 3 q); constant's and
