@@ -43,6 +43,7 @@ from .bounds import (
     REDUCTION_TOL,
     THEOREM_IDS,
     THEOREMS,
+    CertCache,
     InequalityReport,
     reduction_check,
 )
@@ -50,12 +51,12 @@ from .errors import ConfigError, ConvergenceError, FracIneqError
 from .funcatalog import (
     DEFAULT_CERT_TOL,
     MODE_CONCAVE,
+    MODE_CONVEX,
     TARGET_F,
     TARGET_FPRIME,
     TARGET_FPRIME_POW,
     builtin_catalog,
     catalog_names,
-    certify_batch,
     get_entry,
 )
 from .harness import (
@@ -402,16 +403,13 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         print(f"  s-convex registrations (|f'|): {_fmt_s_list(entry.s_convex)}")
         print(f"  s-concave registrations (|f'|^2): {_fmt_s_list(entry.s_concave)}")
         if detailed:
-            # one batch per (target, q, mode); printed s by s, targets within each s
-            convex = [
-                certify_batch(f, entry.s_convex, q=q, target=target)
-                for target, q in ((TARGET_F, 1.0), (TARGET_FPRIME, 1.0), (TARGET_FPRIME_POW, 2.0))
-            ]
-            concave = certify_batch(
-                f, entry.s_concave, q=2.0, modes=(MODE_CONCAVE,), target=TARGET_FPRIME_POW
-            )
-            for cert in [c for per_s in zip(*convex) for c in per_s] + concave:
-                print(f"  {cert.describe()}")
+            # printed s by s, targets within each s, then the s-concave registrations
+            certs = CertCache(s_values=entry.s_convex)
+            convex = [(target, MODE_CONVEX, s, q) for s in entry.s_convex for target, q in
+                      ((TARGET_F, 1.0), (TARGET_FPRIME, 1.0), (TARGET_FPRIME_POW, 2.0))]
+            concave = [(TARGET_FPRIME_POW, MODE_CONCAVE, s, 2.0) for s in entry.s_concave]
+            for key in convex + concave:
+                print(f"  {certs.get(entry, *key).describe()}")
     return 0
 
 

@@ -103,30 +103,6 @@ class Estimate(NamedTuple):
     error: float
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and subdivision budget for the engine."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self) -> None:
-        problems = []
-        if not self.rel_tol > 0.0:
-            problems.append(f"rel_tol must be > 0, got {self.rel_tol!r}")
-        if not self.abs_tol > 0.0:
-            problems.append(f"abs_tol must be > 0, got {self.abs_tol!r}")
-        if self.max_subdivisions < 8:
-            problems.append(
-                f"max_subdivisions must be >= 8, got {self.max_subdivisions!r}"
-            )
-        if problems:
-            raise ConfigError("; ".join(problems))
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
 #: Conjugacy slack for Hoelder exponent pairs.
 CONJUGACY_TOL = 1e-12
 
@@ -183,6 +159,11 @@ def pq_problem(p: Optional[float], q: Optional[float]) -> Optional[str]:
         f"({p!r}, {q!r}) is not a conjugate pair (p > 1, q >= 1, 1/p + 1/q = 1)")
 
 
+def tol_problem(tol: float) -> Optional[str]:
+    """A tolerance: an infinite one would pass every check, a NaN one fail every check."""
+    return None if 0.0 < tol < math.inf else f"must be > 0 and finite, got {tol!r}"
+
+
 def m_problem(M: float) -> Optional[str]:
     return None if 0.0 <= M < math.inf else f"must be nonnegative and finite, got {M!r}"
 
@@ -192,6 +173,27 @@ def domain_problem(f, a: float, b: float) -> Optional[str]:
     catalog bound such as M, and its certificates, hold there only."""
     return (f"[{a!r}, {b!r}] is outside the domain of {f.name} "
             f"([{f.domain_lo!r}, {f.domain_hi!r}])") if f.outside(a, b) else None
+
+
+@dataclass(frozen=True)
+class QuadratureConfig:
+    """Tolerances and subdivision budget for the engine."""
+
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-12
+    max_subdivisions: int = 2000
+
+    def __post_init__(self) -> None:
+        problems = [f"{name}: {why}" for name in ("rel_tol", "abs_tol")
+                    if (why := tol_problem(getattr(self, name)))]
+        n = self.max_subdivisions
+        if type(n) is not int or n < 8:
+            problems.append(f"max_subdivisions: must be an int >= 8, got {n!r}")
+        if problems:
+            raise ConfigError("; ".join(problems))
+
+
+DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 def _point_problems(a: float, b: float, xs: Sequence[float], alpha: float) -> list[str]:
@@ -468,8 +470,8 @@ def oracle(
         raise ConfigError(f"singular must be 'lo' or 'hi', got {singular!r}")
     if why := alpha_problem(alpha):
         raise DomainError(f"alpha: {why}")
-    if not lo < hi:
-        raise EmptyIntervalError(f"need lo < hi, got [{lo!r}, {hi!r}]")
+    if why := interval_problem(lo, hi):
+        raise EmptyIntervalError(f"lo, hi: {why}")
     c, end = (lo, hi) if singular == "lo" else (hi, lo)
     # the midpoints of v = 1 - u; u**(1/alpha) through log1p keeps v's precision
     v = (np.arange(panels, dtype=float) + 0.5) / panels

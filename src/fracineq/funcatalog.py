@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CertificateError, ConfigError, DomainError
-from .fracint import pq_problem, s_problem
+from .fracint import interval_problem, m_problem, pq_problem, s_problem, tol_problem
 
 __all__ = [
     "MODE_CONVEX",
@@ -97,11 +97,8 @@ class Function1D:
     domain_hi: float
 
     def __post_init__(self) -> None:
-        if not self.domain_lo < self.domain_hi:
-            raise DomainError(
-                f"{self.name}: domain_lo < domain_hi required, got "
-                f"[{self.domain_lo}, {self.domain_hi}]"
-            )
+        if why := interval_problem(self.domain_lo, self.domain_hi):
+            raise DomainError(f"{self.name}: domain: {why}")
 
     def __call__(self, t):
         return self.eval(t)
@@ -215,8 +212,8 @@ def _sample(
             raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
     if target not in _TARGETS:
         raise ConfigError(f"target must be one of {_TARGETS}, got {target!r}")
-    if math.isnan(cert_tol):
-        raise ConfigError("cert_tol must not be NaN")
+    if why := tol_problem(cert_tol):
+        raise ConfigError(f"cert_tol: {why}")
     if f.domain_lo < 0.0:
         raise DomainError(
             f"{f.name}: certification requires a domain inside [0, inf), "
@@ -307,8 +304,9 @@ def certify_batch(
     all multiples of 1/1024), and each cell reads its point's value.
 
     Checked in order, the first problem raising: s, q (as a lone exponent,
-    ``fracint.pq_problem``: 1 <= q < inf), modes, target, a NaN cert_tol,
-    then a domain outside [0, inf), where s-convexity is defined.
+    ``fracint.pq_problem``: 1 <= q < inf), modes, target, cert_tol (by
+    ``fracint.tol_problem``: > 0 and finite), then a domain outside
+    [0, inf), where s-convexity is defined.
     """
     sample = _sample(f, s_values, q, modes, target, cert_tol)
     if sample is None:
@@ -341,13 +339,13 @@ class CatalogEntry:
     def deriv_bound(self) -> float:
         """The bound M = analytic_m on |f'|, cross-checked on the domain grid.
 
-        A negative bound raises DomainError; one that the supremum of |f'|
-        sampled on ``func.grid()`` exceeds is refuted and raises
-        CertificateError.
+        A bound that ``fracint.m_problem`` refuses raises DomainError; one
+        that the supremum of |f'| sampled on ``func.grid()`` exceeds is
+        refuted and raises CertificateError.
         """
         f, m = self.func, self.analytic_m
-        if m < 0.0:
-            raise DomainError(f"analytic bound must be nonnegative, got {m!r}")
+        if why := m_problem(m):
+            raise DomainError(f"{f.name}: analytic_m: {why}")
         sup = float(np.max(np.abs(np.asarray(f.deriv(f.grid()), dtype=float))))
         if sup > m + 1e-12:
             raise CertificateError(

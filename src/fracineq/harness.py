@@ -80,6 +80,7 @@ from .fracint import (
     interval_problem,
     pq_problem,
     s_problem,
+    tol_problem,
     too_narrow,
     x_problem,
 )
@@ -285,9 +286,7 @@ class SweepConfig:
                 problems += [f"x_points: {why}" for x in self.x_points
                              if (why := x_problem(x, a, b))]
             problems.extend(_repeats("x_points", self.x_points))
-        # an infinite tolerance passes every check and a NaN one fails every check
-        problems += [f"{t}: must be > 0 and finite, got {value!r}" for t in _TOLERANCES
-                     if not 0.0 < (value := getattr(self, t)) < np.inf]
+        problems += [f"{t}: {why}" for t in _TOLERANCES if (why := tol_problem(getattr(self, t)))]
         return problems
 
     def resolve_x(self) -> tuple[float, ...]:

@@ -663,7 +663,8 @@ def test_a_closed_stdout_ends_the_cli_cleanly():
     )
     assert proc.stdout.readline().startswith(b"theorem_id,")
     proc.stdout.close()
-    stderr = proc.stderr.read().decode()
+    with proc.stderr:
+        stderr = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
 
@@ -1312,7 +1313,7 @@ class TestCli:
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_catalog_detail_equals_one_certify_per_line(self, name, capsys):
-        # the batched certificates print as one single-s batch per (s, target) did
+        # the cached certificates print as one single-s batch per (s, target) does
         assert cli.main(["catalog", "--function", name]) == 0
         lines = capsys.readouterr().out.splitlines()
         entry = get_entry(name)
